@@ -28,11 +28,10 @@ from scipy.interpolate import CubicSpline
 
 from .config import EvolutionConfig, Thresholds
 from .fields import RadialField, State
-from .functionals import (crit_norm, energy_E, functional_K, h1_seminorm_sq,
-                          l2_norm_sq, norm_H, smooth_cutoff)
+from .functionals import h1_seminorm_sq, l2_norm_sq, norm_H, smooth_cutoff
 from .grids import RadialGrid
-from .modulation import (FitError, distance_dW, fit_modulation,
-                         reference_J, split_modes, _manifold_distance_sq)
+from .modulation import (FitError, _RadialDistance, _manifold_distance_sq,
+                         distance_dW, fit_modulation, manifold_distance)
 from .spectral import SpectralData
 
 BLOWUP = "Blowup"
@@ -58,36 +57,74 @@ class RadialWaveEvolver:
         self.grid = grid
         self.h = grid.r[1] - grid.r[0]
         self.r = grid.r
-        self.r4 = grid.r ** 4
+        self.r_sq = grid.r * grid.r
         self.dt0 = cfl * self.h
         self.inv12h2 = 1.0 / (12.0 * self.h * self.h)
+        # work buffers of force() and steps()
+        self._tmp = np.empty(grid.n)
+        self._u_sq = np.empty(grid.n)
 
-    def force(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def force(self, w: np.ndarray, v: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """Acceleration w_rr + w^5 / r^4 with the origin fold and the
+        outgoing closure; written into ``out`` when given."""
         h, c = self.h, self.inv12h2
+        a = np.empty_like(w) if out is None else out
+        inner, tmp = a[2:-2], self._tmp[2:-2]
         with np.errstate(over="ignore", invalid="ignore"):
-            a = np.empty_like(w)
-            a[2:-2] = (-w[:-4] + 16.0 * w[1:-3] - 30.0 * w[2:-2]
-                       + 16.0 * w[3:-1] - w[4:]) * c
+            # (-w[i-2] + 16 w[i-1] - 30 w[i] + 16 w[i+1] - w[i+2]) * c
+            np.negative(w[:-4], out=inner)
+            inner += np.multiply(w[1:-3], 16.0, out=tmp)
+            inner -= np.multiply(w[2:-2], 30.0, out=tmp)
+            inner += np.multiply(w[3:-1], 16.0, out=tmp)
+            inner -= w[4:]
+            inner *= c
             # odd-parity ghosts across r = 0
             a[0] = (-46.0 * w[0] + 17.0 * w[1] - w[2]) * c
             a[1] = (17.0 * w[0] - 30.0 * w[1] + 16.0 * w[2] - w[3]) * c
-            # outgoing closure: ghost from (d_t + d_r) w = 0 at the last node
-            h2 = h * h
-            a[-2] = (w[-3] - 2.0 * w[-2] + w[-1]) / h2
-            a[-1] = (2.0 * w[-2] - 2.0 * w[-1] - 2.0 * h * v[-1]) / h2
-            u_sq = (w * w) / (self.r * self.r)
-            a += w * u_sq * u_sq
+            a[-2] = (w[-3] - 2.0 * w[-2] + w[-1]) / (h * h)
+            a[-1] = self._outgoing_row(w, v, linear_only=True)
+            u_sq = np.divide(np.multiply(w, w, out=self._u_sq), self.r_sq,
+                             out=self._u_sq)
+            nl = np.multiply(w, u_sq, out=self._tmp)
+            nl *= u_sq
+            a += nl
         return a
 
-    def steps(self, w, v, n: int, dt: float):
-        """n velocity-Verlet steps in place; returns (w, v, last_force)."""
-        a = self.force(w, v)
+    def _outgoing_row(self, w, v, linear_only: bool = False) -> float:
+        """a[-1], the only row that reads v: the outgoing closure, whose
+        ghost follows from (d_t + d_r) w = 0 at the last node, plus (unless
+        ``linear_only``) the nonlinear term w^5 / r^4."""
+        h = float(self.h)
+        wl = float(w[-1])
+        lin = (2.0 * float(w[-2]) - 2.0 * wl - 2.0 * h * float(v[-1])) / (h * h)
+        if linear_only:
+            return lin
+        u_sq = (wl * wl) / float(self.r_sq[-1])
+        return lin + wl * u_sq * u_sq
+
+    def steps(self, w, v, n: int, dt: float, a=None):
+        """n velocity-Verlet steps; returns (w, v, last_force) as new arrays.
+
+        One force evaluation per step: each step kicks with the force of
+        the previous one, last_force = force(w, v_half).  Pass the
+        last_force of the previous call as ``a`` to skip the evaluation on
+        entry too; only its v-dependent outgoing row is refreshed, which
+        gives exactly force(w, v).  The inputs are not modified.
+        """
+        w, v = w.copy(), v.copy()
+        if a is None:
+            a = self.force(w, v)
+        else:
+            a = a.copy()
+            a[-1] = self._outgoing_row(w, v)
         half = 0.5 * dt
+        tmp = self._tmp
         for _ in range(n):
-            vh = v + half * a
-            w = w + dt * vh
-            a = self.force(w, vh)
-            v = vh + half * a
+            v += np.multiply(a, half, out=tmp)          # half-step velocity
+            w += np.multiply(v, dt, out=tmp)
+            self.force(w, v, out=a)
+            v += np.multiply(a, half, out=tmp)
         return w, v, a
 
     def state_to_wv(self, s: State):
@@ -142,9 +179,6 @@ class DirectionRun:
     detail: dict
     ejection_rate: float = math.nan
 
-    def arr(self, key: str) -> np.ndarray:
-        return np.asarray(self.series[key])
-
 
 @dataclass
 class TrajectoryRecord:
@@ -163,9 +197,6 @@ class TrajectoryRecord:
 
     def column(self, key: str) -> np.ndarray:
         return np.asarray(self.series[key])
-
-    def forward_mask(self) -> np.ndarray:
-        return self.times >= 0
 
     def to_csv(self, path) -> None:
         cols = [self.column(k) for k in _SERIES_KEYS]
@@ -234,18 +265,19 @@ class _MonitorState:
         self.gap = 0
 
 
-def _attempt_fit(s: State, spec: SpectralData, mon: _MonitorState):
+def _attempt_fit(s: State, spec: SpectralData, mon: _MonitorState,
+                 dist: _RadialDistance):
     """Try the modulation solve near the family; None when clearly far."""
     th = mon.th
     # cheap proximity proxy at the seeded (sign, sigma)
     signs = (mon.sign_seed,) if mon.sign_seed is not None else (+1, -1)
-    prox = min(_manifold_distance_sq(spec, s, sg, mon.sigma_seed)
+    prox = min(_manifold_distance_sq(spec, s, sg, mon.sigma_seed, dist)
                for sg in signs)
     if math.sqrt(max(prox, 0.0)) * th.C_d0 > 1.5 * th.delta_A:
         return None
     try:
         fit = fit_modulation(s, spec, th, sign_hint=mon.sign_seed,
-                             sigma0=mon.sigma_seed)
+                             sigma0=mon.sigma_seed, dist=dist)
     except FitError:
         return None
     if not fit.converged:
@@ -255,22 +287,26 @@ def _attempt_fit(s: State, spec: SpectralData, mon: _MonitorState):
     return fit
 
 
-def _monitor_row(s: State, t: float, spec: SpectralData, mon: _MonitorState,
-                 jref: float) -> dict:
+def _monitor_row(s: State, t: float, spec: SpectralData,
+                 mon: _MonitorState) -> dict:
+    """All monitors of one state.  u1', its far-field fit and the H^1,
+    critical and L^2 pieces are computed once and shared by the fit, the
+    distances and the functionals."""
     cfg, th = mon.cfg, mon.th
     g = s.grid
+    dist = _RadialDistance(spec, s)
+    pieces = dist.pieces
     row: dict = {"t": t}
-    fit = _attempt_fit(s, spec, mon)
-    rep = distance_dW(s, spec, th, fit=fit) if fit is not None else None
+    fit = _attempt_fit(s, spec, mon, dist)
+    rep = distance_dW(s, spec, th, fit=fit, dist=dist) if fit is not None else None
     if rep is None:
-        from .modulation import manifold_distance
-        d0 = th.C_d0 * manifold_distance(spec, s)
+        d0 = th.C_d0 * manifold_distance(spec, s, dist=dist)
         row.update({"dW": d0, "d0": d0, "lambda1": math.nan,
                     "lambda2": math.nan, "sigma": math.nan,
                     "gamma_norm": math.nan})
         sigma_now = math.nan
     else:
-        ms = split_modes(fit, spec)
+        ms = rep.modes
         row.update({"dW": rep.dW, "d0": rep.d0, "lambda1": ms.lambda1,
                     "lambda2": ms.lambda2, "sigma": fit.sigma,
                     "gamma_norm": norm_H(ms.gamma)})
@@ -293,19 +329,17 @@ def _monitor_row(s: State, t: float, spec: SpectralData, mon: _MonitorState,
             mon.tau_valid = False
     row["tau"] = mon.tau if mon.tau_valid and not math.isnan(sigma_now) else math.nan
 
-    e_val = energy_E(s)
-    k_val = functional_K(s.u1)
-    nham = norm_H(s)
-    row.update({"E": e_val, "K": k_val, "norm_H": nham,
-                "u2_sq": l2_norm_sq(s.u2)})
-    row["free_ratio"] = crit_norm(s.u1) / max(nham * nham, 1e-300)
+    k_val = pieces.K
+    nham = pieces.norm_H
+    row.update({"E": pieces.energy, "K": k_val, "norm_H": nham,
+                "u2_sq": pieces.l2})
+    row["free_ratio"] = pieces.crit / max(nham * nham, 1e-300)
     # exterior energy beyond the light cone of the nominal support
     r_cut = cfg.support_radius + abs(t) + _EXT_PAD
-    row["Eext"] = _exterior_energy(s, r_cut)
+    row["Eext"] = exterior_energy(s, r_cut, pieces.du)
     # localized virial and equipartition brackets
     wcut = smooth_cutoff(g.r / (abs(t) + cfg.cone_S))
-    du = s.u1.deriv()
-    lam0_u = g.r * du + 1.5 * s.u1.values
+    lam0_u = g.r * pieces.du + 1.5 * s.u1.values
     row["Vw"] = g.quad_meas(wcut * s.u2.values * lam0_u)
     row["equip"] = g.quad_meas(wcut * s.u2.values * s.u1.values)
     # fate sign where defined (0 when neither rule applies); sign 0 = +1
@@ -318,17 +352,16 @@ def _monitor_row(s: State, t: float, spec: SpectralData, mon: _MonitorState,
     return row
 
 
-def exterior_energy(s: State, r_cut: float) -> float:
-    """||u_vec||^2 in the energy seminorm restricted to r > r_cut."""
+def exterior_energy(s: State, r_cut: float, du: np.ndarray | None = None) -> float:
+    """||u_vec||^2 in the energy seminorm restricted to r > r_cut; ``du``
+    is u1' when the caller has it."""
     g = s.grid
     mask = g.r > r_cut
     if not np.any(mask):
         return 0.0
-    du = s.u1.deriv()
+    if du is None:
+        du = s.u1.deriv()
     return float(np.sum(g.w_meas[mask] * (du[mask] ** 2 + s.u2.values[mask] ** 2)))
-
-
-_exterior_energy = exterior_energy
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +374,7 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     th = thresholds or Thresholds()
     ev = RadialWaveEvolver(state0.grid, cfg.cfl)
     w, v = ev.state_to_wv(state0)
-    jref = reference_J(spec, state0.grid)
+    a = None                  # force at (w, v), carried between steps
     mon = _MonitorState(cfg, th)
     norm0 = norm_H(state0)
     threshold = cfg.blowup_norm_mult * max(norm0, cfg.blowup_norm_floor)
@@ -354,7 +387,7 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
 
     def record(tnow, wnow, vnow):
         s = ev.wv_to_state(wnow, vnow)
-        rows.append(_monitor_row(s, tnow, spec, mon, jref))
+        rows.append(_monitor_row(s, tnow, spec, mon))
         return rows[-1]
 
     while True:
@@ -384,7 +417,7 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
                 stepper_floor = True
                 break
             dt = min(dt_cap, t_target - t)
-            w, v, _ = ev.steps(w, v, 1, dt)
+            w, v, a = ev.steps(w, v, 1, dt, a)
             t += dt
             amp = float(np.max(np.abs(w[::8] / ev.r[::8])))
             if not math.isfinite(amp) or amp > _MAX_SAFE_AMP:
@@ -476,6 +509,7 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
     ev2 = RadialWaveEvolver(fine, 0.5 * (ev.dt0 / ev.h))
     w = _resample_w(ev.grid.r, w0, fine.r)
     v = _resample_w(ev.grid.r, v0, fine.r)
+    a = None
     t = t0
     horizon = checkpoints[-1][0] + cfg.confirm_window
     peak = 0.0
@@ -500,7 +534,7 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
             return True, {"confirmed": True, "mode": "stepper floor on refined grid",
                           "t_confirm": t}
         nsub = max(int(round(min(cfg.monitor_stride, horizon - t) / dt)), 1)
-        w, v, _ = ev2.steps(w, v, nsub, dt)
+        w, v, a = ev2.steps(w, v, nsub, dt, a)
         t += nsub * dt
     return False, {"confirmed": False, "peak_refined_norm": peak,
                    "reason": "refined run did not sustain escape"}
@@ -544,16 +578,8 @@ def evolve_with_monitors(state0: State, cfg: EvolutionConfig,
 
 
 # ---------------------------------------------------------------------------
-# post-processing: detectors, ejection fit, modulation residual
+# post-processing: ejection fit, modulation residual, one-pass shadow
 # ---------------------------------------------------------------------------
-
-def detect_blowup(run: DirectionRun) -> bool:
-    return run.verdict == BLOWUP
-
-
-def detect_scattering(run: DirectionRun) -> bool:
-    return run.verdict == SCATTER
-
 
 def fit_ejection_rate(series: dict, spec: SpectralData,
                       thresholds: Thresholds | None = None,

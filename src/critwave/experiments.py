@@ -395,20 +395,14 @@ class BoxResidualClosure:
                      Field3D(grid, self.v2(x, y, z)))
 
 
-_BOX_MODE_CACHE: dict = {}
-
-
 def _cached_box_modes(spectral: SpectralData, grid: Box3DGrid):
-    key = (id(spectral), grid)
-    modes = _BOX_MODE_CACHE.get(key)
-    if modes is None:
+    def build():
         x, y, z = grid.meshgrid
         rr = grid.radius
         slope = np.asarray(spectral.rho_dr_profile(rr)) / np.maximum(rr, 1e-300)
-        modes = [np.asarray(spectral.lambda0_rho_profile(rr)),
-                 slope * x, slope * y, slope * z]
-        _BOX_MODE_CACHE[key] = modes
-    return modes
+        return [np.asarray(spectral.lambda0_rho_profile(rr)),
+                slope * x, slope * y, slope * z]
+    return spectral.cached(("box_modes", grid), build)
 
 
 def random_box_closure(spectral: SpectralData, grid: Box3DGrid,

@@ -15,6 +15,7 @@ momentum-direction checks they serve.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -58,18 +59,18 @@ def _crit_tail(grid: RadialGrid, c, b) -> float:
     return grid.angular_factor * val
 
 
+def _h1_sq(grid: RadialGrid, df: np.ndarray, c: float, b: float) -> float:
+    return grid.quad_meas(df * df) + _h1_tail(grid, c, b)
+
+
+def _crit(grid: RadialGrid, f: np.ndarray, c: float, b: float) -> float:
+    ts = sobolev_exponent(grid.d)
+    return grid.quad_meas(np.abs(f) ** ts) + _crit_tail(grid, c, b)
+
+
 def h1_seminorm_sq(fld: RadialField) -> float:
     g = fld.grid
-    df = fld.deriv()
-    c, b = g.tail_fit(fld.values)
-    return g.quad_meas(df * df) + _h1_tail(g, c, b)
-
-
-def h1_cross(f: RadialField, g_fld: RadialField) -> float:
-    g = f.grid
-    cf, bf = g.tail_fit(f.values)
-    cg, bg = g.tail_fit(g_fld.values)
-    return g.quad_meas(f.deriv() * g_fld.deriv()) + _h1_tail(g, cf, bf, cg, bg)
+    return _h1_sq(g, fld.deriv(), *g.tail_fit(fld.values))
 
 
 def l2_norm_sq(fld: RadialField) -> float:
@@ -84,9 +85,57 @@ def l2_inner(f: RadialField, g_fld: RadialField) -> float:
 def crit_norm(fld: RadialField) -> float:
     """||f||_(2*)^(2*) with far-field tail."""
     g = fld.grid
-    c, b = g.tail_fit(fld.values)
-    ts = sobolev_exponent(g.d)
-    return g.quad_meas(np.abs(fld.values) ** ts) + _crit_tail(g, c, b)
+    return _crit(g, fld.values, *g.tail_fit(fld.values))
+
+
+class RadialPieces:
+    """u1', the far-field fit of u1 and the H^1, critical and L^2 pieces of
+    one radial state, each computed once on first use.
+
+    ``energy``, ``K`` and ``norm_H`` use the same formulas as
+    :func:`energy_E`, :func:`functional_K` and :func:`norm_H`, so they are
+    bitwise equal to them; ``crit`` equals :func:`crit_norm` of u1.
+    """
+
+    def __init__(self, s: State):
+        self.state = s
+        self.grid = s.grid
+
+    @cached_property
+    def du(self) -> np.ndarray:
+        return self.state.u1.deriv()
+
+    @cached_property
+    def tail(self) -> tuple[float, float]:
+        return self.grid.tail_fit(self.state.u1.values)
+
+    @cached_property
+    def h1(self) -> float:
+        return _h1_sq(self.grid, self.du, *self.tail)
+
+    @cached_property
+    def crit(self) -> float:
+        return _crit(self.grid, self.state.u1.values, *self.tail)
+
+    @cached_property
+    def l2(self) -> float:
+        return l2_norm_sq(self.state.u2)
+
+    @property
+    def norm_H_sq(self) -> float:
+        return self.h1 + self.l2
+
+    @property
+    def norm_H(self) -> float:
+        return math.sqrt(max(self.norm_H_sq, 0.0))
+
+    @property
+    def energy(self) -> float:
+        return _energy(self.h1, self.crit, self.l2, self.grid.d)
+
+    @property
+    def K(self) -> float:
+        return self.h1 - self.crit
 
 
 # box counterparts -----------------------------------------------------------
@@ -110,8 +159,14 @@ def _box_l2_sq(fld: Field3D) -> float:
 
 def _grad_and_crit(fld) -> tuple[float, float]:
     if isinstance(fld, RadialField):
-        return h1_seminorm_sq(fld), crit_norm(fld)
+        g = fld.grid
+        c, b = g.tail_fit(fld.values)
+        return _h1_sq(g, fld.deriv(), c, b), _crit(g, fld.values, c, b)
     return _box_h1_sq(fld), _box_crit(fld)
+
+
+def _energy(grad_sq: float, crit: float, kin: float, d: int) -> float:
+    return 0.5 * (grad_sq + kin) - crit / sobolev_exponent(d)
 
 
 def functional_J(fld) -> float:
@@ -140,13 +195,10 @@ def norm_H(s: State) -> float:
 
 def energy_E(s: State) -> float:
     """Conserved energy E = ||u_vec||_H^2 / 2 - ||u1||_(2*)^(2*) / 2*."""
-    d = s.d
-    a1, b1 = _grad_and_crit(s.u1)
     if s.representation == "radial":
-        kin = l2_norm_sq(s.u2)
-    else:
-        kin = _box_l2_sq(s.u2)
-    return 0.5 * (a1 + kin) - b1 / sobolev_exponent(d)
+        return RadialPieces(s).energy
+    a1, b1 = _grad_and_crit(s.u1)
+    return _energy(a1, b1, _box_l2_sq(s.u2), s.d)
 
 
 def momentum_P(s: State) -> np.ndarray:
@@ -248,11 +300,3 @@ def boost_energy_momentum(params: BoostParams, n_r: int = 3072,
     if pn == 0.0:
         return e_tot, np.zeros(3)
     return e_tot, p_axis * (p / pn)
-
-
-def reference_static_energy(d: int = 3, n: int = 4096, r_max: float = 200.0,
-                            beta: float = 6.0) -> float:
-    """J(W) by the package's radial quadrature at a given resolution."""
-    g = RadialGrid(d, r_max, n, "sinh", beta)
-    w = RadialField(g, np.asarray(eval_W(d, g.r ** 2)))
-    return functional_J(w)

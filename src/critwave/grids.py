@@ -186,21 +186,25 @@ class RadialGrid:
 
     # -- far-field fit ---------------------------------------------------
 
+    @cached_property
+    def _tail_design(self) -> tuple[np.ndarray, np.ndarray]:
+        """(design matrix [1, r^-2], weight r^(d-2)) of the far-field fit."""
+        rr = self.r[-_TAIL_FIT_NODES:]
+        a = np.stack([np.ones(_TAIL_FIT_NODES), rr ** -2.0], axis=1)
+        return a, rr ** (self.d - 2)
+
     def tail_fit(self, f: np.ndarray) -> tuple[float, float]:
         """Fit (c, b) in f ~ c * r^(2-d) + b * r^(-d) from the outer nodes.
 
         Exponentially decaying fields give c, b ~ 0 so the associated
-        tail corrections vanish automatically.
+        tail corrections vanish automatically.  The 12 x 2 system has a
+        condition number near 4e6, so b carries rounding at 1e-10 and
+        noise-level identities such as K(W) = 0 depend on the exact
+        solver; the design is cached, the solve stays ``lstsq``.
         """
-        rr = self.r[-_TAIL_FIT_NODES:]
-        y = f[-_TAIL_FIT_NODES:] * rr ** (self.d - 2)
-        a = np.stack([np.ones(_TAIL_FIT_NODES), rr ** -2.0], axis=1)
-        sol, *_ = np.linalg.lstsq(a, y, rcond=None)
+        a, weight = self._tail_design
+        sol, *_ = np.linalg.lstsq(a, f[-_TAIL_FIT_NODES:] * weight, rcond=None)
         return float(sol[0]), float(sol[1])
-
-    def tail_coefficient(self, f: np.ndarray) -> float:
-        """Leading far-field coefficient c in f ~ c * r^(2-d)."""
-        return self.tail_fit(f)[0]
 
     def resolves_scale(self, scale: float, factor: float = 4.0) -> bool:
         """True if a feature of size ``scale`` spans >= ``factor`` cells."""

@@ -27,8 +27,8 @@ import numpy as np
 from .config import Thresholds
 from .fields import (Field3D, RadialField, State, eval_W, eval_W_dr,
                      nonlinearity_power, sobolev_exponent)
-from .functionals import (energy_E, functional_J, functional_K,
-                          h1_seminorm_sq, l2_inner, l2_norm_sq,
+from .functionals import (RadialPieces, _h1_tail, energy_E, functional_J,
+                          functional_K, h1_seminorm_sq, l2_inner, l2_norm_sq,
                           norm_H, smooth_cutoff)
 from .grids import Box3DGrid, RadialGrid
 from .operators import _resample_box
@@ -77,10 +77,6 @@ class ModulationFit:
             self._v = self._v_factory()
         return self._v
 
-    @property
-    def is_radial(self) -> bool:
-        return self.v is not None and self.v.representation == "radial"
-
     def __repr__(self):
         return (f"ModulationFit(sign_s={self.sign_s}, sigma={self.sigma:.6g}, "
                 f"converged={self.converged}, iters={self.newton_iters})")
@@ -109,6 +105,7 @@ class DistanceReport:
     dW: float
     regime: str                 # inner | blend | outer
     fit: ModulationFit | None
+    modes: ModeSplit | None = None     # split_modes of a converged fit
 
     def as_record(self) -> dict:
         return {"d0": self.d0, "d1": self.d1, "dW": self.dW, "regime": self.regime}
@@ -118,46 +115,38 @@ class DistanceReport:
 # reference quantities per grid
 # ---------------------------------------------------------------------------
 
-class _GridRefs:
-    """Cached same-grid reference values of the ground state."""
+def _grid_refs(spec: SpectralData, grid) -> dict:
+    """Same-grid reference values of the ground state, cached on ``spec``."""
+    return spec.cached(("modulation_refs", grid), lambda: _build_refs(spec, grid))
 
-    _cache: dict = {}
 
-    @classmethod
-    def get(cls, spec: SpectralData, grid) -> dict:
-        key = (id(spec), grid)
-        hit = cls._cache.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(grid, RadialGrid):
-            w = RadialField(grid, spec.W_on(grid))
-            zeros = RadialField(grid, np.zeros(grid.n))
-            refs = {
-                "J_W": functional_J(w),
-                "grad_W_sq": h1_seminorm_sq(w),
-                "W_state": State(w, zeros),
-                "rho_norm_sq": l2_norm_sq(RadialField(grid, spec.rho_on(grid))),
-            }
-        else:
-            wvals = np.asarray(eval_W(3, grid.radius ** 2))
-            w = Field3D(grid, wvals)
-            zeros = Field3D(grid, np.zeros_like(wvals))
-            rho = Field3D(grid, np.asarray(spec.rho_profile(grid.radius)))
-            gw = w.gradient()
-            refs = {
-                "J_W": functional_J(w),
-                "grad_W_sq": grid.quad(gw[0] ** 2 + gw[1] ** 2 + gw[2] ** 2),
-                "W_state": State(w, zeros),
-                "rho_norm_sq": grid.quad(rho.values ** 2),
-                "mode_consts": None,
-            }
-        cls._cache[key] = refs
-        return refs
+def _build_refs(spec: SpectralData, grid) -> dict:
+    if isinstance(grid, RadialGrid):
+        w = RadialField(grid, spec.W_on(grid))
+        zeros = RadialField(grid, np.zeros(grid.n))
+        return {
+            "J_W": functional_J(w),
+            "grad_W_sq": h1_seminorm_sq(w),
+            "W_state": State(w, zeros),
+            "rho_norm_sq": l2_norm_sq(RadialField(grid, spec.rho_on(grid))),
+        }
+    wvals = np.asarray(eval_W(3, grid.radius ** 2))
+    w = Field3D(grid, wvals)
+    zeros = Field3D(grid, np.zeros_like(wvals))
+    rho = Field3D(grid, np.asarray(spec.rho_profile(grid.radius)))
+    gw = w.gradient()
+    return {
+        "J_W": functional_J(w),
+        "grad_W_sq": grid.quad(gw[0] ** 2 + gw[1] ** 2 + gw[2] ** 2),
+        "W_state": State(w, zeros),
+        "rho_norm_sq": grid.quad(rho.values ** 2),
+        "mode_consts": None,
+    }
 
 
 def reference_J(spec: SpectralData, grid) -> float:
     """J(W) under the same grid quadrature as the state being analyzed."""
-    return _GridRefs.get(spec, grid)["J_W"]
+    return _grid_refs(spec, grid)["J_W"]
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +179,16 @@ def _box_mode_fields(spec: SpectralData, grid: Box3DGrid, sigma: float,
 # the modulation solve
 # ---------------------------------------------------------------------------
 
-def _choose_sign(spec: SpectralData, s: State, margin: float) -> int:
+def _choose_sign(spec: SpectralData, s: State, margin: float,
+                 dist: _RadialDistance | None) -> int:
     """Manifold sign by the smaller coarse distance; error when ambiguous."""
     if s.representation == "radial":
-        helper = _RadialDistance(spec, s)
-        best = {sgn: min(helper.dist_sq(sgn, sig)
+        best = {sgn: min(dist.dist_sq(sgn, sig)
                          for sig in np.linspace(-1.5, 1.5, 13))
                 for sgn in (+1, -1)}
     else:
         q = s.grid.quad
-        wv = _GridRefs.get(spec, s.grid)["W_state"].u1.values
+        wv = _grid_refs(spec, s.grid)["W_state"].u1.values
         uu = q(s.u1.values ** 2)
         ww = q(wv ** 2)
         cross = q(s.u1.values * wv)
@@ -259,7 +248,8 @@ def _newton_loop(residual, h0: np.ndarray, x: np.ndarray, tol: float,
 def fit_modulation(s: State, spec: SpectralData,
                    thresholds: Thresholds | None = None,
                    sign_hint: int | None = None,
-                   sigma0: float = 0.0) -> ModulationFit:
+                   sigma0: float = 0.0,
+                   dist: _RadialDistance | None = None) -> ModulationFit:
     """Solve the orthogonality conditions for (sign, sigma[, c]).
 
     Radial states pin c = 0 and solve for sigma only.  The quasi-Newton
@@ -268,15 +258,19 @@ def fit_modulation(s: State, spec: SpectralData,
     failure to converge signals a state outside the capture region.  The
     orthogonality target is relative to the residual size ||v||_H, so
     states close to the family are resolved proportionally better.
+    A radial state's distance pieces ``dist`` may be passed in to share
+    them with other monitors of the same state.
     """
     th = thresholds or Thresholds()
+    radial = s.representation == "radial"
+    if radial and dist is None:
+        dist = _RadialDistance(spec, s)
     if sign_hint is not None:
         sgn = sign_hint
     else:
-        sgn = _choose_sign(spec, s, th.sign_ambiguity_margin)
-    scale = norm_H(s)
+        sgn = _choose_sign(spec, s, th.sign_ambiguity_margin, dist)
+    scale = dist.pieces.norm_H if radial else norm_H(s)
     tol_coarse = th.tol_orth * max(scale, 1e-12)
-    radial = s.representation == "radial"
 
     if radial:
         g = s.grid
@@ -291,7 +285,7 @@ def fit_modulation(s: State, spec: SpectralData,
         x = np.array([sigma0])
     else:
         g = s.grid
-        refs = _GridRefs.get(spec, g)
+        refs = _grid_refs(spec, g)
         w_vals = refs["W_state"].u1.values
         # the mode integrands decay like e^(-k r): the cube corners beyond
         # the inscribed ball contribute below 1e-8 and are dropped, which
@@ -342,7 +336,7 @@ def fit_modulation(s: State, spec: SpectralData,
     if converged:
         # the orthogonality equations have spurious roots far from the
         # family; a root with a large residual state is not a capture
-        v_norm = _residual_norm_estimate(s, spec, sgn, sigma, c)
+        v_norm = _residual_norm_estimate(s, spec, sgn, sigma, c, dist)
         if v_norm > th.delta_A:
             converged = False
     if converged:
@@ -366,15 +360,14 @@ def fit_modulation(s: State, spec: SpectralData,
 
 
 def _residual_norm_estimate(s: State, spec: SpectralData, sgn: int,
-                            sigma: float, c: np.ndarray) -> float:
+                            sigma: float, c: np.ndarray,
+                            dist: _RadialDistance | None) -> float:
     """||v||_H = ||s - sgn W_vec_sigma(. - c)||_H without materializing v."""
     if s.representation == "radial":
-        return math.sqrt(max(_RadialDistance(spec, s).dist_sq(sgn, sigma), 0.0))
+        return math.sqrt(max(dist.dist_sq(sgn, sigma), 0.0))
     g = s.grid
-    refs = _GridRefs.get(spec, g)
-    if "grad_u_cache" not in refs or refs["grad_u_cache"][0] is not s.u1:
-        refs["grad_u_cache"] = (s.u1, s.u1.gradient())
-    gx, gy, gz = refs["grad_u_cache"][1]
+    refs = _grid_refs(spec, g)
+    gx, gy, gz = s.u1.gradient()
     x, y, z = g.meshgrid
     es = math.exp(sigma)
     dx_, dy_, dz_ = x - c[0], y - c[1], z - c[2]
@@ -405,7 +398,7 @@ def _residual_state(s: State, spec: SpectralData, sgn: int, sigma: float,
         return State(RadialField(g, v1), RadialField(g, v2))
     g = s.grid
     es = math.exp(-sigma)
-    refs = _GridRefs.get(spec, g)
+    refs = _grid_refs(spec, g)
     w = refs["W_state"].u1.values
 
     def pts(x, y, z):
@@ -459,7 +452,7 @@ def split_modes(fit: ModulationFit, spec: SpectralData) -> ModeSplit:
     if w.representation == "radial":
         g = w.grid
         rho = RadialField(g, spec.rho_on(g))
-        rho_sq = _GridRefs.get(spec, g)["rho_norm_sq"]
+        rho_sq = _grid_refs(spec, g)["rho_norm_sq"]
         lam1 = l2_inner(w.u1, rho) / rho_sq
         lam2 = l2_inner(w.u2, rho) / rho_sq
         mu = np.zeros(0)
@@ -471,7 +464,7 @@ def split_modes(fit: ModulationFit, spec: SpectralData) -> ModeSplit:
         q = g.quad
         rr = g.radius
         rho = np.asarray(spec.rho_profile(rr))
-        rho_sq = _GridRefs.get(spec, g)["rho_norm_sq"]
+        rho_sq = _grid_refs(spec, g)["rho_norm_sq"]
         lam1 = q(w.u1.values * rho) / rho_sq
         lam2 = q(w.u2.values * rho) / rho_sq
         slope = np.asarray(spec.rho_dr_profile(rr)) / np.maximum(rr, 1e-300)
@@ -554,41 +547,60 @@ def _w_sigma_farfield(d: int, sigma: float) -> tuple[float, float]:
             b0 * math.exp(-(d / 2.0 + 1.0) * sigma))
 
 
-def _h1_tail_pair(g: RadialGrid, cf, bf, cg, bg) -> float:
-    d, R = g.d, g.r_max
-    val = ((d - 2.0) * cf * cg * R ** (2 - d)
-           + (d - 2.0) * (cf * bg + cg * bf) * R ** (-d)
-           + d * d * bf * bg * R ** (-d - 2) / (d + 2.0))
-    return g.angular_factor * val
-
-
 class _RadialDistance:
-    """Precomputed pieces of ||s - sgn W_vec_sigma||_H^2 for repeated sigma
-    evaluations (coarse scans, golden-section, fit seeding proxies)."""
+    """||s - sgn W_vec_sigma||_H^2 = uu - 2 sgn cross(sigma) + ||grad W||^2
+    for repeated sigma evaluations (fit seeding proxies, coarse scans, the
+    sigma search).  cross(sigma) = <grad u1 | grad W_sigma>, tails
+    included, is one full-grid evaluation; both signs share it, and each
+    value is kept."""
 
     def __init__(self, spec: SpectralData, s: State):
         g = s.grid
         self.g = g
-        self.gw = _GridRefs.get(spec, g)["grad_W_sq"]
-        self.du = s.u1.deriv()
-        self.cu, self.bu = g.tail_fit(s.u1.values)
-        self.uu = (g.quad_meas(self.du * self.du)
-                   + _h1_tail_pair(g, self.cu, self.bu, self.cu, self.bu)
-                   + l2_norm_sq(s.u2))
-        self.wdu = self.du * g.w_meas
+        self.pieces = RadialPieces(s)
+        self.gw = _grid_refs(spec, g)["grad_W_sq"]
+        self.uu = self.pieces.norm_H_sq
+        self.wdu = self.pieces.du * g.w_meas
+        self._cross: dict = {}
+
+    def cross(self, sigma: float) -> float:
+        val = self._cross.get(sigma)
+        if val is None:
+            g = self.g
+            cw, bw = _w_sigma_farfield(g.d, sigma)
+            val = (float(self.wdu @ _w_sigma_deriv(g, sigma))
+                   + _h1_tail(g, *self.pieces.tail, cw, bw))
+            self._cross[sigma] = val
+        return val
 
     def dist_sq(self, sgn: int, sigma: float) -> float:
-        g = self.g
-        dw = _w_sigma_deriv(g, sigma)
-        cw, bw_t = _w_sigma_farfield(g.d, sigma)
-        cross = float(self.wdu @ dw) + _h1_tail_pair(g, self.cu, self.bu, cw, bw_t)
-        return self.uu - 2.0 * sgn * cross + self.gw
+        return self.uu - 2.0 * sgn * self.cross(sigma) + self.gw
+
+    def minimum(self, sigma_seed: float | None = None) -> float:
+        """min over sgn and sigma of dist_sq, by Brent's method in sigma on
+        [seed - 0.4, seed + 0.4], or unseeded on the two cells around the
+        best point of a 25-point scan of [-2, 4]."""
+        if sigma_seed is None:
+            sigmas = np.linspace(-2.0, 4.0, 25).tolist()
+        best = math.inf
+        for sgn in (+1, -1):
+            def fun(x, sgn=sgn):
+                return self.dist_sq(sgn, x)
+            if sigma_seed is None:
+                i = int(np.argmin([fun(x) for x in sigmas]))
+                lo, hi = sigmas[max(i - 1, 0)], sigmas[min(i + 1, len(sigmas) - 1)]
+                x0 = sigmas[i]
+            else:
+                lo, hi, x0 = sigma_seed - 0.4, sigma_seed + 0.4, sigma_seed
+            best = min(best, _bounded_min(fun, lo, hi, x0)[1])
+        return best
 
 
 def _manifold_distance_sq(spec: SpectralData, s: State, sgn: int,
-                          sigma: float) -> float:
+                          sigma: float,
+                          dist: _RadialDistance | None = None) -> float:
     """||s - sgn W_vec_sigma||_H^2 for radial states (analytic W_sigma)."""
-    return _RadialDistance(spec, s).dist_sq(sgn, sigma)
+    return (dist or _RadialDistance(spec, s)).dist_sq(sgn, sigma)
 
 
 def _golden_min(fun, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, float]:
@@ -610,32 +622,87 @@ def _golden_min(fun, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, fl
     return x, fun(x)
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _bounded_min(fun, lo: float, hi: float, x0: float,
+                 tol: float = 1e-7) -> tuple[float, float]:
+    """Minimum of a unimodal fun on [lo, hi], started from x0; returns the
+    best point found and its value.
+
+    A minimum at an end of the bracket is taken when one step of ``tol``
+    inward does not descend.  Otherwise Brent's method (parabolic steps
+    through the three best points, golden-section steps as the fallback)
+    runs until the bracket around the best point is about
+    4 (tol + sqrt(eps) |x|) wide.
+    """
+    f0, flo, fhi = fun(x0), fun(lo), fun(hi)
+    if flo <= f0 and fun(lo + tol) >= flo:
+        return lo, flo
+    if fhi <= f0 and fun(hi - tol) >= fhi:
+        return hi, fhi
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    (fx, x), (fw, w), (fv, v) = sorted([(f0, x0), (flo, lo), (fhi, hi)])
+    a, b = lo, hi
+    d = e = b - a
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        p = q = r = 0.0
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q                       # parabolic step
+            if x + d - a < tol2 or b - (x + d) < tol2:
+                d = tol1 if x < m else -tol1
+        else:
+            e = (b - x) if x < m else (a - x)
+            d = golden * e                  # golden-section step
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fun(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def manifold_distance(spec: SpectralData, s: State,
                       sigma_seed: float | None = None,
-                      c_seed: np.ndarray | None = None) -> float:
+                      c_seed: np.ndarray | None = None,
+                      dist: _RadialDistance | None = None) -> float:
     """inf over (+-, sigma[, c]) of ||s -+ W_vec_sigma(. - c)||_H (radial: c = 0).
 
-    Golden-section in sigma, seeded either by a modulation fit or by a
-    coarse scan; box states additionally run a few Newton steps in c on
-    the smooth quadratic cross term.
+    Radial states: Brent's method in sigma, seeded either by a modulation
+    fit or by a coarse scan (``dist`` shares the state's pieces with other
+    monitors).  Box states: golden-section in sigma at the seeded c.
     """
     if s.representation == "radial":
-        helper = _RadialDistance(spec, s)
-        best = math.inf
-        for sgn in (+1, -1):
-            if sigma_seed is None:
-                sigmas = np.linspace(-2.0, 4.0, 25)
-                vals = [helper.dist_sq(sgn, x) for x in sigmas]
-                i = int(np.argmin(vals))
-                lo, hi = sigmas[max(i - 1, 0)], sigmas[min(i + 1, len(sigmas) - 1)]
-            else:
-                lo, hi = sigma_seed - 0.4, sigma_seed + 0.4
-            _, val = _golden_min(lambda x: helper.dist_sq(sgn, x), lo, hi)
-            best = min(best, val)
-        return math.sqrt(max(best, 0.0))
+        dist = dist or _RadialDistance(spec, s)
+        return math.sqrt(max(dist.minimum(sigma_seed), 0.0))
     # box: distance to sgn W_sigma(. - c) over sgn, sigma, c
     g = s.grid
-    refs = _GridRefs.get(spec, g)
+    refs = _grid_refs(spec, g)
     x, y, z = g.meshgrid
     u2_sq = g.quad(s.u2.values ** 2)
     gx, gy, gz = s.u1.gradient()
@@ -662,22 +729,31 @@ def manifold_distance(spec: SpectralData, s: State,
 
 def distance_dW(s: State, spec: SpectralData,
                 thresholds: Thresholds | None = None,
-                fit: ModulationFit | None = None) -> DistanceReport:
-    """The blended distance d_W = chi d_1 + (1 - chi) d_0 to the family."""
+                fit: ModulationFit | None = None,
+                dist: _RadialDistance | None = None) -> DistanceReport:
+    """The blended distance d_W = chi d_1 + (1 - chi) d_0 to the family.
+
+    Radial states build their distance pieces once (or take ``dist``) and
+    share them between the fit, d_0 and the energy in d_1.
+    """
     th = thresholds or Thresholds()
+    if dist is None and s.representation == "radial":
+        dist = _RadialDistance(spec, s)
     if fit is None:
         try:
-            fit = fit_modulation(s, spec, th)
+            fit = fit_modulation(s, spec, th, dist=dist)
         except FitError:
             fit = None
     sigma_seed = fit.sigma if (fit is not None and fit.converged) else None
     c_seed = fit.c if (fit is not None and fit.converged) else None
-    d0 = th.C_d0 * manifold_distance(spec, s, sigma_seed, c_seed)
+    d0 = th.C_d0 * manifold_distance(spec, s, sigma_seed, c_seed, dist)
     d1 = math.nan
+    ms = None
     if fit is not None and fit.converged:
         ms = split_modes(fit, spec)
         jref = reference_J(spec, s.grid)
-        d1_sq = energy_E(s) - jref + spec.k ** 2 * ms.lambda1 ** 2
+        energy = dist.pieces.energy if dist is not None else energy_E(s)
+        d1_sq = energy - jref + spec.k ** 2 * ms.lambda1 ** 2
         d1 = math.sqrt(max(d1_sq, 0.0))
     x = 2.0 * d0 / th.delta_A
     chi = float(smooth_cutoff(x, 1.0, 2.0))
@@ -687,7 +763,7 @@ def distance_dW(s: State, spec: SpectralData,
         dw = d0
         chi = 0.0
     regime = "inner" if chi >= 1.0 else ("outer" if chi <= 0.0 else "blend")
-    return DistanceReport(d0=d0, d1=d1, dW=dw, regime=regime, fit=fit)
+    return DistanceReport(d0=d0, d1=d1, dW=dw, regime=regime, fit=fit, modes=ms)
 
 
 # ---------------------------------------------------------------------------

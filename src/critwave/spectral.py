@@ -209,17 +209,25 @@ class SpectralData:
     def __post_init__(self):
         self._per_grid: dict = {}
 
-    # -- resampling caches ------------------------------------------------
+    # -- caches --------------------------------------------------------------
+
+    def cached(self, key, build):
+        """Value derived from this spectrum under ``key`` (for example
+        (kind, grid)), built on first use; freed with the spectrum."""
+        hit = self._per_grid.get(key)
+        if hit is None:
+            hit = self._per_grid[key] = build()
+        return hit
 
     def _bundle(self, grid: RadialGrid) -> dict:
-        cached = self._per_grid.get(grid)
-        if cached is not None:
-            return cached
+        return self.cached(("modes", grid), lambda: self._build_bundle(grid))
+
+    def _build_bundle(self, grid: RadialGrid) -> dict:
         r = grid.r
         rho = np.asarray(self.rho_profile(r))
         lam0 = np.asarray(self.lambda0_rho_profile(r))
         w = np.asarray(eval_W(grid.d, r * r))
-        bundle = {
+        return {
             "rho": rho,
             "lambda0_rho": lam0,
             "rho_dr": np.asarray(self.rho_dr_profile(r)),
@@ -227,8 +235,6 @@ class SpectralData:
             "W_ip_rho": grid.quad_meas(w * rho),
             "W_ip_lambda0_rho": grid.quad_meas(w * lam0),
         }
-        self._per_grid[grid] = bundle
-        return bundle
 
     def rho_on(self, grid: RadialGrid) -> np.ndarray:
         return self._bundle(grid)["rho"]

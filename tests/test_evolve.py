@@ -104,6 +104,79 @@ class TestStepper:
             assert math.sqrt(ext) <= 1e-8
 
 
+def reference_force(ev, w, v):
+    """The stepper's force as one vectorized expression."""
+    h, c = ev.h, ev.inv12h2
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.empty_like(w)
+        a[2:-2] = (-w[:-4] + 16.0 * w[1:-3] - 30.0 * w[2:-2]
+                   + 16.0 * w[3:-1] - w[4:]) * c
+        a[0] = (-46.0 * w[0] + 17.0 * w[1] - w[2]) * c
+        a[1] = (17.0 * w[0] - 30.0 * w[1] + 16.0 * w[2] - w[3]) * c
+        a[-2] = (w[-3] - 2.0 * w[-2] + w[-1]) / (h * h)
+        a[-1] = (2.0 * w[-2] - 2.0 * w[-1] - 2.0 * h * v[-1]) / (h * h)
+        u_sq = (w * w) / (ev.r * ev.r)
+        a += w * u_sq * u_sq
+    return a
+
+
+def reference_verlet(ev, w, v, n, dt):
+    """Velocity-Verlet with two force evaluations per call: the force at
+    (w, v) on entry, then one per step at (w, v_half)."""
+    a = reference_force(ev, w, v)
+    half = 0.5 * dt
+    for _ in range(n):
+        vh = v + half * a
+        w = w + dt * vh
+        a = reference_force(ev, w, vh)
+        v = vh + half * a
+    return w, v, a
+
+
+class TestForceReuse:
+    @pytest.fixture()
+    def outgoing(self, dyn_grid):
+        # an outgoing pulse that reaches r_max within the run
+        ev = RadialWaveEvolver(dyn_grid, 0.45)
+        w = dyn_grid.r * 0.3 * np.exp(-((dyn_grid.r - 62.0) / 1.5) ** 2)
+        return ev, w, -np.gradient(w, dyn_grid.r)
+
+    def test_carried_force_bitwise_equal_to_two_force_verlet(self, outgoing):
+        ev, w0, v0 = outgoing
+        dts = [ev.dt0] * 150 + [0.7 * ev.dt0] * 149 + [0.1 * ev.dt0]
+        calls = []
+        force = ev.force
+        ev.force = lambda *args, **kw: calls.append(1) or force(*args, **kw)
+        w, v, a = w0, v0, None
+        for dt in dts:
+            w, v, a = ev.steps(w, v, 1, dt, a)
+        del ev.force
+        wr, vr = w0, v0
+        for dt in dts:
+            wr, vr, ar = reference_verlet(ev, wr, vr, 1, dt)
+        assert abs(vr[-1]) > 1e-3          # the outgoing row is exercised
+        assert np.array_equal(w, wr)
+        assert np.array_equal(v, vr)
+        assert np.array_equal(a, ar)
+        assert len(calls) == len(dts) + 1  # one force per step
+
+    def test_multi_step_call_bitwise_equal(self, outgoing):
+        ev, w0, v0 = outgoing
+        for got, want in zip(ev.steps(w0, v0, 300, 0.8 * ev.dt0),
+                             reference_verlet(ev, w0, v0, 300, 0.8 * ev.dt0)):
+            assert np.array_equal(got, want)
+
+    def test_inputs_untouched(self, outgoing):
+        ev, w0, v0 = outgoing
+        w_in, v_in = w0.copy(), v0.copy()
+        _, _, a = ev.steps(w_in, v_in, 5, ev.dt0)
+        a_in = a.copy()
+        ev.steps(w_in, v_in, 5, ev.dt0, a_in)
+        assert np.array_equal(w_in, w0)
+        assert np.array_equal(v_in, v0)
+        assert np.array_equal(a_in, a)
+
+
 class TestDetectors:
     def test_negative_energy_blowup(self, spectral, thresholds, dyn_grid):
         cfg = EvolutionConfig(n=dyn_grid.n, r_max=dyn_grid.r_max, t_max=10.0)

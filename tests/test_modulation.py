@@ -1,21 +1,26 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from critwave.experiments import (assemble_box_exact, random_box_closure,
+from critwave.experiments import (_cached_box_modes, assemble_box_exact,
+                                  random_box_closure,
                                   random_orthogonal_residual)
 from critwave.fields import RadialField, State, sample_W_family, BoostParams
-from critwave.functionals import (energy_E, functional_K,
+from critwave.functionals import (crit_norm, energy_E, functional_K,
                                   h1_seminorm_sq, l2_inner, l2_norm_sq,
                                   norm_H, norm_H_sq)
-from critwave.grids import Box3DGrid
-from critwave.modulation import (SignAmbiguityError, assemble_state,
-                                 distance_dW, fit_modulation,
-                                 linearized_norm_sq, quadratic_form_L,
-                                 reference_J, region_predicates,
-                                 sign_functional, split_modes,
-                                 superquadratic_C)
+from critwave.grids import Box3DGrid, RadialGrid
+from critwave.modulation import (SignAmbiguityError, _golden_min,
+                                 _grid_refs, _RadialDistance,
+                                 assemble_state, distance_dW, fit_modulation,
+                                 linearized_norm_sq, manifold_distance,
+                                 quadratic_form_L, reference_J,
+                                 region_predicates, sign_functional,
+                                 split_modes, superquadratic_C)
+from critwave.spectral import build_spectral_data
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +310,60 @@ class TestDistance:
                           base.u2)
             d_other = distance_dW(other, spec, th).dW
             assert abs(d_other - d_base) <= th.L_dW * step_norm
+
+
+def golden_manifold_distance_sq(dist, sigma_seed):
+    """The previous radial search: golden-section to 1e-6 in sigma per sign."""
+    best = math.inf
+    for sgn in (+1, -1):
+        if sigma_seed is None:
+            sigmas = np.linspace(-2.0, 4.0, 25)
+            i = int(np.argmin([dist.dist_sq(sgn, x) for x in sigmas]))
+            lo, hi = sigmas[max(i - 1, 0)], sigmas[min(i + 1, len(sigmas) - 1)]
+        else:
+            lo, hi = sigma_seed - 0.4, sigma_seed + 0.4
+        best = min(best, _golden_min(lambda x: dist.dist_sq(sgn, x), lo, hi)[1])
+    return best
+
+
+class TestManifoldDistanceSearch:
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.3, 1.0])
+    def test_brent_matches_golden_section(self, ctx, eps):
+        spec, g = ctx["spec"], ctx["g"]
+        for sgn in (+1, -1):
+            s = State(RadialField(g, sgn * (ctx["W"] + eps * ctx["rho"])),
+                      RadialField(g, 0.5 * eps * ctx["rho"]))
+            for seed in (None, 0.0, 0.13):
+                want_sq = golden_manifold_distance_sq(_RadialDistance(spec, s), seed)
+                dist = _RadialDistance(spec, s)
+                got = manifold_distance(spec, s, seed, dist=dist)
+                assert got ** 2 <= want_sq + 1e-12
+                assert got == pytest.approx(math.sqrt(want_sq), rel=1e-6)
+                # full-grid cross-term evaluations, scan included
+                assert len(dist._cross) <= (25 if seed is None else 0) + 20
+
+    def test_shared_pieces_equal_functionals(self, ctx):
+        spec, g = ctx["spec"], ctx["g"]
+        s = State(RadialField(g, ctx["W"] + 0.05 * ctx["rho"]),
+                  RadialField(g, 0.02 * ctx["rho"]))
+        pieces = _RadialDistance(spec, s).pieces
+        assert pieces.energy == energy_E(s)
+        assert pieces.K == functional_K(s.u1)
+        assert pieces.norm_H == norm_H(s)
+        assert pieces.crit == crit_norm(s.u1)
+        assert pieces.l2 == l2_norm_sq(s.u2)
+
+
+def test_caches_released_with_spectral_data():
+    spec = build_spectral_data(cross_check=False)
+    g = RadialGrid(3, 32.0, 512, "uniform")
+    refs = weakref.ref(_grid_refs(spec, g)["W_state"])
+    modes = weakref.ref(_cached_box_modes(spec, Box3DGrid(4.0, 16))[0])
+    assert refs() is not None and modes() is not None
+    del spec
+    gc.collect()
+    assert refs() is None
+    assert modes() is None
 
 
 class TestKExpansion:
