@@ -26,7 +26,8 @@ from .functionals import (boost_energy_momentum, functional_J,
                           functional_K, h1_seminorm_sq, l2_inner,
                           l2_norm_sq, norm_H, symplectic_omega)
 from .grids import Box3DGrid, RadialGrid
-from .modulation import assemble_state, distance_dW, fit_modulation
+from .modulation import (assemble_state, box_mode_parts, box_modes,
+                         distance_dW, fit_modulation)
 from .evolve import (BLOWUP, SCATTER, UNDETERMINED, TrajectoryRecord,
                      evolve_with_monitors, one_pass_check)
 from .spectral import SpectralData, build_spectral_data, coercivity_probe
@@ -375,12 +376,10 @@ class BoxResidualClosure:
         return out
 
     def v1(self, x, y, z):
-        rr = np.sqrt(x * x + y * y + z * z)
+        lam0, slope, _ = box_mode_parts(self.spectral, 0.0, np.zeros(3),
+                                        (x, y, z))
         out = self._gauss_sum(self.g1, x, y, z)
-        out = out - self.mode_coefs[0] * np.asarray(
-            self.spectral.lambda0_rho_profile(rr))
-        slope = (np.asarray(self.spectral.rho_dr_profile(rr))
-                 / np.maximum(rr, 1e-300))
+        out = out - self.mode_coefs[0] * lam0
         out = out - slope * (self.mode_coefs[1] * x + self.mode_coefs[2] * y
                              + self.mode_coefs[3] * z)
         return out
@@ -395,16 +394,6 @@ class BoxResidualClosure:
                      Field3D(grid, self.v2(x, y, z)))
 
 
-def _cached_box_modes(spectral: SpectralData, grid: Box3DGrid):
-    def build():
-        x, y, z = grid.meshgrid
-        rr = grid.radius
-        slope = np.asarray(spectral.rho_dr_profile(rr)) / np.maximum(rr, 1e-300)
-        return [np.asarray(spectral.lambda0_rho_profile(rr)),
-                slope * x, slope * y, slope * z]
-    return spectral.cached(("box_modes", grid), build)
-
-
 def random_box_closure(spectral: SpectralData, grid: Box3DGrid,
                        rng: np.random.Generator,
                        amplitude: float = 0.02) -> BoxResidualClosure:
@@ -415,7 +404,7 @@ def random_box_closure(spectral: SpectralData, grid: Box3DGrid,
 
     g1, g2 = draw(3), draw(3)
     x, y, z = grid.meshgrid
-    modes = _cached_box_modes(spectral, grid)
+    modes = box_modes(spectral, grid)
     f1 = BoxResidualClosure._gauss_sum(g1, x, y, z)
     f2 = BoxResidualClosure._gauss_sum(g2, x, y, z)
     gram = np.array([[grid.quad(m1 * m2) for m2 in modes] for m1 in modes])
@@ -444,62 +433,34 @@ def assemble_box_exact(spectral: SpectralData, grid: Box3DGrid, sgn: int,
     u2 = math.exp(1.5 * sigma) * closure.v2(xs, ys, zs)
     return State(Field3D(grid, u1), Field3D(grid, u2))
 
-def random_orthogonal_residual(spectral: SpectralData, grid,
+
+def random_orthogonal_residual(spectral: SpectralData, grid: RadialGrid,
                                rng: np.random.Generator,
                                amplitude: float = 0.02) -> State:
-    """A random smooth residual v with <v1|Lambda_0 rho> = <v1|grad rho> = 0.
+    """A random smooth radial residual v with <v1|Lambda_0 rho> = 0.
 
-    Built from Gaussian bumps with the mode components projected out via a
-    Gram solve, so assembled states T^c S^sigma (s W + v) are exact members
-    of the fitted family.
+    Built from Gaussian bumps with the mode component projected out via a
+    Gram solve, so assembled states S^sigma (s W + v) are exact members of
+    the fitted family.  (Box residuals: :func:`random_box_closure`.)
     """
-    radial = isinstance(grid, RadialGrid)
-    if radial:
-        r = grid.r
-        f1 = np.zeros(grid.n)
-        f2 = np.zeros(grid.n)
-        for _ in range(3):
-            c, wd = rng.uniform(0.0, 6.0), rng.uniform(0.8, 3.0)
-            f1 += rng.normal() * np.exp(-((r - c) / wd) ** 2)
-            c, wd = rng.uniform(0.0, 6.0), rng.uniform(0.8, 3.0)
-            f2 += rng.normal() * np.exp(-((r - c) / wd) ** 2)
-        modes = [spectral.lambda0_rho_on(grid)]
-        gram = np.array([[grid.quad_meas(m1 * m2) for m2 in modes] for m1 in modes])
-        rhs = np.array([grid.quad_meas(f1 * m) for m in modes])
-        coef = np.linalg.solve(gram, rhs)
-        for cf, m in zip(coef, modes):
-            f1 = f1 - cf * m
-        v1, v2 = f1, f2
-        nrm = math.sqrt(h1_seminorm_sq(RadialField(grid, v1))
-                        + l2_norm_sq(RadialField(grid, v2)))
-        scale = amplitude / max(nrm, 1e-300)
-        return State(RadialField(grid, scale * v1), RadialField(grid, scale * v2))
-    x, y, z = grid.meshgrid
-    f1 = np.zeros((grid.m,) * 3)
-    f2 = np.zeros((grid.m,) * 3)
+    r = grid.r
+    f1 = np.zeros(grid.n)
+    f2 = np.zeros(grid.n)
     for _ in range(3):
-        c = rng.uniform(-3.0, 3.0, size=3)
-        wd = rng.uniform(1.0, 3.0)
-        f1 += rng.normal() * np.exp(-(((x - c[0]) ** 2 + (y - c[1]) ** 2
-                                       + (z - c[2]) ** 2) / wd ** 2))
-        c = rng.uniform(-3.0, 3.0, size=3)
-        wd = rng.uniform(1.0, 3.0)
-        f2 += rng.normal() * np.exp(-(((x - c[0]) ** 2 + (y - c[1]) ** 2
-                                       + (z - c[2]) ** 2) / wd ** 2))
-    rr = grid.radius
-    slope = np.asarray(spectral.rho_dr_profile(rr)) / np.maximum(rr, 1e-300)
-    modes = [np.asarray(spectral.lambda0_rho_profile(rr)),
-             slope * x, slope * y, slope * z]
-    gram = np.array([[grid.quad(m1 * m2) for m2 in modes] for m1 in modes])
-    rhs = np.array([grid.quad(f1 * m) for m in modes])
+        c, wd = rng.uniform(0.0, 6.0), rng.uniform(0.8, 3.0)
+        f1 += rng.normal() * np.exp(-((r - c) / wd) ** 2)
+        c, wd = rng.uniform(0.0, 6.0), rng.uniform(0.8, 3.0)
+        f2 += rng.normal() * np.exp(-((r - c) / wd) ** 2)
+    modes = [spectral.lambda0_rho_on(grid)]
+    gram = np.array([[grid.quad_meas(m1 * m2) for m2 in modes] for m1 in modes])
+    rhs = np.array([grid.quad_meas(f1 * m) for m in modes])
     coef = np.linalg.solve(gram, rhs)
     for cf, m in zip(coef, modes):
         f1 = f1 - cf * m
-    from .fields import Field3D
-    gx, gy, gz = grid.gradient(f1)
-    nrm = math.sqrt(grid.quad(gx ** 2 + gy ** 2 + gz ** 2) + grid.quad(f2 ** 2))
+    nrm = math.sqrt(h1_seminorm_sq(RadialField(grid, f1))
+                    + l2_norm_sq(RadialField(grid, f2)))
     scale = amplitude / max(nrm, 1e-300)
-    return State(Field3D(grid, scale * f1), Field3D(grid, scale * f2))
+    return State(RadialField(grid, scale * f1), RadialField(grid, scale * f2))
 
 
 # ---------------------------------------------------------------------------

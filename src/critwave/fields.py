@@ -98,16 +98,16 @@ class RadialProfile:
         return self._fn(np.asarray(r, dtype=float))
 
     @classmethod
-    def from_callable(cls, fn) -> "RadialProfile":
-        return cls(fn)
-
-    @classmethod
     def from_samples(cls, grid: RadialGrid, values: np.ndarray,
                      parity: int = 1, tail: str = "decay") -> "RadialProfile":
         """Spline through (grid.r, values).
 
         parity : +1 / -1 behavior under r -> -r (for evaluation near 0)
         tail : "decay" (zero beyond r_max) or "power" (c r^(2-d) + b r^-d)
+
+        values of shape (n, k) give one spline over k stacked columns, with
+        a parity per column and a "decay" tail; each column evaluates
+        bitwise as the 1-D spline through it would.
         """
         n_mirror = 6
         r_ext = np.concatenate([-grid.r[:n_mirror][::-1], grid.r])
@@ -125,7 +125,8 @@ class RadialProfile:
             out = np.asarray(spline(rr))
             far = rr > r_last
             if np.any(far):
-                rf = np.where(far, rr, r_last)
+                far = far.reshape(far.shape + (1,) * (out.ndim - rr.ndim))
+                rf = np.where(far, rr.reshape(far.shape), r_last)
                 out = np.where(far, c * rf ** (2.0 - d) + b * rf ** (-float(d)), out)
             return out
 

@@ -140,8 +140,8 @@ class RadialPieces:
 
 # box counterparts -----------------------------------------------------------
 
-def _box_h1_sq(fld: Field3D) -> float:
-    gx, gy, gz = fld.gradient()
+def _box_h1_sq(fld: Field3D, grad: list[np.ndarray] | None = None) -> float:
+    gx, gy, gz = fld.gradient() if grad is None else grad
     return fld.grid.quad(gx * gx + gy * gy + gz * gz)
 
 
@@ -182,15 +182,15 @@ def functional_K(fld) -> float:
     return a - b
 
 
-def norm_H_sq(s: State) -> float:
+def norm_H_sq(s: State, grad: list[np.ndarray] | None = None) -> float:
     """Squared energy-space norm ||(u1, u2)||^2 = ||grad u1||^2 + ||u2||^2."""
     if s.representation == "radial":
         return h1_seminorm_sq(s.u1) + l2_norm_sq(s.u2)
-    return _box_h1_sq(s.u1) + _box_l2_sq(s.u2)
+    return _box_h1_sq(s.u1, grad) + _box_l2_sq(s.u2)
 
 
-def norm_H(s: State) -> float:
-    return math.sqrt(max(norm_H_sq(s), 0.0))
+def norm_H(s: State, grad: list[np.ndarray] | None = None) -> float:
+    return math.sqrt(max(norm_H_sq(s, grad), 0.0))
 
 
 def energy_E(s: State) -> float:

@@ -258,26 +258,33 @@ class Box3DGrid:
         return float(np.sum(g) * self.cell_volume)
 
     @cached_property
-    def _deriv_matrix(self) -> np.ndarray:
-        """Dense 1-D derivative matrix, 4th-order interior, one-sided edges."""
-        m, dx = self.m, self.dx
-        D = np.zeros((m, m))
-        for i in range(2, m - 2):
-            D[i, i - 2:i + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * dx)
+    def _edge_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """One-sided 6-node d/dx weights for the two edge nodes at each end."""
         x = self.axis
-        for i in (0, 1):
-            D[i, :_END_STENCIL] = _derivative_weights(x[:_END_STENCIL], x[i], 1)
-        for i in (m - 2, m - 1):
-            D[i, -_END_STENCIL:] = _derivative_weights(x[-_END_STENCIL:], x[i], 1)
-        return D
+        lo, hi = x[:_END_STENCIL], x[-_END_STENCIL:]
+        return (np.array([_derivative_weights(lo, x[i], 1) for i in (0, 1)]),
+                np.array([_derivative_weights(hi, x[i], 1) for i in (-2, -1)]))
 
     def gradient(self, f: np.ndarray) -> list[np.ndarray]:
-        """[df/dx, df/dy, df/dz] for samples f of shape (m, m, m)."""
-        D = self._deriv_matrix
-        gx = np.einsum("ij,jkl->ikl", D, f)
-        gy = np.einsum("ij,kjl->kil", D, f)
-        gz = np.einsum("ij,klj->kli", D, f)
-        return [gx, gy, gz]
+        """[df/dx, df/dy, df/dz] for samples f of shape (m, m, m): the
+        five-point stencil by slicing along each axis and one-sided 6-node
+        rows on the two edge nodes at each end, written in place."""
+        lo, hi = self._edge_rows
+        inv = 1.0 / (12.0 * self.dx)
+        grads = []
+        for axis in range(3):
+            out = np.empty(f.shape)
+            fa, oa = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+            mid = oa[2:-2]
+            np.subtract(fa[3:-1], fa[1:-3], out=mid)
+            mid *= 8.0
+            mid += fa[:-4]
+            mid -= fa[4:]
+            mid *= inv
+            np.einsum("ij,j...->i...", lo, fa[:_END_STENCIL], out=oa[:2])
+            np.einsum("ij,j...->i...", hi, fa[-_END_STENCIL:], out=oa[-2:])
+            grads.append(out)
+        return grads
 
     def index_coords(self, pts: np.ndarray) -> np.ndarray:
         """Fractional array indices of physical coordinates (for resampling)."""

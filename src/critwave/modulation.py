@@ -162,17 +162,34 @@ def _radial_mode_ip(spec: SpectralData, fld: RadialField, profile,
     return g.quad_meas(fld.values * vals)
 
 
-def _box_mode_fields(spec: SpectralData, grid: Box3DGrid, sigma: float,
-                     c: np.ndarray, mesh=None) -> list[np.ndarray]:
-    """[T^c S_1^sigma Lambda_0 rho, T^c S_1^sigma d_j rho] sampled on the box."""
+def box_mode_parts(spec: SpectralData, sigma: float, c, mesh):
+    """(T^c S_1^sigma Lambda_0 rho, slope, x - c) at the points mesh = (x, y, z).
+
+    The gradient modes T^c S_1^sigma d_j rho are slope * (x - c)_j.  Both
+    radial profiles come from one evaluation of ``spec.mode_pair``.
+    """
     es = math.exp(sigma)
     amp = math.exp((3 / 2.0 + 1.0) * sigma)
-    x, y, z = grid.meshgrid if mesh is None else mesh
+    x, y, z = mesh
     dx_, dy_, dz_ = x - c[0], y - c[1], z - c[2]
     rr = np.sqrt(dx_ ** 2 + dy_ ** 2 + dz_ ** 2)
-    lam0 = amp * np.asarray(spec.lambda0_rho_profile(es * rr))
-    slope = amp * es * np.asarray(spec.rho_dr_profile(es * rr)) / np.maximum(rr, 1e-300)
-    return [lam0, slope * dx_, slope * dy_, slope * dz_]
+    pair = spec.mode_pair(es * rr)
+    lam0 = amp * pair[..., 0]
+    slope = amp * es * pair[..., 1] / np.maximum(rr, 1e-300)
+    return lam0, slope, (dx_, dy_, dz_)
+
+
+def box_mode_fields(spec: SpectralData, sigma: float, c,
+                    mesh) -> list[np.ndarray]:
+    """[T^c S_1^sigma Lambda_0 rho, T^c S_1^sigma d_j rho] at the points mesh."""
+    lam0, slope, disp = box_mode_parts(spec, sigma, c, mesh)
+    return [lam0] + [slope * dj for dj in disp]
+
+
+def box_modes(spec: SpectralData, grid: Box3DGrid) -> list[np.ndarray]:
+    """box_mode_fields at sigma = 0, c = 0 on the whole grid, cached on spec."""
+    return spec.cached(("box_modes", grid), lambda: box_mode_fields(
+        spec, 0.0, np.zeros(3), grid.meshgrid))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +286,9 @@ def fit_modulation(s: State, spec: SpectralData,
         sgn = sign_hint
     else:
         sgn = _choose_sign(spec, s, th.sign_ambiguity_margin, dist)
-    scale = dist.pieces.norm_H if radial else norm_H(s)
+    # a box state's gradient is taken once, for ||s||_H and ||v||_H
+    grad = None if radial else s.u1.gradient()
+    scale = dist.pieces.norm_H if radial else norm_H(s, grad)
     tol_coarse = th.tol_orth * max(scale, 1e-12)
 
     if radial:
@@ -297,8 +316,8 @@ def fit_modulation(s: State, spec: SpectralData,
             refs["ball_mask"] = (x3[mask], y3[mask], z3[mask])
             refs["mode_consts"] = [
                 float(np.sum(w_vals[mask] * m)) * g.cell_volume
-                for m in _box_mode_fields(spec, g, 0.0, np.zeros(3),
-                                          refs["ball_mask"])]
+                for m in box_mode_fields(spec, 0.0, np.zeros(3),
+                                         refs["ball_mask"])]
         mesh_b = refs["ball_mask"]
         consts = refs["mode_consts"]
         u1_b = s.u1.values[refs["ball_where"]]
@@ -311,15 +330,15 @@ def fit_modulation(s: State, spec: SpectralData,
         vol_c = vol * stride ** 3
         w_c = w_vals[::stride, ::stride, ::stride]
         consts_c = [float(np.sum(w_c * m)) * vol_c for m in
-                    _box_mode_fields(spec, g, 0.0, np.zeros(3), mesh_c)]
+                    box_mode_fields(spec, 0.0, np.zeros(3), mesh_c)]
 
         def residual_coarse(x):
-            modes = _box_mode_fields(spec, g, x[0], x[1:], mesh_c)
+            modes = box_mode_fields(spec, x[0], x[1:], mesh_c)
             return np.array([float(np.sum(u1_c * m)) * vol_c - sgn * c0
                              for m, c0 in zip(modes, consts_c)])
 
         def residual(x):
-            modes = _box_mode_fields(spec, g, x[0], x[1:], mesh_b)
+            modes = box_mode_fields(spec, x[0], x[1:], mesh_b)
             return np.array([float(np.sum(u1_b * m)) * vol - sgn * c0
                              for m, c0 in zip(modes, consts)])
 
@@ -336,7 +355,7 @@ def fit_modulation(s: State, spec: SpectralData,
     if converged:
         # the orthogonality equations have spurious roots far from the
         # family; a root with a large residual state is not a capture
-        v_norm = _residual_norm_estimate(s, spec, sgn, sigma, c, dist)
+        v_norm = _residual_norm_estimate(s, spec, sgn, sigma, c, dist, grad)
         if v_norm > th.delta_A:
             converged = False
     if converged:
@@ -361,13 +380,15 @@ def fit_modulation(s: State, spec: SpectralData,
 
 def _residual_norm_estimate(s: State, spec: SpectralData, sgn: int,
                             sigma: float, c: np.ndarray,
-                            dist: _RadialDistance | None) -> float:
-    """||v||_H = ||s - sgn W_vec_sigma(. - c)||_H without materializing v."""
+                            dist: _RadialDistance | None,
+                            grad: list[np.ndarray] | None) -> float:
+    """||v||_H = ||s - sgn W_vec_sigma(. - c)||_H without materializing v
+    (``dist``: a radial state's pieces; ``grad``: a box state's gradient)."""
     if s.representation == "radial":
         return math.sqrt(max(dist.dist_sq(sgn, sigma), 0.0))
     g = s.grid
     refs = _grid_refs(spec, g)
-    gx, gy, gz = s.u1.gradient()
+    gx, gy, gz = grad
     x, y, z = g.meshgrid
     es = math.exp(sigma)
     dx_, dy_, dz_ = x - c[0], y - c[1], z - c[2]
@@ -467,11 +488,10 @@ def split_modes(fit: ModulationFit, spec: SpectralData) -> ModeSplit:
         rho_sq = _grid_refs(spec, g)["rho_norm_sq"]
         lam1 = q(w.u1.values * rho) / rho_sq
         lam2 = q(w.u2.values * rho) / rho_sq
-        slope = np.asarray(spec.rho_dr_profile(rr)) / np.maximum(rr, 1e-300)
-        x, y, z = g.meshgrid
-        grads_rho = [slope * x, slope * y, slope * z]
+        lam0, *grads_rho = box_modes(spec, g)
         mu = np.array([q(w.u1.values * gr) for gr in grads_rho]) / spec.a_W
-        alpha = q(w.u1.values * np.asarray(spec.lambda0_rho_profile(rr)))
+        alpha = q(w.u1.values * lam0)
+        x, y, z = g.meshgrid
         wslope = np.asarray(eval_W_dr(3, rr)) / np.maximum(rr, 1e-300)
         g1 = w.u1.values - lam1 * rho - (mu[0] * wslope * x + mu[1] * wslope * y
                                          + mu[2] * wslope * z)

@@ -18,7 +18,6 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .fields import Field3D, RadialField, ResolutionError, State
-from .grids import Box3DGrid
 
 _SPLINE_ORDER = 5
 
@@ -91,13 +90,3 @@ def _scale_box(fld: Field3D, sigma: float, a: float) -> Field3D:
     out = _resample_box(fld, lambda x, y, z: (es * x, es * y, es * z))
     return Field3D(fld.grid, amp * out.values)
 
-
-def evaluate_radial_on_box(profile, grid: Box3DGrid, center=None) -> np.ndarray:
-    """Sample a radial profile of |x - center| on a 3-D box grid."""
-    if center is None:
-        rr = grid.radius
-    else:
-        c = np.asarray(center, dtype=float)
-        x, y, z = grid.meshgrid
-        rr = np.sqrt((x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2)
-    return profile(rr)

@@ -12,8 +12,9 @@ The eigenpair is computed two independent ways:
   -v'' + [(d-1)(d-3)/(4 r^2) - p W^(p-1)] v on a uniform cell-centered
   grid (4th-order five-point stencil, parity fold at the origin), solved
   by shifted inverse iteration with Rayleigh-quotient refinement;
-* an ODE shooting method integrating from both ends and matching
-  logarithmic derivatives, bisecting in k.
+* an ODE shooting method integrating from both ends (DOP853) and matching
+  the normalized Wronskian at a middle radius, bracketed in k and refined
+  by Brent's method.
 
 The two k values must agree to 1e-4 relative; the matrix residual and all
 derived constants are recorded in a constants file.
@@ -77,9 +78,6 @@ class LinearizedOperator:
         self.matrix = mat.tocsc()
         self._weight = r ** ((d - 1.0) / 2.0)
 
-    def apply_v(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
     def apply_samples(self, u: np.ndarray) -> np.ndarray:
         """L+ u for scalar samples u on the operator's grid."""
         return (self.matrix @ (self._weight * u)) / self._weight
@@ -141,18 +139,19 @@ def _inverse_iteration(op: LinearizedOperator) -> tuple[np.ndarray, float]:
 # shooting cross-check
 # ---------------------------------------------------------------------------
 
-def _shoot_mismatch(k: float, d: int) -> float:
+def _shoot_mismatch(k: float, d: int, rtol: float = 1e-12) -> float:
     """Normalized Wronskian of the inward/outward solutions at the match radius.
 
     Vanishes exactly at eigenvalues and, unlike a log-derivative difference,
     has no poles when one solution happens to have a node at the matching
-    point.
+    point.  Integrated by DOP853, with W in scalar arithmetic.
     """
     p = nonlinearity_power(d)
     cd = (d - 1.0) * (d - 3.0) / 4.0
+    dd = d * (d - 2.0)
 
     def rhs(r, y):
-        w = eval_W(d, r * r)
+        w = (1.0 + r * r / dd) ** (1.0 - d / 2.0)
         coeff = k * k + cd / (r * r) - p * w ** (p - 1.0)
         return [y[1], coeff * y[0]]
 
@@ -163,11 +162,11 @@ def _shoot_mismatch(k: float, d: int) -> float:
     v0 = r0 ** half * (1.0 + a0 * r0 * r0)
     dv0 = half * r0 ** (half - 1.0) * (1.0 + a0 * r0 * r0) + r0 ** half * 2.0 * a0 * r0
     out = solve_ivp(rhs, (r0, SHOOT_MATCH_RADIUS), [v0, dv0],
-                    rtol=1e-11, atol=1e-300, dense_output=False, method="RK45")
+                    rtol=rtol, atol=1e-300, method="DOP853")
     r1 = SHOOT_OUTER_RADIUS
     decay = math.sqrt(k * k + cd / (r1 * r1))
     inn = solve_ivp(rhs, (r1, SHOOT_MATCH_RADIUS), [1.0, -decay],
-                    rtol=1e-11, atol=1e-300, dense_output=False, method="RK45")
+                    rtol=rtol, atol=1e-300, method="DOP853")
     yo, yi = out.y[:, -1], inn.y[:, -1]
     wron = yo[1] * yi[0] - yi[1] * yo[0]
     return wron / (math.hypot(*yo) * math.hypot(*yi))
@@ -219,6 +218,17 @@ class SpectralData:
             hit = self._per_grid[key] = build()
         return hit
 
+    def mode_pair(self, r) -> np.ndarray:
+        """[Lambda_0 rho, d_r rho] at radii r (shape r.shape + (2,)) from one
+        spline over both samples, built on first use; its columns are bitwise
+        ``lambda0_rho_profile`` and ``rho_dr_profile``."""
+        def build():
+            rho_dr, lam0 = _mode_samples(self.rho_eigen)
+            return RadialProfile.from_samples(
+                self.eigen_grid, np.stack([lam0, rho_dr], axis=1),
+                parity=np.array([1.0, -1.0]), tail="decay")
+        return self.cached("mode_pair", build)(r)
+
     def _bundle(self, grid: RadialGrid) -> dict:
         return self.cached(("modes", grid), lambda: self._build_bundle(grid))
 
@@ -232,7 +242,6 @@ class SpectralData:
             "lambda0_rho": lam0,
             "rho_dr": np.asarray(self.rho_dr_profile(r)),
             "W": w,
-            "W_ip_rho": grid.quad_meas(w * rho),
             "W_ip_lambda0_rho": grid.quad_meas(w * lam0),
         }
 
@@ -247,9 +256,6 @@ class SpectralData:
 
     def W_on(self, grid: RadialGrid) -> np.ndarray:
         return self._bundle(grid)["W"]
-
-    def W_inner_rho(self, grid: RadialGrid) -> float:
-        return self._bundle(grid)["W_ip_rho"]
 
     def W_inner_lambda0_rho(self, grid: RadialGrid) -> float:
         return self._bundle(grid)["W_ip_lambda0_rho"]
@@ -328,6 +334,13 @@ def compute_constants(spec: SpectralData, bw_tol: float = 1e-3) -> tuple[float, 
     return a_w, b_w
 
 
+def _mode_samples(rho: RadialField) -> tuple[np.ndarray, np.ndarray]:
+    """(d_r rho, Lambda_0 rho) = (rho', r rho' + (d/2) rho) on rho's grid."""
+    g = rho.grid
+    rho_dr = rho.deriv(parity=1)
+    return rho_dr, g.r * rho_dr + (g.d / 2.0) * rho.values
+
+
 def build_spectral_data(grid: RadialGrid | None = None,
                         eigen_n: int = DEFAULT_EIGEN_N,
                         cross_check: bool = True,
@@ -356,8 +369,7 @@ def build_spectral_data(grid: RadialGrid | None = None,
         raise SpectralConsistencyError("computed ground state is not positive")
 
     # mode derivatives on the eigen grid, then splines
-    rho_dr = rho.deriv(parity=1)
-    lam0 = egrid.r * rho_dr + (d / 2.0) * rho.values
+    rho_dr, lam0 = _mode_samples(rho)
     rho_prof = RadialProfile.from_samples(egrid, rho.values, parity=1, tail="decay")
     rho_dr_prof = RadialProfile.from_samples(egrid, rho_dr, parity=-1, tail="decay")
     lam0_prof = RadialProfile.from_samples(egrid, lam0, parity=1, tail="decay")

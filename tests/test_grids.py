@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critwave.grids import Box3DGrid, RadialGrid, sphere_area
+from critwave.grids import (_END_STENCIL, Box3DGrid, RadialGrid,
+                            _derivative_weights, sphere_area)
 
 
 def test_sphere_area():
@@ -94,6 +95,49 @@ def test_box_grid_and_gradient():
     # quadrature of a separable gaussian
     val = g.quad(np.exp(-(x ** 2 + y ** 2 + z ** 2)))
     assert val == pytest.approx(math.pi ** 1.5, rel=1e-10)
+
+
+def _dense_deriv_matrix(g: Box3DGrid) -> np.ndarray:
+    """Dense 1-D derivative matrix: 4th-order interior, one-sided edges."""
+    m, dx = g.m, g.dx
+    d = np.zeros((m, m))
+    for i in range(2, m - 2):
+        d[i, i - 2:i + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * dx)
+    x = g.axis
+    for i in (0, 1):
+        d[i, :_END_STENCIL] = _derivative_weights(x[:_END_STENCIL], x[i], 1)
+    for i in (m - 2, m - 1):
+        d[i, -_END_STENCIL:] = _derivative_weights(x[-_END_STENCIL:], x[i], 1)
+    return d
+
+
+@pytest.mark.parametrize("m", [16, 48])
+def test_box_gradient_equals_dense_matrix(m):
+    g = Box3DGrid(6.0, m)
+    x, y, z = g.meshgrid
+    # large at the faces, so the one-sided edge rows are exercised
+    f = np.exp(-((x - 1.0) ** 2 + 0.5 * y ** 2) / 8.0) * np.cos(0.7 * z) + 0.1 * x * y
+    d = _dense_deriv_matrix(g)
+    want = [np.einsum("ij,jkl->ikl", d, f), np.einsum("ij,kjl->kil", d, f),
+            np.einsum("ij,klj->kli", d, f)]
+    for axis, (got, ref) in enumerate(zip(g.gradient(f), want)):
+        assert got.shape == f.shape
+        err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-13, (axis, err)
+        edges = np.take(got - ref, [0, 1, m - 2, m - 1], axis=axis)
+        assert np.max(np.abs(edges)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_box_gradient_fourth_order():
+    errs = []
+    for m in (32, 64):
+        g = Box3DGrid(8.0, m)
+        x, y, z = g.meshgrid
+        f = np.exp(-((x - 0.3) ** 2 + (y + 0.2) ** 2 + z ** 2) / 4.0)
+        exact = [-0.5 * (x - 0.3) * f, -0.5 * (y + 0.2) * f, -0.5 * z * f]
+        errs.append(max(np.max(np.abs(a - b))
+                        for a, b in zip(g.gradient(f), exact)))
+    assert errs[0] / errs[1] >= 12.0
 
 
 def test_grid_descriptor_round_trip():

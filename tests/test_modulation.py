@@ -5,8 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from critwave.experiments import (_cached_box_modes, assemble_box_exact,
-                                  random_box_closure,
+from critwave.experiments import (assemble_box_exact, random_box_closure,
                                   random_orthogonal_residual)
 from critwave.fields import RadialField, State, sample_W_family, BoostParams
 from critwave.functionals import (crit_norm, energy_E, functional_K,
@@ -15,6 +14,7 @@ from critwave.functionals import (crit_norm, energy_E, functional_K,
 from critwave.grids import Box3DGrid, RadialGrid
 from critwave.modulation import (SignAmbiguityError, _golden_min,
                                  _grid_refs, _RadialDistance,
+                                 box_mode_fields, box_modes,
                                  assemble_state, distance_dW, fit_modulation,
                                  linearized_norm_sq, manifold_distance,
                                  quadratic_form_L, reference_J,
@@ -358,12 +358,54 @@ def test_caches_released_with_spectral_data():
     spec = build_spectral_data(cross_check=False)
     g = RadialGrid(3, 32.0, 512, "uniform")
     refs = weakref.ref(_grid_refs(spec, g)["W_state"])
-    modes = weakref.ref(_cached_box_modes(spec, Box3DGrid(4.0, 16))[0])
+    modes = weakref.ref(box_modes(spec, Box3DGrid(4.0, 16))[0])
     assert refs() is not None and modes() is not None
     del spec
     gc.collect()
     assert refs() is None
     assert modes() is None
+
+
+def test_mode_pair_spline_released_with_spectral_data():
+    spec = build_spectral_data(cross_check=False)
+    spec.mode_pair(np.zeros(1))
+    pair = weakref.ref(spec.cached("mode_pair", None))
+    assert pair() is not None
+    del spec
+    gc.collect()
+    assert pair() is None
+
+
+class TestBoxModeSampler:
+    def test_mode_pair_columns_bitwise(self, spectral):
+        rng = np.random.default_rng(3)
+        # both signs, the eigen-grid nodes and radii past the last node
+        r = np.concatenate([rng.uniform(-5.0, 250.0, 4000),
+                            spectral.eigen_grid.r[:50], [0.0]])
+        pair = spectral.mode_pair(r)
+        assert pair.shape == r.shape + (2,)
+        assert np.array_equal(pair[:, 0], spectral.lambda0_rho_profile(r))
+        assert np.array_equal(pair[:, 1], spectral.rho_dr_profile(r))
+        r3 = r[:4000].reshape(10, 20, 20)
+        pair3 = spectral.mode_pair(r3)
+        assert np.array_equal(pair3[..., 0], spectral.lambda0_rho_profile(r3))
+        assert np.array_equal(pair3[..., 1], spectral.rho_dr_profile(r3))
+
+    def test_sampler_reproduces_two_profile_formulas(self, spectral):
+        g = Box3DGrid(6.0, 24)
+        sigma, c = 0.2, np.array([0.3, -0.1, 0.2])
+        es, amp = math.exp(sigma), math.exp((3 / 2.0 + 1.0) * sigma)
+        x, y, z = g.meshgrid
+        dx_, dy_, dz_ = x - c[0], y - c[1], z - c[2]
+        rr = np.sqrt(dx_ ** 2 + dy_ ** 2 + dz_ ** 2)
+        lam0 = amp * np.asarray(spectral.lambda0_rho_profile(es * rr))
+        slope = (amp * es * np.asarray(spectral.rho_dr_profile(es * rr))
+                 / np.maximum(rr, 1e-300))
+        want = [lam0, slope * dx_, slope * dy_, slope * dz_]
+        got = box_mode_fields(spectral, sigma, c, g.meshgrid)
+        assert len(got) == 4
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestKExpansion:

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from critwave.fields import RadialField, eval_W_dr
 from critwave.functionals import (h1_seminorm_sq, l2_inner, l2_norm_sq,
                                   symplectic_omega)
 from critwave.grids import RadialGrid
 from critwave.spectral import (LinearizedOperator, SpectralConsistencyError,
-                               apply_lplus_fd, build_lplus,
+                               _shoot_mismatch, apply_lplus_fd, build_lplus,
                                build_spectral_data, coercivity_probe,
                                compute_constants, solve_ground_state)
 
@@ -22,6 +23,14 @@ class TestEigenpair:
 
     def test_matrix_vs_shooting(self, spectral):
         assert spectral.residuals["k_rel_diff"] <= 1e-4
+
+    def test_shooting_rate_against_tight_reference(self, spectral):
+        # the cross-checked build's k_shooting is shooting_rate(3); the
+        # reference root integrates with DOP853 at rtol 1e-13
+        k = spectral.residuals["k_shooting"]
+        ref = brentq(_shoot_mismatch, k - 1e-6, k + 1e-6, args=(3, 1e-13),
+                     xtol=1e-16, rtol=1e-15)
+        assert abs(k - ref) <= 5e-14
 
     def test_matrix_residual(self, spectral):
         assert spectral.residuals["eig_residual_l2"] <= 1e-6
