@@ -39,7 +39,6 @@ def load_reference_constants() -> dict | None:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key = value config file with sections")
     p.add_argument("--out", help="output file or directory")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=20240801)
 
 
@@ -171,6 +170,8 @@ def main(argv=None) -> int:
                    help="comma-separated amplitude list")
     p.add_argument("--perturbed", type=int, default=0,
                    help="number of randomized perturbed variants")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for the sweep's runs")
     p.set_defaults(func=cmd_quadrant)
 
     args = parser.parse_args(argv)

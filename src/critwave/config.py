@@ -52,7 +52,6 @@ class EvolutionConfig:
     dt_floor_factor: float = 4096.0    # give up once dt < dt0 / factor
     confirm_refine: int = 2
     confirm_window: float = 3.0
-    seed: int = 20240801
 
     @property
     def dx(self) -> float:

@@ -385,11 +385,12 @@ class BoxResidualClosure:
         return out
 
     def v2(self, x, y, z):
-        return self._gauss_sum(self.g2, x, y, z) + np.zeros_like(x)
+        return (self._gauss_sum(self.g2, x, y, z)
+                + np.zeros(np.broadcast(x, y, z).shape))
 
     def sample(self, grid: Box3DGrid) -> State:
         from .fields import Field3D
-        x, y, z = grid.meshgrid
+        x, y, z = grid.open_mesh
         return State(Field3D(grid, self.v1(x, y, z)),
                      Field3D(grid, self.v2(x, y, z)))
 
@@ -403,11 +404,15 @@ def random_box_closure(spectral: SpectralData, grid: Box3DGrid,
                  rng.uniform(1.2, 3.0)) for _ in range(n)]
 
     g1, g2 = draw(3), draw(3)
-    x, y, z = grid.meshgrid
+    x, y, z = grid.open_mesh
     modes = box_modes(spectral, grid)
     f1 = BoxResidualClosure._gauss_sum(g1, x, y, z)
     f2 = BoxResidualClosure._gauss_sum(g2, x, y, z)
-    gram = np.array([[grid.quad(m1 * m2) for m2 in modes] for m1 in modes])
+    # symmetric: the 10 distinct products (m1 * m2 is bitwise m2 * m1)
+    gram = np.empty((4, 4))
+    for i in range(4):
+        for j in range(i, 4):
+            gram[i, j] = gram[j, i] = grid.quad(modes[i] * modes[j])
     rhs = np.array([grid.quad(f1 * m) for m in modes])
     coef = np.linalg.solve(gram, rhs)
     v1 = f1 - sum(cf * m for cf, m in zip(coef, modes))
@@ -425,7 +430,7 @@ def assemble_box_exact(spectral: SpectralData, grid: Box3DGrid, sgn: int,
     from .fields import Field3D
     c = np.asarray(c, dtype=float)
     es = math.exp(sigma)
-    x, y, z = grid.meshgrid
+    x, y, z = grid.open_mesh
     xs, ys, zs = es * (x - c[0]), es * (y - c[1]), es * (z - c[2])
     rr2 = xs * xs + ys * ys + zs * zs
     amp1 = math.exp(sigma / 2.0)

@@ -104,15 +104,8 @@ class RadialProfile:
 
         parity : +1 / -1 behavior under r -> -r (for evaluation near 0)
         tail : "decay" (zero beyond r_max) or "power" (c r^(2-d) + b r^-d)
-
-        values of shape (n, k) give one spline over k stacked columns, with
-        a parity per column and a "decay" tail; each column evaluates
-        bitwise as the 1-D spline through it would.
         """
-        n_mirror = 6
-        r_ext = np.concatenate([-grid.r[:n_mirror][::-1], grid.r])
-        v_ext = np.concatenate([parity * values[:n_mirror][::-1], values])
-        spline = CubicSpline(r_ext, v_ext, extrapolate=False)
+        spline = _mirrored_spline(grid, values, parity)
         r_last = grid.r[-1]
         d = grid.d
         if tail == "power":
@@ -125,12 +118,91 @@ class RadialProfile:
             out = np.asarray(spline(rr))
             far = rr > r_last
             if np.any(far):
-                far = far.reshape(far.shape + (1,) * (out.ndim - rr.ndim))
-                rf = np.where(far, rr.reshape(far.shape), r_last)
+                rf = np.where(far, rr, r_last)
                 out = np.where(far, c * rf ** (2.0 - d) + b * rf ** (-float(d)), out)
             return out
 
         return cls(fn, r_max=r_last)
+
+
+def _mirrored_spline(grid: RadialGrid, values: np.ndarray,
+                     parity) -> CubicSpline:
+    """Cubic spline through (grid.r, values), extended through the origin by
+    six mirrored nodes with the given parity; NaN beyond its end nodes."""
+    n_mirror = 6
+    r_ext = np.concatenate([-grid.r[:n_mirror][::-1], grid.r])
+    v_ext = np.concatenate([parity * values[:n_mirror][::-1], values])
+    return CubicSpline(r_ext, v_ext, extrapolate=False)
+
+
+# points per block of the blocked passes over large point sets: the
+# temporaries of one block stay in the core's cache
+BLOCK_POINTS = 1 << 15
+
+
+class UniformSpline:
+    """k radial profiles from one mirrored cubic spline through samples of
+    shape (n, k) on a uniform grid, with a parity per column and zero beyond
+    the last sample; evaluating it at r gives shape r.shape + (k,).
+
+    It evaluates the scipy spline's coefficients in scipy's order, but finds
+    each interval directly, i = floor((r - x_0) / h), with one correction
+    step to scipy's rule x[i] <= r < x[i+1] (the node rounding moves a
+    floor by at most one interval) instead of a binary search per point, so
+    its values are bitwise those of ``RadialProfile.from_samples`` on each
+    column.  Large inputs are evaluated in blocks of BLOCK_POINTS.
+    """
+
+    def __init__(self, grid: RadialGrid, values: np.ndarray, parity):
+        if grid.spacing != "uniform":
+            raise ValueError("direct interval lookup needs a uniform grid")
+        spline = _mirrored_spline(grid, values, parity)
+        x = spline.x
+        self._x = x
+        self._x_next = x[1:]
+        self._inv_h = (len(x) - 1) / (x[-1] - x[0])
+        # coefficients as (column, power, interval), highest power first
+        self._coef = np.ascontiguousarray(np.moveaxis(spline.c, 2, 0))
+        self.r_max = grid.r[-1]
+
+    def __call__(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        flat = r.reshape(-1)
+        k = len(self._coef)
+        out = np.empty((k, flat.size))
+        for a in range(0, flat.size, BLOCK_POINTS):
+            b = a + BLOCK_POINTS
+            self._eval(flat[a:b], out[:, a:b])
+        return np.moveaxis(out.reshape((k,) + r.shape), 0, -1)
+
+    def _eval(self, r: np.ndarray, out: np.ndarray) -> None:
+        x = self._x
+        rr = np.abs(r)
+        inside = rr <= self.r_max      # false beyond the last node, and for NaN
+        outside = not inside.all()
+        if outside:
+            rr = np.where(inside, rr, self.r_max)
+        top = len(x) - 2
+        i = ((rr - x[0]) * self._inv_h).astype(np.intp)
+        np.minimum(i, top, out=i)
+        xi = x[i]
+        below, above = rr < xi, rr >= self._x_next[i]
+        if below.any() or above.any():
+            i -= below
+            i += above
+            np.minimum(i, top, out=i)
+            xi = x[i]
+        s = rr - xi
+        s2 = s * s
+        s3 = s2 * s
+        for o, c in zip(out, self._coef):
+            # ((c3 + c2 s) + c1 s^2) + c0 s^3, scipy's evaluation order
+            np.multiply(c[2].take(i), s, out=o)
+            o += c[3].take(i)
+            o += c[1].take(i) * s2
+            o += c[0].take(i) * s3
+        if outside:
+            out[:, ~inside] = np.where(np.isnan(r[~inside]), np.nan, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,13 @@ class Box3DGrid:
         return np.meshgrid(self.axis, self.axis, self.axis, indexing="ij")
 
     @cached_property
+    def open_mesh(self):
+        """The axes shaped (m, 1, 1), (1, m, 1), (1, 1, m): broadcasting them
+        gives the values of ``meshgrid`` without storing three full cubes."""
+        return np.meshgrid(self.axis, self.axis, self.axis, indexing="ij",
+                           sparse=True)
+
+    @cached_property
     def radius(self) -> np.ndarray:
         x, y, z = self.meshgrid
         return np.sqrt(x * x + y * y + z * z)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Thresholds
-from .fields import (Field3D, RadialField, State, eval_W, eval_W_dr,
-                     nonlinearity_power, sobolev_exponent)
+from .fields import (BLOCK_POINTS, Field3D, RadialField, State, eval_W,
+                     eval_W_dr, nonlinearity_power, sobolev_exponent)
 from .functionals import (RadialPieces, _h1_tail, energy_E, functional_J,
                           functional_K, h1_seminorm_sq, l2_inner, l2_norm_sq,
                           norm_H, smooth_cutoff)
@@ -140,8 +140,38 @@ def _build_refs(spec: SpectralData, grid) -> dict:
         "grad_W_sq": grid.quad(gw[0] ** 2 + gw[1] ** 2 + gw[2] ** 2),
         "W_state": State(w, zeros),
         "rho_norm_sq": grid.quad(rho.values ** 2),
-        "mode_consts": None,
     }
+
+
+def _box_fit_refs(spec: SpectralData, grid: Box3DGrid) -> dict:
+    """The point sets of the box fit residuals, flattened, and their
+    sigma = 0 mode integrals of W, cached on ``spec``.
+
+    The mode integrands decay like e^(-k r): the cube corners beyond the
+    inscribed ball contribute below 1e-8 and are dropped, which halves the
+    cost of every residual evaluation.  The stride-2 coarse lattice (8x
+    cheaper residuals) gets (sigma, c) near the root before ball polishing.
+    """
+    def build():
+        w = _grid_refs(spec, grid)["W_state"].u1.values
+        ball = grid.radius <= grid.half_width
+        refs = {"ball_where": ball,
+                "ball": tuple(m[ball] for m in grid.meshgrid),
+                "coarse": tuple(_coarse(m) for m in grid.meshgrid)}
+        zero = np.zeros(3)
+        vol = grid.cell_volume
+        refs["ball_consts"] = box_mode_integrals(
+            spec, 0.0, zero, refs["ball"], w[ball], vol)
+        refs["coarse_consts"] = box_mode_integrals(
+            spec, 0.0, zero, refs["coarse"], _coarse(w), vol * 8)
+        return refs
+    return spec.cached(("box_fit_refs", grid), build)
+
+
+def _coarse(f: np.ndarray) -> np.ndarray:
+    """Values of a box array on the stride-2 coarse lattice, flattened;
+    each lattice point stands for 2^3 = 8 cells."""
+    return f[::2, ::2, ::2].ravel()
 
 
 def reference_J(spec: SpectralData, grid) -> float:
@@ -184,6 +214,29 @@ def box_mode_fields(spec: SpectralData, sigma: float, c,
     """[T^c S_1^sigma Lambda_0 rho, T^c S_1^sigma d_j rho] at the points mesh."""
     lam0, slope, disp = box_mode_parts(spec, sigma, c, mesh)
     return [lam0] + [slope * dj for dj in disp]
+
+
+def box_mode_integrals(spec: SpectralData, sigma: float, c, points,
+                       u: np.ndarray, weight: float) -> np.ndarray:
+    """weight * [sum u T^c S_1^sigma Lambda_0 rho, sum u T^c S_1^sigma d_j rho]
+    over flat point arrays points = (x, y, z) with values u: the four box
+    mode integrals under a uniform quadrature weight.
+
+    The points are taken in blocks of BLOCK_POINTS; each block's mode
+    values come from ``box_mode_parts`` and are summed at once, so the four
+    mode fields are never built.  The sums are numpy's, not a BLAS dot, so
+    they do not depend on the BLAS thread count.
+    """
+    x, y, z = points
+    n = len(u)
+    sums = np.empty((-(-n // BLOCK_POINTS), 4))
+    for k, a in enumerate(range(0, n, BLOCK_POINTS)):
+        b = a + BLOCK_POINTS
+        lam0, slope, disp = box_mode_parts(spec, sigma, c,
+                                           (x[a:b], y[a:b], z[a:b]))
+        ub = u[a:b]
+        sums[k] = [np.sum(ub * lam0)] + [np.sum(ub * (slope * d)) for d in disp]
+    return np.sum(sums, axis=0) * weight
 
 
 def box_modes(spec: SpectralData, grid: Box3DGrid) -> list[np.ndarray]:
@@ -304,43 +357,20 @@ def fit_modulation(s: State, spec: SpectralData,
         x = np.array([sigma0])
     else:
         g = s.grid
-        refs = _grid_refs(spec, g)
-        w_vals = refs["W_state"].u1.values
-        # the mode integrands decay like e^(-k r): the cube corners beyond
-        # the inscribed ball contribute below 1e-8 and are dropped, which
-        # halves the cost of every residual evaluation
-        if "ball_mask" not in refs:
-            x3, y3, z3 = g.meshgrid
-            mask = g.radius <= g.half_width
-            refs["ball_where"] = mask
-            refs["ball_mask"] = (x3[mask], y3[mask], z3[mask])
-            refs["mode_consts"] = [
-                float(np.sum(w_vals[mask] * m)) * g.cell_volume
-                for m in box_mode_fields(spec, 0.0, np.zeros(3),
-                                         refs["ball_mask"])]
-        mesh_b = refs["ball_mask"]
-        consts = refs["mode_consts"]
+        refs = _box_fit_refs(spec, g)
         u1_b = s.u1.values[refs["ball_where"]]
+        u1_c = _coarse(s.u1.values)
         vol = g.cell_volume
-        # coarse warm-start lattice: stride-2 subsampling (8x cheaper
-        # residuals) gets (sigma, c) near the root before ball polishing
-        stride = 2
-        mesh_c = tuple(m[::stride, ::stride, ::stride] for m in g.meshgrid)
-        u1_c = s.u1.values[::stride, ::stride, ::stride]
-        vol_c = vol * stride ** 3
-        w_c = w_vals[::stride, ::stride, ::stride]
-        consts_c = [float(np.sum(w_c * m)) * vol_c for m in
-                    box_mode_fields(spec, 0.0, np.zeros(3), mesh_c)]
 
         def residual_coarse(x):
-            modes = box_mode_fields(spec, x[0], x[1:], mesh_c)
-            return np.array([float(np.sum(u1_c * m)) * vol_c - sgn * c0
-                             for m, c0 in zip(modes, consts_c)])
+            return (box_mode_integrals(spec, x[0], x[1:], refs["coarse"],
+                                       u1_c, vol * 8)
+                    - sgn * refs["coarse_consts"])
 
         def residual(x):
-            modes = box_mode_fields(spec, x[0], x[1:], mesh_b)
-            return np.array([float(np.sum(u1_b * m)) * vol - sgn * c0
-                             for m, c0 in zip(modes, consts)])
+            return (box_mode_integrals(spec, x[0], x[1:], refs["ball"], u1_b,
+                                       vol)
+                    - sgn * refs["ball_consts"])
 
         h0 = np.diag([-float(sgn) / spec.b_W, float(sgn) / spec.a_W,
                       float(sgn) / spec.a_W, float(sgn) / spec.a_W])
@@ -389,15 +419,32 @@ def _residual_norm_estimate(s: State, spec: SpectralData, sgn: int,
     g = s.grid
     refs = _grid_refs(spec, g)
     gx, gy, gz = grad
-    x, y, z = g.meshgrid
-    es = math.exp(sigma)
-    dx_, dy_, dz_ = x - c[0], y - c[1], z - c[2]
-    rr = np.sqrt(dx_ ** 2 + dy_ ** 2 + dz_ ** 2)
-    slope = (math.exp(sigma / 2.0) * es * np.asarray(eval_W_dr(3, es * rr))
-             / np.maximum(rr, 1e-300))
-    cross = g.quad(gx * slope * dx_ + gy * slope * dy_ + gz * slope * dz_)
+    cross = _box_cross(g, grad, sigma, c)
     uu = g.quad(gx * gx + gy * gy + gz * gz) + g.quad(s.u2.values ** 2)
     return math.sqrt(max(uu - 2.0 * sgn * cross + refs["grad_W_sq"], 0.0))
+
+
+def _box_cross(g: Box3DGrid, grad: list[np.ndarray], sigma: float, c) -> float:
+    """<grad u | grad W_sigma(. - c)> under the box quadrature, given
+    grad = grad u; W_sigma = e^(sigma/2) W(e^sigma .).
+
+    The integrand is formed in x-slabs of about BLOCK_POINTS points, so
+    its temporaries stay in cache, and summed as one array."""
+    gx, gy, gz = grad
+    x, y, z = g.open_mesh
+    es = math.exp(sigma)
+    amp = math.exp(sigma / 2.0) * es
+    dy_, dz_ = y - c[1], z - c[2]
+    integrand = np.empty(gx.shape)
+    step = max(BLOCK_POINTS // (g.m * g.m), 1)
+    for a in range(0, g.m, step):
+        sl = slice(a, a + step)
+        dx_ = x[sl] - c[0]
+        rr = np.sqrt(dx_ ** 2 + dy_ ** 2 + dz_ ** 2)
+        slope = amp * np.asarray(eval_W_dr(3, es * rr)) / np.maximum(rr, 1e-300)
+        integrand[sl] = (gx[sl] * slope * dx_ + gy[sl] * slope * dy_
+                         + gz[sl] * slope * dz_)
+    return g.quad(integrand)
 
 
 def _residual_state(s: State, spec: SpectralData, sgn: int, sigma: float,
@@ -723,20 +770,14 @@ def manifold_distance(spec: SpectralData, s: State,
     # box: distance to sgn W_sigma(. - c) over sgn, sigma, c
     g = s.grid
     refs = _grid_refs(spec, g)
-    x, y, z = g.meshgrid
     u2_sq = g.quad(s.u2.values ** 2)
-    gx, gy, gz = s.u1.gradient()
+    grad = s.u1.gradient()
+    gx, gy, gz = grad
     uu = g.quad(gx * gx + gy * gy + gz * gz)
     gw = refs["grad_W_sq"]
 
     def dist_sq(sgn, sigma, c):
-        es = math.exp(sigma)
-        dx_, dy_, dz_ = x - c[0], y - c[1], z - c[2]
-        rr = np.sqrt(dx_ ** 2 + dy_ ** 2 + dz_ ** 2)
-        slope = (math.exp((3 / 2.0 - 1.0) * sigma) * es
-                 * np.asarray(eval_W_dr(3, es * rr)) / np.maximum(rr, 1e-300))
-        cross = g.quad(gx * slope * dx_ + gy * slope * dy_ + gz * slope * dz_)
-        return uu - 2.0 * sgn * cross + gw + u2_sq
+        return uu - 2.0 * sgn * _box_cross(g, grad, sigma, c) + gw + u2_sq
 
     c0 = np.zeros(3) if c_seed is None else np.asarray(c_seed, dtype=float)
     best = math.inf

@@ -32,8 +32,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
-from .fields import (RadialField, RadialProfile, State, eval_W,
-                     eval_W_prime_mode, nonlinearity_power)
+from .fields import (RadialField, RadialProfile, State, UniformSpline,
+                     eval_W, eval_W_prime_mode, nonlinearity_power)
 from .functionals import h1_seminorm_sq, l2_inner, l2_norm_sq
 from .grids import RadialGrid
 
@@ -220,13 +220,14 @@ class SpectralData:
 
     def mode_pair(self, r) -> np.ndarray:
         """[Lambda_0 rho, d_r rho] at radii r (shape r.shape + (2,)) from one
-        spline over both samples, built on first use; its columns are bitwise
-        ``lambda0_rho_profile`` and ``rho_dr_profile``."""
+        spline over both samples on the uniform eigen grid, built on first
+        use; its columns are bitwise ``lambda0_rho_profile`` and
+        ``rho_dr_profile``, and its interval lookup is direct."""
         def build():
             rho_dr, lam0 = _mode_samples(self.rho_eigen)
-            return RadialProfile.from_samples(
-                self.eigen_grid, np.stack([lam0, rho_dr], axis=1),
-                parity=np.array([1.0, -1.0]), tail="decay")
+            return UniformSpline(self.eigen_grid,
+                                 np.stack([lam0, rho_dr], axis=1),
+                                 parity=np.array([1.0, -1.0]))
         return self.cached("mode_pair", build)(r)
 
     def _bundle(self, grid: RadialGrid) -> dict:

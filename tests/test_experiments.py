@@ -219,3 +219,14 @@ class TestCLI:
         assert code == 0
         assert (tmp_path / "cli_demo.csv").exists()
         assert (tmp_path / "cli_demo_verdict.json").exists()
+
+    def test_threads_only_on_quadrant(self, capsys):
+        # --threads sizes the sweep's worker pool; no other command has one
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["static", "--threads", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["quadrant", "--help"])
+        assert exc.value.code == 0
+        assert "--threads" in capsys.readouterr().out

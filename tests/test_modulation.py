@@ -4,23 +4,26 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from critwave.experiments import (assemble_box_exact, random_box_closure,
                                   random_orthogonal_residual)
-from critwave.fields import RadialField, State, sample_W_family, BoostParams
+from critwave.fields import (BLOCK_POINTS, RadialField, State, eval_W_dr,
+                             sample_W_family, BoostParams)
 from critwave.functionals import (crit_norm, energy_E, functional_K,
                                   h1_seminorm_sq, l2_inner, l2_norm_sq,
                                   norm_H, norm_H_sq)
 from critwave.grids import Box3DGrid, RadialGrid
-from critwave.modulation import (SignAmbiguityError, _golden_min,
-                                 _grid_refs, _RadialDistance,
-                                 box_mode_fields, box_modes,
+from critwave.modulation import (SignAmbiguityError, _box_cross,
+                                 _box_fit_refs, _golden_min, _grid_refs,
+                                 _RadialDistance, box_mode_fields,
+                                 box_mode_integrals, box_modes,
                                  assemble_state, distance_dW, fit_modulation,
                                  linearized_norm_sq, manifold_distance,
                                  quadratic_form_L, reference_J,
                                  region_predicates, sign_functional,
                                  split_modes, superquadratic_C)
-from critwave.spectral import build_spectral_data
+from critwave.spectral import _mode_samples, build_spectral_data
 
 
 @pytest.fixture(scope="module")
@@ -359,11 +362,19 @@ def test_caches_released_with_spectral_data():
     g = RadialGrid(3, 32.0, 512, "uniform")
     refs = weakref.ref(_grid_refs(spec, g)["W_state"])
     modes = weakref.ref(box_modes(spec, Box3DGrid(4.0, 16))[0])
+    fit_refs = _box_fit_refs(spec, Box3DGrid(4.0, 16))
+    coarse = weakref.ref(fit_refs["coarse"][0])
+    consts = [weakref.ref(fit_refs[key])
+              for key in ("ball_consts", "coarse_consts")]
+    del fit_refs
     assert refs() is not None and modes() is not None
+    assert coarse() is not None and all(c() is not None for c in consts)
     del spec
     gc.collect()
     assert refs() is None
     assert modes() is None
+    assert coarse() is None
+    assert all(c() is None for c in consts)
 
 
 def test_mode_pair_spline_released_with_spectral_data():
@@ -406,6 +417,85 @@ class TestBoxModeSampler:
         assert len(got) == 4
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+class TestDirectIndexSampler:
+    """spec.mode_pair against a scipy spline built here as the oracle."""
+
+    @staticmethod
+    def oracle(spec, r):
+        g = spec.eigen_grid
+        rho_dr, lam0 = _mode_samples(spec.rho_eigen)
+        vals = np.stack([lam0, rho_dr], axis=1)
+        r_ext = np.concatenate([-g.r[:6][::-1], g.r])
+        v_ext = np.concatenate([np.array([1.0, -1.0]) * vals[:6][::-1], vals])
+        spline = CubicSpline(r_ext, v_ext, extrapolate=False)
+        rr = np.abs(r)
+        out = spline(rr)
+        out[rr > g.r[-1]] = 0.0
+        return out, r_ext
+
+    def test_bitwise_equal_to_scipy_spline(self, spectral):
+        rng = np.random.default_rng(5)
+        _, knots = self.oracle(spectral, np.zeros(1))
+        r_last = spectral.eigen_grid.r[-1]
+        r = np.concatenate([
+            rng.uniform(0.0, 1.1 * r_last, 200_000),
+            knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+            [0.0, -0.0, r_last, np.nextafter(r_last, np.inf), 2 * r_last,
+             -r_last, np.inf, np.nan]])
+        want, _ = self.oracle(spectral, r)
+        got = spectral.mode_pair(r)
+        assert got.shape == want.shape
+        for col in (0, 1):
+            assert np.array_equal(got[:, col], want[:, col], equal_nan=True)
+        assert np.isnan(got[-1]).all()
+        assert np.all(got[-8:-1][r[-8:-1] > r_last] == 0.0)
+
+
+class TestBlockedModeIntegrals:
+    @staticmethod
+    def mode_field_sums(spec, sigma, c, pts, u):
+        """The residual's formula before blocking: sum(u * m) over the
+        four mode fields."""
+        return np.array([float(np.sum(u * m))
+                         for m in box_mode_fields(spec, sigma, c, pts)])
+
+    @pytest.mark.parametrize("sigma, c", [(0.0, (0.0, 0.0, 0.0)),
+                                          (0.2, (0.3, -0.1, 0.2))])
+    @pytest.mark.parametrize("n", [0, 1000, 2 * BLOCK_POINTS,
+                                   2 * BLOCK_POINTS + 1])
+    def test_match_mode_field_sums(self, spectral, sigma, c, n):
+        rng = np.random.default_rng(n)
+        pts = tuple(rng.uniform(-6.0, 6.0, n) for _ in range(3))
+        rsq = pts[0] ** 2 + pts[1] ** 2 + pts[2] ** 2
+        u = (1.0 + rsq / 3.0) ** -0.5 * (1.0 + 0.1 * rng.normal(size=n))
+        c = np.array(c)
+        got = box_mode_integrals(spectral, sigma, c, pts, u, 0.25)
+        want = 0.25 * self.mode_field_sums(spectral, sigma, c, pts, u)
+        assert got.shape == (4,)
+        if n == 0:
+            assert np.array_equal(got, np.zeros(4))
+        else:
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_box_cross_term_bitwise():
+    # m = 100 gives 33 slabs of 3 x-planes and one of 1
+    g = Box3DGrid(8.0, 100)
+    x, y, z = g.meshgrid
+    grad = g.gradient(np.exp(-((x - 0.2) ** 2 + y ** 2 + (z + 0.1) ** 2) / 4.0))
+    sigma, c = 0.2, np.array([0.3, -0.1, 0.2])
+    # the formula of _residual_norm_estimate and of the box
+    # manifold_distance before they shared one helper
+    gx, gy, gz = grad
+    es = math.exp(sigma)
+    dx_, dy_, dz_ = x - c[0], y - c[1], z - c[2]
+    rr = np.sqrt(dx_ ** 2 + dy_ ** 2 + dz_ ** 2)
+    slope = (math.exp((3 / 2.0 - 1.0) * sigma) * es
+             * np.asarray(eval_W_dr(3, es * rr)) / np.maximum(rr, 1e-300))
+    want = g.quad(gx * slope * dx_ + gy * slope * dy_ + gz * slope * dz_)
+    assert _box_cross(g, grad, sigma, c) == want
 
 
 class TestKExpansion:
