@@ -6,6 +6,7 @@ Subcommands mirror the module structure:
 * ``static``    - run the static verification suite
 * ``evolve``    - run a single evolution experiment from a config file
 * ``quadrant``  - run the four-quadrant amplitude sweep
+* ``ejection``  - fit the ejection rate of W_vec +- eps rho against k
 
 Exit codes: 0 all pass, 2 an Undetermined verdict is present, 3 a check
 failed or the configuration is invalid.
@@ -19,10 +20,13 @@ import os
 import sys
 from importlib import resources
 
+import numpy as np
+
 from .config import EvolutionConfig, Thresholds, load_config
-from .evolve import UNDETERMINED
+from .evolve import UNDETERMINED, evolve_direction, fit_ejection_rate
 from .experiments import (ExperimentSpec, run_experiment, run_quadrant_sweep,
                           run_static_suite, save_report)
+from .fields import RadialField, State, eval_W
 from .grids import RadialGrid
 from .spectral import build_spectral_data
 
@@ -141,6 +145,36 @@ def cmd_quadrant(args) -> int:
     return 0 if all(r.matches_expected for r in table.rows) else 3
 
 
+def cmd_ejection(args) -> int:
+    """Evolve W_vec +- eps rho and fit the exponential rate of the unstable
+    mode in the rescaled time tau against the spectral rate k."""
+    spectral = build_spectral_data(cross_check=False)
+    th = Thresholds()
+    cfg = EvolutionConfig(n=8192, r_max=64.0, t_max=args.t_max,
+                          monitor_stride=0.125)
+    grid = RadialGrid(3, cfg.r_max, cfg.n, "uniform")
+    w_vals = np.asarray(eval_W(3, grid.r ** 2))
+    rho = spectral.rho_on(grid)
+    zeros = RadialField(grid, np.zeros(grid.n))
+    print(f"spectral rate k = {spectral.k:.8f}")
+    for eps_txt in args.eps.split(","):
+        eps = float(eps_txt)
+        for sign in (+1, -1):
+            state = State(RadialField(grid, w_vals + sign * eps * rho), zeros)
+            run = evolve_direction(state, cfg, spectral, th)
+            try:
+                fit = fit_ejection_rate(run.series, spectral, th)
+            except ValueError as exc:
+                print(f"eps = {sign * eps:+.1e}: {exc}", file=sys.stderr)
+                return 3
+            print(f"eps = {sign * eps:+.1e}: rate = {fit['rate']:.6f} "
+                  f"(rate/k = {fit['rate_over_k']:.4f}, "
+                  f"{fit['n_points']} points, dW monotone = {fit['dW_monotone']}, "
+                  f"sigma drift ok = {fit['sigma_drift_ok']}) "
+                  f"verdict = {run.verdict}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="critwave",
@@ -173,6 +207,13 @@ def main(argv=None) -> int:
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes for the sweep's runs")
     p.set_defaults(func=cmd_quadrant)
+
+    p = sub.add_parser("ejection", help="run the ejection-rate study")
+    p.add_argument("--eps", default="1e-3,1e-4",
+                   help="comma-separated amplitude list")
+    p.add_argument("--t-max", type=float, default=30.0,
+                   help="evolution horizon of each run")
+    p.set_defaults(func=cmd_ejection)
 
     args = parser.parse_args(argv)
     return args.func(args)

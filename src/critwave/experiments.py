@@ -26,8 +26,8 @@ from .functionals import (boost_energy_momentum, functional_J,
                           functional_K, h1_seminorm_sq, l2_inner,
                           l2_norm_sq, norm_H, symplectic_omega)
 from .grids import Box3DGrid, RadialGrid
-from .modulation import (assemble_state, box_mode_parts, box_modes,
-                         distance_dW, fit_modulation)
+from .modulation import (assemble_state, box_mode_gram, box_mode_parts,
+                         box_modes, distance_dW, fit_modulation)
 from .evolve import (BLOWUP, SCATTER, UNDETERMINED, TrajectoryRecord,
                      evolve_with_monitors, one_pass_check)
 from .spectral import SpectralData, build_spectral_data, coercivity_probe
@@ -369,10 +369,15 @@ class BoxResidualClosure:
 
     @staticmethod
     def _gauss_sum(terms, x, y, z):
+        """sum amp e^(-|(x, y, z) - c|^2 / w^2), each term taken as the
+        product of its three axis factors: on an open mesh the exps are
+        1-D and only the last product and the running sum are full-size."""
         out = 0.0
         for amp, c, wd in terms:
-            out = out + amp * np.exp(-(((x - c[0]) ** 2 + (y - c[1]) ** 2
-                                        + (z - c[2]) ** 2) / wd ** 2))
+            s = 1.0 / wd ** 2
+            out = out + (amp * np.exp(-(x - c[0]) ** 2 * s)
+                         * np.exp(-(y - c[1]) ** 2 * s)
+                         * np.exp(-(z - c[2]) ** 2 * s))
         return out
 
     def v1(self, x, y, z):
@@ -408,13 +413,8 @@ def random_box_closure(spectral: SpectralData, grid: Box3DGrid,
     modes = box_modes(spectral, grid)
     f1 = BoxResidualClosure._gauss_sum(g1, x, y, z)
     f2 = BoxResidualClosure._gauss_sum(g2, x, y, z)
-    # symmetric: the 10 distinct products (m1 * m2 is bitwise m2 * m1)
-    gram = np.empty((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            gram[i, j] = gram[j, i] = grid.quad(modes[i] * modes[j])
     rhs = np.array([grid.quad(f1 * m) for m in modes])
-    coef = np.linalg.solve(gram, rhs)
+    coef = np.linalg.solve(box_mode_gram(spectral, grid), rhs)
     v1 = f1 - sum(cf * m for cf, m in zip(coef, modes))
     gx, gy, gz = grid.gradient(v1)
     nrm = math.sqrt(grid.quad(gx ** 2 + gy ** 2 + gz ** 2) + grid.quad(f2 * f2))

@@ -29,7 +29,7 @@ from .fields import (BLOCK_POINTS, Field3D, RadialField, State, eval_W,
                      eval_W_dr, nonlinearity_power, sobolev_exponent)
 from .functionals import (RadialPieces, _h1_tail, energy_E, functional_J,
                           functional_K, h1_seminorm_sq, l2_inner, l2_norm_sq,
-                          norm_H, smooth_cutoff)
+                          norm_H_sq, smooth_cutoff)
 from .grids import Box3DGrid, RadialGrid
 from .operators import _resample_box
 from .spectral import SpectralData
@@ -138,6 +138,7 @@ def _build_refs(spec: SpectralData, grid) -> dict:
     return {
         "J_W": functional_J(w),
         "grad_W_sq": grid.quad(gw[0] ** 2 + gw[1] ** 2 + gw[2] ** 2),
+        "W_sq": grid.quad(wvals ** 2),
         "W_state": State(w, zeros),
         "rho_norm_sq": grid.quad(rho.values ** 2),
     }
@@ -245,6 +246,20 @@ def box_modes(spec: SpectralData, grid: Box3DGrid) -> list[np.ndarray]:
         spec, 0.0, np.zeros(3), grid.meshgrid))
 
 
+def box_mode_gram(spec: SpectralData, grid: Box3DGrid) -> np.ndarray:
+    """The 4x4 Gram matrix of ``box_modes`` under the box quadrature,
+    cached on spec."""
+    def build():
+        modes = box_modes(spec, grid)
+        # symmetric: the 10 distinct products (m1 * m2 is bitwise m2 * m1)
+        gram = np.empty((4, 4))
+        for i in range(4):
+            for j in range(i, 4):
+                gram[i, j] = gram[j, i] = grid.quad(modes[i] * modes[j])
+        return gram
+    return spec.cached(("box_mode_gram", grid), build)
+
+
 # ---------------------------------------------------------------------------
 # the modulation solve
 # ---------------------------------------------------------------------------
@@ -258,9 +273,10 @@ def _choose_sign(spec: SpectralData, s: State, margin: float,
                 for sgn in (+1, -1)}
     else:
         q = s.grid.quad
-        wv = _grid_refs(spec, s.grid)["W_state"].u1.values
+        refs = _grid_refs(spec, s.grid)
+        wv = refs["W_state"].u1.values
         uu = q(s.u1.values ** 2)
-        ww = q(wv ** 2)
+        ww = refs["W_sq"]
         cross = q(s.u1.values * wv)
         best = {sgn: uu - 2 * sgn * cross + ww for sgn in (+1, -1)}
     lo, hi = min(best.values()), max(best.values())
@@ -339,9 +355,15 @@ def fit_modulation(s: State, spec: SpectralData,
         sgn = sign_hint
     else:
         sgn = _choose_sign(spec, s, th.sign_ambiguity_margin, dist)
-    # a box state's gradient is taken once, for ||s||_H and ||v||_H
-    grad = None if radial else s.u1.gradient()
-    scale = dist.pieces.norm_H if radial else norm_H(s, grad)
+    # a box state's gradient and ||s||_H^2 are taken once, for ||s||_H and
+    # ||v||_H
+    grad = h_sq = None
+    if radial:
+        scale = dist.pieces.norm_H
+    else:
+        grad = s.u1.gradient()
+        h_sq = norm_H_sq(s, grad)
+        scale = math.sqrt(max(h_sq, 0.0))
     tol_coarse = th.tol_orth * max(scale, 1e-12)
 
     if radial:
@@ -385,7 +407,8 @@ def fit_modulation(s: State, spec: SpectralData,
     if converged:
         # the orthogonality equations have spurious roots far from the
         # family; a root with a large residual state is not a capture
-        v_norm = _residual_norm_estimate(s, spec, sgn, sigma, c, dist, grad)
+        v_norm = _residual_norm_estimate(s, spec, sgn, sigma, c, dist, grad,
+                                         h_sq)
         if v_norm > th.delta_A:
             converged = False
     if converged:
@@ -411,17 +434,17 @@ def fit_modulation(s: State, spec: SpectralData,
 def _residual_norm_estimate(s: State, spec: SpectralData, sgn: int,
                             sigma: float, c: np.ndarray,
                             dist: _RadialDistance | None,
-                            grad: list[np.ndarray] | None) -> float:
+                            grad: list[np.ndarray] | None,
+                            h_sq: float | None) -> float:
     """||v||_H = ||s - sgn W_vec_sigma(. - c)||_H without materializing v
-    (``dist``: a radial state's pieces; ``grad``: a box state's gradient)."""
+    (``dist``: a radial state's pieces; ``grad`` and ``h_sq``: a box
+    state's gradient and ||s||_H^2)."""
     if s.representation == "radial":
         return math.sqrt(max(dist.dist_sq(sgn, sigma), 0.0))
     g = s.grid
-    refs = _grid_refs(spec, g)
-    gx, gy, gz = grad
     cross = _box_cross(g, grad, sigma, c)
-    uu = g.quad(gx * gx + gy * gy + gz * gz) + g.quad(s.u2.values ** 2)
-    return math.sqrt(max(uu - 2.0 * sgn * cross + refs["grad_W_sq"], 0.0))
+    return math.sqrt(max(h_sq - 2.0 * sgn * cross
+                         + _grid_refs(spec, g)["grad_W_sq"], 0.0))
 
 
 def _box_cross(g: Box3DGrid, grad: list[np.ndarray], sigma: float, c) -> float:

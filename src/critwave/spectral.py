@@ -139,44 +139,57 @@ def _inverse_iteration(op: LinearizedOperator) -> tuple[np.ndarray, float]:
 # shooting cross-check
 # ---------------------------------------------------------------------------
 
-def _shoot_mismatch(k: float, d: int, rtol: float = 1e-12) -> float:
+def _shoot_mismatch(k, d: int, rtol: float = 1e-12):
     """Normalized Wronskian of the inward/outward solutions at the match radius.
 
     Vanishes exactly at eigenvalues and, unlike a log-derivative difference,
     has no poles when one solution happens to have a node at the matching
-    point.  Integrated by DOP853, with W in scalar arithmetic.
+    point.  Integrated by DOP853, with W in scalar arithmetic.  ``k`` is a
+    rate or a 1-D array of K rates: the K systems are stacked into one state
+    [u_1..u_K, u'_1..u'_K] and integrated by one solve per side, so W is
+    evaluated once per right-hand side for all of them.  Returns a float
+    for a float and an array for an array.
     """
+    scalar = np.ndim(k) == 0
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    nk = len(k)
     p = nonlinearity_power(d)
     cd = (d - 1.0) * (d - 3.0) / 4.0
     dd = d * (d - 2.0)
+    kk = k * k
 
     def rhs(r, y):
         w = (1.0 + r * r / dd) ** (1.0 - d / 2.0)
-        coeff = k * k + cd / (r * r) - p * w ** (p - 1.0)
-        return [y[1], coeff * y[0]]
+        coeff = kk + cd / (r * r) - p * w ** (p - 1.0)
+        return np.concatenate([y[nk:], coeff * y[:nk]])
 
     r0 = 1e-3
     half = (d - 1.0) / 2.0
     # regular branch: u = 1 + a r^2 with a = (V(0) + k^2) / (2 d)
-    a0 = (k * k - p) / (2.0 * d)
+    a0 = (kk - p) / (2.0 * d)
     v0 = r0 ** half * (1.0 + a0 * r0 * r0)
     dv0 = half * r0 ** (half - 1.0) * (1.0 + a0 * r0 * r0) + r0 ** half * 2.0 * a0 * r0
-    out = solve_ivp(rhs, (r0, SHOOT_MATCH_RADIUS), [v0, dv0],
+    out = solve_ivp(rhs, (r0, SHOOT_MATCH_RADIUS), np.concatenate([v0, dv0]),
                     rtol=rtol, atol=1e-300, method="DOP853")
     r1 = SHOOT_OUTER_RADIUS
-    decay = math.sqrt(k * k + cd / (r1 * r1))
-    inn = solve_ivp(rhs, (r1, SHOOT_MATCH_RADIUS), [1.0, -decay],
+    decay = np.sqrt(kk + cd / (r1 * r1))
+    inn = solve_ivp(rhs, (r1, SHOOT_MATCH_RADIUS),
+                    np.concatenate([np.ones(nk), -decay]),
                     rtol=rtol, atol=1e-300, method="DOP853")
-    yo, yi = out.y[:, -1], inn.y[:, -1]
-    wron = yo[1] * yi[0] - yi[1] * yo[0]
-    return wron / (math.hypot(*yo) * math.hypot(*yi))
+    uo, duo = out.y[:nk, -1], out.y[nk:, -1]
+    ui, dui = inn.y[:nk, -1], inn.y[nk:, -1]
+    wron = duo * ui - dui * uo
+    mismatch = wron / (np.hypot(uo, duo) * np.hypot(ui, dui))
+    return float(mismatch[0]) if scalar else mismatch
 
 
 def shooting_rate(d: int) -> float:
-    """The unstable-mode rate k by two-sided shooting and bracketing."""
+    """The unstable-mode rate k by two-sided shooting and bracketing: one
+    stacked scan over 48 rates, then Brent's method on the first sign
+    change."""
     p = nonlinearity_power(d)
     ks = np.linspace(0.2, math.sqrt(p) * 0.999, 48)
-    vals = [_shoot_mismatch(k, d) for k in ks]
+    vals = _shoot_mismatch(ks, d)
     for i in range(len(ks) - 1):
         if vals[i] == 0.0:
             return float(ks[i])

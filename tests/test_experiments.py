@@ -230,3 +230,19 @@ class TestCLI:
             cli_main(["quadrant", "--help"])
         assert exc.value.code == 0
         assert "--threads" in capsys.readouterr().out
+
+    def test_ejection_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["ejection", "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert "--eps" in text and "--t-max" in text
+
+    def test_ejection_window_too_short_exits_3(self, capsys):
+        # a horizon of t = 1 ends before |lambda_1| leaves its transient
+        # floor, so fit_ejection_rate has no window to fit
+        code = cli_main(["ejection", "--eps", "1e-3", "--t-max", "1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "spectral rate k" in captured.out
+        assert "ejection window too short" in captured.err

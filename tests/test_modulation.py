@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from critwave.experiments import (assemble_box_exact, random_box_closure,
+from critwave.experiments import (BoxResidualClosure, assemble_box_exact,
+                                  random_box_closure,
                                   random_orthogonal_residual)
 from critwave.fields import (BLOCK_POINTS, RadialField, State, eval_W_dr,
                              sample_W_family, BoostParams)
@@ -17,7 +18,7 @@ from critwave.grids import Box3DGrid, RadialGrid
 from critwave.modulation import (SignAmbiguityError, _box_cross,
                                  _box_fit_refs, _golden_min, _grid_refs,
                                  _RadialDistance, box_mode_fields,
-                                 box_mode_integrals, box_modes,
+                                 box_mode_gram, box_mode_integrals, box_modes,
                                  assemble_state, distance_dW, fit_modulation,
                                  linearized_norm_sq, manifold_distance,
                                  quadratic_form_L, reference_J,
@@ -367,14 +368,17 @@ def test_caches_released_with_spectral_data():
     consts = [weakref.ref(fit_refs[key])
               for key in ("ball_consts", "coarse_consts")]
     del fit_refs
+    gram = weakref.ref(box_mode_gram(spec, Box3DGrid(4.0, 16)))
     assert refs() is not None and modes() is not None
     assert coarse() is not None and all(c() is not None for c in consts)
+    assert gram() is not None
     del spec
     gc.collect()
     assert refs() is None
     assert modes() is None
     assert coarse() is None
     assert all(c() is None for c in consts)
+    assert gram() is None
 
 
 def test_mode_pair_spline_released_with_spectral_data():
@@ -496,6 +500,41 @@ def test_box_cross_term_bitwise():
              * np.asarray(eval_W_dr(3, es * rr)) / np.maximum(rr, 1e-300))
     want = g.quad(gx * slope * dx_ + gy * slope * dy_ + gz * slope * dz_)
     assert _box_cross(g, grad, sigma, c) == want
+
+
+class TestSeparableGaussians:
+    @staticmethod
+    def dense_gauss_sum(terms, x, y, z):
+        """The closure's Gaussian sum before it was taken axis by axis."""
+        out = 0.0
+        for amp, c, wd in terms:
+            out = out + amp * np.exp(-(((x - c[0]) ** 2 + (y - c[1]) ** 2
+                                        + (z - c[2]) ** 2) / wd ** 2))
+        return out
+
+    @pytest.mark.parametrize("sigma, c", [(0.0, (0.0, 0.0, 0.0)),
+                                          (0.2, (0.3, -0.1, 0.2))])
+    def test_matches_dense_formula(self, sigma, c):
+        # sigma = 0, c = 0 is the open mesh itself; the other case is the
+        # transported open mesh of assemble_box_exact
+        rng = np.random.default_rng(11)
+        terms = [(rng.normal(), rng.uniform(-3.0, 3.0, size=3),
+                  rng.uniform(1.2, 3.0)) for _ in range(3)]
+        x, y, z = Box3DGrid(20.0, 128).open_mesh
+        es = math.exp(sigma)
+        mesh = (es * (x - c[0]), es * (y - c[1]), es * (z - c[2]))
+        got = BoxResidualClosure._gauss_sum(terms, *mesh)
+        want = self.dense_gauss_sum(terms, *mesh)
+        assert got.shape == (128, 128, 128)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_gram_cached_and_equal_to_mode_products(self, spectral):
+        g = Box3DGrid(4.0, 16)
+        gram = box_mode_gram(spectral, g)
+        modes = box_modes(spectral, g)
+        want = np.array([[g.quad(a * b) for b in modes] for a in modes])
+        assert np.array_equal(gram, want)
+        assert box_mode_gram(spectral, g) is gram
 
 
 class TestKExpansion:

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from critwave.fields import RadialField, eval_W_dr
+from critwave import spectral as spectral_mod
+from critwave.fields import RadialField, eval_W_dr, nonlinearity_power
 from critwave.functionals import (h1_seminorm_sq, l2_inner, l2_norm_sq,
                                   symplectic_omega)
 from critwave.grids import RadialGrid
 from critwave.spectral import (LinearizedOperator, SpectralConsistencyError,
                                _shoot_mismatch, apply_lplus_fd, build_lplus,
                                build_spectral_data, coercivity_probe,
-                               compute_constants, solve_ground_state)
+                               compute_constants, shooting_rate,
+                               solve_ground_state)
 
 K_REFERENCE_D3 = 1.1001672181511408  # frozen from the constants file
 
@@ -58,6 +61,68 @@ class TestEigenpair:
         assert spec5.k > 0
         assert spec5.residuals["k_rel_diff"] <= 1e-4
         assert spec5.a_W > 0 and spec5.b_W > 0
+
+
+def _oracle_mismatch(k: float, d: int, rtol: float = 1e-12) -> float:
+    """One rate's normalized Wronskian, integrated on its own (the per-k
+    form the stacked scan replaces)."""
+    p = nonlinearity_power(d)
+    cd = (d - 1.0) * (d - 3.0) / 4.0
+    dd = d * (d - 2.0)
+
+    def rhs(r, y):
+        w = (1.0 + r * r / dd) ** (1.0 - d / 2.0)
+        return [y[1], (k * k + cd / (r * r) - p * w ** (p - 1.0)) * y[0]]
+
+    r0, half = 1e-3, (d - 1.0) / 2.0
+    a0 = (k * k - p) / (2.0 * d)
+    v0 = r0 ** half * (1.0 + a0 * r0 * r0)
+    dv0 = (half * r0 ** (half - 1.0) * (1.0 + a0 * r0 * r0)
+           + r0 ** half * 2.0 * a0 * r0)
+    out = solve_ivp(rhs, (r0, spectral_mod.SHOOT_MATCH_RADIUS), [v0, dv0],
+                    rtol=rtol, atol=1e-300, method="DOP853")
+    r1 = spectral_mod.SHOOT_OUTER_RADIUS
+    inn = solve_ivp(rhs, (r1, spectral_mod.SHOOT_MATCH_RADIUS),
+                    [1.0, -math.sqrt(k * k + cd / (r1 * r1))],
+                    rtol=rtol, atol=1e-300, method="DOP853")
+    yo, yi = out.y[:, -1], inn.y[:, -1]
+    return ((yo[1] * yi[0] - yi[1] * yo[0])
+            / (math.hypot(*yo) * math.hypot(*yi)))
+
+
+@pytest.fixture(scope="module", params=[3, 5])
+def oracle_scan(request):
+    """The 48-point scan grid of ``shooting_rate`` and the per-k values."""
+    d = request.param
+    ks = np.linspace(0.2, math.sqrt(nonlinearity_power(d)) * 0.999, 48)
+    return d, ks, np.array([_oracle_mismatch(k, d) for k in ks])
+
+
+class TestShootingScan:
+    def test_stacked_matches_per_k(self, oracle_scan):
+        d, ks, ref = oracle_scan
+        vals = _shoot_mismatch(ks, d)
+        assert isinstance(vals, np.ndarray) and vals.shape == ks.shape
+        assert np.array_equal(np.sign(vals), np.sign(ref))
+        assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-9
+
+    def test_scalar_in_scalar_out(self):
+        val = _shoot_mismatch(1.0, 3)
+        assert isinstance(val, float)
+        assert val == pytest.approx(_oracle_mismatch(1.0, 3), rel=1e-14)
+
+    def test_rate_is_brent_on_oracle_bracket(self, oracle_scan):
+        d, ks, ref = oracle_scan
+        i = next(i for i in range(len(ks) - 1) if ref[i] * ref[i + 1] < 0)
+        expect = brentq(_oracle_mismatch, ks[i], ks[i + 1], args=(d,),
+                        xtol=1e-12, rtol=1e-12)
+        assert shooting_rate(d) == expect
+
+    def test_no_sign_change_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral_mod, "_shoot_mismatch",
+                            lambda k, d, rtol=1e-12: np.ones_like(k))
+        with pytest.raises(SpectralConsistencyError):
+            shooting_rate(3)
 
 
 class TestOperatorHandle:
