@@ -16,17 +16,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import replace
 from importlib import resources
 
-import numpy as np
-
-from .config import EvolutionConfig, Thresholds, load_config
-from .evolve import UNDETERMINED, evolve_direction, fit_ejection_rate
-from .experiments import (ExperimentSpec, run_experiment, run_quadrant_sweep,
+from .config import SWEEP_EVOLUTION, EvolutionConfig, Thresholds, load_config
+from .evolve import evolve_direction, fit_ejection_rate
+from .experiments import (ExperimentSpec, build_initial_state, exit_code_for,
+                          run_experiment, run_quadrant_sweep,
                           run_static_suite, save_report)
-from .fields import RadialField, State, eval_W
 from .grids import RadialGrid
 from .spectral import build_spectral_data
 
@@ -48,6 +46,11 @@ def _add_common(p: argparse.ArgumentParser):
 
 def _load_sections(path):
     return load_config(path) if path else {}
+
+
+def _invalid_config(exc: ValueError) -> int:
+    print(f"invalid configuration: {exc}", file=sys.stderr)
+    return 3
 
 
 def cmd_constants(args) -> int:
@@ -72,7 +75,10 @@ def cmd_constants(args) -> int:
 
 
 def cmd_static(args) -> int:
-    sections = _load_sections(args.config)
+    try:
+        sections = _load_sections(args.config)
+    except ValueError as exc:
+        return _invalid_config(exc)
     thresholds = sections.get("thresholds", Thresholds())
     grid = None
     if args.grid_n or args.spacing:
@@ -97,40 +103,48 @@ def cmd_evolve(args) -> int:
     if not args.config:
         print("evolve requires --config", file=sys.stderr)
         return 3
-    sections = _load_sections(args.config)
-    exp_sec = sections.get("experiment")
-    if exp_sec is None:
-        print("config must contain an [experiment] section", file=sys.stderr)
-        return 3
-    thresholds = sections.get("thresholds", Thresholds())
-    evolution = sections.get("evolution", EvolutionConfig())
-    params = dict(exp_sec)
-    name = params.pop("name", "experiment")
-    recipe = params.pop("recipe")
-    parsed: dict = {}
-    for key, raw in params.items():
-        if key == "a":
-            parsed["a"] = tuple(int(x) for x in raw.split(","))
-        elif key in ("path", "representation"):
-            parsed[key] = raw
-        else:
-            parsed[key] = float(raw)
-    spec_exp = ExperimentSpec(name=name, recipe=recipe, params=parsed,
-                              evolution=evolution, out_dir=args.out or ".",
-                              seed=args.seed)
+    try:
+        sections = _load_sections(args.config)
+        exp_sec = sections.get("experiment")
+        if exp_sec is None:
+            raise ValueError("config must contain an [experiment] section")
+        thresholds = sections.get("thresholds", Thresholds())
+        params = dict(exp_sec)
+        name = params.pop("name", "experiment")
+        recipe = params.pop("recipe", None)
+        parsed: dict = {}
+        for key, raw in params.items():
+            if key == "a":
+                parsed["a"] = tuple(int(x) for x in raw.split(","))
+            elif key in ("path", "representation"):
+                parsed[key] = raw
+            else:
+                parsed[key] = float(raw)
+        spec_exp = ExperimentSpec(
+            name=name, recipe=recipe, params=parsed,
+            evolution=sections.get("evolution", EvolutionConfig()),
+            out_dir=args.out or ".", seed=args.seed)
+        spec_exp.validate(thresholds)
+    except ValueError as exc:
+        return _invalid_config(exc)
     spectral = build_spectral_data(cross_check=False)
     record = run_experiment(spec_exp, spectral, thresholds)
     print(f"{name}: backward = {record.verdict_backward}, "
           f"forward = {record.verdict_forward}")
-    return 2 if UNDETERMINED in (record.verdict_forward,
-                                 record.verdict_backward) else 0
+    return exit_code_for([record])
 
 
 def cmd_quadrant(args) -> int:
-    sections = _load_sections(args.config)
-    thresholds = sections.get("thresholds", Thresholds())
+    try:
+        sections = _load_sections(args.config)
+        thresholds = sections.get("thresholds", Thresholds())
+        eps_list = tuple(float(x) for x in args.eps.split(","))
+        for eps in eps_list:
+            ExperimentSpec("quadrant", "quadrant", {"a": (1, 0), "eps": eps}
+                           ).validate(thresholds)
+    except ValueError as exc:
+        return _invalid_config(exc)
     evolution = sections.get("evolution")
-    eps_list = tuple(float(x) for x in args.eps.split(","))
     table = run_quadrant_sweep(eps_list=eps_list, thresholds=thresholds,
                                evolution=evolution,
                                n_perturbed=args.perturbed,
@@ -150,17 +164,15 @@ def cmd_ejection(args) -> int:
     mode in the rescaled time tau against the spectral rate k."""
     spectral = build_spectral_data(cross_check=False)
     th = Thresholds()
-    cfg = EvolutionConfig(n=8192, r_max=64.0, t_max=args.t_max,
-                          monitor_stride=0.125)
-    grid = RadialGrid(3, cfg.r_max, cfg.n, "uniform")
-    w_vals = np.asarray(eval_W(3, grid.r ** 2))
-    rho = spectral.rho_on(grid)
-    zeros = RadialField(grid, np.zeros(grid.n))
+    cfg = replace(SWEEP_EVOLUTION, t_max=args.t_max, monitor_stride=0.125)
     print(f"spectral rate k = {spectral.k:.8f}")
     for eps_txt in args.eps.split(","):
         eps = float(eps_txt)
         for sign in (+1, -1):
-            state = State(RadialField(grid, w_vals + sign * eps * rho), zeros)
+            state = build_initial_state(
+                ExperimentSpec("ejection", "quadrant",
+                               {"a": (sign, 0), "eps": eps}, evolution=cfg),
+                spectral)
             run = evolve_direction(state, cfg, spectral, th)
             try:
                 fit = fit_ejection_rate(run.series, spectral, th)

@@ -53,6 +53,12 @@ class EvolutionConfig:
     confirm_refine: int = 2
     confirm_window: float = 3.0
 
+    def __post_init__(self):
+        for name in ("n", "r_max", "cfl", "t_max", "monitor_stride"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"evolution {name} must be positive, "
+                                 f"got {getattr(self, name)!r}")
+
     @property
     def dx(self) -> float:
         return self.r_max / self.n
@@ -61,6 +67,10 @@ class EvolutionConfig:
     def dt(self) -> float:
         return self.cfl * self.dx
 
+
+# the four-quadrant sweep's resolution (also the ejection study's grid)
+SWEEP_EVOLUTION = EvolutionConfig(n=8192, r_max=64.0, t_max=45.0,
+                                  monitor_stride=0.25)
 
 _SECTION_MAP = {"thresholds": Thresholds, "evolution": EvolutionConfig}
 
@@ -79,11 +89,15 @@ def load_config(path) -> dict:
     """Read a flat key = value config with [thresholds] / [evolution] sections.
 
     Unknown sections are returned verbatim as string dicts (experiment
-    recipes consume them).
+    recipes consume them).  A malformed file, an unknown key or an invalid
+    value raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path) as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(str(exc).replace("\n", " ")) from exc
     out: dict = {}
     for section in parser.sections():
         items = dict(parser.items(section))

@@ -28,7 +28,7 @@ from scipy.interpolate import CubicSpline
 
 from .config import EvolutionConfig, Thresholds
 from .fields import RadialField, State
-from .functionals import h1_seminorm_sq, l2_norm_sq, norm_H, smooth_cutoff
+from .functionals import l2_norm_sq, norm_H, smooth_cutoff
 from .grids import RadialGrid
 from .modulation import (FitError, _RadialDistance, _manifold_distance_sq,
                          distance_dW, fit_modulation, manifold_distance)
@@ -60,7 +60,8 @@ class RadialWaveEvolver:
         self.r_sq = grid.r * grid.r
         self.dt0 = cfl * self.h
         self.inv12h2 = 1.0 / (12.0 * self.h * self.h)
-        # work buffers of force() and steps()
+        # work buffers of force() and _step(); _u_sq holds u^2 = w^2 / r^2
+        # of the last force() or amplitude() call
         self._tmp = np.empty(grid.n)
         self._u_sq = np.empty(grid.n)
 
@@ -83,49 +84,86 @@ class RadialWaveEvolver:
             a[0] = (-46.0 * w[0] + 17.0 * w[1] - w[2]) * c
             a[1] = (17.0 * w[0] - 30.0 * w[1] + 16.0 * w[2] - w[3]) * c
             a[-2] = (w[-3] - 2.0 * w[-2] + w[-1]) / (h * h)
-            a[-1] = self._outgoing_row(w, v, linear_only=True)
-            u_sq = np.divide(np.multiply(w, w, out=self._u_sq), self.r_sq,
-                             out=self._u_sq)
+            u_sq = self._square_u(w)
             nl = np.multiply(w, u_sq, out=self._tmp)
             nl *= u_sq
             a += nl
+            a[-1] = self._outgoing_row(w, v)
         return a
 
-    def _outgoing_row(self, w, v, linear_only: bool = False) -> float:
+    def _square_u(self, w) -> np.ndarray:
+        return np.divide(np.multiply(w, w, out=self._u_sq), self.r_sq,
+                         out=self._u_sq)
+
+    def _outgoing_row(self, w, v) -> float:
         """a[-1], the only row that reads v: the outgoing closure, whose
-        ghost follows from (d_t + d_r) w = 0 at the last node, plus (unless
-        ``linear_only``) the nonlinear term w^5 / r^4."""
+        ghost follows from (d_t + d_r) w = 0 at the last node, plus the
+        nonlinear term w^5 / r^4."""
         h = float(self.h)
         wl = float(w[-1])
         lin = (2.0 * float(w[-2]) - 2.0 * wl - 2.0 * h * float(v[-1])) / (h * h)
-        if linear_only:
-            return lin
         u_sq = (wl * wl) / float(self.r_sq[-1])
         return lin + wl * u_sq * u_sq
+
+    def _step(self, w, v, a, dt: float) -> None:
+        """One velocity-Verlet step in place.  ``a`` is the force of the
+        previous step, force(w, v_half); its outgoing row is refreshed with
+        the full-step v first, which makes it exactly force(w, v)."""
+        half = 0.5 * dt
+        tmp = self._tmp
+        a[-1] = self._outgoing_row(w, v)
+        v += np.multiply(a, half, out=tmp)              # half-step velocity
+        w += np.multiply(v, dt, out=tmp)
+        self.force(w, v, out=a)
+        v += np.multiply(a, half, out=tmp)
 
     def steps(self, w, v, n: int, dt: float, a=None):
         """n velocity-Verlet steps; returns (w, v, last_force) as new arrays.
 
-        One force evaluation per step: each step kicks with the force of
-        the previous one, last_force = force(w, v_half).  Pass the
-        last_force of the previous call as ``a`` to skip the evaluation on
-        entry too; only its v-dependent outgoing row is refreshed, which
-        gives exactly force(w, v).  The inputs are not modified.
+        One force evaluation per step, last_force = force(w, v_half).  Pass
+        the last_force of the previous call as ``a`` to skip the evaluation
+        on entry too; n calls of one step equal one call of n steps.  The
+        inputs are not modified.
         """
         w, v = w.copy(), v.copy()
-        if a is None:
-            a = self.force(w, v)
-        else:
-            a = a.copy()
-            a[-1] = self._outgoing_row(w, v)
-        half = 0.5 * dt
-        tmp = self._tmp
+        a = self.force(w, v) if a is None else a.copy()
         for _ in range(n):
-            v += np.multiply(a, half, out=tmp)          # half-step velocity
-            w += np.multiply(v, dt, out=tmp)
-            self.force(w, v, out=a)
-            v += np.multiply(a, half, out=tmp)
+            self._step(w, v, a, dt)
         return w, v, a
+
+    def amplitude(self, w) -> float:
+        """max |u| = sqrt(max w^2 / r^2) over all nodes (nan when w is not
+        finite); fills the force's u^2 buffer."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return math.sqrt(float(np.max(self._square_u(w))))
+
+    def advance(self, w, v, t: float, t_target: float, a=None,
+                floor_factor: float = EvolutionConfig.dt_floor_factor):
+        """Step from t to t_target under the nonlinear dt cap.
+
+        Before every step the amplitude sqrt(max u^2) over all nodes is
+        read from the force's own buffer and caps dt at
+        0.35 / (sqrt(5) amp^2).  Returns (w, v, a, t, stop) as in
+        :meth:`steps`, with ``stop`` one of "target" (t reached t_target),
+        "floor" (the cap fell below dt0 / floor_factor) or "overflow" (the
+        amplitude is not finite or above _MAX_SAFE_AMP); on the last two,
+        t is the time of the state returned.  The inputs are not modified.
+        """
+        w, v = w.copy(), v.copy()
+        a = self.force(w, v) if a is None else a.copy()
+        amp = self.amplitude(w)
+        while True:
+            if not amp <= _MAX_SAFE_AMP:
+                return w, v, a, t, "overflow"
+            if t >= t_target - 1e-12:
+                return w, v, a, t, "target"
+            dt_cap = _nl_dt_cap(amp, self.dt0)
+            if dt_cap < self.dt0 / floor_factor:
+                return w, v, a, t, "floor"
+            dt = min(dt_cap, t_target - t)
+            self._step(w, v, a, dt)
+            t += dt
+            amp = math.sqrt(float(np.max(self._u_sq)))
 
     def state_to_wv(self, s: State):
         if s.grid != self.grid:
@@ -329,9 +367,8 @@ def _monitor_row(s: State, t: float, spec: SpectralData,
             mon.tau_valid = False
     row["tau"] = mon.tau if mon.tau_valid and not math.isnan(sigma_now) else math.nan
 
-    k_val = pieces.K
     nham = pieces.norm_H
-    row.update({"E": pieces.energy, "K": k_val, "norm_H": nham,
+    row.update({"E": pieces.energy, "K": pieces.K, "norm_H": nham,
                 "u2_sq": pieces.l2})
     row["free_ratio"] = pieces.crit / max(nham * nham, 1e-300)
     # exterior energy beyond the light cone of the nominal support
@@ -347,7 +384,7 @@ def _monitor_row(s: State, t: float, spec: SpectralData,
     if rep is not None and rep.dW <= th.delta_E and fit is not None:
         sign = +1 if row["lambda1"] < 0 else -1
     elif row["dW"] >= th.delta_S:
-        sign = -1 if k_val < 0 else +1
+        sign = -1 if row["K"] < 0 else +1
     row["sign"] = sign
     return row
 
@@ -374,32 +411,25 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     th = thresholds or Thresholds()
     ev = RadialWaveEvolver(state0.grid, cfg.cfl)
     w, v = ev.state_to_wv(state0)
-    a = None                  # force at (w, v), carried between steps
+    a = None                  # force at (w, v), carried between strides
     mon = _MonitorState(cfg, th)
     norm0 = norm_H(state0)
     threshold = cfg.blowup_norm_mult * max(norm0, cfg.blowup_norm_floor)
     rows: list[dict] = []
     checkpoints: list[tuple[float, np.ndarray, np.ndarray]] = []
     t = 0.0
-    exceeded_at = None
-    stepper_floor = False
-    nan_seen = False
-
-    def record(tnow, wnow, vnow):
-        s = ev.wv_to_state(wnow, vnow)
-        rows.append(_monitor_row(s, tnow, spec, mon))
-        return rows[-1]
-
+    exceeded_at, stepper_floor, nan_seen = None, False, False
     while True:
-        amp = float(np.max(np.abs(w / ev.r)))
+        amp = ev.amplitude(w)
         if not math.isfinite(amp):
             nan_seen = True
             break
-        row = record(t, w, v)
+        row = _monitor_row(ev.wv_to_state(w, v), t, spec, mon)
+        rows.append(row)
         if not math.isfinite(row["norm_H"]):
             nan_seen = True
             break
-        checkpoints.append((t, w.copy(), v.copy()))
+        checkpoints.append((t, w, v))          # advance() never writes to them
         if len(checkpoints) > 24:
             checkpoints.pop(0)
         if row["norm_H"] > threshold or amp > _MAX_SAFE_AMP:
@@ -407,29 +437,20 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
             break
         if t >= cfg.t_max - 1e-9 * max(1.0, cfg.t_max):
             break
-        if _scatter_now(rows, cfg, th):
+        if t >= 1.5 * cfg.scatter_window and _scatters(rows, cfg, th):
             break
-        # advance one monitor stride with amplitude-limited dt
-        t_target = min(t + cfg.monitor_stride, cfg.t_max)
-        while t < t_target - 1e-12:
-            dt_cap = _nl_dt_cap(amp, ev.dt0)
-            if dt_cap < ev.dt0 / cfg.dt_floor_factor:
-                stepper_floor = True
-                break
-            dt = min(dt_cap, t_target - t)
-            w, v, a = ev.steps(w, v, 1, dt, a)
-            t += dt
-            amp = float(np.max(np.abs(w[::8] / ev.r[::8])))
-            if not math.isfinite(amp) or amp > _MAX_SAFE_AMP:
-                break
-        if stepper_floor:
+        w, v, a, t, stop = ev.advance(w, v, t,
+                                      min(t + cfg.monitor_stride, cfg.t_max),
+                                      a, cfg.dt_floor_factor)
+        if stop == "floor":
+            stepper_floor = True
             exceeded_at = t
             break
 
     series = {k: np.array([r.get(k, math.nan) for r in rows])
               for k in _SERIES_KEYS + _EXTRA_KEYS}
-    verdict, detail = _classify(series, cfg, th, exceeded_at, nan_seen,
-                                stepper_floor, checkpoints, ev, threshold, spec)
+    verdict, detail = _classify(rows, cfg, th, exceeded_at, nan_seen,
+                                stepper_floor, checkpoints, ev, threshold)
     run = DirectionRun(series=series, verdict=verdict, detail=detail)
     try:
         run.ejection_rate = fit_ejection_rate(series, spec, th)["rate"]
@@ -439,36 +460,27 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
 
 
 def _nl_dt_cap(amp: float, dt0: float) -> float:
-    """Stability cap from the instantaneous nonlinear frequency sqrt(5) u^2."""
-    if amp <= 0 or not math.isfinite(amp):
-        return dt0
+    """Stability cap from the instantaneous nonlinear frequency sqrt(5) u^2
+    at a finite amplitude."""
     omega = math.sqrt(5.0) * amp * amp
     return min(dt0, 0.35 / max(omega, 1e-300))
 
 
-def _scatter_now(rows: list[dict], cfg: EvolutionConfig, th: Thresholds) -> bool:
-    if not rows or rows[-1]["t"] < cfg.scatter_window * 1.5:
-        return False
-    t_hi = rows[-1]["t"]
-    window = [r for r in rows if r["t"] >= t_hi - cfg.scatter_window]
-    if len(window) < 4:
-        return False
-    return _window_scatters(window, cfg, th)
-
-
-def _window_scatters(window: list[dict], cfg: EvolutionConfig,
-                     th: Thresholds) -> bool:
+def _scatters(rows: list[dict], cfg: EvolutionConfig, th: Thresholds) -> bool:
+    """Sustained free-wave dominance over the trailing scatter window."""
+    window = [r for r in rows if r["t"] >= rows[-1]["t"] - cfg.scatter_window]
     norms = [r["norm_H"] for r in window]
-    return (all(r["K"] > 0 for r in window)
+    return (len(window) >= 4
+            and all(r["K"] > 0 for r in window)
             and all(r["dW"] >= th.delta_star for r in window)
             and max(norms) <= 1.25 * max(min(norms), 1e-12)
             and all(r["free_ratio"] < cfg.free_ratio_threshold for r in window))
 
 
-def _classify(series, cfg, th, exceeded_at, nan_seen, stepper_floor,
-              checkpoints, ev, threshold, spec):
-    detail: dict = {"threshold": threshold, "t_last": float(series["t"][-1])
-                    if len(series["t"]) else 0.0}
+def _classify(rows, cfg, th, exceeded_at, nan_seen, stepper_floor,
+              checkpoints, ev, threshold):
+    detail: dict = {"threshold": threshold,
+                    "t_last": rows[-1]["t"] if rows else 0.0}
     if nan_seen or exceeded_at is not None:
         confirmed, info = _confirm_blowup(checkpoints, ev, cfg, threshold)
         detail.update(info)
@@ -476,17 +488,9 @@ def _classify(series, cfg, th, exceeded_at, nan_seen, stepper_floor,
                                           else detail["t_last"])
         detail["stepper_floor"] = bool(stepper_floor)
         return (BLOWUP if confirmed else UNDETERMINED), detail
-    # scattering over the trailing window
-    t_arr = series["t"]
-    if len(t_arr) >= 4:
-        t_hi = float(t_arr[-1])
-        mask = t_arr >= t_hi - cfg.scatter_window
-        window = [{k: float(series[k][i]) for k in
-                   ("t", "K", "dW", "norm_H", "free_ratio")}
-                  for i in np.nonzero(mask)[0]]
-        if len(window) >= 4 and _window_scatters(window, cfg, th):
-            detail["scatter_window_start"] = t_hi - cfg.scatter_window
-            return SCATTER, detail
+    if _scatters(rows, cfg, th):
+        detail["scatter_window_start"] = detail["t_last"] - cfg.scatter_window
+        return SCATTER, detail
     detail["reason"] = "horizon reached without confirmed escape or dispersal"
     return UNDETERMINED, detail
 
@@ -500,11 +504,8 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
     if not checkpoints:
         return False, {"confirmed": False, "reason": "no checkpoint"}
     t_back = checkpoints[-1][0] - cfg.confirm_window
-    start = checkpoints[0]
-    for cp in checkpoints:
-        if cp[0] <= t_back:
-            start = cp
-    t0, w0, v0 = start
+    earlier = [cp for cp in checkpoints if cp[0] <= t_back]
+    t0, w0, v0 = earlier[-1] if earlier else checkpoints[0]
     fine = RadialGrid(3, ev.grid.r_max, ev.grid.n * cfg.confirm_refine, "uniform")
     ev2 = RadialWaveEvolver(fine, 0.5 * (ev.dt0 / ev.h))
     w = _resample_w(ev.grid.r, w0, fine.r)
@@ -512,30 +513,21 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
     a = None
     t = t0
     horizon = checkpoints[-1][0] + cfg.confirm_window
-    peak = 0.0
-    prev_norm = None
-    growing = False
-    while t < horizon:
-        amp = float(np.max(np.abs(w / ev2.r)))
-        if not math.isfinite(amp) or amp > _MAX_SAFE_AMP:
-            return True, {"confirmed": True, "mode": "overflow on refined grid",
-                          "t_confirm": t}
-        nrm = math.sqrt(max(h1_seminorm_sq(RadialField(fine, w / fine.r))
-                            + l2_norm_sq(RadialField(fine, v / fine.r)), 0.0))
+    peak, prev_norm = 0.0, math.inf
+    while t < horizon - 1e-12:
+        nrm = norm_H(ev2.wv_to_state(w, v))
         peak = max(peak, nrm)
-        if prev_norm is not None:
-            growing = nrm > prev_norm
-        prev_norm = nrm
-        if nrm > threshold and growing:
+        if nrm > threshold and nrm > prev_norm:     # escaping and growing
             return True, {"confirmed": True, "mode": "norm escape on refined grid",
                           "t_confirm": t, "refined_norm": nrm}
-        dt = min(ev2.dt0, _nl_dt_cap(amp, ev2.dt0))
-        if dt < ev2.dt0 / cfg.dt_floor_factor:
-            return True, {"confirmed": True, "mode": "stepper floor on refined grid",
+        prev_norm = nrm
+        w, v, a, t, stop = ev2.advance(w, v, t,
+                                       min(t + cfg.monitor_stride, horizon),
+                                       a, cfg.dt_floor_factor)
+        if stop != "target":
+            mode = "overflow" if stop == "overflow" else "stepper floor"
+            return True, {"confirmed": True, "mode": f"{mode} on refined grid",
                           "t_confirm": t}
-        nsub = max(int(round(min(cfg.monitor_stride, horizon - t) / dt)), 1)
-        w, v, a = ev2.steps(w, v, nsub, dt, a)
-        t += nsub * dt
     return False, {"confirmed": False, "peak_refined_norm": peak,
                    "reason": "refined run did not sustain escape"}
 
@@ -641,10 +633,7 @@ def modulation_ode_residual(series: dict, spec: SpectralData,
     gam = np.asarray(series["gamma_norm"], dtype=float)
     ok = np.isfinite(tau) & np.isfinite(lam1) & np.isfinite(lam2) & np.isfinite(sig)
     idx = np.nonzero(ok)[0]
-    resid = []
-    sigma_tau_vals = []
-    gamma_vals = []
-    lam2_scale = []
+    resid, sigma_tau_vals, gamma_vals, lam2_scale = [], [], [], []
     for j in range(1, len(idx) - 1):
         i0, i1, i2 = idx[j - 1], idx[j], idx[j + 1]
         dtau = tau[i2] - tau[i0]
@@ -681,19 +670,13 @@ def one_pass_check(record: TrajectoryRecord,
     sign = record.column("sign")
     ok = np.isfinite(dw)
     dw, sign = dw[ok], sign[ok]
-    n_changes = 0
-    last = 0
-    for s in sign:
-        if s != 0 and last != 0 and s != last:
-            n_changes += 1
-        if s != 0:
-            last = s
-    violations = 0
+    n_changes = violations = 0
+    cur = sign_at_exit = 0
     exited = False
-    sign_at_exit = 0
-    cur = 0
     for d, s in zip(dw, sign):
         if s != 0:
+            if cur != 0 and s != cur:
+                n_changes += 1
             cur = s
         if d > th.delta_star and not exited:
             exited = True

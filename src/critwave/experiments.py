@@ -19,19 +19,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import EvolutionConfig, Thresholds
+from .config import SWEEP_EVOLUTION, EvolutionConfig, Thresholds
 from .fields import (BoostParams, RadialField, State, eval_W, eval_W_dr,
                      load_state)
 from .functionals import (boost_energy_momentum, functional_J,
                           functional_K, h1_seminorm_sq, l2_inner,
                           l2_norm_sq, norm_H, symplectic_omega)
 from .grids import Box3DGrid, RadialGrid
-from .modulation import (assemble_state, box_mode_gram, box_mode_parts,
-                         box_modes, distance_dW, fit_modulation)
+from .modulation import (_w_sigma_field, assemble_state, box_mode_gram,
+                         box_mode_parts, box_modes, distance_dW,
+                         fit_modulation)
 from .evolve import (BLOWUP, SCATTER, UNDETERMINED, TrajectoryRecord,
                      evolve_with_monitors, one_pass_check)
 from .spectral import SpectralData, build_spectral_data, coercivity_probe
 
+RECIPES = ("quadrant", "scaled_w", "bump", "gmode", "file")
 QUADRANT_DIRECTIONS = {"+1,0": (1, 0), "-1,0": (-1, 0),
                        "0,+1": (0, 1), "0,-1": (0, -1)}
 # verdict pairs (backward, forward) predicted by the linearized phase portrait
@@ -46,13 +48,16 @@ QUADRANT_EXPECTED = {"+1,0": (BLOWUP, BLOWUP), "-1,0": (SCATTER, SCATTER),
 @dataclass(frozen=True)
 class ExperimentSpec:
     name: str
-    recipe: str                      # quadrant | scaled_w | bump | gmode | file
+    recipe: str                      # one of RECIPES
     params: dict = field(default_factory=dict)
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
     out_dir: str | None = None
     seed: int = 20240801
 
     def validate(self, thresholds: Thresholds) -> None:
+        if self.recipe not in RECIPES:
+            raise ValueError(f"unknown recipe {self.recipe!r}, expected one "
+                             f"of {', '.join(RECIPES)}")
         if self.recipe == "quadrant":
             a = self.params.get("a")
             if tuple(a) not in QUADRANT_DIRECTIONS.values():
@@ -257,8 +262,7 @@ def _pool_init(eigen_n: int):
 
 
 def _pool_case(case: dict) -> dict:
-    spectral = _POOL_CTX["spectral"]
-    return _run_quadrant_case(case, spectral)
+    return _run_quadrant_case(case, _POOL_CTX["spectral"])
 
 
 def _run_quadrant_case(case: dict, spectral: SpectralData) -> dict:
@@ -299,20 +303,18 @@ def run_quadrant_sweep(eps_list=(1e-3, 3e-3, 1e-2),
     must match the base run.
     """
     th = thresholds or Thresholds()
-    cfg = evolution or EvolutionConfig(n=8192, r_max=64.0, t_max=45.0,
-                                       monitor_stride=0.25)
+    cfg = evolution or SWEEP_EVOLUTION
     if spectral is None:
         spectral = build_spectral_data(cross_check=False)
     cases = []
     for a_key, a in QUADRANT_DIRECTIONS.items():
         for eps in eps_list:
-            base = {"a_key": a_key, "variant": "base",
-                    "name": f"quadrant_a{a_key}_eps{eps:g}",
-                    "params": {"a": a, "eps": float(eps)},
-                    "evolution": cfg.__dict__.copy(),
-                    "thresholds": th.__dict__.copy(),
-                    "seed": seed, "out_dir": out_dir}
-            cases.append(base)
+            cases.append({"a_key": a_key, "variant": "base",
+                          "name": f"quadrant_a{a_key}_eps{eps:g}",
+                          "params": {"a": a, "eps": float(eps)},
+                          "evolution": cfg.__dict__.copy(),
+                          "thresholds": th.__dict__.copy(),
+                          "seed": seed, "out_dir": out_dir})
     for idx in range(n_perturbed):
         a_key = sorted(QUADRANT_DIRECTIONS)[idx % 4]
         eps = float(eps_list[(idx // 4) % len(eps_list)])
@@ -586,9 +588,9 @@ def run_static_suite(spectral: SpectralData | None = None,
     zero = RadialField(grid, np.zeros(grid.n))
     on_manifold = 0.0
     for sigma in (-0.4, 0.0, 0.2):
-        st = State(RadialField(grid, _w_sigma(grid, sigma)), zero)
+        st = State(RadialField(grid, _w_sigma_field(grid, sigma)), zero)
         on_manifold = max(on_manifold, distance_dW(st, spectral, th).dW)
-        st_neg = State(RadialField(grid, -_w_sigma(grid, sigma)), zero)
+        st_neg = State(RadialField(grid, -_w_sigma_field(grid, sigma)), zero)
         on_manifold = max(on_manifold, distance_dW(st_neg, spectral, th).dW)
     checks.append(_check("dW_on_manifold", on_manifold, 1e-6))
     dev = 0.0
@@ -625,11 +627,6 @@ def run_static_suite(spectral: SpectralData | None = None,
               "checks": checks}
     report["all_passed"] = report["n_failed"] == 0
     return report
-
-
-def _w_sigma(grid: RadialGrid, sigma: float) -> np.ndarray:
-    es = math.exp(sigma)
-    return es ** (grid.d / 2.0 - 1.0) * np.asarray(eval_W(grid.d, (es * grid.r) ** 2))
 
 
 def save_report(report: dict, path) -> None:

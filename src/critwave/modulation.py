@@ -92,11 +92,6 @@ class ModeSplit:
     alpha: float
     gamma: State
 
-    def as_record(self) -> dict:
-        return {"lambda_plus": self.lambda_plus, "lambda_minus": self.lambda_minus,
-                "lambda1": self.lambda1, "lambda2": self.lambda2,
-                "mu": list(np.atleast_1d(self.mu)), "alpha": self.alpha}
-
 
 @dataclass
 class DistanceReport:
@@ -106,9 +101,6 @@ class DistanceReport:
     regime: str                 # inner | blend | outer
     fit: ModulationFit | None
     modes: ModeSplit | None = None     # split_modes of a converged fit
-
-    def as_record(self) -> dict:
-        return {"d0": self.d0, "d1": self.d1, "dW": self.dW, "regime": self.regime}
 
 
 # ---------------------------------------------------------------------------

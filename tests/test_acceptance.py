@@ -7,11 +7,12 @@ everything executes at desk scale with the tolerances pinned below.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from critwave.config import EvolutionConfig
+from critwave.config import SWEEP_EVOLUTION, EvolutionConfig
 from critwave.evolve import (RadialWaveEvolver, evolve_direction,
                              exterior_energy, fit_ejection_rate)
 from critwave.experiments import (QUADRANT_EXPECTED, assemble_box_exact,
@@ -35,10 +36,9 @@ def _report(name: str, detail: str):
 @pytest.fixture(scope="module")
 def quadrant_table(spectral, thresholds):
     """Criterion 7/8 workhorse: the full sweep plus 20 perturbed variants."""
-    cfg = EvolutionConfig(n=8192, r_max=64.0, t_max=45.0, monitor_stride=0.25)
     t0 = time.time()
     table = run_quadrant_sweep(eps_list=(1e-3, 3e-3, 1e-2), spectral=spectral,
-                               thresholds=thresholds, evolution=cfg,
+                               thresholds=thresholds, evolution=SWEEP_EVOLUTION,
                                n_perturbed=20, seed=20240801, threads=1)
     table.wall_time = time.time() - t0
     return table
@@ -196,7 +196,7 @@ def test_criterion_5_conservation_and_reversal(spectral, thresholds):
 
 def test_criterion_6_ejection_rate(spectral, thresholds):
     t0 = time.time()
-    cfg = EvolutionConfig(n=8192, r_max=64.0, t_max=14.0, monitor_stride=0.125)
+    cfg = replace(SWEEP_EVOLUTION, t_max=14.0, monitor_stride=0.125)
     g = RadialGrid(3, cfg.r_max, cfg.n, "uniform")
     w_vals = np.asarray(eval_W(3, g.r ** 2))
     rho = spectral.rho_on(g)

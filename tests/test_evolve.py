@@ -1,14 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from critwave.config import EvolutionConfig
-from critwave.evolve import (BLOWUP, SCATTER, UNDETERMINED, RadialWaveEvolver,
-                             evolve_direction, evolve_with_monitors,
-                             exterior_energy, fit_ejection_rate,
-                             modulation_ode_residual, one_pass_check,
-                             staticity_residual, step)
+from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, SCATTER, UNDETERMINED,
+                             RadialWaveEvolver, _nl_dt_cap, evolve_direction,
+                             evolve_with_monitors, exterior_energy,
+                             fit_ejection_rate, modulation_ode_residual,
+                             one_pass_check, staticity_residual, step)
 from critwave.fields import RadialField, State, eval_W
 from critwave.functionals import energy_E, norm_H
 from critwave.grids import RadialGrid
@@ -161,10 +162,14 @@ class TestForceReuse:
         assert len(calls) == len(dts) + 1  # one force per step
 
     def test_multi_step_call_bitwise_equal(self, outgoing):
+        # each step refreshes the outgoing row with the full-step v, so one
+        # call of 300 steps equals 300 chained one-step calls
         ev, w0, v0 = outgoing
-        for got, want in zip(ev.steps(w0, v0, 300, 0.8 * ev.dt0),
-                             reference_verlet(ev, w0, v0, 300, 0.8 * ev.dt0)):
-            assert np.array_equal(got, want)
+        want = (w0, v0)
+        for _ in range(300):
+            want = reference_verlet(ev, want[0], want[1], 1, 0.8 * ev.dt0)
+        for got, ref in zip(ev.steps(w0, v0, 300, 0.8 * ev.dt0), want):
+            assert np.array_equal(got, ref)
 
     def test_inputs_untouched(self, outgoing):
         ev, w0, v0 = outgoing
@@ -172,9 +177,94 @@ class TestForceReuse:
         _, _, a = ev.steps(w_in, v_in, 5, ev.dt0)
         a_in = a.copy()
         ev.steps(w_in, v_in, 5, ev.dt0, a_in)
+        ev.advance(w_in, v_in, 0.0, 5.5 * ev.dt0, a_in)
         assert np.array_equal(w_in, w0)
         assert np.array_equal(v_in, v0)
         assert np.array_equal(a_in, a)
+
+
+def old_stride_loop(ev, w, v, t, t_target, a, floor_factor=4096.0):
+    """The run loop's stride as it was before advance(): one-step steps()
+    calls, the exact amplitude at the stride start and a w[::8] subsample
+    after every step.  Returns (w, v, a, t, dts)."""
+    amp = float(np.max(np.abs(w / ev.r)))
+    dts = []
+    while t < t_target - 1e-12:
+        dt_cap = _nl_dt_cap(amp, ev.dt0)
+        if dt_cap < ev.dt0 / floor_factor:
+            break
+        dt = min(dt_cap, t_target - t)
+        w, v, a = ev.steps(w, v, 1, dt, a)
+        t += dt
+        dts.append(dt)
+        amp = float(np.max(np.abs(w[::8] / ev.r[::8])))
+        if not math.isfinite(amp) or amp > _MAX_SAFE_AMP:
+            break
+    return w, v, a, t, dts
+
+
+def recorded_dts(ev):
+    """Record the dt of every step ev takes."""
+    dts = []
+    step_fn = ev._step
+    ev._step = lambda w, v, a, dt: dts.append(dt) or step_fn(w, v, a, dt)
+    return dts
+
+
+class TestAdvance:
+    def test_bitwise_equal_to_one_step_run_loop(self, dyn_grid):
+        # a moderate pulse never engages the cap; strides end off the dt grid
+        s = bump_state(dyn_grid, amp=0.3, center=6.0, width=2.0)
+        ev = RadialWaveEvolver(dyn_grid, 0.45)
+        w0, v0 = ev.state_to_wv(s)
+        got = (w0, v0, None, 0.0)
+        want = (w0, v0, None, 0.0)
+        for t_target in (0.25, 0.5, 0.75, 0.9, 1.15):
+            *got, stop = ev.advance(*got[:2], got[3], t_target, got[2])
+            assert stop == "target"
+            want = old_stride_loop(ev, *want[:2], want[3], t_target, want[2])[:4]
+            assert all(np.array_equal(x, y) for x, y in zip(got[:3], want[:3]))
+            assert got[3] == want[3]
+
+    def test_spike_between_subsample_nodes_engages_cap(self, dyn_grid):
+        # |u| = 8 at one node off the w[::8] lattice: the cap is
+        # 0.35 / (sqrt(5) 64) < dt0, which the subsample misses after step 1
+        ev = RadialWaveEvolver(dyn_grid, 0.45)
+        i = 8 * 160 + 4
+        w = np.zeros(dyn_grid.n)
+        w[i] = 8.0 * dyn_grid.r[i]
+        v = np.zeros(dyn_grid.n)
+        cap = 0.35 / (math.sqrt(5.0) * 64.0)
+        assert cap < ev.dt0
+        t_target = 4.0 * ev.dt0
+        *_, t_old, old_dts = old_stride_loop(ev, w, v, 0.0, t_target, None)
+        assert old_dts[0] < ev.dt0 and old_dts[1] == ev.dt0
+        dts = recorded_dts(ev)
+        *_, t, stop = ev.advance(w, v, 0.0, t_target)
+        assert stop == "target" and t == t_old
+        assert dts[0] == old_dts[0]
+        assert dts[1] < ev.dt0          # the exact amplitude still caps step 2
+
+    def test_nan_returns_overflow(self, dyn_grid):
+        ev = RadialWaveEvolver(dyn_grid, 0.45)
+        w, v = ev.state_to_wv(bump_state(dyn_grid))
+        w[100] = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            *_, t, stop = ev.advance(w, v, 1.5, 2.0)
+        assert stop == "overflow"
+        assert t == 1.5
+
+    def test_cap_below_floor_returns_floor(self, dyn_grid):
+        ev = RadialWaveEvolver(dyn_grid, 0.45)
+        w, v = ev.state_to_wv(bump_state(dyn_grid, amp=1e3, width=1.0))
+        floor = EvolutionConfig().dt_floor_factor
+        assert _nl_dt_cap(1e3, ev.dt0) < ev.dt0 / floor
+        dts = recorded_dts(ev)
+        w1, v1, _, t, stop = ev.advance(w, v, 1.5, 2.0, None, floor)
+        assert stop == "floor"
+        assert t == 1.5 and not dts
+        assert np.array_equal(w1, w) and np.array_equal(v1, v)
 
 
 class TestDetectors:

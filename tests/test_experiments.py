@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from critwave.cli import load_reference_constants, main as cli_main
-from critwave.config import EvolutionConfig, Thresholds, load_config, save_config
+from critwave.config import (SWEEP_EVOLUTION, EvolutionConfig, Thresholds,
+                             load_config, save_config)
 from critwave.evolve import SCATTER
 from critwave.experiments import (ExperimentSpec, build_initial_state,
                                   derive_seed, exit_code_for, perturb_state,
@@ -35,6 +36,17 @@ class TestConfigFormat:
         path.write_text("[evolution]\nnot_a_key = 3\n")
         with pytest.raises(ValueError):
             load_config(path)
+
+    @pytest.mark.parametrize("name", ["n", "r_max", "cfl", "t_max",
+                                      "monitor_stride"])
+    @pytest.mark.parametrize("value", [0, -1, math.nan])
+    def test_nonpositive_evolution_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"evolution {name} must be"):
+            EvolutionConfig(**{name: value})
+
+    def test_sweep_resolution(self):
+        assert (SWEEP_EVOLUTION.n, SWEEP_EVOLUTION.r_max, SWEEP_EVOLUTION.t_max,
+                SWEEP_EVOLUTION.monitor_stride) == (8192, 64.0, 45.0, 0.25)
 
 
 class TestRecipes:
@@ -109,10 +121,8 @@ class TestRunExperiment:
 
 @pytest.fixture(scope="module")
 def mini_table(spectral, thresholds):
-    cfg = EvolutionConfig(n=8192, r_max=64.0, t_max=45.0,
-                          monitor_stride=0.25)
     return run_quadrant_sweep(eps_list=(1e-3,), spectral=spectral,
-                              thresholds=thresholds, evolution=cfg,
+                              thresholds=thresholds, evolution=SWEEP_EVOLUTION,
                               n_perturbed=1, seed=11, threads=1)
 
 
@@ -142,10 +152,9 @@ class TestQuadrantSweep:
     def test_parallel_matches_sequential(self, mini_table, spectral,
                                          thresholds):
         # results are invariant under the parallelism of the worker pool
-        cfg = EvolutionConfig(n=8192, r_max=64.0, t_max=45.0,
-                              monitor_stride=0.25)
         par = run_quadrant_sweep(eps_list=(1e-3,), spectral=spectral,
-                                 thresholds=thresholds, evolution=cfg,
+                                 thresholds=thresholds,
+                                 evolution=SWEEP_EVOLUTION,
                                  n_perturbed=1, seed=11, threads=2)
         for a, b in zip(mini_table.rows, par.rows):
             assert (a.a, a.eps, a.variant) == (b.a, b.eps, b.variant)
@@ -219,6 +228,27 @@ class TestCLI:
         assert code == 0
         assert (tmp_path / "cli_demo.csv").exists()
         assert (tmp_path / "cli_demo_verdict.json").exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ("[evolution]\nbogus = 1\n", "bogus"),
+        ("[evolution]\nn = 0\n", "n must be positive"),
+        ("[evolution]\nmonitor_stride = 0\n", "monitor_stride must be positive"),
+        ("", "eps = 0.02 outside"),
+    ])
+    def test_evolve_invalid_config_exits_3(self, tmp_path, capsys, body,
+                                          message):
+        conf = tmp_path / "bad.ini"
+        eps = 1e-3 if body else 0.02     # 0.02 > eps_star = 0.0125
+        conf.write_text("[experiment]\nname = bad\nrecipe = quadrant\n"
+                        f"a = +1,0\neps = {eps}\n\n" + body)
+        code = cli_main(["evolve", "--config", str(conf), "--out",
+                         str(tmp_path)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_threads_only_on_quadrant(self, capsys):
         # --threads sizes the sweep's worker pool; no other command has one
