@@ -19,8 +19,8 @@ from .modulation import (DistanceReport, ModeSplit, ModulationFit,
                          region_predicates, sign_functional, split_modes,
                          superquadratic_C)
 from .operators import apply_scaling, apply_translation, generator_Lambda
-from .spectral import (SpectralData, build_lplus, build_spectral_data,
-                       coercivity_probe, compute_constants, solve_ground_state)
+from .spectral import (SpectralData, build_spectral_data, coercivity_probe,
+                       compute_constants, solve_ground_state)
 from .evolve import (TrajectoryRecord, evolve_with_monitors,
                      fit_ejection_rate, modulation_ode_residual, step)
 from .experiments import (ExperimentSpec, QuadrantTable, run_experiment,

@@ -54,7 +54,6 @@ def _invalid_config(exc: ValueError) -> int:
 
 
 def cmd_constants(args) -> int:
-    sections = _load_sections(args.config)
     spectral = build_spectral_data(cross_check=True)
     payload = spectral.to_constants_dict()
     if args.verify:
@@ -194,7 +193,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="build / verify spectral constants")
-    _add_common(p)
+    p.add_argument("--out", help="output file")
     p.add_argument("--verify", action="store_true",
                    help="compare against the packaged reference to 1e-10")
     p.set_defaults(func=cmd_constants)

@@ -27,8 +27,6 @@ class Thresholds:
     eps_star: float = 0.0125      # energy band / experiment amplitude cap
     C_d0: float = 1.2444          # calibrated so d_0 = d_1 at d_1 = delta_E/2
     C_sigma: float = 1.5          # |sigma(t)-sigma(t0)| <= C_sigma d_W bound
-    L_dW: float = 2.0             # sampled Lipschitz constant of d_W (max seen 1.04)
-    K_expansion_const: float = 15.0  # |K(W+v)+ (2*-2)<W^(2*-1)|v>| <= C ||v||^2 (max seen 7.2)
     tol_orth: float = 1e-8        # relative orthogonality tolerance of a fit
     newton_max_iters: int = 30
     sign_ambiguity_margin: float = 0.10
@@ -58,14 +56,6 @@ class EvolutionConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"evolution {name} must be positive, "
                                  f"got {getattr(self, name)!r}")
-
-    @property
-    def dx(self) -> float:
-        return self.r_max / self.n
-
-    @property
-    def dt(self) -> float:
-        return self.cfl * self.dx
 
 
 # the four-quadrant sweep's resolution (also the ejection study's grid)

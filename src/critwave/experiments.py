@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SWEEP_EVOLUTION, EvolutionConfig, Thresholds
-from .fields import (BoostParams, RadialField, State, eval_W, eval_W_dr,
-                     load_state)
+from .fields import (BoostParams, Field3D, RadialField, State, eval_W,
+                     eval_W_dr, load_state)
 from .functionals import (boost_energy_momentum, functional_J,
                           functional_K, h1_seminorm_sq, l2_inner,
                           l2_norm_sq, norm_H, symplectic_omega)
@@ -220,9 +220,6 @@ class QuadrantTable:
     rows: list[QuadrantRow]
     seed: int
 
-    def all_match(self) -> bool:
-        return all(r.matches_expected for r in self.rows if r.variant == "base")
-
     def any_undetermined(self) -> bool:
         return any(UNDETERMINED in (r.verdict_backward, r.verdict_forward)
                    for r in self.rows)
@@ -395,12 +392,6 @@ class BoxResidualClosure:
         return (self._gauss_sum(self.g2, x, y, z)
                 + np.zeros(np.broadcast(x, y, z).shape))
 
-    def sample(self, grid: Box3DGrid) -> State:
-        from .fields import Field3D
-        x, y, z = grid.open_mesh
-        return State(Field3D(grid, self.v1(x, y, z)),
-                     Field3D(grid, self.v2(x, y, z)))
-
 
 def random_box_closure(spectral: SpectralData, grid: Box3DGrid,
                        rng: np.random.Generator,
@@ -429,7 +420,6 @@ def random_box_closure(spectral: SpectralData, grid: Box3DGrid,
 def assemble_box_exact(spectral: SpectralData, grid: Box3DGrid, sgn: int,
                        sigma: float, c, closure: BoxResidualClosure) -> State:
     """u = T^c S^sigma (sgn W_vec + v) with every term sampled exactly."""
-    from .fields import Field3D
     c = np.asarray(c, dtype=float)
     es = math.exp(sigma)
     x, y, z = grid.open_mesh

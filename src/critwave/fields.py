@@ -310,6 +310,10 @@ class State:
     def d(self) -> int:
         return self.u1.grid.d if self.representation == "radial" else 3
 
+    def require_radial(self, what: str) -> None:
+        if self.representation != "radial":
+            raise ValueError(f"{what} takes radial states only")
+
     def __add__(self, other: "State") -> "State":
         return State(self.u1 + other.u1, self.u2 + other.u2)
 

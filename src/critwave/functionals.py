@@ -212,13 +212,10 @@ def momentum_P(s: State) -> np.ndarray:
 
 
 def symplectic_omega(a: State, b: State) -> float:
-    """omega(a, b) = <a2 | b1> - <a1 | b2>; antisymmetric."""
-    if a.representation != b.representation:
-        raise ValueError("states must share a representation")
-    if a.representation == "radial":
-        return l2_inner(a.u2, b.u1) - l2_inner(a.u1, b.u2)
-    q = a.grid.quad
-    return (q(a.u2.values * b.u1.values) - q(a.u1.values * b.u2.values))
+    """omega(a, b) = <a2 | b1> - <a1 | b2> on radial states; antisymmetric."""
+    a.require_radial("symplectic_omega")
+    b.require_radial("symplectic_omega")
+    return l2_inner(a.u2, b.u1) - l2_inner(a.u1, b.u2)
 
 
 def energy_density(s: State):

@@ -8,13 +8,17 @@ taken of the sign-adjusted residual w = s * v, so every derived quantity
 is invariant under u -> -u:
 
     lambda_j = <w_j | rho>,   lambda_+- = sqrt(k/2) (lambda_1 +- lambda_2 / k),
-    mu_j = <w_1 | d_j rho> / a_W,   alpha = <w_1 | Lambda_0 rho>,
-    gamma = w - lambda_+ g+ - lambda_- g- - mu . grad W_vec.
+    alpha = <w_1 | Lambda_0 rho>,   gamma = w - lambda_+ g+ - lambda_- g-.
 
 The distance d_W to the family blends the raw manifold distance d_0 with
 the energy-based d_1^2 = E - J(W) + k^2 lambda_1^2; the sign functional is
 -sign(lambda_1) in the inner region and sign(K) outside, with the two
 rules asserted to agree on the overlap.
+
+Box (3-D) states stop at the fit: ``fit_modulation`` recovers their
+(sign, sigma, c), but a box fit has no residual state, and everything
+after the fit (assembly, mode split, distance, sign, regions) takes
+radial states only, where c = 0.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Thresholds
-from .fields import (BLOCK_POINTS, Field3D, RadialField, State, eval_W,
-                     eval_W_dr, nonlinearity_power, sobolev_exponent)
+from .fields import (BLOCK_POINTS, RadialField, State, eval_W, eval_W_dr,
+                     nonlinearity_power, sobolev_exponent)
 from .functionals import (RadialPieces, _h1_tail, energy_E, functional_J,
                           functional_K, h1_seminorm_sq, l2_inner, l2_norm_sq,
                           norm_H_sq, smooth_cutoff)
 from .grids import Box3DGrid, RadialGrid
-from .operators import _resample_box
+from .operators import scale_profile
 from .spectral import SpectralData
 
 
@@ -56,8 +60,8 @@ class UndefinedRegionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class ModulationFit:
-    """Result of the modulation solve; the residual state v materializes
-    lazily (resampling a 3-D state is far costlier than the solve)."""
+    """Result of the modulation solve; a converged radial fit's residual
+    state v materializes lazily (a box fit has none)."""
 
     def __init__(self, sign_s: int, sigma: float, c: np.ndarray,
                  converged: bool, newton_iters: int,
@@ -88,7 +92,6 @@ class ModeSplit:
     lambda_minus: float
     lambda1: float
     lambda2: float
-    mu: np.ndarray
     alpha: float
     gamma: State
 
@@ -122,17 +125,13 @@ def _build_refs(spec: SpectralData, grid) -> dict:
             "W_state": State(w, zeros),
             "rho_norm_sq": l2_norm_sq(RadialField(grid, spec.rho_on(grid))),
         }
+    # the box fit's references
     wvals = np.asarray(eval_W(3, grid.radius ** 2))
-    w = Field3D(grid, wvals)
-    zeros = Field3D(grid, np.zeros_like(wvals))
-    rho = Field3D(grid, np.asarray(spec.rho_profile(grid.radius)))
-    gw = w.gradient()
+    gw = grid.gradient(wvals)
     return {
-        "J_W": functional_J(w),
+        "W": wvals,
         "grad_W_sq": grid.quad(gw[0] ** 2 + gw[1] ** 2 + gw[2] ** 2),
         "W_sq": grid.quad(wvals ** 2),
-        "W_state": State(w, zeros),
-        "rho_norm_sq": grid.quad(rho.values ** 2),
     }
 
 
@@ -146,7 +145,7 @@ def _box_fit_refs(spec: SpectralData, grid: Box3DGrid) -> dict:
     cheaper residuals) gets (sigma, c) near the root before ball polishing.
     """
     def build():
-        w = _grid_refs(spec, grid)["W_state"].u1.values
+        w = _grid_refs(spec, grid)["W"]
         ball = grid.radius <= grid.half_width
         refs = {"ball_where": ball,
                 "ball": tuple(m[ball] for m in grid.meshgrid),
@@ -266,7 +265,7 @@ def _choose_sign(spec: SpectralData, s: State, margin: float,
     else:
         q = s.grid.quad
         refs = _grid_refs(spec, s.grid)
-        wv = refs["W_state"].u1.values
+        wv = refs["W"]
         uu = q(s.u1.values ** 2)
         ww = refs["W_sq"]
         cross = q(s.u1.values * wv)
@@ -330,7 +329,8 @@ def fit_modulation(s: State, spec: SpectralData,
                    dist: _RadialDistance | None = None) -> ModulationFit:
     """Solve the orthogonality conditions for (sign, sigma[, c]).
 
-    Radial states pin c = 0 and solve for sigma only.  The quasi-Newton
+    Radial states pin c = 0 and solve for sigma only; a box fit recovers
+    (sign, sigma, c) and has no residual state v.  The quasi-Newton
     iteration starts from the constant Jacobian diag(-b_W, a_W, ..., a_W)
     (times the manifold sign) with step halving on residual increase;
     failure to converge signals a state outside the capture region.  The
@@ -415,9 +415,8 @@ def fit_modulation(s: State, spec: SpectralData,
             sigma = float(x[0])
             c = np.zeros(3) if radial else np.asarray(x[1:], dtype=float)
     factory = None
-    if converged:
-        sig_f, c_f = sigma, c
-        factory = lambda: _residual_state(s, spec, sgn, sig_f, c_f)
+    if converged and radial:
+        factory = lambda: _residual_state(s, spec, sgn, sigma)
     return ModulationFit(sign_s=sgn, sigma=sigma, c=c,
                          converged=converged, newton_iters=iters,
                          orth_residual=res, v_factory=factory)
@@ -462,64 +461,35 @@ def _box_cross(g: Box3DGrid, grad: list[np.ndarray], sigma: float, c) -> float:
     return g.quad(integrand)
 
 
-def _residual_state(s: State, spec: SpectralData, sgn: int, sigma: float,
-                    c: np.ndarray) -> State:
-    """v = S^(-sigma) T^(-c) u - sgn W_vec."""
-    if s.representation == "radial":
-        g = s.grid
-        w = spec.W_on(g)
-        if abs(sigma) < 1e-14:
-            v1 = s.u1.values - sgn * w
-            v2 = s.u2.values.copy()
-        else:
-            es = math.exp(-sigma)
-            p1 = s.u1.profile(parity=1, tail="power")
-            p2 = s.u2.profile(parity=1, tail="power")
-            v1 = (math.exp((g.d / 2.0 - 1.0) * -sigma) * np.asarray(p1(es * g.r))
-                  - sgn * w)
-            v2 = math.exp((g.d / 2.0) * -sigma) * np.asarray(p2(es * g.r))
-        return State(RadialField(g, v1), RadialField(g, v2))
+def _residual_state(s: State, spec: SpectralData, sgn: int,
+                    sigma: float) -> State:
+    """v = S^(-sigma) u - sgn W_vec for a radial state."""
     g = s.grid
-    es = math.exp(-sigma)
-    refs = _grid_refs(spec, g)
-    w = refs["W_state"].u1.values
-
-    def pts(x, y, z):
-        return (es * x + c[0], es * y + c[1], es * z + c[2])
-
-    u1 = _resample_box(s.u1, pts).values * math.exp((3 / 2.0 - 1.0) * -sigma)
-    u2 = _resample_box(s.u2, pts).values * math.exp((3 / 2.0) * -sigma)
-    return State(Field3D(g, u1 - sgn * w), Field3D(g, u2))
+    w = spec.W_on(g)
+    if abs(sigma) < 1e-14:
+        v1 = s.u1.values - sgn * w
+        v2 = s.u2.values.copy()
+    else:
+        p1 = s.u1.profile(parity=1, tail="power")
+        p2 = s.u2.profile(parity=1, tail="power")
+        v1 = scale_profile(p1, g.d, -1.0, -sigma)(g.r) - sgn * w
+        v2 = scale_profile(p2, g.d, 0.0, -sigma)(g.r)
+    return State(RadialField(g, v1), RadialField(g, v2))
 
 
 def assemble_state(spec: SpectralData, sgn: int, sigma: float, c, v: State) -> State:
-    """u = T^c S^sigma (sgn W_vec + v): the inverse of a converged fit."""
-    c = np.asarray(c, dtype=float)
-    if v.representation == "radial":
-        if np.any(c != 0.0):
-            raise ValueError("radial assembly requires c = 0")
-        g = v.grid
-        es = math.exp(sigma)
-        p1 = v.u1.profile(parity=1, tail="power")
-        p2 = v.u2.profile(parity=1, tail="power")
-        u1 = (sgn * _w_sigma_field(g, sigma)
-              + math.exp((g.d / 2.0 - 1.0) * sigma) * np.asarray(p1(es * g.r)))
-        u2 = math.exp((g.d / 2.0) * sigma) * np.asarray(p2(es * g.r))
-        return State(RadialField(g, u1), RadialField(g, u2))
+    """u = T^c S^sigma (sgn W_vec + v): the inverse of a converged radial
+    fit (c = 0)."""
+    v.require_radial("assemble_state")
+    if np.any(np.asarray(c, dtype=float) != 0.0):
+        raise ValueError("radial assembly requires c = 0")
     g = v.grid
-    es = math.exp(sigma)
-
-    def pts(x, y, z):
-        return (es * (x - c[0]), es * (y - c[1]), es * (z - c[2]))
-
-    x, y, z = g.meshgrid
-    xs, ys, zs = pts(x, y, z)
-    rr2 = xs * xs + ys * ys + zs * zs
-    amp1 = math.exp((3 / 2.0 - 1.0) * sigma)
-    w_part = sgn * amp1 * np.asarray(eval_W(3, rr2))
-    u1 = w_part + amp1 * _resample_box(v.u1, pts).values
-    u2 = math.exp((3 / 2.0) * sigma) * _resample_box(v.u2, pts).values
-    return State(Field3D(g, u1), Field3D(g, u2))
+    p1 = v.u1.profile(parity=1, tail="power")
+    p2 = v.u2.profile(parity=1, tail="power")
+    u1 = (sgn * _w_sigma_field(g, sigma)
+          + scale_profile(p1, g.d, -1.0, sigma)(g.r))
+    u2 = scale_profile(p2, g.d, 0.0, sigma)(g.r)
+    return State(RadialField(g, u1), RadialField(g, u2))
 
 
 # ---------------------------------------------------------------------------
@@ -529,91 +499,56 @@ def assemble_state(spec: SpectralData, sgn: int, sigma: float, c, v: State) -> S
 def split_modes(fit: ModulationFit, spec: SpectralData) -> ModeSplit:
     """Mode amplitudes of the sign-adjusted residual w = sign_s * v."""
     if not fit.converged or fit.v is None:
-        raise FitError("cannot split an unconverged fit")
+        raise FitError("cannot split a fit without a residual state "
+                       "(unconverged, or a box fit)")
     w = fit.v * float(fit.sign_s)
     k = spec.k
-    if w.representation == "radial":
-        g = w.grid
-        rho = RadialField(g, spec.rho_on(g))
-        rho_sq = _grid_refs(spec, g)["rho_norm_sq"]
-        lam1 = l2_inner(w.u1, rho) / rho_sq
-        lam2 = l2_inner(w.u2, rho) / rho_sq
-        mu = np.zeros(0)
-        alpha = l2_inner(w.u1, RadialField(g, spec.lambda0_rho_on(g)))
-        gamma = State(RadialField(g, w.u1.values - lam1 * rho.values),
-                      RadialField(g, w.u2.values - lam2 * rho.values))
-    else:
-        g = w.grid
-        q = g.quad
-        rr = g.radius
-        rho = np.asarray(spec.rho_profile(rr))
-        rho_sq = _grid_refs(spec, g)["rho_norm_sq"]
-        lam1 = q(w.u1.values * rho) / rho_sq
-        lam2 = q(w.u2.values * rho) / rho_sq
-        lam0, *grads_rho = box_modes(spec, g)
-        mu = np.array([q(w.u1.values * gr) for gr in grads_rho]) / spec.a_W
-        alpha = q(w.u1.values * lam0)
-        x, y, z = g.meshgrid
-        wslope = np.asarray(eval_W_dr(3, rr)) / np.maximum(rr, 1e-300)
-        g1 = w.u1.values - lam1 * rho - (mu[0] * wslope * x + mu[1] * wslope * y
-                                         + mu[2] * wslope * z)
-        gamma = State(Field3D(g, g1), Field3D(g, w.u2.values - lam2 * rho))
+    g = w.grid
+    rho = RadialField(g, spec.rho_on(g))
+    rho_sq = _grid_refs(spec, g)["rho_norm_sq"]
+    lam1 = l2_inner(w.u1, rho) / rho_sq
+    lam2 = l2_inner(w.u2, rho) / rho_sq
+    alpha = l2_inner(w.u1, RadialField(g, spec.lambda0_rho_on(g)))
+    gamma = State(RadialField(g, w.u1.values - lam1 * rho.values),
+                  RadialField(g, w.u2.values - lam2 * rho.values))
     sk = math.sqrt(k / 2.0)
     return ModeSplit(lambda_plus=sk * (lam1 + lam2 / k),
                      lambda_minus=sk * (lam1 - lam2 / k),
-                     lambda1=lam1, lambda2=lam2, mu=mu, alpha=float(alpha),
+                     lambda1=lam1, lambda2=lam2, alpha=float(alpha),
                      gamma=gamma)
 
 
-def quadratic_form_L(spec: SpectralData, fld) -> float:
+def quadratic_form_L(spec: SpectralData, fld: RadialField) -> float:
     """<L+ f | f> = ||grad f||^2 - p int W^(p-1) f^2."""
-    if isinstance(fld, RadialField):
-        g = fld.grid
-        p = nonlinearity_power(g.d)
-        w_pm1 = spec.W_on(g) ** (p - 1.0)
-        return h1_seminorm_sq(fld) - p * g.quad_meas(w_pm1 * fld.values ** 2)
     g = fld.grid
-    w_pm1 = np.asarray(eval_W(3, g.radius ** 2)) ** 4.0
-    gx, gy, gz = fld.gradient()
-    return (g.quad(gx * gx + gy * gy + gz * gz)
-            - 5.0 * g.quad(w_pm1 * fld.values ** 2))
+    p = nonlinearity_power(g.d)
+    w_pm1 = spec.W_on(g) ** (p - 1.0)
+    return h1_seminorm_sq(fld) - p * g.quad_meas(w_pm1 * fld.values ** 2)
 
 
 def linearized_norm_sq(ms: ModeSplit, spec: SpectralData) -> float:
-    """||v||_E^2 = (k^2 l1^2 + l2^2)/2 + <L gamma | gamma>/2 + alpha^2 + |mu|^2."""
+    """||v||_E^2 = (k^2 l1^2 + l2^2)/2 + <L gamma | gamma>/2 + alpha^2."""
     k = spec.k
-    g1, g2 = ms.gamma.u1, ms.gamma.u2
-    if ms.gamma.representation == "radial":
-        g2_sq = l2_norm_sq(g2)
-    else:
-        g2_sq = ms.gamma.grid.quad(g2.values ** 2)
-    quad_g = quadratic_form_L(spec, g1) + g2_sq
+    quad_g = quadratic_form_L(spec, ms.gamma.u1) + l2_norm_sq(ms.gamma.u2)
     return (0.5 * (k * k * ms.lambda1 ** 2 + ms.lambda2 ** 2)
-            + 0.5 * quad_g + ms.alpha ** 2 + float(np.sum(ms.mu ** 2)))
+            + 0.5 * quad_g + ms.alpha ** 2)
 
 
-def superquadratic_C(v1, spec: SpectralData | None = None) -> float:
+def superquadratic_C(v1: RadialField, spec: SpectralData | None = None) -> float:
     """The beyond-quadratic part of the static energy around W.
 
     C(v) = int [ (|W+v1|^(2*) - W^(2*)) / 2* - W^p v1 - (p/2) W^(p-1) v1^2 ],
     cubic at the origin: C(eps rho)/eps^3 has a finite limit.
     """
-    if isinstance(v1, RadialField):
-        g = v1.grid
-        d = g.d
-        w = np.asarray(eval_W(d, g.r ** 2))
-        quad = g.quad_meas
-    else:
-        g = v1.grid
-        d = 3
-        w = np.asarray(eval_W(3, g.radius ** 2))
-        quad = g.quad
+    g = v1.grid
+    d = g.d
+    w = np.asarray(eval_W(d, g.r ** 2))
     ts = sobolev_exponent(d)
     p = nonlinearity_power(d)
     f = v1.values
     integrand = ((np.abs(w + f) ** ts - w ** ts) / ts
                  - w ** p * f - (p / 2.0) * w ** (p - 1.0) * f * f)
-    return float(quad(integrand))
+    return float(g.quad_meas(integrand))
 
 
 # ---------------------------------------------------------------------------
@@ -685,25 +620,6 @@ def _manifold_distance_sq(spec: SpectralData, s: State, sgn: int,
     return (dist or _RadialDistance(spec, s)).dist_sq(sgn, sigma)
 
 
-def _golden_min(fun, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = fun(c1), fun(c2)
-    while (b - a) > tol:
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = fun(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = fun(c2)
-    x = 0.5 * (a + b)
-    return x, fun(x)
-
-
 _SQRT_EPS = math.sqrt(2.2e-16)
 
 
@@ -771,36 +687,15 @@ def _bounded_min(fun, lo: float, hi: float, x0: float,
 
 def manifold_distance(spec: SpectralData, s: State,
                       sigma_seed: float | None = None,
-                      c_seed: np.ndarray | None = None,
                       dist: _RadialDistance | None = None) -> float:
-    """inf over (+-, sigma[, c]) of ||s -+ W_vec_sigma(. - c)||_H (radial: c = 0).
+    """inf over (+-, sigma) of ||s -+ W_vec_sigma||_H for a radial state.
 
-    Radial states: Brent's method in sigma, seeded either by a modulation
-    fit or by a coarse scan (``dist`` shares the state's pieces with other
-    monitors).  Box states: golden-section in sigma at the seeded c.
+    Brent's method in sigma, seeded either by a modulation fit or by a
+    coarse scan (``dist`` shares the state's pieces with other monitors).
     """
-    if s.representation == "radial":
-        dist = dist or _RadialDistance(spec, s)
-        return math.sqrt(max(dist.minimum(sigma_seed), 0.0))
-    # box: distance to sgn W_sigma(. - c) over sgn, sigma, c
-    g = s.grid
-    refs = _grid_refs(spec, g)
-    u2_sq = g.quad(s.u2.values ** 2)
-    grad = s.u1.gradient()
-    gx, gy, gz = grad
-    uu = g.quad(gx * gx + gy * gy + gz * gz)
-    gw = refs["grad_W_sq"]
-
-    def dist_sq(sgn, sigma, c):
-        return uu - 2.0 * sgn * _box_cross(g, grad, sigma, c) + gw + u2_sq
-
-    c0 = np.zeros(3) if c_seed is None else np.asarray(c_seed, dtype=float)
-    best = math.inf
-    for sgn in (+1, -1):
-        seed = 0.0 if sigma_seed is None else sigma_seed
-        _, val = _golden_min(lambda t: dist_sq(sgn, t, c0), seed - 1.0, seed + 1.0)
-        best = min(best, val)
-    return math.sqrt(max(best, 0.0))
+    s.require_radial("manifold_distance")
+    dist = dist or _RadialDistance(spec, s)
+    return math.sqrt(max(dist.minimum(sigma_seed), 0.0))
 
 
 def distance_dW(s: State, spec: SpectralData,
@@ -809,27 +704,26 @@ def distance_dW(s: State, spec: SpectralData,
                 dist: _RadialDistance | None = None) -> DistanceReport:
     """The blended distance d_W = chi d_1 + (1 - chi) d_0 to the family.
 
-    Radial states build their distance pieces once (or take ``dist``) and
-    share them between the fit, d_0 and the energy in d_1.
+    The radial state's distance pieces are built once (or taken from
+    ``dist``) and shared between the fit, d_0 and the energy in d_1.
     """
+    s.require_radial("distance_dW")
     th = thresholds or Thresholds()
-    if dist is None and s.representation == "radial":
+    if dist is None:
         dist = _RadialDistance(spec, s)
     if fit is None:
         try:
             fit = fit_modulation(s, spec, th, dist=dist)
         except FitError:
             fit = None
-    sigma_seed = fit.sigma if (fit is not None and fit.converged) else None
-    c_seed = fit.c if (fit is not None and fit.converged) else None
-    d0 = th.C_d0 * manifold_distance(spec, s, sigma_seed, c_seed, dist)
-    d1 = math.nan
-    ms = None
-    if fit is not None and fit.converged:
+    fitted = fit is not None and fit.converged
+    d0 = th.C_d0 * manifold_distance(spec, s, fit.sigma if fitted else None,
+                                     dist)
+    d1, ms = math.nan, None
+    if fitted:
         ms = split_modes(fit, spec)
-        jref = reference_J(spec, s.grid)
-        energy = dist.pieces.energy if dist is not None else energy_E(s)
-        d1_sq = energy - jref + spec.k ** 2 * ms.lambda1 ** 2
+        d1_sq = (dist.pieces.energy - reference_J(spec, s.grid)
+                 + spec.k ** 2 * ms.lambda1 ** 2)
         d1 = math.sqrt(max(d1_sq, 0.0))
     x = 2.0 * d0 / th.delta_A
     chi = float(smooth_cutoff(x, 1.0, 2.0))
@@ -886,6 +780,7 @@ def region_predicates(s: State, spec: SpectralData,
                       thresholds: Thresholds | None = None,
                       report: DistanceReport | None = None) -> dict:
     """Membership in the energy band, the X-region, and the variational zone."""
+    s.require_radial("region_predicates")
     th = thresholds or Thresholds()
     if report is None:
         report = distance_dW(s, spec, th)

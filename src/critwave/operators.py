@@ -5,9 +5,9 @@ a = -1 preserves the H^1_dot seminorm, a = 0 preserves L^2.  Its generator
 is Lambda_a = r d/dr + d/2 + a.  States scale by S_(-1) on the first and
 S_0 on the second component.  Translations T^c act by (T^c f)(x) = f(x - c).
 
-Resampling a sampled field under these maps uses the spline-plus-far-field
-profiles from :mod:`critwave.fields`; closed-form fields should be resampled
-analytically by the caller instead when exactness matters.
+Scaling is radial and resamples through the spline-plus-far-field profiles
+of :mod:`critwave.fields`; box states are only translated (quintic splines).
+Closed-form fields should be resampled analytically when exactness matters.
 """
 
 from __future__ import annotations
@@ -51,11 +51,10 @@ def apply_scaling_field(fld: RadialField, sigma: float, a: float) -> RadialField
 
 
 def apply_scaling(s: State, sigma: float) -> State:
-    """The H-unitary vector scaling S_(-1)^sigma x S_0^sigma on a state."""
-    if s.representation == "radial":
-        return State(apply_scaling_field(s.u1, sigma, -1.0),
-                     apply_scaling_field(s.u2, sigma, 0.0))
-    return State(_scale_box(s.u1, sigma, -1.0), _scale_box(s.u2, sigma, 0.0))
+    """The H-unitary vector scaling S_(-1)^sigma x S_0^sigma on a radial state."""
+    s.require_radial("apply_scaling")
+    return State(apply_scaling_field(s.u1, sigma, -1.0),
+                 apply_scaling_field(s.u2, sigma, 0.0))
 
 
 def apply_translation(s: State, c) -> State:
@@ -68,25 +67,11 @@ def apply_translation(s: State, c) -> State:
     return State(_translate_box(s.u1, c), _translate_box(s.u2, c))
 
 
-def _resample_box(fld: Field3D, point_map) -> Field3D:
+def _translate_box(fld: Field3D, c: np.ndarray) -> Field3D:
     g = fld.grid
     x, y, z = g.meshgrid
-    px, py, pz = point_map(x, y, z)
-    coords = np.stack([g.index_coords(px), g.index_coords(py), g.index_coords(pz)])
+    coords = np.stack([g.index_coords(x - c[0]), g.index_coords(y - c[1]),
+                       g.index_coords(z - c[2])])
     vals = map_coordinates(fld.values, coords, order=_SPLINE_ORDER,
                            mode="constant", cval=0.0)
     return Field3D(g, vals)
-
-
-def _translate_box(fld: Field3D, c: np.ndarray) -> Field3D:
-    return _resample_box(fld, lambda x, y, z: (x - c[0], y - c[1], z - c[2]))
-
-
-def _scale_box(fld: Field3D, sigma: float, a: float) -> Field3D:
-    es = math.exp(sigma)
-    if es > 1.0 and math.exp(-sigma) < 4.0 * fld.grid.dx:
-        raise ResolutionError("scaled field finer than 4 cells")
-    amp = math.exp((3 / 2.0 + a) * sigma)
-    out = _resample_box(fld, lambda x, y, z: (es * x, es * y, es * z))
-    return Field3D(fld.grid, amp * out.values)
-

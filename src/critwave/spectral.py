@@ -88,10 +88,6 @@ class LinearizedOperator:
         return RadialField(self.grid, self.apply_samples(fld.values))
 
 
-def build_lplus(grid: RadialGrid) -> LinearizedOperator:
-    return LinearizedOperator(grid)
-
-
 def apply_lplus_fd(fld: RadialField) -> RadialField:
     """L+ by direct finite differences on any radial grid (cross-check path)."""
     g = fld.grid
@@ -325,23 +321,10 @@ def solve_ground_state(grid: RadialGrid,
 
 
 def compute_constants(spec: SpectralData, bw_tol: float = 1e-3) -> tuple[float, float]:
-    """(a_W, b_W) from an eigenpair, with the dual-route b_W consistency check.
-
-    a_W = (1/d) <W^(2*-1) | rho>; b_W is computed both as <W' | Lambda_0 rho>
-    and via the commutator route k^-2 p (p-1) <W^(p-2) (W')^2 | rho>, which
-    must agree to bw_tol relative.
-    """
-    egrid = spec.eigen_grid
-    d = spec.d
-    p = nonlinearity_power(d)
-    rho = spec.rho_eigen.values
-    w_vals = np.asarray(eval_W(d, egrid.r ** 2))
-    wprime = np.asarray(eval_W_prime_mode(d, egrid.r))
-    lam0 = np.asarray(spec.lambda0_rho_profile(egrid.r))
-    a_w = egrid.quad_meas(w_vals ** p * rho) / d
-    b_w = egrid.quad_meas(wprime * lam0)
-    b_w_alt = (p * (p - 1.0) / (spec.k ** 2)
-               * egrid.quad_meas(w_vals ** (p - 2.0) * wprime ** 2 * rho))
+    """(a_W, b_W) from an eigenpair by the formulas of the build
+    (``_w_constants``); the two b_W routes must agree to bw_tol relative."""
+    _, lam0 = _mode_samples(spec.rho_eigen)
+    a_w, b_w, b_w_alt = _w_constants(spec.rho_eigen, lam0, spec.k)
     if abs(b_w - b_w_alt) / abs(b_w) > bw_tol:
         raise SpectralConsistencyError(
             f"b_W routes disagree: {b_w:.8f} vs {b_w_alt:.8f}")
@@ -353,6 +336,23 @@ def _mode_samples(rho: RadialField) -> tuple[np.ndarray, np.ndarray]:
     g = rho.grid
     rho_dr = rho.deriv(parity=1)
     return rho_dr, g.r * rho_dr + (g.d / 2.0) * rho.values
+
+
+def _w_constants(rho: RadialField, lam0: np.ndarray,
+                 k: float) -> tuple[float, float, float]:
+    """(a_W, b_W, b_W_alt) from rho and Lambda_0 rho on rho's grid:
+    a_W = (1/d) <W^p | rho>, b_W = <W' | Lambda_0 rho> and the commutator
+    route b_W_alt = k^-2 p (p-1) <W^(p-2) (W')^2 | rho>."""
+    g = rho.grid
+    d = g.d
+    p = nonlinearity_power(d)
+    w_vals = np.asarray(eval_W(d, g.r ** 2))
+    wprime = np.asarray(eval_W_prime_mode(d, g.r))
+    a_w = g.quad_meas(w_vals ** p * rho.values) / d
+    b_w = g.quad_meas(wprime * lam0)
+    b_w_alt = (p * (p - 1.0) / (k * k)
+               * g.quad_meas(w_vals ** (p - 2.0) * wprime ** 2 * rho.values))
+    return a_w, b_w, b_w_alt
 
 
 def build_spectral_data(grid: RadialGrid | None = None,
@@ -388,11 +388,7 @@ def build_spectral_data(grid: RadialGrid | None = None,
     rho_dr_prof = RadialProfile.from_samples(egrid, rho_dr, parity=-1, tail="decay")
     lam0_prof = RadialProfile.from_samples(egrid, lam0, parity=1, tail="decay")
 
-    p = nonlinearity_power(d)
-    w_vals = np.asarray(eval_W(d, egrid.r ** 2))
-    a_w = egrid.quad_meas(w_vals ** p * rho.values) / d
-    wprime = np.asarray(eval_W_prime_mode(d, egrid.r))
-    b_w = egrid.quad_meas(wprime * lam0)
+    a_w, b_w, b_w_alt = _w_constants(rho, lam0, k)
 
     vres = op.matrix @ (v / np.linalg.norm(v)) - lam * (v / np.linalg.norm(v))
     h = egrid.r[1] - egrid.r[0]
@@ -401,7 +397,8 @@ def build_spectral_data(grid: RadialGrid | None = None,
                                  * math.sqrt(egrid.angular_factor) / nrm * np.linalg.norm(v)),
         "rho_min": float(np.min(rho.values)),
         "rho_norm_err": abs(math.sqrt(l2_norm_sq(rho)) - 1.0),
-        "wprime_orth": egrid.quad_meas(wprime * rho.values),
+        "wprime_orth": egrid.quad_meas(
+            np.asarray(eval_W_prime_mode(d, egrid.r)) * rho.values),
     }
 
     if cross_check:
@@ -413,8 +410,6 @@ def build_spectral_data(grid: RadialGrid | None = None,
             raise SpectralConsistencyError(
                 f"matrix k = {k:.8f} vs shooting k = {k_shoot:.8f} "
                 f"differ by {rel:.2e} > {shoot_tol:.0e}")
-        b_w_alt = (p * (p - 1.0) / (k * k)
-                   * egrid.quad_meas(w_vals ** (p - 2.0) * wprime ** 2 * rho.values))
         rel_b = abs(b_w - b_w_alt) / abs(b_w)
         residuals["b_W_alt"] = b_w_alt
         residuals["b_W_rel_diff"] = rel_b

@@ -128,7 +128,8 @@ def mini_table(spectral, thresholds):
 
 class TestQuadrantSweep:
     def test_pattern(self, mini_table):
-        assert mini_table.all_match()
+        assert all(r.matches_expected for r in mini_table.rows
+                   if r.variant == "base")
         assert not mini_table.any_undetermined()
 
     def test_perturbed_variant_agrees(self, mini_table):
@@ -216,6 +217,45 @@ class TestCLI:
         written = json.loads(out.read_text())
         ref = load_reference_constants()
         assert abs(written["k"] - ref["k"]) <= 1e-10
+
+    def test_constants_takes_no_config(self, tmp_path, capsys):
+        # the constants build reads no configuration: --config is a usage
+        # error, not a config load that can fail
+        conf = tmp_path / "bad.ini"
+        conf.write_text("[evolution]\nbogus = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["constants", "--config", str(conf)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --config" in err
+        assert "Traceback" not in err
+
+    def test_quadrant_eps_above_cap_exits_3(self, tmp_path, capsys):
+        code = cli_main(["quadrant", "--eps", "0.5", "--out", str(tmp_path)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "eps = 0.5 outside" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_quadrant_undetermined_exits_2(self, tmp_path, capsys):
+        # t_max = 2 ends every direction before blow-up or scattering
+        conf = tmp_path / "short.ini"
+        conf.write_text("[evolution]\nn = 1024\nr_max = 32.0\nt_max = 2.0\n")
+        out = tmp_path / "sweep"
+        code = cli_main(["quadrant", "--config", str(conf), "--eps", "1e-3",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().out.count("Undetermined") == 8
+        table = json.loads((out / "quadrant_table.json").read_text())
+        assert len(table["rows"]) == 4
+        assert all(r["verdict_backward"] == r["verdict_forward"] == "Undetermined"
+                   and r["matches_expected"] is False for r in table["rows"])
+        lines = (out / "quadrant_table.csv").read_text().splitlines()
+        assert lines[0] == ("a,eps,verdict_backward,verdict_forward,"
+                            "ejection_rate,runtime")
+        assert len(lines) == 1 + 4
 
     def test_evolve_command(self, tmp_path):
         conf = tmp_path / "exp.ini"

@@ -13,10 +13,10 @@ from critwave.fields import (BLOCK_POINTS, RadialField, State, eval_W_dr,
                              sample_W_family, BoostParams)
 from critwave.functionals import (crit_norm, energy_E, functional_K,
                                   h1_seminorm_sq, l2_inner, l2_norm_sq,
-                                  norm_H, norm_H_sq)
+                                  norm_H, norm_H_sq, symplectic_omega)
 from critwave.grids import Box3DGrid, RadialGrid
-from critwave.modulation import (SignAmbiguityError, _box_cross,
-                                 _box_fit_refs, _golden_min, _grid_refs,
+from critwave.modulation import (DistanceReport, FitError, SignAmbiguityError,
+                                 _box_cross, _box_fit_refs, _grid_refs,
                                  _RadialDistance, box_mode_fields,
                                  box_mode_gram, box_mode_integrals, box_modes,
                                  assemble_state, distance_dW, fit_modulation,
@@ -24,7 +24,13 @@ from critwave.modulation import (SignAmbiguityError, _box_cross,
                                  quadratic_form_L, reference_J,
                                  region_predicates, sign_functional,
                                  split_modes, superquadratic_C)
+from critwave.operators import apply_scaling
 from critwave.spectral import _mode_samples, build_spectral_data
+
+# sampled bounds: the Lipschitz constant of d_W (max seen 1.04) and the
+# constant of |K(W+v) + (2*-2)<W^(2*-1)|v>| <= C ||v||^2 (max seen 7.2)
+L_DW = 2.0
+K_EXPANSION_CONST = 15.0
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +319,26 @@ class TestDistance:
             other = State(RadialField(g, base.u1.values + scale * bump),
                           base.u2)
             d_other = distance_dW(other, spec, th).dW
-            assert abs(d_other - d_base) <= th.L_dW * step_norm
+            assert abs(d_other - d_base) <= L_DW * step_norm
+
+
+def _golden_min(fun, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, float]:
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c1 = b - invphi * (b - a)
+    c2 = a + invphi * (b - a)
+    f1, f2 = fun(c1), fun(c2)
+    while (b - a) > tol:
+        if f1 < f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - invphi * (b - a)
+            f1 = fun(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + invphi * (b - a)
+            f2 = fun(c2)
+    x = 0.5 * (a + b)
+    return x, fun(x)
 
 
 def golden_manifold_distance_sq(dist, sigma_seed):
@@ -549,7 +574,7 @@ class TestKExpansion:
             k_val = functional_K(RadialField(g, w + f))
             lin = -4.0 * g.quad_meas(w5 * f)
             h1 = h1_seminorm_sq(RadialField(g, f))
-            assert abs(k_val - lin) <= th.K_expansion_const * h1
+            assert abs(k_val - lin) <= K_EXPANSION_CONST * h1
 
 
 class TestSign:
@@ -615,3 +640,40 @@ class TestRegions:
         preds = region_predicates(s, spec, th)
         assert preds["E"] < 0.0
         assert preds["in_H_star"] is True
+
+
+@pytest.fixture(scope="module")
+def box_case(spectral, thresholds):
+    """A box family member and its converged fit, which has no residual."""
+    s = sample_W_family(BoostParams(0.1), Box3DGrid(10.0, 32))
+    fit = fit_modulation(s, spectral, thresholds)
+    assert fit.converged and fit.v is None
+    return s, fit
+
+
+# box states stop at the fit: what follows it takes radial states only
+BOX_REJECTIONS = {
+    "assemble_state": (ValueError, lambda spec, s, fit: assemble_state(
+        spec, 1, fit.sigma, fit.c, s)),
+    "manifold_distance": (ValueError, lambda spec, s, fit: manifold_distance(
+        spec, s)),
+    "distance_dW": (ValueError, lambda spec, s, fit: distance_dW(
+        s, spec, fit=fit)),
+    "region_predicates": (ValueError, lambda spec, s, fit: region_predicates(
+        s, spec)),
+    "apply_scaling": (ValueError, lambda spec, s, fit: apply_scaling(s, 0.1)),
+    "symplectic_omega": (ValueError, lambda spec, s, fit: symplectic_omega(
+        s, s)),
+    "split_modes": (FitError, lambda spec, s, fit: split_modes(fit, spec)),
+    "sign_functional": (FitError, lambda spec, s, fit: sign_functional(
+        s, spec, report=DistanceReport(0.0, 0.0, 0.0, "inner", fit))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOX_REJECTIONS))
+def test_box_states_stop_at_the_fit(spectral, box_case, name):
+    error, call = BOX_REJECTIONS[name]
+    match = f"{name} takes radial states only" if error is ValueError else \
+        "without a residual state"
+    with pytest.raises(error, match=match):
+        call(spectral, *box_case)
