@@ -9,7 +9,8 @@ four-quadrant dynamics experiments.
 
 from .config import EvolutionConfig, Thresholds
 from .fields import (BoostParams, Field3D, RadialField, State, eval_W,
-                     eval_W_dr, eval_W_prime_mode, sample_W_family)
+                     eval_W_dr, eval_W_prime_mode, sample_W_family,
+                     save_state)
 from .functionals import (boost_energy_momentum, center_of_energy,
                           energy_density, energy_E, functional_J,
                           functional_K, momentum_P, norm_H, symplectic_omega)
@@ -20,7 +21,7 @@ from .modulation import (DistanceReport, ModeSplit, ModulationFit,
                          superquadratic_C)
 from .operators import apply_scaling, apply_translation, generator_Lambda
 from .spectral import (SpectralData, build_spectral_data, coercivity_probe,
-                       compute_constants, solve_ground_state)
+                       compute_constants)
 from .evolve import (TrajectoryRecord, evolve_with_monitors,
                      fit_ejection_rate, modulation_ode_residual, step)
 from .experiments import (ExperimentSpec, QuadrantTable, run_experiment,

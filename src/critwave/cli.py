@@ -115,7 +115,7 @@ def cmd_evolve(args) -> int:
         for key, raw in params.items():
             if key == "a":
                 parsed["a"] = tuple(int(x) for x in raw.split(","))
-            elif key in ("path", "representation"):
+            elif key == "path":
                 parsed[key] = raw
             else:
                 parsed[key] = float(raw)

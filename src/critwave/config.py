@@ -11,7 +11,7 @@ delta chain so that the four-quadrant sweep can run amplitudes up to 1e-2.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,6 @@ class EvolutionConfig:
     cfl: float = 0.45
     t_max: float = 50.0
     monitor_stride: float = 0.25
-    blowup_norm_mult: float = 6.0      # threshold = mult * max(||u(0)||_H, floor)
-    blowup_norm_floor: float = 4.0
-    scatter_window: float = 8.0
-    free_ratio_threshold: float = 0.02
-    cone_S: float = 25.0               # cutoff offset in w(t,r) = chi(r/(t+S))
-    support_radius: float = 30.0       # nominal data support for E_ext
-    dt_floor_factor: float = 4096.0    # give up once dt < dt0 / factor
-    confirm_refine: int = 2
-    confirm_window: float = 3.0
 
     def __post_init__(self):
         for name in ("n", "r_max", "cfl", "t_max", "monitor_stride"):
@@ -66,13 +57,7 @@ _SECTION_MAP = {"thresholds": Thresholds, "evolution": EvolutionConfig}
 
 
 def _coerce(example, text: str):
-    if isinstance(example, bool):
-        return text.strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(example, int):
-        return int(text)
-    if isinstance(example, float):
-        return float(text)
-    return text
+    return int(text) if isinstance(example, int) else float(text)
 
 
 def load_config(path) -> dict:
@@ -108,14 +93,3 @@ def load_config(path) -> dict:
         out[section] = replace(base, **kwargs)
     return out
 
-
-def save_config(path, sections: dict) -> None:
-    parser = configparser.ConfigParser()
-    for name, value in sections.items():
-        if hasattr(value, "__dataclass_fields__"):
-            parser[name] = {f.name: repr(getattr(value, f.name))
-                            for f in fields(value)}
-        else:
-            parser[name] = {k: str(v) for k, v in value.items()}
-    with open(path, "w") as fh:
-        parser.write(fh)

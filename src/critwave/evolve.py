@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .config import EvolutionConfig, Thresholds
 from .fields import RadialField, State
-from .functionals import l2_norm_sq, norm_H, smooth_cutoff
+from .functionals import norm_H, smooth_cutoff
 from .grids import RadialGrid
 from .modulation import (FitError, _RadialDistance, _manifold_distance_sq,
                          distance_dW, fit_modulation, manifold_distance)
@@ -40,6 +40,17 @@ UNDETERMINED = "Undetermined"
 
 _EXT_PAD = 2.0          # grid-speed allowance in the exterior-energy radius
 _MAX_SAFE_AMP = 1e12    # amplitude at which the run is certainly diverging
+
+# detector and stepper constants (calibrated at the default resolution)
+BLOWUP_NORM_MULT = 6.0      # escape threshold = mult * max(||u(0)||_H, floor)
+BLOWUP_NORM_FLOOR = 4.0
+SCATTER_WINDOW = 8.0        # trailing window of sustained free-wave dominance
+FREE_RATIO_THRESHOLD = 0.02
+CONE_S = 25.0               # cutoff offset in w(t,r) = chi(r/(t+S))
+SUPPORT_RADIUS = 30.0       # nominal data support for E_ext
+DT_FLOOR_FACTOR = 4096.0    # give up once the dt cap is below dt0 / factor
+CONFIRM_REFINE = 2          # grid refinement of the blow-up confirmation
+CONFIRM_WINDOW = 3.0        # confirmation window around the last checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +148,14 @@ class RadialWaveEvolver:
         with np.errstate(over="ignore", invalid="ignore"):
             return math.sqrt(float(np.max(self._square_u(w))))
 
-    def advance(self, w, v, t: float, t_target: float, a=None,
-                floor_factor: float = EvolutionConfig.dt_floor_factor):
+    def advance(self, w, v, t: float, t_target: float, a=None):
         """Step from t to t_target under the nonlinear dt cap.
 
         Before every step the amplitude sqrt(max u^2) over all nodes is
         read from the force's own buffer and caps dt at
         0.35 / (sqrt(5) amp^2).  Returns (w, v, a, t, stop) as in
         :meth:`steps`, with ``stop`` one of "target" (t reached t_target),
-        "floor" (the cap fell below dt0 / floor_factor) or "overflow" (the
+        "floor" (the cap fell below dt0 / DT_FLOOR_FACTOR) or "overflow" (the
         amplitude is not finite or above _MAX_SAFE_AMP); on the last two,
         t is the time of the state returned.  The inputs are not modified.
         """
@@ -158,7 +168,7 @@ class RadialWaveEvolver:
             if t >= t_target - 1e-12:
                 return w, v, a, t, "target"
             dt_cap = _nl_dt_cap(amp, self.dt0)
-            if dt_cap < self.dt0 / floor_factor:
+            if dt_cap < self.dt0 / DT_FLOOR_FACTOR:
                 return w, v, a, t, "floor"
             dt = min(dt_cap, t_target - t)
             self._step(w, v, a, dt)
@@ -175,27 +185,12 @@ class RadialWaveEvolver:
                      RadialField(self.grid, v / self.r))
 
 
-def step(s: State, dt: float, n_steps: int = 1, cfl: float = 0.45) -> State:
+def step(s: State, dt: float, n_steps: int = 1) -> State:
     """Advance a radial state by n_steps explicit steps of size dt."""
-    ev = RadialWaveEvolver(s.grid, cfl)
+    ev = RadialWaveEvolver(s.grid)
     w, v = ev.state_to_wv(s)
     w, v, _ = ev.steps(w, v, n_steps, dt)
     return ev.wv_to_state(w, v)
-
-
-def staticity_residual(s: State) -> float:
-    """||u_tt||_2 at t = 0 under the discrete interior operator.
-
-    The two outer closure rows are excluded: they encode the outgoing
-    radiation condition, which is not exactly compatible with a static
-    power-law tail (its slow erosion is a boundary effect, not a failure
-    of staticity).
-    """
-    ev = RadialWaveEvolver(s.grid)
-    w, v = ev.state_to_wv(s)
-    acc = ev.force(w, v) / ev.r
-    acc[-2:] = 0.0
-    return math.sqrt(l2_norm_sq(RadialField(s.grid, acc)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +232,12 @@ class TrajectoryRecord:
         return np.asarray(self.series[key])
 
     def to_csv(self, path) -> None:
-        cols = [self.column(k) for k in _SERIES_KEYS]
-        with open(path, "w") as fh:
-            fh.write(",".join(_SERIES_KEYS) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+        self._write_csv(path, _SERIES_KEYS)
 
     def to_extended_csv(self, path) -> None:
-        keys = _SERIES_KEYS + _EXTRA_KEYS
+        self._write_csv(path, _SERIES_KEYS + _EXTRA_KEYS)
+
+    def _write_csv(self, path, keys) -> None:
         cols = [self.column(k) for k in keys]
         with open(path, "w") as fh:
             fh.write(",".join(keys) + "\n")
@@ -291,8 +284,7 @@ def _to_jsonable(x):
 class _MonitorState:
     """Carries fit seeds and tau accumulation between monitor times."""
 
-    def __init__(self, cfg: EvolutionConfig, thresholds: Thresholds):
-        self.cfg = cfg
+    def __init__(self, thresholds: Thresholds):
         self.th = thresholds
         self.sigma_seed = 0.0
         self.sign_seed: int | None = None
@@ -330,7 +322,7 @@ def _monitor_row(s: State, t: float, spec: SpectralData,
     """All monitors of one state.  u1', its far-field fit and the H^1,
     critical and L^2 pieces are computed once and shared by the fit, the
     distances and the functionals."""
-    cfg, th = mon.cfg, mon.th
+    th = mon.th
     g = s.grid
     dist = _RadialDistance(spec, s)
     pieces = dist.pieces
@@ -372,10 +364,10 @@ def _monitor_row(s: State, t: float, spec: SpectralData,
                 "u2_sq": pieces.l2})
     row["free_ratio"] = pieces.crit / max(nham * nham, 1e-300)
     # exterior energy beyond the light cone of the nominal support
-    r_cut = cfg.support_radius + abs(t) + _EXT_PAD
+    r_cut = SUPPORT_RADIUS + abs(t) + _EXT_PAD
     row["Eext"] = exterior_energy(s, r_cut, pieces.du)
     # localized virial and equipartition brackets
-    wcut = smooth_cutoff(g.r / (abs(t) + cfg.cone_S))
+    wcut = smooth_cutoff(g.r / (abs(t) + CONE_S))
     lam0_u = g.r * pieces.du + 1.5 * s.u1.values
     row["Vw"] = g.quad_meas(wcut * s.u2.values * lam0_u)
     row["equip"] = g.quad_meas(wcut * s.u2.values * s.u1.values)
@@ -412,9 +404,9 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     ev = RadialWaveEvolver(state0.grid, cfg.cfl)
     w, v = ev.state_to_wv(state0)
     a = None                  # force at (w, v), carried between strides
-    mon = _MonitorState(cfg, th)
+    mon = _MonitorState(th)
     norm0 = norm_H(state0)
-    threshold = cfg.blowup_norm_mult * max(norm0, cfg.blowup_norm_floor)
+    threshold = BLOWUP_NORM_MULT * max(norm0, BLOWUP_NORM_FLOOR)
     rows: list[dict] = []
     checkpoints: list[tuple[float, np.ndarray, np.ndarray]] = []
     t = 0.0
@@ -437,11 +429,11 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
             break
         if t >= cfg.t_max - 1e-9 * max(1.0, cfg.t_max):
             break
-        if t >= 1.5 * cfg.scatter_window and _scatters(rows, cfg, th):
+        if t >= 1.5 * SCATTER_WINDOW and _scatters(rows, th):
             break
         w, v, a, t, stop = ev.advance(w, v, t,
                                       min(t + cfg.monitor_stride, cfg.t_max),
-                                      a, cfg.dt_floor_factor)
+                                      a)
         if stop == "floor":
             stepper_floor = True
             exceeded_at = t
@@ -466,15 +458,15 @@ def _nl_dt_cap(amp: float, dt0: float) -> float:
     return min(dt0, 0.35 / max(omega, 1e-300))
 
 
-def _scatters(rows: list[dict], cfg: EvolutionConfig, th: Thresholds) -> bool:
+def _scatters(rows: list[dict], th: Thresholds) -> bool:
     """Sustained free-wave dominance over the trailing scatter window."""
-    window = [r for r in rows if r["t"] >= rows[-1]["t"] - cfg.scatter_window]
+    window = [r for r in rows if r["t"] >= rows[-1]["t"] - SCATTER_WINDOW]
     norms = [r["norm_H"] for r in window]
     return (len(window) >= 4
             and all(r["K"] > 0 for r in window)
             and all(r["dW"] >= th.delta_star for r in window)
             and max(norms) <= 1.25 * max(min(norms), 1e-12)
-            and all(r["free_ratio"] < cfg.free_ratio_threshold for r in window))
+            and all(r["free_ratio"] < FREE_RATIO_THRESHOLD for r in window))
 
 
 def _classify(rows, cfg, th, exceeded_at, nan_seen, stepper_floor,
@@ -488,8 +480,8 @@ def _classify(rows, cfg, th, exceeded_at, nan_seen, stepper_floor,
                                           else detail["t_last"])
         detail["stepper_floor"] = bool(stepper_floor)
         return (BLOWUP if confirmed else UNDETERMINED), detail
-    if _scatters(rows, cfg, th):
-        detail["scatter_window_start"] = detail["t_last"] - cfg.scatter_window
+    if _scatters(rows, th):
+        detail["scatter_window_start"] = detail["t_last"] - SCATTER_WINDOW
         return SCATTER, detail
     detail["reason"] = "horizon reached without confirmed escape or dispersal"
     return UNDETERMINED, detail
@@ -503,16 +495,16 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
     """
     if not checkpoints:
         return False, {"confirmed": False, "reason": "no checkpoint"}
-    t_back = checkpoints[-1][0] - cfg.confirm_window
+    t_back = checkpoints[-1][0] - CONFIRM_WINDOW
     earlier = [cp for cp in checkpoints if cp[0] <= t_back]
     t0, w0, v0 = earlier[-1] if earlier else checkpoints[0]
-    fine = RadialGrid(3, ev.grid.r_max, ev.grid.n * cfg.confirm_refine, "uniform")
+    fine = RadialGrid(3, ev.grid.r_max, ev.grid.n * CONFIRM_REFINE, "uniform")
     ev2 = RadialWaveEvolver(fine, 0.5 * (ev.dt0 / ev.h))
     w = _resample_w(ev.grid.r, w0, fine.r)
     v = _resample_w(ev.grid.r, v0, fine.r)
     a = None
     t = t0
-    horizon = checkpoints[-1][0] + cfg.confirm_window
+    horizon = checkpoints[-1][0] + CONFIRM_WINDOW
     peak, prev_norm = 0.0, math.inf
     while t < horizon - 1e-12:
         nrm = norm_H(ev2.wv_to_state(w, v))
@@ -523,7 +515,7 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
         prev_norm = nrm
         w, v, a, t, stop = ev2.advance(w, v, t,
                                        min(t + cfg.monitor_stride, horizon),
-                                       a, cfg.dt_floor_factor)
+                                       a)
         if stop != "target":
             mode = "overflow" if stop == "overflow" else "stepper floor"
             return True, {"confirmed": True, "mode": f"{mode} on refined grid",

@@ -31,7 +31,8 @@ from .modulation import (_w_sigma_field, assemble_state, box_mode_gram,
                          fit_modulation)
 from .evolve import (BLOWUP, SCATTER, UNDETERMINED, TrajectoryRecord,
                      evolve_with_monitors, one_pass_check)
-from .spectral import SpectralData, build_spectral_data, coercivity_probe
+from .spectral import (BW_TOL, SHOOT_TOL, SpectralData, build_spectral_data,
+                       coercivity_probe)
 
 RECIPES = ("quadrant", "scaled_w", "bump", "gmode", "file")
 QUADRANT_DIRECTIONS = {"+1,0": (1, 0), "-1,0": (-1, 0),
@@ -39,6 +40,8 @@ QUADRANT_DIRECTIONS = {"+1,0": (1, 0), "-1,0": (-1, 0),
 # verdict pairs (backward, forward) predicted by the linearized phase portrait
 QUADRANT_EXPECTED = {"+1,0": (BLOWUP, BLOWUP), "-1,0": (SCATTER, SCATTER),
                      "0,+1": (SCATTER, BLOWUP), "0,-1": (BLOWUP, SCATTER)}
+# energy-norm size of a perturbed sweep variant's bump, relative to eps
+PERTURB_FRACTION = 0.10
 
 
 # ---------------------------------------------------------------------------
@@ -67,13 +70,34 @@ class ExperimentSpec:
             if not 0.0 < eps <= thresholds.eps_star:
                 raise ValueError(
                     f"eps = {eps} outside (0, eps_star = {thresholds.eps_star}]")
+        elif self.recipe == "file":
+            _load_file_state(self.params.get("path"))
 
 
-def build_initial_state(spec_exp: ExperimentSpec, spectral: SpectralData,
-                        rng: np.random.Generator | None = None) -> State:
+def _load_file_state(path) -> State:
+    """The ``file`` recipe's state, as written by ``fields.save_state``;
+    ValueError when it cannot be read or does not live on a uniform d = 3
+    grid, the only grids the evolution takes."""
+    if path is None:
+        raise ValueError("the file recipe needs a path")
+    try:
+        state = load_state(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read the file state: {exc}") from exc
+    g = state.grid
+    if g.d != 3 or g.spacing != "uniform":
+        raise ValueError(f"the file state {path} lives on {g!r}; evolution "
+                         "needs a uniform d = 3 grid")
+    return state
+
+
+def build_initial_state(spec_exp: ExperimentSpec,
+                        spectral: SpectralData) -> State:
+    p = spec_exp.params
+    if spec_exp.recipe == "file":
+        return _load_file_state(p.get("path"))
     cfg = spec_exp.evolution
     grid = RadialGrid(3, cfg.r_max, cfg.n, "uniform")
-    p = spec_exp.params
     w_vals = np.asarray(eval_W(3, grid.r ** 2))
     zeros = np.zeros(grid.n)
     if spec_exp.recipe == "quadrant":
@@ -100,15 +124,12 @@ def build_initial_state(spec_exp: ExperimentSpec, spectral: SpectralData,
         norm = 1.0 / math.sqrt(2.0 * spectral.k)
         u1 = w_vals + eps * norm * rho
         u2 = eps * sign * spectral.k * norm * rho
-    elif spec_exp.recipe == "file":
-        return load_state(p["path"], p.get("representation", "radial"))
     else:
         raise ValueError(f"unknown recipe {spec_exp.recipe!r}")
     state = State(RadialField(grid, u1), RadialField(grid, u2))
     pert = float(p.get("perturb_norm", 0.0))
     if pert > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(derive_seed(spec_exp.seed, spec_exp.name))
+        rng = np.random.default_rng(derive_seed(spec_exp.seed, spec_exp.name))
         state = perturb_state(state, pert, rng)
     return state
 
@@ -253,21 +274,20 @@ class QuadrantTable:
 _POOL_CTX: dict = {}
 
 
-def _pool_init(eigen_n: int):
-    _POOL_CTX["spectral"] = build_spectral_data(cross_check=False,
-                                                eigen_n=eigen_n)
+def _pool_init(eigen_grid: RadialGrid):
+    """A worker's spectrum, rebuilt on the caller's eigen grid."""
+    _POOL_CTX["spectral"] = build_spectral_data(
+        eigen_grid, eigen_n=eigen_grid.n, cross_check=False)
 
 
-def _pool_case(case: dict) -> dict:
+def _pool_case(case: tuple) -> QuadrantRow:
     return _run_quadrant_case(case, _POOL_CTX["spectral"])
 
 
-def _run_quadrant_case(case: dict, spectral: SpectralData) -> dict:
-    th = Thresholds(**case["thresholds"]) if case.get("thresholds") else Thresholds()
-    cfg = EvolutionConfig(**case["evolution"])
-    exp = ExperimentSpec(name=case["name"], recipe="quadrant",
-                         params=case["params"], evolution=cfg,
-                         out_dir=case.get("out_dir"), seed=case["seed"])
+def _run_quadrant_case(case: tuple, spectral: SpectralData) -> QuadrantRow:
+    """One sweep case (a_key, variant, ExperimentSpec, Thresholds), run in
+    both time directions."""
+    a_key, variant, exp, th = case
     t0 = time.time()
     record = run_experiment(exp, spectral, th)
     wall = time.time() - t0
@@ -276,12 +296,12 @@ def _run_quadrant_case(case: dict, spectral: SpectralData) -> dict:
     rate = record.ejection_rate_forward
     if math.isnan(rate):
         rate = record.ejection_rate_backward
-    return {"name": case["name"], "a": case["a_key"], "eps": case["params"]["eps"],
-            "variant": case["variant"],
-            "verdict_backward": record.verdict_backward,
-            "verdict_forward": record.verdict_forward,
-            "ejection_rate": rate, "runtime": wall,
-            "lambda_form_dev": dev, "one_pass_ok": bool(check["ok"])}
+    return QuadrantRow(a=a_key, eps=exp.params["eps"], variant=variant,
+                       verdict_backward=record.verdict_backward,
+                       verdict_forward=record.verdict_forward,
+                       ejection_rate=rate, runtime=wall, lambda_form_dev=dev,
+                       one_pass_ok=bool(check["ok"]),
+                       expected=QUADRANT_EXPECTED[a_key])
 
 
 def run_quadrant_sweep(eps_list=(1e-3, 3e-3, 1e-2),
@@ -289,13 +309,12 @@ def run_quadrant_sweep(eps_list=(1e-3, 3e-3, 1e-2),
                        thresholds: Thresholds | None = None,
                        evolution: EvolutionConfig | None = None,
                        n_perturbed: int = 0,
-                       perturb_fraction: float = 0.10,
                        seed: int = 20240801,
                        threads: int = 1,
                        out_dir: str | None = None) -> QuadrantTable:
     """All four directions for each amplitude, plus perturbed-variant probes.
 
-    Perturbed variants add a generic bump of perturb_fraction * eps in the
+    Perturbed variants add a generic bump of PERTURB_FRACTION * eps in the
     energy norm; their verdicts probe the open-set (interior) claim and
     must match the base run.
     """
@@ -306,36 +325,26 @@ def run_quadrant_sweep(eps_list=(1e-3, 3e-3, 1e-2),
     cases = []
     for a_key, a in QUADRANT_DIRECTIONS.items():
         for eps in eps_list:
-            cases.append({"a_key": a_key, "variant": "base",
-                          "name": f"quadrant_a{a_key}_eps{eps:g}",
-                          "params": {"a": a, "eps": float(eps)},
-                          "evolution": cfg.__dict__.copy(),
-                          "thresholds": th.__dict__.copy(),
-                          "seed": seed, "out_dir": out_dir})
+            exp = ExperimentSpec(f"quadrant_a{a_key}_eps{eps:g}", "quadrant",
+                                 {"a": a, "eps": float(eps)}, evolution=cfg,
+                                 out_dir=out_dir, seed=seed)
+            cases.append((a_key, "base", exp, th))
     for idx in range(n_perturbed):
         a_key = sorted(QUADRANT_DIRECTIONS)[idx % 4]
         eps = float(eps_list[(idx // 4) % len(eps_list)])
         name = f"quadrant_a{a_key}_eps{eps:g}_pert{idx}"
-        cases.append({"a_key": a_key, "variant": f"pert{idx}", "name": name,
-                      "params": {"a": QUADRANT_DIRECTIONS[a_key], "eps": eps,
-                                 "perturb_norm": perturb_fraction * eps},
-                      "evolution": cfg.__dict__.copy(),
-                      "thresholds": th.__dict__.copy(),
-                      "seed": derive_seed(seed, name), "out_dir": out_dir})
+        exp = ExperimentSpec(name, "quadrant",
+                             {"a": QUADRANT_DIRECTIONS[a_key], "eps": eps,
+                              "perturb_norm": PERTURB_FRACTION * eps},
+                             evolution=cfg, out_dir=out_dir,
+                             seed=derive_seed(seed, name))
+        cases.append((a_key, f"pert{idx}", exp, th))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads, initializer=_pool_init,
-                                 initargs=(spectral.eigen_grid.n,)) as pool:
-            results = list(pool.map(_pool_case, cases))
+                                 initargs=(spectral.eigen_grid,)) as pool:
+            rows = list(pool.map(_pool_case, cases))
     else:
-        results = [_run_quadrant_case(c, spectral) for c in cases]
-    rows = [QuadrantRow(a=r["a"], eps=r["eps"], variant=r["variant"],
-                        verdict_backward=r["verdict_backward"],
-                        verdict_forward=r["verdict_forward"],
-                        ejection_rate=r["ejection_rate"], runtime=r["runtime"],
-                        lambda_form_dev=r["lambda_form_dev"],
-                        one_pass_ok=r["one_pass_ok"],
-                        expected=QUADRANT_EXPECTED[r["a"]])
-            for r in results]
+        rows = [_run_quadrant_case(c, spectral) for c in cases]
     table = QuadrantTable(rows=rows, seed=seed)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -512,8 +521,9 @@ def run_static_suite(spectral: SpectralData | None = None,
     res = spectral.residuals
     checks.append(_check("eigen_residual", res["eig_residual_l2"], 1e-6))
     if "k_rel_diff" in res:
-        checks.append(_check("k_matrix_vs_shooting", res["k_rel_diff"], 1e-4))
-        checks.append(_check("b_W_two_routes", res["b_W_rel_diff"], 1e-3))
+        checks.append(_check("k_matrix_vs_shooting", res["k_rel_diff"],
+                             SHOOT_TOL))
+        checks.append(_check("b_W_two_routes", res["b_W_rel_diff"], BW_TOL))
     checks.append(_check("a_W_positive", spectral.a_W, 0.0, kind="gt"))
     checks.append(_check("b_W_positive", spectral.b_W, 0.0, kind="gt"))
     gp, gm = spectral.mode_states(grid)
@@ -594,7 +604,7 @@ def run_static_suite(spectral: SpectralData | None = None,
                          detail="d_W^2 vs k^2 eps^2 / 2 from the energy expansion"))
 
     # boost identity
-    jref = functional_J(RadialField(grid, spectral.W_on(grid)))
+    jref = j_of_w
     worst_boost = 0.0
     for pmag in (0.1, 0.2, 0.4):
         e_val, p_vec = boost_energy_momentum(BoostParams(0.0, (pmag, 0.0, 0.0)))

@@ -1,4 +1,4 @@
-"""Field containers, the static ground state, and field serialization.
+"""Field containers, the static ground state, and radial serialization.
 
 The phase space is H = H^1_dot x L^2, represented either by a pair of
 radial fields (spherically symmetric states) or by a pair of 3-D box
@@ -7,7 +7,6 @@ fields (translated / boosted states).  All values are dimensionless.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -82,47 +81,30 @@ def eval_W_prime_mode(d: int, r) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 class RadialProfile:
-    """A radial function evaluable at arbitrary radii.
+    """A cubic spline through radial samples (grid.r, values), evaluable at
+    arbitrary radii, with a parity-correct extension through the origin and
+    a far-field model beyond the last sample.
 
-    Wraps either a closed form or a cubic spline through samples, with a
-    parity-correct extension through the origin and a far-field model
-    beyond the last sample (power-law c*r^(2-d) + b*r^(-d), or zero for
-    exponentially decaying profiles).
+    parity : +1 / -1 behavior under r -> -r (for evaluation near 0)
+    tail : "decay" (zero beyond r_max) or "power" (c r^(2-d) + b r^-d)
     """
 
-    def __init__(self, fn, r_max: float = math.inf):
-        self._fn = fn
-        self.r_max = r_max
+    def __init__(self, grid: RadialGrid, values: np.ndarray, parity: int,
+                 tail: str):
+        self._spline = _mirrored_spline(grid, values, parity)
+        self._r_last = grid.r[-1]
+        self._d = grid.d
+        self._cb = grid.tail_fit(values) if tail == "power" else (0.0, 0.0)
 
     def __call__(self, r) -> np.ndarray:
-        return self._fn(np.asarray(r, dtype=float))
-
-    @classmethod
-    def from_samples(cls, grid: RadialGrid, values: np.ndarray,
-                     parity: int = 1, tail: str = "decay") -> "RadialProfile":
-        """Spline through (grid.r, values).
-
-        parity : +1 / -1 behavior under r -> -r (for evaluation near 0)
-        tail : "decay" (zero beyond r_max) or "power" (c r^(2-d) + b r^-d)
-        """
-        spline = _mirrored_spline(grid, values, parity)
-        r_last = grid.r[-1]
-        d = grid.d
-        if tail == "power":
-            c, b = grid.tail_fit(values)
-        else:
-            c = b = 0.0
-
-        def fn(r):
-            rr = np.abs(np.asarray(r, dtype=float))
-            out = np.asarray(spline(rr))
-            far = rr > r_last
-            if np.any(far):
-                rf = np.where(far, rr, r_last)
-                out = np.where(far, c * rf ** (2.0 - d) + b * rf ** (-float(d)), out)
-            return out
-
-        return cls(fn, r_max=r_last)
+        rr = np.abs(np.asarray(r, dtype=float))
+        out = np.asarray(self._spline(rr))
+        far = rr > self._r_last
+        if np.any(far):
+            (c, b), d = self._cb, self._d
+            rf = np.where(far, rr, self._r_last)
+            out = np.where(far, c * rf ** (2.0 - d) + b * rf ** (-float(d)), out)
+        return out
 
 
 def _mirrored_spline(grid: RadialGrid, values: np.ndarray,
@@ -149,8 +131,8 @@ class UniformSpline:
     each interval directly, i = floor((r - x_0) / h), with one correction
     step to scipy's rule x[i] <= r < x[i+1] (the node rounding moves a
     floor by at most one interval) instead of a binary search per point, so
-    its values are bitwise those of ``RadialProfile.from_samples`` on each
-    column.  Large inputs are evaluated in blocks of BLOCK_POINTS.
+    its values are bitwise those of a ``RadialProfile`` of each column.
+    Large inputs are evaluated in blocks of BLOCK_POINTS.
     """
 
     def __init__(self, grid: RadialGrid, values: np.ndarray, parity):
@@ -224,15 +206,12 @@ class RadialField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", v)
 
-    @property
-    def d(self) -> int:
-        return self.grid.d
+    def deriv(self) -> np.ndarray:
+        return self.grid.deriv(self.values)
 
-    def deriv(self, parity: int = 1) -> np.ndarray:
-        return self.grid.deriv(self.values, parity)
-
-    def profile(self, parity: int = 1, tail: str = "power") -> RadialProfile:
-        return RadialProfile.from_samples(self.grid, self.values, parity, tail)
+    def profile(self) -> RadialProfile:
+        """The even spline profile with the power-law far field."""
+        return RadialProfile(self.grid, self.values, 1, "power")
 
     def __add__(self, other: "RadialField") -> "RadialField":
         _check_same_grid(self, other)
@@ -266,19 +245,6 @@ class Field3D:
 
     def gradient(self) -> list[np.ndarray]:
         return self.grid.gradient(self.values)
-
-    def __add__(self, other: "Field3D") -> "Field3D":
-        _check_same_grid(self, other)
-        return Field3D(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Field3D") -> "Field3D":
-        _check_same_grid(self, other)
-        return Field3D(self.grid, self.values - other.values)
-
-    def __mul__(self, a: float) -> "Field3D":
-        return Field3D(self.grid, self.values * a)
-
-    __rmul__ = __mul__
 
 
 def _check_same_grid(a, b):
@@ -472,37 +438,14 @@ def load_radial_field(path) -> RadialField:
     return RadialField(grid, np.array([ab[1] for ab in rows]))
 
 
-def save_field3d(path_prefix, fld: Field3D) -> None:
-    """Raw little-endian float64 block plus a JSON grid sidecar."""
-    raw = str(path_prefix) + ".f64"
-    fld.values.astype("<f8").tofile(raw)
-    sidecar = {"half_width": fld.grid.half_width, "m": fld.grid.m,
-               "dtype": "<f8", "order": "C"}
-    with open(str(path_prefix) + ".json", "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_field3d(path_prefix) -> Field3D:
-    with open(str(path_prefix) + ".json") as fh:
-        sidecar = json.load(fh)
-    grid = Box3DGrid(float(sidecar["half_width"]), int(sidecar["m"]))
-    vals = np.fromfile(str(path_prefix) + ".f64", dtype="<f8")
-    return Field3D(grid, vals.reshape((grid.m,) * 3))
-
-
 def save_state(path_prefix, s: State) -> None:
-    if s.representation == "radial":
-        save_radial_field(str(path_prefix) + "_u1.dat", s.u1)
-        save_radial_field(str(path_prefix) + "_u2.dat", s.u2)
-    else:
-        save_field3d(str(path_prefix) + "_u1", s.u1)
-        save_field3d(str(path_prefix) + "_u2", s.u2)
+    """A radial state as two columnar files, <prefix>_u1.dat and
+    <prefix>_u2.dat: the format of the ``file`` recipe."""
+    s.require_radial("save_state")
+    save_radial_field(str(path_prefix) + "_u1.dat", s.u1)
+    save_radial_field(str(path_prefix) + "_u2.dat", s.u2)
 
 
-def load_state(path_prefix, representation: str = "radial") -> State:
-    if representation == "radial":
-        return State(load_radial_field(str(path_prefix) + "_u1.dat"),
-                     load_radial_field(str(path_prefix) + "_u2.dat"))
-    return State(load_field3d(str(path_prefix) + "_u1"),
-                 load_field3d(str(path_prefix) + "_u2"))
+def load_state(path_prefix) -> State:
+    return State(load_radial_field(str(path_prefix) + "_u1.dat"),
+                 load_radial_field(str(path_prefix) + "_u2.dat"))

@@ -242,39 +242,26 @@ def center_of_energy(s: State, cutoff_radius: float) -> np.ndarray:
     return np.array([q(x * w * e), q(y * w * e), q(z * w * e)])
 
 
-def localized_energy(s: State, cutoff_radius: float) -> float:
-    """<w | e(u_vec)> with the same cutoff as center_of_energy."""
-    if s.representation == "radial":
-        e = energy_density(s).values
-        w = smooth_cutoff(s.grid.r / cutoff_radius)
-        return s.grid.quad_meas(w * e)
-    e = energy_density(s).values
-    w = smooth_cutoff(s.grid.radius / cutoff_radius)
-    return s.grid.quad(w * e)
-
-
 # ---------------------------------------------------------------------------
 # boosted-soliton quadrature (axisymmetric spherical product rule)
 # ---------------------------------------------------------------------------
 
-def boost_energy_momentum(params: BoostParams, n_r: int = 3072,
-                          n_theta: int = 48, r_max: float = 1.0e6,
-                          beta: float = 16.0) -> tuple[float, np.ndarray]:
+def boost_energy_momentum(params: BoostParams) -> tuple[float, np.ndarray]:
     """(E, P) of the boosted soliton by direct quadrature of the profile.
 
-    Uses a sinh-stretched radial rule times Gauss-Legendre in cos(theta)
-    around the boost axis, with closed-form samples of u1, u2 and grad u1
-    at every node.  The huge r_max keeps the O(1/r) truncation of the
-    gradient norm below 1e-6 relative without a tail model, so the
-    energy-momentum relation E^2 - |P|^2 = J(W)^2 is probed by quadrature
-    alone.
+    Uses a sinh-stretched radial rule (3072 nodes, beta = 16) times 48-point
+    Gauss-Legendre in cos(theta) around the boost axis, with closed-form
+    samples of u1, u2 and grad u1 at every node.  The huge r_max = 1e6
+    keeps the O(1/r) truncation of the gradient norm below 1e-6 relative
+    without a tail model, so the energy-momentum relation
+    E^2 - |P|^2 = J(W)^2 is probed by quadrature alone.
     """
     d = 3
     p = np.asarray(params.p, dtype=float)
     pn = params.p_norm
     gamma = params.lorentz_factor
-    rad = RadialGrid(d, r_max, n_r, "sinh", beta)
-    mu, glw = np.polynomial.legendre.leggauss(n_theta)
+    rad = RadialGrid(d, 1.0e6, 3072, "sinh", 16.0)
+    mu, glw = np.polynomial.legendre.leggauss(48)
     r = rad.r[:, None]
     # z along the boost axis; x in a transverse direction; azimuthal factor 2 pi
     z = r * mu[None, :]

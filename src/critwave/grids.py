@@ -95,11 +95,6 @@ class RadialGrid:
         return {"d": self.d, "r_max": self.r_max, "n": self.n,
                 "spacing": self.spacing, "beta": self.beta}
 
-    @classmethod
-    def from_descriptor(cls, desc: dict) -> "RadialGrid":
-        return cls(int(desc["d"]), float(desc["r_max"]), int(desc["n"]),
-                   desc.get("spacing", "sinh"), float(desc.get("beta", 6.0)))
-
     def __eq__(self, other):
         return (isinstance(other, RadialGrid)
                 and self.describe() == other.describe())
@@ -146,9 +141,6 @@ class RadialGrid:
     def w_meas(self) -> np.ndarray:
         """Weights for the full radial measure int g(r) r^(d-1) dr * |S^(d-1)|."""
         return self.w_r * self.r ** (self.d - 1) * self.angular_factor
-
-    def quad_r(self, g: np.ndarray) -> float:
-        return float(self.w_r @ g)
 
     def quad_meas(self, g: np.ndarray) -> float:
         return float(self.w_meas @ g)
@@ -206,9 +198,9 @@ class RadialGrid:
         sol, *_ = np.linalg.lstsq(a, f[-_TAIL_FIT_NODES:] * weight, rcond=None)
         return float(sol[0]), float(sol[1])
 
-    def resolves_scale(self, scale: float, factor: float = 4.0) -> bool:
-        """True if a feature of size ``scale`` spans >= ``factor`` cells."""
-        return scale >= factor * self.min_spacing
+    def resolves_scale(self, scale: float) -> bool:
+        """True if a feature of size ``scale`` spans >= 4 cells."""
+        return scale >= 4.0 * self.min_spacing
 
 
 class Box3DGrid:
@@ -226,10 +218,6 @@ class Box3DGrid:
 
     def describe(self) -> dict:
         return {"half_width": self.half_width, "m": self.m}
-
-    @classmethod
-    def from_descriptor(cls, desc: dict) -> "Box3DGrid":
-        return cls(float(desc["half_width"]), int(desc["m"]))
 
     def __eq__(self, other):
         return (isinstance(other, Box3DGrid)

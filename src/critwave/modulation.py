@@ -36,7 +36,7 @@ from .functionals import (RadialPieces, _h1_tail, energy_E, functional_J,
                           norm_H_sq, smooth_cutoff)
 from .grids import Box3DGrid, RadialGrid
 from .operators import scale_profile
-from .spectral import SpectralData
+from .spectral import SpectralData, quadratic_form_L
 
 
 class FitError(RuntimeError):
@@ -118,11 +118,9 @@ def _grid_refs(spec: SpectralData, grid) -> dict:
 def _build_refs(spec: SpectralData, grid) -> dict:
     if isinstance(grid, RadialGrid):
         w = RadialField(grid, spec.W_on(grid))
-        zeros = RadialField(grid, np.zeros(grid.n))
         return {
             "J_W": functional_J(w),
             "grad_W_sq": h1_seminorm_sq(w),
-            "W_state": State(w, zeros),
             "rho_norm_sq": l2_norm_sq(RadialField(grid, spec.rho_on(grid))),
         }
     # the box fit's references
@@ -470,8 +468,8 @@ def _residual_state(s: State, spec: SpectralData, sgn: int,
         v1 = s.u1.values - sgn * w
         v2 = s.u2.values.copy()
     else:
-        p1 = s.u1.profile(parity=1, tail="power")
-        p2 = s.u2.profile(parity=1, tail="power")
+        p1 = s.u1.profile()
+        p2 = s.u2.profile()
         v1 = scale_profile(p1, g.d, -1.0, -sigma)(g.r) - sgn * w
         v2 = scale_profile(p2, g.d, 0.0, -sigma)(g.r)
     return State(RadialField(g, v1), RadialField(g, v2))
@@ -484,8 +482,8 @@ def assemble_state(spec: SpectralData, sgn: int, sigma: float, c, v: State) -> S
     if np.any(np.asarray(c, dtype=float) != 0.0):
         raise ValueError("radial assembly requires c = 0")
     g = v.grid
-    p1 = v.u1.profile(parity=1, tail="power")
-    p2 = v.u2.profile(parity=1, tail="power")
+    p1 = v.u1.profile()
+    p2 = v.u2.profile()
     u1 = (sgn * _w_sigma_field(g, sigma)
           + scale_profile(p1, g.d, -1.0, sigma)(g.r))
     u2 = scale_profile(p2, g.d, 0.0, sigma)(g.r)
@@ -518,14 +516,6 @@ def split_modes(fit: ModulationFit, spec: SpectralData) -> ModeSplit:
                      gamma=gamma)
 
 
-def quadratic_form_L(spec: SpectralData, fld: RadialField) -> float:
-    """<L+ f | f> = ||grad f||^2 - p int W^(p-1) f^2."""
-    g = fld.grid
-    p = nonlinearity_power(g.d)
-    w_pm1 = spec.W_on(g) ** (p - 1.0)
-    return h1_seminorm_sq(fld) - p * g.quad_meas(w_pm1 * fld.values ** 2)
-
-
 def linearized_norm_sq(ms: ModeSplit, spec: SpectralData) -> float:
     """||v||_E^2 = (k^2 l1^2 + l2^2)/2 + <L gamma | gamma>/2 + alpha^2."""
     k = spec.k
@@ -534,7 +524,7 @@ def linearized_norm_sq(ms: ModeSplit, spec: SpectralData) -> float:
             + 0.5 * quad_g + ms.alpha ** 2)
 
 
-def superquadratic_C(v1: RadialField, spec: SpectralData | None = None) -> float:
+def superquadratic_C(v1: RadialField) -> float:
     """The beyond-quadratic part of the static energy around W.
 
     C(v) = int [ (|W+v1|^(2*) - W^(2*)) / 2* - W^p v1 - (p/2) W^(p-1) v1^2 ],

@@ -46,7 +46,7 @@ def apply_scaling_field(fld: RadialField, sigma: float, a: float) -> RadialField
         raise ResolutionError(
             f"scale e^-sigma = {math.exp(-sigma):.3g} below 4 cells of "
             f"size {g.min_spacing:.3g}")
-    prof = fld.profile(parity=1, tail="power")
+    prof = fld.profile()
     return RadialField(g, scale_profile(prof, g.d, a, sigma)(g.r))
 
 

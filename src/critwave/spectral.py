@@ -40,6 +40,10 @@ from .grids import RadialGrid
 DEFAULT_EIGEN_N = 16384
 SHOOT_MATCH_RADIUS = 2.0
 SHOOT_OUTER_RADIUS = 60.0
+# agreement required of the independent routes: matrix vs shooting k, and
+# the two b_W formulas (relative)
+SHOOT_TOL = 1e-4
+BW_TOL = 1e-3
 
 
 class SpectralConsistencyError(RuntimeError):
@@ -77,26 +81,6 @@ class LinearizedOperator:
         # outer edge: Dirichlet zero ghosts (eigenfunctions decay like e^(-k r))
         self.matrix = mat.tocsc()
         self._weight = r ** ((d - 1.0) / 2.0)
-
-    def apply_samples(self, u: np.ndarray) -> np.ndarray:
-        """L+ u for scalar samples u on the operator's grid."""
-        return (self.matrix @ (self._weight * u)) / self._weight
-
-    def apply_field(self, fld: RadialField) -> RadialField:
-        if fld.grid != self.grid:
-            raise ValueError("field lives on a different grid")
-        return RadialField(self.grid, self.apply_samples(fld.values))
-
-
-def apply_lplus_fd(fld: RadialField) -> RadialField:
-    """L+ by direct finite differences on any radial grid (cross-check path)."""
-    g = fld.grid
-    p = nonlinearity_power(g.d)
-    du = fld.deriv(parity=1)
-    d2u = g.deriv(du, parity=-1)
-    w_pow = np.asarray(eval_W(g.d, g.r ** 2)) ** (p - 1.0)
-    vals = -(d2u + (g.d - 1.0) / g.r * du) - p * w_pow * fld.values
-    return RadialField(g, vals)
 
 
 def _inverse_iteration(op: LinearizedOperator) -> tuple[np.ndarray, float]:
@@ -306,26 +290,12 @@ class SpectralData:
             fh.write("\n")
 
 
-def solve_ground_state(grid: RadialGrid,
-                       eigen_n: int = DEFAULT_EIGEN_N) -> tuple[RadialField, float]:
-    """Smallest eigenpair of L+, resampled onto the given grid.
-
-    Returns (rho, k) with rho positive and unit L^2 norm under the given
-    grid's quadrature; raises if the discretization yields no negative
-    eigenvalue.
-    """
-    data = build_spectral_data(grid, eigen_n=eigen_n, cross_check=False)
-    rho = data.rho_field(grid)
-    nrm = math.sqrt(l2_norm_sq(rho))
-    return RadialField(grid, rho.values / nrm), data.k
-
-
-def compute_constants(spec: SpectralData, bw_tol: float = 1e-3) -> tuple[float, float]:
+def compute_constants(spec: SpectralData) -> tuple[float, float]:
     """(a_W, b_W) from an eigenpair by the formulas of the build
-    (``_w_constants``); the two b_W routes must agree to bw_tol relative."""
+    (``_w_constants``); the two b_W routes must agree to BW_TOL relative."""
     _, lam0 = _mode_samples(spec.rho_eigen)
     a_w, b_w, b_w_alt = _w_constants(spec.rho_eigen, lam0, spec.k)
-    if abs(b_w - b_w_alt) / abs(b_w) > bw_tol:
+    if abs(b_w - b_w_alt) / abs(b_w) > BW_TOL:
         raise SpectralConsistencyError(
             f"b_W routes disagree: {b_w:.8f} vs {b_w_alt:.8f}")
     return a_w, b_w
@@ -334,7 +304,7 @@ def compute_constants(spec: SpectralData, bw_tol: float = 1e-3) -> tuple[float, 
 def _mode_samples(rho: RadialField) -> tuple[np.ndarray, np.ndarray]:
     """(d_r rho, Lambda_0 rho) = (rho', r rho' + (d/2) rho) on rho's grid."""
     g = rho.grid
-    rho_dr = rho.deriv(parity=1)
+    rho_dr = rho.deriv()
     return rho_dr, g.r * rho_dr + (g.d / 2.0) * rho.values
 
 
@@ -357,9 +327,7 @@ def _w_constants(rho: RadialField, lam0: np.ndarray,
 
 def build_spectral_data(grid: RadialGrid | None = None,
                         eigen_n: int = DEFAULT_EIGEN_N,
-                        cross_check: bool = True,
-                        shoot_tol: float = 1e-4,
-                        bw_tol: float = 1e-3) -> SpectralData:
+                        cross_check: bool = True) -> SpectralData:
     """Solve the eigenproblem and assemble all spectral constants.
 
     cross_check=True also runs the shooting solver and the second b_W
@@ -384,9 +352,9 @@ def build_spectral_data(grid: RadialGrid | None = None,
 
     # mode derivatives on the eigen grid, then splines
     rho_dr, lam0 = _mode_samples(rho)
-    rho_prof = RadialProfile.from_samples(egrid, rho.values, parity=1, tail="decay")
-    rho_dr_prof = RadialProfile.from_samples(egrid, rho_dr, parity=-1, tail="decay")
-    lam0_prof = RadialProfile.from_samples(egrid, lam0, parity=1, tail="decay")
+    rho_prof = RadialProfile(egrid, rho.values, parity=1, tail="decay")
+    rho_dr_prof = RadialProfile(egrid, rho_dr, parity=-1, tail="decay")
+    lam0_prof = RadialProfile(egrid, lam0, parity=1, tail="decay")
 
     a_w, b_w, b_w_alt = _w_constants(rho, lam0, k)
 
@@ -406,14 +374,14 @@ def build_spectral_data(grid: RadialGrid | None = None,
         rel = abs(k - k_shoot) / k
         residuals["k_shooting"] = k_shoot
         residuals["k_rel_diff"] = rel
-        if rel > shoot_tol:
+        if rel > SHOOT_TOL:
             raise SpectralConsistencyError(
                 f"matrix k = {k:.8f} vs shooting k = {k_shoot:.8f} "
-                f"differ by {rel:.2e} > {shoot_tol:.0e}")
+                f"differ by {rel:.2e} > {SHOOT_TOL:.0e}")
         rel_b = abs(b_w - b_w_alt) / abs(b_w)
         residuals["b_W_alt"] = b_w_alt
         residuals["b_W_rel_diff"] = rel_b
-        if rel_b > bw_tol:
+        if rel_b > BW_TOL:
             raise SpectralConsistencyError(
                 f"b_W routes disagree: {b_w:.8f} vs {b_w_alt:.8f} ({rel_b:.2e})")
 
@@ -441,43 +409,46 @@ def _random_probe(grid: RadialGrid, rng: np.random.Generator) -> np.ndarray:
     return f
 
 
+def quadratic_form_L(spec: SpectralData, fld: RadialField) -> float:
+    """<L+ f | f> = ||grad f||^2 - p int W^(p-1) f^2."""
+    g = fld.grid
+    p = nonlinearity_power(g.d)
+    w_pm1 = spec.W_on(g) ** (p - 1.0)
+    return h1_seminorm_sq(fld) - p * g.quad_meas(w_pm1 * fld.values ** 2)
+
+
 def coercivity_probe(spec: SpectralData, n_samples: int = 100,
-                     grid: RadialGrid | None = None,
-                     seed: int = 7, include_wprime: bool = True) -> dict:
+                     grid: RadialGrid | None = None, seed: int = 7) -> dict:
     """Sample the quadratic-form lower bound over probes orthogonal to rho.
 
     For each probe f with <f | rho> = 0 the ratio
     [<L+ f | f> + <f | Lambda_0 rho>^2 + <f | grad rho>^2] / ||grad f||^2
-    is recorded; the report carries (c_low, c_high) and any failure sample.
-    In radial symmetry the <f | grad rho> term vanishes identically.
+    is recorded, for n_samples random probes and then the near-null
+    threshold mode W' itself; the report carries (c_low, c_high) and any
+    failure sample.  In radial symmetry the <f | grad rho> term vanishes
+    identically.
     """
     if grid is None:
         grid = RadialGrid(spec.d, 200.0, 4096, "sinh", 6.0)
     rng = np.random.default_rng(seed)
     rho = spec.rho_field(grid)
     lam0 = RadialField(grid, spec.lambda0_rho_on(grid))
-    p = nonlinearity_power(grid.d)
-    w_pm1 = np.asarray(eval_W(grid.d, grid.r ** 2)) ** (p - 1.0)
     ratios = []
     failures = []
 
     def ratio_of(f_vals: np.ndarray) -> float:
         f = RadialField(grid, f_vals)
         f = RadialField(grid, f.values - l2_inner(f, rho) * rho.values)
-        grad_sq = h1_seminorm_sq(f)
-        quad_form = grad_sq - p * grid.quad_meas(w_pm1 * f.values ** 2)
-        lam0_ip = l2_inner(f, lam0)
-        return (quad_form + lam0_ip ** 2) / grad_sq
+        return ((quadratic_form_L(spec, f) + l2_inner(f, lam0) ** 2)
+                / h1_seminorm_sq(f))
 
     for i in range(n_samples):
         rat = ratio_of(_random_probe(grid, rng))
         ratios.append(rat)
         if rat <= 0:
             failures.append(i)
-    if include_wprime:
-        # near-null direction: the threshold mode itself
-        ratios.append(ratio_of(np.asarray(eval_W_prime_mode(grid.d, grid.r))))
-        if ratios[-1] <= 0:
-            failures.append("wprime")
+    ratios.append(ratio_of(np.asarray(eval_W_prime_mode(grid.d, grid.r))))
+    if ratios[-1] <= 0:
+        failures.append("wprime")
     return {"c_low": float(min(ratios)), "c_high": float(max(ratios)),
             "n_samples": len(ratios), "failures": failures}

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from critwave.config import EvolutionConfig
-from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, SCATTER, UNDETERMINED,
-                             RadialWaveEvolver, _nl_dt_cap, evolve_direction,
-                             evolve_with_monitors, exterior_energy,
-                             fit_ejection_rate, modulation_ode_residual,
-                             one_pass_check, staticity_residual, step)
+from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, DT_FLOOR_FACTOR, SCATTER,
+                             UNDETERMINED, RadialWaveEvolver, _nl_dt_cap,
+                             evolve_direction, evolve_with_monitors,
+                             exterior_energy, fit_ejection_rate,
+                             modulation_ode_residual, one_pass_check, step)
 from critwave.fields import RadialField, State, eval_W
-from critwave.functionals import energy_E, norm_H
+from critwave.functionals import energy_E, l2_norm_sq, norm_H
 from critwave.grids import RadialGrid
 
 
@@ -46,8 +46,15 @@ class TestStepper:
             RadialWaveEvolver(g5)
 
     def test_ground_state_staticity(self, dyn_grid):
+        # ||u_tt||_2 at t = 0 under the discrete interior operator; the two
+        # outer closure rows encode the outgoing radiation condition, which
+        # a static power-law tail does not satisfy exactly, and are excluded
         w = RadialField(dyn_grid, np.asarray(eval_W(3, dyn_grid.r ** 2)))
-        res = staticity_residual(State(w, zeros_on(dyn_grid)))
+        ev = RadialWaveEvolver(dyn_grid)
+        w_, v_ = ev.state_to_wv(State(w, zeros_on(dyn_grid)))
+        acc = ev.force(w_, v_) / ev.r
+        acc[-2:] = 0.0
+        res = math.sqrt(l2_norm_sq(RadialField(dyn_grid, acc)))
         assert res <= 1e-6
 
     def test_ground_state_short_drift(self, dyn_grid):
@@ -258,10 +265,9 @@ class TestAdvance:
     def test_cap_below_floor_returns_floor(self, dyn_grid):
         ev = RadialWaveEvolver(dyn_grid, 0.45)
         w, v = ev.state_to_wv(bump_state(dyn_grid, amp=1e3, width=1.0))
-        floor = EvolutionConfig().dt_floor_factor
-        assert _nl_dt_cap(1e3, ev.dt0) < ev.dt0 / floor
+        assert _nl_dt_cap(1e3, ev.dt0) < ev.dt0 / DT_FLOOR_FACTOR
         dts = recorded_dts(ev)
-        w1, v1, _, t, stop = ev.advance(w, v, 1.5, 2.0, None, floor)
+        w1, v1, _, t, stop = ev.advance(w, v, 1.5, 2.0)
         assert stop == "floor"
         assert t == 1.5 and not dts
         assert np.array_equal(w1, w) and np.array_equal(v1, v)

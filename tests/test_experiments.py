@@ -5,26 +5,28 @@ import numpy as np
 import pytest
 
 from critwave.cli import load_reference_constants, main as cli_main
+from critwave import experiments
 from critwave.config import (SWEEP_EVOLUTION, EvolutionConfig, Thresholds,
-                             load_config, save_config)
+                             load_config)
 from critwave.evolve import SCATTER
 from critwave.experiments import (ExperimentSpec, build_initial_state,
                                   derive_seed, exit_code_for, perturb_state,
                                   run_experiment, run_quadrant_sweep,
                                   run_static_suite)
+from critwave.fields import RadialField, State, save_state
 from critwave.functionals import norm_H
 from critwave.grids import RadialGrid
+from critwave.spectral import build_spectral_data
 
 FAST_EVOLUTION = dict(n=4096, r_max=48.0, t_max=30.0, monitor_stride=0.25)
 
 
 class TestConfigFormat:
     def test_round_trip(self, tmp_path):
-        th = Thresholds(delta_A=0.7)
-        cfg = EvolutionConfig(n=2048, t_max=12.5)
         path = tmp_path / "conf.ini"
-        save_config(path, {"thresholds": th, "evolution": cfg,
-                           "experiment": {"name": "demo", "recipe": "bump"}})
+        path.write_text("[thresholds]\ndelta_A = 0.7\n\n"
+                        "[evolution]\nn = 2048\nt_max = 12.5\n\n"
+                        "[experiment]\nname = demo\nrecipe = bump\n")
         back = load_config(path)
         assert back["thresholds"].delta_A == 0.7
         assert back["evolution"].n == 2048
@@ -78,7 +80,6 @@ class TestRecipes:
         assert norm_H(pert - base) == pytest.approx(0.01, rel=1e-10)
 
     def test_file_recipe_round_trip(self, spectral, tmp_path):
-        from critwave.fields import save_state
         cfg = EvolutionConfig(**FAST_EVOLUTION)
         exp = ExperimentSpec("b", "bump", {"amplitude": 0.03}, evolution=cfg)
         s = build_initial_state(exp, spectral)
@@ -165,6 +166,19 @@ class TestQuadrantSweep:
                 assert math.isnan(b.ejection_rate)
             else:
                 assert a.ejection_rate == b.ejection_rate  # bit-identical
+
+    def test_pool_workers_rebuild_the_callers_spectrum(self):
+        # a spectrum on r_max = 100 (not the default 200): a worker's
+        # rebuild must be on the same eigen grid, with the same k
+        grid = RadialGrid(3, 100.0, 1024, "sinh", 6.0)
+        spec = build_spectral_data(grid, eigen_n=4096, cross_check=False)
+        try:
+            experiments._pool_init(spec.eigen_grid)
+            worker = experiments._POOL_CTX["spectral"]
+        finally:
+            experiments._POOL_CTX.clear()
+        assert worker.eigen_grid == spec.eigen_grid
+        assert worker.k == spec.k
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +295,32 @@ class TestCLI:
         eps = 1e-3 if body else 0.02     # 0.02 > eps_star = 0.0125
         conf.write_text("[experiment]\nname = bad\nrecipe = quadrant\n"
                         f"a = +1,0\neps = {eps}\n\n" + body)
+        code = cli_main(["evolve", "--config", str(conf), "--out",
+                         str(tmp_path)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
+        assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("missing", "cannot read the file state"),
+        ("sinh", "needs a uniform d = 3 grid"),
+        ("representation", "could not convert string to float: 'box3d'"),
+    ])
+    def test_evolve_bad_file_state_exits_3(self, tmp_path, capsys, case,
+                                           message):
+        # the file state is loaded and checked before any evolution
+        spacing = "sinh" if case == "sinh" else "uniform"
+        g = RadialGrid(3, 48.0, 256, spacing)
+        zeros = RadialField(g, np.zeros(g.n))
+        if case != "missing":
+            save_state(tmp_path / "init", State(zeros, zeros))
+        extra = "representation = box3d\n" if case == "representation" else ""
+        conf = tmp_path / "bad.ini"
+        conf.write_text("[experiment]\nname = bad\nrecipe = file\n"
+                        f"path = {tmp_path / 'init'}\n" + extra)
         code = cli_main(["evolve", "--config", str(conf), "--out",
                          str(tmp_path)])
         assert code == 3

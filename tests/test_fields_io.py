@@ -144,15 +144,12 @@ class TestSerialization:
         assert np.array_equal(back.u1.values, s.u1.values)
         assert np.array_equal(back.u2.values, s.u2.values)
 
-    def test_state_round_trip_box(self, tmp_path):
+    def test_save_state_takes_radial_states_only(self, tmp_path):
         g = Box3DGrid(5.0, 16)
-        x, y, z = g.meshgrid
-        s = State(Field3D(g, np.exp(-(x * x + y * y + z * z))),
-                  Field3D(g, x * np.exp(-(x * x + y * y + z * z))))
-        save_state(tmp_path / "st3", s)
-        back = load_state(tmp_path / "st3", representation="box3d")
-        assert np.array_equal(back.u1.values, s.u1.values)
-        assert back.u1.grid == g
+        zeros = Field3D(g, np.zeros((16, 16, 16)))
+        with pytest.raises(ValueError, match="radial states only"):
+            save_state(tmp_path / "st3", State(zeros, zeros))
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2 ** 31 - 1))

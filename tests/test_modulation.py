@@ -16,16 +16,17 @@ from critwave.functionals import (crit_norm, energy_E, functional_K,
                                   norm_H, norm_H_sq, symplectic_omega)
 from critwave.grids import Box3DGrid, RadialGrid
 from critwave.modulation import (DistanceReport, FitError, SignAmbiguityError,
-                                 _box_cross, _box_fit_refs, _grid_refs,
-                                 _RadialDistance, box_mode_fields,
-                                 box_mode_gram, box_mode_integrals, box_modes,
+                                 _box_cross, _box_fit_refs, _RadialDistance,
+                                 box_mode_fields, box_mode_gram,
+                                 box_mode_integrals, box_modes,
                                  assemble_state, distance_dW, fit_modulation,
                                  linearized_norm_sq, manifold_distance,
-                                 quadratic_form_L, reference_J,
+                                 reference_J,
                                  region_predicates, sign_functional,
                                  split_modes, superquadratic_C)
 from critwave.operators import apply_scaling
-from critwave.spectral import _mode_samples, build_spectral_data
+from critwave.spectral import (_mode_samples, build_spectral_data,
+                               quadratic_form_L)
 
 # sampled bounds: the Lipschitz constant of d_W (max seen 1.04) and the
 # constant of |K(W+v) + (2*-2)<W^(2*-1)|v>| <= C ||v||^2 (max seen 7.2)
@@ -386,7 +387,7 @@ class TestManifoldDistanceSearch:
 def test_caches_released_with_spectral_data():
     spec = build_spectral_data(cross_check=False)
     g = RadialGrid(3, 32.0, 512, "uniform")
-    refs = weakref.ref(_grid_refs(spec, g)["W_state"])
+    refs = weakref.ref(spec.rho_on(g))
     modes = weakref.ref(box_modes(spec, Box3DGrid(4.0, 16))[0])
     fit_refs = _box_fit_refs(spec, Box3DGrid(4.0, 16))
     coarse = weakref.ref(fit_refs["coarse"][0])

@@ -1,17 +1,53 @@
-"""The benchmark's layer tracer must keep resolving against the package."""
+"""Repository tooling: the benchmark's tracer and the package's own code."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "critwave"
 
 
-def test_tracing_targets_resolve():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracing_targets_resolve():
+    tracing = _load_tracing()
     assert tracing.TARGETS
     for _, module, path, _ in tracing.TARGETS:
         # raises when the module, class or function is gone
         _, _, original = tracing._resolve(module, path)
         assert callable(original), f"critwave.{module}.{path}"
+
+
+def test_every_definition_has_a_caller():
+    # a function or class of the package must be referenced somewhere in
+    # src/ outside its own definition (an export in __init__ counts), or be
+    # wrapped by the benchmark's tracer; dunders are called by Python
+    traced = {name for _, _, path, _ in _load_tracing().TARGETS
+              for name in path.split(".")}
+    definitions, references = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((node.name, path, node.lineno,
+                                    node.end_lineno))
+            elif isinstance(node, ast.Name):
+                references.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.append((node.attr, path, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                references += [(a.name, path, node.lineno) for a in node.names]
+    uncalled = [
+        f"{path.name}:{first} {name}"
+        for name, path, first, last in definitions
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in traced
+        and not any(ref == name and (where != path or not first <= line <= last)
+                    for ref, where, line in references)]
+    assert uncalled == []
