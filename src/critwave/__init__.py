@@ -16,9 +16,8 @@ from .functionals import (boost_energy_momentum, center_of_energy,
                           functional_K, momentum_P, norm_H, symplectic_omega)
 from .grids import Box3DGrid, RadialGrid
 from .modulation import (DistanceReport, ModeSplit, ModulationFit,
-                         distance_dW, fit_modulation, linearized_norm_sq,
-                         region_predicates, sign_functional, split_modes,
-                         superquadratic_C)
+                         distance_dW, fit_modulation, region_predicates,
+                         sign_functional, split_modes, superquadratic_C)
 from .operators import apply_scaling, apply_translation, generator_Lambda
 from .spectral import (SpectralData, build_spectral_data, coercivity_probe,
                        compute_constants)

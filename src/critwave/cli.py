@@ -123,11 +123,11 @@ def cmd_evolve(args) -> int:
             name=name, recipe=recipe, params=parsed,
             evolution=sections.get("evolution", EvolutionConfig()),
             out_dir=args.out or ".", seed=args.seed)
-        spec_exp.validate(thresholds)
+        state0 = spec_exp.validate(thresholds)
     except ValueError as exc:
         return _invalid_config(exc)
     spectral = build_spectral_data(cross_check=False)
-    record = run_experiment(spec_exp, spectral, thresholds)
+    record = run_experiment(spec_exp, spectral, thresholds, state0)
     print(f"{name}: backward = {record.verdict_backward}, "
           f"forward = {record.verdict_forward}")
     return exit_code_for([record])

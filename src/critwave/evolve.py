@@ -339,7 +339,7 @@ def _monitor_row(s: State, t: float, spec: SpectralData,
         ms = rep.modes
         row.update({"dW": rep.dW, "d0": rep.d0, "lambda1": ms.lambda1,
                     "lambda2": ms.lambda2, "sigma": fit.sigma,
-                    "gamma_norm": norm_H(ms.gamma)})
+                    "gamma_norm": ms.gamma_norm})
         sigma_now = fit.sigma
     # tau accumulation: trapezoid of e^sigma across converged stretches
     if not math.isnan(sigma_now):

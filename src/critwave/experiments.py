@@ -57,7 +57,10 @@ class ExperimentSpec:
     out_dir: str | None = None
     seed: int = 20240801
 
-    def validate(self, thresholds: Thresholds) -> None:
+    def validate(self, thresholds: Thresholds) -> State | None:
+        """ValueError on an invalid spec; returns the ``file`` recipe's
+        state, read here once for the run to take (None for the other
+        recipes)."""
         if self.recipe not in RECIPES:
             raise ValueError(f"unknown recipe {self.recipe!r}, expected one "
                              f"of {', '.join(RECIPES)}")
@@ -71,7 +74,8 @@ class ExperimentSpec:
                 raise ValueError(
                     f"eps = {eps} outside (0, eps_star = {thresholds.eps_star}]")
         elif self.recipe == "file":
-            _load_file_state(self.params.get("path"))
+            return _load_file_state(self.params.get("path"))
+        return None
 
 
 def _load_file_state(path) -> State:
@@ -161,11 +165,19 @@ def derive_seed(seed: int, name: str) -> int:
 # ---------------------------------------------------------------------------
 
 def run_experiment(spec_exp: ExperimentSpec, spectral: SpectralData,
-                   thresholds: Thresholds | None = None) -> TrajectoryRecord:
-    """Evolve one experiment in both time directions and emit artifacts."""
+                   thresholds: Thresholds | None = None,
+                   state0: State | None = None) -> TrajectoryRecord:
+    """Evolve one experiment in both time directions and emit artifacts.
+
+    ``state0`` is the initial state of an already validated spec, such as
+    the file state that ``validate`` returned; without it the spec is
+    validated and its initial state built here.
+    """
     th = thresholds or Thresholds()
-    spec_exp.validate(th)
-    state0 = build_initial_state(spec_exp, spectral)
+    if state0 is None:
+        state0 = spec_exp.validate(th)
+    if state0 is None:
+        state0 = build_initial_state(spec_exp, spectral)
     record = evolve_with_monitors(state0, spec_exp.evolution, spectral, th)
     if spec_exp.out_dir:
         os.makedirs(spec_exp.out_dir, exist_ok=True)

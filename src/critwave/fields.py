@@ -125,19 +125,23 @@ BLOCK_POINTS = 1 << 15
 class UniformSpline:
     """k radial profiles from one mirrored cubic spline through samples of
     shape (n, k) on a uniform grid, with a parity per column and zero beyond
-    the last sample; evaluating it at r gives shape r.shape + (k,).
+    the last sample; evaluating it at r gives shape r.shape + (k,).  Samples
+    of shape (n,) make one profile, evaluated to shape r.shape.
 
     It evaluates the scipy spline's coefficients in scipy's order, but finds
     each interval directly, i = floor((r - x_0) / h), with one correction
     step to scipy's rule x[i] <= r < x[i+1] (the node rounding moves a
     floor by at most one interval) instead of a binary search per point, so
-    its values are bitwise those of a ``RadialProfile`` of each column.
-    Large inputs are evaluated in blocks of BLOCK_POINTS.
+    its values are bitwise those of a ``RadialProfile`` (tail "decay") of
+    each column.  Large inputs are evaluated in blocks of BLOCK_POINTS.
     """
 
     def __init__(self, grid: RadialGrid, values: np.ndarray, parity):
         if grid.spacing != "uniform":
             raise ValueError("direct interval lookup needs a uniform grid")
+        self._one = np.ndim(values) == 1
+        if self._one:
+            values = np.asarray(values)[:, None]
         spline = _mirrored_spline(grid, values, parity)
         x = spline.x
         self._x = x
@@ -155,6 +159,8 @@ class UniformSpline:
         for a in range(0, flat.size, BLOCK_POINTS):
             b = a + BLOCK_POINTS
             self._eval(flat[a:b], out[:, a:b])
+        if self._one:
+            return out[0].reshape(r.shape)
         return np.moveaxis(out.reshape((k,) + r.shape), 0, -1)
 
     def _eval(self, r: np.ndarray, out: np.ndarray) -> None:

@@ -10,6 +10,10 @@ is invariant under u -> -u:
     lambda_j = <w_j | rho>,   lambda_+- = sqrt(k/2) (lambda_1 +- lambda_2 / k),
     alpha = <w_1 | Lambda_0 rho>,   gamma = w - lambda_+ g+ - lambda_- g-.
 
+Like the fit, the mode split is taken in adjoint form: the modes are
+transported to the fit's scale and paired with the state on its own grid,
+so a monitor row never resamples the state into v.
+
 The distance d_W to the family blends the raw manifold distance d_0 with
 the energy-based d_1^2 = E - J(W) + k^2 lambda_1^2; the sign functional is
 -sign(lambda_1) in the inner region and sign(K) outside, with the two
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,10 +38,10 @@ from .fields import (BLOCK_POINTS, RadialField, State, eval_W, eval_W_dr,
                      nonlinearity_power, sobolev_exponent)
 from .functionals import (RadialPieces, _h1_tail, energy_E, functional_J,
                           functional_K, h1_seminorm_sq, l2_inner, l2_norm_sq,
-                          norm_H_sq, smooth_cutoff)
+                          norm_H, norm_H_sq, smooth_cutoff)
 from .grids import Box3DGrid, RadialGrid
 from .operators import scale_profile
-from .spectral import SpectralData, quadratic_form_L
+from .spectral import SpectralData
 
 
 class FitError(RuntimeError):
@@ -60,26 +65,32 @@ class UndefinedRegionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class ModulationFit:
-    """Result of the modulation solve; a converged radial fit's residual
-    state v materializes lazily (a box fit has none)."""
+    """Result of the modulation solve.
+
+    ``orth_residual`` is the signed orthogonality residual at the final
+    (sigma, c).  A converged radial fit keeps the ``state`` it fit; its
+    residual state v is resampled from it on first use (a box fit has
+    neither).
+    """
 
     def __init__(self, sign_s: int, sigma: float, c: np.ndarray,
                  converged: bool, newton_iters: int,
-                 orth_residual: float = math.nan, v_factory=None):
+                 orth_residual: np.ndarray, state: State | None,
+                 spec: SpectralData):
         self.sign_s = sign_s
         self.sigma = sigma
         self.c = c
         self.converged = converged
         self.newton_iters = newton_iters
         self.orth_residual = orth_residual
-        self._v_factory = v_factory
-        self._v: State | None = None
+        self.state = state
+        self._spec = spec
 
-    @property
+    @cached_property
     def v(self) -> State | None:
-        if self._v is None and self._v_factory is not None:
-            self._v = self._v_factory()
-        return self._v
+        if self.state is None:
+            return None
+        return _residual_state(self.state, self._spec, self.sign_s, self.sigma)
 
     def __repr__(self):
         return (f"ModulationFit(sign_s={self.sign_s}, sigma={self.sigma:.6g}, "
@@ -93,7 +104,7 @@ class ModeSplit:
     lambda1: float
     lambda2: float
     alpha: float
-    gamma: State
+    gamma_norm: float           # ||gamma||_H
 
 
 @dataclass
@@ -118,10 +129,12 @@ def _grid_refs(spec: SpectralData, grid) -> dict:
 def _build_refs(spec: SpectralData, grid) -> dict:
     if isinstance(grid, RadialGrid):
         w = RadialField(grid, spec.W_on(grid))
+        rho = RadialField(grid, spec.rho_on(grid))
         return {
             "J_W": functional_J(w),
             "grad_W_sq": h1_seminorm_sq(w),
-            "rho_norm_sq": l2_norm_sq(RadialField(grid, spec.rho_on(grid))),
+            "rho_norm_sq": l2_norm_sq(rho),
+            "W_ip_rho": l2_inner(w, rho),
         }
     # the box fit's references
     wvals = np.asarray(eval_W(3, grid.radius ** 2))
@@ -412,12 +425,10 @@ def fit_modulation(s: State, spec: SpectralData,
             converged = res <= tol_fine
             sigma = float(x[0])
             c = np.zeros(3) if radial else np.asarray(x[1:], dtype=float)
-    factory = None
-    if converged and radial:
-        factory = lambda: _residual_state(s, spec, sgn, sigma)
     return ModulationFit(sign_s=sgn, sigma=sigma, c=c,
                          converged=converged, newton_iters=iters,
-                         orth_residual=res, v_factory=factory)
+                         orth_residual=f,
+                         state=s if converged and radial else None, spec=spec)
 
 
 def _residual_norm_estimate(s: State, spec: SpectralData, sgn: int,
@@ -491,37 +502,50 @@ def assemble_state(spec: SpectralData, sgn: int, sigma: float, c, v: State) -> S
 
 
 # ---------------------------------------------------------------------------
-# mode split and linearized norm
+# mode split
 # ---------------------------------------------------------------------------
 
 def split_modes(fit: ModulationFit, spec: SpectralData) -> ModeSplit:
-    """Mode amplitudes of the sign-adjusted residual w = sign_s * v."""
-    if not fit.converged or fit.v is None:
+    """Mode amplitudes of the sign-adjusted residual w = sign_s * v of a
+    converged radial fit, in adjoint form (v is not built).
+
+    With u the fitted state and rho_s = rho(e^sigma r):
+
+        lambda_1 = (sgn e^((d/2+1) sigma) <u_1 | rho_s> - <W | rho>) / |rho|^2,
+        lambda_2 = sgn e^((d/2) sigma) <u_2 | rho_s> / |rho|^2,
+        alpha = sgn * (the fit's final orthogonality residual),
+
+    and ||gamma||_H = ||S^sigma gamma||_H (S^sigma is unitary in H) from
+    S^sigma gamma = (sgn u_1 - W_sigma - lambda_1 S_-1^sigma rho,
+    sgn u_2 - lambda_2 S_0^sigma rho) on the state's grid.  The remainder
+    is formed pointwise, not as ||v||^2 minus the mode parts, which
+    cancels catastrophically when ||gamma|| << ||v||.
+    """
+    s = fit.state
+    if not fit.converged or s is None:
         raise FitError("cannot split a fit without a residual state "
                        "(unconverged, or a box fit)")
-    w = fit.v * float(fit.sign_s)
-    k = spec.k
-    g = w.grid
-    rho = RadialField(g, spec.rho_on(g))
-    rho_sq = _grid_refs(spec, g)["rho_norm_sq"]
-    lam1 = l2_inner(w.u1, rho) / rho_sq
-    lam2 = l2_inner(w.u2, rho) / rho_sq
-    alpha = l2_inner(w.u1, RadialField(g, spec.lambda0_rho_on(g)))
-    gamma = State(RadialField(g, w.u1.values - lam1 * rho.values),
-                  RadialField(g, w.u2.values - lam2 * rho.values))
+    sgn, sigma, k = fit.sign_s, fit.sigma, spec.k
+    g = s.grid
+    refs = _grid_refs(spec, g)
+    amp1 = math.exp((g.d / 2.0 - 1.0) * sigma)     # S_-1^sigma
+    amp0 = math.exp((g.d / 2.0) * sigma)           # S_0^sigma
+    rho_s = spec.rho_profile(math.exp(sigma) * g.r)
+    u1 = sgn * s.u1.values
+    u2 = sgn * s.u2.values
+    rho_sq = refs["rho_norm_sq"]
+    lam1 = ((math.exp((g.d / 2.0 + 1.0) * sigma) * g.quad_meas(u1 * rho_s)
+             - refs["W_ip_rho"]) / rho_sq)
+    lam2 = amp0 * g.quad_meas(u2 * rho_s) / rho_sq
+    gamma = State(
+        RadialField(g, u1 - _w_sigma_field(g, sigma) - (lam1 * amp1) * rho_s),
+        RadialField(g, u2 - (lam2 * amp0) * rho_s))
     sk = math.sqrt(k / 2.0)
     return ModeSplit(lambda_plus=sk * (lam1 + lam2 / k),
                      lambda_minus=sk * (lam1 - lam2 / k),
-                     lambda1=lam1, lambda2=lam2, alpha=float(alpha),
-                     gamma=gamma)
-
-
-def linearized_norm_sq(ms: ModeSplit, spec: SpectralData) -> float:
-    """||v||_E^2 = (k^2 l1^2 + l2^2)/2 + <L gamma | gamma>/2 + alpha^2."""
-    k = spec.k
-    quad_g = quadratic_form_L(spec, ms.gamma.u1) + l2_norm_sq(ms.gamma.u2)
-    return (0.5 * (k * k * ms.lambda1 ** 2 + ms.lambda2 ** 2)
-            + 0.5 * quad_g + ms.alpha ** 2)
+                     lambda1=lam1, lambda2=lam2,
+                     alpha=sgn * float(fit.orth_residual[0]),
+                     gamma_norm=norm_H(gamma))
 
 
 def superquadratic_C(v1: RadialField) -> float:

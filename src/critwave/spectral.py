@@ -32,8 +32,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
-from .fields import (RadialField, RadialProfile, State, UniformSpline,
-                     eval_W, eval_W_prime_mode, nonlinearity_power)
+from .fields import (RadialField, State, UniformSpline, eval_W,
+                     eval_W_prime_mode, nonlinearity_power)
 from .functionals import h1_seminorm_sq, l2_inner, l2_norm_sq
 from .grids import RadialGrid
 
@@ -193,9 +193,10 @@ class SpectralData:
     b_W: float
     eigen_grid: RadialGrid
     rho_eigen: RadialField          # unit L^2 norm on the eigen grid
-    rho_profile: RadialProfile
-    rho_dr_profile: RadialProfile
-    lambda0_rho_profile: RadialProfile
+    # rho, rho' and Lambda_0 rho at any radii (zero beyond the eigen grid)
+    rho_profile: UniformSpline
+    rho_dr_profile: UniformSpline
+    lambda0_rho_profile: UniformSpline
     residuals: dict
 
     def __post_init__(self):
@@ -350,11 +351,11 @@ def build_spectral_data(grid: RadialGrid | None = None,
     if float(np.min(rho.values)) <= 0.0:
         raise SpectralConsistencyError("computed ground state is not positive")
 
-    # mode derivatives on the eigen grid, then splines
+    # mode derivatives on the (uniform) eigen grid, then splines
     rho_dr, lam0 = _mode_samples(rho)
-    rho_prof = RadialProfile(egrid, rho.values, parity=1, tail="decay")
-    rho_dr_prof = RadialProfile(egrid, rho_dr, parity=-1, tail="decay")
-    lam0_prof = RadialProfile(egrid, lam0, parity=1, tail="decay")
+    rho_prof = UniformSpline(egrid, rho.values, parity=1)
+    rho_dr_prof = UniformSpline(egrid, rho_dr, parity=-1)
+    lam0_prof = UniformSpline(egrid, lam0, parity=1)
 
     a_w, b_w, b_w_alt = _w_constants(rho, lam0, k)
 
@@ -409,12 +410,15 @@ def _random_probe(grid: RadialGrid, rng: np.random.Generator) -> np.ndarray:
     return f
 
 
-def quadratic_form_L(spec: SpectralData, fld: RadialField) -> float:
-    """<L+ f | f> = ||grad f||^2 - p int W^(p-1) f^2."""
+def quadratic_form_L(spec: SpectralData,
+                     fld: RadialField) -> tuple[float, float]:
+    """(<L+ f | f>, ||grad f||^2), where
+    <L+ f | f> = ||grad f||^2 - p int W^(p-1) f^2."""
     g = fld.grid
     p = nonlinearity_power(g.d)
     w_pm1 = spec.W_on(g) ** (p - 1.0)
-    return h1_seminorm_sq(fld) - p * g.quad_meas(w_pm1 * fld.values ** 2)
+    grad_sq = h1_seminorm_sq(fld)
+    return grad_sq - p * g.quad_meas(w_pm1 * fld.values ** 2), grad_sq
 
 
 def coercivity_probe(spec: SpectralData, n_samples: int = 100,
@@ -439,8 +443,8 @@ def coercivity_probe(spec: SpectralData, n_samples: int = 100,
     def ratio_of(f_vals: np.ndarray) -> float:
         f = RadialField(grid, f_vals)
         f = RadialField(grid, f.values - l2_inner(f, rho) * rho.values)
-        return ((quadratic_form_L(spec, f) + l2_inner(f, lam0) ** 2)
-                / h1_seminorm_sq(f))
+        form, grad_sq = quadratic_form_L(spec, f)
+        return (form + l2_inner(f, lam0) ** 2) / grad_sq
 
     for i in range(n_samples):
         rat = ratio_of(_random_probe(grid, rng))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from critwave import modulation
 from critwave.config import EvolutionConfig
 from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, DT_FLOOR_FACTOR, SCATTER,
                              UNDETERMINED, RadialWaveEvolver, _nl_dt_cap,
@@ -325,6 +326,24 @@ class TestEjection:
         assert 0.95 <= fit["rate"] / spectral.k <= 1.05
         assert fit["dW_monotone"]
         assert fit["sigma_drift_ok"]
+
+    def test_monitor_rows_build_no_residual_state(self, spectral, thresholds,
+                                                  monkeypatch):
+        # the rows split the modes in adjoint form: a converged fit's
+        # residual state v is never resampled
+        def forbidden(*args):
+            raise AssertionError("a monitor row built the residual state")
+
+        monkeypatch.setattr(modulation, "_residual_state", forbidden)
+        cfg = EvolutionConfig(n=4096, r_max=48.0, t_max=2.0,
+                              monitor_stride=0.25)
+        g = RadialGrid(3, cfg.r_max, cfg.n, "uniform")
+        w = np.asarray(eval_W(3, g.r ** 2))
+        s = State(RadialField(g, w + 1e-3 * spectral.rho_on(g)),
+                  RadialField(g, np.zeros(g.n)))
+        run = evolve_direction(s, cfg, spectral, thresholds)
+        assert np.all(np.isfinite(run.series["lambda1"]))
+        assert np.all(np.isfinite(run.series["gamma_norm"]))
 
     def test_window_too_short_raises(self, spectral, thresholds, dyn_grid):
         cfg = EvolutionConfig(n=dyn_grid.n, r_max=dyn_grid.r_max, t_max=2.0)

@@ -13,7 +13,7 @@ from critwave.experiments import (ExperimentSpec, build_initial_state,
                                   derive_seed, exit_code_for, perturb_state,
                                   run_experiment, run_quadrant_sweep,
                                   run_static_suite)
-from critwave.fields import RadialField, State, save_state
+from critwave.fields import RadialField, State, load_state, save_state
 from critwave.functionals import norm_H
 from critwave.grids import RadialGrid
 from critwave.spectral import build_spectral_data
@@ -282,6 +282,31 @@ class TestCLI:
         assert code == 0
         assert (tmp_path / "cli_demo.csv").exists()
         assert (tmp_path / "cli_demo_verdict.json").exists()
+
+    def test_evolve_reads_the_file_state_once(self, spectral, tmp_path,
+                                              monkeypatch):
+        cfg = EvolutionConfig(**FAST_EVOLUTION)
+        s = build_initial_state(
+            ExperimentSpec("b", "bump", {"amplitude": 0.03}, evolution=cfg),
+            spectral)
+        save_state(tmp_path / "init", s)
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return load_state(path)
+
+        monkeypatch.setattr(experiments, "load_state", counting_load)
+        conf = tmp_path / "file.ini"
+        conf.write_text(
+            "[experiment]\nname = from_file\nrecipe = file\n"
+            f"path = {tmp_path / 'init'}\n\n[evolution]\n"
+            + "".join(f"{k} = {v}\n" for k, v in FAST_EVOLUTION.items()))
+        code = cli_main(["evolve", "--config", str(conf), "--out",
+                         str(tmp_path)])
+        assert code == 0
+        assert len(calls) == 1
+        assert (tmp_path / "from_file_verdict.json").exists()
 
     @pytest.mark.parametrize("body, message", [
         ("[evolution]\nbogus = 1\n", "bogus"),

@@ -9,19 +9,19 @@ from scipy.interpolate import CubicSpline
 from critwave.experiments import (BoxResidualClosure, assemble_box_exact,
                                   random_box_closure,
                                   random_orthogonal_residual)
-from critwave.fields import (BLOCK_POINTS, RadialField, State, eval_W_dr,
-                             sample_W_family, BoostParams)
+from critwave.fields import (BLOCK_POINTS, RadialField, RadialProfile,
+                             State, eval_W_dr, sample_W_family, BoostParams)
 from critwave.functionals import (crit_norm, energy_E, functional_K,
                                   h1_seminorm_sq, l2_inner, l2_norm_sq,
                                   norm_H, norm_H_sq, symplectic_omega)
 from critwave.grids import Box3DGrid, RadialGrid
-from critwave.modulation import (DistanceReport, FitError, SignAmbiguityError,
-                                 _box_cross, _box_fit_refs, _RadialDistance,
-                                 box_mode_fields, box_mode_gram,
-                                 box_mode_integrals, box_modes,
+from critwave.modulation import (DistanceReport, FitError, ModeSplit,
+                                 SignAmbiguityError, _box_cross,
+                                 _box_fit_refs, _radial_mode_ip,
+                                 _RadialDistance, box_mode_fields,
+                                 box_mode_gram, box_mode_integrals, box_modes,
                                  assemble_state, distance_dW, fit_modulation,
-                                 linearized_norm_sq, manifold_distance,
-                                 reference_J,
+                                 manifold_distance, reference_J,
                                  region_predicates, sign_functional,
                                  split_modes, superquadratic_C)
 from critwave.operators import apply_scaling
@@ -32,6 +32,34 @@ from critwave.spectral import (_mode_samples, build_spectral_data,
 # constant of |K(W+v) + (2*-2)<W^(2*-1)|v>| <= C ||v||^2 (max seen 7.2)
 L_DW = 2.0
 K_EXPANSION_CONST = 15.0
+
+
+def resampled_split(fit, spec) -> tuple[ModeSplit, State]:
+    """Oracle: the mode split of the residual w = sign_s * v resampled onto
+    the state's grid, with its remainder gamma as a state."""
+    w = fit.v * float(fit.sign_s)
+    k = spec.k
+    g = w.grid
+    rho = RadialField(g, spec.rho_on(g))
+    rho_sq = l2_norm_sq(rho)
+    lam1 = l2_inner(w.u1, rho) / rho_sq
+    lam2 = l2_inner(w.u2, rho) / rho_sq
+    alpha = l2_inner(w.u1, RadialField(g, spec.lambda0_rho_on(g)))
+    gamma = State(RadialField(g, w.u1.values - lam1 * rho.values),
+                  RadialField(g, w.u2.values - lam2 * rho.values))
+    sk = math.sqrt(k / 2.0)
+    return ModeSplit(lambda_plus=sk * (lam1 + lam2 / k),
+                     lambda_minus=sk * (lam1 - lam2 / k),
+                     lambda1=lam1, lambda2=lam2, alpha=float(alpha),
+                     gamma_norm=norm_H(gamma)), gamma
+
+
+def linearized_norm_sq(ms: ModeSplit, gamma: State, spec) -> float:
+    """||v||_E^2 = (k^2 l1^2 + l2^2)/2 + <L gamma | gamma>/2 + alpha^2."""
+    k = spec.k
+    quad_g = quadratic_form_L(spec, gamma.u1)[0] + l2_norm_sq(gamma.u2)
+    return (0.5 * (k * k * ms.lambda1 ** 2 + ms.lambda2 ** 2)
+            + 0.5 * quad_g + ms.alpha ** 2)
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +177,7 @@ class TestModeSplit:
         ms = split_modes(fit, spec)
         assert ms.lambda_plus == pytest.approx(eps, rel=1e-6)
         assert abs(ms.lambda_minus) <= 1e-9
-        assert norm_H(ms.gamma) <= 1e-6
+        assert ms.gamma_norm <= 1e-6
 
     def test_rho_pair_amplitudes(self, ctx):
         spec, g = ctx["spec"], ctx["g"]
@@ -170,13 +198,13 @@ class TestModeSplit:
         u = assemble_state(spec, 1, 0.1, np.zeros(3), v)
         fit = fit_modulation(u, spec, th)
         ms = split_modes(fit, spec)
+        _, gamma = resampled_split(fit, spec)
         gp, gm = spec.mode_states(g)
-        recon = (ms.lambda_plus * gp + ms.lambda_minus * gm + ms.gamma)
+        recon = (ms.lambda_plus * gp + ms.lambda_minus * gm + gamma)
         assert norm_H(recon - fit.v * float(fit.sign_s)) <= 1e-8
         # omega-orthogonality of the remainder
-        from critwave.functionals import symplectic_omega
-        assert abs(symplectic_omega(ms.gamma, gp)) <= 1e-9
-        assert abs(symplectic_omega(ms.gamma, gm)) <= 1e-9
+        assert abs(symplectic_omega(gamma, gp)) <= 1e-9
+        assert abs(symplectic_omega(gamma, gm)) <= 1e-9
 
     def test_sign_adjusted_frame(self, ctx):
         # amplitudes of -(W + eps rho) match those of +(W + eps rho)
@@ -188,19 +216,61 @@ class TestModeSplit:
         assert msm.lambda1 == pytest.approx(msp.lambda1, rel=1e-10)
 
 
+class TestAdjointSplit:
+    """split_modes (modes transported to the fit's scale) against the
+    resampled oracle on near-family states with sigma != 0."""
+
+    @pytest.mark.parametrize("sgn", [1, -1])
+    @pytest.mark.parametrize("sigma", [-0.3, 0.1, 0.4])
+    def test_matches_resampled_oracle(self, ctx, rng, sgn, sigma):
+        spec, g, th = ctx["spec"], ctx["g"], ctx["th"]
+        v = random_orthogonal_residual(spec, g, rng, amplitude=0.02)
+        fit = fit_modulation(assemble_state(spec, sgn, sigma, np.zeros(3), v),
+                             spec, th)
+        assert fit.converged and fit.sign_s == sgn
+        ms = split_modes(fit, spec)
+        want, _ = resampled_split(fit, spec)
+        assert abs(ms.lambda1 - want.lambda1) <= 1e-9 * abs(want.lambda1)
+        assert abs(ms.lambda2 - want.lambda2) <= 1e-9 * abs(want.lambda2)
+        assert abs(ms.gamma_norm - want.gamma_norm) <= 1e-3 * want.gamma_norm
+
+    def test_alpha_is_the_signed_fit_residual(self, ctx, rng):
+        spec, g, th = ctx["spec"], ctx["g"], ctx["th"]
+        v = random_orthogonal_residual(spec, g, rng, amplitude=0.03)
+        for sgn in (1, -1):
+            u = assemble_state(spec, sgn, 0.2, np.zeros(3), v)
+            fit = fit_modulation(u, spec, th)
+            ms = split_modes(fit, spec)
+            assert ms.alpha == sgn * fit.orth_residual[0]
+            # the residual of the final sigma: <S^sigma u1 | Lambda_0 rho>
+            # minus sgn <W | Lambda_0 rho>
+            resid = (_radial_mode_ip(spec, u.u1, spec.lambda0_rho_profile,
+                                     fit.sigma)
+                     - sgn * spec.W_inner_lambda0_rho(g))
+            assert ms.alpha == sgn * resid
+
+
 class TestLinearizedNorm:
+    """||v||_E^2 from the amplitudes of ``split_modes`` and the remainder
+    gamma of the resampled oracle."""
+
+    @staticmethod
+    def norm_sq(fit, spec):
+        return linearized_norm_sq(split_modes(fit, spec),
+                                  resampled_split(fit, spec)[1], spec)
+
     def test_zero(self, ctx):
         s = State(RadialField(ctx["g"], ctx["W"]), ctx["zeros"])
-        ms = split_modes(fit_modulation(s, ctx["spec"], ctx["th"]), ctx["spec"])
-        assert linearized_norm_sq(ms, ctx["spec"]) <= 1e-20
+        fit = fit_modulation(s, ctx["spec"], ctx["th"])
+        assert self.norm_sq(fit, ctx["spec"]) <= 1e-20
 
     def test_pure_lambda1_mode(self, ctx):
         spec = ctx["spec"]
         eps = 1e-3
         s = State(RadialField(ctx["g"], ctx["W"] + eps * ctx["rho"]),
                   ctx["zeros"])
-        ms = split_modes(fit_modulation(s, spec, ctx["th"]), spec)
-        assert linearized_norm_sq(ms, spec) == pytest.approx(
+        fit = fit_modulation(s, spec, ctx["th"])
+        assert self.norm_sq(fit, spec) == pytest.approx(
             0.5 * spec.k ** 2 * eps ** 2, rel=1e-6)
 
     def test_equivalence_with_H_norm(self, ctx, rng):
@@ -212,8 +282,7 @@ class TestLinearizedNorm:
                                            amplitude=float(rng.uniform(0.005, 0.05)))
             u = assemble_state(spec, 1, 0.0, np.zeros(3), v)
             fit = fit_modulation(u, spec, th)
-            ms = split_modes(fit, spec)
-            ratios.append(linearized_norm_sq(ms, spec) / norm_H_sq(fit.v))
+            ratios.append(self.norm_sq(fit, spec) / norm_H_sq(fit.v))
         assert min(ratios) > 0.05
         assert max(ratios) < 20.0
 
@@ -253,9 +322,10 @@ class TestSuperquadratic:
         s = State(RadialField(g, ctx["W"] + b1), RadialField(g, b2))
         fit = fit_modulation(s, spec, th)
         ms = split_modes(fit, spec)
+        _, gamma = resampled_split(fit, spec)
         lhs = energy_E(s) - reference_J(spec, g)
-        quad_g = (quadratic_form_L(spec, ms.gamma.u1)
-                  + l2_norm_sq(ms.gamma.u2))
+        quad_g = (quadratic_form_L(spec, gamma.u1)[0]
+                  + l2_norm_sq(gamma.u2))
         w_adj = fit.v * float(fit.sign_s)
         rhs = (-spec.k * ms.lambda_plus * ms.lambda_minus + 0.5 * quad_g
                - superquadratic_C(w_adj.u1))
@@ -447,6 +517,37 @@ class TestBoxModeSampler:
         assert len(got) == 4
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+class TestModeProfiles:
+    """The SpectralData profiles of rho, rho' and Lambda_0 rho (one-column
+    UniformSplines) against RadialProfiles of the same samples, built here
+    as the oracle."""
+
+    @pytest.mark.parametrize("name", ["rho_profile", "rho_dr_profile",
+                                      "lambda0_rho_profile"])
+    def test_bitwise_equal_to_radial_profile(self, spectral, name):
+        rho_dr, lam0 = _mode_samples(spectral.rho_eigen)
+        samples, parity = {"rho_profile": (spectral.rho_eigen.values, 1),
+                           "rho_dr_profile": (rho_dr, -1),
+                           "lambda0_rho_profile": (lam0, 1)}[name]
+        oracle = RadialProfile(spectral.eigen_grid, samples, parity, "decay")
+        profile = getattr(spectral, name)
+        grids = [RadialGrid(3, 200.0, 4096, "sinh", 6.0),
+                 RadialGrid(3, 64.0, 8192, "uniform"),
+                 RadialGrid(3, 200.0, 16384, "uniform")]
+        for g in grids:
+            for sigma in (-0.7, -0.2, 0.0, 0.3, 1.2, 2.0):
+                r = math.exp(sigma) * g.r
+                got = profile(r)
+                assert got.shape == r.shape
+                assert np.array_equal(got, oracle(r))
+        r_max = spectral.eigen_grid.r_max
+        r = np.array([0.0, r_max, np.nextafter(r_max, np.inf), 1.5 * r_max,
+                      -1.0, np.nan])
+        got = profile(r)
+        assert np.array_equal(got, oracle(r), equal_nan=True)
+        assert np.isnan(got[-1]) and np.all(got[2:4] == 0.0)
 
 
 class TestDirectIndexSampler:

@@ -251,6 +251,20 @@ class TestCoercivity:
         # pairing keeps its ratio strictly positive
         assert report["c_low"] > 0.0
 
+    def test_one_seminorm_per_probe(self, spectral, static_grid,
+                                    monkeypatch):
+        # ||grad f||^2 is taken once per probe, for the form and the ratio
+        calls = []
+        seminorm = spectral_mod.h1_seminorm_sq
+
+        def counting(fld):
+            calls.append(fld)
+            return seminorm(fld)
+
+        monkeypatch.setattr(spectral_mod, "h1_seminorm_sq", counting)
+        report = coercivity_probe(spectral, n_samples=10, grid=static_grid)
+        assert len(calls) == report["n_samples"] == 11
+
     def test_ratios_bitwise_as_inline_form(self, spectral, static_grid):
         # the probe takes <L+ f | f> from quadratic_form_L; oracle: the
         # ratio with the form written out, over the same probes
