@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,12 +206,14 @@ _EXTRA_KEYS = ("lambda2", "norm_H", "free_ratio", "gamma_norm", "sign", "d0",
 
 @dataclass
 class DirectionRun:
-    """Monitor series and verdict of a single time direction."""
+    """Monitor series and verdict of a single time direction; ``wall_s`` is
+    the wall time of the run, set by :func:`evolve_directions`."""
 
     series: dict
     verdict: str
     detail: dict
     ejection_rate: float = math.nan
+    wall_s: float = math.nan
 
 
 @dataclass
@@ -227,6 +230,26 @@ class TrajectoryRecord:
     ejection_rate_forward: float = math.nan
     ejection_rate_backward: float = math.nan
     config: EvolutionConfig | None = None
+
+    @classmethod
+    def from_runs(cls, fwd: DirectionRun, bwd: DirectionRun,
+                  cfg: EvolutionConfig) -> "TrajectoryRecord":
+        """The two-sided record of a forward run and the forward run of the
+        time-reversed data: odd quantities (t, tau, lambda2, Vw, equip) flip
+        sign on the backward half."""
+        series: dict = {}
+        for key in _SERIES_KEYS + _EXTRA_KEYS:
+            fb = np.asarray(bwd.series[key], dtype=float)[::-1]
+            ff = np.asarray(fwd.series[key], dtype=float)
+            if key in ("t", "tau", "lambda2", "Vw", "equip"):
+                fb = -fb
+            series[key] = np.concatenate([fb[:-1], ff]) if len(fb) else ff
+        return cls(times=series["t"], series=series,
+                   verdict_forward=fwd.verdict, verdict_backward=bwd.verdict,
+                   detail_forward=fwd.detail, detail_backward=bwd.detail,
+                   ejection_rate_forward=fwd.ejection_rate,
+                   ejection_rate_backward=bwd.ejection_rate,
+                   config=cfg)
 
     def column(self, key: str) -> np.ndarray:
         return np.asarray(self.series[key])
@@ -491,7 +514,9 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
                     threshold: float):
     """Re-run the tail window on a refined grid and a halved step.
 
-    Norm escape must persist under refinement to count as blow-up.
+    Norm escape must persist under refinement to count as blow-up; a
+    refined run that stops (overflow or stepper floor) before its first step
+    confirms nothing.
     """
     if not checkpoints:
         return False, {"confirmed": False, "reason": "no checkpoint"}
@@ -517,9 +542,13 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
                                        min(t + cfg.monitor_stride, horizon),
                                        a)
         if stop != "target":
-            mode = "overflow" if stop == "overflow" else "stepper floor"
-            return True, {"confirmed": True, "mode": f"{mode} on refined grid",
-                          "t_confirm": t}
+            mode = ("overflow" if stop == "overflow" else "stepper floor") \
+                + " on refined grid"
+            if t == t0:
+                return False, {"confirmed": False, "mode": mode,
+                               "reason": "refined run stopped before its "
+                                         "first step"}
+            return True, {"confirmed": True, "mode": mode, "t_confirm": t}
     return False, {"confirmed": False, "peak_refined_norm": peak,
                    "reason": "refined run did not sustain escape"}
 
@@ -534,31 +563,59 @@ def _resample_w(r_old, w_old, r_new):
 # two-sided evolution
 # ---------------------------------------------------------------------------
 
+def evolve_directions(states: list[State], cfg: EvolutionConfig,
+                      spec: SpectralData,
+                      thresholds: Thresholds | None = None,
+                      map_runs=None) -> list[DirectionRun]:
+    """The forward run of every state, each distinct state run once.
+
+    Two states are the same when they share a grid and their values are
+    equal: the key is the grid and the bytes of u1 + 0.0 and u2 + 0.0
+    (adding 0.0 makes -0 and +0 equal, as == does).  Under the time
+    reversal (u, u_t) -> (u, -u_t) this lets a backward run reuse a forward
+    one: data with u2 = 0 is its own reversal, and the reversal of
+    (u1, u2) is the data (u1, -u2) of another run.  Each run's wall time is
+    measured once, into ``wall_s``.  ``map_runs(distinct_states)``, such as
+    a worker pool's map over calls of this function with one state, returns
+    the runs of the distinct states in their order; by default they run
+    here.
+    """
+    th = thresholds or Thresholds()
+    index: dict[tuple, int] = {}
+    distinct: list[State] = []
+    slots = []
+    for s in states:
+        key = (s.grid, (s.u1.values + 0.0).tobytes(),
+               (s.u2.values + 0.0).tobytes())
+        if key not in index:
+            index[key] = len(distinct)
+            distinct.append(s)
+        slots.append(index[key])
+    if map_runs is None:
+        runs = []
+        for s in distinct:
+            t0 = time.perf_counter()
+            # looked up at call time, so that wrappers of evolve_direction
+            # see every run
+            runs.append(evolve_direction(s, cfg, spec, th))
+            runs[-1].wall_s = time.perf_counter() - t0
+    else:
+        runs = list(map_runs(distinct))
+    return [runs[i] for i in slots]
+
+
 def evolve_with_monitors(state0: State, cfg: EvolutionConfig,
                          spec: SpectralData,
                          thresholds: Thresholds | None = None) -> TrajectoryRecord:
     """Forward plus backward (time-reversed) evolution with monitors.
 
-    The combined series carries the true solution's values at signed times:
-    odd quantities (lambda2, tau, Vw, equip) flip sign on the backward half.
+    The combined series carries the true solution's values at signed times
+    (:meth:`TrajectoryRecord.from_runs`); data with u2 = 0 is its own time
+    reversal and runs once.
     """
-    th = thresholds or Thresholds()
-    fwd = evolve_direction(state0, cfg, spec, th)
-    bwd = evolve_direction(state0.time_reversed(), cfg, spec, th)
-    series: dict = {}
-    for key in _SERIES_KEYS + _EXTRA_KEYS:
-        fb = np.asarray(bwd.series[key], dtype=float)[::-1]
-        ff = np.asarray(fwd.series[key], dtype=float)
-        if key in ("t", "tau", "lambda2", "Vw", "equip"):
-            fb = -fb
-        series[key] = np.concatenate([fb[:-1], ff]) if len(fb) else ff
-    return TrajectoryRecord(
-        times=series["t"], series=series,
-        verdict_forward=fwd.verdict, verdict_backward=bwd.verdict,
-        detail_forward=fwd.detail, detail_backward=bwd.detail,
-        ejection_rate_forward=fwd.ejection_rate,
-        ejection_rate_backward=bwd.ejection_rate,
-        config=cfg)
+    fwd, bwd = evolve_directions([state0, state0.time_reversed()], cfg, spec,
+                                 thresholds)
+    return TrajectoryRecord.from_runs(fwd, bwd, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -610,14 +667,12 @@ def fit_ejection_rate(series: dict, spec: SpectralData,
             "tau_span": float(x[-1] - x[0])}
 
 
-def modulation_ode_residual(series: dict, spec: SpectralData,
-                            thresholds: Thresholds | None = None) -> dict:
+def modulation_ode_residual(series: dict) -> dict:
     """Residual of d lambda_1 / d tau = lambda_2 + sigma_tau lambda_1.
 
     Centered differences on the recorded monitor series; also verifies the
     drift bound |sigma_tau| <= C ||gamma||_H on the same segment.
     """
-    th = thresholds or Thresholds()
     tau = np.asarray(series["tau"], dtype=float)
     lam1 = np.asarray(series["lambda1"], dtype=float)
     lam2 = np.asarray(series["lambda2"], dtype=float)

@@ -3,8 +3,8 @@ four-quadrant sweep, and the static verification suite.
 
 Every run is deterministic given (spec, constants file, seed); randomness
 enters only through seeded generators whose seeds are recorded in the
-outputs.  Sweeps parallelize over independent runs with a worker pool and
-merge results in a fixed order.
+outputs.  Sweeps run each distinct one-direction problem once, optionally
+over a worker pool, and merge results in a fixed order.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -29,7 +29,8 @@ from .grids import Box3DGrid, RadialGrid
 from .modulation import (_w_sigma_field, assemble_state, box_mode_gram,
                          box_mode_parts, box_modes, distance_dW,
                          fit_modulation)
-from .evolve import (BLOWUP, SCATTER, UNDETERMINED, TrajectoryRecord,
+from .evolve import (BLOWUP, SCATTER, UNDETERMINED, DirectionRun,
+                     TrajectoryRecord, evolve_directions,
                      evolve_with_monitors, one_pass_check)
 from .spectral import (BW_TOL, SHOOT_TOL, SpectralData, build_spectral_data,
                        coercivity_probe)
@@ -179,13 +180,19 @@ def run_experiment(spec_exp: ExperimentSpec, spectral: SpectralData,
     if state0 is None:
         state0 = build_initial_state(spec_exp, spectral)
     record = evolve_with_monitors(state0, spec_exp.evolution, spectral, th)
+    _write_artifacts(spec_exp, record)
+    return record
+
+
+def _write_artifacts(spec_exp: ExperimentSpec, record: TrajectoryRecord) -> None:
+    """The run's CSV, extended CSV and verdict sidecar, when it has an
+    output directory."""
     if spec_exp.out_dir:
         os.makedirs(spec_exp.out_dir, exist_ok=True)
         base = os.path.join(spec_exp.out_dir, spec_exp.name)
         record.to_csv(base + ".csv")
         record.to_extended_csv(base + "_ext.csv")
         record.save_verdict(base + "_verdict.json")
-    return record
 
 
 def exit_code_for(records: list[TrajectoryRecord]) -> int:
@@ -232,6 +239,10 @@ def linearized_lambda_deviation(record: TrajectoryRecord, spectral: SpectralData
 
 @dataclass
 class QuadrantRow:
+    """One sweep case; ``runtime`` is the sum of the wall times of its
+    forward and backward runs, each run timed once (a run shared by two
+    directions or two cases counts in each)."""
+
     a: str
     eps: float
     variant: str
@@ -292,17 +303,41 @@ def _pool_init(eigen_grid: RadialGrid):
         eigen_grid, eigen_n=eigen_grid.n, cross_check=False)
 
 
-def _pool_case(case: tuple) -> QuadrantRow:
-    return _run_quadrant_case(case, _POOL_CTX["spectral"])
+def _pool_direction(state: State, cfg: EvolutionConfig,
+                    th: Thresholds) -> DirectionRun:
+    return evolve_directions([state], cfg, _POOL_CTX["spectral"], th)[0]
 
 
-def _run_quadrant_case(case: tuple, spectral: SpectralData) -> QuadrantRow:
-    """One sweep case (a_key, variant, ExperimentSpec, Thresholds), run in
-    both time directions."""
-    a_key, variant, exp, th = case
-    t0 = time.time()
-    record = run_experiment(exp, spectral, th)
-    wall = time.time() - t0
+def _sweep_cases(eps_list, cfg: EvolutionConfig, n_perturbed: int, seed: int,
+                 out_dir: str | None) -> list[tuple]:
+    """(a_key, variant, ExperimentSpec) of every sweep case, in table order."""
+    cases = []
+    for a_key, a in QUADRANT_DIRECTIONS.items():
+        for eps in eps_list:
+            exp = ExperimentSpec(f"quadrant_a{a_key}_eps{eps:g}", "quadrant",
+                                 {"a": a, "eps": float(eps)}, evolution=cfg,
+                                 out_dir=out_dir, seed=seed)
+            cases.append((a_key, "base", exp))
+    for idx in range(n_perturbed):
+        a_key = sorted(QUADRANT_DIRECTIONS)[idx % 4]
+        eps = float(eps_list[(idx // 4) % len(eps_list)])
+        name = f"quadrant_a{a_key}_eps{eps:g}_pert{idx}"
+        exp = ExperimentSpec(name, "quadrant",
+                             {"a": QUADRANT_DIRECTIONS[a_key], "eps": eps,
+                              "perturb_norm": PERTURB_FRACTION * eps},
+                             evolution=cfg, out_dir=out_dir,
+                             seed=derive_seed(seed, name))
+        cases.append((a_key, f"pert{idx}", exp))
+    return cases
+
+
+def _quadrant_row(case: tuple, fwd: DirectionRun, bwd: DirectionRun,
+                  spectral: SpectralData, th: Thresholds) -> QuadrantRow:
+    """One sweep case from its two runs: the record, its artifacts and the
+    post-processing."""
+    a_key, variant, exp = case
+    record = TrajectoryRecord.from_runs(fwd, bwd, exp.evolution)
+    _write_artifacts(exp, record)
     dev = linearized_lambda_deviation(record, spectral, th)
     check = one_pass_check(record, th)
     rate = record.ejection_rate_forward
@@ -311,8 +346,8 @@ def _run_quadrant_case(case: tuple, spectral: SpectralData) -> QuadrantRow:
     return QuadrantRow(a=a_key, eps=exp.params["eps"], variant=variant,
                        verdict_backward=record.verdict_backward,
                        verdict_forward=record.verdict_forward,
-                       ejection_rate=rate, runtime=wall, lambda_form_dev=dev,
-                       one_pass_ok=bool(check["ok"]),
+                       ejection_rate=rate, runtime=fwd.wall_s + bwd.wall_s,
+                       lambda_form_dev=dev, one_pass_ok=bool(check["ok"]),
                        expected=QUADRANT_EXPECTED[a_key])
 
 
@@ -328,35 +363,33 @@ def run_quadrant_sweep(eps_list=(1e-3, 3e-3, 1e-2),
 
     Perturbed variants add a generic bump of PERTURB_FRACTION * eps in the
     energy norm; their verdicts probe the open-set (interior) claim and
-    must match the base run.
+    must match the base run.  Every case needs the forward runs of its data
+    and of its time reversal; :func:`evolve_directions` runs each distinct
+    one, so the backward run of a = (a1, a2) is the forward run of
+    (a1, -a2), and a = (+-1, 0) runs once.  With ``threads > 1`` the
+    distinct runs are mapped over a worker pool.
     """
     th = thresholds or Thresholds()
     cfg = evolution or SWEEP_EVOLUTION
     if spectral is None:
         spectral = build_spectral_data(cross_check=False)
-    cases = []
-    for a_key, a in QUADRANT_DIRECTIONS.items():
-        for eps in eps_list:
-            exp = ExperimentSpec(f"quadrant_a{a_key}_eps{eps:g}", "quadrant",
-                                 {"a": a, "eps": float(eps)}, evolution=cfg,
-                                 out_dir=out_dir, seed=seed)
-            cases.append((a_key, "base", exp, th))
-    for idx in range(n_perturbed):
-        a_key = sorted(QUADRANT_DIRECTIONS)[idx % 4]
-        eps = float(eps_list[(idx // 4) % len(eps_list)])
-        name = f"quadrant_a{a_key}_eps{eps:g}_pert{idx}"
-        exp = ExperimentSpec(name, "quadrant",
-                             {"a": QUADRANT_DIRECTIONS[a_key], "eps": eps,
-                              "perturb_norm": PERTURB_FRACTION * eps},
-                             evolution=cfg, out_dir=out_dir,
-                             seed=derive_seed(seed, name))
-        cases.append((a_key, f"pert{idx}", exp, th))
+    cases = _sweep_cases(eps_list, cfg, n_perturbed, seed, out_dir)
+    states = []
+    for _, _, exp in cases:
+        exp.validate(th)
+        s = build_initial_state(exp, spectral)
+        states += [s, s.time_reversed()]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads, initializer=_pool_init,
                                  initargs=(spectral.eigen_grid,)) as pool:
-            rows = list(pool.map(_pool_case, cases))
+            runs = evolve_directions(
+                states, cfg, spectral, th,
+                map_runs=lambda distinct: pool.map(
+                    _pool_direction, distinct, repeat(cfg), repeat(th)))
     else:
-        rows = [_run_quadrant_case(c, spectral) for c in cases]
+        runs = evolve_directions(states, cfg, spectral, th)
+    rows = [_quadrant_row(case, runs[2 * i], runs[2 * i + 1], spectral, th)
+            for i, case in enumerate(cases)]
     table = QuadrantTable(rows=rows, seed=seed)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -438,8 +471,8 @@ def random_box_closure(spectral: SpectralData, grid: Box3DGrid,
     return BoxResidualClosure(spectral, g1s, g2s, coef * scale)
 
 
-def assemble_box_exact(spectral: SpectralData, grid: Box3DGrid, sgn: int,
-                       sigma: float, c, closure: BoxResidualClosure) -> State:
+def assemble_box_exact(grid: Box3DGrid, sgn: int, sigma: float, c,
+                       closure: BoxResidualClosure) -> State:
     """u = T^c S^sigma (sgn W_vec + v) with every term sampled exactly."""
     c = np.asarray(c, dtype=float)
     es = math.exp(sigma)
@@ -566,7 +599,7 @@ def run_static_suite(spectral: SpectralData | None = None,
                                        amplitude=rng.uniform(0.002, 0.05))
         sgn = int(rng.choice([-1, 1]))
         sigma = float(rng.uniform(-0.5, 0.5))
-        u = assemble_state(spectral, sgn, sigma, np.zeros(3), v)
+        u = assemble_state(sgn, sigma, np.zeros(3), v)
         fit = fit_modulation(u, spectral, th)
         if not fit.converged or fit.sign_s != sgn:
             worst = math.inf
@@ -584,7 +617,7 @@ def run_static_suite(spectral: SpectralData | None = None,
                                      amplitude=rng.uniform(0.002, 0.03))
         sigma = float(rng.uniform(0.0, 0.3))
         c = rng.uniform(-0.4, 0.4, size=3)
-        u = assemble_box_exact(spectral, box, +1, sigma, c, closure)
+        u = assemble_box_exact(box, +1, sigma, c, closure)
         fit = fit_modulation(u, spectral, th)
         if not fit.converged:
             worst = math.inf

@@ -83,18 +83,16 @@ def eval_W_prime_mode(d: int, r) -> np.ndarray | float:
 class RadialProfile:
     """A cubic spline through radial samples (grid.r, values), evaluable at
     arbitrary radii, with a parity-correct extension through the origin and
-    a far-field model beyond the last sample.
+    the fitted far field c r^(2-d) + b r^-d beyond the last sample.
 
     parity : +1 / -1 behavior under r -> -r (for evaluation near 0)
-    tail : "decay" (zero beyond r_max) or "power" (c r^(2-d) + b r^-d)
     """
 
-    def __init__(self, grid: RadialGrid, values: np.ndarray, parity: int,
-                 tail: str):
+    def __init__(self, grid: RadialGrid, values: np.ndarray, parity: int):
         self._spline = _mirrored_spline(grid, values, parity)
         self._r_last = grid.r[-1]
         self._d = grid.d
-        self._cb = grid.tail_fit(values) if tail == "power" else (0.0, 0.0)
+        self._cb = grid.tail_fit(values)
 
     def __call__(self, r) -> np.ndarray:
         rr = np.abs(np.asarray(r, dtype=float))
@@ -132,8 +130,9 @@ class UniformSpline:
     each interval directly, i = floor((r - x_0) / h), with one correction
     step to scipy's rule x[i] <= r < x[i+1] (the node rounding moves a
     floor by at most one interval) instead of a binary search per point, so
-    its values are bitwise those of a ``RadialProfile`` (tail "decay") of
-    each column.  Large inputs are evaluated in blocks of BLOCK_POINTS.
+    its values are bitwise those of scipy's spline of each column, set to
+    zero beyond the last sample.  Large inputs are evaluated in blocks of
+    BLOCK_POINTS.
     """
 
     def __init__(self, grid: RadialGrid, values: np.ndarray, parity):
@@ -217,7 +216,7 @@ class RadialField:
 
     def profile(self) -> RadialProfile:
         """The even spline profile with the power-law far field."""
-        return RadialProfile(self.grid, self.values, 1, "power")
+        return RadialProfile(self.grid, self.values, 1)
 
     def __add__(self, other: "RadialField") -> "RadialField":
         _check_same_grid(self, other)

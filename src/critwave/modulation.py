@@ -186,8 +186,7 @@ def reference_J(spec: SpectralData, grid) -> float:
 # transported-mode inner products
 # ---------------------------------------------------------------------------
 
-def _radial_mode_ip(spec: SpectralData, fld: RadialField, profile,
-                    sigma: float) -> float:
+def _radial_mode_ip(fld: RadialField, profile, sigma: float) -> float:
     """<f | S_1^sigma phi> for a radial mode profile phi (adjoint transport)."""
     g = fld.grid
     amp = math.exp((g.d / 2.0 + 1.0) * sigma)
@@ -374,7 +373,7 @@ def fit_modulation(s: State, spec: SpectralData,
         w_ip_lam0 = spec.W_inner_lambda0_rho(g)
 
         def residual(x):
-            f = (_radial_mode_ip(spec, s.u1, spec.lambda0_rho_profile, x[0])
+            f = (_radial_mode_ip(s.u1, spec.lambda0_rho_profile, x[0])
                  - sgn * w_ip_lam0)
             return np.array([f])
 
@@ -486,7 +485,7 @@ def _residual_state(s: State, spec: SpectralData, sgn: int,
     return State(RadialField(g, v1), RadialField(g, v2))
 
 
-def assemble_state(spec: SpectralData, sgn: int, sigma: float, c, v: State) -> State:
+def assemble_state(sgn: int, sigma: float, c, v: State) -> State:
     """u = T^c S^sigma (sgn W_vec + v): the inverse of a converged radial
     fit (c = 0)."""
     v.require_radial("assemble_state")
@@ -779,7 +778,9 @@ def sign_functional(s: State, spec: SpectralData,
             f"neither sign rule applies at d_W = {report.dW:.3e}")
     sign_inner = sign_outer = None
     if inner_ok:
-        ms = split_modes(report.fit, spec)
+        ms = report.modes           # the split distance_dW already made
+        if ms is None:
+            ms = split_modes(report.fit, spec)
         sign_inner = -_sign_of(ms.lambda1)
     if outer_ok:
         sign_outer = _sign_of(functional_K(s.u1))

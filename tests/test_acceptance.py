@@ -99,7 +99,7 @@ def test_criterion_4_modulation_round_trip(spectral, thresholds, static_grid):
                                        amplitude=float(rng.uniform(0.002, 0.06)))
         sgn = int(rng.choice([-1, 1]))
         sigma = float(rng.uniform(-0.5, 0.5))
-        u = assemble_state(spectral, sgn, sigma, np.zeros(3), v)
+        u = assemble_state(sgn, sigma, np.zeros(3), v)
         fit = fit_modulation(u, spectral, thresholds)
         assert fit.converged and fit.sign_s == sgn
         worst = max(worst, abs(fit.sigma - sigma), norm_H(fit.v - v))
@@ -109,7 +109,7 @@ def test_criterion_4_modulation_round_trip(spectral, thresholds, static_grid):
                                      amplitude=float(rng.uniform(0.005, 0.03)))
         sigma = float(rng.uniform(0.0, 0.3))
         c = rng.uniform(-0.4, 0.4, size=3)
-        u = assemble_box_exact(spectral, box, +1, sigma, c, closure)
+        u = assemble_box_exact(box, +1, sigma, c, closure)
         fit = fit_modulation(u, spectral, thresholds)
         assert fit.converged
         worst = max(worst, abs(fit.sigma - sigma),

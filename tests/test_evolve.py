@@ -298,6 +298,24 @@ class TestDetectors:
                                thresholds)
         assert run.verdict == SCATTER
 
+    def test_refined_rerun_that_cannot_step_is_undetermined(self, spectral,
+                                                            thresholds):
+        # one node above _MAX_SAFE_AMP: the run stops at t = 0, and its
+        # refined rerun overflows before its first step, which confirms
+        # nothing
+        g = RadialGrid(3, 32.0, 1024, "uniform")
+        u1 = np.zeros(g.n)
+        u1[100] = 1e13
+        cfg = EvolutionConfig(n=g.n, r_max=g.r_max, t_max=2.0)
+        run = evolve_direction(State(RadialField(g, u1), zeros_on(g)), cfg,
+                               spectral, thresholds)
+        assert 1e13 > _MAX_SAFE_AMP
+        assert run.verdict == UNDETERMINED
+        assert run.detail["exceeded_at"] == 0.0
+        assert run.detail["confirmed"] is False
+        assert run.detail["mode"] == "overflow on refined grid"
+        assert run.detail["reason"] == "refined run stopped before its first step"
+
     def test_ground_state_undetermined_short(self, spectral, thresholds,
                                              dyn_grid):
         # (W, 0) on a short horizon: neither confirmed escape nor dispersal
@@ -352,8 +370,8 @@ class TestEjection:
         with pytest.raises(ValueError):
             fit_ejection_rate(run.series, spectral, thresholds)
 
-    def test_ode_residual_small(self, ejection_run, spectral, thresholds):
-        out = modulation_ode_residual(ejection_run.series, spectral, thresholds)
+    def test_ode_residual_small(self, ejection_run):
+        out = modulation_ode_residual(ejection_run.series)
         assert out["max_rel_residual"] <= 0.10
         assert out["sigma_tau_over_gamma"] <= 5.0
 
@@ -391,6 +409,55 @@ class TestEjection:
         ok = np.isfinite(lam1) & np.isfinite(lam2)
         ratio = lam2[ok][:8] / lam1[ok][:8]
         assert np.max(np.abs(ratio / spectral.k - 1.0)) <= 0.02
+
+
+def assert_runs_equal(a, b):
+    assert a.series.keys() == b.series.keys()
+    for key in a.series:
+        assert np.array_equal(a.series[key], b.series[key], equal_nan=True), key
+    assert (a.verdict, a.detail) == (b.verdict, b.detail)
+
+
+class TestRunReuse:
+    """The backward run of data (u1, u2) is the forward run of (u1, -u2),
+    so a sweep or a two-sided run makes each distinct run once."""
+
+    CFG = EvolutionConfig(n=8192, r_max=64.0, t_max=4.0, monitor_stride=0.5)
+
+    @pytest.fixture(scope="class")
+    def data(self, spectral, dyn_grid):
+        g = dyn_grid
+        w = np.asarray(eval_W(3, g.r ** 2))
+        rho = spectral.rho_on(g)
+        eps = 1e-3
+        return {"still": State(RadialField(g, w + eps * rho),
+                               RadialField(g, 0.0 * rho)),
+                "up": State(RadialField(g, w), RadialField(g, eps * rho)),
+                "down": State(RadialField(g, w), RadialField(g, -eps * rho))}
+
+    @pytest.mark.parametrize("reversed_of, replacement",
+                             [("still", "still"), ("up", "down")])
+    def test_reversal_equals_the_run_that_replaces_it(
+            self, data, spectral, thresholds, reversed_of, replacement):
+        rev = data[reversed_of].time_reversed()
+        # equal values (the reversal of still data has -0 where it has +0),
+        # so evolve_directions runs the two once
+        assert np.array_equal(rev.u2.values, data[replacement].u2.values)
+        assert_runs_equal(evolve_direction(rev, self.CFG, spectral, thresholds),
+                          evolve_direction(data[replacement], self.CFG,
+                                           spectral, thresholds))
+
+    def test_still_data_runs_once(self, data, spectral, thresholds,
+                                  direction_calls, two_call_record):
+        rec = evolve_with_monitors(data["still"], self.CFG, spectral,
+                                   thresholds)
+        assert len(direction_calls) == 1
+        oracle = two_call_record(data["still"], self.CFG, spectral, thresholds)
+        assert rec.series.keys() == oracle.series.keys()
+        for key in rec.series:
+            assert np.array_equal(rec.series[key], oracle.series[key],
+                                  equal_nan=True), key
+        assert rec.verdict_sidecar() == oracle.verdict_sidecar()
 
 
 class TestTwoSided:

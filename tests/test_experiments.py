@@ -181,6 +181,40 @@ class TestQuadrantSweep:
         assert worker.k == spec.k
 
 
+class TestSweepReuse:
+    # a cheap resolution and a short horizon
+    CFG = EvolutionConfig(n=1024, r_max=32.0, t_max=3.0, monitor_stride=0.5)
+
+    def test_distinct_runs_and_unchanged_artifacts(
+            self, spectral, thresholds, tmp_path, direction_calls,
+            two_call_record):
+        table = run_quadrant_sweep(eps_list=(1e-3,), spectral=spectral,
+                                   thresholds=thresholds, evolution=self.CFG,
+                                   n_perturbed=1, seed=11,
+                                   out_dir=str(tmp_path / "sweep"))
+        # 4 base cases share 4 runs (+-1,0 are their own reversals, and the
+        # backward run of (0,+-1) is the forward run of (0,-+1)); the
+        # perturbed case needs 2
+        assert len(direction_calls) == 6
+        runtime = {r.a: r.runtime for r in table.rows if r.variant == "base"}
+        assert runtime["0,+1"] == runtime["0,-1"] > 0.0
+        # the per-case files equal those of two runs per case
+        oracle = tmp_path / "oracle"
+        oracle.mkdir()
+        for _, _, exp in experiments._sweep_cases((1e-3,), self.CFG, 1, 11,
+                                                  None):
+            rec = two_call_record(build_initial_state(exp, spectral),
+                                  self.CFG, spectral, thresholds)
+            rec.to_csv(oracle / f"{exp.name}.csv")
+            rec.to_extended_csv(oracle / f"{exp.name}_ext.csv")
+            rec.save_verdict(oracle / f"{exp.name}_verdict.json")
+        names = sorted(p.name for p in oracle.iterdir())
+        assert len(names) == 15
+        for name in names:
+            assert ((tmp_path / "sweep" / name).read_bytes()
+                    == (oracle / name).read_bytes()), name
+
+
 @pytest.fixture(scope="module")
 def report(spectral, thresholds):
     return run_static_suite(spectral=spectral, thresholds=thresholds,

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -6,11 +7,11 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from critwave import modulation
 from critwave.experiments import (BoxResidualClosure, assemble_box_exact,
                                   random_box_closure,
                                   random_orthogonal_residual)
-from critwave.fields import (BLOCK_POINTS, RadialField, RadialProfile,
-                             State, eval_W_dr, sample_W_family, BoostParams)
+from critwave.fields import (BLOCK_POINTS, RadialField, State, eval_W_dr, sample_W_family, BoostParams)
 from critwave.functionals import (crit_norm, energy_E, functional_K,
                                   h1_seminorm_sq, l2_inner, l2_norm_sq,
                                   norm_H, norm_H_sq, symplectic_omega)
@@ -106,7 +107,7 @@ class TestFit:
         for _ in range(5):
             v = random_orthogonal_residual(spec, g, rng,
                                            amplitude=float(rng.uniform(0.01, 0.1)))
-            u = assemble_state(spec, 1, float(rng.uniform(-0.4, 0.4)),
+            u = assemble_state(1, float(rng.uniform(-0.4, 0.4)),
                                np.zeros(3), v)
             fit = fit_modulation(u, spec, th)
             assert fit.converged
@@ -136,7 +137,7 @@ class TestRoundTrip:
                                            amplitude=float(rng.uniform(0.002, 0.08)))
             sgn = int(rng.choice([-1, 1]))
             sigma = float(rng.uniform(-0.5, 0.5))
-            u = assemble_state(spec, sgn, sigma, np.zeros(3), v)
+            u = assemble_state(sgn, sigma, np.zeros(3), v)
             fit = fit_modulation(u, spec, th)
             assert fit.converged
             assert fit.sign_s == sgn
@@ -150,7 +151,7 @@ class TestRoundTrip:
             closure = random_box_closure(spec, box, rng, amplitude=0.02)
             sigma = float(rng.uniform(0.0, 0.3))
             c = rng.uniform(-0.4, 0.4, size=3)
-            u = assemble_box_exact(spec, box, +1, sigma, c, closure)
+            u = assemble_box_exact(box, +1, sigma, c, closure)
             fit = fit_modulation(u, spec, th)
             assert fit.converged
             assert abs(fit.sigma - sigma) <= 1e-6
@@ -195,7 +196,7 @@ class TestModeSplit:
     def test_reconstruction(self, ctx, rng):
         spec, g, th = ctx["spec"], ctx["g"], ctx["th"]
         v = random_orthogonal_residual(spec, g, rng, amplitude=0.03)
-        u = assemble_state(spec, 1, 0.1, np.zeros(3), v)
+        u = assemble_state(1, 0.1, np.zeros(3), v)
         fit = fit_modulation(u, spec, th)
         ms = split_modes(fit, spec)
         _, gamma = resampled_split(fit, spec)
@@ -225,7 +226,7 @@ class TestAdjointSplit:
     def test_matches_resampled_oracle(self, ctx, rng, sgn, sigma):
         spec, g, th = ctx["spec"], ctx["g"], ctx["th"]
         v = random_orthogonal_residual(spec, g, rng, amplitude=0.02)
-        fit = fit_modulation(assemble_state(spec, sgn, sigma, np.zeros(3), v),
+        fit = fit_modulation(assemble_state(sgn, sigma, np.zeros(3), v),
                              spec, th)
         assert fit.converged and fit.sign_s == sgn
         ms = split_modes(fit, spec)
@@ -238,13 +239,13 @@ class TestAdjointSplit:
         spec, g, th = ctx["spec"], ctx["g"], ctx["th"]
         v = random_orthogonal_residual(spec, g, rng, amplitude=0.03)
         for sgn in (1, -1):
-            u = assemble_state(spec, sgn, 0.2, np.zeros(3), v)
+            u = assemble_state(sgn, 0.2, np.zeros(3), v)
             fit = fit_modulation(u, spec, th)
             ms = split_modes(fit, spec)
             assert ms.alpha == sgn * fit.orth_residual[0]
             # the residual of the final sigma: <S^sigma u1 | Lambda_0 rho>
             # minus sgn <W | Lambda_0 rho>
-            resid = (_radial_mode_ip(spec, u.u1, spec.lambda0_rho_profile,
+            resid = (_radial_mode_ip(u.u1, spec.lambda0_rho_profile,
                                      fit.sigma)
                      - sgn * spec.W_inner_lambda0_rho(g))
             assert ms.alpha == sgn * resid
@@ -280,7 +281,7 @@ class TestLinearizedNorm:
         for _ in range(20):
             v = random_orthogonal_residual(spec, g, rng,
                                            amplitude=float(rng.uniform(0.005, 0.05)))
-            u = assemble_state(spec, 1, 0.0, np.zeros(3), v)
+            u = assemble_state(1, 0.0, np.zeros(3), v)
             fit = fit_modulation(u, spec, th)
             ratios.append(self.norm_sq(fit, spec) / norm_H_sq(fit.v))
         assert min(ratios) > 0.05
@@ -519,10 +520,24 @@ class TestBoxModeSampler:
             assert np.array_equal(a, b)
 
 
+def decay_profile(grid, values, parity):
+    """Oracle: the cubic spline through (grid.r, values), mirrored through
+    the origin by six nodes of the given parity, zero beyond the last node."""
+    r_ext = np.concatenate([-grid.r[:6][::-1], grid.r])
+    v_ext = np.concatenate([parity * values[:6][::-1], values])
+    spline = CubicSpline(r_ext, v_ext, extrapolate=False)
+    r_last = grid.r[-1]
+
+    def profile(r):
+        rr = np.abs(np.asarray(r, dtype=float))
+        return np.where(rr > r_last, 0.0, spline(rr))
+    return profile
+
+
 class TestModeProfiles:
     """The SpectralData profiles of rho, rho' and Lambda_0 rho (one-column
-    UniformSplines) against RadialProfiles of the same samples, built here
-    as the oracle."""
+    UniformSplines) against decay-tail splines of the same samples, built
+    here as the oracle."""
 
     @pytest.mark.parametrize("name", ["rho_profile", "rho_dr_profile",
                                       "lambda0_rho_profile"])
@@ -531,7 +546,7 @@ class TestModeProfiles:
         samples, parity = {"rho_profile": (spectral.rho_eigen.values, 1),
                            "rho_dr_profile": (rho_dr, -1),
                            "lambda0_rho_profile": (lam0, 1)}[name]
-        oracle = RadialProfile(spectral.eigen_grid, samples, parity, "decay")
+        oracle = decay_profile(spectral.eigen_grid, samples, parity)
         profile = getattr(spectral, name)
         grids = [RadialGrid(3, 200.0, 4096, "sinh", 6.0),
                  RadialGrid(3, 64.0, 8192, "uniform"),
@@ -715,6 +730,29 @@ class TestSign:
                 val = sign_functional(s, spec, th, report=rep)
                 assert val == (-1 if eta > 0 else +1)
 
+    def test_report_split_is_reused(self, ctx, monkeypatch):
+        # a distance_dW report holds the split of its converged fit
+        spec, th, g = ctx["spec"], ctx["th"], ctx["g"]
+        calls = []
+        original = modulation.split_modes
+
+        def counting(fit, spec):
+            calls.append(fit)
+            return original(fit, spec)
+
+        for eps, want in ((1e-3, -1), (-1e-3, +1)):
+            s = State(RadialField(g, ctx["W"] + eps * ctx["rho"]), ctx["zeros"])
+            rep = distance_dW(s, spec, th)
+            assert rep.modes is not None
+            monkeypatch.setattr(modulation, "split_modes", counting)
+            assert sign_functional(s, spec, th, report=rep) == want
+            assert calls == []
+            without = dataclasses.replace(rep, modes=None)
+            assert sign_functional(s, spec, th, report=without) == want
+            assert calls == [rep.fit]
+            calls.clear()
+            monkeypatch.undo()
+
     def test_zero_state_positive(self, ctx):
         spec, th = ctx["spec"], ctx["th"]
         zeros = ctx["zeros"]
@@ -756,7 +794,7 @@ def box_case(spectral, thresholds):
 # box states stop at the fit: what follows it takes radial states only
 BOX_REJECTIONS = {
     "assemble_state": (ValueError, lambda spec, s, fit: assemble_state(
-        spec, 1, fit.sigma, fit.c, s)),
+        1, fit.sigma, fit.c, s)),
     "manifold_distance": (ValueError, lambda spec, s, fit: manifold_distance(
         spec, s)),
     "distance_dW": (ValueError, lambda spec, s, fit: distance_dW(

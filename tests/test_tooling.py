@@ -51,3 +51,24 @@ def test_every_definition_has_a_caller():
         and not any(ref == name and (where != path or not first <= line <= last)
                     for ref, where, line in references)]
     assert uncalled == []
+
+
+def test_every_parameter_is_read():
+    # a parameter of a package function must be read in its body (nested
+    # functions included); self, cls and _-prefixed names are exempt
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in (args.posonlyargs + args.args
+                                      + args.kwonlyargs)]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {node.name}({p})"
+                       for p in params
+                       if p not in ("self", "cls") and not p.startswith("_")
+                       and p not in read]
+    assert unread == []
