@@ -44,8 +44,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=20240801)
 
 
-def _load_sections(path):
-    return load_config(path) if path else {}
+def _load_sections(path, given: dict | None = None):
+    return load_config(path, given) if path else {}
 
 
 def _invalid_config(exc: ValueError) -> int:
@@ -103,7 +103,8 @@ def cmd_evolve(args) -> int:
         print("evolve requires --config", file=sys.stderr)
         return 3
     try:
-        sections = _load_sections(args.config)
+        given: dict = {}
+        sections = _load_sections(args.config, given)
         exp_sec = sections.get("experiment")
         if exp_sec is None:
             raise ValueError("config must contain an [experiment] section")
@@ -124,6 +125,10 @@ def cmd_evolve(args) -> int:
             evolution=sections.get("evolution", EvolutionConfig()),
             out_dir=args.out or ".", seed=args.seed)
         state0 = spec_exp.validate(thresholds)
+        if state0 is not None:
+            spec_exp = replace(spec_exp, evolution=_on_file_grid(
+                spec_exp.evolution, given.get("evolution", set()),
+                state0.grid))
     except ValueError as exc:
         return _invalid_config(exc)
     spectral = build_spectral_data(cross_check=False)
@@ -133,14 +138,33 @@ def cmd_evolve(args) -> int:
     return exit_code_for([record])
 
 
+def _on_file_grid(cfg: EvolutionConfig, given: set, grid: RadialGrid
+                  ) -> EvolutionConfig:
+    """The evolution config of a ``file`` run, whose grid is the file
+    state's: ValueError when [evolution] sets n or r_max to another grid."""
+    for key in ("n", "r_max"):
+        if key in given and getattr(cfg, key) != getattr(grid, key):
+            raise ValueError(f"[evolution] {key} = {getattr(cfg, key)!r} "
+                             f"differs from the file state's grid "
+                             f"({key} = {getattr(grid, key)!r})")
+    return replace(cfg, n=grid.n, r_max=grid.r_max)
+
+
+def _eps_list(text: str, thresholds: Thresholds) -> tuple[float, ...]:
+    """The amplitudes of a comma-separated --eps, each checked as a
+    quadrant amplitude; ValueError on an invalid one."""
+    eps_list = tuple(float(x) for x in text.split(","))
+    for eps in eps_list:
+        ExperimentSpec("quadrant", "quadrant", {"a": (1, 0), "eps": eps}
+                       ).validate(thresholds)
+    return eps_list
+
+
 def cmd_quadrant(args) -> int:
     try:
         sections = _load_sections(args.config)
         thresholds = sections.get("thresholds", Thresholds())
-        eps_list = tuple(float(x) for x in args.eps.split(","))
-        for eps in eps_list:
-            ExperimentSpec("quadrant", "quadrant", {"a": (1, 0), "eps": eps}
-                           ).validate(thresholds)
+        eps_list = _eps_list(args.eps, thresholds)
     except ValueError as exc:
         return _invalid_config(exc)
     evolution = sections.get("evolution")
@@ -161,12 +185,15 @@ def cmd_quadrant(args) -> int:
 def cmd_ejection(args) -> int:
     """Evolve W_vec +- eps rho and fit the exponential rate of the unstable
     mode in the rescaled time tau against the spectral rate k."""
-    spectral = build_spectral_data(cross_check=False)
     th = Thresholds()
-    cfg = replace(SWEEP_EVOLUTION, t_max=args.t_max, monitor_stride=0.125)
+    try:
+        eps_list = _eps_list(args.eps, th)
+        cfg = replace(SWEEP_EVOLUTION, t_max=args.t_max, monitor_stride=0.125)
+    except ValueError as exc:
+        return _invalid_config(exc)
+    spectral = build_spectral_data(cross_check=False)
     print(f"spectral rate k = {spectral.k:.8f}")
-    for eps_txt in args.eps.split(","):
-        eps = float(eps_txt)
+    for eps in eps_list:
         for sign in (+1, -1):
             state = build_initial_state(
                 ExperimentSpec("ejection", "quadrant",

@@ -60,12 +60,13 @@ def _coerce(example, text: str):
     return int(text) if isinstance(example, int) else float(text)
 
 
-def load_config(path) -> dict:
+def load_config(path, given: dict | None = None) -> dict:
     """Read a flat key = value config with [thresholds] / [evolution] sections.
 
     Unknown sections are returned verbatim as string dicts (experiment
     recipes consume them).  A malformed file, an unknown key or an invalid
-    value raises ValueError.
+    value raises ValueError.  ``given``, when passed, receives the set of
+    field names that each [thresholds] / [evolution] section sets.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path) as fh:
@@ -91,5 +92,7 @@ def load_config(path) -> dict:
         if items:
             raise ValueError(f"unknown keys in [{section}]: {sorted(items)}")
         out[section] = replace(base, **kwargs)
+        if given is not None:
+            given[section] = set(kwargs)
     return out
 

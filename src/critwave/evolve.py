@@ -52,6 +52,7 @@ SUPPORT_RADIUS = 30.0       # nominal data support for E_ext
 DT_FLOOR_FACTOR = 4096.0    # give up once the dt cap is below dt0 / factor
 CONFIRM_REFINE = 2          # grid refinement of the blow-up confirmation
 CONFIRM_WINDOW = 3.0        # confirmation window around the last checkpoint
+CONFIRM_MARGIN = 2.0        # the confirmation ball's radius beyond the |u| peak
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,6 @@ class TrajectoryRecord:
     """Two-sided monitor series (t < 0 is the backward direction) plus
     per-direction verdicts; series carry the true solution's values."""
 
-    times: np.ndarray
     series: dict
     verdict_forward: str
     verdict_backward: str
@@ -229,11 +229,10 @@ class TrajectoryRecord:
     detail_backward: dict
     ejection_rate_forward: float = math.nan
     ejection_rate_backward: float = math.nan
-    config: EvolutionConfig | None = None
 
     @classmethod
-    def from_runs(cls, fwd: DirectionRun, bwd: DirectionRun,
-                  cfg: EvolutionConfig) -> "TrajectoryRecord":
+    def from_runs(cls, fwd: DirectionRun,
+                  bwd: DirectionRun) -> "TrajectoryRecord":
         """The two-sided record of a forward run and the forward run of the
         time-reversed data: odd quantities (t, tau, lambda2, Vw, equip) flip
         sign on the backward half."""
@@ -244,12 +243,11 @@ class TrajectoryRecord:
             if key in ("t", "tau", "lambda2", "Vw", "equip"):
                 fb = -fb
             series[key] = np.concatenate([fb[:-1], ff]) if len(fb) else ff
-        return cls(times=series["t"], series=series,
+        return cls(series=series,
                    verdict_forward=fwd.verdict, verdict_backward=bwd.verdict,
                    detail_forward=fwd.detail, detail_backward=bwd.detail,
                    ejection_rate_forward=fwd.ejection_rate,
-                   ejection_rate_backward=bwd.ejection_rate,
-                   config=cfg)
+                   ejection_rate_backward=bwd.ejection_rate)
 
     def column(self, key: str) -> np.ndarray:
         return np.asarray(self.series[key])
@@ -517,26 +515,47 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
     Norm escape must persist under refinement to count as blow-up; a
     refined run that stops (overflow or stepper floor) before its first step
     confirms nothing.
+
+    The refined run covers [0, R] only (:func:`_confirm_grid`).  By finite
+    speed of propagation its solution on the ball r <= R - (t - t0) - pad
+    is that of the refined run over the whole domain, so the evidence is
+    read there: the escape test uses the norm on the ball, which bounds the
+    whole solution's norm from below, and a stop confirms only when max |u|
+    lies inside the ball.  When R reaches r_max the rerun is the
+    full-domain one, with the far-field norm and no ball.
     """
     if not checkpoints:
         return False, {"confirmed": False, "reason": "no checkpoint"}
     t_back = checkpoints[-1][0] - CONFIRM_WINDOW
     earlier = [cp for cp in checkpoints if cp[0] <= t_back]
     t0, w0, v0 = earlier[-1] if earlier else checkpoints[0]
-    fine = RadialGrid(3, ev.grid.r_max, ev.grid.n * CONFIRM_REFINE, "uniform")
+    horizon = checkpoints[-1][0] + CONFIRM_WINDOW
+    fine = _confirm_grid(ev.grid, w0, horizon - t0)
+    fallback = fine.n == ev.grid.n * CONFIRM_REFINE
     ev2 = RadialWaveEvolver(fine, 0.5 * (ev.dt0 / ev.h))
     w = _resample_w(ev.grid.r, w0, fine.r)
     v = _resample_w(ev.grid.r, v0, fine.r)
+
+    def ball(t):
+        return fine.r_max if fallback else fine.r_max - (t - t0) - _EXT_PAD
+
+    def result(confirmed, t, **info):
+        return confirmed, {"confirmed": confirmed, **info,
+                           "confirm_radius": fine.r_max,
+                           "confirm_nodes": fine.n,
+                           "confirm_fallback": fallback,
+                           "ball_radius": float(ball(t))}
+
     a = None
     t = t0
-    horizon = checkpoints[-1][0] + CONFIRM_WINDOW
     peak, prev_norm = 0.0, math.inf
     while t < horizon - 1e-12:
-        nrm = norm_H(ev2.wv_to_state(w, v))
+        nrm = (norm_H(ev2.wv_to_state(w, v)) if fallback
+               else _ball_norm(fine, w, v, ball(t)))
         peak = max(peak, nrm)
         if nrm > threshold and nrm > prev_norm:     # escaping and growing
-            return True, {"confirmed": True, "mode": "norm escape on refined grid",
-                          "t_confirm": t, "refined_norm": nrm}
+            return result(True, t, mode="norm escape on refined grid",
+                          t_confirm=t, refined_norm=nrm)
         prev_norm = nrm
         w, v, a, t, stop = ev2.advance(w, v, t,
                                        min(t + cfg.monitor_stride, horizon),
@@ -545,12 +564,45 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
             mode = ("overflow" if stop == "overflow" else "stepper floor") \
                 + " on refined grid"
             if t == t0:
-                return False, {"confirmed": False, "mode": mode,
-                               "reason": "refined run stopped before its "
-                                         "first step"}
-            return True, {"confirmed": True, "mode": mode, "t_confirm": t}
-    return False, {"confirmed": False, "peak_refined_norm": peak,
-                   "reason": "refined run did not sustain escape"}
+                return result(False, t, mode=mode,
+                              reason="refined run stopped before its first "
+                                     "step")
+            r_amp = _peak_radius(fine.r, w)
+            if r_amp > ball(t):
+                return result(False, t, mode=mode,
+                              reason=f"refined run stopped with max |u| at "
+                                     f"r = {r_amp:.4g}, outside the ball "
+                                     f"r <= {ball(t):.4g}")
+            return result(True, t, mode=mode, t_confirm=t)
+    return result(False, t, peak_refined_norm=peak,
+                  reason="refined run did not sustain escape")
+
+
+def _confirm_grid(grid: RadialGrid, w0, window: float) -> RadialGrid:
+    """The refined grid of a confirmation over ``window`` from the state
+    w0 on ``grid``: the first nodes of the grid refined CONFIRM_REFINE
+    times, up to R = r_peak + window + pad + CONFIRM_MARGIN rounded up to
+    whole cells, where r_peak is the node of max |u| = |w| / r; the whole
+    refined grid once R reaches r_max."""
+    full = RadialGrid(3, grid.r_max, grid.n * CONFIRM_REFINE, "uniform")
+    reach = _peak_radius(grid.r, w0) + window + _EXT_PAD + CONFIRM_MARGIN
+    m = max(16, math.ceil(reach / full.min_spacing))
+    return full.head(m) if m < full.n else full
+
+
+def _peak_radius(r, w) -> float:
+    """The node of max |u| = |w| / r (of the first NaN when there is one)."""
+    with np.errstate(over="ignore"):
+        return float(r[np.argmax(np.abs(w) / r)])
+
+
+def _ball_norm(grid: RadialGrid, w, v, radius: float) -> float:
+    """Energy-space norm of (w / r, v / r) on the ball r <= radius: the
+    plain quadrature of |d_r u|^2 + u_t^2 over its nodes."""
+    k = int(np.searchsorted(grid.r, radius, side="right"))
+    du = grid.deriv(w / grid.r)[:k]
+    u2 = v[:k] / grid.r[:k]
+    return math.sqrt(float(grid.w_meas[:k] @ (du * du + u2 * u2)))
 
 
 def _resample_w(r_old, w_old, r_new):
@@ -615,7 +667,7 @@ def evolve_with_monitors(state0: State, cfg: EvolutionConfig,
     """
     fwd, bwd = evolve_directions([state0, state0.time_reversed()], cfg, spec,
                                  thresholds)
-    return TrajectoryRecord.from_runs(fwd, bwd, cfg)
+    return TrajectoryRecord.from_runs(fwd, bwd)
 
 
 # ---------------------------------------------------------------------------

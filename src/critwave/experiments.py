@@ -336,7 +336,7 @@ def _quadrant_row(case: tuple, fwd: DirectionRun, bwd: DirectionRun,
     """One sweep case from its two runs: the record, its artifacts and the
     post-processing."""
     a_key, variant, exp = case
-    record = TrajectoryRecord.from_runs(fwd, bwd, exp.evolution)
+    record = TrajectoryRecord.from_runs(fwd, bwd)
     _write_artifacts(exp, record)
     dev = linearized_lambda_deviation(record, spectral, th)
     check = one_pass_check(record, th)

@@ -82,14 +82,11 @@ def eval_W_prime_mode(d: int, r) -> np.ndarray | float:
 
 class RadialProfile:
     """A cubic spline through radial samples (grid.r, values), evaluable at
-    arbitrary radii, with a parity-correct extension through the origin and
-    the fitted far field c r^(2-d) + b r^-d beyond the last sample.
+    arbitrary radii, with an even extension through the origin and the
+    fitted far field c r^(2-d) + b r^-d beyond the last sample."""
 
-    parity : +1 / -1 behavior under r -> -r (for evaluation near 0)
-    """
-
-    def __init__(self, grid: RadialGrid, values: np.ndarray, parity: int):
-        self._spline = _mirrored_spline(grid, values, parity)
+    def __init__(self, grid: RadialGrid, values: np.ndarray):
+        self._spline = _mirrored_spline(grid, values, 1)
         self._r_last = grid.r[-1]
         self._d = grid.d
         self._cb = grid.tail_fit(values)
@@ -216,7 +213,7 @@ class RadialField:
 
     def profile(self) -> RadialProfile:
         """The even spline profile with the power-law far field."""
-        return RadialProfile(self.grid, self.values, 1)
+        return RadialProfile(self.grid, self.values)
 
     def __add__(self, other: "RadialField") -> "RadialField":
         _check_same_grid(self, other)

@@ -106,6 +106,17 @@ class RadialGrid:
         return (f"RadialGrid(d={self.d}, r_max={self.r_max}, n={self.n}, "
                 f"spacing={self.spacing!r}, beta={self.beta})")
 
+    def head(self, m: int) -> "RadialGrid":
+        """The uniform grid of this uniform grid's first m nodes, with
+        r_max = m cells; its nodes are bitwise this grid's first m."""
+        if self.spacing != "uniform":
+            raise ValueError("only a uniform grid has a head grid")
+        if not 16 <= m <= self.n:
+            raise ValueError(f"head needs 16 <= m <= {self.n}, got {m}")
+        sub = RadialGrid(self.d, self.r_max * m / self.n, m, "uniform")
+        sub.r = self.r[:m].copy()
+        return sub
+
     @property
     def min_spacing(self) -> float:
         return float(self.r[1] - self.r[0])

@@ -46,11 +46,11 @@ def _two_call_record(state0, cfg, spec, th):
             fb = -fb
         series[key] = np.concatenate([fb[:-1], ff]) if len(fb) else ff
     return TrajectoryRecord(
-        times=series["t"], series=series,
+        series=series,
         verdict_forward=fwd.verdict, verdict_backward=bwd.verdict,
         detail_forward=fwd.detail, detail_backward=bwd.detail,
         ejection_rate_forward=fwd.ejection_rate,
-        ejection_rate_backward=bwd.ejection_rate, config=cfg)
+        ejection_rate_backward=bwd.ejection_rate)
 
 
 @pytest.fixture(scope="session")

@@ -4,13 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from critwave import modulation
+from critwave import evolve, modulation
 from critwave.config import EvolutionConfig
-from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, DT_FLOOR_FACTOR, SCATTER,
-                             UNDETERMINED, RadialWaveEvolver, _nl_dt_cap,
-                             evolve_direction, evolve_with_monitors,
-                             exterior_energy, fit_ejection_rate,
-                             modulation_ode_residual, one_pass_check, step)
+from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, CONFIRM_REFINE,
+                             CONFIRM_WINDOW, DT_FLOOR_FACTOR, SCATTER,
+                             UNDETERMINED, RadialWaveEvolver, _confirm_grid,
+                             _nl_dt_cap, _resample_w, evolve_direction,
+                             evolve_with_monitors, exterior_energy,
+                             fit_ejection_rate, modulation_ode_residual,
+                             one_pass_check, step)
 from critwave.fields import RadialField, State, eval_W
 from critwave.functionals import energy_E, l2_norm_sq, norm_H
 from critwave.grids import RadialGrid
@@ -327,6 +329,131 @@ class TestDetectors:
         assert run.verdict == UNDETERMINED
 
 
+def full_domain_confirmation(checkpoints, ev, cfg, threshold):
+    """The blow-up confirmation over the whole refined domain: the tail
+    window rerun on the grid refined CONFIRM_REFINE times over [0, r_max],
+    with the far-field norm and no ball.  Returns (confirmed, detail)."""
+    t_back = checkpoints[-1][0] - CONFIRM_WINDOW
+    earlier = [cp for cp in checkpoints if cp[0] <= t_back]
+    t0, w0, v0 = earlier[-1] if earlier else checkpoints[0]
+    fine = RadialGrid(3, ev.grid.r_max, ev.grid.n * CONFIRM_REFINE, "uniform")
+    ev2 = RadialWaveEvolver(fine, 0.5 * (ev.dt0 / ev.h))
+    w = _resample_w(ev.grid.r, w0, fine.r)
+    v = _resample_w(ev.grid.r, v0, fine.r)
+    a = None
+    t = t0
+    horizon = checkpoints[-1][0] + CONFIRM_WINDOW
+    prev_norm = math.inf
+    while t < horizon - 1e-12:
+        nrm = norm_H(ev2.wv_to_state(w, v))
+        if nrm > threshold and nrm > prev_norm:
+            return True, {"mode": "norm escape on refined grid",
+                          "t_confirm": t}
+        prev_norm = nrm
+        w, v, a, t, stop = ev2.advance(w, v, t,
+                                       min(t + cfg.monitor_stride, horizon),
+                                       a)
+        if stop != "target":
+            mode = ("overflow" if stop == "overflow" else "stepper floor") \
+                + " on refined grid"
+            if t == t0:
+                return False, {"mode": mode}
+            return True, {"mode": mode, "t_confirm": t}
+    return False, {}
+
+
+@pytest.fixture()
+def confirmations(monkeypatch):
+    """The arguments and result of every blow-up confirmation made."""
+    calls = []
+    real = evolve._confirm_blowup
+
+    def recording(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(evolve, "_confirm_blowup", recording)
+    return calls
+
+
+class TestLightConeConfirmation:
+    """The confirmation reruns only the ball its verdict depends on; the
+    full-domain rerun is the oracle."""
+
+    @pytest.mark.parametrize("case", ["2W", "W+1e-3rho", "W+1e-4rho"])
+    def test_same_verdict_as_full_domain(self, case, spectral, thresholds,
+                                         dyn_grid, confirmations):
+        g = dyn_grid
+        w = np.asarray(eval_W(3, g.r ** 2))
+        stride, u1 = {"2W": (0.25, 2.0 * w),
+                      "W+1e-3rho": (0.25, w + 1e-3 * spectral.rho_on(g)),
+                      "W+1e-4rho": (0.125, w + 1e-4 * spectral.rho_on(g))}[case]
+        cfg = EvolutionConfig(n=g.n, r_max=g.r_max, t_max=14.0,
+                              monitor_stride=stride)
+        run = evolve_direction(State(RadialField(g, u1), zeros_on(g)), cfg,
+                               spectral, thresholds)
+        assert run.verdict == BLOWUP
+        (args, (confirmed, detail)), = confirmations
+        want_confirmed, want = full_domain_confirmation(*args)
+        assert confirmed is want_confirmed is True
+        assert detail["mode"] == want["mode"]
+        assert abs(detail["t_confirm"] - want["t_confirm"]) <= 1e-9
+        assert detail["confirm_fallback"] is False
+        assert detail["confirm_nodes"] < CONFIRM_REFINE * g.n
+        assert detail["ball_radius"] < detail["confirm_radius"] < g.r_max
+
+    def test_cut_grid_is_the_head_of_the_refined_grid(self, spectral,
+                                                      dyn_grid):
+        g = dyn_grid
+        w = g.r * (np.asarray(eval_W(3, g.r ** 2)) + 1e-3 * spectral.rho_on(g))
+        full = RadialGrid(3, g.r_max, CONFIRM_REFINE * g.n, "uniform")
+        cut = _confirm_grid(g, w, 6.0)
+        # |u| peaks at the first node: R = r_0 + 6 + pad + margin = 10.0039
+        assert cut.n == 2561 < full.n
+        assert cut.r_max == cut.n * full.min_spacing
+        assert np.array_equal(cut.r, full.r[:cut.n])
+        assert np.array_equal(_resample_w(g.r, w, cut.r),
+                              _resample_w(g.r, w, full.r)[:cut.n])
+
+    def test_peak_near_r_max_takes_the_full_domain(self, spectral, thresholds,
+                                                   confirmations):
+        # a bump at r = 28 of r_max = 32: the ball would pass r_max
+        g = RadialGrid(3, 32.0, 1024, "uniform")
+        cfg = EvolutionConfig(n=g.n, r_max=g.r_max, t_max=4.0)
+        s = State(RadialField(g, 4.0 * np.exp(-(g.r - 28.0) ** 2)),
+                  zeros_on(g))
+        run = evolve_direction(s, cfg, spectral, thresholds)
+        assert run.verdict == BLOWUP
+        assert run.detail["confirm_fallback"] is True
+        assert run.detail["confirm_radius"] == g.r_max
+        assert run.detail["confirm_nodes"] == CONFIRM_REFINE * g.n
+        (args, (_, detail)), = confirmations
+        want_confirmed, want = full_domain_confirmation(*args)
+        assert want_confirmed is True
+        assert (detail["mode"], detail["t_confirm"]) == (want["mode"],
+                                                         want["t_confirm"])
+
+    def test_stop_outside_the_ball_is_undetermined(self, spectral,
+                                                   thresholds):
+        # u = 0 at t = 0 (so |u| peaks at the first node and the ball is
+        # r <= 5.02 at t = 0), but a velocity hump at r = 6 blows up there
+        g = RadialGrid(3, 32.0, 1024, "uniform")
+        cfg = EvolutionConfig(n=g.n, r_max=g.r_max, t_max=4.0)
+        s = State(zeros_on(g),
+                  RadialField(g, 100.0 * np.exp(-((g.r - 6.0) / 0.3) ** 2)))
+        run = evolve_direction(s, cfg, spectral, thresholds)
+        assert run.verdict == UNDETERMINED
+        d = run.detail
+        assert d["confirmed"] is False
+        assert d["mode"] == "stepper floor on refined grid"
+        assert d["confirm_fallback"] is False
+        assert d["confirm_radius"] < 7.1
+        assert d["ball_radius"] < 5.02
+        assert d["reason"].startswith("refined run stopped with max |u| at "
+                                      "r = 5.99")
+        assert "outside the ball" in d["reason"]
+
+
 @pytest.fixture(scope="module")
 def ejection_run(spectral, thresholds):
     cfg = EvolutionConfig(n=8192, r_max=64.0, t_max=14.0,
@@ -468,7 +595,7 @@ class TestTwoSided:
         s = State(RadialField(g, 0.05 * np.exp(-((g.r - 8) / 4.0) ** 2)),
                   RadialField(g, 0.02 * np.exp(-((g.r - 6) / 4.0) ** 2)))
         rec = evolve_with_monitors(s, cfg, spectral, thresholds)
-        t = rec.times
+        t = rec.column("t")
         assert t[0] < 0.0 < t[-1]
         assert np.all(np.diff(t) > 0)
         # series parity under reversal: E even in t, equip odd at t = 0

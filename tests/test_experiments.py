@@ -8,7 +8,7 @@ from critwave.cli import load_reference_constants, main as cli_main
 from critwave import experiments
 from critwave.config import (SWEEP_EVOLUTION, EvolutionConfig, Thresholds,
                              load_config)
-from critwave.evolve import SCATTER
+from critwave.evolve import SCATTER, evolve_with_monitors
 from critwave.experiments import (ExperimentSpec, build_initial_state,
                                   derive_seed, exit_code_for, perturb_state,
                                   run_experiment, run_quadrant_sweep,
@@ -388,6 +388,67 @@ class TestCLI:
         assert len(captured.err.splitlines()) == 1
         assert message in captured.err
         assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", "2048", "[evolution] n = 2048 differs from the file state's "
+                      "grid (n = 1024)"),
+        ("r_max", "48.0", "[evolution] r_max = 48.0 differs from the file "
+                          "state's grid (r_max = 32.0)"),
+    ])
+    def test_evolve_file_state_on_another_grid_exits_3(self, tmp_path, capsys,
+                                                       key, value, message):
+        g = RadialGrid(3, 32.0, 1024, "uniform")
+        zeros = RadialField(g, np.zeros(g.n))
+        save_state(tmp_path / "init", State(zeros, zeros))
+        conf = tmp_path / "bad.ini"
+        conf.write_text("[experiment]\nname = bad\nrecipe = file\n"
+                        f"path = {tmp_path / 'init'}\n\n"
+                        f"[evolution]\n{key} = {value}\nt_max = 2.0\n")
+        code = cli_main(["evolve", "--config", str(conf), "--out",
+                         str(tmp_path)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_evolve_file_state_runs_on_its_grid(self, tmp_path, monkeypatch):
+        # [evolution] leaves n and r_max out: the run takes the file's grid
+        g = RadialGrid(3, 32.0, 1024, "uniform")
+        s = State(RadialField(g, 0.03 * np.exp(-((g.r - 8.0) / 4.0) ** 2)),
+                  RadialField(g, np.zeros(g.n)))
+        save_state(tmp_path / "init", s)
+        runs = []
+
+        def recording(state0, cfg, *args):
+            runs.append((state0.grid, cfg))
+            return evolve_with_monitors(state0, cfg, *args)
+
+        monkeypatch.setattr(experiments, "evolve_with_monitors", recording)
+        conf = tmp_path / "file.ini"
+        conf.write_text("[experiment]\nname = from_file\nrecipe = file\n"
+                        f"path = {tmp_path / 'init'}\n\n"
+                        "[evolution]\nt_max = 2.0\nmonitor_stride = 0.5\n")
+        code = cli_main(["evolve", "--config", str(conf), "--out",
+                         str(tmp_path)])
+        assert code == 0
+        (grid, cfg), = runs
+        assert grid == g
+        assert (cfg.n, cfg.r_max, cfg.t_max) == (1024, 32.0, 2.0)
+        assert (tmp_path / "from_file.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--t-max", "0"], "evolution t_max must be positive"),
+        (["--eps", "abc"], "could not convert string to float: 'abc'"),
+    ])
+    def test_ejection_invalid_input_exits_3(self, capsys, argv, message):
+        code = cli_main(["ejection"] + argv)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
 
     def test_threads_only_on_quadrant(self, capsys):
         # --threads sizes the sweep's worker pool; no other command has one
