@@ -9,20 +9,16 @@ four-quadrant dynamics experiments.
 
 from .config import EvolutionConfig, Thresholds
 from .fields import (BoostParams, Field3D, RadialField, State, eval_W,
-                     eval_W_dr, eval_W_prime_mode, sample_W_family,
-                     save_state)
-from .functionals import (boost_energy_momentum, center_of_energy,
-                          energy_density, energy_E, functional_J,
-                          functional_K, momentum_P, norm_H, symplectic_omega)
+                     eval_W_dr, eval_W_prime_mode, save_state)
+from .functionals import (boost_energy_momentum, energy_E, functional_J,
+                          functional_K, norm_H, symplectic_omega)
 from .grids import Box3DGrid, RadialGrid
 from .modulation import (DistanceReport, ModeSplit, ModulationFit,
                          distance_dW, fit_modulation, region_predicates,
-                         sign_functional, split_modes, superquadratic_C)
-from .operators import apply_scaling, apply_translation, generator_Lambda
-from .spectral import (SpectralData, build_spectral_data, coercivity_probe,
-                       compute_constants)
+                         sign_functional, split_modes)
+from .spectral import SpectralData, build_spectral_data, coercivity_probe
 from .evolve import (TrajectoryRecord, evolve_with_monitors,
-                     fit_ejection_rate, modulation_ode_residual, step)
+                     fit_ejection_rate, modulation_ode_residual)
 from .experiments import (ExperimentSpec, QuadrantTable, run_experiment,
                           run_quadrant_sweep, run_static_suite)
 

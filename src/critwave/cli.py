@@ -6,7 +6,8 @@ Subcommands mirror the module structure:
 * ``static``    - run the static verification suite
 * ``evolve``    - run a single evolution experiment from a config file
 * ``quadrant``  - run the four-quadrant amplitude sweep
-* ``ejection``  - fit the ejection rate of W_vec +- eps rho against k
+* ``ejection``  - fit the ejection rate of W_vec +- eps rho against k and
+  check the modulation equation on the same run
 
 Exit codes: 0 all pass, 2 an Undetermined verdict is present, 3 a check
 failed or the configuration is invalid.
@@ -21,7 +22,8 @@ from dataclasses import replace
 from importlib import resources
 
 from .config import SWEEP_EVOLUTION, EvolutionConfig, Thresholds, load_config
-from .evolve import evolve_direction, fit_ejection_rate
+from .evolve import (evolve_direction, fit_ejection_rate,
+                     modulation_ode_residual)
 from .experiments import (ExperimentSpec, build_initial_state, exit_code_for,
                           run_experiment, run_quadrant_sweep,
                           run_static_suite, save_report)
@@ -183,8 +185,10 @@ def cmd_quadrant(args) -> int:
 
 
 def cmd_ejection(args) -> int:
-    """Evolve W_vec +- eps rho and fit the exponential rate of the unstable
-    mode in the rescaled time tau against the spectral rate k."""
+    """Evolve W_vec +- eps rho, fit the exponential rate of the unstable
+    mode in the rescaled time tau against the spectral rate k, and print the
+    residual of the modulation equation d lambda_1 / d tau = lambda_2 +
+    sigma_tau lambda_1 on the run's monitor series."""
     th = Thresholds()
     try:
         eps_list = _eps_list(args.eps, th)
@@ -201,6 +205,7 @@ def cmd_ejection(args) -> int:
                 spectral)
             run = evolve_direction(state, cfg, spectral, th)
             try:
+                ode = modulation_ode_residual(run.series)
                 fit = fit_ejection_rate(run.series, spectral, th)
             except ValueError as exc:
                 print(f"eps = {sign * eps:+.1e}: {exc}", file=sys.stderr)
@@ -208,7 +213,9 @@ def cmd_ejection(args) -> int:
             print(f"eps = {sign * eps:+.1e}: rate = {fit['rate']:.6f} "
                   f"(rate/k = {fit['rate_over_k']:.4f}, "
                   f"{fit['n_points']} points, dW monotone = {fit['dW_monotone']}, "
-                  f"sigma drift ok = {fit['sigma_drift_ok']}) "
+                  f"sigma drift ok = {fit['sigma_drift_ok']}, "
+                  f"max_rel_residual = {ode['max_rel_residual']:.3g}, "
+                  f"sigma_tau_over_gamma = {ode['sigma_tau_over_gamma']:.3g}) "
                   f"verdict = {run.verdict}")
     return 0
 

@@ -32,7 +32,8 @@ from .fields import RadialField, State
 from .functionals import norm_H, smooth_cutoff
 from .grids import RadialGrid
 from .modulation import (FitError, _RadialDistance, _manifold_distance_sq,
-                         distance_dW, fit_modulation, manifold_distance)
+                         distance_dW, fit_modulation, manifold_distance,
+                         sign_functional)
 from .spectral import SpectralData
 
 BLOWUP = "Blowup"
@@ -187,14 +188,6 @@ class RadialWaveEvolver:
                      RadialField(self.grid, v / self.r))
 
 
-def step(s: State, dt: float, n_steps: int = 1) -> State:
-    """Advance a radial state by n_steps explicit steps of size dt."""
-    ev = RadialWaveEvolver(s.grid)
-    w, v = ev.state_to_wv(s)
-    w, v, _ = ev.steps(w, v, n_steps, dt)
-    return ev.wv_to_state(w, v)
-
-
 # ---------------------------------------------------------------------------
 # monitors and records
 # ---------------------------------------------------------------------------
@@ -303,7 +296,8 @@ def _to_jsonable(x):
 
 
 class _MonitorState:
-    """Carries fit seeds and tau accumulation between monitor times."""
+    """Carries fit seeds, tau accumulation and the count of rows whose two
+    sign rules disagree between monitor times."""
 
     def __init__(self, thresholds: Thresholds):
         self.th = thresholds
@@ -314,6 +308,7 @@ class _MonitorState:
         self.last_fit_t = math.nan
         self.last_sigma = math.nan
         self.gap = 0
+        self.sign_disagreements = 0
 
 
 def _attempt_fit(s: State, spec: SpectralData, mon: _MonitorState,
@@ -392,13 +387,9 @@ def _monitor_row(s: State, t: float, spec: SpectralData,
     lam0_u = g.r * pieces.du + 1.5 * s.u1.values
     row["Vw"] = g.quad_meas(wcut * s.u2.values * lam0_u)
     row["equip"] = g.quad_meas(wcut * s.u2.values * s.u1.values)
-    # fate sign where defined (0 when neither rule applies); sign 0 = +1
-    sign = 0
-    if rep is not None and rep.dW <= th.delta_E and fit is not None:
-        sign = +1 if row["lambda1"] < 0 else -1
-    elif row["dW"] >= th.delta_S:
-        sign = -1 if row["K"] < 0 else +1
-    row["sign"] = sign
+    row["sign"], disagree = sign_functional(row["dW"], row["lambda1"],
+                                            row["K"], th)
+    mon.sign_disagreements += disagree
     return row
 
 
@@ -464,6 +455,7 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
               for k in _SERIES_KEYS + _EXTRA_KEYS}
     verdict, detail = _classify(rows, cfg, th, exceeded_at, nan_seen,
                                 stepper_floor, checkpoints, ev, threshold)
+    detail["sign_disagreements"] = mon.sign_disagreements
     run = DirectionRun(series=series, verdict=verdict, detail=detail)
     try:
         run.ejection_rate = fit_ejection_rate(series, spec, th)["rate"]

@@ -325,8 +325,7 @@ def _sweep_cases(eps_list, cfg: EvolutionConfig, n_perturbed: int, seed: int,
         exp = ExperimentSpec(name, "quadrant",
                              {"a": QUADRANT_DIRECTIONS[a_key], "eps": eps,
                               "perturb_norm": PERTURB_FRACTION * eps},
-                             evolution=cfg, out_dir=out_dir,
-                             seed=derive_seed(seed, name))
+                             evolution=cfg, out_dir=out_dir, seed=seed)
         cases.append((a_key, f"pert{idx}", exp))
     return cases
 

@@ -299,14 +299,13 @@ class State:
 
 @dataclass(frozen=True)
 class BoostParams:
-    """Scale sigma, boost vector p and center q of the soliton family."""
+    """Scale sigma and boost vector p of the soliton family."""
 
     sigma: float = 0.0
     p: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    q: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        vals = (self.sigma, *self.p, *self.q)
+        vals = (self.sigma, *self.p)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("boost parameters must be finite")
 
@@ -318,88 +317,6 @@ class BoostParams:
     def lorentz_factor(self) -> float:
         """<p> = sqrt(1 + |p|^2)."""
         return math.sqrt(1.0 + self.p_norm ** 2)
-
-
-# ---------------------------------------------------------------------------
-# sampling the soliton family
-# ---------------------------------------------------------------------------
-
-def boost_matrix(p: np.ndarray) -> np.ndarray:
-    """A = I + (<p> - 1) p p^T / |p|^2, the spatial contraction of the boost.
-
-    The p -> 0 limit is the identity (the coefficient tends to zero), so
-    small |p| is evaluated through a series-stable form.
-    """
-    p = np.asarray(p, dtype=float)
-    psq = float(p @ p)
-    gamma = math.sqrt(1.0 + psq)
-    if psq < 1e-28:
-        return np.eye(3)
-    # (gamma - 1)/|p|^2 = 1/(gamma + 1), exact and stable for small |p|
-    return np.eye(3) + np.outer(p, p) / (gamma + 1.0)
-
-
-def boosted_soliton_values(params: BoostParams, x: np.ndarray, y: np.ndarray,
-                           z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u1, u2) samples of the traveling soliton at t = 0 on given points.
-
-    u1 = W_sigma(A (x - q)),  u2 = -grad u1 . p / <p>, from closed forms.
-    """
-    p = np.asarray(params.p, dtype=float)
-    q = np.asarray(params.q, dtype=float)
-    gamma = params.lorentz_factor
-    a = boost_matrix(p)
-    es = math.exp(params.sigma)
-    # y_i = A_(i.) (x - q); the scaling acts afterwards: W_sigma(y) = e^{s/2} W(e^s y)
-    xs = (x - q[0], y - q[1], z - q[2])
-    w = [a[i, 0] * xs[0] + a[i, 1] * xs[1] + a[i, 2] * xs[2] for i in range(3)]
-    rsq = w[0] ** 2 + w[1] ** 2 + w[2] ** 2
-    d = 3
-    amp = es ** (d / 2.0 - 1.0)
-    u1 = amp * eval_W(d, es * es * rsq)
-    r = np.sqrt(rsq)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        slope = np.where(r > 0, amp * es * eval_W_dr(d, es * r) / np.maximum(r, 1e-300), 0.0)
-    # grad u1 = slope * A^T A (x-q); u2 = -slope * (A w) . p / gamma
-    grad_dot_p = np.zeros_like(u1)
-    ap = a @ p
-    for i in range(3):
-        grad_dot_p = grad_dot_p + w[i] * ap[i]
-    u2 = -slope * grad_dot_p / gamma
-    return u1, u2
-
-
-def sample_W_family(params: BoostParams, grid: RadialGrid | Box3DGrid) -> State:
-    """Sample the scaled/boosted/translated soliton as a State.
-
-    Radial grids require p = q = 0; the contracted core scale e^(-sigma)
-    must span at least four cells of the grid.
-    """
-    es = math.exp(params.sigma)
-    if isinstance(grid, RadialGrid):
-        if params.p_norm != 0.0 or any(c != 0.0 for c in params.q):
-            raise ValueError("radial sampling requires p = 0 and q = 0")
-        if not grid.resolves_scale(math.exp(-params.sigma)):
-            raise ResolutionError(
-                f"scale e^-sigma = {math.exp(-params.sigma):.3g} below 4 cells "
-                f"of size {grid.min_spacing:.3g}")
-        d = grid.d
-        amp = es ** (d / 2.0 - 1.0)
-        u1 = amp * eval_W(d, (es * grid.r) ** 2)
-        return State(RadialField(grid, u1),
-                     RadialField(grid, np.zeros(grid.n)))
-    # core radius of W_sigma is e^-sigma sqrt(d(d-2)) (d = 3); require >= 2 cells
-    core = math.exp(-params.sigma) * math.sqrt(3.0)
-    if core < 2.0 * grid.dx:
-        raise ResolutionError(
-            f"core radius {core:.3g} below 2 cells of size {grid.dx:.3g}")
-    x, y, z = grid.meshgrid
-    u1, u2 = boosted_soliton_values(params, x, y, z)
-    return State(Field3D(grid, u1), Field3D(grid, u2))
-
-
-class ResolutionError(ValueError):
-    """A requested transform is finer than the grid can represent."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Static functionals: norms, energies, virial, momentum, symplectic form.
+"""Static functionals: norms, energies, virial, symplectic form.
 
 Radial norms integrate to r_max with the end-corrected midpoint rule and
 then add the analytic integral of the fitted far field
@@ -8,8 +8,8 @@ desk-size domain; with the two-term tail model the truncation error drops
 to O(r_max^-5).  L^2 quantities get no tail term (fields with a c/r^(d-2)
 far field are not in L^2 for d = 3; everything we pair in L^2 decays fast).
 
-Box functionals are plain midpoint sums, adequate for the translation and
-momentum-direction checks they serve.
+Box functionals are plain midpoint sums, adequate for the box modulation
+fit they serve.
 """
 
 from __future__ import annotations
@@ -201,45 +201,11 @@ def energy_E(s: State) -> float:
     return _energy(a1, b1, _box_l2_sq(s.u2), s.d)
 
 
-def momentum_P(s: State) -> np.ndarray:
-    """Conserved momentum <u2 | grad u1>; identically zero for radial states."""
-    if s.representation == "radial":
-        return np.zeros(s.grid.d)
-    gx, gy, gz = s.u1.gradient()
-    q = s.grid.quad
-    v = s.u2.values
-    return np.array([q(v * gx), q(v * gy), q(v * gz)])
-
-
 def symplectic_omega(a: State, b: State) -> float:
     """omega(a, b) = <a2 | b1> - <a1 | b2> on radial states; antisymmetric."""
     a.require_radial("symplectic_omega")
     b.require_radial("symplectic_omega")
     return l2_inner(a.u2, b.u1) - l2_inner(a.u1, b.u2)
-
-
-def energy_density(s: State):
-    """Pointwise e(u_vec) = (|u2|^2 + |grad u1|^2)/2 - |u1|^(2*)/2*."""
-    ts = sobolev_exponent(s.d)
-    if s.representation == "radial":
-        du = s.u1.deriv()
-        vals = 0.5 * (s.u2.values ** 2 + du * du) - np.abs(s.u1.values) ** ts / ts
-        return RadialField(s.grid, vals)
-    gx, gy, gz = s.u1.gradient()
-    vals = (0.5 * (s.u2.values ** 2 + gx * gx + gy * gy + gz * gz)
-            - np.abs(s.u1.values) ** ts / ts)
-    return Field3D(s.grid, vals)
-
-
-def center_of_energy(s: State, cutoff_radius: float) -> np.ndarray:
-    """Localized center of energy <x w | e(u_vec)> with w = chi(|x|/R_c)."""
-    if s.representation == "radial":
-        return np.zeros(s.grid.d)
-    e = energy_density(s).values
-    w = smooth_cutoff(s.grid.radius / cutoff_radius)
-    x, y, z = s.grid.meshgrid
-    q = s.grid.quad
-    return np.array([q(x * w * e), q(y * w * e), q(z * w * e)])
 
 
 # ---------------------------------------------------------------------------

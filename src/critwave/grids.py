@@ -209,10 +209,6 @@ class RadialGrid:
         sol, *_ = np.linalg.lstsq(a, f[-_TAIL_FIT_NODES:] * weight, rcond=None)
         return float(sol[0]), float(sol[1])
 
-    def resolves_scale(self, scale: float) -> bool:
-        """True if a feature of size ``scale`` spans >= 4 cells."""
-        return scale >= 4.0 * self.min_spacing
-
 
 class Box3DGrid:
     """Uniform cell-centered cube grid on [-L, L]^3 (m nodes per axis)."""
@@ -291,7 +287,3 @@ class Box3DGrid:
             np.einsum("ij,j...->i...", hi, fa[-_END_STENCIL:], out=oa[-2:])
             grads.append(out)
         return grads
-
-    def index_coords(self, pts: np.ndarray) -> np.ndarray:
-        """Fractional array indices of physical coordinates (for resampling)."""
-        return (pts + self.half_width) / self.dx - 0.5

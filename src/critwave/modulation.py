@@ -15,9 +15,9 @@ transported to the fit's scale and paired with the state on its own grid,
 so a monitor row never resamples the state into v.
 
 The distance d_W to the family blends the raw manifold distance d_0 with
-the energy-based d_1^2 = E - J(W) + k^2 lambda_1^2; the sign functional is
--sign(lambda_1) in the inner region and sign(K) outside, with the two
-rules asserted to agree on the overlap.
+the energy-based d_1^2 = E - J(W) + k^2 lambda_1^2; the fate sign is
+-sign(lambda_1) in the inner region and sign(K) outside, and where both
+rules apply their disagreement is reported.
 
 Box (3-D) states stop at the fit: ``fit_modulation`` recovers their
 (sign, sigma, c), but a box fit has no residual state, and everything
@@ -34,13 +34,11 @@ from functools import cached_property
 import numpy as np
 
 from .config import Thresholds
-from .fields import (BLOCK_POINTS, RadialField, State, eval_W, eval_W_dr,
-                     nonlinearity_power, sobolev_exponent)
+from .fields import BLOCK_POINTS, RadialField, State, eval_W, eval_W_dr
 from .functionals import (RadialPieces, _h1_tail, energy_E, functional_J,
-                          functional_K, h1_seminorm_sq, l2_inner, l2_norm_sq,
-                          norm_H, norm_H_sq, smooth_cutoff)
+                          h1_seminorm_sq, l2_inner, l2_norm_sq, norm_H,
+                          norm_H_sq, smooth_cutoff)
 from .grids import Box3DGrid, RadialGrid
-from .operators import scale_profile
 from .spectral import SpectralData
 
 
@@ -50,14 +48,6 @@ class FitError(RuntimeError):
 
 class SignAmbiguityError(FitError):
     """Both manifold signs are comparably distant; the fit is rejected."""
-
-
-class SignConsistencyError(RuntimeError):
-    """Inner and outer sign rules disagree on the overlap region."""
-
-
-class UndefinedRegionError(RuntimeError):
-    """The sign functional is queried where neither rule applies."""
 
 
 # ---------------------------------------------------------------------------
@@ -99,21 +89,15 @@ class ModulationFit:
 
 @dataclass
 class ModeSplit:
-    lambda_plus: float
-    lambda_minus: float
     lambda1: float
     lambda2: float
-    alpha: float
     gamma_norm: float           # ||gamma||_H
 
 
 @dataclass
 class DistanceReport:
     d0: float
-    d1: float
     dW: float
-    regime: str                 # inner | blend | outer
-    fit: ModulationFit | None
     modes: ModeSplit | None = None     # split_modes of a converged fit
 
 
@@ -285,6 +269,19 @@ def _choose_sign(spec: SpectralData, s: State, margin: float,
         raise SignAmbiguityError(
             f"both manifold signs comparably distant ({lo:.3e} vs {hi:.3e})")
     return +1 if best[+1] <= best[-1] else -1
+
+
+def scale_profile(profile, d: int, a: float, sigma: float):
+    """Callable for S_a^sigma f = e^((d/2 + a) sigma) f(e^sigma .) applied to
+    a radial profile f; a = -1 preserves the H^1_dot seminorm, a = 0 the
+    L^2 norm."""
+    amp = math.exp((d / 2.0 + a) * sigma)
+    es = math.exp(sigma)
+
+    def fn(r):
+        return amp * profile(es * np.asarray(r, dtype=float))
+
+    return fn
 
 
 def _w_sigma_field(grid: RadialGrid, sigma: float) -> np.ndarray:
@@ -512,19 +509,19 @@ def split_modes(fit: ModulationFit, spec: SpectralData) -> ModeSplit:
 
         lambda_1 = (sgn e^((d/2+1) sigma) <u_1 | rho_s> - <W | rho>) / |rho|^2,
         lambda_2 = sgn e^((d/2) sigma) <u_2 | rho_s> / |rho|^2,
-        alpha = sgn * (the fit's final orthogonality residual),
 
     and ||gamma||_H = ||S^sigma gamma||_H (S^sigma is unitary in H) from
     S^sigma gamma = (sgn u_1 - W_sigma - lambda_1 S_-1^sigma rho,
     sgn u_2 - lambda_2 S_0^sigma rho) on the state's grid.  The remainder
     is formed pointwise, not as ||v||^2 minus the mode parts, which
-    cancels catastrophically when ||gamma|| << ||v||.
+    cancels catastrophically when ||gamma|| << ||v||.  (alpha needs no
+    pairing: it is sgn times the fit's final orthogonality residual.)
     """
     s = fit.state
     if not fit.converged or s is None:
         raise FitError("cannot split a fit without a residual state "
                        "(unconverged, or a box fit)")
-    sgn, sigma, k = fit.sign_s, fit.sigma, spec.k
+    sgn, sigma = fit.sign_s, fit.sigma
     g = s.grid
     refs = _grid_refs(spec, g)
     amp1 = math.exp((g.d / 2.0 - 1.0) * sigma)     # S_-1^sigma
@@ -539,29 +536,7 @@ def split_modes(fit: ModulationFit, spec: SpectralData) -> ModeSplit:
     gamma = State(
         RadialField(g, u1 - _w_sigma_field(g, sigma) - (lam1 * amp1) * rho_s),
         RadialField(g, u2 - (lam2 * amp0) * rho_s))
-    sk = math.sqrt(k / 2.0)
-    return ModeSplit(lambda_plus=sk * (lam1 + lam2 / k),
-                     lambda_minus=sk * (lam1 - lam2 / k),
-                     lambda1=lam1, lambda2=lam2,
-                     alpha=sgn * float(fit.orth_residual[0]),
-                     gamma_norm=norm_H(gamma))
-
-
-def superquadratic_C(v1: RadialField) -> float:
-    """The beyond-quadratic part of the static energy around W.
-
-    C(v) = int [ (|W+v1|^(2*) - W^(2*)) / 2* - W^p v1 - (p/2) W^(p-1) v1^2 ],
-    cubic at the origin: C(eps rho)/eps^3 has a finite limit.
-    """
-    g = v1.grid
-    d = g.d
-    w = np.asarray(eval_W(d, g.r ** 2))
-    ts = sobolev_exponent(d)
-    p = nonlinearity_power(d)
-    f = v1.values
-    integrand = ((np.abs(w + f) ** ts - w ** ts) / ts
-                 - w ** p * f - (p / 2.0) * w ** (p - 1.0) * f * f)
-    return float(g.quad_meas(integrand))
+    return ModeSplit(lambda1=lam1, lambda2=lam2, gamma_norm=norm_H(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -732,21 +707,16 @@ def distance_dW(s: State, spec: SpectralData,
     fitted = fit is not None and fit.converged
     d0 = th.C_d0 * manifold_distance(spec, s, fit.sigma if fitted else None,
                                      dist)
-    d1, ms = math.nan, None
+    dw, ms = d0, None
     if fitted:
         ms = split_modes(fit, spec)
         d1_sq = (dist.pieces.energy - reference_J(spec, s.grid)
                  + spec.k ** 2 * ms.lambda1 ** 2)
         d1 = math.sqrt(max(d1_sq, 0.0))
-    x = 2.0 * d0 / th.delta_A
-    chi = float(smooth_cutoff(x, 1.0, 2.0))
-    if not math.isnan(d1):
-        dw = chi * d1 + (1.0 - chi) * d0
-    else:
-        dw = d0
-        chi = 0.0
-    regime = "inner" if chi >= 1.0 else ("outer" if chi <= 0.0 else "blend")
-    return DistanceReport(d0=d0, d1=d1, dW=dw, regime=regime, fit=fit, modes=ms)
+        if not math.isnan(d1):
+            chi = float(smooth_cutoff(2.0 * d0 / th.delta_A, 1.0, 2.0))
+            dw = chi * d1 + (1.0 - chi) * d0
+    return DistanceReport(d0=d0, dW=dw, modes=ms)
 
 
 # ---------------------------------------------------------------------------
@@ -758,37 +728,21 @@ def _sign_of(x: float) -> int:
     return -1 if x < 0.0 else +1
 
 
-def sign_functional(s: State, spec: SpectralData,
-                    thresholds: Thresholds | None = None,
-                    report: DistanceReport | None = None) -> int:
-    """The fate sign: -sign(lambda1) near the family, sign(K) away from it.
+def sign_functional(dW: float, lambda1: float, K: float,
+                    th: Thresholds) -> tuple[int, bool]:
+    """The fate sign and whether its two rules disagree.
 
-    On the overlap both rules must agree; disagreement raises
-    SignConsistencyError, a query outside both regions raises
-    UndefinedRegionError.
+    The inner rule -sign(lambda1) applies near the family, where a fit
+    converged (lambda1 is not NaN) and d_W <= delta_E; the outer rule
+    sign(K) applies away from it, where d_W >= delta_S.  Where both apply
+    the inner sign is returned and ``disagree`` tells whether the outer
+    one differs; where neither applies the sign is 0.
     """
-    th = thresholds or Thresholds()
-    if report is None:
-        report = distance_dW(s, spec, th)
-    inner_ok = (report.dW <= th.delta_E and report.fit is not None
-                and report.fit.converged)
-    outer_ok = report.dW >= th.delta_S
-    if not inner_ok and not outer_ok:
-        raise UndefinedRegionError(
-            f"neither sign rule applies at d_W = {report.dW:.3e}")
-    sign_inner = sign_outer = None
-    if inner_ok:
-        ms = report.modes           # the split distance_dW already made
-        if ms is None:
-            ms = split_modes(report.fit, spec)
-        sign_inner = -_sign_of(ms.lambda1)
-    if outer_ok:
-        sign_outer = _sign_of(functional_K(s.u1))
-    if inner_ok and outer_ok and sign_inner != sign_outer:
-        raise SignConsistencyError(
-            f"inner rule gives {sign_inner}, outer rule gives {sign_outer} "
-            f"at d_W = {report.dW:.3e}")
-    return sign_inner if inner_ok else sign_outer
+    outer = _sign_of(K) if dW >= th.delta_S else 0
+    if math.isnan(lambda1) or not dW <= th.delta_E:
+        return outer, False
+    inner = -_sign_of(lambda1)
+    return inner, outer != 0 and outer != inner
 
 
 def region_predicates(s: State, spec: SpectralData,

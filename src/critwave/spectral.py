@@ -291,17 +291,6 @@ class SpectralData:
             fh.write("\n")
 
 
-def compute_constants(spec: SpectralData) -> tuple[float, float]:
-    """(a_W, b_W) from an eigenpair by the formulas of the build
-    (``_w_constants``); the two b_W routes must agree to BW_TOL relative."""
-    _, lam0 = _mode_samples(spec.rho_eigen)
-    a_w, b_w, b_w_alt = _w_constants(spec.rho_eigen, lam0, spec.k)
-    if abs(b_w - b_w_alt) / abs(b_w) > BW_TOL:
-        raise SpectralConsistencyError(
-            f"b_W routes disagree: {b_w:.8f} vs {b_w_alt:.8f}")
-    return a_w, b_w
-
-
 def _mode_samples(rho: RadialField) -> tuple[np.ndarray, np.ndarray]:
     """(d_r rho, Lambda_0 rho) = (rho', r rho' + (d/2) rho) on rho's grid."""
     g = rho.grid

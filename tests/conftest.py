@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -5,6 +7,7 @@ from hypothesis import settings
 from critwave import evolve
 from critwave.config import Thresholds
 from critwave.evolve import TrajectoryRecord, evolve_direction
+from critwave.fields import Field3D, RadialField, State, eval_W
 from critwave.grids import RadialGrid
 from critwave.spectral import build_spectral_data
 
@@ -71,3 +74,34 @@ def direction_calls(monkeypatch):
 
     monkeypatch.setattr(evolve, "evolve_direction", counting)
     return calls
+
+
+def _sample_W_family(grid, sigma: float = 0.0, q=(0.0, 0.0, 0.0)) -> State:
+    """(W_sigma(. - q), 0) from the closed form, W_sigma = e^((d/2-1) sigma)
+    W(e^sigma .): the radial W_sigma (q = 0 only) or the box W_(sigma,q).
+    The core scale must span 4 cells of a radial grid, or its radius
+    e^-sigma sqrt(3) 2 cells of a box."""
+    es = math.exp(sigma)
+    if isinstance(grid, RadialGrid):
+        if any(c != 0.0 for c in q):
+            raise ValueError("radial sampling requires q = 0")
+        if math.exp(-sigma) < 4.0 * grid.min_spacing:
+            raise ValueError(f"scale e^-sigma = {math.exp(-sigma):.3g} below "
+                             f"4 cells of size {grid.min_spacing:.3g}")
+        u1 = es ** (grid.d / 2.0 - 1.0) * eval_W(grid.d, (es * grid.r) ** 2)
+        return State(RadialField(grid, u1), RadialField(grid, np.zeros(grid.n)))
+    core = math.exp(-sigma) * math.sqrt(3.0)
+    if core < 2.0 * grid.dx:
+        raise ValueError(f"core radius {core:.3g} below 2 cells of size "
+                         f"{grid.dx:.3g}")
+    x, y, z = grid.meshgrid
+    rsq = (x - q[0]) ** 2 + (y - q[1]) ** 2 + (z - q[2]) ** 2
+    u1 = es ** 0.5 * eval_W(3, es * es * rsq)
+    return State(Field3D(grid, u1), Field3D(grid, np.zeros_like(u1)))
+
+
+@pytest.fixture(scope="session")
+def sample_W_family():
+    """Test input: the soliton family member (W_sigma(. - q), 0) on a grid,
+    called as sample_W_family(grid, sigma=0.0, q=(0, 0, 0))."""
+    return _sample_W_family

@@ -19,8 +19,7 @@ from critwave.experiments import (QUADRANT_EXPECTED, assemble_box_exact,
                                   random_box_closure,
                                   random_orthogonal_residual,
                                   run_quadrant_sweep)
-from critwave.fields import (BoostParams, RadialField, State, eval_W,
-                             sample_W_family)
+from critwave.fields import BoostParams, RadialField, State, eval_W
 from critwave.functionals import (boost_energy_momentum, energy_E,
                                   functional_J, functional_K, h1_seminorm_sq,
                                   norm_H)
@@ -89,7 +88,8 @@ def test_criterion_3_coercivity_sampling(spectral, static_grid):
             f"runtime {time.time() - t0:.2f} s")
 
 
-def test_criterion_4_modulation_round_trip(spectral, thresholds, static_grid):
+def test_criterion_4_modulation_round_trip(spectral, thresholds, static_grid,
+                                           sample_W_family):
     t0 = time.time()
     rng = np.random.default_rng(20240801)
     g = static_grid
@@ -123,7 +123,7 @@ def test_criterion_4_modulation_round_trip(spectral, thresholds, static_grid):
     for sigma in (-0.4, 0.0, 0.2):
         for flip in (1.0, -1.0):
             st = State(RadialField(
-                g, flip * sample_W_family(BoostParams(sigma=sigma), g).u1.values),
+                g, flip * sample_W_family(g, sigma).u1.values),
                 zero)
             d_on = max(d_on, distance_dW(st, spectral, thresholds).dW)
     assert d_on <= 1e-6

@@ -12,7 +12,7 @@ from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, CONFIRM_REFINE,
                              _nl_dt_cap, _resample_w, evolve_direction,
                              evolve_with_monitors, exterior_energy,
                              fit_ejection_rate, modulation_ode_residual,
-                             one_pass_check, step)
+                             one_pass_check)
 from critwave.fields import RadialField, State, eval_W
 from critwave.functionals import energy_E, l2_norm_sq, norm_H
 from critwave.grids import RadialGrid
@@ -34,9 +34,10 @@ def bump_state(grid, amp=0.1, center=8.0, width=4.0):
 
 class TestStepper:
     def test_zero_state_fixed(self, dyn_grid):
-        s = State(zeros_on(dyn_grid), zeros_on(dyn_grid))
-        out = step(s, 0.002, n_steps=25)
-        assert norm_H(out) == 0.0
+        ev = RadialWaveEvolver(dyn_grid)
+        w, v = ev.state_to_wv(State(zeros_on(dyn_grid), zeros_on(dyn_grid)))
+        w, v, _ = ev.steps(w, v, 25, 0.002)
+        assert norm_H(ev.wv_to_state(w, v)) == 0.0
 
     def test_rejects_wrong_grids(self, static_grid):
         s = State(RadialField(static_grid, np.zeros(static_grid.n)),
@@ -65,8 +66,10 @@ class TestStepper:
         # grows only from discretization noise times the instability
         w = RadialField(dyn_grid, np.asarray(eval_W(3, dyn_grid.r ** 2)))
         s0 = State(w, zeros_on(dyn_grid))
-        out = step(s0, 0.45 * dyn_grid.min_spacing, n_steps=2000)
-        assert norm_H(out - s0) <= 1e-3
+        ev = RadialWaveEvolver(dyn_grid)
+        w_, v_, _ = ev.steps(*ev.state_to_wv(s0), 2000,
+                             0.45 * dyn_grid.min_spacing)
+        assert norm_H(ev.wv_to_state(w_, v_) - s0) <= 1e-3
 
     def test_energy_drift_small_and_second_order(self, dyn_grid):
         s = bump_state(dyn_grid, amp=0.05, width=6.0)
@@ -496,6 +499,15 @@ class TestEjection:
                                thresholds)
         with pytest.raises(ValueError):
             fit_ejection_rate(run.series, spectral, thresholds)
+
+    def test_signs_agree_where_both_rules_apply(self, ejection_run,
+                                                thresholds):
+        series, th = ejection_run.series, thresholds
+        overlap = (np.isfinite(series["lambda1"])
+                   & (series["dW"] >= th.delta_S)
+                   & (series["dW"] <= th.delta_E))
+        assert np.count_nonzero(overlap) > 0
+        assert ejection_run.detail["sign_disagreements"] == 0
 
     def test_ode_residual_small(self, ejection_run):
         out = modulation_ode_residual(ejection_run.series)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ class TestRecipes:
     def test_seed_derivation_stable(self):
         assert derive_seed(7, "abc") == derive_seed(7, "abc")
         assert derive_seed(7, "abc") != derive_seed(7, "abd")
+
+    def test_perturbed_variants_draw_distinct_bumps(self, spectral):
+        # pert0 and pert12 of a three-amplitude sweep share a and eps; the
+        # seed is derived once from the variant's name, so their bumps differ
+        cases = {variant: exp for _, variant, exp in experiments._sweep_cases(
+            (1e-3, 3e-3, 1e-2), SWEEP_EVOLUTION, 20, 20240801, None)}
+        a, b = cases["pert0"], cases["pert12"]
+        assert (a.params["a"], a.params["eps"]) == (b.params["a"],
+                                                    b.params["eps"])
+        sa = build_initial_state(a, spectral)
+        sb = build_initial_state(b, spectral)
+        assert not np.array_equal(sa.u1.values, sb.u1.values)
+        assert not np.array_equal(sa.u2.values, sb.u2.values)
 
 
 class TestRunExperiment:
@@ -467,6 +481,31 @@ class TestCLI:
         assert exc.value.code == 0
         text = capsys.readouterr().out
         assert "--eps" in text and "--t-max" in text
+
+    def test_ejection_prints_rate_and_ode_residual(self, capsys):
+        code = cli_main(["ejection", "--eps", "1e-3", "--t-max", "14"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("spectral rate k = ")
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            "eps = +1.0e-03", "eps = -1.0e-03"]
+        for line in lines[1:]:
+            values = {key.strip(): val for key, val in
+                      re.findall(r"([\w/ ]+) = ([-+.\w]+)", line)}
+            assert 0.95 <= float(values["rate/k"]) <= 1.05
+            assert float(values["max_rel_residual"]) <= 0.10
+            assert float(values["sigma_tau_over_gamma"]) <= 5.0
+
+    def test_ejection_no_residual_segment_exits_3(self, capsys):
+        # two monitor rows leave no centred difference for the residual
+        code = cli_main(["ejection", "--eps", "1e-3", "--t-max", "0.125"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "spectral rate k" in captured.out
+        assert captured.err.splitlines() == [
+            "eps = +1.0e-03: no converged segment for the residual check"]
 
     def test_ejection_window_too_short_exits_3(self, capsys):
         # a horizon of t = 1 ends before |lambda_1| leaves its transient

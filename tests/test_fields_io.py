@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critwave.fields import (BoostParams, Field3D, RadialField, ResolutionError,
-                             State, boost_matrix, eval_W, eval_W_dr,
-                             load_radial_field, load_state, sample_W_family,
+from critwave.fields import (BoostParams, Field3D, RadialField, State, eval_W,
+                             eval_W_dr, load_radial_field, load_state,
                              save_radial_field, save_state)
 from critwave.functionals import h1_seminorm_sq
 from critwave.grids import Box3DGrid, RadialGrid
@@ -69,58 +68,48 @@ class TestContainers:
         assert np.array_equal(rev.u2.values, -b.values)
 
     def test_boost_params(self):
-        p = BoostParams(0.1, (0.3, 0.0, 0.4), (1.0, 0.0, 0.0))
+        p = BoostParams(0.1, (0.3, 0.0, 0.4))
         assert p.p_norm == pytest.approx(0.5)
         assert p.lorentz_factor == pytest.approx(math.sqrt(1.25))
         with pytest.raises(ValueError):
             BoostParams(math.nan)
 
 
-class TestBoostMatrix:
-    def test_identity_at_zero(self):
-        assert np.allclose(boost_matrix(np.zeros(3)), np.eye(3))
-
-    def test_small_p_continuity(self):
-        # the p -> 0 limit is regular: no 0/0 blow-up
-        a = boost_matrix(np.array([1e-12, 0, 0]))
-        assert np.allclose(a, np.eye(3), atol=1e-12)
-
-    def test_contraction_factor(self):
-        p = np.array([0.5, 0.0, 0.0])
-        a = boost_matrix(p)
-        assert a[0, 0] == pytest.approx(math.sqrt(1.25), rel=1e-14)
-        assert a[1, 1] == 1.0
-
-
 class TestSampleFamily:
-    def test_identity_parameters(self, static_grid):
-        s = sample_W_family(BoostParams(), static_grid)
+    """The test-input sampler of the soliton family (tests/conftest.py)."""
+
+    def test_identity_parameters(self, static_grid, sample_W_family):
+        s = sample_W_family(static_grid)
         w = np.asarray(eval_W(3, static_grid.r ** 2))
         assert np.array_equal(s.u1.values, w)
         assert np.all(s.u2.values == 0.0)
 
-    def test_scaling_preserves_h1(self, static_grid):
-        base = sample_W_family(BoostParams(), static_grid)
-        scaled = sample_W_family(BoostParams(sigma=0.3), static_grid)
+    def test_scaling_preserves_h1(self, static_grid, sample_W_family):
+        base = sample_W_family(static_grid)
+        scaled = sample_W_family(static_grid, 0.3)
         a = h1_seminorm_sq(base.u1)
         b = h1_seminorm_sq(scaled.u1)
         assert b == pytest.approx(a, rel=1e-8)
 
-    def test_radial_requires_centered(self, static_grid):
-        with pytest.raises(ValueError):
-            sample_W_family(BoostParams(p=(0.1, 0, 0)), static_grid)
+    def test_radial_requires_centered(self, static_grid, sample_W_family):
+        with pytest.raises(ValueError, match="requires q = 0"):
+            sample_W_family(static_grid, 0.0, (0.1, 0, 0))
 
-    def test_resolution_guard(self):
+    def test_resolution_guard(self, sample_W_family):
         g = RadialGrid(3, 200.0, 64, "uniform")  # cells of ~3
-        with pytest.raises(ResolutionError):
-            sample_W_family(BoostParams(sigma=3.0), g)
+        with pytest.raises(ValueError, match="below 4 cells"):
+            sample_W_family(g, 3.0)
 
-    def test_boosted_on_box(self):
+    def test_translated_on_box(self, sample_W_family):
         box = Box3DGrid(20.0, 64)
-        s = sample_W_family(BoostParams(0.0, (0.2, 0.0, 0.0)), box)
+        q = (4.5 * box.dx, 0.5 * box.dx, -1.5 * box.dx)   # a lattice node
+        s = sample_W_family(box, 0.0, q)
         assert s.representation == "box3d"
-        # u2 = -grad u1 . p/<p> is odd along the boost axis
-        assert abs(np.sum(s.u2.values)) < 1e-10
+        assert np.all(s.u2.values == 0.0)
+        # the peak W(0) = 1 sits on the node at q
+        i = np.unravel_index(np.argmax(s.u1.values), s.u1.values.shape)
+        assert [float(ax[i]) for ax in box.meshgrid] == list(q)
+        assert s.u1.values[i] == 1.0
 
 
 class TestSerialization:

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import weakref
@@ -7,25 +6,24 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from critwave import modulation
+from critwave import evolve, modulation
 from critwave.experiments import (BoxResidualClosure, assemble_box_exact,
                                   random_box_closure,
                                   random_orthogonal_residual)
-from critwave.fields import (BLOCK_POINTS, RadialField, State, eval_W_dr, sample_W_family, BoostParams)
+from critwave.fields import (BLOCK_POINTS, RadialField, State, eval_W,
+                             eval_W_dr, nonlinearity_power, sobolev_exponent)
 from critwave.functionals import (crit_norm, energy_E, functional_K,
                                   h1_seminorm_sq, l2_inner, l2_norm_sq,
                                   norm_H, norm_H_sq, symplectic_omega)
 from critwave.grids import Box3DGrid, RadialGrid
-from critwave.modulation import (DistanceReport, FitError, ModeSplit,
-                                 SignAmbiguityError, _box_cross,
-                                 _box_fit_refs, _radial_mode_ip,
+from critwave.modulation import (FitError, ModeSplit, SignAmbiguityError,
+                                 _box_cross, _box_fit_refs, _radial_mode_ip,
                                  _RadialDistance, box_mode_fields,
                                  box_mode_gram, box_mode_integrals, box_modes,
                                  assemble_state, distance_dW, fit_modulation,
                                  manifold_distance, reference_J,
                                  region_predicates, sign_functional,
-                                 split_modes, superquadratic_C)
-from critwave.operators import apply_scaling
+                                 split_modes)
 from critwave.spectral import (_mode_samples, build_spectral_data,
                                quadratic_form_L)
 
@@ -39,28 +37,63 @@ def resampled_split(fit, spec) -> tuple[ModeSplit, State]:
     """Oracle: the mode split of the residual w = sign_s * v resampled onto
     the state's grid, with its remainder gamma as a state."""
     w = fit.v * float(fit.sign_s)
-    k = spec.k
     g = w.grid
     rho = RadialField(g, spec.rho_on(g))
     rho_sq = l2_norm_sq(rho)
     lam1 = l2_inner(w.u1, rho) / rho_sq
     lam2 = l2_inner(w.u2, rho) / rho_sq
-    alpha = l2_inner(w.u1, RadialField(g, spec.lambda0_rho_on(g)))
     gamma = State(RadialField(g, w.u1.values - lam1 * rho.values),
                   RadialField(g, w.u2.values - lam2 * rho.values))
-    sk = math.sqrt(k / 2.0)
-    return ModeSplit(lambda_plus=sk * (lam1 + lam2 / k),
-                     lambda_minus=sk * (lam1 - lam2 / k),
-                     lambda1=lam1, lambda2=lam2, alpha=float(alpha),
+    return ModeSplit(lambda1=lam1, lambda2=lam2,
                      gamma_norm=norm_H(gamma)), gamma
 
 
-def linearized_norm_sq(ms: ModeSplit, gamma: State, spec) -> float:
+def unstable_pair(ms: ModeSplit, k: float) -> tuple[float, float]:
+    """(lambda_+, lambda_-) = sqrt(k/2) (lambda_1 +- lambda_2 / k), the
+    amplitudes of the modes g+ and g-."""
+    sk = math.sqrt(k / 2.0)
+    return sk * (ms.lambda1 + ms.lambda2 / k), sk * (ms.lambda1 - ms.lambda2 / k)
+
+
+def fit_alpha(fit) -> float:
+    """alpha = <w_1 | Lambda_0 rho>: the signed final orthogonality residual
+    of a radial fit."""
+    return fit.sign_s * float(fit.orth_residual[0])
+
+
+def linearized_norm_sq(ms: ModeSplit, gamma: State, spec,
+                       alpha: float) -> float:
     """||v||_E^2 = (k^2 l1^2 + l2^2)/2 + <L gamma | gamma>/2 + alpha^2."""
     k = spec.k
     quad_g = quadratic_form_L(spec, gamma.u1)[0] + l2_norm_sq(gamma.u2)
     return (0.5 * (k * k * ms.lambda1 ** 2 + ms.lambda2 ** 2)
-            + 0.5 * quad_g + ms.alpha ** 2)
+            + 0.5 * quad_g + alpha ** 2)
+
+
+def superquadratic_C(v1: RadialField) -> float:
+    """Oracle: the beyond-quadratic part of the static energy around W,
+
+    C(v) = int [ (|W+v1|^(2*) - W^(2*)) / 2* - W^p v1 - (p/2) W^(p-1) v1^2 ],
+
+    cubic at the origin: C(eps rho)/eps^3 has a finite limit.
+    """
+    g = v1.grid
+    d = g.d
+    w = np.asarray(eval_W(d, g.r ** 2))
+    ts = sobolev_exponent(d)
+    p = nonlinearity_power(d)
+    f = v1.values
+    integrand = ((np.abs(w + f) ** ts - w ** ts) / ts
+                 - w ** p * f - (p / 2.0) * w ** (p - 1.0) * f * f)
+    return float(g.quad_meas(integrand))
+
+
+def fate_sign(s: State, spec, th) -> tuple[int, bool]:
+    """sign_functional on the inputs a monitor row gives it: d_W, lambda_1
+    of a converged fit (NaN without one) and K."""
+    rep = distance_dW(s, spec, th)
+    lam1 = rep.modes.lambda1 if rep.modes is not None else math.nan
+    return sign_functional(rep.dW, lam1, functional_K(s.u1), th)
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +118,8 @@ class TestFit:
         assert fit.sigma == 0.0
         assert norm_H(fit.v) < 1e-10
 
-    def test_scaled_member(self, ctx):
-        s = sample_W_family(BoostParams(sigma=0.1), ctx["g"])
+    def test_scaled_member(self, ctx, sample_W_family):
+        s = sample_W_family(ctx["g"], 0.1)
         fit = fit_modulation(s, ctx["spec"], ctx["th"])
         assert fit.converged
         assert fit.sigma == pytest.approx(0.1, abs=1e-6)
@@ -157,10 +190,10 @@ class TestRoundTrip:
             assert abs(fit.sigma - sigma) <= 1e-6
             assert np.max(np.abs(fit.c - c)) <= 1e-6
 
-    def test_box_soliton_member(self, ctx):
+    def test_box_soliton_member(self, ctx, sample_W_family):
         spec, th = ctx["spec"], ctx["th"]
         box = Box3DGrid(20.0, 128)
-        s = sample_W_family(BoostParams(0.1, (0, 0, 0), (0.2, 0.0, 0.0)), box)
+        s = sample_W_family(box, 0.1, (0.2, 0.0, 0.0))
         fit = fit_modulation(s, spec, th)
         assert fit.converged
         assert abs(fit.sigma - 0.1) <= 1e-6
@@ -176,8 +209,9 @@ class TestModeSplit:
                   RadialField(g, eps * gp.u2.values))
         fit = fit_modulation(s, spec, ctx["th"])
         ms = split_modes(fit, spec)
-        assert ms.lambda_plus == pytest.approx(eps, rel=1e-6)
-        assert abs(ms.lambda_minus) <= 1e-9
+        lam_plus, lam_minus = unstable_pair(ms, spec.k)
+        assert lam_plus == pytest.approx(eps, rel=1e-6)
+        assert abs(lam_minus) <= 1e-9
         assert ms.gamma_norm <= 1e-6
 
     def test_rho_pair_amplitudes(self, ctx):
@@ -188,10 +222,11 @@ class TestModeSplit:
         assert abs(ms.lambda2) <= 1e-12
         # change of variables consistency
         k = spec.k
+        lam_plus, lam_minus = unstable_pair(ms, k)
         assert ms.lambda1 == pytest.approx(
-            (ms.lambda_plus + ms.lambda_minus) / math.sqrt(2 * k), rel=1e-12)
+            (lam_plus + lam_minus) / math.sqrt(2 * k), rel=1e-12)
         assert ms.lambda2 == pytest.approx(
-            math.sqrt(k / 2) * (ms.lambda_plus - ms.lambda_minus), abs=1e-12)
+            math.sqrt(k / 2) * (lam_plus - lam_minus), abs=1e-12)
 
     def test_reconstruction(self, ctx, rng):
         spec, g, th = ctx["spec"], ctx["g"], ctx["th"]
@@ -201,7 +236,8 @@ class TestModeSplit:
         ms = split_modes(fit, spec)
         _, gamma = resampled_split(fit, spec)
         gp, gm = spec.mode_states(g)
-        recon = (ms.lambda_plus * gp + ms.lambda_minus * gm + gamma)
+        lam_plus, lam_minus = unstable_pair(ms, spec.k)
+        recon = (lam_plus * gp + lam_minus * gm + gamma)
         assert norm_H(recon - fit.v * float(fit.sign_s)) <= 1e-8
         # omega-orthogonality of the remainder
         assert abs(symplectic_omega(gamma, gp)) <= 1e-9
@@ -241,14 +277,12 @@ class TestAdjointSplit:
         for sgn in (1, -1):
             u = assemble_state(sgn, 0.2, np.zeros(3), v)
             fit = fit_modulation(u, spec, th)
-            ms = split_modes(fit, spec)
-            assert ms.alpha == sgn * fit.orth_residual[0]
-            # the residual of the final sigma: <S^sigma u1 | Lambda_0 rho>
-            # minus sgn <W | Lambda_0 rho>
+            # fit_alpha's residual is that of the final sigma:
+            # <S^sigma u1 | Lambda_0 rho> minus sgn <W | Lambda_0 rho>
             resid = (_radial_mode_ip(u.u1, spec.lambda0_rho_profile,
                                      fit.sigma)
                      - sgn * spec.W_inner_lambda0_rho(g))
-            assert ms.alpha == sgn * resid
+            assert fit_alpha(fit) == sgn * resid
 
 
 class TestLinearizedNorm:
@@ -258,7 +292,8 @@ class TestLinearizedNorm:
     @staticmethod
     def norm_sq(fit, spec):
         return linearized_norm_sq(split_modes(fit, spec),
-                                  resampled_split(fit, spec)[1], spec)
+                                  resampled_split(fit, spec)[1], spec,
+                                  fit_alpha(fit))
 
     def test_zero(self, ctx):
         s = State(RadialField(ctx["g"], ctx["W"]), ctx["zeros"])
@@ -328,25 +363,32 @@ class TestSuperquadratic:
         quad_g = (quadratic_form_L(spec, gamma.u1)[0]
                   + l2_norm_sq(gamma.u2))
         w_adj = fit.v * float(fit.sign_s)
-        rhs = (-spec.k * ms.lambda_plus * ms.lambda_minus + 0.5 * quad_g
+        lam_plus, lam_minus = unstable_pair(ms, spec.k)
+        rhs = (-spec.k * lam_plus * lam_minus + 0.5 * quad_g
                - superquadratic_C(w_adj.u1))
         assert abs(lhs - rhs) <= 1e-8
 
 
+def is_inner(rep, th) -> bool:
+    """d_W = d_1 exactly: a converged fit with d_0 inside the blend's start
+    at delta_A / 2."""
+    return rep.modes is not None and rep.d0 <= 0.5 * th.delta_A
+
+
 class TestDistance:
-    def test_zero_on_manifold(self, ctx):
+    def test_zero_on_manifold(self, ctx, sample_W_family):
         # d_W = sqrt(E - J(W) + ...) amplifies the O(1e-12) sigma-drift of
         # the energy quadrature; the 1e-6 statement holds for moderate
         # scales, with a ~1e-6-scale floor growing past |sigma| ~ 0.4
         spec, th, g = ctx["spec"], ctx["th"], ctx["g"]
         for sigma in (-0.4, 0.0, 0.2):
-            s = sample_W_family(BoostParams(sigma=sigma), g)
+            s = sample_W_family(g, sigma)
             rep = distance_dW(s, spec, th)
             assert rep.dW <= 1e-6
-            assert rep.regime == "inner"
-        s = sample_W_family(BoostParams(), g) * -1.0
+            assert is_inner(rep, th)
+        s = sample_W_family(g) * -1.0
         assert distance_dW(s, spec, th).dW <= 1e-6
-        wide = sample_W_family(BoostParams(sigma=0.7), g)
+        wide = sample_W_family(g, 0.7)
         assert distance_dW(wide, spec, th).dW <= 5e-6
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-4])
@@ -357,7 +399,7 @@ class TestDistance:
         rep = distance_dW(s, spec, th)
         expect_sq = 0.5 * spec.k ** 2 * eps ** 2
         assert rep.dW ** 2 == pytest.approx(expect_sq, rel=0.02)
-        assert rep.regime == "inner"
+        assert is_inner(rep, th)
 
     def test_outer_equivalence_with_lambda1(self, ctx):
         # in the outer part of the inner region, d_W ~ k |lambda_1|
@@ -376,7 +418,8 @@ class TestDistance:
         spec, th, g = ctx["spec"], ctx["th"], ctx["g"]
         s = State(RadialField(g, 0.5 * ctx["W"]), ctx["zeros"])
         rep = distance_dW(s, spec, th)
-        assert rep.regime == "outer"
+        # outer: no converged fit, or d_0 past the blend's end at delta_A
+        assert rep.modes is None or rep.d0 >= th.delta_A
         assert rep.dW == rep.d0
 
     def test_lipschitz_shadow(self, ctx, rng):
@@ -696,68 +739,85 @@ class TestKExpansion:
 
 class TestSign:
     def test_scaling_rules(self, ctx):
-        spec, th, g = ctx["spec"], ctx["th"], ctx["g"]
-        zeros = ctx["zeros"]
-        assert sign_functional(State(RadialField(g, 0.5 * ctx["W"]), zeros),
-                               spec, th) == +1
-        assert sign_functional(State(RadialField(g, 1.5 * ctx["W"]), zeros),
-                               spec, th) == -1
+        # the outer rule on scaled ground states: sign K(cW) = sign(1 - c)
+        th, g, zeros = ctx["th"], ctx["g"], ctx["zeros"]
+        for c, want in ((0.5, +1), (1.5, -1)):
+            s = State(RadialField(g, c * ctx["W"]), zeros)
+            assert distance_dW(s, ctx["spec"], th).dW >= th.delta_S
+            assert fate_sign(s, ctx["spec"], th) == (want, False)
+        assert sign_functional(th.delta_S, math.nan, 1.0, th) == (+1, False)
+        assert sign_functional(1.0, math.nan, -1.0, th) == (-1, False)
 
     def test_inner_rule(self, ctx):
         spec, th, g = ctx["spec"], ctx["th"], ctx["g"]
         zeros = ctx["zeros"]
         up = State(RadialField(g, ctx["W"] + 1e-3 * ctx["rho"]), zeros)
         um = State(RadialField(g, ctx["W"] - 1e-3 * ctx["rho"]), zeros)
-        assert sign_functional(up, spec, th) == -1
-        assert sign_functional(um, spec, th) == +1
+        assert fate_sign(up, spec, th) == (-1, False)
+        assert fate_sign(um, spec, th) == (+1, False)
+        # below delta_S only the inner rule applies, whatever K is
+        for k_val in (-1.0, 1.0):
+            assert sign_functional(1e-3, 1e-4, k_val, th) == (-1, False)
+            assert sign_functional(1e-3, -1e-4, k_val, th) == (+1, False)
+        assert sign_functional(th.delta_E, -1e-4, 1.0, th) == (+1, False)
+
+    def test_sign_zero_in_the_gap(self, ctx):
+        # neither rule: no converged fit and d_W below delta_S
+        th = ctx["th"]
+        assert sign_functional(0.5 * th.delta_S, math.nan, -1.0, th) == (0, False)
+        assert sign_functional(math.nan, math.nan, 1.0, th) == (0, False)
+        # past delta_E a converged fit does not count
+        assert sign_functional(2 * th.delta_E, 1e-2, -1.0, th) == (-1, False)
 
     def test_u_to_minus_u_symmetry(self, ctx):
         spec, th, g = ctx["spec"], ctx["th"], ctx["g"]
         zeros = ctx["zeros"]
         for eps in (1e-3, -1e-3):
             s = State(RadialField(g, ctx["W"] + eps * ctx["rho"]), zeros)
-            assert sign_functional(s, spec, th) == \
-                sign_functional(s * -1.0, spec, th)
+            assert fate_sign(s, spec, th) == fate_sign(s * -1.0, spec, th)
 
     def test_overlap_consistency(self, ctx):
-        # where both rules apply they must agree (raises otherwise)
+        # where both rules apply on W + eta rho they agree
         spec, th, g = ctx["spec"], ctx["th"], ctx["g"]
         zeros = ctx["zeros"]
+        overlap = 0
         for eta in (0.02, 0.05, 0.1, -0.05):
             s = State(RadialField(g, ctx["W"] + eta * ctx["rho"]), zeros)
-            rep = distance_dW(s, spec, th)
-            if th.delta_S <= rep.dW <= th.delta_E:
-                val = sign_functional(s, spec, th, report=rep)
-                assert val == (-1 if eta > 0 else +1)
+            if th.delta_S <= distance_dW(s, spec, th).dW <= th.delta_E:
+                overlap += 1
+                assert fate_sign(s, spec, th) == (-1 if eta > 0 else +1, False)
+        assert overlap > 0
+        # disagreeing inputs: the inner sign wins and the disagreement shows
+        d_w = 0.5 * (th.delta_S + th.delta_E)
+        assert sign_functional(d_w, 1e-2, 1.0, th) == (-1, True)
+        assert sign_functional(d_w, -1e-2, -1.0, th) == (+1, True)
+        assert sign_functional(d_w, -1e-2, 1.0, th) == (+1, False)
 
     def test_report_split_is_reused(self, ctx, monkeypatch):
-        # a distance_dW report holds the split of its converged fit
+        # a monitor row's sign takes lambda_1 from the split its distance_dW
+        # report made: one split per converged fit
         spec, th, g = ctx["spec"], ctx["th"], ctx["g"]
-        calls = []
+        splits = []
         original = modulation.split_modes
 
         def counting(fit, spec):
-            calls.append(fit)
-            return original(fit, spec)
+            splits.append(original(fit, spec))
+            return splits[-1]
 
+        monkeypatch.setattr(modulation, "split_modes", counting)
         for eps, want in ((1e-3, -1), (-1e-3, +1)):
             s = State(RadialField(g, ctx["W"] + eps * ctx["rho"]), ctx["zeros"])
-            rep = distance_dW(s, spec, th)
-            assert rep.modes is not None
-            monkeypatch.setattr(modulation, "split_modes", counting)
-            assert sign_functional(s, spec, th, report=rep) == want
-            assert calls == []
-            without = dataclasses.replace(rep, modes=None)
-            assert sign_functional(s, spec, th, report=without) == want
-            assert calls == [rep.fit]
-            calls.clear()
-            monkeypatch.undo()
+            row = evolve._monitor_row(s, 0.0, spec, evolve._MonitorState(th))
+            assert len(splits) == 1
+            assert row["lambda1"] == splits[0].lambda1
+            assert row["sign"] == want
+            splits.clear()
 
     def test_zero_state_positive(self, ctx):
+        # K(0) = 0 and the convention sign 0 = +1
         spec, th = ctx["spec"], ctx["th"]
         zeros = ctx["zeros"]
-        s = State(zeros, zeros)
-        assert sign_functional(s, spec, th) == +1
+        assert fate_sign(State(zeros, zeros), spec, th) == (+1, False)
 
 
 class TestRegions:
@@ -783,9 +843,9 @@ class TestRegions:
 
 
 @pytest.fixture(scope="module")
-def box_case(spectral, thresholds):
+def box_case(spectral, thresholds, sample_W_family):
     """A box family member and its converged fit, which has no residual."""
-    s = sample_W_family(BoostParams(0.1), Box3DGrid(10.0, 32))
+    s = sample_W_family(Box3DGrid(10.0, 32), 0.1)
     fit = fit_modulation(s, spectral, thresholds)
     assert fit.converged and fit.v is None
     return s, fit
@@ -801,12 +861,9 @@ BOX_REJECTIONS = {
         s, spec, fit=fit)),
     "region_predicates": (ValueError, lambda spec, s, fit: region_predicates(
         s, spec)),
-    "apply_scaling": (ValueError, lambda spec, s, fit: apply_scaling(s, 0.1)),
     "symplectic_omega": (ValueError, lambda spec, s, fit: symplectic_omega(
         s, s)),
     "split_modes": (FitError, lambda spec, s, fit: split_modes(fit, spec)),
-    "sign_functional": (FitError, lambda spec, s, fit: sign_functional(
-        s, spec, report=DistanceReport(0.0, 0.0, 0.0, "inner", fit))),
 }
 
 

@@ -11,10 +11,11 @@ from critwave.fields import (RadialField, eval_W, eval_W_dr,
 from critwave.functionals import (h1_seminorm_sq, l2_inner, l2_norm_sq,
                                   symplectic_omega)
 from critwave.grids import RadialGrid
-from critwave.spectral import (LinearizedOperator, SpectralConsistencyError,
-                               _random_probe, _shoot_mismatch,
+from critwave.spectral import (BW_TOL, LinearizedOperator,
+                               SpectralConsistencyError, _mode_samples,
+                               _random_probe, _shoot_mismatch, _w_constants,
                                build_spectral_data, coercivity_probe,
-                               compute_constants, shooting_rate)
+                               shooting_rate)
 
 K_REFERENCE_D3 = 1.1001672181511408  # frozen from the constants file
 
@@ -185,9 +186,13 @@ class TestConstants:
     def test_b_W_two_routes(self, spectral):
         assert spectral.residuals["b_W_rel_diff"] <= 1e-3
 
-    def test_compute_constants_matches_build(self, spectral):
-        a_w, b_w = compute_constants(spectral)
+    def test_constants_match_the_eigenpair(self, spectral):
+        # the stored a_W, b_W follow from the stored eigenpair, and the two
+        # b_W routes agree on it
+        _, lam0 = _mode_samples(spectral.rho_eigen)
+        a_w, b_w, b_w_alt = _w_constants(spectral.rho_eigen, lam0, spectral.k)
         assert (a_w, b_w) == (spectral.a_W, spectral.b_W)
+        assert abs(b_w - b_w_alt) / abs(b_w) <= BW_TOL
 
     def test_wprime_orthogonal_to_rho(self, spectral, static_grid):
         wp = spectral.wprime_field(static_grid)

@@ -25,10 +25,19 @@ def test_tracing_targets_resolve():
         assert callable(original), f"critwave.{module}.{path}"
 
 
+# package definitions kept without a caller in src/, each with its reason
+ALLOWED_UNCALLED = {
+    "save_state": "the documented writer of the file recipe's format",
+    "region_predicates": "the energy-band evidence of the quadrant rows, "
+                         "whose caller is still open on the roadmap",
+}
+
+
 def test_every_definition_has_a_caller():
-    # a function or class of the package must be referenced somewhere in
-    # src/ outside its own definition (an export in __init__ counts), or be
-    # wrapped by the benchmark's tracer; dunders are called by Python
+    # a function or class of the package must be referenced in src/ outside
+    # its own definition (an import, so an export in __init__, is not a
+    # reference), be wrapped by the benchmark's tracer or be allow-listed
+    # above; dunders are called by Python
     traced = {name for _, _, path, _ in _load_tracing().TARGETS
               for name in path.split(".")}
     definitions, references = [], []
@@ -41,16 +50,17 @@ def test_every_definition_has_a_caller():
                 references.append((node.id, path, node.lineno))
             elif isinstance(node, ast.Attribute):
                 references.append((node.attr, path, node.lineno))
-            elif isinstance(node, ast.ImportFrom):
-                references += [(a.name, path, node.lineno) for a in node.names]
     uncalled = [
-        f"{path.name}:{first} {name}"
+        (name, f"{path.name}:{first}")
         for name, path, first, last in definitions
-        if not (name.startswith("__") and name.endswith("__"))
-        and name not in traced
-        and not any(ref == name and (where != path or not first <= line <= last)
-                    for ref, where, line in references)]
-    assert uncalled == []
+        if not any(ref == name and (where != path or not first <= line <= last)
+                   for ref, where, line in references)]
+    assert [f"{where} {name}" for name, where in uncalled
+            if not (name.startswith("__") and name.endswith("__"))
+            and name not in traced and name not in ALLOWED_UNCALLED] == []
+    # the allow-list cannot go stale: each name is defined and still uncalled
+    assert sorted(name for name, _ in uncalled
+                  if name in ALLOWED_UNCALLED) == sorted(ALLOWED_UNCALLED)
 
 
 def test_every_parameter_is_read():
