@@ -28,7 +28,7 @@ from .experiments import (ExperimentSpec, build_initial_state, exit_code_for,
                           run_experiment, run_quadrant_sweep,
                           run_static_suite, save_report)
 from .grids import RadialGrid
-from .spectral import build_spectral_data
+from .spectral import build_spectral_data, static_grid
 
 REFERENCE_RESOURCE = "spectral_reference_d3.json"
 
@@ -81,10 +81,8 @@ def cmd_static(args) -> int:
     except ValueError as exc:
         return _invalid_config(exc)
     thresholds = sections.get("thresholds", Thresholds())
-    grid = None
-    if args.grid_n or args.spacing:
-        grid = RadialGrid(3, 200.0, args.grid_n or 4096,
-                          args.spacing or "sinh", 6.0)
+    overrides = {"n": args.grid_n, "spacing": args.spacing}
+    grid = static_grid(**{k: v for k, v in overrides.items() if v})
     report = run_static_suite(thresholds=thresholds, grid=grid, seed=args.seed,
                               reference_constants=load_reference_constants())
     out = args.out or "static_report.json"

@@ -667,8 +667,7 @@ def evolve_with_monitors(state0: State, cfg: EvolutionConfig,
 # ---------------------------------------------------------------------------
 
 def fit_ejection_rate(series: dict, spec: SpectralData,
-                      thresholds: Thresholds | None = None,
-                      window: tuple[float, float] | None = None) -> dict:
+                      thresholds: Thresholds | None = None) -> dict:
     """Least-squares slope of log|lambda_1| against tau on the ejection window.
 
     The window keeps cosh/sinh transients out (|lambda_1| above a multiple
@@ -683,19 +682,15 @@ def fit_ejection_rate(series: dict, spec: SpectralData,
     dw = np.asarray(series["dW"], dtype=float)
     sig = np.asarray(series["sigma"], dtype=float)
     ok = np.isfinite(tau) & np.isfinite(lam1) & np.isfinite(dw)
-    if window is None:
-        # transient floor: 5x the linearized amplitude scale at tau = 0
-        if np.any(ok):
-            i0 = int(np.nonzero(ok)[0][0])
-            scale0 = max(abs(lam1[i0]),
-                         abs(lam2[i0]) / spec.k if math.isfinite(lam2[i0]) else 0.0)
-        else:
-            scale0 = math.nan
-        lam_lo = max(5.0 * scale0, 1e-7)
-        dw_hi = 0.5 * th.delta_H
+    # transient floor: 5x the linearized amplitude scale at tau = 0
+    if np.any(ok):
+        i0 = int(np.nonzero(ok)[0][0])
+        scale0 = max(abs(lam1[i0]),
+                     abs(lam2[i0]) / spec.k if math.isfinite(lam2[i0]) else 0.0)
     else:
-        lam_lo, dw_hi = window
-    sel = ok & (np.abs(lam1) >= lam_lo) & (dw <= dw_hi)
+        scale0 = math.nan
+    lam_lo = max(5.0 * scale0, 1e-7)
+    sel = ok & (np.abs(lam1) >= lam_lo) & (dw <= 0.5 * th.delta_H)
     if np.count_nonzero(sel) < 5:
         raise ValueError(f"ejection window too short ({np.count_nonzero(sel)} points)")
     x, y = tau[sel], np.log(np.abs(lam1[sel]))

@@ -33,7 +33,7 @@ from .evolve import (BLOWUP, SCATTER, UNDETERMINED, DirectionRun,
                      TrajectoryRecord, evolve_directions,
                      evolve_with_monitors, one_pass_check)
 from .spectral import (BW_TOL, SHOOT_TOL, SpectralData, build_spectral_data,
-                       coercivity_probe)
+                       coercivity_probe, static_grid)
 
 RECIPES = ("quadrant", "scaled_w", "bump", "gmode", "file")
 QUADRANT_DIRECTIONS = {"+1,0": (1, 0), "-1,0": (-1, 0),
@@ -462,8 +462,7 @@ def random_box_closure(spectral: SpectralData, grid: Box3DGrid,
     rhs = np.array([grid.quad(f1 * m) for m in modes])
     coef = np.linalg.solve(box_mode_gram(spectral, grid), rhs)
     v1 = f1 - sum(cf * m for cf, m in zip(coef, modes))
-    gx, gy, gz = grid.gradient(v1)
-    nrm = math.sqrt(grid.quad(gx ** 2 + gy ** 2 + gz ** 2) + grid.quad(f2 * f2))
+    nrm = math.sqrt(grid.h1_sq(grid.gradient(v1)) + grid.quad(f2 * f2))
     scale = amplitude / max(nrm, 1e-300)
     g1s = [(a * scale, c, w) for a, c, w in g1]
     g2s = [(a * scale, c, w) for a, c, w in g2]
@@ -544,7 +543,7 @@ def run_static_suite(spectral: SpectralData | None = None,
     message in the report.
     """
     th = thresholds or Thresholds()
-    grid = grid or RadialGrid(3, 200.0, 4096, "sinh", 6.0)
+    grid = grid or static_grid()
     if spectral is None:
         spectral = build_spectral_data(grid)
     checks: list[dict] = []
@@ -586,7 +585,7 @@ def run_static_suite(spectral: SpectralData | None = None,
                          detail="<d_j W | d_k rho> = + delta_jk a_W"))
 
     # coercivity sampling
-    co = coercivity_probe(spectral, n_samples=n_coercivity, grid=grid, seed=seed)
+    co = coercivity_probe(spectral, grid, n_samples=n_coercivity, seed=seed)
     checks.append(_check("coercivity_c_low", co["c_low"], 0.0, kind="gt",
                          detail=f"range [{co['c_low']:.4f}, {co['c_high']:.4f}] "
                                 f"over {co['n_samples']} probes"))

@@ -245,9 +245,6 @@ class Field3D:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", v)
 
-    def gradient(self) -> list[np.ndarray]:
-        return self.grid.gradient(self.values)
-
 
 def _check_same_grid(a, b):
     if a.grid != b.grid:
@@ -273,10 +270,6 @@ class State:
     @property
     def grid(self):
         return self.u1.grid
-
-    @property
-    def d(self) -> int:
-        return self.u1.grid.d if self.representation == "radial" else 3
 
     def require_radial(self, what: str) -> None:
         if self.representation != "radial":

@@ -8,8 +8,8 @@ desk-size domain; with the two-term tail model the truncation error drops
 to O(r_max^-5).  L^2 quantities get no tail term (fields with a c/r^(d-2)
 far field are not in L^2 for d = 3; everything we pair in L^2 decays fast).
 
-Box functionals are plain midpoint sums, adequate for the box modulation
-fit they serve.
+The functionals take radial states and fields only: box (3-D) states stop
+at the modulation fit, which takes its own box quadratures.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import (BoostParams, Field3D, RadialField, State,
-                     eval_W, eval_W_dr, sobolev_exponent)
+from .fields import (BoostParams, RadialField, State, eval_W, eval_W_dr,
+                     sobolev_exponent)
 from .grids import RadialGrid
 
 
@@ -131,74 +131,48 @@ class RadialPieces:
 
     @property
     def energy(self) -> float:
-        return _energy(self.h1, self.crit, self.l2, self.grid.d)
+        return (0.5 * (self.h1 + self.l2)
+                - self.crit / sobolev_exponent(self.grid.d))
 
     @property
     def K(self) -> float:
         return self.h1 - self.crit
 
 
-# box counterparts -----------------------------------------------------------
-
-def _box_h1_sq(fld: Field3D, grad: list[np.ndarray] | None = None) -> float:
-    gx, gy, gz = fld.gradient() if grad is None else grad
-    return fld.grid.quad(gx * gx + gy * gy + gz * gz)
-
-
-def _box_crit(fld: Field3D) -> float:
-    return fld.grid.quad(np.abs(fld.values) ** 6)
-
-
-def _box_l2_sq(fld: Field3D) -> float:
-    return fld.grid.quad(fld.values * fld.values)
-
-
 # ---------------------------------------------------------------------------
 # the static functionals J, K and the conserved quantities
 # ---------------------------------------------------------------------------
 
-def _grad_and_crit(fld) -> tuple[float, float]:
-    if isinstance(fld, RadialField):
-        g = fld.grid
-        c, b = g.tail_fit(fld.values)
-        return _h1_sq(g, fld.deriv(), c, b), _crit(g, fld.values, c, b)
-    return _box_h1_sq(fld), _box_crit(fld)
+def _grad_and_crit(fld: RadialField) -> tuple[float, float]:
+    g = fld.grid
+    c, b = g.tail_fit(fld.values)
+    return _h1_sq(g, fld.deriv(), c, b), _crit(g, fld.values, c, b)
 
 
-def _energy(grad_sq: float, crit: float, kin: float, d: int) -> float:
-    return 0.5 * (grad_sq + kin) - crit / sobolev_exponent(d)
-
-
-def functional_J(fld) -> float:
+def functional_J(fld: RadialField) -> float:
     """Static energy J = int [ |grad f|^2 / 2 - |f|^(2*) / 2* ]."""
-    d = fld.grid.d if isinstance(fld, RadialField) else 3
     a, b = _grad_and_crit(fld)
-    return 0.5 * a - b / sobolev_exponent(d)
+    return 0.5 * a - b / sobolev_exponent(fld.grid.d)
 
 
-def functional_K(fld) -> float:
+def functional_K(fld: RadialField) -> float:
     """Virial functional K = int [ |grad f|^2 - |f|^(2*) ]; K(W) = 0."""
     a, b = _grad_and_crit(fld)
     return a - b
 
 
-def norm_H_sq(s: State, grad: list[np.ndarray] | None = None) -> float:
-    """Squared energy-space norm ||(u1, u2)||^2 = ||grad u1||^2 + ||u2||^2."""
-    if s.representation == "radial":
-        return h1_seminorm_sq(s.u1) + l2_norm_sq(s.u2)
-    return _box_h1_sq(s.u1, grad) + _box_l2_sq(s.u2)
-
-
-def norm_H(s: State, grad: list[np.ndarray] | None = None) -> float:
-    return math.sqrt(max(norm_H_sq(s, grad), 0.0))
+def norm_H(s: State) -> float:
+    """Energy-space norm ||(u1, u2)|| = (||grad u1||^2 + ||u2||^2)^(1/2)
+    of a radial state."""
+    s.require_radial("norm_H")
+    return math.sqrt(max(h1_seminorm_sq(s.u1) + l2_norm_sq(s.u2), 0.0))
 
 
 def energy_E(s: State) -> float:
-    """Conserved energy E = ||u_vec||_H^2 / 2 - ||u1||_(2*)^(2*) / 2*."""
-    if s.representation == "radial":
-        return RadialPieces(s).energy
-    a1, b1 = _grad_and_crit(s.u1)
-    return _energy(a1, b1, _box_l2_sq(s.u2), s.d)
+    """Conserved energy E = ||u_vec||_H^2 / 2 - ||u1||_(2*)^(2*) / 2* of a
+    radial state."""
+    s.require_radial("energy_E")
+    return RadialPieces(s).energy
 
 
 def symplectic_omega(a: State, b: State) -> float:

@@ -259,6 +259,11 @@ class Box3DGrid:
     def quad(self, g: np.ndarray) -> float:
         return float(np.sum(g) * self.cell_volume)
 
+    def h1_sq(self, grad: list[np.ndarray]) -> float:
+        """||grad f||^2 under the box quadrature, given grad = grad f."""
+        gx, gy, gz = grad
+        return self.quad(gx * gx + gy * gy + gz * gz)
+
     @cached_property
     def _edge_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """One-sided 6-node d/dx weights for the two edge nodes at each end."""

@@ -37,7 +37,7 @@ from .config import Thresholds
 from .fields import BLOCK_POINTS, RadialField, State, eval_W, eval_W_dr
 from .functionals import (RadialPieces, _h1_tail, energy_E, functional_J,
                           h1_seminorm_sq, l2_inner, l2_norm_sq, norm_H,
-                          norm_H_sq, smooth_cutoff)
+                          smooth_cutoff)
 from .grids import Box3DGrid, RadialGrid
 from .spectral import SpectralData
 
@@ -105,34 +105,26 @@ class DistanceReport:
 # reference quantities per grid
 # ---------------------------------------------------------------------------
 
-def _grid_refs(spec: SpectralData, grid) -> dict:
+def _grid_refs(spec: SpectralData, grid: RadialGrid) -> dict:
     """Same-grid reference values of the ground state, cached on ``spec``."""
     return spec.cached(("modulation_refs", grid), lambda: _build_refs(spec, grid))
 
 
-def _build_refs(spec: SpectralData, grid) -> dict:
-    if isinstance(grid, RadialGrid):
-        w = RadialField(grid, spec.W_on(grid))
-        rho = RadialField(grid, spec.rho_on(grid))
-        return {
-            "J_W": functional_J(w),
-            "grad_W_sq": h1_seminorm_sq(w),
-            "rho_norm_sq": l2_norm_sq(rho),
-            "W_ip_rho": l2_inner(w, rho),
-        }
-    # the box fit's references
-    wvals = np.asarray(eval_W(3, grid.radius ** 2))
-    gw = grid.gradient(wvals)
+def _build_refs(spec: SpectralData, grid: RadialGrid) -> dict:
+    w = RadialField(grid, spec.W_on(grid))
+    rho = RadialField(grid, spec.rho_on(grid))
     return {
-        "W": wvals,
-        "grad_W_sq": grid.quad(gw[0] ** 2 + gw[1] ** 2 + gw[2] ** 2),
-        "W_sq": grid.quad(wvals ** 2),
+        "J_W": functional_J(w),
+        "grad_W_sq": h1_seminorm_sq(w),
+        "rho_norm_sq": l2_norm_sq(rho),
+        "W_ip_rho": l2_inner(w, rho),
     }
 
 
 def _box_fit_refs(spec: SpectralData, grid: Box3DGrid) -> dict:
-    """The point sets of the box fit residuals, flattened, and their
-    sigma = 0 mode integrals of W, cached on ``spec``.
+    """The box fit's references, cached on ``spec``: W, ||grad W||^2 and
+    ||W||^2 under the box quadrature, the point sets of the fit residuals,
+    flattened, and their sigma = 0 mode integrals of W.
 
     The mode integrands decay like e^(-k r): the cube corners beyond the
     inscribed ball contribute below 1e-8 and are dropped, which halves the
@@ -140,9 +132,10 @@ def _box_fit_refs(spec: SpectralData, grid: Box3DGrid) -> dict:
     cheaper residuals) gets (sigma, c) near the root before ball polishing.
     """
     def build():
-        w = _grid_refs(spec, grid)["W"]
+        w = np.asarray(eval_W(3, grid.radius ** 2))
         ball = grid.radius <= grid.half_width
-        refs = {"ball_where": ball,
+        refs = {"W": w, "grad_W_sq": grid.h1_sq(grid.gradient(w)),
+                "W_sq": grid.quad(w ** 2), "ball_where": ball,
                 "ball": tuple(m[ball] for m in grid.meshgrid),
                 "coarse": tuple(_coarse(m) for m in grid.meshgrid)}
         zero = np.zeros(3)
@@ -161,7 +154,7 @@ def _coarse(f: np.ndarray) -> np.ndarray:
     return f[::2, ::2, ::2].ravel()
 
 
-def reference_J(spec: SpectralData, grid) -> float:
+def reference_J(spec: SpectralData, grid: RadialGrid) -> float:
     """J(W) under the same grid quadrature as the state being analyzed."""
     return _grid_refs(spec, grid)["J_W"]
 
@@ -249,21 +242,12 @@ def box_mode_gram(spec: SpectralData, grid: Box3DGrid) -> np.ndarray:
 # the modulation solve
 # ---------------------------------------------------------------------------
 
-def _choose_sign(spec: SpectralData, s: State, margin: float,
-                 dist: _RadialDistance | None) -> int:
-    """Manifold sign by the smaller coarse distance; error when ambiguous."""
-    if s.representation == "radial":
-        best = {sgn: min(dist.dist_sq(sgn, sig)
-                         for sig in np.linspace(-1.5, 1.5, 13))
-                for sgn in (+1, -1)}
-    else:
-        q = s.grid.quad
-        refs = _grid_refs(spec, s.grid)
-        wv = refs["W"]
-        uu = q(s.u1.values ** 2)
-        ww = refs["W_sq"]
-        cross = q(s.u1.values * wv)
-        best = {sgn: uu - 2 * sgn * cross + ww for sgn in (+1, -1)}
+def _choose_sign(coarse_dist_sq, margin: float, sign_hint: int | None) -> int:
+    """Manifold sign by the smaller coarse distance coarse_dist_sq(sign),
+    unless a hint is given; error when ambiguous."""
+    if sign_hint is not None:
+        return sign_hint
+    best = {sgn: coarse_dist_sq(sgn) for sgn in (+1, -1)}
     lo, hi = min(best.values()), max(best.values())
     if hi > 0 and (hi - lo) < margin * hi:
         raise SignAmbiguityError(
@@ -347,100 +331,106 @@ def fit_modulation(s: State, spec: SpectralData,
     them with other monitors of the same state.
     """
     th = thresholds or Thresholds()
-    radial = s.representation == "radial"
-    if radial and dist is None:
-        dist = _RadialDistance(spec, s)
-    if sign_hint is not None:
-        sgn = sign_hint
-    else:
-        sgn = _choose_sign(spec, s, th.sign_ambiguity_margin, dist)
-    # a box state's gradient and ||s||_H^2 are taken once, for ||s||_H and
-    # ||v||_H
-    grad = h_sq = None
-    if radial:
-        scale = dist.pieces.norm_H
-    else:
-        grad = s.u1.gradient()
-        h_sq = norm_H_sq(s, grad)
-        scale = math.sqrt(max(h_sq, 0.0))
+    if s.representation == "radial":
+        return _fit_radial(s, spec, th, sign_hint, sigma0,
+                           dist or _RadialDistance(spec, s))
+    return _fit_box(s, spec, th, sign_hint, sigma0)
+
+
+def _fit_radial(s: State, spec: SpectralData, th: Thresholds,
+                sign_hint: int | None, sigma0: float,
+                dist: _RadialDistance) -> ModulationFit:
+    """The radial solve for sigma at c = 0; a converged fit keeps s."""
+    sgn = _choose_sign(lambda sg: min(dist.dist_sq(sg, sig)
+                                      for sig in np.linspace(-1.5, 1.5, 13)),
+                       th.sign_ambiguity_margin, sign_hint)
+    w_ip_lam0 = spec.W_inner_lambda0_rho(s.grid)
+
+    def residual(x):
+        return np.array([_radial_mode_ip(s.u1, spec.lambda0_rho_profile, x[0])
+                         - sgn * w_ip_lam0])
+
+    def v_norm(x):
+        return math.sqrt(max(dist.dist_sq(sgn, float(x[0])), 0.0))
+
+    h0 = np.array([[-float(sgn) / spec.b_W]])
+    x, f, converged, iters = _accept_and_refine(
+        residual, h0, np.array([sigma0]), dist.pieces.norm_H, v_norm, th)
+    return ModulationFit(sign_s=sgn, sigma=float(x[0]), c=np.zeros(3),
+                         converged=converged, newton_iters=iters,
+                         orth_residual=f, state=s if converged else None,
+                         spec=spec)
+
+
+def _fit_box(s: State, spec: SpectralData, th: Thresholds,
+             sign_hint: int | None, sigma0: float) -> ModulationFit:
+    """The box solve for (sigma, c): Newton on the stride-2 coarse lattice,
+    then on the inscribed ball.  The state's gradient and ||s||_H^2 are
+    taken once, for ||s||_H and ||v||_H."""
+    g = s.grid
+    refs = _box_fit_refs(spec, g)
+    u1 = s.u1.values
+    uu, cross0 = g.quad(u1 ** 2), g.quad(u1 * refs["W"])
+    sgn = _choose_sign(lambda sg: uu - 2 * sg * cross0 + refs["W_sq"],
+                       th.sign_ambiguity_margin, sign_hint)
+    grad = g.gradient(u1)
+    h_sq = g.h1_sq(grad) + g.quad(s.u2.values * s.u2.values)
+    u1_b = u1[refs["ball_where"]]
+    u1_c = _coarse(u1)
+    vol = g.cell_volume
+
+    def residual_coarse(x):
+        return (box_mode_integrals(spec, x[0], x[1:], refs["coarse"],
+                                   u1_c, vol * 8)
+                - sgn * refs["coarse_consts"])
+
+    def residual(x):
+        return (box_mode_integrals(spec, x[0], x[1:], refs["ball"], u1_b,
+                                   vol)
+                - sgn * refs["ball_consts"])
+
+    def v_norm(x):
+        # ||s - sgn W_vec_sigma(. - c)||_H without materializing v
+        cross = _box_cross(g, grad, float(x[0]), np.asarray(x[1:], dtype=float))
+        return math.sqrt(max(h_sq - 2.0 * sgn * cross + refs["grad_W_sq"],
+                             0.0))
+
+    h0 = np.diag([-float(sgn) / spec.b_W, float(sgn) / spec.a_W,
+                  float(sgn) / spec.a_W, float(sgn) / spec.a_W])
+    x = np.concatenate([[sigma0], np.zeros(3)])
+    x, _, _, _ = _newton_loop(residual_coarse, h0, x, 1e-4, 12)
+    x, f, converged, iters = _accept_and_refine(
+        residual, h0, x, math.sqrt(max(h_sq, 0.0)), v_norm, th)
+    return ModulationFit(sign_s=sgn, sigma=float(x[0]),
+                         c=np.asarray(x[1:], dtype=float),
+                         converged=converged, newton_iters=iters,
+                         orth_residual=f, state=None, spec=spec)
+
+
+def _accept_and_refine(residual, h0: np.ndarray, x: np.ndarray, scale: float,
+                       v_norm, th: Thresholds):
+    """Solve to th.tol_orth * ||s||_H (``scale``), reject a root whose
+    residual state is larger than delta_A, then refine to the ||v||-relative
+    target; v_norm(x) is ||v||_H at the root x.  Returns (x, f, converged,
+    Newton iterations)."""
     tol_coarse = th.tol_orth * max(scale, 1e-12)
-
-    if radial:
-        g = s.grid
-        w_ip_lam0 = spec.W_inner_lambda0_rho(g)
-
-        def residual(x):
-            f = (_radial_mode_ip(s.u1, spec.lambda0_rho_profile, x[0])
-                 - sgn * w_ip_lam0)
-            return np.array([f])
-
-        h0 = np.array([[-float(sgn) / spec.b_W]])
-        x = np.array([sigma0])
-    else:
-        g = s.grid
-        refs = _box_fit_refs(spec, g)
-        u1_b = s.u1.values[refs["ball_where"]]
-        u1_c = _coarse(s.u1.values)
-        vol = g.cell_volume
-
-        def residual_coarse(x):
-            return (box_mode_integrals(spec, x[0], x[1:], refs["coarse"],
-                                       u1_c, vol * 8)
-                    - sgn * refs["coarse_consts"])
-
-        def residual(x):
-            return (box_mode_integrals(spec, x[0], x[1:], refs["ball"], u1_b,
-                                       vol)
-                    - sgn * refs["ball_consts"])
-
-        h0 = np.diag([-float(sgn) / spec.b_W, float(sgn) / spec.a_W,
-                      float(sgn) / spec.a_W, float(sgn) / spec.a_W])
-        x = np.concatenate([[sigma0], np.zeros(3)])
-        x, _, _, _ = _newton_loop(residual_coarse, h0, x, 1e-4, 12)
-
     x, f, res, iters = _newton_loop(residual, h0, x, tol_coarse,
                                     th.newton_max_iters)
-    converged = res <= tol_coarse
-    sigma = float(x[0])
-    c = np.zeros(3) if radial else np.asarray(x[1:], dtype=float)
-    if converged:
-        # the orthogonality equations have spurious roots far from the
-        # family; a root with a large residual state is not a capture
-        v_norm = _residual_norm_estimate(s, spec, sgn, sigma, c, dist, grad,
-                                         h_sq)
-        if v_norm > th.delta_A:
-            converged = False
-    if converged:
-        # refine to the ||v||-relative orthogonality target; ||v|| equals
-        # the distance to the fitted family member by unitarity of T^c S^sigma
-        tol_fine = max(th.tol_orth * v_norm, 1e-13 * max(scale, 1.0))
-        if res > tol_fine:
-            x, f, res, it2 = _newton_loop(residual, h0, x, tol_fine,
-                                          th.newton_max_iters, f0=f)
-            iters += it2
-            converged = res <= tol_fine
-            sigma = float(x[0])
-            c = np.zeros(3) if radial else np.asarray(x[1:], dtype=float)
-    return ModulationFit(sign_s=sgn, sigma=sigma, c=c,
-                         converged=converged, newton_iters=iters,
-                         orth_residual=f,
-                         state=s if converged and radial else None, spec=spec)
-
-
-def _residual_norm_estimate(s: State, spec: SpectralData, sgn: int,
-                            sigma: float, c: np.ndarray,
-                            dist: _RadialDistance | None,
-                            grad: list[np.ndarray] | None,
-                            h_sq: float | None) -> float:
-    """||v||_H = ||s - sgn W_vec_sigma(. - c)||_H without materializing v
-    (``dist``: a radial state's pieces; ``grad`` and ``h_sq``: a box
-    state's gradient and ||s||_H^2)."""
-    if s.representation == "radial":
-        return math.sqrt(max(dist.dist_sq(sgn, sigma), 0.0))
-    g = s.grid
-    cross = _box_cross(g, grad, sigma, c)
-    return math.sqrt(max(h_sq - 2.0 * sgn * cross
-                         + _grid_refs(spec, g)["grad_W_sq"], 0.0))
+    if not res <= tol_coarse:
+        return x, f, False, iters
+    # the orthogonality equations have spurious roots far from the
+    # family; a root with a large residual state is not a capture
+    vn = v_norm(x)
+    if vn > th.delta_A:
+        return x, f, False, iters
+    # refine to the ||v||-relative orthogonality target; ||v|| equals
+    # the distance to the fitted family member by unitarity of T^c S^sigma
+    tol_fine = max(th.tol_orth * vn, 1e-13 * max(scale, 1.0))
+    if res > tol_fine:
+        x, f, res, it2 = _newton_loop(residual, h0, x, tol_fine,
+                                      th.newton_max_iters, f0=f)
+        return x, f, res <= tol_fine, iters + it2
+    return x, f, True, iters
 
 
 def _box_cross(g: Box3DGrid, grad: list[np.ndarray], sigma: float, c) -> float:

@@ -315,6 +315,13 @@ def _w_constants(rho: RadialField, lam0: np.ndarray,
     return a_w, b_w, b_w_alt
 
 
+def static_grid(n: int = 4096, spacing: str = "sinh") -> RadialGrid:
+    """The radial grid of the spectral build and the static suite: d = 3,
+    r_max = 200 and, stretched, beta = 6; n and the spacing rule may be
+    overridden for resolution studies."""
+    return RadialGrid(3, 200.0, n, spacing, 6.0)
+
+
 def build_spectral_data(grid: RadialGrid | None = None,
                         eigen_n: int = DEFAULT_EIGEN_N,
                         cross_check: bool = True) -> SpectralData:
@@ -323,8 +330,7 @@ def build_spectral_data(grid: RadialGrid | None = None,
     cross_check=True also runs the shooting solver and the second b_W
     formula and enforces their agreement.
     """
-    if grid is None:
-        grid = RadialGrid(3, 200.0, 4096, "sinh", 6.0)
+    grid = grid or static_grid()
     d = grid.d
     egrid = RadialGrid(d, grid.r_max, eigen_n, "uniform")
     op = LinearizedOperator(egrid)
@@ -410,8 +416,8 @@ def quadratic_form_L(spec: SpectralData,
     return grad_sq - p * g.quad_meas(w_pm1 * fld.values ** 2), grad_sq
 
 
-def coercivity_probe(spec: SpectralData, n_samples: int = 100,
-                     grid: RadialGrid | None = None, seed: int = 7) -> dict:
+def coercivity_probe(spec: SpectralData, grid: RadialGrid,
+                     n_samples: int = 100, seed: int = 7) -> dict:
     """Sample the quadratic-form lower bound over probes orthogonal to rho.
 
     For each probe f with <f | rho> = 0 the ratio
@@ -421,8 +427,6 @@ def coercivity_probe(spec: SpectralData, n_samples: int = 100,
     failure sample.  In radial symmetry the <f | grad rho> term vanishes
     identically.
     """
-    if grid is None:
-        grid = RadialGrid(spec.d, 200.0, 4096, "sinh", 6.0)
     rng = np.random.default_rng(seed)
     rho = spec.rho_field(grid)
     lam0 = RadialField(grid, spec.lambda0_rho_on(grid))

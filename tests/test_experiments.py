@@ -331,6 +331,21 @@ class TestCLI:
         assert (tmp_path / "cli_demo.csv").exists()
         assert (tmp_path / "cli_demo_verdict.json").exists()
 
+    def test_evolve_undetermined_exits_2(self, tmp_path, capsys):
+        # t_max = 2 ends both directions before blow-up or scattering
+        conf = tmp_path / "short.ini"
+        conf.write_text(
+            "[experiment]\nname = short\nrecipe = quadrant\na = 1,0\n"
+            "eps = 1e-3\n\n[evolution]\nn = 1024\nr_max = 32.0\n"
+            "t_max = 2.0\n")
+        code = cli_main(["evolve", "--config", str(conf), "--out",
+                         str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().out == (
+            "short: backward = Undetermined, forward = Undetermined\n")
+        assert (tmp_path / "short.csv").exists()
+        assert (tmp_path / "short_verdict.json").exists()
+
     def test_evolve_reads_the_file_state_once(self, spectral, tmp_path,
                                               monkeypatch):
         cfg = EvolutionConfig(**FAST_EVOLUTION)

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from critwave.fields import (BoostParams, Field3D, RadialField, State, eval_W,
-                             eval_W_dr)
+from critwave.fields import BoostParams, RadialField, State, eval_W, eval_W_dr
 from critwave.functionals import (boost_energy_momentum, energy_E,
                                   functional_J, functional_K, h1_seminorm_sq,
                                   l2_norm_sq, smooth_cutoff, symplectic_omega)
-from critwave.grids import Box3DGrid, RadialGrid
+from critwave.grids import RadialGrid
 from critwave.modulation import scale_profile
 
 # independent oracle: adaptive quadrature of the closed-form gradient
@@ -111,21 +110,6 @@ class TestEnergyMomentum:
         assert np.linalg.norm(p_vec) == pytest.approx(jref * pmag, rel=1e-4)
         lhs = e_val ** 2 - float(p_vec @ p_vec)
         assert abs(lhs - jref ** 2) / jref ** 2 <= 1e-3
-
-    def test_translation_invariance_box(self):
-        g = Box3DGrid(16.0, 64)
-        x, y, z = g.meshgrid
-        f = np.exp(-((x - 1.0) ** 2 + y ** 2 + z ** 2) / 3.0)
-        v = 0.4 * np.exp(-(x ** 2 + (y + 0.5) ** 2 + z ** 2) / 2.0)
-        s = State(Field3D(g, f), Field3D(g, v))
-        # the same data shifted by whole cells, sampled in closed form
-        c = (3 * g.dx, -2 * g.dx, g.dx)
-        xs, ys, zs = x - c[0], y - c[1], z - c[2]
-        shifted = State(
-            Field3D(g, np.exp(-((xs - 1.0) ** 2 + ys ** 2 + zs ** 2) / 3.0)),
-            Field3D(g, 0.4 * np.exp(-(xs ** 2 + (ys + 0.5) ** 2 + zs ** 2)
-                                    / 2.0)))
-        assert energy_E(shifted) == pytest.approx(energy_E(s), rel=1e-6)
 
 
 class TestSymplectic:

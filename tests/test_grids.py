@@ -140,6 +140,24 @@ def test_box_gradient_fourth_order():
     assert errs[0] / errs[1] >= 12.0
 
 
+
+def test_box_h1_sq():
+    # bitwise the squared-gradient quadrature it replaced, and converging at
+    # the stencil's fourth order to the closed form of a Gaussian:
+    # int |grad e^(-r^2/a)|^2 = (3/2) pi^(3/2) (a/2)^(1/2)
+    a = 3.0
+    want = 1.5 * math.pi ** 1.5 * math.sqrt(a / 2.0)
+    errs = []
+    for m in (32, 64):
+        g = Box3DGrid(12.0, m)
+        x, y, z = g.meshgrid
+        grad = g.gradient(np.exp(-(x * x + y * y + z * z) / a))
+        gx, gy, gz = grad
+        assert g.h1_sq(grad) == g.quad(gx ** 2 + gy ** 2 + gz ** 2)
+        errs.append(abs(g.h1_sq(grad) / want - 1.0))
+    assert errs[1] < 3e-3 and errs[0] / errs[1] > 10.0
+
+
 def test_grid_descriptor_round_trip():
     g = RadialGrid(5, 150.0, 1024, "uniform")
     g2 = RadialGrid(**g.describe())

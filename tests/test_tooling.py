@@ -33,23 +33,55 @@ ALLOWED_UNCALLED = {
 }
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _local_names(fn) -> set:
+    """Names bound in fn's own scope: its parameters and every assignment,
+    loop or comprehension target outside its nested functions."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a}
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _references(node, scopes=()):
+    """(name, line) of each attribute, and of each name load that no
+    enclosing function binds locally."""
+    if isinstance(node, _SCOPES):
+        scopes = scopes + (_local_names(node),)
+    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if not any(node.id in names for names in scopes):
+            yield node.id, node.lineno
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, scopes)
+
+
 def test_every_definition_has_a_caller():
     # a function or class of the package must be referenced in src/ outside
     # its own definition (an import, so an export in __init__, is not a
-    # reference), be wrapped by the benchmark's tracer or be allow-listed
-    # above; dunders are called by Python
+    # reference; nor is a local variable or parameter of the same name), be
+    # wrapped by the benchmark's tracer or be allow-listed above; dunders
+    # are called by Python
     traced = {name for _, _, path, _ in _load_tracing().TARGETS
               for name in path.split(".")}
     definitions, references = [], []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append((node.name, path, node.lineno,
-                                    node.end_lineno))
-            elif isinstance(node, ast.Name):
-                references.append((node.id, path, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                references.append((node.attr, path, node.lineno))
+        tree = ast.parse(path.read_text())
+        definitions += [(node.name, path, node.lineno, node.end_lineno)
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        references += [(name, path, line)
+                       for name, line in _references(tree)]
     uncalled = [
         (name, f"{path.name}:{first}")
         for name, path, first, last in definitions
