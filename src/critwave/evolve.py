@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -63,7 +66,7 @@ CONFIRM_MARGIN = 2.0        # the confirmation ball's radius beyond the |u| peak
 class RadialWaveEvolver:
     """Velocity-Verlet integrator for w_tt = w_rr + w^5 / r^4 (d = 3)."""
 
-    def __init__(self, grid: RadialGrid, cfl: float = 0.45):
+    def __init__(self, grid: RadialGrid, cfl: float):
         if grid.d != 3:
             raise ValueError("the evolution engine is d = 3 only")
         if grid.spacing != "uniform":
@@ -270,8 +273,7 @@ class TrajectoryRecord:
 
     def save_verdict(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.verdict_sidecar(), fh, indent=1, sort_keys=True,
-                      default=_to_jsonable)
+            json.dump(self.verdict_sidecar(), fh, indent=1, sort_keys=True)
             fh.write("\n")
 
 
@@ -285,14 +287,6 @@ def _json_num(x):
     if x is None or (isinstance(x, float) and not math.isfinite(x)):
         return None
     return float(x)
-
-
-def _to_jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return _json_num(float(x))
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
 class _MonitorState:
@@ -393,15 +387,13 @@ def _monitor_row(s: State, t: float, spec: SpectralData,
     return row
 
 
-def exterior_energy(s: State, r_cut: float, du: np.ndarray | None = None) -> float:
-    """||u_vec||^2 in the energy seminorm restricted to r > r_cut; ``du``
-    is u1' when the caller has it."""
+def exterior_energy(s: State, r_cut: float, du: np.ndarray) -> float:
+    """||u_vec||^2 in the energy seminorm restricted to r > r_cut, given
+    du = u1'."""
     g = s.grid
     mask = g.r > r_cut
     if not np.any(mask):
         return 0.0
-    if du is None:
-        du = s.u1.deriv()
     return float(np.sum(g.w_meas[mask] * (du[mask] ** 2 + s.u2.values[mask] ** 2)))
 
 
@@ -607,10 +599,21 @@ def _resample_w(r_old, w_old, r_new):
 # two-sided evolution
 # ---------------------------------------------------------------------------
 
+def _timed_run(state: State, cfg: EvolutionConfig, spec: SpectralData,
+               th: Thresholds) -> DirectionRun:
+    """evolve_direction with its wall time in ``wall_s``."""
+    t0 = time.perf_counter()
+    # looked up at call time, so that wrappers of evolve_direction see
+    # every run
+    run = evolve_direction(state, cfg, spec, th)
+    run.wall_s = time.perf_counter() - t0
+    return run
+
+
 def evolve_directions(states: list[State], cfg: EvolutionConfig,
                       spec: SpectralData,
                       thresholds: Thresholds | None = None,
-                      map_runs=None) -> list[DirectionRun]:
+                      threads: int = 1) -> list[DirectionRun]:
     """The forward run of every state, each distinct state run once.
 
     Two states are the same when they share a grid and their values are
@@ -619,10 +622,9 @@ def evolve_directions(states: list[State], cfg: EvolutionConfig,
     reversal (u, u_t) -> (u, -u_t) this lets a backward run reuse a forward
     one: data with u2 = 0 is its own reversal, and the reversal of
     (u1, u2) is the data (u1, -u2) of another run.  Each run's wall time is
-    measured once, into ``wall_s``.  ``map_runs(distinct_states)``, such as
-    a worker pool's map over calls of this function with one state, returns
-    the runs of the distinct states in their order; by default they run
-    here.
+    measured once, into ``wall_s``.  With ``threads > 1`` the distinct
+    states run on a pool of that many spawned worker processes, each run
+    handed this spectrum; otherwise they run here.
     """
     th = thresholds or Thresholds()
     index: dict[tuple, int] = {}
@@ -635,16 +637,16 @@ def evolve_directions(states: list[State], cfg: EvolutionConfig,
             index[key] = len(distinct)
             distinct.append(s)
         slots.append(index[key])
-    if map_runs is None:
-        runs = []
-        for s in distinct:
-            t0 = time.perf_counter()
-            # looked up at call time, so that wrappers of evolve_direction
-            # see every run
-            runs.append(evolve_direction(s, cfg, spec, th))
-            runs[-1].wall_s = time.perf_counter() - t0
+    args = (distinct, repeat(cfg), repeat(spec), repeat(th))
+    if threads > 1:
+        # spawned workers start from a fresh import: everything a run
+        # reads is in its arguments
+        with ProcessPoolExecutor(
+                max_workers=threads,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            runs = list(pool.map(_timed_run, *args))
     else:
-        runs = list(map_runs(distinct))
+        runs = list(map(_timed_run, *args))
     return [runs[i] for i in slots]
 
 

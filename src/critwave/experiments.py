@@ -13,9 +13,7 @@ import json
 import math
 import os
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -26,9 +24,8 @@ from .functionals import (boost_energy_momentum, functional_J,
                           functional_K, h1_seminorm_sq, l2_inner,
                           l2_norm_sq, norm_H, symplectic_omega)
 from .grids import Box3DGrid, RadialGrid
-from .modulation import (_w_sigma_field, assemble_state, box_mode_gram,
-                         box_mode_parts, box_modes, distance_dW,
-                         fit_modulation)
+from .modulation import (_w_sigma_field, assemble_state, box_mode_parts,
+                         box_modes, distance_dW, fit_modulation)
 from .evolve import (BLOWUP, SCATTER, UNDETERMINED, DirectionRun,
                      TrajectoryRecord, evolve_directions,
                      evolve_with_monitors, one_pass_check)
@@ -294,20 +291,6 @@ class QuadrantTable:
             fh.write("\n")
 
 
-_POOL_CTX: dict = {}
-
-
-def _pool_init(eigen_grid: RadialGrid):
-    """A worker's spectrum, rebuilt on the caller's eigen grid."""
-    _POOL_CTX["spectral"] = build_spectral_data(
-        eigen_grid, eigen_n=eigen_grid.n, cross_check=False)
-
-
-def _pool_direction(state: State, cfg: EvolutionConfig,
-                    th: Thresholds) -> DirectionRun:
-    return evolve_directions([state], cfg, _POOL_CTX["spectral"], th)[0]
-
-
 def _sweep_cases(eps_list, cfg: EvolutionConfig, n_perturbed: int, seed: int,
                  out_dir: str | None) -> list[tuple]:
     """(a_key, variant, ExperimentSpec) of every sweep case, in table order."""
@@ -366,7 +349,8 @@ def run_quadrant_sweep(eps_list=(1e-3, 3e-3, 1e-2),
     and of its time reversal; :func:`evolve_directions` runs each distinct
     one, so the backward run of a = (a1, a2) is the forward run of
     (a1, -a2), and a = (+-1, 0) runs once.  With ``threads > 1`` the
-    distinct runs are mapped over a worker pool.
+    distinct runs are mapped over a pool of worker processes, which evolve
+    with this spectrum.
     """
     th = thresholds or Thresholds()
     cfg = evolution or SWEEP_EVOLUTION
@@ -378,15 +362,7 @@ def run_quadrant_sweep(eps_list=(1e-3, 3e-3, 1e-2),
         exp.validate(th)
         s = build_initial_state(exp, spectral)
         states += [s, s.time_reversed()]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_pool_init,
-                                 initargs=(spectral.eigen_grid,)) as pool:
-            runs = evolve_directions(
-                states, cfg, spectral, th,
-                map_runs=lambda distinct: pool.map(
-                    _pool_direction, distinct, repeat(cfg), repeat(th)))
-    else:
-        runs = evolve_directions(states, cfg, spectral, th)
+    runs = evolve_directions(states, cfg, spectral, th, threads=threads)
     rows = [_quadrant_row(case, runs[2 * i], runs[2 * i + 1], spectral, th)
             for i, case in enumerate(cases)]
     table = QuadrantTable(rows=rows, seed=seed)
@@ -456,11 +432,11 @@ def random_box_closure(spectral: SpectralData, grid: Box3DGrid,
 
     g1, g2 = draw(3), draw(3)
     x, y, z = grid.open_mesh
-    modes = box_modes(spectral, grid)
+    modes, gram = box_modes(spectral, grid)
     f1 = BoxResidualClosure._gauss_sum(g1, x, y, z)
     f2 = BoxResidualClosure._gauss_sum(g2, x, y, z)
     rhs = np.array([grid.quad(f1 * m) for m in modes])
-    coef = np.linalg.solve(box_mode_gram(spectral, grid), rhs)
+    coef = np.linalg.solve(gram, rhs)
     v1 = f1 - sum(cf * m for cf, m in zip(coef, modes))
     nrm = math.sqrt(grid.h1_sq(grid.gradient(v1)) + grid.quad(f2 * f2))
     scale = amplitude / max(nrm, 1e-300)
@@ -488,9 +464,9 @@ def random_orthogonal_residual(spectral: SpectralData, grid: RadialGrid,
                                amplitude: float = 0.02) -> State:
     """A random smooth radial residual v with <v1|Lambda_0 rho> = 0.
 
-    Built from Gaussian bumps with the mode component projected out via a
-    Gram solve, so assembled states S^sigma (s W + v) are exact members of
-    the fitted family.  (Box residuals: :func:`random_box_closure`.)
+    Built from Gaussian bumps with the mode component projected out, so
+    assembled states S^sigma (s W + v) are exact members of the fitted
+    family.  (Box residuals: :func:`random_box_closure`.)
     """
     r = grid.r
     f1 = np.zeros(grid.n)
@@ -500,12 +476,9 @@ def random_orthogonal_residual(spectral: SpectralData, grid: RadialGrid,
         f1 += rng.normal() * np.exp(-((r - c) / wd) ** 2)
         c, wd = rng.uniform(0.0, 6.0), rng.uniform(0.8, 3.0)
         f2 += rng.normal() * np.exp(-((r - c) / wd) ** 2)
-    modes = [spectral.lambda0_rho_on(grid)]
-    gram = np.array([[grid.quad_meas(m1 * m2) for m2 in modes] for m1 in modes])
-    rhs = np.array([grid.quad_meas(f1 * m) for m in modes])
-    coef = np.linalg.solve(gram, rhs)
-    for cf, m in zip(coef, modes):
-        f1 = f1 - cf * m
+    lam0 = spectral.lambda0_rho_on(grid)
+    coef = grid.quad_meas(f1 * lam0) / grid.quad_meas(lam0 * lam0)
+    f1 = f1 - coef * lam0
     nrm = math.sqrt(h1_seminorm_sq(RadialField(grid, f1))
                     + l2_norm_sq(RadialField(grid, f2)))
     scale = amplitude / max(nrm, 1e-300)
@@ -578,7 +551,7 @@ def run_static_suite(spectral: SpectralData | None = None,
     lam0_f = RadialField(grid, spectral.lambda0_rho_on(grid))
     checks.append(_check("rho_orth_lambda0_rho", l2_inner(rho_f, lam0_f), 1e-8))
     wdr = RadialField(grid, np.asarray(eval_W_dr(grid.d, grid.r)))
-    rdr = RadialField(grid, spectral.rho_dr_on(grid))
+    rdr = RadialField(grid, spectral.mode_pair(grid.r)[:, 1])
     grad_pair = grid.quad_meas(wdr.values * rdr.values) / grid.d
     checks.append(_check("grad_pair_identity",
                          (grad_pair - spectral.a_W) / spectral.a_W, 1e-4,

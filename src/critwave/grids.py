@@ -237,20 +237,11 @@ class Box3DGrid:
         return f"Box3DGrid(half_width={self.half_width}, m={self.m})"
 
     @cached_property
-    def meshgrid(self):
-        return np.meshgrid(self.axis, self.axis, self.axis, indexing="ij")
-
-    @cached_property
     def open_mesh(self):
         """The axes shaped (m, 1, 1), (1, m, 1), (1, 1, m): broadcasting them
-        gives the values of ``meshgrid`` without storing three full cubes."""
+        gives the node coordinates without storing three full cubes."""
         return np.meshgrid(self.axis, self.axis, self.axis, indexing="ij",
                            sparse=True)
-
-    @cached_property
-    def radius(self) -> np.ndarray:
-        x, y, z = self.meshgrid
-        return np.sqrt(x * x + y * y + z * z)
 
     @property
     def cell_volume(self) -> float:

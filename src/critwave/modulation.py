@@ -36,8 +36,7 @@ import numpy as np
 from .config import Thresholds
 from .fields import BLOCK_POINTS, RadialField, State, eval_W, eval_W_dr
 from .functionals import (RadialPieces, _h1_tail, energy_E, functional_J,
-                          h1_seminorm_sq, l2_inner, l2_norm_sq, norm_H,
-                          smooth_cutoff)
+                          norm_H, smooth_cutoff)
 from .grids import Box3DGrid, RadialGrid
 from .spectral import SpectralData
 
@@ -102,24 +101,8 @@ class DistanceReport:
 
 
 # ---------------------------------------------------------------------------
-# reference quantities per grid
+# box reference quantities (a radial grid's are ``spec.grid_refs``)
 # ---------------------------------------------------------------------------
-
-def _grid_refs(spec: SpectralData, grid: RadialGrid) -> dict:
-    """Same-grid reference values of the ground state, cached on ``spec``."""
-    return spec.cached(("modulation_refs", grid), lambda: _build_refs(spec, grid))
-
-
-def _build_refs(spec: SpectralData, grid: RadialGrid) -> dict:
-    w = RadialField(grid, spec.W_on(grid))
-    rho = RadialField(grid, spec.rho_on(grid))
-    return {
-        "J_W": functional_J(w),
-        "grad_W_sq": h1_seminorm_sq(w),
-        "rho_norm_sq": l2_norm_sq(rho),
-        "W_ip_rho": l2_inner(w, rho),
-    }
-
 
 def _box_fit_refs(spec: SpectralData, grid: Box3DGrid) -> dict:
     """The box fit's references, cached on ``spec``: W, ||grad W||^2 and
@@ -130,14 +113,18 @@ def _box_fit_refs(spec: SpectralData, grid: Box3DGrid) -> dict:
     inscribed ball contribute below 1e-8 and are dropped, which halves the
     cost of every residual evaluation.  The stride-2 coarse lattice (8x
     cheaper residuals) gets (sigma, c) near the root before ball polishing.
+    The point sets are taken from broadcast views of the open mesh.
     """
     def build():
-        w = np.asarray(eval_W(3, grid.radius ** 2))
-        ball = grid.radius <= grid.half_width
+        x, y, z = grid.open_mesh
+        radius = np.sqrt(x * x + y * y + z * z)
+        w = np.asarray(eval_W(3, radius ** 2))
+        ball = radius <= grid.half_width
+        mesh = np.broadcast_arrays(x, y, z)
         refs = {"W": w, "grad_W_sq": grid.h1_sq(grid.gradient(w)),
                 "W_sq": grid.quad(w ** 2), "ball_where": ball,
-                "ball": tuple(m[ball] for m in grid.meshgrid),
-                "coarse": tuple(_coarse(m) for m in grid.meshgrid)}
+                "ball": tuple(m[ball] for m in mesh),
+                "coarse": tuple(_coarse(m) for m in mesh)}
         zero = np.zeros(3)
         vol = grid.cell_volume
         refs["ball_consts"] = box_mode_integrals(
@@ -152,11 +139,6 @@ def _coarse(f: np.ndarray) -> np.ndarray:
     """Values of a box array on the stride-2 coarse lattice, flattened;
     each lattice point stands for 2^3 = 8 cells."""
     return f[::2, ::2, ::2].ravel()
-
-
-def reference_J(spec: SpectralData, grid: RadialGrid) -> float:
-    """J(W) under the same grid quadrature as the state being analyzed."""
-    return _grid_refs(spec, grid)["J_W"]
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +170,6 @@ def box_mode_parts(spec: SpectralData, sigma: float, c, mesh):
     return lam0, slope, (dx_, dy_, dz_)
 
 
-def box_mode_fields(spec: SpectralData, sigma: float, c,
-                    mesh) -> list[np.ndarray]:
-    """[T^c S_1^sigma Lambda_0 rho, T^c S_1^sigma d_j rho] at the points mesh."""
-    lam0, slope, disp = box_mode_parts(spec, sigma, c, mesh)
-    return [lam0] + [slope * dj for dj in disp]
-
-
 def box_mode_integrals(spec: SpectralData, sigma: float, c, points,
                        u: np.ndarray, weight: float) -> np.ndarray:
     """weight * [sum u T^c S_1^sigma Lambda_0 rho, sum u T^c S_1^sigma d_j rho]
@@ -218,24 +193,22 @@ def box_mode_integrals(spec: SpectralData, sigma: float, c, points,
     return np.sum(sums, axis=0) * weight
 
 
-def box_modes(spec: SpectralData, grid: Box3DGrid) -> list[np.ndarray]:
-    """box_mode_fields at sigma = 0, c = 0 on the whole grid, cached on spec."""
-    return spec.cached(("box_modes", grid), lambda: box_mode_fields(
-        spec, 0.0, np.zeros(3), grid.meshgrid))
-
-
-def box_mode_gram(spec: SpectralData, grid: Box3DGrid) -> np.ndarray:
-    """The 4x4 Gram matrix of ``box_modes`` under the box quadrature,
-    cached on spec."""
+def box_modes(spec: SpectralData,
+              grid: Box3DGrid) -> tuple[list[np.ndarray], np.ndarray]:
+    """The sigma = 0, c = 0 box modes [Lambda_0 rho, d_j rho] on the whole
+    grid, from the open mesh, and their 4x4 Gram matrix under the box
+    quadrature; one entry cached on spec."""
     def build():
-        modes = box_modes(spec, grid)
+        lam0, slope, disp = box_mode_parts(spec, 0.0, np.zeros(3),
+                                           grid.open_mesh)
+        modes = [lam0] + [slope * dj for dj in disp]
         # symmetric: the 10 distinct products (m1 * m2 is bitwise m2 * m1)
         gram = np.empty((4, 4))
         for i in range(4):
             for j in range(i, 4):
                 gram[i, j] = gram[j, i] = grid.quad(modes[i] * modes[j])
-        return gram
-    return spec.cached(("box_mode_gram", grid), build)
+        return modes, gram
+    return spec.cached(("box_modes", grid), build)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +317,7 @@ def _fit_radial(s: State, spec: SpectralData, th: Thresholds,
     sgn = _choose_sign(lambda sg: min(dist.dist_sq(sg, sig)
                                       for sig in np.linspace(-1.5, 1.5, 13)),
                        th.sign_ambiguity_margin, sign_hint)
-    w_ip_lam0 = spec.W_inner_lambda0_rho(s.grid)
+    w_ip_lam0 = spec.grid_refs(s.grid)["W_ip_lambda0_rho"]
 
     def residual(x):
         return np.array([_radial_mode_ip(s.u1, spec.lambda0_rho_profile, x[0])
@@ -513,7 +486,7 @@ def split_modes(fit: ModulationFit, spec: SpectralData) -> ModeSplit:
                        "(unconverged, or a box fit)")
     sgn, sigma = fit.sign_s, fit.sigma
     g = s.grid
-    refs = _grid_refs(spec, g)
+    refs = spec.grid_refs(g)
     amp1 = math.exp((g.d / 2.0 - 1.0) * sigma)     # S_-1^sigma
     amp0 = math.exp((g.d / 2.0) * sigma)           # S_0^sigma
     rho_s = spec.rho_profile(math.exp(sigma) * g.r)
@@ -553,7 +526,7 @@ class _RadialDistance:
         g = s.grid
         self.g = g
         self.pieces = RadialPieces(s)
-        self.gw = _grid_refs(spec, g)["grad_W_sq"]
+        self.gw = spec.grid_refs(g)["grad_W_sq"]
         self.uu = self.pieces.norm_H_sq
         self.wdu = self.pieces.du * g.w_meas
         self._cross: dict = {}
@@ -700,7 +673,7 @@ def distance_dW(s: State, spec: SpectralData,
     dw, ms = d0, None
     if fitted:
         ms = split_modes(fit, spec)
-        d1_sq = (dist.pieces.energy - reference_J(spec, s.grid)
+        d1_sq = (dist.pieces.energy - spec.grid_refs(s.grid)["J_W"]
                  + spec.k ** 2 * ms.lambda1 ** 2)
         d1 = math.sqrt(max(d1_sq, 0.0))
         if not math.isnan(d1):
@@ -743,7 +716,7 @@ def region_predicates(s: State, spec: SpectralData,
     th = thresholds or Thresholds()
     if report is None:
         report = distance_dW(s, spec, th)
-    jref = reference_J(spec, s.grid)
+    jref = spec.grid_refs(s.grid)["J_W"]
     e = energy_E(s)
     in_star = e <= jref + th.eps_star ** 2
     in_x = in_star and (e < jref + 0.5 * report.dW ** 2)

@@ -34,7 +34,7 @@ from scipy.sparse.linalg import splu
 
 from .fields import (RadialField, State, UniformSpline, eval_W,
                      eval_W_prime_mode, nonlinearity_power)
-from .functionals import h1_seminorm_sq, l2_inner, l2_norm_sq
+from .functionals import functional_J, h1_seminorm_sq, l2_inner, l2_norm_sq
 from .grids import RadialGrid
 
 DEFAULT_EIGEN_N = 16384
@@ -193,9 +193,8 @@ class SpectralData:
     b_W: float
     eigen_grid: RadialGrid
     rho_eigen: RadialField          # unit L^2 norm on the eigen grid
-    # rho, rho' and Lambda_0 rho at any radii (zero beyond the eigen grid)
+    # rho and Lambda_0 rho at any radii (zero beyond the eigen grid)
     rho_profile: UniformSpline
-    rho_dr_profile: UniformSpline
     lambda0_rho_profile: UniformSpline
     residuals: dict
 
@@ -215,8 +214,8 @@ class SpectralData:
     def mode_pair(self, r) -> np.ndarray:
         """[Lambda_0 rho, d_r rho] at radii r (shape r.shape + (2,)) from one
         spline over both samples on the uniform eigen grid, built on first
-        use; its columns are bitwise ``lambda0_rho_profile`` and
-        ``rho_dr_profile``, and its interval lookup is direct."""
+        use; its first column is bitwise ``lambda0_rho_profile``, its second
+        is the only profile of rho', and its interval lookup is direct."""
         def build():
             rho_dr, lam0 = _mode_samples(self.rho_eigen)
             return UniformSpline(self.eigen_grid,
@@ -224,36 +223,39 @@ class SpectralData:
                                  parity=np.array([1.0, -1.0]))
         return self.cached("mode_pair", build)(r)
 
-    def _bundle(self, grid: RadialGrid) -> dict:
-        return self.cached(("modes", grid), lambda: self._build_bundle(grid))
-
-    def _build_bundle(self, grid: RadialGrid) -> dict:
-        r = grid.r
-        rho = np.asarray(self.rho_profile(r))
-        lam0 = np.asarray(self.lambda0_rho_profile(r))
-        w = np.asarray(eval_W(grid.d, r * r))
-        return {
-            "rho": rho,
-            "lambda0_rho": lam0,
-            "rho_dr": np.asarray(self.rho_dr_profile(r)),
-            "W": w,
-            "W_ip_lambda0_rho": grid.quad_meas(w * lam0),
-        }
+    def grid_refs(self, grid: RadialGrid) -> dict:
+        """The spectrum and the ground state on a radial grid, cached under
+        ("grid", grid): the samples rho, Lambda_0 rho and W, and
+        <W | Lambda_0 rho>, J(W), ||grad W||^2, ||rho||^2 and <W | rho>
+        under the grid's quadrature.  (rho' is ``mode_pair``'s second
+        column; a radial run never reads it, so its grids do not build
+        the pair spline.)"""
+        def build():
+            r = grid.r
+            rho = np.asarray(self.rho_profile(r))
+            lam0 = np.asarray(self.lambda0_rho_profile(r))
+            w = np.asarray(eval_W(grid.d, r * r))
+            w_fld, rho_fld = RadialField(grid, w), RadialField(grid, rho)
+            return {
+                "rho": rho,
+                "lambda0_rho": lam0,
+                "W": w,
+                "W_ip_lambda0_rho": grid.quad_meas(w * lam0),
+                "J_W": functional_J(w_fld),
+                "grad_W_sq": h1_seminorm_sq(w_fld),
+                "rho_norm_sq": l2_norm_sq(rho_fld),
+                "W_ip_rho": l2_inner(w_fld, rho_fld),
+            }
+        return self.cached(("grid", grid), build)
 
     def rho_on(self, grid: RadialGrid) -> np.ndarray:
-        return self._bundle(grid)["rho"]
+        return self.grid_refs(grid)["rho"]
 
     def lambda0_rho_on(self, grid: RadialGrid) -> np.ndarray:
-        return self._bundle(grid)["lambda0_rho"]
-
-    def rho_dr_on(self, grid: RadialGrid) -> np.ndarray:
-        return self._bundle(grid)["rho_dr"]
+        return self.grid_refs(grid)["lambda0_rho"]
 
     def W_on(self, grid: RadialGrid) -> np.ndarray:
-        return self._bundle(grid)["W"]
-
-    def W_inner_lambda0_rho(self, grid: RadialGrid) -> float:
-        return self._bundle(grid)["W_ip_lambda0_rho"]
+        return self.grid_refs(grid)["W"]
 
     # -- modes -------------------------------------------------------------
 
@@ -346,10 +348,10 @@ def build_spectral_data(grid: RadialGrid | None = None,
     if float(np.min(rho.values)) <= 0.0:
         raise SpectralConsistencyError("computed ground state is not positive")
 
-    # mode derivatives on the (uniform) eigen grid, then splines
-    rho_dr, lam0 = _mode_samples(rho)
+    # Lambda_0 rho on the (uniform) eigen grid, then splines (rho' is
+    # splined with it by SpectralData.mode_pair)
+    _, lam0 = _mode_samples(rho)
     rho_prof = UniformSpline(egrid, rho.values, parity=1)
-    rho_dr_prof = UniformSpline(egrid, rho_dr, parity=-1)
     lam0_prof = UniformSpline(egrid, lam0, parity=1)
 
     a_w, b_w, b_w_alt = _w_constants(rho, lam0, k)
@@ -383,7 +385,6 @@ def build_spectral_data(grid: RadialGrid | None = None,
 
     return SpectralData(d=d, k=k, a_W=a_w, b_W=b_w, eigen_grid=egrid,
                         rho_eigen=rho, rho_profile=rho_prof,
-                        rho_dr_profile=rho_dr_prof,
                         lambda0_rho_profile=lam0_prof, residuals=residuals)
 
 

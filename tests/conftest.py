@@ -94,7 +94,7 @@ def _sample_W_family(grid, sigma: float = 0.0, q=(0.0, 0.0, 0.0)) -> State:
     if core < 2.0 * grid.dx:
         raise ValueError(f"core radius {core:.3g} below 2 cells of size "
                          f"{grid.dx:.3g}")
-    x, y, z = grid.meshgrid
+    x, y, z = grid.open_mesh
     rsq = (x - q[0]) ** 2 + (y - q[1]) ** 2 + (z - q[2]) ** 2
     u1 = es ** 0.5 * eval_W(3, es * es * rsq)
     return State(Field3D(grid, u1), Field3D(grid, np.zeros_like(u1)))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -17,7 +18,6 @@ from critwave.experiments import (ExperimentSpec, build_initial_state,
 from critwave.fields import RadialField, State, load_state, save_state
 from critwave.functionals import norm_H
 from critwave.grids import RadialGrid
-from critwave.spectral import build_spectral_data
 
 FAST_EVOLUTION = dict(n=4096, r_max=48.0, t_max=30.0, monitor_stride=0.25)
 
@@ -181,18 +181,24 @@ class TestQuadrantSweep:
             else:
                 assert a.ejection_rate == b.ejection_rate  # bit-identical
 
-    def test_pool_workers_rebuild_the_callers_spectrum(self):
-        # a spectrum on r_max = 100 (not the default 200): a worker's
-        # rebuild must be on the same eigen grid, with the same k
-        grid = RadialGrid(3, 100.0, 1024, "sinh", 6.0)
-        spec = build_spectral_data(grid, eigen_n=4096, cross_check=False)
-        try:
-            experiments._pool_init(spec.eigen_grid)
-            worker = experiments._POOL_CTX["spectral"]
-        finally:
-            experiments._POOL_CTX.clear()
-        assert worker.eigen_grid == spec.eigen_grid
-        assert worker.k == spec.k
+    def test_pool_workers_evolve_with_the_callers_spectrum(
+            self, spectral, thresholds, tmp_path):
+        # b_W seeds the fit's Newton iteration, so a worker that rebuilt
+        # its spectrum from the eigen grid would write other values: the
+        # per-case files match only when the workers take this spectrum
+        spec = dataclasses.replace(spectral, b_W=spectral.b_W * (1 + 1e-3))
+        dirs = {threads: tmp_path / f"threads{threads}" for threads in (1, 2)}
+        for threads, out in dirs.items():
+            run_quadrant_sweep(eps_list=(1e-3,), spectral=spec,
+                               thresholds=thresholds,
+                               evolution=TestSweepReuse.CFG, n_perturbed=1,
+                               seed=11, threads=threads, out_dir=str(out))
+        names = sorted(p.name for p in dirs[1].iterdir()
+                       if not p.name.startswith("quadrant_table"))
+        assert len(names) == 3 * 5
+        for name in names:
+            assert (dirs[2] / name).read_bytes() == \
+                (dirs[1] / name).read_bytes(), name
 
 
 class TestSweepReuse:

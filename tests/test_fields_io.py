@@ -108,7 +108,7 @@ class TestSampleFamily:
         assert np.all(s.u2.values == 0.0)
         # the peak W(0) = 1 sits on the node at q
         i = np.unravel_index(np.argmax(s.u1.values), s.u1.values.shape)
-        assert [float(ax[i]) for ax in box.meshgrid] == list(q)
+        assert [float(box.axis[j]) for j in i] == list(q)
         assert s.u1.values[i] == 1.0
 
 

@@ -87,7 +87,7 @@ def test_box_grid_and_gradient():
     assert g.axis[0] == pytest.approx(-10.0 + 0.5 * g.dx)
     with pytest.raises(ValueError):
         Box3DGrid(10.0, 8)
-    x, y, z = g.meshgrid
+    x, y, z = g.open_mesh
     f = np.exp(-(x ** 2 + 0.5 * y ** 2 + 0.25 * z ** 2) / 4.0)
     gx, gy, gz = g.gradient(f)
     assert np.max(np.abs(gx - (-2.0 * x / 4.0) * f)) < 2e-3
@@ -114,7 +114,7 @@ def _dense_deriv_matrix(g: Box3DGrid) -> np.ndarray:
 @pytest.mark.parametrize("m", [16, 48])
 def test_box_gradient_equals_dense_matrix(m):
     g = Box3DGrid(6.0, m)
-    x, y, z = g.meshgrid
+    x, y, z = g.open_mesh
     # large at the faces, so the one-sided edge rows are exercised
     f = np.exp(-((x - 1.0) ** 2 + 0.5 * y ** 2) / 8.0) * np.cos(0.7 * z) + 0.1 * x * y
     d = _dense_deriv_matrix(g)
@@ -132,7 +132,7 @@ def test_box_gradient_fourth_order():
     errs = []
     for m in (32, 64):
         g = Box3DGrid(8.0, m)
-        x, y, z = g.meshgrid
+        x, y, z = g.open_mesh
         f = np.exp(-((x - 0.3) ** 2 + (y + 0.2) ** 2 + z ** 2) / 4.0)
         exact = [-0.5 * (x - 0.3) * f, -0.5 * (y + 0.2) * f, -0.5 * z * f]
         errs.append(max(np.max(np.abs(a - b))
@@ -150,7 +150,7 @@ def test_box_h1_sq():
     errs = []
     for m in (32, 64):
         g = Box3DGrid(12.0, m)
-        x, y, z = g.meshgrid
+        x, y, z = g.open_mesh
         grad = g.gradient(np.exp(-(x * x + y * y + z * z) / a))
         gx, gy, gz = grad
         assert g.h1_sq(grad) == g.quad(gx ** 2 + gy ** 2 + gz ** 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -10,20 +11,20 @@ from critwave import evolve, modulation
 from critwave.experiments import (BoxResidualClosure, assemble_box_exact,
                                   random_box_closure,
                                   random_orthogonal_residual)
-from critwave.fields import (BLOCK_POINTS, RadialField, State, eval_W,
-                             eval_W_dr, nonlinearity_power, sobolev_exponent)
+from critwave.fields import (BLOCK_POINTS, RadialField, State, UniformSpline,
+                             eval_W, eval_W_dr, nonlinearity_power,
+                             sobolev_exponent)
 from critwave.functionals import (crit_norm, energy_E, functional_K,
                                   h1_seminorm_sq, l2_inner, l2_norm_sq,
                                   norm_H, symplectic_omega)
 from critwave.grids import Box3DGrid, RadialGrid
 from critwave.modulation import (FitError, ModeSplit, SignAmbiguityError,
                                  _box_cross, _box_fit_refs, _radial_mode_ip,
-                                 _RadialDistance, box_mode_fields,
-                                 box_mode_gram, box_mode_integrals, box_modes,
-                                 assemble_state, distance_dW, fit_modulation,
-                                 manifold_distance, reference_J,
-                                 region_predicates, sign_functional,
-                                 split_modes)
+                                 _RadialDistance, box_mode_integrals,
+                                 box_mode_parts, box_modes, assemble_state,
+                                 distance_dW, fit_modulation,
+                                 manifold_distance, region_predicates,
+                                 sign_functional, split_modes)
 from critwave.spectral import (_mode_samples, build_spectral_data,
                                quadratic_form_L)
 
@@ -281,7 +282,7 @@ class TestAdjointSplit:
             # <S^sigma u1 | Lambda_0 rho> minus sgn <W | Lambda_0 rho>
             resid = (_radial_mode_ip(u.u1, spec.lambda0_rho_profile,
                                      fit.sigma)
-                     - sgn * spec.W_inner_lambda0_rho(g))
+                     - sgn * spec.grid_refs(g)["W_ip_lambda0_rho"])
             assert fit_alpha(fit) == sgn * resid
 
 
@@ -359,7 +360,7 @@ class TestSuperquadratic:
         fit = fit_modulation(s, spec, th)
         ms = split_modes(fit, spec)
         _, gamma = resampled_split(fit, spec)
-        lhs = energy_E(s) - reference_J(spec, g)
+        lhs = energy_E(s) - spec.grid_refs(g)["J_W"]
         quad_g = (quadratic_form_L(spec, gamma.u1)[0]
                   + l2_norm_sq(gamma.u2))
         w_adj = fit.v * float(fit.sign_s)
@@ -502,13 +503,13 @@ def test_caches_released_with_spectral_data():
     spec = build_spectral_data(cross_check=False)
     g = RadialGrid(3, 32.0, 512, "uniform")
     refs = weakref.ref(spec.rho_on(g))
-    modes = weakref.ref(box_modes(spec, Box3DGrid(4.0, 16))[0])
+    modes, gram = box_modes(spec, Box3DGrid(4.0, 16))
+    modes, gram = weakref.ref(modes[0]), weakref.ref(gram)
     fit_refs = _box_fit_refs(spec, Box3DGrid(4.0, 16))
     coarse = weakref.ref(fit_refs["coarse"][0])
     consts = [weakref.ref(fit_refs[key])
               for key in ("ball_consts", "coarse_consts")]
     del fit_refs
-    gram = weakref.ref(box_mode_gram(spec, Box3DGrid(4.0, 16)))
     assert refs() is not None and modes() is not None
     assert coarse() is not None and all(c() is not None for c in consts)
     assert gram() is not None
@@ -521,6 +522,24 @@ def test_caches_released_with_spectral_data():
     assert gram() is None
 
 
+def test_one_cache_entry_per_grid(spectral, thresholds, sample_W_family):
+    # a fresh cache: the monitors of a radial state leave one entry on its
+    # grid; a box fit and a box closure add two on the box grid and the
+    # mode-pair spline
+    spec = dataclasses.replace(spectral)
+    g = RadialGrid(3, 32.0, 512, "uniform")
+    s = State(RadialField(g, spec.W_on(g) + 1e-3 * spec.rho_on(g)),
+              RadialField(g, np.zeros(g.n)))
+    region_predicates(s, spec, thresholds)
+    assert distance_dW(s, spec, thresholds).modes is not None
+    assert set(spec._per_grid) == {("grid", g)}
+    box = Box3DGrid(4.0, 16)
+    fit_modulation(sample_W_family(box), spec, thresholds)
+    random_box_closure(spec, box, np.random.default_rng(1))
+    assert set(spec._per_grid) == {"mode_pair", ("grid", g),
+                                   ("box_fit_refs", box), ("box_modes", box)}
+
+
 def test_mode_pair_spline_released_with_spectral_data():
     spec = build_spectral_data(cross_check=False)
     spec.mode_pair(np.zeros(1))
@@ -531,36 +550,81 @@ def test_mode_pair_spline_released_with_spectral_data():
     assert pair() is None
 
 
+def rho_dr_spline(spec):
+    """Oracle: the one-column spline of rho' on the eigen grid, which the
+    spectrum no longer keeps (its rho' is the second column of mode_pair)."""
+    return UniformSpline(spec.eigen_grid, _mode_samples(spec.rho_eigen)[0],
+                         parity=-1)
+
+
 class TestBoxModeSampler:
     def test_mode_pair_columns_bitwise(self, spectral):
         rng = np.random.default_rng(3)
         # both signs, the eigen-grid nodes and radii past the last node
         r = np.concatenate([rng.uniform(-5.0, 250.0, 4000),
                             spectral.eigen_grid.r[:50], [0.0]])
+        rho_dr_profile = rho_dr_spline(spectral)
         pair = spectral.mode_pair(r)
         assert pair.shape == r.shape + (2,)
         assert np.array_equal(pair[:, 0], spectral.lambda0_rho_profile(r))
-        assert np.array_equal(pair[:, 1], spectral.rho_dr_profile(r))
+        assert np.array_equal(pair[:, 1], rho_dr_profile(r))
         r3 = r[:4000].reshape(10, 20, 20)
         pair3 = spectral.mode_pair(r3)
         assert np.array_equal(pair3[..., 0], spectral.lambda0_rho_profile(r3))
-        assert np.array_equal(pair3[..., 1], spectral.rho_dr_profile(r3))
+        assert np.array_equal(pair3[..., 1], rho_dr_profile(r3))
 
     def test_sampler_reproduces_two_profile_formulas(self, spectral):
         g = Box3DGrid(6.0, 24)
         sigma, c = 0.2, np.array([0.3, -0.1, 0.2])
         es, amp = math.exp(sigma), math.exp((3 / 2.0 + 1.0) * sigma)
-        x, y, z = g.meshgrid
+        rho_dr_profile = rho_dr_spline(spectral)
+        x, y, z = np.meshgrid(g.axis, g.axis, g.axis, indexing="ij")
         dx_, dy_, dz_ = x - c[0], y - c[1], z - c[2]
         rr = np.sqrt(dx_ ** 2 + dy_ ** 2 + dz_ ** 2)
         lam0 = amp * np.asarray(spectral.lambda0_rho_profile(es * rr))
-        slope = (amp * es * np.asarray(spectral.rho_dr_profile(es * rr))
+        slope = (amp * es * np.asarray(rho_dr_profile(es * rr))
                  / np.maximum(rr, 1e-300))
-        want = [lam0, slope * dx_, slope * dy_, slope * dz_]
-        got = box_mode_fields(spectral, sigma, c, g.meshgrid)
-        assert len(got) == 4
-        for a, b in zip(got, want):
+        got = box_mode_parts(spectral, sigma, c, (x, y, z))
+        assert np.array_equal(got[0], lam0)
+        assert np.array_equal(got[1], slope)
+        for a, b in zip(got[2], (dx_, dy_, dz_)):
             assert np.array_equal(a, b)
+
+
+class TestOpenMeshReferences:
+    """The box fit references and sigma = 0 modes, built from the open mesh,
+    against the formulas on the dense coordinate cubes, kept here."""
+
+    @pytest.mark.parametrize("half_width, m", [(4.0, 16), (6.0, 25)])
+    def test_bitwise_equal_to_dense_mesh(self, spectral, half_width, m):
+        spec = dataclasses.replace(spectral)      # an empty cache
+        g = Box3DGrid(half_width, m)
+        mesh = np.meshgrid(g.axis, g.axis, g.axis, indexing="ij")
+        x, y, z = mesh
+        radius = np.sqrt(x * x + y * y + z * z)
+        w = np.asarray(eval_W(3, radius ** 2))
+        ball = radius <= g.half_width
+        ball_pts = tuple(a[ball] for a in mesh)
+        coarse_pts = tuple(a[::2, ::2, ::2].ravel() for a in mesh)
+        zero = np.zeros(3)
+        refs = _box_fit_refs(spec, g)
+        assert np.array_equal(refs["W"], w)
+        assert np.array_equal(refs["ball_where"], ball)
+        for key, want in (("ball", ball_pts), ("coarse", coarse_pts)):
+            assert all(np.array_equal(a, b) for a, b in zip(refs[key], want))
+        assert refs["grad_W_sq"] == g.h1_sq(g.gradient(w))
+        assert refs["W_sq"] == g.quad(w ** 2)
+        assert np.array_equal(refs["ball_consts"], box_mode_integrals(
+            spec, 0.0, zero, ball_pts, w[ball], g.cell_volume))
+        assert np.array_equal(refs["coarse_consts"], box_mode_integrals(
+            spec, 0.0, zero, coarse_pts, w[::2, ::2, ::2].ravel(),
+            8 * g.cell_volume))
+        lam0, slope, disp = box_mode_parts(spec, 0.0, zero, mesh)
+        modes, _ = box_modes(spec, g)
+        assert len(modes) == 4
+        for got, want in zip(modes, [lam0] + [slope * d for d in disp]):
+            assert got.shape == (m, m, m)
+            assert np.array_equal(got, want)
 
 
 def decay_profile(grid, values, parity):
@@ -578,16 +642,14 @@ def decay_profile(grid, values, parity):
 
 
 class TestModeProfiles:
-    """The SpectralData profiles of rho, rho' and Lambda_0 rho (one-column
+    """The SpectralData profiles of rho and Lambda_0 rho (one-column
     UniformSplines) against decay-tail splines of the same samples, built
-    here as the oracle."""
+    here as the oracle (rho' is checked with ``mode_pair``)."""
 
-    @pytest.mark.parametrize("name", ["rho_profile", "rho_dr_profile",
-                                      "lambda0_rho_profile"])
+    @pytest.mark.parametrize("name", ["rho_profile", "lambda0_rho_profile"])
     def test_bitwise_equal_to_radial_profile(self, spectral, name):
-        rho_dr, lam0 = _mode_samples(spectral.rho_eigen)
+        _, lam0 = _mode_samples(spectral.rho_eigen)
         samples, parity = {"rho_profile": (spectral.rho_eigen.values, 1),
-                           "rho_dr_profile": (rho_dr, -1),
                            "lambda0_rho_profile": (lam0, 1)}[name]
         oracle = decay_profile(spectral.eigen_grid, samples, parity)
         profile = getattr(spectral, name)
@@ -647,8 +709,9 @@ class TestBlockedModeIntegrals:
     def mode_field_sums(spec, sigma, c, pts, u):
         """The residual's formula before blocking: sum(u * m) over the
         four mode fields."""
+        lam0, slope, disp = box_mode_parts(spec, sigma, c, pts)
         return np.array([float(np.sum(u * m))
-                         for m in box_mode_fields(spec, sigma, c, pts)])
+                         for m in [lam0] + [slope * d for d in disp]])
 
     @pytest.mark.parametrize("sigma, c", [(0.0, (0.0, 0.0, 0.0)),
                                           (0.2, (0.3, -0.1, 0.2))])
@@ -672,7 +735,7 @@ class TestBlockedModeIntegrals:
 def test_box_cross_term_bitwise():
     # m = 100 gives 33 slabs of 3 x-planes and one of 1
     g = Box3DGrid(8.0, 100)
-    x, y, z = g.meshgrid
+    x, y, z = np.meshgrid(g.axis, g.axis, g.axis, indexing="ij")
     grad = g.gradient(np.exp(-((x - 0.2) ** 2 + y ** 2 + (z + 0.1) ** 2) / 4.0))
     sigma, c = 0.2, np.array([0.3, -0.1, 0.2])
     # the formula of the box fit's ||v||_H estimate and of the box
@@ -715,11 +778,10 @@ class TestSeparableGaussians:
 
     def test_gram_cached_and_equal_to_mode_products(self, spectral):
         g = Box3DGrid(4.0, 16)
-        gram = box_mode_gram(spectral, g)
-        modes = box_modes(spectral, g)
+        modes, gram = box_modes(spectral, g)
         want = np.array([[g.quad(a * b) for b in modes] for a in modes])
         assert np.array_equal(gram, want)
-        assert box_mode_gram(spectral, g) is gram
+        assert box_modes(spectral, g)[1] is gram
 
 
 class TestKExpansion:

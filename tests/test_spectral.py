@@ -207,7 +207,7 @@ class TestConstants:
     def test_gradient_pair_identity(self, spectral, static_grid):
         # <d_j W | d_k rho> = + delta_jk a_W (radial reduction (1/d)<W_r|rho_r>)
         wdr = np.asarray(eval_W_dr(3, static_grid.r))
-        rdr = spectral.rho_dr_on(static_grid)
+        rdr = spectral.mode_pair(static_grid.r)[:, 1]
         val = static_grid.quad_meas(wdr * rdr) / 3.0
         assert abs(val - spectral.a_W) / spectral.a_W <= 1e-4
 

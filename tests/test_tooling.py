@@ -95,6 +95,47 @@ def test_every_definition_has_a_caller():
                   if name in ALLOWED_UNCALLED) == sorted(ALLOWED_UNCALLED)
 
 
+# methods that change a list, dict or set in place
+_MUTATORS = {"append", "extend", "insert", "remove", "pop", "clear", "update",
+             "setdefault", "popitem", "add", "discard", "sort", "reverse"}
+
+
+def _module_stores(node, module_names, scopes=()):
+    """(name, line) of each subscript store into, or mutating method call
+    on, a module-level name inside a function that does not bind it."""
+    if isinstance(node, _SCOPES):
+        scopes = scopes + (_local_names(node),)
+    elif scopes:
+        target = None
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            target = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _MUTATORS):
+            target = node.func.value
+        if (isinstance(target, ast.Name) and target.id in module_names
+                and not any(target.id in names for names in scopes)):
+            yield target.id, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _module_stores(child, module_names, scopes)
+
+
+def test_no_function_stores_into_module_state():
+    # a cache belongs to the object it describes: no package function
+    # writes into a container assigned at module level
+    stores = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module_names = {target.id for node in tree.body
+                        if isinstance(node, (ast.Assign, ast.AnnAssign))
+                        for target in (node.targets if isinstance(
+                            node, ast.Assign) else [node.target])
+                        if isinstance(target, ast.Name)}
+        stores += [f"{path.name}:{line} {name}"
+                   for name, line in _module_stores(tree, module_names)]
+    assert stores == []
+
+
 def test_every_parameter_is_read():
     # a parameter of a package function must be read in its body (nested
     # functions included); self, cls and _-prefixed names are exempt
