@@ -76,13 +76,14 @@ def cmd_constants(args) -> int:
 
 
 def cmd_static(args) -> int:
+    overrides = {"n": args.grid_n, "spacing": args.spacing}
     try:
         sections = _load_sections(args.config)
+        grid = static_grid(**{k: v for k, v in overrides.items()
+                              if v is not None})
     except ValueError as exc:
         return _invalid_config(exc)
     thresholds = sections.get("thresholds", Thresholds())
-    overrides = {"n": args.grid_n, "spacing": args.spacing}
-    grid = static_grid(**{k: v for k, v in overrides.items() if v})
     report = run_static_suite(thresholds=thresholds, grid=grid, seed=args.seed,
                               reference_constants=load_reference_constants())
     out = args.out or "static_report.json"
@@ -165,6 +166,9 @@ def cmd_quadrant(args) -> int:
         sections = _load_sections(args.config)
         thresholds = sections.get("thresholds", Thresholds())
         eps_list = _eps_list(args.eps, thresholds)
+        if args.perturbed < 0:
+            raise ValueError(f"--perturbed must be a count >= 0, "
+                             f"got {args.perturbed}")
     except ValueError as exc:
         return _invalid_config(exc)
     evolution = sections.get("evolution")

@@ -32,7 +32,7 @@ from .evolve import (BLOWUP, SCATTER, UNDETERMINED, DirectionRun,
 from .spectral import (BW_TOL, SHOOT_TOL, SpectralData, build_spectral_data,
                        coercivity_probe, static_grid)
 
-RECIPES = ("quadrant", "scaled_w", "bump", "gmode", "file")
+RECIPES = ("quadrant", "bump", "file")
 QUADRANT_DIRECTIONS = {"+1,0": (1, 0), "-1,0": (-1, 0),
                        "0,+1": (0, 1), "0,-1": (0, -1)}
 # verdict pairs (backward, forward) predicted by the linearized phase portrait
@@ -100,32 +100,20 @@ def build_initial_state(spec_exp: ExperimentSpec,
         return _load_file_state(p.get("path"))
     cfg = spec_exp.evolution
     grid = RadialGrid(3, cfg.r_max, cfg.n, "uniform")
-    w_vals = np.asarray(eval_W(3, grid.r ** 2))
-    zeros = np.zeros(grid.n)
     if spec_exp.recipe == "quadrant":
         a1, a2 = p["a"]
         eps = float(p["eps"])
         rho = spectral.rho_on(grid)
-        u1 = w_vals + eps * a1 * rho
+        u1 = np.asarray(eval_W(3, grid.r ** 2)) + eps * a1 * rho
         u2 = eps * a2 * rho
-    elif spec_exp.recipe == "scaled_w":
-        u1 = float(p["c"]) * w_vals
-        u2 = zeros
     elif spec_exp.recipe == "bump":
         amp = float(p.get("amplitude", 0.1))
         width = float(p.get("width", 4.0))
         center = float(p.get("center", 0.0))
         u1 = amp * np.exp(-((grid.r - center) / width) ** 2)
-        u2 = zeros.copy()
+        u2 = np.zeros(grid.n)
         if p.get("velocity"):
             u2 = float(p["velocity"]) * np.exp(-((grid.r - center) / width) ** 2)
-    elif spec_exp.recipe == "gmode":
-        eps = float(p["eps"])
-        sign = float(p.get("mode_sign", +1))
-        rho = spectral.rho_on(grid)
-        norm = 1.0 / math.sqrt(2.0 * spectral.k)
-        u1 = w_vals + eps * norm * rho
-        u2 = eps * sign * spectral.k * norm * rho
     else:
         raise ValueError(f"unknown recipe {spec_exp.recipe!r}")
     state = State(RadialField(grid, u1), RadialField(grid, u2))

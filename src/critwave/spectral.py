@@ -71,15 +71,15 @@ class LinearizedOperator:
         main = 30.0 * c + potential
         off1 = np.full(n - 1, -16.0 * c)
         off2 = np.full(n - 2, 1.0 * c)
-        mat = sparse.diags([off2, off1, main, off1, off2], [-2, -1, 0, 1, 2],
-                           format="lil")
-        # parity fold at the origin: ghost -1 mirrors node 0, ghost -2 node 1
+        # parity fold at the origin: ghost -1 mirrors node 0 (entry (0, 0)),
+        # ghost -2 mirrors node 1 (entries (0, 1) and (1, 0): off1 is both
+        # first off-diagonals)
         par = -1.0 if d == 3 else 1.0  # v = r^((d-1)/2) u is odd in d=3, even in d=5
-        mat[0, 0] += par * (-16.0 * c)
-        mat[0, 1] += par * (1.0 * c)
-        mat[1, 0] += par * (1.0 * c)
+        main[0] += par * (-16.0 * c)
+        off1[0] += par * (1.0 * c)
         # outer edge: Dirichlet zero ghosts (eigenfunctions decay like e^(-k r))
-        self.matrix = mat.tocsc()
+        self.matrix = sparse.diags([off2, off1, main, off1, off2],
+                                   [-2, -1, 0, 1, 2], format="csc")
         self._weight = r ** ((d - 1.0) / 2.0)
 
 
@@ -91,7 +91,6 @@ def _inverse_iteration(op: LinearizedOperator) -> tuple[np.ndarray, float]:
     shift = -(p + 1.0)  # spectrum is bounded below by -p
     v = np.exp(-op.grid.r) * op._weight
     v /= np.linalg.norm(v)
-    lam = float(v @ (a @ v))
     ident = sparse.identity(n, format="csc")
     lu = splu((a - shift * ident))
     for _ in range(8):

@@ -307,6 +307,29 @@ class TestCLI:
         assert "eps = 0.5 outside" in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n", [0, 8, -5])
+    def test_static_grid_n_invalid_exits_3(self, tmp_path, capsys, n):
+        # 0 is an invalid node count too, not "no override"
+        out = tmp_path / "report.json"
+        code = cli_main(["static", "--grid-n", str(n), "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert f"need at least 16 nodes, got {n}" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_quadrant_negative_perturbed_exits_3(self, tmp_path, capsys):
+        code = cli_main(["quadrant", "--perturbed", "-1", "--out",
+                         str(tmp_path)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "--perturbed must be a count >= 0, got -1" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_quadrant_undetermined_exits_2(self, tmp_path, capsys):
         # t_max = 2 ends every direction before blow-up or scattering
         conf = tmp_path / "short.ini"
@@ -397,6 +420,19 @@ class TestCLI:
         assert len(captured.err.splitlines()) == 1
         assert message in captured.err
         assert not (tmp_path / "bad.csv").exists()
+
+    def test_evolve_unknown_recipe_exits_3(self, tmp_path, capsys):
+        conf = tmp_path / "bad.ini"
+        conf.write_text("[experiment]\nname = bad\nrecipe = gmode\n"
+                        "eps = 1e-3\n")
+        code = cli_main(["evolve", "--config", str(conf), "--out",
+                         str(tmp_path)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert ("unknown recipe 'gmode', expected one of quadrant, bump, file"
+                in captured.err)
 
     @pytest.mark.parametrize("case, message", [
         ("missing", "cannot read the file state"),

@@ -1,7 +1,9 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -12,10 +14,10 @@ from critwave.functionals import (h1_seminorm_sq, l2_inner, l2_norm_sq,
                                   symplectic_omega)
 from critwave.grids import RadialGrid
 from critwave.spectral import (BW_TOL, LinearizedOperator,
-                               SpectralConsistencyError, _mode_samples,
-                               _random_probe, _shoot_mismatch, _w_constants,
-                               build_spectral_data, coercivity_probe,
-                               shooting_rate)
+                               SpectralConsistencyError, _inverse_iteration,
+                               _mode_samples, _random_probe, _shoot_mismatch,
+                               _w_constants, build_spectral_data,
+                               coercivity_probe, shooting_rate)
 
 K_REFERENCE_D3 = 1.1001672181511408  # frozen from the constants file
 
@@ -137,7 +139,45 @@ class TestShootingScan:
             shooting_rate(3)
 
 
+def lil_operator_matrix(grid: RadialGrid) -> sparse.csc_matrix:
+    """Oracle: the operator's matrix assembled element-wise in LIL format,
+    the origin fold added to the assembled stencil, then converted."""
+    d, n, r = grid.d, grid.n, grid.r
+    h = r[1] - r[0]
+    p = nonlinearity_power(d)
+    potential = ((d - 1.0) * (d - 3.0) / 4.0 / (r * r)
+                 - p * np.asarray(eval_W(d, r * r)) ** (p - 1.0))
+    c = 1.0 / (12.0 * h * h)
+    main = 30.0 * c + potential
+    off1 = np.full(n - 1, -16.0 * c)
+    off2 = np.full(n - 2, 1.0 * c)
+    mat = sparse.diags([off2, off1, main, off1, off2], [-2, -1, 0, 1, 2],
+                       format="lil")
+    par = -1.0 if d == 3 else 1.0
+    mat[0, 0] += par * (-16.0 * c)
+    mat[0, 1] += par * (1.0 * c)
+    mat[1, 0] += par * (1.0 * c)
+    return mat.tocsc()
+
+
 class TestOperatorHandle:
+    @pytest.mark.parametrize("d, r_max, n", [(3, 60.0, 512),
+                                             (3, 200.0, 16384),
+                                             (5, 200.0, 8192)])
+    def test_assembly_matches_lil_oracle_bitwise(self, d, r_max, n):
+        op = LinearizedOperator(RadialGrid(d, r_max, n, "uniform"))
+        oracle = copy.copy(op)
+        oracle.matrix = lil_operator_matrix(op.grid)
+        assert op.matrix.format == "csc"
+        for attr in ("indptr", "indices", "data"):
+            got, ref = getattr(op.matrix, attr), getattr(oracle.matrix, attr)
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+        v, lam = _inverse_iteration(op)
+        v_ref, lam_ref = _inverse_iteration(oracle)
+        assert np.float64(lam).tobytes() == np.float64(lam_ref).tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+
     def test_requires_uniform_grid(self, static_grid):
         with pytest.raises(ValueError):
             LinearizedOperator(static_grid)
