@@ -22,7 +22,7 @@ from dataclasses import replace
 from importlib import resources
 
 from .config import SWEEP_EVOLUTION, EvolutionConfig, Thresholds, load_config
-from .evolve import (evolve_direction, fit_ejection_rate,
+from .evolve import (RadialWaveEvolver, evolve_direction, fit_ejection_rate,
                      modulation_ode_residual)
 from .experiments import (ExperimentSpec, build_initial_state, exit_code_for,
                           run_experiment, run_quadrant_sweep,
@@ -130,6 +130,7 @@ def cmd_evolve(args) -> int:
             spec_exp = replace(spec_exp, evolution=_on_file_grid(
                 spec_exp.evolution, given.get("evolution", set()),
                 state0.grid))
+        _check_run(spec_exp.evolution)
     except ValueError as exc:
         return _invalid_config(exc)
     spectral = build_spectral_data(cross_check=False)
@@ -137,6 +138,12 @@ def cmd_evolve(args) -> int:
     print(f"{name}: backward = {record.verdict_backward}, "
           f"forward = {record.verdict_forward}")
     return exit_code_for([record])
+
+
+def _check_run(cfg: EvolutionConfig) -> None:
+    """Build the run grid of ``cfg`` and its stepper: ValueError when the
+    config makes no valid run."""
+    RadialWaveEvolver(RadialGrid(3, cfg.r_max, cfg.n, "uniform"), cfg.cfl)
 
 
 def _on_file_grid(cfg: EvolutionConfig, given: set, grid: RadialGrid
@@ -169,9 +176,13 @@ def cmd_quadrant(args) -> int:
         if args.perturbed < 0:
             raise ValueError(f"--perturbed must be a count >= 0, "
                              f"got {args.perturbed}")
+        if args.threads < 1:
+            raise ValueError(f"--threads must be a count >= 1, "
+                             f"got {args.threads}")
+        evolution = sections.get("evolution")
+        _check_run(evolution or SWEEP_EVOLUTION)
     except ValueError as exc:
         return _invalid_config(exc)
-    evolution = sections.get("evolution")
     table = run_quadrant_sweep(eps_list=eps_list, thresholds=thresholds,
                                evolution=evolution,
                                n_perturbed=args.perturbed,

@@ -11,6 +11,7 @@ delta chain so that the four-quadrant sweep can run amplitudes up to 1e-2.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -44,9 +45,9 @@ class EvolutionConfig:
 
     def __post_init__(self):
         for name in ("n", "r_max", "cfl", "t_max", "monitor_stride"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"evolution {name} must be positive, "
-                                 f"got {getattr(self, name)!r}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"evolution {name} must be positive and "
+                                 f"finite, got {getattr(self, name)!r}")
 
 
 # the four-quadrant sweep's resolution (also the ejection study's grid)

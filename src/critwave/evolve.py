@@ -57,6 +57,9 @@ DT_FLOOR_FACTOR = 4096.0    # give up once the dt cap is below dt0 / factor
 CONFIRM_REFINE = 2          # grid refinement of the blow-up confirmation
 CONFIRM_WINDOW = 3.0        # confirmation window around the last checkpoint
 CONFIRM_MARGIN = 2.0        # the confirmation ball's radius beyond the |u| peak
+# Verlet stability, dt^2 lambda_max < 4, with lambda_max = 16 / (3 h^2) the
+# largest eigenvalue of the five-point -w_rr stencil: dt / h < sqrt(3) / 2
+CFL_LIMIT = math.sqrt(3.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +74,10 @@ class RadialWaveEvolver:
             raise ValueError("the evolution engine is d = 3 only")
         if grid.spacing != "uniform":
             raise ValueError("evolution requires a uniform grid")
+        if not 0.0 < cfl < CFL_LIMIT:
+            raise ValueError(f"cfl = {cfl!r} outside (0, sqrt(3)/2 = "
+                             f"{CFL_LIMIT:.4f}), the Verlet limit of the "
+                             "five-point stencil")
         self.grid = grid
         self.h = grid.r[1] - grid.r[0]
         self.r = grid.r

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .config import Thresholds
 from .fields import BLOCK_POINTS, RadialField, State, eval_W, eval_W_dr
@@ -520,7 +521,14 @@ class _RadialDistance:
     for repeated sigma evaluations (fit seeding proxies, coarse scans, the
     sigma search).  cross(sigma) = <grad u1 | grad W_sigma>, tails
     included, is one full-grid evaluation; both signs share it, and each
-    value is kept."""
+    value is kept.
+
+    The tail of cross(sigma) beyond r_max takes W_sigma's two-term far
+    field c r^(2-d) + b r^(-d) at r_max, which holds only while e^sigma
+    r_max is large: on the sweep grid (r_max = 64) sigma = -2 puts it at
+    8.7, where it still holds, and below sigma ~ -4.5 the truncated tail
+    makes dist_sq negative.
+    """
 
     def __init__(self, spec: SpectralData, s: State):
         g = s.grid
@@ -545,23 +553,17 @@ class _RadialDistance:
         return self.uu - 2.0 * sgn * self.cross(sigma) + self.gw
 
     def minimum(self, sigma_seed: float | None = None) -> float:
-        """min over sgn and sigma of dist_sq, by Brent's method in sigma on
-        [seed - 0.4, seed + 0.4], or unseeded on the two cells around the
-        best point of a 25-point scan of [-2, 4]."""
-        if sigma_seed is None:
-            sigmas = np.linspace(-2.0, 4.0, 25).tolist()
-        best = math.inf
-        for sgn in (+1, -1):
-            def fun(x, sgn=sgn):
-                return self.dist_sq(sgn, x)
-            if sigma_seed is None:
-                i = int(np.argmin([fun(x) for x in sigmas]))
-                lo, hi = sigmas[max(i - 1, 0)], sigmas[min(i + 1, len(sigmas) - 1)]
-                x0 = sigmas[i]
-            else:
-                lo, hi, x0 = sigma_seed - 0.4, sigma_seed + 0.4, sigma_seed
-            best = min(best, _bounded_min(fun, lo, hi, x0)[1])
-        return best
+        """min over sgn and sigma of dist_sq = uu + ||grad W||^2
+        - 2 max |cross(sigma)|: one bounded Brent search of -|cross| on
+        [seed - 0.4, seed + 0.4], or unseeded on [-2, 4], where the
+        two-term tail of cross still holds (see the class).  The search
+        never evaluates the bracket ends; a minimizer at or beyond an end
+        is taken to within about 1e-7 of it."""
+        lo, hi = ((-2.0, 4.0) if sigma_seed is None
+                  else (sigma_seed - 0.4, sigma_seed + 0.4))
+        sigma = minimize_scalar(lambda x: -abs(self.cross(x)), bounds=(lo, hi),
+                                method="bounded", options={"xatol": 1e-7}).x
+        return min(self.dist_sq(+1, sigma), self.dist_sq(-1, sigma))
 
 
 def _manifold_distance_sq(spec: SpectralData, s: State, sgn: int,
@@ -571,78 +573,15 @@ def _manifold_distance_sq(spec: SpectralData, s: State, sgn: int,
     return (dist or _RadialDistance(spec, s)).dist_sq(sgn, sigma)
 
 
-_SQRT_EPS = math.sqrt(2.2e-16)
-
-
-def _bounded_min(fun, lo: float, hi: float, x0: float,
-                 tol: float = 1e-7) -> tuple[float, float]:
-    """Minimum of a unimodal fun on [lo, hi], started from x0; returns the
-    best point found and its value.
-
-    A minimum at an end of the bracket is taken when one step of ``tol``
-    inward does not descend.  Otherwise Brent's method (parabolic steps
-    through the three best points, golden-section steps as the fallback)
-    runs until the bracket around the best point is about
-    4 (tol + sqrt(eps) |x|) wide.
-    """
-    f0, flo, fhi = fun(x0), fun(lo), fun(hi)
-    if flo <= f0 and fun(lo + tol) >= flo:
-        return lo, flo
-    if fhi <= f0 and fun(hi - tol) >= fhi:
-        return hi, fhi
-    golden = 0.5 * (3.0 - math.sqrt(5.0))
-    (fx, x), (fw, w), (fv, v) = sorted([(f0, x0), (flo, lo), (fhi, hi)])
-    a, b = lo, hi
-    d = e = b - a
-    while True:
-        m = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + tol
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return x, fx
-        p = q = r = 0.0
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            d = p / q                       # parabolic step
-            if x + d - a < tol2 or b - (x + d) < tol2:
-                d = tol1 if x < m else -tol1
-        else:
-            e = (b - x) if x < m else (a - x)
-            d = golden * e                  # golden-section step
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = fun(u)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
 def manifold_distance(spec: SpectralData, s: State,
                       sigma_seed: float | None = None,
                       dist: _RadialDistance | None = None) -> float:
-    """inf over (+-, sigma) of ||s -+ W_vec_sigma||_H for a radial state.
-
-    Brent's method in sigma, seeded either by a modulation fit or by a
-    coarse scan (``dist`` shares the state's pieces with other monitors).
+    """inf over (+-, sigma) of ||s -+ W_vec_sigma||_H for a radial state,
+    over sigma within 0.4 of ``sigma_seed`` (a modulation fit's sigma) or,
+    unseeded, over [-2, 4], where W_sigma's two-term far field still holds
+    at r_max (see ``_RadialDistance``).  A minimizer outside the domain
+    gives the value at its nearer end.  ``dist`` shares the state's pieces
+    with other monitors.
     """
     s.require_radial("manifold_distance")
     dist = dist or _RadialDistance(spec, s)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from critwave.cli import load_reference_constants, main as cli_main
-from critwave import experiments
+from critwave import cli, experiments
 from critwave.config import (SWEEP_EVOLUTION, EvolutionConfig, Thresholds,
                              load_config)
 from critwave.evolve import SCATTER, evolve_with_monitors
@@ -20,6 +20,10 @@ from critwave.functionals import norm_H
 from critwave.grids import RadialGrid
 
 FAST_EVOLUTION = dict(n=4096, r_max=48.0, t_max=30.0, monitor_stride=0.25)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the configuration should have been rejected")
 
 
 class TestConfigFormat:
@@ -42,7 +46,7 @@ class TestConfigFormat:
 
     @pytest.mark.parametrize("name", ["n", "r_max", "cfl", "t_max",
                                       "monitor_stride"])
-    @pytest.mark.parametrize("value", [0, -1, math.nan])
+    @pytest.mark.parametrize("value", [0, -1, math.nan, math.inf])
     def test_nonpositive_evolution_values_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"evolution {name} must be"):
             EvolutionConfig(**{name: value})
@@ -329,6 +333,46 @@ class TestCLI:
         assert len(captured.err.splitlines()) == 1
         assert "--perturbed must be a count >= 0, got -1" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_quadrant_threads_below_one_exits_3(self, tmp_path, capsys,
+                                                monkeypatch, threads):
+        monkeypatch.setattr(cli, "run_quadrant_sweep", _forbidden)
+        code = cli_main(["quadrant", "--threads", str(threads), "--out",
+                         str(tmp_path)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert f"--threads must be a count >= 1, got {threads}" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, section, message", [
+        pytest.param("evolve", "n = 8", "need at least 16 nodes, got 8",
+                     id="evolve-n"),
+        pytest.param("evolve", "cfl = 0.9", "cfl = 0.9 outside (0, sqrt(3)/2",
+                     id="evolve-cfl"),
+        pytest.param("quadrant", "n = 8", "need at least 16 nodes, got 8",
+                     id="quadrant-n"),
+    ])
+    def test_evolution_without_valid_run_exits_3(self, tmp_path, capsys,
+                                                 monkeypatch, command,
+                                                 section, message):
+        # checked before the spectral build, with nothing written
+        monkeypatch.setattr(cli, "build_spectral_data", _forbidden)
+        monkeypatch.setattr(cli, "run_quadrant_sweep", _forbidden)
+        conf = tmp_path / "bad.ini"
+        conf.write_text("[experiment]\nname = bad\nrecipe = bump\n\n"
+                        f"[evolution]\n{section}\n")
+        out = tmp_path / "out"
+        code = cli_main([command, "--config", str(conf), "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
     def test_quadrant_undetermined_exits_2(self, tmp_path, capsys):
         # t_max = 2 ends every direction before blow-up or scattering

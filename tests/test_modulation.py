@@ -8,6 +8,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from critwave import evolve, modulation
+from critwave.config import SWEEP_EVOLUTION
 from critwave.experiments import (BoxResidualClosure, assemble_box_exact,
                                   random_box_closure,
                                   random_orthogonal_residual)
@@ -472,13 +473,26 @@ def golden_manifold_distance_sq(dist, sigma_seed):
 
 
 class TestManifoldDistanceSearch:
-    @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.3, 1.0])
-    def test_brent_matches_golden_section(self, ctx, eps):
+    # None: W_sigma at sigma = -2.8 on the sweep grid, unseeded and seeded
+    # at its own sigma; its minimizer lies below the unseeded domain
+    # [-2, 4], so that search ends next to an end that it never evaluates
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.3, 1.0,
+                                     pytest.param(None, id="edge")])
+    def test_brent_matches_golden_section(self, ctx, sample_W_family, eps):
         spec, g = ctx["spec"], ctx["g"]
+        seeds = (None, 0.0, 0.13)
+        if eps is None:
+            seeds = (None, -2.8)
+            edge = sample_W_family(
+                RadialGrid(3, SWEEP_EVOLUTION.r_max, SWEEP_EVOLUTION.n,
+                           "uniform"), -2.8)
         for sgn in (+1, -1):
-            s = State(RadialField(g, sgn * (ctx["W"] + eps * ctx["rho"])),
-                      RadialField(g, 0.5 * eps * ctx["rho"]))
-            for seed in (None, 0.0, 0.13):
+            if eps is None:
+                s = State(RadialField(edge.grid, sgn * edge.u1.values), edge.u2)
+            else:
+                s = State(RadialField(g, sgn * (ctx["W"] + eps * ctx["rho"])),
+                          RadialField(g, 0.5 * eps * ctx["rho"]))
+            for seed in seeds:
                 want_sq = golden_manifold_distance_sq(_RadialDistance(spec, s), seed)
                 dist = _RadialDistance(spec, s)
                 got = manifold_distance(spec, s, seed, dist=dist)
