@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grids import Box3DGrid, RadialGrid
+from .grids import BLOCK_POINTS, Box3DGrid, RadialGrid
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +110,6 @@ def _mirrored_spline(grid: RadialGrid, values: np.ndarray,
     r_ext = np.concatenate([-grid.r[:n_mirror][::-1], grid.r])
     v_ext = np.concatenate([parity * values[:n_mirror][::-1], values])
     return CubicSpline(r_ext, v_ext, extrapolate=False)
-
-
-# points per block of the blocked passes over large point sets: the
-# temporaries of one block stay in the core's cache
-BLOCK_POINTS = 1 << 15
 
 
 class UniformSpline:

@@ -33,6 +33,35 @@ _SUPPORTED_D = (3, 5)
 _END_STENCIL = 6
 # nodes entering the far-field least-squares fit
 _TAIL_FIT_NODES = 12
+# points per block of the blocked passes over large point sets: the
+# temporaries of one block stay in the core's cache
+BLOCK_POINTS = 1 << 15
+
+
+def _positive_length(name: str, value) -> float:
+    """value as a float, or a ValueError naming ``name`` unless it is a
+    positive finite number."""
+    try:
+        length = float(value)
+    except (TypeError, ValueError):
+        length = math.nan
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return length
+
+
+def _node_count(name: str, value) -> int:
+    """value as an int, or a ValueError naming ``name`` unless it is an
+    integer of at least 16."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if count < 16:
+        raise ValueError(f"{name}: need at least 16 nodes, got {value!r}")
+    return count
 
 
 def sphere_area(d: int) -> float:
@@ -65,15 +94,11 @@ class RadialGrid:
                  beta: float = 6.0):
         if d not in _SUPPORTED_D:
             raise ValueError(f"dimension must be one of {_SUPPORTED_D}, got {d}")
-        if n < 16:
-            raise ValueError(f"need at least 16 nodes, got {n}")
-        if r_max <= 0:
-            raise ValueError("r_max must be positive")
+        self.n = _node_count("n", n)
+        self.r_max = _positive_length("r_max", r_max)
         if spacing not in ("sinh", "uniform"):
             raise ValueError(f"unknown spacing rule {spacing!r}")
         self.d = int(d)
-        self.r_max = float(r_max)
-        self.n = int(n)
         self.spacing = spacing
         self.beta = float(beta)
 
@@ -211,15 +236,18 @@ class RadialGrid:
 
 
 class Box3DGrid:
-    """Uniform cell-centered cube grid on [-L, L]^3 (m nodes per axis)."""
+    """Uniform cell-centered cube grid on [-L, L]^3 (m nodes per axis).
+
+    Every full-grid pass of the box layer runs over the x-slabs of
+    ``slabs``, max(BLOCK_POINTS // m^2, 1) planes each, so its temporaries
+    stay in cache; a slab pass writes into one preallocated cube
+    (``by_slabs``), and a quadrature stays one sum over that cube, so its
+    value is bitwise that of the whole-cube expression.
+    """
 
     def __init__(self, half_width: float, m: int):
-        if m < 16:
-            raise ValueError(f"need at least 16 nodes per axis, got {m}")
-        if half_width <= 0:
-            raise ValueError("half_width must be positive")
-        self.half_width = float(half_width)
-        self.m = int(m)
+        self.m = _node_count("m", m)
+        self.half_width = _positive_length("half_width", half_width)
         self.dx = 2.0 * self.half_width / self.m
         self.axis = -self.half_width + (np.arange(self.m) + 0.5) * self.dx
 
@@ -243,6 +271,26 @@ class Box3DGrid:
         return np.meshgrid(self.axis, self.axis, self.axis, indexing="ij",
                            sparse=True)
 
+    @cached_property
+    def slabs(self) -> tuple[slice, ...]:
+        """The x-slabs of max(BLOCK_POINTS // m^2, 1) planes, in order."""
+        step = max(BLOCK_POINTS // (self.m * self.m), 1)
+        return tuple(slice(a, min(a + step, self.m))
+                     for a in range(0, self.m, step))
+
+    def slab_mesh(self, sl: slice):
+        """The open mesh on the x-planes sl."""
+        x, y, z = self.open_mesh
+        return x[sl], y, z
+
+    def by_slabs(self, planes) -> np.ndarray:
+        """The (m, m, m) cube whose x-planes sl are planes(sl), filled slab
+        by slab."""
+        out = np.empty((self.m,) * 3)
+        for sl in self.slabs:
+            out[sl] = planes(sl)
+        return out
+
     @property
     def cell_volume(self) -> float:
         return self.dx ** 3
@@ -250,10 +298,13 @@ class Box3DGrid:
     def quad(self, g: np.ndarray) -> float:
         return float(np.sum(g) * self.cell_volume)
 
-    def h1_sq(self, grad: list[np.ndarray]) -> float:
-        """||grad f||^2 under the box quadrature, given grad = grad f."""
-        gx, gy, gz = grad
-        return self.quad(gx * gx + gy * gy + gz * gz)
+    def h1_sq(self, f: np.ndarray) -> float:
+        """||grad f||^2 under the box quadrature for samples f, the gradient
+        taken slab by slab."""
+        def planes(sl):
+            gx, gy, gz = self.gradient(f, sl)
+            return gx * gx + gy * gy + gz * gz
+        return self.quad(self.by_slabs(planes))
 
     @cached_property
     def _edge_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -263,23 +314,38 @@ class Box3DGrid:
         return (np.array([_derivative_weights(lo, x[i], 1) for i in (0, 1)]),
                 np.array([_derivative_weights(hi, x[i], 1) for i in (-2, -1)]))
 
-    def gradient(self, f: np.ndarray) -> list[np.ndarray]:
-        """[df/dx, df/dy, df/dz] for samples f of shape (m, m, m): the
-        five-point stencil by slicing along each axis and one-sided 6-node
-        rows on the two edge nodes at each end, written in place."""
-        lo, hi = self._edge_rows
-        inv = 1.0 / (12.0 * self.dx)
-        grads = []
-        for axis in range(3):
-            out = np.empty(f.shape)
-            fa, oa = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
-            mid = oa[2:-2]
-            np.subtract(fa[3:-1], fa[1:-3], out=mid)
-            mid *= 8.0
-            mid += fa[:-4]
-            mid -= fa[4:]
-            mid *= inv
-            np.einsum("ij,j...->i...", lo, fa[:_END_STENCIL], out=oa[:2])
-            np.einsum("ij,j...->i...", hi, fa[-_END_STENCIL:], out=oa[-2:])
-            grads.append(out)
+    def gradient(self, f: np.ndarray, sl: slice = slice(None)) -> list[np.ndarray]:
+        """[df/dx, df/dy, df/dz] on the x-planes sl (all by default) of
+        samples f of shape (m, m, m): the five-point stencil by slicing along
+        each axis and one-sided 6-node rows on the two edge nodes at each
+        end, written in place."""
+        a, b, _ = sl.indices(self.m)
+        fs = f[a:b]
+        grads = [np.empty(fs.shape) for _ in range(3)]
+        self._deriv_planes(f, grads[0], a, b)
+        for axis in (1, 2):
+            self._deriv_planes(np.moveaxis(fs, axis, 0),
+                               np.moveaxis(grads[axis], axis, 0), 0, self.m)
         return grads
+
+    def _deriv_planes(self, fa: np.ndarray, out: np.ndarray, a: int,
+                      b: int) -> None:
+        """d/dx along axis 0 of fa (all m planes) on the planes a..b-1,
+        written into out."""
+        m = self.m
+        lo, hi = self._edge_rows
+        i, j = max(a, 2), min(b, m - 2)
+        if i < j:
+            mid = out[i - a:j - a]
+            np.subtract(fa[i + 1:j + 1], fa[i - 1:j - 1], out=mid)
+            mid *= 8.0
+            mid += fa[i - 2:j - 2]
+            mid -= fa[i + 2:j + 2]
+            mid *= 1.0 / (12.0 * self.dx)
+        if a < 2:
+            np.einsum("ij,j...->i...", lo[a:b], fa[:_END_STENCIL],
+                      out=out[:min(b, 2) - a])
+        if b > m - 2:
+            k = max(a, m - 2)
+            np.einsum("ij,j...->i...", hi[k - (m - 2):b - (m - 2)],
+                      fa[-_END_STENCIL:], out=out[k - a:])

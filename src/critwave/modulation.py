@@ -114,16 +114,21 @@ def _box_fit_refs(spec: SpectralData, grid: Box3DGrid) -> dict:
     inscribed ball contribute below 1e-8 and are dropped, which halves the
     cost of every residual evaluation.  The stride-2 coarse lattice (8x
     cheaper residuals) gets (sigma, c) near the root before ball polishing.
-    The point sets are taken from broadcast views of the open mesh.
+    W and the ball are formed slab by slab; the point sets are taken from
+    broadcast views of the open mesh.
     """
     def build():
-        x, y, z = grid.open_mesh
-        radius = np.sqrt(x * x + y * y + z * z)
-        w = np.asarray(eval_W(3, radius ** 2))
-        ball = radius <= grid.half_width
-        mesh = np.broadcast_arrays(x, y, z)
-        refs = {"W": w, "grad_W_sq": grid.h1_sq(grid.gradient(w)),
-                "W_sq": grid.quad(w ** 2), "ball_where": ball,
+        shape = (grid.m,) * 3
+        w, ball = np.empty(shape), np.empty(shape, dtype=bool)
+        for sl in grid.slabs:
+            x, y, z = grid.slab_mesh(sl)
+            radius = np.sqrt(x * x + y * y + z * z)
+            w[sl] = eval_W(3, radius ** 2)
+            ball[sl] = radius <= grid.half_width
+        mesh = np.broadcast_arrays(*grid.open_mesh)
+        refs = {"W": w, "grad_W_sq": grid.h1_sq(w),
+                "W_sq": grid.quad(grid.by_slabs(lambda sl: w[sl] ** 2)),
+                "ball_where": ball,
                 "ball": tuple(m[ball] for m in mesh),
                 "coarse": tuple(_coarse(m) for m in mesh)}
         zero = np.zeros(3)
@@ -194,22 +199,41 @@ def box_mode_integrals(spec: SpectralData, sigma: float, c, points,
     return np.sum(sums, axis=0) * weight
 
 
-def box_modes(spec: SpectralData,
-              grid: Box3DGrid) -> tuple[list[np.ndarray], np.ndarray]:
-    """The sigma = 0, c = 0 box modes [Lambda_0 rho, d_j rho] on the whole
-    grid, from the open mesh, and their 4x4 Gram matrix under the box
-    quadrature; one entry cached on spec."""
-    def build():
-        lam0, slope, disp = box_mode_parts(spec, 0.0, np.zeros(3),
-                                           grid.open_mesh)
-        modes = [lam0] + [slope * dj for dj in disp]
+class BoxModes:
+    """The sigma = 0, c = 0 box modes [Lambda_0 rho, d_j rho] of one grid
+    and their 4x4 Gram matrix under the box quadrature.
+
+    Only Lambda_0 rho and the slope are kept as cubes; the gradient mode
+    d_j rho = slope * x_j is formed on the planes asked for, bitwise the
+    product on the whole grid.
+    """
+
+    def __init__(self, spec: SpectralData, grid: Box3DGrid):
+        self.grid = grid
+        shape = (grid.m,) * 3
+        self.lam0, self.slope = np.empty(shape), np.empty(shape)
+        zero = np.zeros(3)
+        for sl in grid.slabs:
+            self.lam0[sl], self.slope[sl], _ = box_mode_parts(
+                spec, 0.0, zero, grid.slab_mesh(sl))
         # symmetric: the 10 distinct products (m1 * m2 is bitwise m2 * m1)
-        gram = np.empty((4, 4))
+        self.gram = np.empty((4, 4))
         for i in range(4):
             for j in range(i, 4):
-                gram[i, j] = gram[j, i] = grid.quad(modes[i] * modes[j])
-        return modes, gram
-    return spec.cached(("box_modes", grid), build)
+                self.gram[i, j] = self.gram[j, i] = grid.quad(grid.by_slabs(
+                    lambda sl: self.mode(i, sl) * self.mode(j, sl)))
+
+    def mode(self, j: int, sl: slice) -> np.ndarray:
+        """Mode j (0: Lambda_0 rho, 1-3: d_x rho, d_y rho, d_z rho) on the
+        x-planes sl."""
+        if j == 0:
+            return self.lam0[sl]
+        return self.slope[sl] * self.grid.slab_mesh(sl)[j - 1]
+
+
+def box_modes(spec: SpectralData, grid: Box3DGrid) -> BoxModes:
+    """The sigma = 0, c = 0 box modes of grid; one entry cached on spec."""
+    return spec.cached(("box_modes", grid), lambda: BoxModes(spec, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +363,17 @@ def _fit_radial(s: State, spec: SpectralData, th: Thresholds,
 def _fit_box(s: State, spec: SpectralData, th: Thresholds,
              sign_hint: int | None, sigma0: float) -> ModulationFit:
     """The box solve for (sigma, c): Newton on the stride-2 coarse lattice,
-    then on the inscribed ball.  The state's gradient and ||s||_H^2 are
-    taken once, for ||s||_H and ||v||_H."""
+    then on the inscribed ball.  ||s||_H^2 is taken once, for ||s||_H and
+    ||v||_H; every norm is formed slab by slab, and ||v||_H takes the
+    state's gradient again per slab rather than holding it for the fit."""
     g = s.grid
     refs = _box_fit_refs(spec, g)
-    u1 = s.u1.values
-    uu, cross0 = g.quad(u1 ** 2), g.quad(u1 * refs["W"])
+    u1, u2, w = s.u1.values, s.u2.values, refs["W"]
+    uu = g.quad(g.by_slabs(lambda sl: u1[sl] ** 2))
+    cross0 = g.quad(g.by_slabs(lambda sl: u1[sl] * w[sl]))
     sgn = _choose_sign(lambda sg: uu - 2 * sg * cross0 + refs["W_sq"],
                        th.sign_ambiguity_margin, sign_hint)
-    grad = g.gradient(u1)
-    h_sq = g.h1_sq(grad) + g.quad(s.u2.values * s.u2.values)
+    h_sq = g.h1_sq(u1) + g.quad(g.by_slabs(lambda sl: u2[sl] * u2[sl]))
     u1_b = u1[refs["ball_where"]]
     u1_c = _coarse(u1)
     vol = g.cell_volume
@@ -365,7 +390,7 @@ def _fit_box(s: State, spec: SpectralData, th: Thresholds,
 
     def v_norm(x):
         # ||s - sgn W_vec_sigma(. - c)||_H without materializing v
-        cross = _box_cross(g, grad, float(x[0]), np.asarray(x[1:], dtype=float))
+        cross = _box_cross(g, u1, float(x[0]), np.asarray(x[1:], dtype=float))
         return math.sqrt(max(h_sq - 2.0 * sgn * cross + refs["grad_W_sq"],
                              0.0))
 
@@ -407,27 +432,21 @@ def _accept_and_refine(residual, h0: np.ndarray, x: np.ndarray, scale: float,
     return x, f, True, iters
 
 
-def _box_cross(g: Box3DGrid, grad: list[np.ndarray], sigma: float, c) -> float:
-    """<grad u | grad W_sigma(. - c)> under the box quadrature, given
-    grad = grad u; W_sigma = e^(sigma/2) W(e^sigma .).
-
-    The integrand is formed in x-slabs of about BLOCK_POINTS points, so
-    its temporaries stay in cache, and summed as one array."""
-    gx, gy, gz = grad
-    x, y, z = g.open_mesh
+def _box_cross(g: Box3DGrid, u: np.ndarray, sigma: float, c) -> float:
+    """<grad u | grad W_sigma(. - c)> under the box quadrature for samples
+    u; W_sigma = e^(sigma/2) W(e^sigma .).  The integrand, with the
+    gradient of u, is formed slab by slab."""
     es = math.exp(sigma)
     amp = math.exp(sigma / 2.0) * es
-    dy_, dz_ = y - c[1], z - c[2]
-    integrand = np.empty(gx.shape)
-    step = max(BLOCK_POINTS // (g.m * g.m), 1)
-    for a in range(0, g.m, step):
-        sl = slice(a, a + step)
-        dx_ = x[sl] - c[0]
+
+    def planes(sl):
+        x, y, z = g.slab_mesh(sl)
+        dx_, dy_, dz_ = x - c[0], y - c[1], z - c[2]
         rr = np.sqrt(dx_ ** 2 + dy_ ** 2 + dz_ ** 2)
         slope = amp * np.asarray(eval_W_dr(3, es * rr)) / np.maximum(rr, 1e-300)
-        integrand[sl] = (gx[sl] * slope * dx_ + gy[sl] * slope * dy_
-                         + gz[sl] * slope * dz_)
-    return g.quad(integrand)
+        gx, gy, gz = g.gradient(u, sl)
+        return gx * slope * dx_ + gy * slope * dy_ + gz * slope * dz_
+    return g.quad(g.by_slabs(planes))
 
 
 def _residual_state(s: State, spec: SpectralData, sgn: int,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,33 @@ def test_grid_invariants():
         RadialGrid(3, 200.0, 8)
     with pytest.raises(ValueError):
         RadialGrid(3, -1.0, 256)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: Box3DGrid(math.nan, 32), "half_width"),
+    (lambda: Box3DGrid(math.inf, 32), "half_width"),
+    (lambda: Box3DGrid(-1.0, 32), "half_width"),
+    (lambda: Box3DGrid(20.0, 40.7), "m"),
+    (lambda: Box3DGrid(20.0, math.nan), "m"),
+    (lambda: Box3DGrid(20.0, math.inf), "m"),
+    (lambda: Box3DGrid(20.0, 8), "m"),
+    (lambda: RadialGrid(3, 64.0, 64.5), "n"),
+    (lambda: RadialGrid(3, 64.0, math.inf), "n"),
+    (lambda: RadialGrid(3, 64.0, 8), "n"),
+    (lambda: RadialGrid(3, math.nan, 64), "r_max"),
+    (lambda: RadialGrid(3, math.inf, 64, "uniform"), "r_max"),
+    (lambda: RadialGrid(3, 0.0, 64), "r_max"),
+])
+def test_bad_grid_sizes_rejected(make, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning on the way
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            make()
+
+
+def test_integral_float_sizes_accepted():
+    assert Box3DGrid(20.0, 40.0).m == 40
+    assert RadialGrid(3, 64.0, 64.0).n == 64
 
 
 def test_quadrature_smooth_gaussian():
@@ -151,11 +179,71 @@ def test_box_h1_sq():
     for m in (32, 64):
         g = Box3DGrid(12.0, m)
         x, y, z = g.open_mesh
-        grad = g.gradient(np.exp(-(x * x + y * y + z * z) / a))
-        gx, gy, gz = grad
-        assert g.h1_sq(grad) == g.quad(gx ** 2 + gy ** 2 + gz ** 2)
-        errs.append(abs(g.h1_sq(grad) / want - 1.0))
+        f = np.exp(-(x * x + y * y + z * z) / a)
+        gx, gy, gz = g.gradient(f)
+        assert g.h1_sq(f) == g.quad(gx ** 2 + gy ** 2 + gz ** 2)
+        errs.append(abs(g.h1_sq(f) / want - 1.0))
     assert errs[1] < 3e-3 and errs[0] / errs[1] > 10.0
+
+
+def whole_cube_gradient(g: Box3DGrid, f: np.ndarray) -> list[np.ndarray]:
+    """Oracle: the box gradient on the whole cube, one axis at a time."""
+    lo, hi = g._edge_rows
+    inv = 1.0 / (12.0 * g.dx)
+    grads = []
+    for axis in range(3):
+        out = np.empty(f.shape)
+        fa, oa = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+        mid = oa[2:-2]
+        np.subtract(fa[3:-1], fa[1:-3], out=mid)
+        mid *= 8.0
+        mid += fa[:-4]
+        mid -= fa[4:]
+        mid *= inv
+        np.einsum("ij,j...->i...", lo, fa[:_END_STENCIL], out=oa[:2])
+        np.einsum("ij,j...->i...", hi, fa[-_END_STENCIL:], out=oa[-2:])
+        grads.append(out)
+    return grads
+
+
+class TestSlabs:
+    """The slab kernels against their whole-cube formulas, bitwise.  m = 25
+    has an axis that is not bitwise symmetric; m = 100 has slabs of 3
+    planes and a last slab of 1."""
+
+    @staticmethod
+    def samples(g):
+        x, y, z = g.open_mesh
+        # large at the faces, so the one-sided edge rows are exercised
+        return (np.exp(-((x - 1.0) ** 2 + 0.5 * y ** 2) / 8.0) * np.cos(0.7 * z)
+                + 0.1 * x * y)
+
+    @pytest.mark.parametrize("m, step", [(16, 16), (25, 25), (100, 3)])
+    def test_slab_rule(self, m, step):
+        g = Box3DGrid(6.0, m)
+        assert all(sl.stop - sl.start == step for sl in g.slabs[:-1])
+        assert g.slabs[0].start == 0 and g.slabs[-1].stop == m
+        assert all(p.stop == q.start for p, q in zip(g.slabs, g.slabs[1:]))
+        if m == 100:
+            assert len(g.slabs) == 34 and g.slabs[-1] == slice(99, 100)
+
+    @pytest.mark.parametrize("m", [16, 25, 100])
+    def test_gradient_on_every_slab(self, m):
+        g = Box3DGrid(6.0, m)
+        f = self.samples(g)
+        want = whole_cube_gradient(g, f)
+        assert all(np.array_equal(a, b) for a, b in zip(g.gradient(f), want))
+        planes = [slice(i, i + 1) for i in range(m)]
+        for sl in planes + list(g.slabs) + [slice(1, m - 1), slice(m - 3, m)]:
+            got = g.gradient(f, sl)
+            assert all(np.array_equal(a, b[sl]) for a, b in zip(got, want)), sl
+
+    @pytest.mark.parametrize("m", [16, 25, 100])
+    def test_h1_sq(self, m):
+        g = Box3DGrid(6.0, m)
+        f = self.samples(g)
+        gx, gy, gz = whole_cube_gradient(g, f)
+        assert g.h1_sq(f) == g.quad(gx * gx + gy * gy + gz * gz)
 
 
 def test_grid_descriptor_round_trip():

@@ -517,8 +517,8 @@ def test_caches_released_with_spectral_data():
     spec = build_spectral_data(cross_check=False)
     g = RadialGrid(3, 32.0, 512, "uniform")
     refs = weakref.ref(spec.rho_on(g))
-    modes, gram = box_modes(spec, Box3DGrid(4.0, 16))
-    modes, gram = weakref.ref(modes[0]), weakref.ref(gram)
+    modes = box_modes(spec, Box3DGrid(4.0, 16))
+    modes, gram = weakref.ref(modes.lam0), weakref.ref(modes.gram)
     fit_refs = _box_fit_refs(spec, Box3DGrid(4.0, 16))
     coarse = weakref.ref(fit_refs["coarse"][0])
     consts = [weakref.ref(fit_refs[key])
@@ -626,7 +626,8 @@ class TestOpenMeshReferences:
         assert np.array_equal(refs["ball_where"], ball)
         for key, want in (("ball", ball_pts), ("coarse", coarse_pts)):
             assert all(np.array_equal(a, b) for a, b in zip(refs[key], want))
-        assert refs["grad_W_sq"] == g.h1_sq(g.gradient(w))
+        gx, gy, gz = g.gradient(w)
+        assert refs["grad_W_sq"] == g.quad(gx * gx + gy * gy + gz * gz)
         assert refs["W_sq"] == g.quad(w ** 2)
         assert np.array_equal(refs["ball_consts"], box_mode_integrals(
             spec, 0.0, zero, ball_pts, w[ball], g.cell_volume))
@@ -634,9 +635,9 @@ class TestOpenMeshReferences:
             spec, 0.0, zero, coarse_pts, w[::2, ::2, ::2].ravel(),
             8 * g.cell_volume))
         lam0, slope, disp = box_mode_parts(spec, 0.0, zero, mesh)
-        modes, _ = box_modes(spec, g)
-        assert len(modes) == 4
-        for got, want in zip(modes, [lam0] + [slope * d for d in disp]):
+        modes = box_modes(spec, g)
+        for j, want in enumerate([lam0] + [slope * d for d in disp]):
+            got = modes.mode(j, slice(None))
             assert got.shape == (m, m, m)
             assert np.array_equal(got, want)
 
@@ -750,18 +751,106 @@ def test_box_cross_term_bitwise():
     # m = 100 gives 33 slabs of 3 x-planes and one of 1
     g = Box3DGrid(8.0, 100)
     x, y, z = np.meshgrid(g.axis, g.axis, g.axis, indexing="ij")
-    grad = g.gradient(np.exp(-((x - 0.2) ** 2 + y ** 2 + (z + 0.1) ** 2) / 4.0))
+    f = np.exp(-((x - 0.2) ** 2 + y ** 2 + (z + 0.1) ** 2) / 4.0)
     sigma, c = 0.2, np.array([0.3, -0.1, 0.2])
     # the formula of the box fit's ||v||_H estimate and of the box
     # manifold_distance before they shared one helper
-    gx, gy, gz = grad
+    gx, gy, gz = g.gradient(f)
     es = math.exp(sigma)
     dx_, dy_, dz_ = x - c[0], y - c[1], z - c[2]
     rr = np.sqrt(dx_ ** 2 + dy_ ** 2 + dz_ ** 2)
     slope = (math.exp((3 / 2.0 - 1.0) * sigma) * es
              * np.asarray(eval_W_dr(3, es * rr)) / np.maximum(rr, 1e-300))
     want = g.quad(gx * slope * dx_ + gy * slope * dy_ + gz * slope * dz_)
-    assert _box_cross(g, grad, sigma, c) == want
+    assert _box_cross(g, f, sigma, c) == want
+
+
+class TestSlabOracles:
+    """The slab passes of the box layer against the whole-cube formulas
+    they replaced, kept here: bitwise at m = 16 (one slab), 25 (an axis
+    that is not bitwise symmetric) and 100 (slabs of 3 planes and a last
+    slab of 1)."""
+
+    GRIDS = [(4.0, 16), (6.0, 25), (8.0, 100)]
+
+    @staticmethod
+    def whole_cube_modes(spec, g):
+        lam0, slope, disp = box_mode_parts(spec, 0.0, np.zeros(3), g.open_mesh)
+        modes = [lam0] + [slope * d for d in disp]
+        gram = np.empty((4, 4))
+        for i in range(4):
+            for j in range(i, 4):
+                gram[i, j] = gram[j, i] = g.quad(modes[i] * modes[j])
+        return modes, gram
+
+    @staticmethod
+    def whole_cube_closure(spec, g, rng, amplitude, modes, gram):
+        """(mode coefficients, scale, Gaussians) of random_box_closure on
+        whole cubes."""
+        def draw(n):
+            return [(rng.normal(), rng.uniform(-3.0, 3.0, size=3),
+                     rng.uniform(1.2, 3.0)) for _ in range(n)]
+        g1, g2 = draw(3), draw(3)
+        x, y, z = g.open_mesh
+        f1 = BoxResidualClosure._gauss_sum(g1, x, y, z)
+        f2 = BoxResidualClosure._gauss_sum(g2, x, y, z)
+        rhs = np.array([g.quad(f1 * m) for m in modes])
+        coef = np.linalg.solve(gram, rhs)
+        v1 = f1 - sum(cf * m for cf, m in zip(coef, modes))
+        gx, gy, gz = g.gradient(v1)
+        nrm = math.sqrt(g.quad(gx * gx + gy * gy + gz * gz) + g.quad(f2 * f2))
+        return coef, amplitude / max(nrm, 1e-300), g1 + g2
+
+    @staticmethod
+    def whole_cube_assembly(g, sgn, sigma, c, closure):
+        es = math.exp(sigma)
+        x, y, z = g.open_mesh
+        xs, ys, zs = es * (x - c[0]), es * (y - c[1]), es * (z - c[2])
+        rr2 = xs * xs + ys * ys + zs * zs
+        amp1 = math.exp(sigma / 2.0)
+        u1 = sgn * amp1 * np.asarray(eval_W(3, rr2)) + amp1 * closure.v1(xs, ys, zs)
+        u2 = math.exp(1.5 * sigma) * closure.v2(xs, ys, zs)
+        return u1, u2
+
+    @pytest.mark.parametrize("half_width, m", GRIDS)
+    def test_round_trip_inputs(self, spectral, half_width, m):
+        spec = dataclasses.replace(spectral)      # an empty cache
+        g = Box3DGrid(half_width, m)
+        modes, gram = self.whole_cube_modes(spec, g)
+        box = box_modes(spec, g)
+        assert np.array_equal(box.gram, gram)
+        for j in range(4):
+            for sl in g.slabs:
+                assert np.array_equal(box.mode(j, sl), modes[j][sl])
+        closure = random_box_closure(spec, g, np.random.default_rng(3), 0.02)
+        coef, scale, terms = self.whole_cube_closure(
+            spec, g, np.random.default_rng(3), 0.02, modes, gram)
+        assert np.array_equal(closure.mode_coefs, coef * scale)
+        for (a, c, w), (a0, c0, w0) in zip(closure.g1 + closure.g2, terms):
+            assert a == a0 * scale and np.array_equal(c, c0) and w == w0
+        sigma, c = 0.2, np.array([0.3, -0.1, 0.2])
+        for sgn in (1, -1):
+            u = assemble_box_exact(g, sgn, sigma, c, closure)
+            u1, u2 = self.whole_cube_assembly(g, sgn, sigma, c, closure)
+            assert np.array_equal(u.u1.values, u1)
+            assert np.array_equal(u.u2.values, u2)
+
+    @pytest.mark.parametrize("half_width, m", GRIDS)
+    def test_box_cross(self, spectral, half_width, m):
+        g = Box3DGrid(half_width, m)
+        closure = random_box_closure(spectral, g, np.random.default_rng(4))
+        f = assemble_box_exact(g, 1, 0.1, (0.2, 0.0, -0.1), closure).u1.values
+        gx, gy, gz = g.gradient(f)
+        x, y, z = g.open_mesh
+        for sigma, c in [(0.25, np.array([0.3, -0.1, 0.2])),
+                         (-0.15, np.array([-0.2, 0.4, 0.0]))]:
+            es = math.exp(sigma)
+            dx_, dy_, dz_ = x - c[0], y - c[1], z - c[2]
+            rr = np.sqrt(dx_ ** 2 + dy_ ** 2 + dz_ ** 2)
+            slope = (math.exp(sigma / 2.0) * es
+                     * np.asarray(eval_W_dr(3, es * rr)) / np.maximum(rr, 1e-300))
+            want = g.quad(gx * slope * dx_ + gy * slope * dy_ + gz * slope * dz_)
+            assert _box_cross(g, f, sigma, c) == want
 
 
 class TestSeparableGaussians:
@@ -792,10 +881,11 @@ class TestSeparableGaussians:
 
     def test_gram_cached_and_equal_to_mode_products(self, spectral):
         g = Box3DGrid(4.0, 16)
-        modes, gram = box_modes(spectral, g)
+        box = box_modes(spectral, g)
+        modes = [box.mode(j, slice(None)) for j in range(4)]
         want = np.array([[g.quad(a * b) for b in modes] for a in modes])
-        assert np.array_equal(gram, want)
-        assert box_modes(spectral, g)[1] is gram
+        assert np.array_equal(box.gram, want)
+        assert box_modes(spectral, g).gram is box.gram
 
 
 class TestKExpansion:

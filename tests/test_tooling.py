@@ -1,8 +1,17 @@
 """Repository tooling: the benchmark's tracer and the package's own code."""
 
 import ast
+import dataclasses
 import importlib.util
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
+
+from critwave.experiments import assemble_box_exact, random_box_closure
+from critwave.fields import BLOCK_POINTS
+from critwave.grids import Box3DGrid
+from critwave.modulation import fit_modulation
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -155,3 +164,57 @@ def test_every_parameter_is_read():
                        if p not in ("self", "cls") and not p.startswith("_")
                        and p not in read]
     assert unread == []
+
+
+def _nbytes(obj) -> int:
+    """Bytes of the numpy arrays an object holds, through dicts, sequences
+    and instance attributes."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(_nbytes(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_nbytes(v) for v in obj)
+    if hasattr(obj, "__dict__"):
+        return sum(_nbytes(v) for v in vars(obj).values())
+    return 0
+
+
+def test_box_round_trip_memory_budget(spectral):
+    # tracemalloc sees numpy's array buffers.  The closure, the assembly and
+    # the fit each allocate at most two (m, m, m) cubes beyond what they
+    # keep (their outputs and the spectrum's box caches), plus the arrays of
+    # one slab pass; the box caches hold at most three cubes (Lambda_0 rho,
+    # the mode slope, W) plus the point sets.  Measured at m = 100: 2.18,
+    # 0.13 and 1.90 cubes and 3.0004 cubes plus the point sets; the whole-
+    # cube layer took 8.0, 6.0 and 5.0 and held 5.0.
+    spec = dataclasses.replace(spectral)      # an empty cache
+    g = Box3DGrid(20.0, 100)
+    cube = 8 * g.m ** 3
+    slab = 8 * g.m ** 2 * max(BLOCK_POINTS // g.m ** 2, 1)
+    rng = np.random.default_rng(7)
+
+    def transient(fn):
+        tracemalloc.reset_peak()
+        out = fn()
+        current, peak = tracemalloc.get_traced_memory()
+        return out, peak - current
+
+    tracemalloc.start()
+    try:
+        closure, closure_extra = transient(
+            lambda: random_box_closure(spec, g, rng))
+        u, assembly_extra = transient(
+            lambda: assemble_box_exact(g, 1, 0.1, (0.2, -0.1, 0.0), closure))
+        fit, fit_extra = transient(lambda: fit_modulation(u, spec))
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    budget = 2 * cube + 8 * slab
+    assert closure_extra <= budget, closure_extra / cube
+    assert assembly_extra <= budget, assembly_extra / cube
+    assert fit_extra <= budget, fit_extra / cube
+    refs = spec._per_grid[("box_fit_refs", g)]
+    points = _nbytes([refs["ball"], refs["coarse"], refs["ball_where"]])
+    held = _nbytes(spec._per_grid[("box_modes", g)]) + _nbytes(refs)
+    assert held <= 3 * cube + points + cube // 100, (held - points) / cube
