@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 
@@ -31,6 +32,17 @@ class Thresholds:
     tol_orth: float = 1e-8        # relative orthogonality tolerance of a fit
     newton_max_iters: int = 30
     sign_ambiguity_margin: float = 0.10
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "newton_max_iters":
+                if not (isinstance(value, numbers.Integral) and value >= 1):
+                    raise ValueError(f"thresholds {f.name} must be an integer "
+                                     f">= 1, got {value!r}")
+            elif not 0 < value < math.inf:
+                raise ValueError(f"thresholds {f.name} must be positive and "
+                                 f"finite, got {value!r}")
 
 
 @dataclass(frozen=True)

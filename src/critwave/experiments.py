@@ -397,8 +397,7 @@ class BoxResidualClosure:
         return out
 
     def v1(self, x, y, z):
-        lam0, slope, _ = box_mode_parts(self.spectral, 0.0, np.zeros(3),
-                                        (x, y, z))
+        lam0, slope = box_mode_parts(self.spectral, 0.0, (x, y, z))
         out = self._gauss_sum(self.g1, x, y, z)
         out = out - self.mode_coefs[0] * lam0
         out = out - slope * (self.mode_coefs[1] * x + self.mode_coefs[2] * y

@@ -87,7 +87,8 @@ class RadialGrid:
     r_max : outer radius of the computational domain
     n : number of nodes (>= 16)
     spacing : "sinh" or "uniform"
-    beta : stretch parameter of the sinh map (ignored for uniform spacing)
+    beta : stretch parameter of the sinh map, finite and nonzero (finite
+           and otherwise ignored for uniform spacing)
     """
 
     def __init__(self, d: int, r_max: float, n: int, spacing: str = "sinh",
@@ -101,6 +102,12 @@ class RadialGrid:
         self.d = int(d)
         self.spacing = spacing
         self.beta = float(beta)
+        # beta is part of the grid's identity (describe, ==) for either
+        # spacing
+        if not math.isfinite(self.beta) or (spacing == "sinh"
+                                            and self.beta == 0.0):
+            raise ValueError(f"beta must be finite, and nonzero for sinh "
+                             f"spacing, got {beta!r}")
 
         self.h = 1.0 / self.n
         self.s = (np.arange(self.n) + 0.5) * self.h

@@ -106,39 +106,62 @@ class DistanceReport:
 # ---------------------------------------------------------------------------
 
 def _box_fit_refs(spec: SpectralData, grid: Box3DGrid) -> dict:
-    """The box fit's references, cached on ``spec``: W, ||grad W||^2 and
-    ||W||^2 under the box quadrature, the point sets of the fit residuals,
-    flattened, and their sigma = 0 mode integrals of W.
+    """The box fit's references, cached on ``spec``: ||grad W||^2 under
+    the box quadrature, the node sets of the fit residuals as int16 axis
+    indices (i, j, k) in C order, W and its integral of W^2 on the coarse
+    lattice, and the sigma = 0 mode integrals of W over each node set.
 
     The mode integrands decay like e^(-k r): the cube corners beyond the
     inscribed ball contribute below 1e-8 and are dropped, which halves the
     cost of every residual evaluation.  The stride-2 coarse lattice (8x
-    cheaper residuals) gets (sigma, c) near the root before ball polishing.
-    W and the ball are formed slab by slab; the point sets are taken from
-    broadcast views of the open mesh.
+    cheaper residuals) gets (sigma, c) near the root before ball polishing,
+    and its W chooses the fit's sign.  W and both node sets are formed slab
+    by slab; the W cube is dropped once the references are built.
     """
     def build():
-        shape = (grid.m,) * 3
-        w, ball = np.empty(shape), np.empty(shape, dtype=bool)
+        w = np.empty((grid.m,) * 3)
+        even = np.arange(grid.m) % 2 == 0
+        ball, coarse = [], []
         for sl in grid.slabs:
             x, y, z = grid.slab_mesh(sl)
             radius = np.sqrt(x * x + y * y + z * z)
             w[sl] = eval_W(3, radius ** 2)
-            ball[sl] = radius <= grid.half_width
-        mesh = np.broadcast_arrays(*grid.open_mesh)
-        refs = {"W": w, "grad_W_sq": grid.h1_sq(w),
-                "W_sq": grid.quad(grid.by_slabs(lambda sl: w[sl] ** 2)),
-                "ball_where": ball,
-                "ball": tuple(m[ball] for m in mesh),
-                "coarse": tuple(_coarse(m) for m in mesh)}
-        zero = np.zeros(3)
+            ball.append(_node_indices(radius <= grid.half_width, sl.start))
+            coarse.append(_node_indices(
+                even[sl, None, None] & even[:, None] & even, sl.start))
+        ball, coarse = (tuple(np.concatenate(a) for a in zip(*parts))
+                        for parts in (ball, coarse))
         vol = grid.cell_volume
-        refs["ball_consts"] = box_mode_integrals(
-            spec, 0.0, zero, refs["ball"], w[ball], vol)
-        refs["coarse_consts"] = box_mode_integrals(
-            spec, 0.0, zero, refs["coarse"], _coarse(w), vol * 8)
-        return refs
+        w_c = _coarse(w)
+        zero = np.zeros(3)
+        return {"grad_W_sq": grid.h1_sq(w), "ball": ball, "coarse": coarse,
+                "W_coarse": w_c,
+                "W_sq_coarse": float(np.sum(w_c * w_c) * (vol * 8)),
+                "ball_consts": box_mode_integrals(
+                    spec, grid, 0.0, zero, ball, _gather(w, ball), vol),
+                "coarse_consts": box_mode_integrals(
+                    spec, grid, 0.0, zero, coarse, w_c, vol * 8)}
     return spec.cached(("box_fit_refs", grid), build)
+
+
+def _node_indices(keep: np.ndarray, start: int) -> tuple[np.ndarray, ...]:
+    """The int16 indices (i, j, k), in C order, of the nodes where keep,
+    a boolean array on the x-planes from ``start`` on, holds (int16 holds
+    every axis index of a cube with m <= 2^15 nodes per axis, 280 TB)."""
+    i, j, k = np.nonzero(keep)
+    return ((i + start).astype(np.int16), j.astype(np.int16),
+            k.astype(np.int16))
+
+
+def _gather(f: np.ndarray, nodes) -> np.ndarray:
+    """The values of a box array f at the nodes (i, j, k), gathered in
+    blocks of BLOCK_POINTS."""
+    i, j, k = nodes
+    out = np.empty(len(i))
+    for a in range(0, len(i), BLOCK_POINTS):
+        b = a + BLOCK_POINTS
+        out[a:b] = f[i[a:b], j[a:b], k[a:b]]
+    return out
 
 
 def _coarse(f: np.ndarray) -> np.ndarray:
@@ -159,41 +182,43 @@ def _radial_mode_ip(fld: RadialField, profile, sigma: float) -> float:
     return g.quad_meas(fld.values * vals)
 
 
-def box_mode_parts(spec: SpectralData, sigma: float, c, mesh):
-    """(T^c S_1^sigma Lambda_0 rho, slope, x - c) at the points mesh = (x, y, z).
+def box_mode_parts(spec: SpectralData, sigma: float, disp):
+    """(T^c S_1^sigma Lambda_0 rho, slope) at the displacements
+    disp = (x - c_x, y - c_y, z - c_z) of the nodes from the centre c.
 
-    The gradient modes T^c S_1^sigma d_j rho are slope * (x - c)_j.  Both
+    The gradient modes T^c S_1^sigma d_j rho are slope * disp_j.  Both
     radial profiles come from one evaluation of ``spec.mode_pair``.
     """
     es = math.exp(sigma)
     amp = math.exp((3 / 2.0 + 1.0) * sigma)
-    x, y, z = mesh
-    dx_, dy_, dz_ = x - c[0], y - c[1], z - c[2]
+    dx_, dy_, dz_ = disp
     rr = np.sqrt(dx_ ** 2 + dy_ ** 2 + dz_ ** 2)
     pair = spec.mode_pair(es * rr)
     lam0 = amp * pair[..., 0]
     slope = amp * es * pair[..., 1] / np.maximum(rr, 1e-300)
-    return lam0, slope, (dx_, dy_, dz_)
+    return lam0, slope
 
 
-def box_mode_integrals(spec: SpectralData, sigma: float, c, points,
-                       u: np.ndarray, weight: float) -> np.ndarray:
+def box_mode_integrals(spec: SpectralData, grid: Box3DGrid, sigma: float, c,
+                       nodes, u: np.ndarray, weight: float) -> np.ndarray:
     """weight * [sum u T^c S_1^sigma Lambda_0 rho, sum u T^c S_1^sigma d_j rho]
-    over flat point arrays points = (x, y, z) with values u: the four box
-    mode integrals under a uniform quadrature weight.
+    over the grid nodes = (i, j, k), axis indices, with values u: the four
+    box mode integrals under a uniform quadrature weight.
 
-    The points are taken in blocks of BLOCK_POINTS; each block's mode
-    values come from ``box_mode_parts`` and are summed at once, so the four
-    mode fields are never built.  The sums are numpy's, not a BLAS dot, so
-    they do not depend on the BLAS thread count.
+    The shifted axes grid.axis - c_j are formed once; the nodes are taken
+    in blocks of BLOCK_POINTS, each block's displacements gathered from
+    them (bitwise the node coordinates minus c) and its mode values, from
+    ``box_mode_parts``, summed at once, so the four mode fields are never
+    built.  The sums are numpy's, not a BLAS dot, so they do not depend on
+    the BLAS thread count.
     """
-    x, y, z = points
+    shifted = [grid.axis - c[j] for j in range(3)]
     n = len(u)
     sums = np.empty((-(-n // BLOCK_POINTS), 4))
     for k, a in enumerate(range(0, n, BLOCK_POINTS)):
         b = a + BLOCK_POINTS
-        lam0, slope, disp = box_mode_parts(spec, sigma, c,
-                                           (x[a:b], y[a:b], z[a:b]))
+        disp = [np.take(ax, idx[a:b]) for ax, idx in zip(shifted, nodes)]
+        lam0, slope = box_mode_parts(spec, sigma, disp)
         ub = u[a:b]
         sums[k] = [np.sum(ub * lam0)] + [np.sum(ub * (slope * d)) for d in disp]
     return np.sum(sums, axis=0) * weight
@@ -212,10 +237,9 @@ class BoxModes:
         self.grid = grid
         shape = (grid.m,) * 3
         self.lam0, self.slope = np.empty(shape), np.empty(shape)
-        zero = np.zeros(3)
         for sl in grid.slabs:
-            self.lam0[sl], self.slope[sl], _ = box_mode_parts(
-                spec, 0.0, zero, grid.slab_mesh(sl))
+            self.lam0[sl], self.slope[sl] = box_mode_parts(
+                spec, 0.0, grid.slab_mesh(sl))
         # symmetric: the 10 distinct products (m1 * m2 is bitwise m2 * m1)
         self.gram = np.empty((4, 4))
         for i in range(4):
@@ -363,28 +387,29 @@ def _fit_radial(s: State, spec: SpectralData, th: Thresholds,
 def _fit_box(s: State, spec: SpectralData, th: Thresholds,
              sign_hint: int | None, sigma0: float) -> ModulationFit:
     """The box solve for (sigma, c): Newton on the stride-2 coarse lattice,
-    then on the inscribed ball.  ||s||_H^2 is taken once, for ||s||_H and
+    then on the inscribed ball.  The sign is the one whose W is nearer in
+    L^2 on the coarse lattice.  ||s||_H^2 is taken once, for ||s||_H and
     ||v||_H; every norm is formed slab by slab, and ||v||_H takes the
     state's gradient again per slab rather than holding it for the fit."""
     g = s.grid
     refs = _box_fit_refs(spec, g)
-    u1, u2, w = s.u1.values, s.u2.values, refs["W"]
-    uu = g.quad(g.by_slabs(lambda sl: u1[sl] ** 2))
-    cross0 = g.quad(g.by_slabs(lambda sl: u1[sl] * w[sl]))
-    sgn = _choose_sign(lambda sg: uu - 2 * sg * cross0 + refs["W_sq"],
-                       th.sign_ambiguity_margin, sign_hint)
-    h_sq = g.h1_sq(u1) + g.quad(g.by_slabs(lambda sl: u2[sl] * u2[sl]))
-    u1_b = u1[refs["ball_where"]]
+    u1, u2 = s.u1.values, s.u2.values
     u1_c = _coarse(u1)
     vol = g.cell_volume
+    uu_c = float(np.sum(u1_c * u1_c) * (vol * 8))
+    cross_c = float(np.sum(u1_c * refs["W_coarse"]) * (vol * 8))
+    sgn = _choose_sign(lambda sg: uu_c - 2 * sg * cross_c + refs["W_sq_coarse"],
+                       th.sign_ambiguity_margin, sign_hint)
+    h_sq = g.h1_sq(u1) + g.quad(g.by_slabs(lambda sl: u2[sl] * u2[sl]))
+    u1_b = _gather(u1, refs["ball"])
 
     def residual_coarse(x):
-        return (box_mode_integrals(spec, x[0], x[1:], refs["coarse"],
+        return (box_mode_integrals(spec, g, x[0], x[1:], refs["coarse"],
                                    u1_c, vol * 8)
                 - sgn * refs["coarse_consts"])
 
     def residual(x):
-        return (box_mode_integrals(spec, x[0], x[1:], refs["ball"], u1_b,
+        return (box_mode_integrals(spec, g, x[0], x[1:], refs["ball"], u1_b,
                                    vol)
                 - sgn * refs["ball_consts"])
 

@@ -51,6 +51,15 @@ class TestConfigFormat:
         with pytest.raises(ValueError, match=f"evolution {name} must be"):
             EvolutionConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        *[(f.name, v) for f in dataclasses.fields(Thresholds)
+          if f.name != "newton_max_iters"
+          for v in (0.0, -1.0, math.nan, math.inf)],
+        *[("newton_max_iters", v) for v in (0, -3, 2.5)]])
+    def test_invalid_thresholds_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^thresholds {name} must be"):
+            Thresholds(**{name: value})
+
     def test_sweep_resolution(self):
         assert (SWEEP_EVOLUTION.n, SWEEP_EVOLUTION.r_max, SWEEP_EVOLUTION.t_max,
                 SWEEP_EVOLUTION.monitor_stride) == (8192, 64.0, 45.0, 0.25)
@@ -372,6 +381,27 @@ class TestCLI:
         assert len(captured.err.splitlines()) == 1
         assert message in captured.err
         assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "quadrant"])
+    @pytest.mark.parametrize("line, name", [
+        ("delta_A = nan", "delta_A"), ("tol_orth = -1", "tol_orth"),
+        ("newton_max_iters = 0", "newton_max_iters")])
+    def test_invalid_thresholds_exit_3(self, tmp_path, capsys, monkeypatch,
+                                       command, line, name):
+        # rejected while the config loads, before the spectral build
+        monkeypatch.setattr(cli, "build_spectral_data", _forbidden)
+        monkeypatch.setattr(cli, "run_quadrant_sweep", _forbidden)
+        conf = tmp_path / "bad.ini"
+        conf.write_text("[experiment]\nname = bad\nrecipe = bump\n\n"
+                        f"[thresholds]\n{line}\n")
+        out = tmp_path / "out"
+        code = cli_main([command, "--config", str(conf), "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert f"thresholds {name} must be" in captured.err
         assert not out.exists()
 
     def test_quadrant_undetermined_exits_2(self, tmp_path, capsys):

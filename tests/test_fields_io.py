@@ -124,6 +124,17 @@ class TestSerialization:
         assert back.grid == g
         assert np.array_equal(back.values, fld.values)
 
+    @pytest.mark.parametrize("spacing, beta", [
+        ("sinh", "0.0"), ("sinh", "nan"), ("sinh", "inf"), ("uniform", "nan")])
+    def test_bad_beta_header_rejected(self, tmp_path, spacing, beta):
+        g = RadialGrid(3, 50.0, 32, spacing, 4.0)
+        path = tmp_path / "field.dat"
+        save_radial_field(path, RadialField(g, np.exp(-g.r)))
+        text = path.read_text().replace("beta=4.0", f"beta={beta}")
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^beta"):
+            load_radial_field(path)
+
     def test_state_round_trip_radial(self, tmp_path):
         g = RadialGrid(3, 50.0, 128, "uniform")
         s = State(RadialField(g, np.exp(-g.r)),

@@ -42,6 +42,10 @@ def test_grid_invariants():
     (lambda: RadialGrid(3, math.nan, 64), "r_max"),
     (lambda: RadialGrid(3, math.inf, 64, "uniform"), "r_max"),
     (lambda: RadialGrid(3, 0.0, 64), "r_max"),
+    (lambda: RadialGrid(3, 64.0, 64, "sinh", 0.0), "beta"),
+    (lambda: RadialGrid(3, 64.0, 64, "sinh", math.nan), "beta"),
+    (lambda: RadialGrid(3, 64.0, 64, "sinh", -math.inf), "beta"),
+    (lambda: RadialGrid(3, 64.0, 64, "uniform", math.nan), "beta"),
 ])
 def test_bad_grid_sizes_rejected(make, name):
     with warnings.catch_warnings():

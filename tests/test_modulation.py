@@ -12,9 +12,9 @@ from critwave.config import SWEEP_EVOLUTION
 from critwave.experiments import (BoxResidualClosure, assemble_box_exact,
                                   random_box_closure,
                                   random_orthogonal_residual)
-from critwave.fields import (BLOCK_POINTS, RadialField, State, UniformSpline,
-                             eval_W, eval_W_dr, nonlinearity_power,
-                             sobolev_exponent)
+from critwave.fields import (BLOCK_POINTS, Field3D, RadialField, State,
+                             UniformSpline, eval_W, eval_W_dr,
+                             nonlinearity_power, sobolev_exponent)
 from critwave.functionals import (crit_norm, energy_E, functional_K,
                                   h1_seminorm_sq, l2_inner, l2_norm_sq,
                                   norm_H, symplectic_omega)
@@ -200,6 +200,63 @@ class TestRoundTrip:
         assert fit.converged
         assert abs(fit.sigma - 0.1) <= 1e-6
         assert np.max(np.abs(fit.c - np.array([0.2, 0.0, 0.0]))) <= 1e-6
+
+
+class TestBoxSign:
+    """The box fit's sign: the nearer of +-W in L^2 on the stride-2 coarse
+    lattice."""
+
+    @staticmethod
+    def full_box_sign(g, u1, margin):
+        """Oracle: the sign by the L^2 distances to +-W over the whole box;
+        0 where the two are comparably distant."""
+        x, y, z = g.open_mesh
+        w = np.asarray(eval_W(3, x * x + y * y + z * z))
+        uu, cross, w_sq = g.quad(u1 ** 2), g.quad(u1 * w), g.quad(w ** 2)
+        dist = {sgn: uu - 2 * sgn * cross + w_sq for sgn in (+1, -1)}
+        lo, hi = min(dist.values()), max(dist.values())
+        if hi > 0 and (hi - lo) < margin * hi:
+            return 0
+        return +1 if dist[+1] <= dist[-1] else -1
+
+    def test_negative_member(self, ctx, rng):
+        g = Box3DGrid(6.0, 25)
+        closure = random_box_closure(ctx["spec"], g, rng, amplitude=0.02)
+        u = assemble_box_exact(g, -1, 0.1, (0.2, -0.1, 0.3), closure)
+        assert fit_modulation(u, ctx["spec"], ctx["th"]).sign_s == -1
+
+    @pytest.mark.parametrize("half_width, m", [(6.0, 25), (20.0, 64)])
+    def test_odd_state_is_ambiguous(self, ctx, half_width, m):
+        g = Box3DGrid(half_width, m)
+        x, y, z = g.open_mesh
+        u1 = x * np.exp(-(x * x + y * y + z * z) / 4.0)
+        s = State(Field3D(g, u1), Field3D(g, np.zeros((m, m, m))))
+        with pytest.raises(SignAmbiguityError):
+            fit_modulation(s, ctx["spec"], ctx["th"])
+
+    def test_coarse_choice_equals_full_box_choice(self, ctx):
+        # closures of H amplitude 1 to 1000: near the family the sign is
+        # the assembled one; far from it the sign rests on the closure's
+        # overlap with W, and some states are ambiguous.  The sign is
+        # chosen before the Newton solve, so one ball step suffices.
+        spec = ctx["spec"]
+        th = dataclasses.replace(ctx["th"], newton_max_iters=1)
+        g = Box3DGrid(20.0, 64)
+        rng = np.random.default_rng(12345)
+        seen = []
+        for i in range(8):
+            closure = random_box_closure(spec, g, rng,
+                                         amplitude=10 ** rng.uniform(0, 3))
+            u = assemble_box_exact(g, (-1) ** i, float(rng.uniform(-0.3, 0.3)),
+                                   rng.uniform(-0.4, 0.4, size=3), closure)
+            want = self.full_box_sign(g, u.u1.values, th.sign_ambiguity_margin)
+            try:
+                got = fit_modulation(u, spec, th).sign_s
+            except SignAmbiguityError:
+                got = 0
+            assert got == want, i
+            seen.append(got)
+        assert set(seen) == {1, -1, 0}
 
 
 class TestModeSplit:
@@ -598,11 +655,10 @@ class TestBoxModeSampler:
         lam0 = amp * np.asarray(spectral.lambda0_rho_profile(es * rr))
         slope = (amp * es * np.asarray(rho_dr_profile(es * rr))
                  / np.maximum(rr, 1e-300))
-        got = box_mode_parts(spectral, sigma, c, (x, y, z))
+        got = box_mode_parts(spectral, sigma, (dx_, dy_, dz_))
+        assert len(got) == 2
         assert np.array_equal(got[0], lam0)
         assert np.array_equal(got[1], slope)
-        for a, b in zip(got[2], (dx_, dy_, dz_)):
-            assert np.array_equal(a, b)
 
 
 class TestOpenMeshReferences:
@@ -618,25 +674,34 @@ class TestOpenMeshReferences:
         radius = np.sqrt(x * x + y * y + z * z)
         w = np.asarray(eval_W(3, radius ** 2))
         ball = radius <= g.half_width
-        ball_pts = tuple(a[ball] for a in mesh)
-        coarse_pts = tuple(a[::2, ::2, ::2].ravel() for a in mesh)
+        stride2 = np.zeros((m, m, m), dtype=bool)
+        stride2[::2, ::2, ::2] = True
+        w_c = w[::2, ::2, ::2].ravel()
         zero = np.zeros(3)
         refs = _box_fit_refs(spec, g)
-        assert np.array_equal(refs["W"], w)
-        assert np.array_equal(refs["ball_where"], ball)
-        for key, want in (("ball", ball_pts), ("coarse", coarse_pts)):
-            assert all(np.array_equal(a, b) for a, b in zip(refs[key], want))
+        # no cube is kept: the node sets are int16 axis indices
+        assert set(refs) == {"grad_W_sq", "ball", "coarse", "W_coarse",
+                             "W_sq_coarse", "ball_consts", "coarse_consts"}
+        for key, where in (("ball", ball), ("coarse", stride2)):
+            nodes = refs[key]
+            assert all(a.dtype == np.int16 for a in nodes)
+            # exactly the dense mesh's points, in C order
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(nodes, np.nonzero(where)))
+            assert all(np.array_equal(g.axis[a], b[where])
+                       for a, b in zip(nodes, mesh))
+        assert np.array_equal(refs["W_coarse"], w_c)
+        assert refs["W_sq_coarse"] == float(np.sum(w_c ** 2)
+                                            * (g.cell_volume * 8))
         gx, gy, gz = g.gradient(w)
         assert refs["grad_W_sq"] == g.quad(gx * gx + gy * gy + gz * gz)
-        assert refs["W_sq"] == g.quad(w ** 2)
         assert np.array_equal(refs["ball_consts"], box_mode_integrals(
-            spec, 0.0, zero, ball_pts, w[ball], g.cell_volume))
+            spec, g, 0.0, zero, np.nonzero(ball), w[ball], g.cell_volume))
         assert np.array_equal(refs["coarse_consts"], box_mode_integrals(
-            spec, 0.0, zero, coarse_pts, w[::2, ::2, ::2].ravel(),
-            8 * g.cell_volume))
-        lam0, slope, disp = box_mode_parts(spec, 0.0, zero, mesh)
+            spec, g, 0.0, zero, np.nonzero(stride2), w_c, 8 * g.cell_volume))
+        lam0, slope = box_mode_parts(spec, 0.0, mesh)
         modes = box_modes(spec, g)
-        for j, want in enumerate([lam0] + [slope * d for d in disp]):
+        for j, want in enumerate([lam0] + [slope * d for d in mesh]):
             got = modes.mode(j, slice(None))
             assert got.shape == (m, m, m)
             assert np.array_equal(got, want)
@@ -723,8 +788,9 @@ class TestBlockedModeIntegrals:
     @staticmethod
     def mode_field_sums(spec, sigma, c, pts, u):
         """The residual's formula before blocking: sum(u * m) over the
-        four mode fields."""
-        lam0, slope, disp = box_mode_parts(spec, sigma, c, pts)
+        four mode fields at the points pts."""
+        disp = [p - cj for p, cj in zip(pts, c)]
+        lam0, slope = box_mode_parts(spec, sigma, disp)
         return np.array([float(np.sum(u * m))
                          for m in [lam0] + [slope * d for d in disp]])
 
@@ -734,11 +800,14 @@ class TestBlockedModeIntegrals:
                                    2 * BLOCK_POINTS + 1])
     def test_match_mode_field_sums(self, spectral, sigma, c, n):
         rng = np.random.default_rng(n)
-        pts = tuple(rng.uniform(-6.0, 6.0, n) for _ in range(3))
+        g = Box3DGrid(6.0, 64)
+        nodes = tuple(rng.integers(0, g.m, n).astype(np.int16)
+                      for _ in range(3))
+        pts = tuple(g.axis[a] for a in nodes)
         rsq = pts[0] ** 2 + pts[1] ** 2 + pts[2] ** 2
         u = (1.0 + rsq / 3.0) ** -0.5 * (1.0 + 0.1 * rng.normal(size=n))
         c = np.array(c)
-        got = box_mode_integrals(spectral, sigma, c, pts, u, 0.25)
+        got = box_mode_integrals(spectral, g, sigma, c, nodes, u, 0.25)
         want = 0.25 * self.mode_field_sums(spectral, sigma, c, pts, u)
         assert got.shape == (4,)
         if n == 0:
@@ -775,8 +844,8 @@ class TestSlabOracles:
 
     @staticmethod
     def whole_cube_modes(spec, g):
-        lam0, slope, disp = box_mode_parts(spec, 0.0, np.zeros(3), g.open_mesh)
-        modes = [lam0] + [slope * d for d in disp]
+        lam0, slope = box_mode_parts(spec, 0.0, g.open_mesh)
+        modes = [lam0] + [slope * d for d in g.open_mesh]
         gram = np.empty((4, 4))
         for i in range(4):
             for j in range(i, 4):

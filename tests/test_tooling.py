@@ -184,14 +184,24 @@ def test_box_round_trip_memory_budget(spectral):
     # tracemalloc sees numpy's array buffers.  The closure, the assembly and
     # the fit each allocate at most two (m, m, m) cubes beyond what they
     # keep (their outputs and the spectrum's box caches), plus the arrays of
-    # one slab pass; the box caches hold at most three cubes (Lambda_0 rho,
-    # the mode slope, W) plus the point sets.  Measured at m = 100: 2.18,
-    # 0.13 and 1.90 cubes and 3.0004 cubes plus the point sets; the whole-
-    # cube layer took 8.0, 6.0 and 5.0 and held 5.0.
+    # one slab pass; the fit's share includes the first build of the fit
+    # references.  The box caches hold at most two cubes (Lambda_0 rho and
+    # the mode slope) plus the lattices: int16 axis indices of the ball and
+    # coarse nodes, and W on the coarse lattice.  Measured at m = 100:
+    # 2.18, 0.13 and 2.18 cubes (the W cube of the first build is now
+    # transient), and 2.0004 cubes plus the lattices (0.61 cubes); with
+    # float64 point sets and W and ball cubes the caches held 3.0004 cubes
+    # plus the point sets, and the whole-cube layer took 8.0, 6.0 and 5.0
+    # and held 5.0.
     spec = dataclasses.replace(spectral)      # an empty cache
     g = Box3DGrid(20.0, 100)
     cube = 8 * g.m ** 3
     slab = 8 * g.m ** 2 * max(BLOCK_POINTS // g.m ** 2, 1)
+    x, y, z = g.open_mesh
+    n_ball = int(np.count_nonzero(np.sqrt(x * x + y * y + z * z)
+                                  <= g.half_width))
+    n_coarse = -(-g.m // 2) ** 3
+    lattices = 3 * 2 * (n_ball + n_coarse) + 8 * n_coarse
     rng = np.random.default_rng(7)
 
     def transient(fn):
@@ -214,7 +224,6 @@ def test_box_round_trip_memory_budget(spectral):
     assert closure_extra <= budget, closure_extra / cube
     assert assembly_extra <= budget, assembly_extra / cube
     assert fit_extra <= budget, fit_extra / cube
-    refs = spec._per_grid[("box_fit_refs", g)]
-    points = _nbytes([refs["ball"], refs["coarse"], refs["ball_where"]])
-    held = _nbytes(spec._per_grid[("box_modes", g)]) + _nbytes(refs)
-    assert held <= 3 * cube + points + cube // 100, (held - points) / cube
+    held = (_nbytes(spec._per_grid[("box_modes", g)])
+            + _nbytes(spec._per_grid[("box_fit_refs", g)]))
+    assert held <= 2 * cube + lattices + cube // 100, (held - lattices) / cube
