@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from critwave import evolve
+from critwave import evolve, spectral as spectral_mod
 from critwave.config import Thresholds
 from critwave.evolve import TrajectoryRecord, evolve_direction
 from critwave.fields import Field3D, RadialField, State, eval_W
@@ -73,6 +73,25 @@ def direction_calls(monkeypatch):
         return evolve_direction(*args, **kwargs)
 
     monkeypatch.setattr(evolve, "evolve_direction", counting)
+    return calls
+
+
+@pytest.fixture()
+def lapack_calls(monkeypatch):
+    """Call counts of the banded LAPACK routines ``spectral`` uses."""
+    calls = dict.fromkeys(("cholesky_banded", "cho_solve_banded",
+                           "solve_banded"), 0)
+
+    def counting(name):
+        routine = getattr(spectral_mod, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(spectral_mod, name, counting(name))
     return calls
 
 

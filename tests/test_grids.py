@@ -106,6 +106,15 @@ def test_tail_fit_power_law():
     assert abs(c) < 1e-60
 
 
+@pytest.mark.parametrize("grid", [RadialGrid(3, 200.0, 4096, "sinh", 6.0),
+                                  RadialGrid(3, 64.0, 2048, "uniform")])
+def test_tail_fit_design_well_conditioned(grid):
+    # the plain [1, r^-2] design over the same nodes is near 4e6
+    proj, _, _, _ = grid._tail_projector
+    assert proj.shape == (2, 12)
+    assert np.linalg.cond(proj) < 4.0
+
+
 @settings(max_examples=20, deadline=None)
 @given(scale=st.floats(0.2, 3.0), width=st.floats(0.5, 4.0))
 def test_quadrature_linearity(scale, width):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.linalg import LinAlgError
 from scipy.optimize import brentq
 
 from critwave import spectral as spectral_mod
+from critwave.cli import load_reference_constants
 from critwave.fields import (RadialField, eval_W, eval_W_dr,
                              eval_W_prime_mode, nonlinearity_power)
 from critwave.functionals import (h1_seminorm_sq, l2_inner, l2_norm_sq,
@@ -43,6 +45,11 @@ class TestEigenpair:
         assert spectral.k == pytest.approx(K_REFERENCE_D3, rel=1e-12)
         assert spectral.k > 0
 
+    def test_reference_constants(self, spectral):
+        ref = load_reference_constants()
+        assert spectral.a_W == pytest.approx(ref["a_W"], rel=1e-12)
+        assert spectral.b_W == pytest.approx(ref["b_W"], rel=1e-12)
+
     def test_matrix_vs_shooting(self, spectral):
         assert spectral.residuals["k_rel_diff"] <= 1e-4
 
@@ -75,6 +82,54 @@ class TestEigenpair:
         assert spec5.k > 0
         assert spec5.residuals["k_rel_diff"] <= 1e-4
         assert spec5.a_W > 0 and spec5.b_W > 0
+
+
+def _fail(*args, **kwargs):
+    raise LinAlgError("forced failure")
+
+
+class TestBandedSolve:
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_matches_dense_eigh(self, d):
+        op = LinearizedOperator(RadialGrid(d, 60.0, 512, "uniform"))
+        v, lam = _inverse_iteration(op)
+        evals, evecs = np.linalg.eigh(op.matrix.toarray())
+        v_ref = evecs[:, 0] * np.sign(evecs[:, 0].sum())
+        assert lam == pytest.approx(evals[0], rel=1e-12)
+        assert np.max(np.abs(v - v_ref)) <= 1e-10
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_refinement_stops_at_the_rounding_floor(self, d, lapack_calls):
+        # the residual stalls near 2e-11 here, above the 1e-11 stop, so the
+        # refinement ends when a step fails to halve it, not at 10 shifts
+        op = LinearizedOperator(RadialGrid(d, 60.0, 16384, "uniform"))
+        v, lam = _inverse_iteration(op)
+        assert lapack_calls["cholesky_banded"] == 1
+        assert lapack_calls["cho_solve_banded"] == 8
+        assert lapack_calls["solve_banded"] <= 3
+        resid = np.linalg.norm(op.matrix @ v - lam * v)
+        assert resid <= 1e-9 * max(1.0, abs(lam))
+
+    def test_cholesky_failure_names_the_shift(self, monkeypatch):
+        monkeypatch.setattr(spectral_mod, "cholesky_banded", _fail)
+        op = LinearizedOperator(RadialGrid(3, 60.0, 512, "uniform"))
+        with pytest.raises(SpectralConsistencyError, match="fixed shift -6"):
+            _inverse_iteration(op)
+
+    def test_shift_collision_keeps_the_iterate(self, monkeypatch):
+        # every Rayleigh-quotient solve fails: the pair returned is the one
+        # the eight fixed-shift solves reach (oracle: dense solves)
+        monkeypatch.setattr(spectral_mod, "solve_banded", _fail)
+        op = LinearizedOperator(RadialGrid(3, 60.0, 512, "uniform"))
+        v, lam = _inverse_iteration(op)
+        a = op.matrix.toarray()
+        v_ref = np.exp(-op.grid.r) * op._weight
+        v_ref /= np.linalg.norm(v_ref)
+        for _ in range(8):
+            v_ref = np.linalg.solve(a + 6.0 * np.eye(len(v_ref)), v_ref)
+            v_ref /= np.linalg.norm(v_ref)
+        assert np.max(np.abs(v - v_ref)) <= 1e-12
+        assert lam == float(v @ (op.matrix @ v))
 
 
 def _oracle_mismatch(k: float, d: int, rtol: float = 1e-12) -> float:

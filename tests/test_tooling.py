@@ -12,6 +12,7 @@ from critwave.experiments import assemble_box_exact, random_box_closure
 from critwave.fields import BLOCK_POINTS
 from critwave.grids import Box3DGrid
 from critwave.modulation import fit_modulation
+from critwave.spectral import build_spectral_data
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -32,6 +33,14 @@ def test_tracing_targets_resolve():
         # raises when the module, class or function is gone
         _, _, original = tracing._resolve(module, path)
         assert callable(original), f"critwave.{module}.{path}"
+
+
+def test_default_spectral_build_factorizes_three_times(lapack_calls):
+    # one banded Cholesky for the fixed shift and one banded LU for each of
+    # the two Rayleigh-quotient shifts
+    build_spectral_data(cross_check=False)
+    assert lapack_calls == {"cholesky_banded": 1, "cho_solve_banded": 8,
+                            "solve_banded": 2}
 
 
 # package definitions kept without a caller in src/, each with its reason
