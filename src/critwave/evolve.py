@@ -5,8 +5,9 @@ into w_tt = w_rr + w^5 / r^4 on the half-line with w(0) = 0, which is
 discretized on a uniform cell-centered grid (odd-parity fold at the
 origin, 4th-order five-point Laplacian inside, first-order outgoing
 Sommerfeld closure at r_max) and stepped with velocity-Verlet at a fixed
-CFL fraction.  Runs are sized so the light cone of the perturbed region
-never returns reflections into the monitored window.
+CFL fraction, in the compiled kernel ``_verlet.c``.  Runs are sized so the
+light cone of the perturbed region never returns reflections into the
+monitored window.
 
 Monitors record conserved quantities, the distance to the soliton family,
 the modulation parameters (sigma, lambda_1, lambda_2), the rescaled time
@@ -19,13 +20,19 @@ an honest Undetermined otherwise.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -61,19 +68,125 @@ CONFIRM_MARGIN = 2.0        # the confirmation ball's radius beyond the |u| peak
 # largest eigenvalue of the five-point -w_rr stencil: dt / h < sqrt(3) / 2
 CFL_LIMIT = math.sqrt(3.0) / 2.0
 
+# the stepper's C source and its build flags: -ffp-contract=off keeps every
+# multiply and add separately rounded, as numpy rounds them
+_SOURCE = Path(__file__).with_name("_verlet.c")
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+_STOPS = ("target", "floor", "overflow")     # by the kernel's stop code
+
 
 # ---------------------------------------------------------------------------
 # the stepper
 # ---------------------------------------------------------------------------
 
+class _Stride(ctypes.Structure):
+    """The kernel's account of one advance() stride (``cw_stride``)."""
+
+    _fields_ = [("t", ctypes.c_double), ("min_dt", ctypes.c_double),
+                ("steps", ctypes.c_longlong), ("capped", ctypes.c_longlong)]
+
+
+def _build_kernel(source: Path, cc: str, cache_dir: Path) -> Path:
+    """The shared library of the C file ``source``, built by the compiler
+    command ``cc`` into ``cache_dir`` unless it is there already.
+
+    Its name is keyed by a hash of the source, the flags and the output of
+    ``cc --version``.  The compiler writes a temporary file that is then
+    renamed into place, so processes may build into one directory at once.
+    Raises ImportError when ``cc`` cannot be run or fails.
+    """
+    try:
+        version = subprocess.run([cc, "--version"], capture_output=True,
+                                 check=True, text=True).stdout
+    except (OSError, subprocess.CalledProcessError) as exc:
+        raise ImportError(f"critwave.evolve compiles its stepper with the C "
+                          f"compiler command {cc!r}, which could not be run "
+                          f"({exc}); install a C compiler") from exc
+    key = hashlib.sha256(b"\0".join([source.read_bytes(),
+                                     " ".join(_CFLAGS).encode(),
+                                     version.encode()])).hexdigest()[:16]
+    lib = cache_dir / f"{source.stem}-{key}.so"
+    if lib.exists():
+        return lib
+    tmp = None
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f"{source.stem}-", suffix=".tmp",
+                                   dir=cache_dir)
+        os.close(fd)
+        subprocess.run([cc, *_CFLAGS, "-o", tmp, str(source), "-lm"],
+                       capture_output=True, check=True, text=True)
+        os.replace(tmp, lib)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = getattr(exc, "stderr", None) or exc
+        raise ImportError(f"could not build {source} with {cc!r} into "
+                          f"{cache_dir}: {detail}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+def _kernel_status(code: int, func, _args) -> int:
+    """ctypes ``errcheck`` of the kernel's functions, which return -1 when
+    they cannot allocate their work array of n doubles."""
+    if code < 0:
+        raise MemoryError(f"{func.__name__} could not allocate its work array")
+    return code
+
+
+def _load_kernel(path: Path) -> ctypes.CDLL:
+    """The kernel library at ``path`` with every function's signature."""
+    lib = ctypes.CDLL(str(path))
+    vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    n, real = ctypes.c_ssize_t, ctypes.c_double
+    lib.cw_force.argtypes = [n, vec, vec, vec, vec, real, real]
+    lib.cw_steps.argtypes = [n, vec, vec, vec, vec, real, real,
+                             ctypes.c_longlong, real]
+    lib.cw_advance.argtypes = [ctypes.POINTER(_Stride), n, vec, vec, vec, vec,
+                               real, real, real, real, real, real, real]
+    for fn in (lib.cw_force, lib.cw_steps, lib.cw_advance):
+        fn.restype = ctypes.c_int
+        fn.errcheck = _kernel_status
+    return lib
+
+
+# built (once per compiler and source) and loaded at import, so that no run
+# pays for the build
+_KERNEL = _load_kernel(_build_kernel(_SOURCE, "cc",
+                                     _SOURCE.parent / "__pycache__"))
+
+
+@dataclass
+class StepCounts:
+    """Steps taken, the steps whose nonlinear dt cap was below dt0, and the
+    smallest dt taken (inf before the first step); ``+`` merges two."""
+
+    steps: int = 0
+    capped: int = 0
+    min_dt: float = math.inf
+
+    def __add__(self, other: "StepCounts") -> "StepCounts":
+        return StepCounts(self.steps + other.steps,
+                          self.capped + other.capped,
+                          min(self.min_dt, other.min_dt))
+
+
 class RadialWaveEvolver:
-    """Velocity-Verlet integrator for w_tt = w_rr + w^5 / r^4 (d = 3)."""
+    """Velocity-Verlet integrator for w_tt = w_rr + w^5 / r^4 (d = 3).
+
+    The force and the steps run in the compiled kernel ``_verlet.c``, on
+    copies: no method writes to the arrays it is given.
+    """
 
     def __init__(self, grid: RadialGrid, cfl: float):
         if grid.d != 3:
             raise ValueError("the evolution engine is d = 3 only")
         if grid.spacing != "uniform":
             raise ValueError("evolution requires a uniform grid")
+        if grid.n < 5:
+            raise ValueError(f"the five-point stencil needs at least 5 nodes, "
+                             f"not {grid.n}")
         if not 0.0 < cfl < CFL_LIMIT:
             raise ValueError(f"cfl = {cfl!r} outside (0, sqrt(3)/2 = "
                              f"{CFL_LIMIT:.4f}), the Verlet limit of the "
@@ -84,109 +197,62 @@ class RadialWaveEvolver:
         self.r_sq = grid.r * grid.r
         self.dt0 = cfl * self.h
         self.inv12h2 = 1.0 / (12.0 * self.h * self.h)
-        # work buffers of force() and _step(); _u_sq holds u^2 = w^2 / r^2
-        # of the last force() or amplitude() call
-        self._tmp = np.empty(grid.n)
-        self._u_sq = np.empty(grid.n)
 
-    def force(self, w: np.ndarray, v: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
+    def _own(self, x) -> np.ndarray:
+        """A float64 copy of a node array, for the kernel to write into."""
+        x = np.array(x, dtype=np.float64)
+        if x.shape != (self.grid.n,):
+            raise ValueError(f"expected {self.grid.n} nodes, got an array of "
+                             f"shape {x.shape}")
+        return x
+
+    def force(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Acceleration w_rr + w^5 / r^4 with the origin fold and the
-        outgoing closure; written into ``out`` when given."""
-        h, c = self.h, self.inv12h2
-        a = np.empty_like(w) if out is None else out
-        inner, tmp = a[2:-2], self._tmp[2:-2]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # (-w[i-2] + 16 w[i-1] - 30 w[i] + 16 w[i+1] - w[i+2]) * c
-            np.negative(w[:-4], out=inner)
-            inner += np.multiply(w[1:-3], 16.0, out=tmp)
-            inner -= np.multiply(w[2:-2], 30.0, out=tmp)
-            inner += np.multiply(w[3:-1], 16.0, out=tmp)
-            inner -= w[4:]
-            inner *= c
-            # odd-parity ghosts across r = 0
-            a[0] = (-46.0 * w[0] + 17.0 * w[1] - w[2]) * c
-            a[1] = (17.0 * w[0] - 30.0 * w[1] + 16.0 * w[2] - w[3]) * c
-            a[-2] = (w[-3] - 2.0 * w[-2] + w[-1]) / (h * h)
-            u_sq = self._square_u(w)
-            nl = np.multiply(w, u_sq, out=self._tmp)
-            nl *= u_sq
-            a += nl
-            a[-1] = self._outgoing_row(w, v)
+        outgoing closure."""
+        w, v = self._own(w), self._own(v)
+        a = np.empty_like(w)
+        _KERNEL.cw_force(self.grid.n, w, v, a, self.r_sq, self.h, self.inv12h2)
         return a
-
-    def _square_u(self, w) -> np.ndarray:
-        return np.divide(np.multiply(w, w, out=self._u_sq), self.r_sq,
-                         out=self._u_sq)
-
-    def _outgoing_row(self, w, v) -> float:
-        """a[-1], the only row that reads v: the outgoing closure, whose
-        ghost follows from (d_t + d_r) w = 0 at the last node, plus the
-        nonlinear term w^5 / r^4."""
-        h = float(self.h)
-        wl = float(w[-1])
-        lin = (2.0 * float(w[-2]) - 2.0 * wl - 2.0 * h * float(v[-1])) / (h * h)
-        u_sq = (wl * wl) / float(self.r_sq[-1])
-        return lin + wl * u_sq * u_sq
-
-    def _step(self, w, v, a, dt: float) -> None:
-        """One velocity-Verlet step in place.  ``a`` is the force of the
-        previous step, force(w, v_half); its outgoing row is refreshed with
-        the full-step v first, which makes it exactly force(w, v)."""
-        half = 0.5 * dt
-        tmp = self._tmp
-        a[-1] = self._outgoing_row(w, v)
-        v += np.multiply(a, half, out=tmp)              # half-step velocity
-        w += np.multiply(v, dt, out=tmp)
-        self.force(w, v, out=a)
-        v += np.multiply(a, half, out=tmp)
 
     def steps(self, w, v, n: int, dt: float, a=None):
         """n velocity-Verlet steps; returns (w, v, last_force) as new arrays.
 
         One force evaluation per step, last_force = force(w, v_half).  Pass
         the last_force of the previous call as ``a`` to skip the evaluation
-        on entry too; n calls of one step equal one call of n steps.  The
-        inputs are not modified.
+        on entry too; n calls of one step equal one call of n steps.
         """
-        w, v = w.copy(), v.copy()
-        a = self.force(w, v) if a is None else a.copy()
-        for _ in range(n):
-            self._step(w, v, a, dt)
+        w, v = self._own(w), self._own(v)
+        a = self.force(w, v) if a is None else self._own(a)
+        _KERNEL.cw_steps(self.grid.n, w, v, a, self.r_sq, self.h, self.inv12h2,
+                         n, dt)
         return w, v, a
 
     def amplitude(self, w) -> float:
         """max |u| = sqrt(max w^2 / r^2) over all nodes (nan when w is not
-        finite); fills the force's u^2 buffer."""
+        finite)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return math.sqrt(float(np.max(self._square_u(w))))
+            return math.sqrt(float(np.max((w * w) / self.r_sq)))
 
     def advance(self, w, v, t: float, t_target: float, a=None):
         """Step from t to t_target under the nonlinear dt cap.
 
-        Before every step the amplitude sqrt(max u^2) over all nodes is
-        read from the force's own buffer and caps dt at
-        0.35 / (sqrt(5) amp^2).  Returns (w, v, a, t, stop) as in
-        :meth:`steps`, with ``stop`` one of "target" (t reached t_target),
-        "floor" (the cap fell below dt0 / DT_FLOOR_FACTOR) or "overflow" (the
-        amplitude is not finite or above _MAX_SAFE_AMP); on the last two,
-        t is the time of the state returned.  The inputs are not modified.
+        Before every step the amplitude sqrt(max u^2) over all nodes caps dt
+        at 0.35 / (sqrt(5) amp^2).  Returns (w, v, a, t, stop, counts), with
+        (w, v, a) as in :meth:`steps`, ``stop`` one of "target" (t reached
+        t_target), "floor" (the cap fell below dt0 / DT_FLOOR_FACTOR) or
+        "overflow" (the amplitude is not finite or above _MAX_SAFE_AMP), and
+        the :class:`StepCounts` of the stride; on the last two stops, t is
+        the time of the state returned.
         """
-        w, v = w.copy(), v.copy()
-        a = self.force(w, v) if a is None else a.copy()
-        amp = self.amplitude(w)
-        while True:
-            if not amp <= _MAX_SAFE_AMP:
-                return w, v, a, t, "overflow"
-            if t >= t_target - 1e-12:
-                return w, v, a, t, "target"
-            dt_cap = _nl_dt_cap(amp, self.dt0)
-            if dt_cap < self.dt0 / DT_FLOOR_FACTOR:
-                return w, v, a, t, "floor"
-            dt = min(dt_cap, t_target - t)
-            self._step(w, v, a, dt)
-            t += dt
-            amp = math.sqrt(float(np.max(self._u_sq)))
+        w, v = self._own(w), self._own(v)
+        a = self.force(w, v) if a is None else self._own(a)
+        out = _Stride()
+        stop = _KERNEL.cw_advance(ctypes.byref(out), self.grid.n, w, v, a,
+                                  self.r_sq, self.h, self.inv12h2, self.dt0,
+                                  self.dt0 / DT_FLOOR_FACTOR, _MAX_SAFE_AMP,
+                                  t, t_target)
+        return (w, v, a, out.t, _STOPS[stop],
+                StepCounts(out.steps, out.capped, out.min_dt))
 
     def state_to_wv(self, s: State):
         if s.grid != self.grid:
@@ -421,6 +487,7 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     rows: list[dict] = []
     checkpoints: list[tuple[float, np.ndarray, np.ndarray]] = []
     t = 0.0
+    counts = StepCounts()
     exceeded_at, stepper_floor, nan_seen = None, False, False
     while True:
         amp = ev.amplitude(w)
@@ -442,9 +509,9 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
             break
         if t >= 1.5 * SCATTER_WINDOW and _scatters(rows, th):
             break
-        w, v, a, t, stop = ev.advance(w, v, t,
-                                      min(t + cfg.monitor_stride, cfg.t_max),
-                                      a)
+        w, v, a, t, stop, stride = ev.advance(
+            w, v, t, min(t + cfg.monitor_stride, cfg.t_max), a)
+        counts += stride
         if stop == "floor":
             stepper_floor = True
             exceeded_at = t
@@ -455,19 +522,14 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     verdict, detail = _classify(rows, cfg, th, exceeded_at, nan_seen,
                                 stepper_floor, checkpoints, ev, threshold)
     detail["sign_disagreements"] = mon.sign_disagreements
+    detail.update(steps=counts.steps, capped_steps=counts.capped,
+                  min_dt=_json_num(counts.min_dt))
     run = DirectionRun(series=series, verdict=verdict, detail=detail)
     try:
         run.ejection_rate = fit_ejection_rate(series, spec, th)["rate"]
     except (ValueError, RuntimeError):
         run.ejection_rate = math.nan
     return run
-
-
-def _nl_dt_cap(amp: float, dt0: float) -> float:
-    """Stability cap from the instantaneous nonlinear frequency sqrt(5) u^2
-    at a finite amplitude."""
-    omega = math.sqrt(5.0) * amp * amp
-    return min(dt0, 0.35 / max(omega, 1e-300))
 
 
 def _scatters(rows: list[dict], th: Thresholds) -> bool:
@@ -532,6 +594,9 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
 
     def result(confirmed, t, **info):
         return confirmed, {"confirmed": confirmed, **info,
+                           "confirm_steps": counts.steps,
+                           "confirm_capped_steps": counts.capped,
+                           "confirm_min_dt": _json_num(counts.min_dt),
                            "confirm_radius": fine.r_max,
                            "confirm_nodes": fine.n,
                            "confirm_fallback": fallback,
@@ -539,6 +604,7 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
 
     a = None
     t = t0
+    counts = StepCounts()
     peak, prev_norm = 0.0, math.inf
     while t < horizon - 1e-12:
         nrm = (norm_H(ev2.wv_to_state(w, v)) if fallback
@@ -548,9 +614,9 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
             return result(True, t, mode="norm escape on refined grid",
                           t_confirm=t, refined_norm=nrm)
         prev_norm = nrm
-        w, v, a, t, stop = ev2.advance(w, v, t,
-                                       min(t + cfg.monitor_stride, horizon),
-                                       a)
+        w, v, a, t, stop, stride = ev2.advance(
+            w, v, t, min(t + cfg.monitor_stride, horizon), a)
+        counts += stride
         if stop != "target":
             mode = ("overflow" if stop == "overflow" else "stepper floor") \
                 + " on refined grid"

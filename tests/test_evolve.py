@@ -8,8 +8,8 @@ from critwave import evolve, modulation
 from critwave.config import EvolutionConfig
 from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, CONFIRM_REFINE,
                              CONFIRM_WINDOW, DT_FLOOR_FACTOR, SCATTER,
-                             UNDETERMINED, RadialWaveEvolver, _confirm_grid,
-                             _nl_dt_cap, _resample_w, evolve_direction,
+                             UNDETERMINED, RadialWaveEvolver, StepCounts,
+                             _confirm_grid, _resample_w, evolve_direction,
                              evolve_with_monitors, exterior_energy,
                              fit_ejection_rate, modulation_ode_residual,
                              one_pass_check)
@@ -148,6 +148,80 @@ def reference_verlet(ev, w, v, n, dt):
     return w, v, a
 
 
+def reference_nl_dt_cap(amp, dt0):
+    """Stability cap from the instantaneous nonlinear frequency sqrt(5) u^2
+    at a finite amplitude."""
+    omega = math.sqrt(5.0) * amp * amp
+    return min(dt0, 0.35 / max(omega, 1e-300))
+
+
+class ReferenceStepper:
+    """The numpy stepper that the compiled kernel replaced: one force
+    evaluation per step, the previous step's force carried with its outgoing
+    row refreshed from the full-step velocity, and advance() under the
+    nonlinear dt cap with max |u| over all nodes before every step.  Counts
+    its force evaluations and records (dt, cap) of every step."""
+
+    def __init__(self, ev):
+        self.ev = ev
+        self.force_calls = 0
+        self.taken = []
+
+    def force(self, w, v):
+        self.force_calls += 1
+        return reference_force(self.ev, w, v)
+
+    def outgoing_row(self, w, v):
+        h = float(self.ev.h)
+        wl = float(w[-1])
+        lin = ((2.0 * float(w[-2]) - 2.0 * wl - 2.0 * h * float(v[-1]))
+               / (h * h))
+        u_sq = (wl * wl) / float(self.ev.r_sq[-1])
+        return lin + wl * u_sq * u_sq
+
+    def step(self, w, v, a, dt, cap=math.nan):
+        half = 0.5 * dt
+        a = a.copy()
+        a[-1] = self.outgoing_row(w, v)
+        v = v + a * half
+        w = w + v * dt
+        a = self.force(w, v)
+        self.taken.append((dt, cap))
+        return w, v + a * half, a
+
+    def steps(self, w, v, n, dt, a=None):
+        a = self.force(w, v) if a is None else a
+        for _ in range(n):
+            w, v, a = self.step(w, v, a, dt)
+        return w, v, a
+
+    def advance(self, w, v, t, t_target, a=None):
+        """(w, v, a, t, stop, counts) as RadialWaveEvolver.advance."""
+        dt0 = self.ev.dt0
+        a = self.force(w, v) if a is None else a
+        first = len(self.taken)
+        amp = self.ev.amplitude(w)
+        while True:
+            if not amp <= _MAX_SAFE_AMP:
+                stop = "overflow"
+                break
+            if t >= t_target - 1e-12:
+                stop = "target"
+                break
+            dt_cap = reference_nl_dt_cap(amp, dt0)
+            if dt_cap < dt0 / DT_FLOOR_FACTOR:
+                stop = "floor"
+                break
+            dt = min(dt_cap, t_target - t)
+            w, v, a = self.step(w, v, a, dt, dt_cap)
+            t += dt
+            amp = self.ev.amplitude(w)
+        taken = self.taken[first:]
+        counts = StepCounts(len(taken), sum(cap < dt0 for _, cap in taken),
+                            min((dt for dt, _ in taken), default=math.inf))
+        return w, v, a, t, stop, counts
+
+
 class TestForceReuse:
     @pytest.fixture()
     def outgoing(self, dyn_grid):
@@ -159,21 +233,21 @@ class TestForceReuse:
     def test_carried_force_bitwise_equal_to_two_force_verlet(self, outgoing):
         ev, w0, v0 = outgoing
         dts = [ev.dt0] * 150 + [0.7 * ev.dt0] * 149 + [0.1 * ev.dt0]
-        calls = []
-        force = ev.force
-        ev.force = lambda *args, **kw: calls.append(1) or force(*args, **kw)
+        ref = ReferenceStepper(ev)
         w, v, a = w0, v0, None
+        wc, vc, ac = w0, v0, None
         for dt in dts:
             w, v, a = ev.steps(w, v, 1, dt, a)
-        del ev.force
+            wc, vc, ac = ref.steps(wc, vc, 1, dt, ac)
         wr, vr = w0, v0
         for dt in dts:
             wr, vr, ar = reference_verlet(ev, wr, vr, 1, dt)
         assert abs(vr[-1]) > 1e-3          # the outgoing row is exercised
-        assert np.array_equal(w, wr)
-        assert np.array_equal(v, vr)
-        assert np.array_equal(a, ar)
-        assert len(calls) == len(dts) + 1  # one force per step
+        for got in ((w, v, a), (wc, vc, ac)):
+            assert np.array_equal(got[0], wr)
+            assert np.array_equal(got[1], vr)
+            assert np.array_equal(got[2], ar)
+        assert ref.force_calls == len(dts) + 1  # one force per step
 
     def test_multi_step_call_bitwise_equal(self, outgoing):
         # each step refreshes the outgoing row with the full-step v, so one
@@ -190,6 +264,7 @@ class TestForceReuse:
         w_in, v_in = w0.copy(), v0.copy()
         _, _, a = ev.steps(w_in, v_in, 5, ev.dt0)
         a_in = a.copy()
+        ev.force(w_in, v_in)
         ev.steps(w_in, v_in, 5, ev.dt0, a_in)
         ev.advance(w_in, v_in, 0.0, 5.5 * ev.dt0, a_in)
         assert np.array_equal(w_in, w0)
@@ -204,7 +279,7 @@ def old_stride_loop(ev, w, v, t, t_target, a, floor_factor=4096.0):
     amp = float(np.max(np.abs(w / ev.r)))
     dts = []
     while t < t_target - 1e-12:
-        dt_cap = _nl_dt_cap(amp, ev.dt0)
+        dt_cap = reference_nl_dt_cap(amp, ev.dt0)
         if dt_cap < ev.dt0 / floor_factor:
             break
         dt = min(dt_cap, t_target - t)
@@ -217,14 +292,6 @@ def old_stride_loop(ev, w, v, t, t_target, a, floor_factor=4096.0):
     return w, v, a, t, dts
 
 
-def recorded_dts(ev):
-    """Record the dt of every step ev takes."""
-    dts = []
-    step_fn = ev._step
-    ev._step = lambda w, v, a, dt: dts.append(dt) or step_fn(w, v, a, dt)
-    return dts
-
-
 class TestAdvance:
     def test_bitwise_equal_to_one_step_run_loop(self, dyn_grid):
         # a moderate pulse never engages the cap; strides end off the dt grid
@@ -234,7 +301,7 @@ class TestAdvance:
         got = (w0, v0, None, 0.0)
         want = (w0, v0, None, 0.0)
         for t_target in (0.25, 0.5, 0.75, 0.9, 1.15):
-            *got, stop = ev.advance(*got[:2], got[3], t_target, got[2])
+            *got, stop, _ = ev.advance(*got[:2], got[3], t_target, got[2])
             assert stop == "target"
             want = old_stride_loop(ev, *want[:2], want[3], t_target, want[2])[:4]
             assert all(np.array_equal(x, y) for x, y in zip(got[:3], want[:3]))
@@ -253,11 +320,13 @@ class TestAdvance:
         t_target = 4.0 * ev.dt0
         *_, t_old, old_dts = old_stride_loop(ev, w, v, 0.0, t_target, None)
         assert old_dts[0] < ev.dt0 and old_dts[1] == ev.dt0
-        dts = recorded_dts(ev)
-        *_, t, stop = ev.advance(w, v, 0.0, t_target)
+        ref = ReferenceStepper(ev)
+        *_, t, stop, counts = ev.advance(w, v, 0.0, t_target)
+        assert ref.advance(w, v, 0.0, t_target)[3:] == (t, stop, counts)
         assert stop == "target" and t == t_old
-        assert dts[0] == old_dts[0]
-        assert dts[1] < ev.dt0          # the exact amplitude still caps step 2
+        assert ref.taken[0][0] == old_dts[0]
+        # the exact amplitude still caps step 2
+        assert counts.capped == 2 and ref.taken[1][0] < ev.dt0
 
     def test_nan_returns_overflow(self, dyn_grid):
         ev = RadialWaveEvolver(dyn_grid, 0.45)
@@ -265,19 +334,135 @@ class TestAdvance:
         w[100] = math.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            *_, t, stop = ev.advance(w, v, 1.5, 2.0)
+            *_, t, stop, counts = ev.advance(w, v, 1.5, 2.0)
         assert stop == "overflow"
         assert t == 1.5
+        assert counts == StepCounts()
 
     def test_cap_below_floor_returns_floor(self, dyn_grid):
         ev = RadialWaveEvolver(dyn_grid, 0.45)
         w, v = ev.state_to_wv(bump_state(dyn_grid, amp=1e3, width=1.0))
-        assert _nl_dt_cap(1e3, ev.dt0) < ev.dt0 / DT_FLOOR_FACTOR
-        dts = recorded_dts(ev)
-        w1, v1, _, t, stop = ev.advance(w, v, 1.5, 2.0)
+        assert reference_nl_dt_cap(1e3, ev.dt0) < ev.dt0 / DT_FLOOR_FACTOR
+        w1, v1, _, t, stop, counts = ev.advance(w, v, 1.5, 2.0)
         assert stop == "floor"
-        assert t == 1.5 and not dts
+        assert t == 1.5 and counts.steps == 0 and counts.min_dt == math.inf
         assert np.array_equal(w1, w) and np.array_equal(v1, v)
+        ref = ReferenceStepper(ev)
+        assert ref.advance(w, v, 1.5, 2.0)[3:] == (t, stop, counts)
+        assert not ref.taken
+
+
+def bitwise_equal(x, y):
+    """Equal bit patterns, except that any NaN equals any NaN."""
+    nan = np.isnan(x)
+    return (np.array_equal(nan, np.isnan(y))
+            and x[~nan].tobytes() == y[~nan].tobytes())
+
+
+def assert_strides_match_reference(ev, w, v, strides, t=0.0):
+    """advance() over consecutive strides, up to the first stop that is not
+    "target", bitwise equal to the reference stepper; returns the
+    reference's (stop, counts, taken) of each stride."""
+    ref = ReferenceStepper(ev)
+    got = want = (w, v, None, t)
+    out = []
+    for t_target in strides:
+        prev, kept = got, [x.copy() for x in got[:3] if x is not None]
+        *got, stop, counts = ev.advance(got[0], got[1], got[3], t_target,
+                                        got[2])
+        first = len(ref.taken)
+        *want, ref_stop, ref_counts = ref.advance(want[0], want[1], want[3],
+                                                  t_target, want[2])
+        assert all(bitwise_equal(x, y) for x, y in zip(got[:3], want[:3]))
+        assert (got[3], stop, counts) == (want[3], ref_stop, ref_counts)
+        # the inputs are untouched
+        assert all(bitwise_equal(x, y) for x, y in zip(prev[:3], kept))
+        out.append((stop, counts, ref.taken[first:]))
+        if stop != "target":
+            break
+    return out
+
+
+def focusing_pulse(grid, amp=1.0):
+    """An incoming pulse of w at r = 4 whose |u| grows as it nears r = 0."""
+    w = amp * np.exp(-((grid.r - 4.0) / 0.5) ** 2)
+    return w, np.gradient(w, grid.r)
+
+
+class TestKernelMatchesReference:
+    """The compiled advance() against the numpy reference stepper, on the
+    cases a fused loop could get wrong."""
+
+    @pytest.mark.parametrize("n", [16, 1023, 2561])
+    def test_node_counts_off_the_lane_width(self, n, spectral, dyn_grid):
+        if n == 2561:
+            # the head grid of a blow-up confirmation, at its halved CFL
+            g = dyn_grid
+            w = g.r * (np.asarray(eval_W(3, g.r ** 2))
+                       + 1e-3 * spectral.rho_on(g))
+            grid = _confirm_grid(g, w, 6.0)
+            w, cfl = _resample_w(g.r, w, grid.r), 0.225
+        else:
+            grid = RadialGrid(3, 16.0, 1024, "uniform").head(n)
+            w = grid.r * 0.5 * np.exp(-(grid.r - 0.5 * grid.r_max) ** 2)
+            cfl = 0.45
+        assert grid.n == n
+        ev = RadialWaveEvolver(grid, cfl)
+        strides = assert_strides_match_reference(
+            ev, w, np.zeros(n), [0.25, 0.5, 0.75])
+        assert [stop for stop, *_ in strides] == ["target"] * 3
+
+    def test_peak_in_the_last_node(self, dyn_grid):
+        # max |u| = 8 at node n - 1 of an odd grid, past the last full
+        # pair: it caps the first step, and the force's maximum caps the
+        # second
+        grid = RadialGrid(3, 64.0, 8192, "uniform").head(2561)
+        ev = RadialWaveEvolver(grid, 0.45)
+        w = np.zeros(grid.n)
+        w[-1] = 8.0 * grid.r[-1]
+        (stop, counts, taken), = assert_strides_match_reference(
+            ev, w, np.zeros(grid.n), [4.0 * ev.dt0])
+        assert stop == "target" and counts.capped == 2
+        assert taken[0][1] < ev.dt0 and taken[1][1] < ev.dt0
+
+    def test_cap_engages_mid_stride(self):
+        grid = RadialGrid(3, 16.0, 1024, "uniform").head(1023)
+        ev = RadialWaveEvolver(grid, 0.45)
+        strides = assert_strides_match_reference(
+            ev, *focusing_pulse(grid), [0.5 * k for k in range(1, 12)])
+        # one stride starts uncapped and ends capped, at its target; the
+        # next is capped throughout and stops at the floor
+        (stop, counts, taken), (last_stop, last, _) = strides[-2:]
+        assert stop == "target" and 0 < counts.capped < counts.steps
+        assert taken[0][1] == ev.dt0 and taken[-2][1] < ev.dt0
+        assert last_stop == "floor" and last.capped == last.steps > 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("node", [100, -1])
+    def test_non_finite_velocity_stops_after_one_step(self, bad, node):
+        # w is finite, so the stride takes its first step; that step makes
+        # w non-finite and the stride stops with "overflow" at t + dt0
+        grid = RadialGrid(3, 64.0, 8192, "uniform").head(2561)
+        ev = RadialWaveEvolver(grid, 0.45)
+        w = grid.r * 0.1 * np.exp(-((grid.r - 4.0) / 2.0) ** 2)
+        v = np.zeros(grid.n)
+        v[node] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the reference's
+            (stop, counts, _), = assert_strides_match_reference(
+                ev, w, v, [2.0], t=1.5)
+        assert stop == "overflow"
+        assert counts == StepCounts(1, 0, ev.dt0)
+        *_, t, _, _ = ev.advance(w, v, 1.5, 2.0)
+        assert t == 1.5 + ev.dt0
+
+    def test_outgoing_row_exercised(self, dyn_grid):
+        ev = RadialWaveEvolver(dyn_grid, 0.45)
+        w = dyn_grid.r * 0.3 * np.exp(-((dyn_grid.r - 62.0) / 1.5) ** 2)
+        v = -np.gradient(w, dyn_grid.r)
+        assert_strides_match_reference(ev, w, v, [0.25, 0.5])
+        w1, v1, *_ = ev.advance(w, v, 0.0, 0.5)
+        assert abs(v1[-1]) > 1e-3
 
 
 class TestDetectors:
@@ -354,9 +539,8 @@ def full_domain_confirmation(checkpoints, ev, cfg, threshold):
             return True, {"mode": "norm escape on refined grid",
                           "t_confirm": t}
         prev_norm = nrm
-        w, v, a, t, stop = ev2.advance(w, v, t,
-                                       min(t + cfg.monitor_stride, horizon),
-                                       a)
+        w, v, a, t, stop, _ = ev2.advance(
+            w, v, t, min(t + cfg.monitor_stride, horizon), a)
         if stop != "target":
             mode = ("overflow" if stop == "overflow" else "stepper floor") \
                 + " on refined grid"

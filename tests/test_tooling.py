@@ -3,14 +3,19 @@
 import ast
 import dataclasses
 import importlib.util
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from critwave import evolve
 from critwave.experiments import assemble_box_exact, random_box_closure
 from critwave.fields import BLOCK_POINTS
-from critwave.grids import Box3DGrid
+from critwave.grids import Box3DGrid, RadialGrid
 from critwave.modulation import fit_modulation
 from critwave.spectral import build_spectral_data
 
@@ -41,6 +46,86 @@ def test_default_spectral_build_factorizes_three_times(lapack_calls):
     build_spectral_data(cross_check=False)
     assert lapack_calls == {"cholesky_banded": 1, "cho_solve_banded": 8,
                             "solve_banded": 2}
+
+
+def _logging_cc(tmp_path):
+    """A compiler command that appends its arguments to a log and runs cc."""
+    log = tmp_path / "cc.log"
+    cc = tmp_path / "logging-cc"
+    cc.write_text(f'#!/bin/sh\necho "$@" >> "{log}"\nexec cc "$@"\n')
+    cc.chmod(0o755)
+    return str(cc), log
+
+
+def test_warm_kernel_cache_compiles_nothing(tmp_path):
+    cc, log = _logging_cc(tmp_path)
+    cache = tmp_path / "cache"
+    lib = evolve._build_kernel(evolve._SOURCE, cc, cache)
+    first = log.read_text().splitlines()
+    assert first[0] == "--version" and len(first) == 2    # key, then build
+    assert evolve._build_kernel(evolve._SOURCE, cc, cache) == lib
+    # the key still asks for the version; no second build
+    assert log.read_text().splitlines()[2:] == ["--version"]
+    assert list(cache.iterdir()) == [lib]
+
+
+def test_changed_kernel_source_builds_under_a_new_key(tmp_path):
+    source = tmp_path / "_verlet.c"
+    source.write_bytes(evolve._SOURCE.read_bytes())
+    cache = tmp_path / "cache"
+    old = evolve._build_kernel(source, "cc", cache)
+    source.write_bytes(source.read_bytes() + b"\n/* changed */\n")
+    new = evolve._build_kernel(source, "cc", cache)
+    assert new != old
+    assert sorted(cache.iterdir()) == sorted([old, new])
+
+
+_BUILD_AND_RUN = """
+import sys
+from pathlib import Path
+import numpy as np
+from critwave import evolve
+from critwave.grids import RadialGrid
+lib = evolve._load_kernel(evolve._build_kernel(evolve._SOURCE, "cc",
+                                               Path(sys.argv[1])))
+ev = evolve.RadialWaveEvolver(RadialGrid(3, 8.0, 64, "uniform"), 0.45)
+w, v, a = ev.r * np.exp(-ev.r_sq), np.zeros(64), np.empty(64)
+lib.cw_force(64, w, v, a, ev.r_sq, ev.h, ev.inv12h2)
+print(a.tobytes().hex())
+"""
+
+
+def test_two_processes_build_into_one_cold_cache(tmp_path):
+    cache = tmp_path / "cache"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + os.environ.get("PYTHONPATH", "").split(
+            os.pathsep)))
+    procs = [subprocess.Popen([sys.executable, "-c", _BUILD_AND_RUN,
+                               str(cache)], stdout=subprocess.PIPE, env=env,
+                              text=True)
+             for _ in range(2)]
+    outs = [p.communicate(timeout=120)[0].strip() for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    ev = evolve.RadialWaveEvolver(RadialGrid(3, 8.0, 64, "uniform"), 0.45)
+    want = ev.force(ev.r * np.exp(-ev.r_sq), np.zeros(64)).tobytes().hex()
+    assert outs == [want, want]
+    # one library, no temporary file left behind
+    assert [p.suffix for p in cache.iterdir()] == [".so"]
+
+
+def test_missing_compiler_raises_import_error(tmp_path):
+    with pytest.raises(ImportError, match="critwave-no-such-cc"):
+        evolve._build_kernel(evolve._SOURCE, "critwave-no-such-cc", tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+def test_failed_build_raises_import_error_and_leaves_no_file(tmp_path):
+    source = tmp_path / "broken.c"
+    source.write_text("int cw_force(void) { return }\n")
+    cache = tmp_path / "cache"
+    with pytest.raises(ImportError, match="could not build"):
+        evolve._build_kernel(source, "cc", cache)
+    assert not list(cache.iterdir())
 
 
 # package definitions kept without a caller in src/, each with its reason
