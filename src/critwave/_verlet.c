@@ -8,13 +8,13 @@
  * Every expression keeps the evaluation order of the numpy reference stepper
  * (tests/test_evolve.py), and the library is built with -ffp-contract=off,
  * so no multiply and add are fused and every result is bitwise the
- * reference's.  The entry points return -1 when they cannot allocate their
- * work array of n doubles.
+ * reference's.  Each entry point starts from the force at its entry state
+ * and carries it from step to step; the caller owns the two work arrays of
+ * n doubles, a (the force) and q (u^2).
  */
 
 #include <math.h>
 #include <stddef.h>
-#include <stdlib.h>
 #include <string.h>
 
 enum { STOP_TARGET = 0, STOP_FLOOR = 1, STOP_OVERFLOW = 2 };
@@ -102,9 +102,10 @@ static double force(ptrdiff_t n, const double *w, const double *v, double *a,
     return m;
 }
 
-/* One step in place.  a holds force(w, v_half) of the previous step and q
- * the u^2 of w; the outgoing row of a is refreshed with the full-step v
- * first, which makes a exactly force(w, v).  Returns max u^2 of the new w. */
+/* One step in place.  a holds the force at w of the entry or of the
+ * previous step (there at v_half) and q the u^2 of w; the outgoing row of a
+ * is refreshed with the current v first, which makes a exactly force(w, v).
+ * Returns max u^2 of the new w. */
 static double step(ptrdiff_t n, double *w, double *v, double *a, double *q,
                    const double *r_sq, double h, double c, double dt)
 {
@@ -130,44 +131,25 @@ static double nl_dt_cap(double amp, double dt0)
     return cap < dt0 ? cap : dt0;
 }
 
-int cw_force(ptrdiff_t n, const double *w, const double *v, double *a,
-             const double *r_sq, double h, double c)
+void cw_steps(ptrdiff_t n, double *w, double *v, double *a, double *q,
+              const double *r_sq, double h, double c, long long count,
+              double dt)
 {
-    double *q = malloc(n * sizeof *q);
-    if (q == NULL)
-        return -1;
-    force(n, w, v, a, q, r_sq, h, c);
-    free(q);
-    return 0;
-}
-
-int cw_steps(ptrdiff_t n, double *w, double *v, double *a,
-             const double *r_sq, double h, double c, long long count,
-             double dt)
-{
-    double *q = malloc(n * sizeof *q);
     long long k;
-    if (q == NULL)
-        return -1;
-    square_u(n, w, r_sq, q);
+    force(n, w, v, a, q, r_sq, h, c);
     for (k = 0; k < count; k++)
         step(n, w, v, a, q, r_sq, h, c, dt);
-    free(q);
-    return 0;
 }
 
 /* Steps from t to t_target under the nonlinear dt cap, as
  * RadialWaveEvolver.advance describes; returns the stop code. */
 int cw_advance(cw_stride *out, ptrdiff_t n, double *w, double *v, double *a,
-               const double *r_sq, double h, double c, double dt0,
+               double *q, const double *r_sq, double h, double c, double dt0,
                double dt_floor, double max_amp, double t, double t_target)
 {
-    double *q = malloc(n * sizeof *q);
-    double amp, cap, dt, rest;
+    double amp = sqrt(force(n, w, v, a, q, r_sq, h, c));
+    double cap, dt, rest;
     int stop;
-    if (q == NULL)
-        return -1;
-    amp = sqrt(square_u(n, w, r_sq, q));
     out->steps = 0;
     out->capped = 0;
     out->min_dt = INFINITY;
@@ -195,6 +177,5 @@ int cw_advance(cw_stride *out, ptrdiff_t n, double *w, double *v, double *a,
             out->min_dt = dt;
     }
     out->t = t;
-    free(q);
     return stop;
 }

@@ -92,7 +92,8 @@ def _build_kernel(source: Path, cc: str, cache_dir: Path) -> Path:
 
     Its name is keyed by a hash of the source, the flags and the output of
     ``cc --version``.  The compiler writes a temporary file that is then
-    renamed into place, so processes may build into one directory at once.
+    renamed into place, so processes may build into one directory at once;
+    a new build then deletes the libraries of ``source``'s other keys.
     Raises ImportError when ``cc`` cannot be run or fails.
     """
     try:
@@ -117,6 +118,9 @@ def _build_kernel(source: Path, cc: str, cache_dir: Path) -> Path:
         subprocess.run([cc, *_CFLAGS, "-o", tmp, str(source), "-lm"],
                        capture_output=True, check=True, text=True)
         os.replace(tmp, lib)
+        for old in cache_dir.glob(f"{source.stem}-*.so"):
+            if old != lib:
+                old.unlink(missing_ok=True)
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         raise ImportError(f"could not build {source} with {cc!r} into "
@@ -127,27 +131,16 @@ def _build_kernel(source: Path, cc: str, cache_dir: Path) -> Path:
     return lib
 
 
-def _kernel_status(code: int, func, _args) -> int:
-    """ctypes ``errcheck`` of the kernel's functions, which return -1 when
-    they cannot allocate their work array of n doubles."""
-    if code < 0:
-        raise MemoryError(f"{func.__name__} could not allocate its work array")
-    return code
-
-
 def _load_kernel(path: Path) -> ctypes.CDLL:
     """The kernel library at ``path`` with every function's signature."""
     lib = ctypes.CDLL(str(path))
     vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     n, real = ctypes.c_ssize_t, ctypes.c_double
-    lib.cw_force.argtypes = [n, vec, vec, vec, vec, real, real]
-    lib.cw_steps.argtypes = [n, vec, vec, vec, vec, real, real,
+    lib.cw_steps.argtypes = [n, vec, vec, vec, vec, vec, real, real,
                              ctypes.c_longlong, real]
+    lib.cw_steps.restype = None
     lib.cw_advance.argtypes = [ctypes.POINTER(_Stride), n, vec, vec, vec, vec,
-                               real, real, real, real, real, real, real]
-    for fn in (lib.cw_force, lib.cw_steps, lib.cw_advance):
-        fn.restype = ctypes.c_int
-        fn.errcheck = _kernel_status
+                               vec, real, real, real, real, real, real, real]
     return lib
 
 
@@ -176,7 +169,8 @@ class RadialWaveEvolver:
     """Velocity-Verlet integrator for w_tt = w_rr + w^5 / r^4 (d = 3).
 
     The force and the steps run in the compiled kernel ``_verlet.c``, on
-    copies: no method writes to the arrays it is given.
+    copies: no method writes to the arrays it is given.  Each call starts
+    from the force at its entry state, which the kernel computes.
     """
 
     def __init__(self, grid: RadialGrid, cfl: float):
@@ -198,6 +192,10 @@ class RadialWaveEvolver:
         self.dt0 = cfl * self.h
         self.inv12h2 = 1.0 / (12.0 * self.h * self.h)
 
+    def _work(self):
+        """The kernel's two work arrays of n doubles, the force and u^2."""
+        return np.empty(self.grid.n), np.empty(self.grid.n)
+
     def _own(self, x) -> np.ndarray:
         """A float64 copy of a node array, for the kernel to write into."""
         x = np.array(x, dtype=np.float64)
@@ -209,49 +207,41 @@ class RadialWaveEvolver:
     def force(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Acceleration w_rr + w^5 / r^4 with the origin fold and the
         outgoing closure."""
-        w, v = self._own(w), self._own(v)
-        a = np.empty_like(w)
-        _KERNEL.cw_force(self.grid.n, w, v, a, self.r_sq, self.h, self.inv12h2)
+        a, q = self._work()
+        _KERNEL.cw_steps(self.grid.n, self._own(w), self._own(v), a, q,
+                         self.r_sq, self.h, self.inv12h2, 0, 0.0)
         return a
 
-    def steps(self, w, v, n: int, dt: float, a=None):
-        """n velocity-Verlet steps; returns (w, v, last_force) as new arrays.
+    def steps(self, w, v, n: int, dt: float):
+        """n velocity-Verlet steps; returns (w, v) as new arrays.
 
-        One force evaluation per step, last_force = force(w, v_half).  Pass
-        the last_force of the previous call as ``a`` to skip the evaluation
-        on entry too; n calls of one step equal one call of n steps.
+        One force evaluation on entry and one per step; n calls of one step
+        equal one call of n steps.
         """
         w, v = self._own(w), self._own(v)
-        a = self.force(w, v) if a is None else self._own(a)
-        _KERNEL.cw_steps(self.grid.n, w, v, a, self.r_sq, self.h, self.inv12h2,
-                         n, dt)
-        return w, v, a
+        _KERNEL.cw_steps(self.grid.n, w, v, *self._work(), self.r_sq, self.h,
+                         self.inv12h2, n, dt)
+        return w, v
 
-    def amplitude(self, w) -> float:
-        """max |u| = sqrt(max w^2 / r^2) over all nodes (nan when w is not
-        finite)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return math.sqrt(float(np.max((w * w) / self.r_sq)))
-
-    def advance(self, w, v, t: float, t_target: float, a=None):
+    def advance(self, w, v, t: float, t_target: float):
         """Step from t to t_target under the nonlinear dt cap.
 
         Before every step the amplitude sqrt(max u^2) over all nodes caps dt
-        at 0.35 / (sqrt(5) amp^2).  Returns (w, v, a, t, stop, counts), with
-        (w, v, a) as in :meth:`steps`, ``stop`` one of "target" (t reached
-        t_target), "floor" (the cap fell below dt0 / DT_FLOOR_FACTOR) or
-        "overflow" (the amplitude is not finite or above _MAX_SAFE_AMP), and
-        the :class:`StepCounts` of the stride; on the last two stops, t is
-        the time of the state returned.
+        at 0.35 / (sqrt(5) amp^2).  Returns (w, v, t, stop, counts), with
+        (w, v) new arrays, ``stop`` one of "target" (t reached t_target),
+        "floor" (the cap fell below dt0 / DT_FLOOR_FACTOR) or "overflow"
+        (the amplitude is not finite or above _MAX_SAFE_AMP), and the
+        :class:`StepCounts` of the stride; on the last two stops, t is the
+        time of the state returned.
         """
         w, v = self._own(w), self._own(v)
-        a = self.force(w, v) if a is None else self._own(a)
         out = _Stride()
-        stop = _KERNEL.cw_advance(ctypes.byref(out), self.grid.n, w, v, a,
-                                  self.r_sq, self.h, self.inv12h2, self.dt0,
+        stop = _KERNEL.cw_advance(ctypes.byref(out), self.grid.n, w, v,
+                                  *self._work(), self.r_sq, self.h,
+                                  self.inv12h2, self.dt0,
                                   self.dt0 / DT_FLOOR_FACTOR, _MAX_SAFE_AMP,
                                   t, t_target)
-        return (w, v, a, out.t, _STOPS[stop],
+        return (w, v, out.t, _STOPS[stop],
                 StepCounts(out.steps, out.capped, out.min_dt))
 
     def state_to_wv(self, s: State):
@@ -480,7 +470,6 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     th = thresholds or Thresholds()
     ev = RadialWaveEvolver(state0.grid, cfg.cfl)
     w, v = ev.state_to_wv(state0)
-    a = None                  # force at (w, v), carried between strides
     mon = _MonitorState(th)
     norm0 = norm_H(state0)
     threshold = BLOWUP_NORM_MULT * max(norm0, BLOWUP_NORM_FLOOR)
@@ -488,42 +477,44 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     checkpoints: list[tuple[float, np.ndarray, np.ndarray]] = []
     t = 0.0
     counts = StepCounts()
-    exceeded_at, stepper_floor, nan_seen = None, False, False
+    exceeded_at, stepper_floor = None, False
     while True:
-        amp = ev.amplitude(w)
-        if not math.isfinite(amp):
-            nan_seen = True
-            break
         row = _monitor_row(ev.wv_to_state(w, v), t, spec, mon)
         rows.append(row)
         if not math.isfinite(row["norm_H"]):
-            nan_seen = True
+            exceeded_at = t
             break
         checkpoints.append((t, w, v))          # advance() never writes to them
         if len(checkpoints) > 24:
             checkpoints.pop(0)
-        if row["norm_H"] > threshold or amp > _MAX_SAFE_AMP:
+        if row["norm_H"] > threshold:
             exceeded_at = t
             break
         if t >= cfg.t_max - 1e-9 * max(1.0, cfg.t_max):
             break
         if t >= 1.5 * SCATTER_WINDOW and _scatters(rows, th):
             break
-        w, v, a, t, stop, stride = ev.advance(
-            w, v, t, min(t + cfg.monitor_stride, cfg.t_max), a)
+        # a stride that stops on the floor or on overflow (amplitude above
+        # _MAX_SAFE_AMP or not finite) ends the run: no row is built from
+        # the state it returns
+        w, v, t, stop, stride = ev.advance(
+            w, v, t, min(t + cfg.monitor_stride, cfg.t_max))
         counts += stride
-        if stop == "floor":
-            stepper_floor = True
+        if stop != "target":
+            stepper_floor = stop == "floor"
             exceeded_at = t
             break
 
     series = {k: np.array([r.get(k, math.nan) for r in rows])
               for k in _SERIES_KEYS + _EXTRA_KEYS}
-    verdict, detail = _classify(rows, cfg, th, exceeded_at, nan_seen,
-                                stepper_floor, checkpoints, ev, threshold)
-    detail["sign_disagreements"] = mon.sign_disagreements
-    detail.update(steps=counts.steps, capped_steps=counts.capped,
-                  min_dt=_json_num(counts.min_dt))
+    verdict, detail = _classify(rows, cfg, th, exceeded_at, stepper_floor,
+                                checkpoints, ev, threshold)
+    detail.update(sign_disagreements=mon.sign_disagreements,
+                  steps=counts.steps, capped_steps=counts.capped,
+                  min_dt=counts.min_dt)
+    # strict JSON for the sidecar: a float that is not finite becomes None
+    detail = {k: _json_num(x) if isinstance(x, float) else x
+              for k, x in detail.items()}
     run = DirectionRun(series=series, verdict=verdict, detail=detail)
     try:
         run.ejection_rate = fit_ejection_rate(series, spec, th)["rate"]
@@ -543,16 +534,20 @@ def _scatters(rows: list[dict], th: Thresholds) -> bool:
             and all(r["free_ratio"] < FREE_RATIO_THRESHOLD for r in window))
 
 
-def _classify(rows, cfg, th, exceeded_at, nan_seen, stepper_floor,
-              checkpoints, ev, threshold):
+def _classify(rows, cfg, th, exceeded_at, stepper_floor, checkpoints, ev,
+              threshold):
     detail: dict = {"threshold": threshold,
-                    "t_last": rows[-1]["t"] if rows else 0.0}
-    if nan_seen or exceeded_at is not None:
-        confirmed, info = _confirm_blowup(checkpoints, ev, cfg, threshold)
-        detail.update(info)
-        detail["exceeded_at"] = _json_num(exceeded_at if exceeded_at is not None
-                                          else detail["t_last"])
-        detail["stepper_floor"] = bool(stepper_floor)
+                    "t_last": rows[-1]["t"]}
+    if exceeded_at is not None:
+        if checkpoints:
+            confirmed, info = _confirm_blowup(checkpoints, ev, cfg, threshold)
+        else:           # the first row's norm is not finite
+            confirmed, info = False, {
+                "confirmed": False,
+                "reason": f"energy norm not finite at t = {exceeded_at:g}, "
+                          f"before the first checkpoint"}
+        detail.update(info, exceeded_at=exceeded_at,
+                      stepper_floor=stepper_floor)
         return (BLOWUP if confirmed else UNDETERMINED), detail
     if _scatters(rows, th):
         detail["scatter_window_start"] = detail["t_last"] - SCATTER_WINDOW
@@ -577,8 +572,6 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
     lies inside the ball.  When R reaches r_max the rerun is the
     full-domain one, with the far-field norm and no ball.
     """
-    if not checkpoints:
-        return False, {"confirmed": False, "reason": "no checkpoint"}
     t_back = checkpoints[-1][0] - CONFIRM_WINDOW
     earlier = [cp for cp in checkpoints if cp[0] <= t_back]
     t0, w0, v0 = earlier[-1] if earlier else checkpoints[0]
@@ -596,13 +589,12 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
         return confirmed, {"confirmed": confirmed, **info,
                            "confirm_steps": counts.steps,
                            "confirm_capped_steps": counts.capped,
-                           "confirm_min_dt": _json_num(counts.min_dt),
+                           "confirm_min_dt": counts.min_dt,
                            "confirm_radius": fine.r_max,
                            "confirm_nodes": fine.n,
                            "confirm_fallback": fallback,
                            "ball_radius": float(ball(t))}
 
-    a = None
     t = t0
     counts = StepCounts()
     peak, prev_norm = 0.0, math.inf
@@ -614,8 +606,8 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
             return result(True, t, mode="norm escape on refined grid",
                           t_confirm=t, refined_norm=nrm)
         prev_norm = nrm
-        w, v, a, t, stop, stride = ev2.advance(
-            w, v, t, min(t + cfg.monitor_stride, horizon), a)
+        w, v, t, stop, stride = ev2.advance(
+            w, v, t, min(t + cfg.monitor_stride, horizon))
         counts += stride
         if stop != "target":
             mode = ("overflow" if stop == "overflow" else "stepper floor") \

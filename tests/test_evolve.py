@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -36,7 +37,7 @@ class TestStepper:
     def test_zero_state_fixed(self, dyn_grid):
         ev = RadialWaveEvolver(dyn_grid, 0.45)
         w, v = ev.state_to_wv(State(zeros_on(dyn_grid), zeros_on(dyn_grid)))
-        w, v, _ = ev.steps(w, v, 25, 0.002)
+        w, v = ev.steps(w, v, 25, 0.002)
         assert norm_H(ev.wv_to_state(w, v)) == 0.0
 
     def test_rejects_wrong_grids(self, static_grid):
@@ -67,8 +68,8 @@ class TestStepper:
         w = RadialField(dyn_grid, np.asarray(eval_W(3, dyn_grid.r ** 2)))
         s0 = State(w, zeros_on(dyn_grid))
         ev = RadialWaveEvolver(dyn_grid, 0.45)
-        w_, v_, _ = ev.steps(*ev.state_to_wv(s0), 2000,
-                             0.45 * dyn_grid.min_spacing)
+        w_, v_ = ev.steps(*ev.state_to_wv(s0), 2000,
+                          0.45 * dyn_grid.min_spacing)
         assert norm_H(ev.wv_to_state(w_, v_) - s0) <= 1e-3
 
     def test_energy_drift_small_and_second_order(self, dyn_grid):
@@ -79,7 +80,7 @@ class TestStepper:
         for dt in (ev.dt0, 0.5 * ev.dt0):
             w, v = ev.state_to_wv(s)
             n = int(round(8.0 / dt))
-            w, v, _ = ev.steps(w, v, n, dt)
+            w, v = ev.steps(w, v, n, dt)
             drifts.append(abs(energy_E(ev.wv_to_state(w, v)) - e0) / abs(e0))
         assert drifts[0] < 1e-6
         assert drifts[1] <= drifts[0] / 3.0  # ~2nd order in dt
@@ -91,7 +92,7 @@ class TestStepper:
         w, v = ev.state_to_wv(s)
         worst = 0.0
         for _ in range(10):
-            w, v, _ = ev.steps(w, v, 100, 1e-3)
+            w, v = ev.steps(w, v, 100, 1e-3)
             worst = max(worst, abs(energy_E(ev.wv_to_state(w, v)) - e0) / abs(e0))
         assert worst < 1e-8
 
@@ -99,8 +100,8 @@ class TestStepper:
         s = bump_state(dyn_grid, amp=0.2, center=10.0, width=3.0)
         ev = RadialWaveEvolver(dyn_grid, 0.45)
         w0, v0 = ev.state_to_wv(s)
-        w1, v1, _ = ev.steps(w0.copy(), v0.copy(), 400, ev.dt0)
-        w2, v2, _ = ev.steps(w1, -v1, 400, ev.dt0)
+        w1, v1 = ev.steps(w0.copy(), v0.copy(), 400, ev.dt0)
+        w2, v2 = ev.steps(w1, -v1, 400, ev.dt0)
         assert np.max(np.abs(w2 - w0)) <= 1e-10
         assert np.max(np.abs(v2 + v0)) <= 1e-9
 
@@ -112,7 +113,7 @@ class TestStepper:
         t = 0.0
         for _ in range(4):
             n = int(round(6.0 / ev.dt0))
-            w, v, _ = ev.steps(w, v, n, ev.dt0)
+            w, v = ev.steps(w, v, n, ev.dt0)
             t += n * ev.dt0
             st = ev.wv_to_state(w, v)
             ext = exterior_energy(st, r0 + t + 2.0, st.u1.deriv())
@@ -146,6 +147,13 @@ def reference_verlet(ev, w, v, n, dt):
         a = reference_force(ev, w, vh)
         v = vh + half * a
     return w, v, a
+
+
+def reference_amplitude(ev, w):
+    """max |u| = sqrt(max w^2 / r^2) over all nodes (nan when w is not
+    finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return math.sqrt(float(np.max((w * w) / ev.r_sq)))
 
 
 def reference_nl_dt_cap(amp, dt0):
@@ -200,7 +208,7 @@ class ReferenceStepper:
         dt0 = self.ev.dt0
         a = self.force(w, v) if a is None else a
         first = len(self.taken)
-        amp = self.ev.amplitude(w)
+        amp = reference_amplitude(self.ev, w)
         while True:
             if not amp <= _MAX_SAFE_AMP:
                 stop = "overflow"
@@ -215,7 +223,7 @@ class ReferenceStepper:
             dt = min(dt_cap, t_target - t)
             w, v, a = self.step(w, v, a, dt, dt_cap)
             t += dt
-            amp = self.ev.amplitude(w)
+            amp = reference_amplitude(self.ev, w)
         taken = self.taken[first:]
         counts = StepCounts(len(taken), sum(cap < dt0 for _, cap in taken),
                             min((dt for dt, _ in taken), default=math.inf))
@@ -234,20 +242,23 @@ class TestForceReuse:
         ev, w0, v0 = outgoing
         dts = [ev.dt0] * 150 + [0.7 * ev.dt0] * 149 + [0.1 * ev.dt0]
         ref = ReferenceStepper(ev)
-        w, v, a = w0, v0, None
+        w, v = w0, v0
         wc, vc, ac = w0, v0, None
         for dt in dts:
-            w, v, a = ev.steps(w, v, 1, dt, a)
+            w, v = ev.steps(w, v, 1, dt)
             wc, vc, ac = ref.steps(wc, vc, 1, dt, ac)
         wr, vr = w0, v0
         for dt in dts:
             wr, vr, ar = reference_verlet(ev, wr, vr, 1, dt)
         assert abs(vr[-1]) > 1e-3          # the outgoing row is exercised
-        for got in ((w, v, a), (wc, vc, ac)):
+        for got in ((w, v), (wc, vc)):
             assert np.array_equal(got[0], wr)
             assert np.array_equal(got[1], vr)
-            assert np.array_equal(got[2], ar)
+        assert np.array_equal(ac, ar)
         assert ref.force_calls == len(dts) + 1  # one force per step
+        # the force the kernel recomputes on entry equals the carried one
+        # in every row that reads only w
+        assert np.array_equal(ev.force(w, v)[:-1], ar[:-1])
 
     def test_multi_step_call_bitwise_equal(self, outgoing):
         # each step refreshes the outgoing row with the full-step v, so one
@@ -262,20 +273,17 @@ class TestForceReuse:
     def test_inputs_untouched(self, outgoing):
         ev, w0, v0 = outgoing
         w_in, v_in = w0.copy(), v0.copy()
-        _, _, a = ev.steps(w_in, v_in, 5, ev.dt0)
-        a_in = a.copy()
         ev.force(w_in, v_in)
-        ev.steps(w_in, v_in, 5, ev.dt0, a_in)
-        ev.advance(w_in, v_in, 0.0, 5.5 * ev.dt0, a_in)
+        ev.steps(w_in, v_in, 5, ev.dt0)
+        ev.advance(w_in, v_in, 0.0, 5.5 * ev.dt0)
         assert np.array_equal(w_in, w0)
         assert np.array_equal(v_in, v0)
-        assert np.array_equal(a_in, a)
 
 
-def old_stride_loop(ev, w, v, t, t_target, a, floor_factor=4096.0):
+def old_stride_loop(ev, w, v, t, t_target, floor_factor=4096.0):
     """The run loop's stride as it was before advance(): one-step steps()
     calls, the exact amplitude at the stride start and a w[::8] subsample
-    after every step.  Returns (w, v, a, t, dts)."""
+    after every step.  Returns (w, v, t, dts)."""
     amp = float(np.max(np.abs(w / ev.r)))
     dts = []
     while t < t_target - 1e-12:
@@ -283,13 +291,13 @@ def old_stride_loop(ev, w, v, t, t_target, a, floor_factor=4096.0):
         if dt_cap < ev.dt0 / floor_factor:
             break
         dt = min(dt_cap, t_target - t)
-        w, v, a = ev.steps(w, v, 1, dt, a)
+        w, v = ev.steps(w, v, 1, dt)
         t += dt
         dts.append(dt)
         amp = float(np.max(np.abs(w[::8] / ev.r[::8])))
         if not math.isfinite(amp) or amp > _MAX_SAFE_AMP:
             break
-    return w, v, a, t, dts
+    return w, v, t, dts
 
 
 class TestAdvance:
@@ -298,14 +306,13 @@ class TestAdvance:
         s = bump_state(dyn_grid, amp=0.3, center=6.0, width=2.0)
         ev = RadialWaveEvolver(dyn_grid, 0.45)
         w0, v0 = ev.state_to_wv(s)
-        got = (w0, v0, None, 0.0)
-        want = (w0, v0, None, 0.0)
+        got = want = (w0, v0, 0.0)
         for t_target in (0.25, 0.5, 0.75, 0.9, 1.15):
-            *got, stop, _ = ev.advance(*got[:2], got[3], t_target, got[2])
+            *got, stop, _ = ev.advance(*got, t_target)
             assert stop == "target"
-            want = old_stride_loop(ev, *want[:2], want[3], t_target, want[2])[:4]
-            assert all(np.array_equal(x, y) for x, y in zip(got[:3], want[:3]))
-            assert got[3] == want[3]
+            want = old_stride_loop(ev, *want, t_target)[:3]
+            assert all(np.array_equal(x, y) for x, y in zip(got[:2], want[:2]))
+            assert got[2] == want[2]
 
     def test_spike_between_subsample_nodes_engages_cap(self, dyn_grid):
         # |u| = 8 at one node off the w[::8] lattice: the cap is
@@ -318,7 +325,7 @@ class TestAdvance:
         cap = 0.35 / (math.sqrt(5.0) * 64.0)
         assert cap < ev.dt0
         t_target = 4.0 * ev.dt0
-        *_, t_old, old_dts = old_stride_loop(ev, w, v, 0.0, t_target, None)
+        *_, t_old, old_dts = old_stride_loop(ev, w, v, 0.0, t_target)
         assert old_dts[0] < ev.dt0 and old_dts[1] == ev.dt0
         ref = ReferenceStepper(ev)
         *_, t, stop, counts = ev.advance(w, v, 0.0, t_target)
@@ -343,7 +350,7 @@ class TestAdvance:
         ev = RadialWaveEvolver(dyn_grid, 0.45)
         w, v = ev.state_to_wv(bump_state(dyn_grid, amp=1e3, width=1.0))
         assert reference_nl_dt_cap(1e3, ev.dt0) < ev.dt0 / DT_FLOOR_FACTOR
-        w1, v1, _, t, stop, counts = ev.advance(w, v, 1.5, 2.0)
+        w1, v1, t, stop, counts = ev.advance(w, v, 1.5, 2.0)
         assert stop == "floor"
         assert t == 1.5 and counts.steps == 0 and counts.min_dt == math.inf
         assert np.array_equal(w1, w) and np.array_equal(v1, v)
@@ -362,21 +369,22 @@ def bitwise_equal(x, y):
 def assert_strides_match_reference(ev, w, v, strides, t=0.0):
     """advance() over consecutive strides, up to the first stop that is not
     "target", bitwise equal to the reference stepper; returns the
-    reference's (stop, counts, taken) of each stride."""
+    reference's (stop, counts, taken) of each stride.  The reference carries
+    its force from stride to stride, the kernel recomputes it on entry, so
+    equal strides after the first show the two forces equal."""
     ref = ReferenceStepper(ev)
-    got = want = (w, v, None, t)
+    got, want = (w, v, t), (w, v, None, t)
     out = []
     for t_target in strides:
-        prev, kept = got, [x.copy() for x in got[:3] if x is not None]
-        *got, stop, counts = ev.advance(got[0], got[1], got[3], t_target,
-                                        got[2])
+        prev, kept = got, [x.copy() for x in got[:2]]
+        *got, stop, counts = ev.advance(*got, t_target)
         first = len(ref.taken)
         *want, ref_stop, ref_counts = ref.advance(want[0], want[1], want[3],
                                                   t_target, want[2])
-        assert all(bitwise_equal(x, y) for x, y in zip(got[:3], want[:3]))
-        assert (got[3], stop, counts) == (want[3], ref_stop, ref_counts)
+        assert all(bitwise_equal(x, y) for x, y in zip(got[:2], want[:2]))
+        assert (got[2], stop, counts) == (want[3], ref_stop, ref_counts)
         # the inputs are untouched
-        assert all(bitwise_equal(x, y) for x, y in zip(prev[:3], kept))
+        assert all(bitwise_equal(x, y) for x, y in zip(prev[:2], kept))
         out.append((stop, counts, ref.taken[first:]))
         if stop != "target":
             break
@@ -518,6 +526,71 @@ class TestDetectors:
         assert run.verdict == UNDETERMINED
 
 
+def huge_velocity_state(grid, scale):
+    """u1 a bump of height 0.1 at r = 4 and u2 ``scale`` times it."""
+    bump = 0.1 * np.exp(-((grid.r - 4.0) / 2.0) ** 2)
+    return State(RadialField(grid, bump), RadialField(grid, scale * bump))
+
+
+def strict_json(path):
+    """The JSON file at ``path``, refusing NaN and the infinities."""
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestNonFiniteData:
+    """A state that leaves the floating-point range ends the run in a
+    verdict, with a strict-JSON sidecar."""
+
+    GRID = RadialGrid(3, 32.0, 1024, "uniform")
+    CFG = EvolutionConfig(n=1024, r_max=32.0, t_max=2.0, cfl=0.45,
+                          monitor_stride=0.5)
+
+    def test_overflow_stop_builds_no_row(self, spectral, thresholds):
+        s = huge_velocity_state(self.GRID, 1e150)
+        # the first stride stops on overflow with w finite and v not
+        ev = RadialWaveEvolver(self.GRID, self.CFG.cfl)
+        w, v, t, stop, _ = ev.advance(*ev.state_to_wv(s), 0.0, 0.5)
+        assert stop == "overflow"
+        assert np.all(np.isfinite(w)) and not np.all(np.isfinite(v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = evolve_direction(s, self.CFG, spectral, thresholds)
+        assert run.series["t"].tolist() == [0.0]
+        assert run.detail["exceeded_at"] == t
+        assert run.detail["stepper_floor"] is False
+        # the confirmation reruns from the checkpoint at t = 0
+        assert run.verdict == BLOWUP
+        assert run.detail["mode"] == "overflow on refined grid"
+        assert run.detail["t_confirm"] > 0.0
+
+    def test_infinite_norm_at_t0_is_undetermined(self, spectral,
+                                                 thresholds):
+        s = huge_velocity_state(self.GRID, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert norm_H(s) == math.inf
+            run = evolve_direction(s, self.CFG, spectral, thresholds)
+        assert run.verdict == UNDETERMINED
+        assert run.detail["reason"] == ("energy norm not finite at t = 0, "
+                                        "before the first checkpoint")
+        assert run.detail["exceeded_at"] == 0.0
+        assert run.detail["threshold"] is None
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 0.0])
+    def test_sidecar_is_strict_json(self, scale, spectral, thresholds,
+                                    tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rec = evolve_with_monitors(huge_velocity_state(self.GRID, scale),
+                                       self.CFG, spectral, thresholds)
+        rec.save_verdict(tmp_path / "run.json")
+        side = strict_json(tmp_path / "run.json")
+        assert side["verdict_forward"] in (BLOWUP, SCATTER, UNDETERMINED)
+
+
 def full_domain_confirmation(checkpoints, ev, cfg, threshold):
     """The blow-up confirmation over the whole refined domain: the tail
     window rerun on the grid refined CONFIRM_REFINE times over [0, r_max],
@@ -529,7 +602,6 @@ def full_domain_confirmation(checkpoints, ev, cfg, threshold):
     ev2 = RadialWaveEvolver(fine, 0.5 * (ev.dt0 / ev.h))
     w = _resample_w(ev.grid.r, w0, fine.r)
     v = _resample_w(ev.grid.r, v0, fine.r)
-    a = None
     t = t0
     horizon = checkpoints[-1][0] + CONFIRM_WINDOW
     prev_norm = math.inf
@@ -539,8 +611,8 @@ def full_domain_confirmation(checkpoints, ev, cfg, threshold):
             return True, {"mode": "norm escape on refined grid",
                           "t_confirm": t}
         prev_norm = nrm
-        w, v, a, t, stop, _ = ev2.advance(
-            w, v, t, min(t + cfg.monitor_stride, horizon), a)
+        w, v, t, stop, _ = ev2.advance(
+            w, v, t, min(t + cfg.monitor_stride, horizon))
         if stop != "target":
             mode = ("overflow" if stop == "overflow" else "stepper floor") \
                 + " on refined grid"

@@ -74,10 +74,14 @@ def test_changed_kernel_source_builds_under_a_new_key(tmp_path):
     source.write_bytes(evolve._SOURCE.read_bytes())
     cache = tmp_path / "cache"
     old = evolve._build_kernel(source, "cc", cache)
+    # a concurrent build's temporary file
+    pending = cache / "_verlet-concurrent.tmp"
+    pending.write_bytes(b"")
     source.write_bytes(source.read_bytes() + b"\n/* changed */\n")
     new = evolve._build_kernel(source, "cc", cache)
     assert new != old
-    assert sorted(cache.iterdir()) == sorted([old, new])
+    # only the new library remains beside the temporary file
+    assert sorted(cache.iterdir()) == sorted([new, pending])
 
 
 _BUILD_AND_RUN = """
@@ -89,8 +93,9 @@ from critwave.grids import RadialGrid
 lib = evolve._load_kernel(evolve._build_kernel(evolve._SOURCE, "cc",
                                                Path(sys.argv[1])))
 ev = evolve.RadialWaveEvolver(RadialGrid(3, 8.0, 64, "uniform"), 0.45)
-w, v, a = ev.r * np.exp(-ev.r_sq), np.zeros(64), np.empty(64)
-lib.cw_force(64, w, v, a, ev.r_sq, ev.h, ev.inv12h2)
+w, v = ev.r * np.exp(-ev.r_sq), np.zeros(64)
+a, q = np.empty(64), np.empty(64)
+lib.cw_steps(64, w, v, a, q, ev.r_sq, ev.h, ev.inv12h2, 0, 0.0)
 print(a.tobytes().hex())
 """
 
@@ -121,7 +126,7 @@ def test_missing_compiler_raises_import_error(tmp_path):
 
 def test_failed_build_raises_import_error_and_leaves_no_file(tmp_path):
     source = tmp_path / "broken.c"
-    source.write_text("int cw_force(void) { return }\n")
+    source.write_text("int cw_steps(void) { return }\n")
     cache = tmp_path / "cache"
     with pytest.raises(ImportError, match="could not build"):
         evolve._build_kernel(source, "cc", cache)
