@@ -26,7 +26,8 @@ from .evolve import (RadialWaveEvolver, evolve_direction, fit_ejection_rate,
                      modulation_ode_residual)
 from .experiments import (ExperimentSpec, build_initial_state, exit_code_for,
                           run_experiment, run_quadrant_sweep,
-                          run_static_suite, save_report)
+                          run_static_suite)
+from .fields import save_json
 from .grids import RadialGrid
 from .spectral import build_spectral_data, static_grid
 
@@ -87,7 +88,7 @@ def cmd_static(args) -> int:
     report = run_static_suite(thresholds=thresholds, grid=grid, seed=args.seed,
                               reference_constants=load_reference_constants())
     out = args.out or "static_report.json"
-    save_report(report, out)
+    save_json(out, report)
     for c in report["checks"]:
         tag = "PASS" if c["passed"] else "FAIL"
         print(f"{tag} {c['name']}: value = {c['value']:.6e} "

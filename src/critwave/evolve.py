@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import json
 import math
 import multiprocessing
 import os
@@ -38,7 +37,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .config import EvolutionConfig, Thresholds
-from .fields import RadialField, State
+from .fields import RadialField, State, save_json
 from .functionals import norm_H, smooth_cutoff
 from .grids import RadialGrid
 from .modulation import (FitError, _RadialDistance, _manifold_distance_sq,
@@ -335,9 +334,7 @@ class TrajectoryRecord:
         }
 
     def save_verdict(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.verdict_sidecar(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        save_json(path, self.verdict_sidecar())
 
 
 def _fmt(x) -> str:
@@ -390,11 +387,13 @@ def _attempt_fit(s: State, spec: SpectralData, mon: _MonitorState,
     return fit
 
 
+@np.errstate(over="ignore")
 def _monitor_row(s: State, t: float, spec: SpectralData,
                  mon: _MonitorState) -> dict:
     """All monitors of one state.  u1', its far-field fit and the H^1,
     critical and L^2 pieces are computed once and shared by the fit, the
-    distances and the functionals."""
+    distances and the functionals.  A state past the floating-point range
+    gets an infinite norm, without an overflow warning."""
     th = mon.th
     g = s.grid
     dist = _RadialDistance(spec, s)
@@ -471,7 +470,8 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     ev = RadialWaveEvolver(state0.grid, cfg.cfl)
     w, v = ev.state_to_wv(state0)
     mon = _MonitorState(th)
-    norm0 = norm_H(state0)
+    with np.errstate(over="ignore"):  # infinite for data past the float range
+        norm0 = norm_H(state0)
     threshold = BLOWUP_NORM_MULT * max(norm0, BLOWUP_NORM_FLOOR)
     rows: list[dict] = []
     checkpoints: list[tuple[float, np.ndarray, np.ndarray]] = []

@@ -9,7 +9,6 @@ over a worker pool, and merge results in a fixed order.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import zlib
@@ -19,7 +18,7 @@ import numpy as np
 
 from .config import SWEEP_EVOLUTION, EvolutionConfig, Thresholds
 from .fields import (BoostParams, Field3D, RadialField, State, eval_W,
-                     eval_W_dr, load_state)
+                     eval_W_dr, load_state, save_json)
 from .functionals import (boost_energy_momentum, functional_J,
                           functional_K, h1_seminorm_sq, l2_inner,
                           l2_norm_sq, norm_H, symplectic_omega)
@@ -274,9 +273,7 @@ class QuadrantTable:
              "one_pass_ok": r.one_pass_ok,
              "expected": list(r.expected),
              "matches_expected": r.matches_expected} for r in self.rows]}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        save_json(path, payload)
 
 
 def _sweep_cases(eps_list, cfg: EvolutionConfig, n_perturbed: int, seed: int,
@@ -659,9 +656,3 @@ def run_static_suite(spectral: SpectralData | None = None,
               "checks": checks}
     report["all_passed"] = report["n_failed"] == 0
     return report
-
-
-def save_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -7,6 +7,7 @@ fields (translated / boosted states).  All values are dimensionless.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -310,6 +311,14 @@ class BoostParams:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+def save_json(path, obj) -> None:
+    """The JSON artifact format: one-space indent, sorted keys, a final
+    newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
 
 def save_radial_field(path, fld: RadialField) -> None:
     """Columnar text format: header lines, then `r value` pairs."""

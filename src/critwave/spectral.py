@@ -22,19 +22,17 @@ derived constants are recorded in a constants file.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import (LinAlgError, cho_solve_banded, cholesky_banded,
                           solve_banded)
 from scipy.optimize import brentq
 
 from .fields import (RadialField, State, UniformSpline, eval_W,
-                     eval_W_prime_mode, nonlinearity_power)
+                     eval_W_prime_mode, nonlinearity_power, save_json)
 from .functionals import functional_J, h1_seminorm_sq, l2_inner, l2_norm_sq
 from .grids import RadialGrid
 
@@ -56,54 +54,59 @@ class SpectralConsistencyError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class LinearizedOperator:
-    """Symmetric discretization of radial L+ on a uniform cell-centered grid."""
+    """Symmetric discretization of radial L+ on a uniform cell-centered grid,
+    held as one LAPACK band: row 2 - i of ``band`` holds diagonal i."""
 
     def __init__(self, grid: RadialGrid):
         if grid.spacing != "uniform":
             raise ValueError("the symmetric matrix form requires a uniform grid")
         self.grid = grid
         d, n, h = grid.d, grid.n, grid.r[1] - grid.r[0]
-        self.h = h
         r = grid.r
         p = nonlinearity_power(d)
         potential = ((d - 1.0) * (d - 3.0) / 4.0 / (r * r)
                      - p * np.asarray(eval_W(d, r * r)) ** (p - 1.0))
         c = 1.0 / (12.0 * h * h)
-        main = 30.0 * c + potential
-        off1 = np.full(n - 1, -16.0 * c)
-        off2 = np.full(n - 2, 1.0 * c)
+        band = np.zeros((5, n))
+        band[0, 2:] = band[4, :-2] = 1.0 * c
+        band[1, 1:] = band[3, :-1] = -16.0 * c
+        band[2] = 30.0 * c + potential
         # parity fold at the origin: ghost -1 mirrors node 0 (entry (0, 0)),
-        # ghost -2 mirrors node 1 (entries (0, 1) and (1, 0): off1 is both
-        # first off-diagonals)
+        # ghost -2 mirrors node 1 (entries (0, 1) and (1, 0), the first
+        # entries of both first off-diagonals)
         par = -1.0 if d == 3 else 1.0  # v = r^((d-1)/2) u is odd in d=3, even in d=5
-        main[0] += par * (-16.0 * c)
-        off1[0] += par * (1.0 * c)
+        band[2, 0] += par * (-16.0 * c)
+        band[1, 1] += par * (1.0 * c)
+        band[3, 0] += par * (1.0 * c)
         # outer edge: Dirichlet zero ghosts (eigenfunctions decay like e^(-k r))
-        self.matrix = sparse.diags([off2, off1, main, off1, off2],
-                                   [-2, -1, 0, 1, 2], format="csc")
+        self.band = band
         self._weight = r ** ((d - 1.0) / 2.0)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """L+ v, each row summed from zero in column order, as CSC sums it."""
+        n = len(v)
+        out = np.zeros(n)
+        for i in range(-2, 3):  # diagonal i: out[j - i] += a[j - i, j] v[j]
+            lo, hi = max(i, 0), n + min(i, 0)
+            out[lo - i:hi - i] += self.band[2 - i, lo:hi] * v[lo:hi]
+        return out
 
 
 def _inverse_iteration(op: LinearizedOperator) -> tuple[np.ndarray, float]:
     """Smallest eigenpair of the symmetric matrix, v normalized in l2.
 
-    The five diagonals go into one LAPACK band (row 2 - i holds diagonal i),
-    so each factorization costs O(n): the fixed shift -(p + 1) makes the
-    matrix positive definite, so its 8 solves share one banded Cholesky of
-    the upper rows, and each Rayleigh-quotient shift takes one banded LU.
-    The refinement stops at the 1e-11 relative residual or, on grids whose
-    rounding floor lies above that, once a step fails to halve it.
+    Each factorization of the operator's band costs O(n): the fixed shift
+    -(p + 1) makes the matrix positive definite, so its 8 solves share one
+    banded Cholesky of the upper rows, and each Rayleigh-quotient shift
+    takes one banded LU.  The refinement stops at the 1e-11 relative
+    residual or, on grids whose rounding floor lies above that, once a step
+    fails to halve it.
     """
-    a = op.matrix
-    n = a.shape[0]
     p = nonlinearity_power(op.grid.d)
     shift = -(p + 1.0)  # spectrum is bounded below by -p
-    band = np.zeros((5, n))
-    for i in range(-2, 3):
-        band[2 - i, max(i, 0):n + min(i, 0)] = a.diagonal(i)
     v = np.exp(-op.grid.r) * op._weight
     v /= np.linalg.norm(v)
-    upper = band[:3].copy()
+    upper = op.band[:3].copy()
     upper[2] -= shift
     try:
         chol = cholesky_banded(upper)
@@ -114,22 +117,24 @@ def _inverse_iteration(op: LinearizedOperator) -> tuple[np.ndarray, float]:
     for _ in range(8):
         v = cho_solve_banded((chol, False), v)
         v /= np.linalg.norm(v)
-    # Rayleigh-quotient refinement
+    # Rayleigh-quotient refinement, one product per step
     last = math.inf
     for _ in range(10):
-        lam = float(v @ (a @ v))
-        resid = np.linalg.norm(a @ v - lam * v)
+        av = op @ v
+        lam = float(v @ av)
+        resid = np.linalg.norm(av - lam * v)
         if resid < 1e-11 * max(1.0, abs(lam)) or resid > 0.5 * last:
             break
         last = resid
-        shifted = band.copy()
+        shifted = op.band.copy()
         shifted[2] -= lam
         try:
             v_new = solve_banded((2, 2), shifted, v, overwrite_ab=True)
         except LinAlgError:  # shift collided with the eigenvalue
             break
         v = v_new / np.linalg.norm(v_new)
-    lam = float(v @ (a @ v))
+    else:
+        lam = float(v @ (op @ v))
     if v.sum() < 0:
         v = -v
     return v, lam
@@ -308,9 +313,7 @@ class SpectralData:
         }
 
     def save_constants(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_constants_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        save_json(path, self.to_constants_dict())
 
 
 def _mode_samples(rho: RadialField) -> tuple[np.ndarray, np.ndarray]:
@@ -376,7 +379,7 @@ def build_spectral_data(grid: RadialGrid | None = None,
 
     a_w, b_w, b_w_alt = _w_constants(rho, lam0, k)
 
-    vres = op.matrix @ (v / np.linalg.norm(v)) - lam * (v / np.linalg.norm(v))
+    vres = op @ (v / np.linalg.norm(v)) - lam * (v / np.linalg.norm(v))
     h = egrid.r[1] - egrid.r[0]
     residuals = {
         "eig_residual_l2": float(np.linalg.norm(vres) * math.sqrt(h)

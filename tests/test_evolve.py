@@ -17,6 +17,7 @@ from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, CONFIRM_REFINE,
 from critwave.fields import RadialField, State, eval_W
 from critwave.functionals import energy_E, l2_norm_sq, norm_H
 from critwave.grids import RadialGrid
+from critwave.modulation import FitError, SignAmbiguityError
 
 
 @pytest.fixture(scope="module")
@@ -542,7 +543,7 @@ def strict_json(path):
 
 class TestNonFiniteData:
     """A state that leaves the floating-point range ends the run in a
-    verdict, with a strict-JSON sidecar."""
+    verdict, with a strict-JSON sidecar and no RuntimeWarning."""
 
     GRID = RadialGrid(3, 32.0, 1024, "uniform")
     CFG = EvolutionConfig(n=1024, r_max=32.0, t_max=2.0, cfl=0.45,
@@ -556,7 +557,7 @@ class TestNonFiniteData:
         assert stop == "overflow"
         assert np.all(np.isfinite(w)) and not np.all(np.isfinite(v))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             run = evolve_direction(s, self.CFG, spectral, thresholds)
         assert run.series["t"].tolist() == [0.0]
         assert run.detail["exceeded_at"] == t
@@ -569,9 +570,10 @@ class TestNonFiniteData:
     def test_infinite_norm_at_t0_is_undetermined(self, spectral,
                                                  thresholds):
         s = huge_velocity_state(self.GRID, 1e200)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with np.errstate(over="ignore"):
             assert norm_H(s) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             run = evolve_direction(s, self.CFG, spectral, thresholds)
         assert run.verdict == UNDETERMINED
         assert run.detail["reason"] == ("energy norm not finite at t = 0, "
@@ -583,12 +585,39 @@ class TestNonFiniteData:
     def test_sidecar_is_strict_json(self, scale, spectral, thresholds,
                                     tmp_path):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             rec = evolve_with_monitors(huge_velocity_state(self.GRID, scale),
                                        self.CFG, spectral, thresholds)
         rec.save_verdict(tmp_path / "run.json")
         side = strict_json(tmp_path / "run.json")
         assert side["verdict_forward"] in (BLOWUP, SCATTER, UNDETERMINED)
+
+
+class TestFitFailureInRun:
+    """A modulation fit that raises inside a run leaves its row without a
+    fit: the row's distance is the proxy d0 and its fit columns are NaN."""
+
+    @pytest.mark.parametrize("exc", [FitError, SignAmbiguityError])
+    def test_raising_fit_gives_rows_without_fit(self, exc, spectral,
+                                                thresholds, monkeypatch):
+        calls = []
+
+        def raising(*args, **kwargs):
+            calls.append(args)
+            raise exc("forced failure")
+
+        monkeypatch.setattr(evolve, "fit_modulation", raising)
+        cfg = EvolutionConfig(n=2048, r_max=32.0, t_max=1.0,
+                              monitor_stride=0.25)
+        g = RadialGrid(3, cfg.r_max, cfg.n, "uniform")
+        w = np.asarray(eval_W(3, g.r ** 2))
+        s = State(RadialField(g, w + 1e-3 * spectral.rho_on(g)), zeros_on(g))
+        run = evolve_direction(s, cfg, spectral, thresholds)
+        assert calls and len(run.series["t"]) > 1
+        assert run.verdict in (BLOWUP, SCATTER, UNDETERMINED)
+        for key in ("lambda1", "sigma", "tau"):
+            assert np.all(np.isnan(run.series[key])), key
+        assert run.series["dW"].tobytes() == run.series["d0"].tobytes()
 
 
 def full_domain_confirmation(checkpoints, ev, cfg, threshold):

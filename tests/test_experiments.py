@@ -262,8 +262,8 @@ class TestStaticSuite:
         assert failed == []
 
     def test_report_is_machine_readable(self, report, tmp_path):
-        from critwave.experiments import save_report
-        save_report(report, tmp_path / "report.json")
+        from critwave.fields import save_json
+        save_json(tmp_path / "report.json", report)
         back = json.loads((tmp_path / "report.json").read_text())
         assert back["n_checks"] == len(back["checks"])
         for c in back["checks"]:

@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -37,7 +36,7 @@ def apply_lplus_fd(fld: RadialField) -> RadialField:
 
 def apply_lplus_matrix(op: LinearizedOperator, u: np.ndarray) -> np.ndarray:
     """L+ u through the symmetric matrix, for samples u on op's grid."""
-    return (op.matrix @ (op._weight * u)) / op._weight
+    return (op @ (op._weight * u)) / op._weight
 
 
 class TestEigenpair:
@@ -93,7 +92,7 @@ class TestBandedSolve:
     def test_matches_dense_eigh(self, d):
         op = LinearizedOperator(RadialGrid(d, 60.0, 512, "uniform"))
         v, lam = _inverse_iteration(op)
-        evals, evecs = np.linalg.eigh(op.matrix.toarray())
+        evals, evecs = np.linalg.eigh(lil_operator_matrix(op.grid).toarray())
         v_ref = evecs[:, 0] * np.sign(evecs[:, 0].sum())
         assert lam == pytest.approx(evals[0], rel=1e-12)
         assert np.max(np.abs(v - v_ref)) <= 1e-10
@@ -107,7 +106,7 @@ class TestBandedSolve:
         assert lapack_calls["cholesky_banded"] == 1
         assert lapack_calls["cho_solve_banded"] == 8
         assert lapack_calls["solve_banded"] <= 3
-        resid = np.linalg.norm(op.matrix @ v - lam * v)
+        resid = np.linalg.norm(op @ v - lam * v)
         assert resid <= 1e-9 * max(1.0, abs(lam))
 
     def test_cholesky_failure_names_the_shift(self, monkeypatch):
@@ -122,14 +121,14 @@ class TestBandedSolve:
         monkeypatch.setattr(spectral_mod, "solve_banded", _fail)
         op = LinearizedOperator(RadialGrid(3, 60.0, 512, "uniform"))
         v, lam = _inverse_iteration(op)
-        a = op.matrix.toarray()
+        a = lil_operator_matrix(op.grid).toarray()
         v_ref = np.exp(-op.grid.r) * op._weight
         v_ref /= np.linalg.norm(v_ref)
         for _ in range(8):
             v_ref = np.linalg.solve(a + 6.0 * np.eye(len(v_ref)), v_ref)
             v_ref /= np.linalg.norm(v_ref)
         assert np.max(np.abs(v - v_ref)) <= 1e-12
-        assert lam == float(v @ (op.matrix @ v))
+        assert lam == float(v @ (op @ v))
 
 
 def _oracle_mismatch(k: float, d: int, rtol: float = 1e-12) -> float:
@@ -215,19 +214,38 @@ def lil_operator_matrix(grid: RadialGrid) -> sparse.csc_matrix:
     return mat.tocsc()
 
 
+class LilOracleOperator(LinearizedOperator):
+    """The operator as the LIL oracle's CSC matrix: its band copied out of
+    the matrix's diagonals, its product the CSC product."""
+
+    def __init__(self, grid: RadialGrid):
+        super().__init__(grid)
+        self.matrix = lil_operator_matrix(grid)
+        n = grid.n
+        self.band = np.zeros((5, n))
+        for i in range(-2, 3):
+            self.band[2 - i, max(i, 0):n + min(i, 0)] = self.matrix.diagonal(i)
+
+    def __matmul__(self, v):
+        return self.matrix @ v
+
+
 class TestOperatorHandle:
     @pytest.mark.parametrize("d, r_max, n", [(3, 60.0, 512),
                                              (3, 200.0, 16384),
                                              (5, 200.0, 8192)])
     def test_assembly_matches_lil_oracle_bitwise(self, d, r_max, n):
         op = LinearizedOperator(RadialGrid(d, r_max, n, "uniform"))
-        oracle = copy.copy(op)
-        oracle.matrix = lil_operator_matrix(op.grid)
-        assert op.matrix.format == "csc"
-        for attr in ("indptr", "indices", "data"):
-            got, ref = getattr(op.matrix, attr), getattr(oracle.matrix, attr)
-            assert got.dtype == ref.dtype
-            assert got.tobytes() == ref.tobytes()
+        oracle = LilOracleOperator(op.grid)
+        assert op.band.shape == (5, n) and op.band.dtype == np.float64
+        for i in range(-2, 3):
+            row = op.band[2 - i, max(i, 0):n + min(i, 0)]
+            assert row.tobytes() == oracle.matrix.diagonal(i).tobytes()
+        assert op.band.tobytes() == oracle.band.tobytes()  # zero corners too
+        rng = np.random.default_rng(n + d)
+        for _ in range(10):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-100.0, 100.0, n)
+            assert (op @ x).tobytes() == (oracle.matrix @ x).tobytes()
         v, lam = _inverse_iteration(op)
         v_ref, lam_ref = _inverse_iteration(oracle)
         assert np.float64(lam).tobytes() == np.float64(lam_ref).tobytes()
@@ -238,9 +256,9 @@ class TestOperatorHandle:
             LinearizedOperator(static_grid)
 
     def test_matrix_is_symmetric(self):
-        op = LinearizedOperator(RadialGrid(3, 60.0, 512, "uniform"))
-        a = op.matrix.toarray()
-        assert np.max(np.abs(a - a.T)) == 0.0
+        band = LinearizedOperator(RadialGrid(3, 60.0, 512, "uniform")).band
+        assert band[0, 2:].tobytes() == band[4, :-2].tobytes()
+        assert band[1, 1:].tobytes() == band[3, :-1].tobytes()
 
     def test_zero_mode(self, spectral):
         # L+ W' ~ 0 (threshold resonance), measured against the H1 size of W'
