@@ -80,6 +80,9 @@ def cmd_static(args) -> int:
     overrides = {"n": args.grid_n, "spacing": args.spacing}
     try:
         sections = _load_sections(args.config)
+        if args.seed < 0:
+            raise ValueError(f"--seed must be an integer >= 0, got "
+                             f"{args.seed}")
         grid = static_grid(**{k: v for k, v in overrides.items()
                               if v is not None})
     except ValueError as exc:

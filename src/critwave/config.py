@@ -77,16 +77,20 @@ def load_config(path, given: dict | None = None) -> dict:
     """Read a flat key = value config with [thresholds] / [evolution] sections.
 
     Unknown sections are returned verbatim as string dicts (experiment
-    recipes consume them).  A malformed file, an unknown key or an invalid
-    value raises ValueError.  ``given``, when passed, receives the set of
-    field names that each [thresholds] / [evolution] section sets.
+    recipes consume them).  A file that cannot be read, a malformed file, an
+    unknown key or an invalid value raises ValueError.  ``given``, when
+    passed, receives the set of field names that each [thresholds] /
+    [evolution] section sets.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             parser.read_file(fh)
-        except configparser.Error as exc:
-            raise ValueError(str(exc).replace("\n", " ")) from exc
+    except OSError as exc:
+        raise ValueError(f"cannot read the config file {path}: "
+                         f"{exc.strerror or exc}") from exc
+    except configparser.Error as exc:
+        raise ValueError(str(exc).replace("\n", " ")) from exc
     out: dict = {}
     for section in parser.sections():
         items = dict(parser.items(section))

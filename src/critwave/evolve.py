@@ -40,9 +40,9 @@ from .config import EvolutionConfig, Thresholds
 from .fields import RadialField, State, save_json
 from .functionals import norm_H, smooth_cutoff
 from .grids import RadialGrid
-from .modulation import (FitError, _RadialDistance, _manifold_distance_sq,
-                         distance_dW, fit_modulation, manifold_distance,
-                         sign_functional)
+from .modulation import (FitError, ModulationFit, _RadialDistance,
+                         _manifold_distance_sq, distance_dW, fit_modulation,
+                         manifold_distance, sign_functional)
 from .spectral import SpectralData
 
 BLOWUP = "Blowup"
@@ -349,88 +349,53 @@ def _json_num(x):
     return float(x)
 
 
-class _MonitorState:
-    """Carries fit seeds, tau accumulation and the count of rows whose two
-    sign rules disagree between monitor times."""
-
-    def __init__(self, thresholds: Thresholds):
-        self.th = thresholds
-        self.sigma_seed = 0.0
-        self.sign_seed: int | None = None
-        self.tau = 0.0
-        self.tau_valid = True
-        self.last_fit_t = math.nan
-        self.last_sigma = math.nan
-        self.gap = 0
-        self.sign_disagreements = 0
-
-
-def _attempt_fit(s: State, spec: SpectralData, mon: _MonitorState,
-                 dist: _RadialDistance):
-    """Try the modulation solve near the family; None when clearly far."""
-    th = mon.th
+def _attempt_fit(s: State, spec: SpectralData, th: Thresholds,
+                 last_fit: ModulationFit | None, dist: _RadialDistance):
+    """The converged modulation fit of ``s``, seeded with the (sign, sigma)
+    of the run's last converged fit ``last_fit`` ((None, 0) before the
+    first); None when the state is clearly far from the family or the
+    solve fails."""
+    sign, sigma = ((last_fit.sign_s, last_fit.sigma) if last_fit is not None
+                   else (None, 0.0))
     # cheap proximity proxy at the seeded (sign, sigma)
-    signs = (mon.sign_seed,) if mon.sign_seed is not None else (+1, -1)
-    prox = min(_manifold_distance_sq(spec, s, sg, mon.sigma_seed, dist)
-               for sg in signs)
+    signs = (sign,) if sign is not None else (+1, -1)
+    prox = min(_manifold_distance_sq(spec, s, sg, sigma, dist) for sg in signs)
     if math.sqrt(max(prox, 0.0)) * th.C_d0 > 1.5 * th.delta_A:
         return None
     try:
-        fit = fit_modulation(s, spec, th, sign_hint=mon.sign_seed,
-                             sigma0=mon.sigma_seed, dist=dist)
+        fit = fit_modulation(s, spec, th, sign_hint=sign, sigma0=sigma,
+                             dist=dist)
     except FitError:
         return None
-    if not fit.converged:
-        return None
-    mon.sigma_seed = fit.sigma
-    mon.sign_seed = fit.sign_s
-    return fit
+    return fit if fit.converged else None
 
 
 @np.errstate(over="ignore")
-def _monitor_row(s: State, t: float, spec: SpectralData,
-                 mon: _MonitorState) -> dict:
-    """All monitors of one state.  u1', its far-field fit and the H^1,
-    critical and L^2 pieces are computed once and shared by the fit, the
-    distances and the functionals.  A state past the floating-point range
-    gets an infinite norm, without an overflow warning."""
-    th = mon.th
+def _monitor_row(s: State, t: float, spec: SpectralData, th: Thresholds,
+                 last_fit: ModulationFit | None):
+    """All monitors of one state, and its converged fit (or None), seeded
+    with the run's last converged fit ``last_fit``.  u1', its far-field fit
+    and the H^1, critical and L^2 pieces are computed once and shared by
+    the fit, the distances and the functionals.  A state past the
+    floating-point range gets an infinite norm, without an overflow
+    warning.  The row carries no tau: :func:`_rescaled_time` builds it
+    after the run."""
     g = s.grid
     dist = _RadialDistance(spec, s)
     pieces = dist.pieces
     row: dict = {"t": t}
-    fit = _attempt_fit(s, spec, mon, dist)
+    fit = _attempt_fit(s, spec, th, last_fit, dist)
     rep = distance_dW(s, spec, th, fit=fit, dist=dist) if fit is not None else None
     if rep is None:
         d0 = th.C_d0 * manifold_distance(spec, s, dist=dist)
         row.update({"dW": d0, "d0": d0, "lambda1": math.nan,
                     "lambda2": math.nan, "sigma": math.nan,
                     "gamma_norm": math.nan})
-        sigma_now = math.nan
     else:
         ms = rep.modes
         row.update({"dW": rep.dW, "d0": rep.d0, "lambda1": ms.lambda1,
                     "lambda2": ms.lambda2, "sigma": fit.sigma,
                     "gamma_norm": ms.gamma_norm})
-        sigma_now = fit.sigma
-    # tau accumulation: trapezoid of e^sigma across converged stretches
-    if not math.isnan(sigma_now):
-        if not math.isnan(mon.last_sigma):
-            if mon.gap <= 5:
-                dt_gap = t - mon.last_fit_t
-                mon.tau += 0.5 * (math.exp(mon.last_sigma)
-                                  + math.exp(sigma_now)) * dt_gap
-            else:
-                mon.tau_valid = False
-        mon.last_sigma = sigma_now
-        mon.last_fit_t = t
-        mon.gap = 0
-    else:
-        mon.gap += 1
-        if mon.gap > 5:
-            mon.tau_valid = False
-    row["tau"] = mon.tau if mon.tau_valid and not math.isnan(sigma_now) else math.nan
-
     nham = pieces.norm_H
     row.update({"E": pieces.energy, "K": pieces.K, "norm_H": nham,
                 "u2_sq": pieces.l2})
@@ -443,10 +408,28 @@ def _monitor_row(s: State, t: float, spec: SpectralData,
     lam0_u = g.r * pieces.du + 1.5 * s.u1.values
     row["Vw"] = g.quad_meas(wcut * s.u2.values * lam0_u)
     row["equip"] = g.quad_meas(wcut * s.u2.values * s.u1.values)
-    row["sign"], disagree = sign_functional(row["dW"], row["lambda1"],
-                                            row["K"], th)
-    mon.sign_disagreements += disagree
-    return row
+    row["sign"], row["sign_disagree"] = sign_functional(
+        row["dW"], row["lambda1"], row["K"], th)
+    return row, fit
+
+
+def _rescaled_time(t, sigma) -> np.ndarray:
+    """tau with d tau / dt = e^sigma over a run's rows: the trapezoid of
+    e^sigma between the rows with a fit (sigma not NaN), 0 at the first.
+    NaN on the rows without a fit, and on every row once more than 5
+    consecutive rows have none."""
+    tau = np.full(len(t), math.nan)
+    acc, gap, prev = 0.0, 0, None
+    for i, (ti, si) in enumerate(zip(t.tolist(), sigma.tolist())):
+        if math.isnan(si):
+            gap += 1
+            if gap > 5:
+                break
+            continue
+        if prev is not None:
+            acc += 0.5 * (math.exp(prev[1]) + math.exp(si)) * (ti - prev[0])
+        tau[i], prev, gap = acc, (ti, si), 0
+    return tau
 
 
 def exterior_energy(s: State, r_cut: float, du: np.ndarray) -> float:
@@ -469,7 +452,7 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     th = thresholds or Thresholds()
     ev = RadialWaveEvolver(state0.grid, cfg.cfl)
     w, v = ev.state_to_wv(state0)
-    mon = _MonitorState(th)
+    last_fit = None
     with np.errstate(over="ignore"):  # infinite for data past the float range
         norm0 = norm_H(state0)
     threshold = BLOWUP_NORM_MULT * max(norm0, BLOWUP_NORM_FLOOR)
@@ -479,8 +462,9 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     counts = StepCounts()
     exceeded_at, stepper_floor = None, False
     while True:
-        row = _monitor_row(ev.wv_to_state(w, v), t, spec, mon)
+        row, fit = _monitor_row(ev.wv_to_state(w, v), t, spec, th, last_fit)
         rows.append(row)
+        last_fit = fit or last_fit
         if not math.isfinite(row["norm_H"]):
             exceeded_at = t
             break
@@ -507,9 +491,10 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
 
     series = {k: np.array([r.get(k, math.nan) for r in rows])
               for k in _SERIES_KEYS + _EXTRA_KEYS}
+    series["tau"] = _rescaled_time(series["t"], series["sigma"])
     verdict, detail = _classify(rows, cfg, th, exceeded_at, stepper_floor,
                                 checkpoints, ev, threshold)
-    detail.update(sign_disagreements=mon.sign_disagreements,
+    detail.update(sign_disagreements=sum(r["sign_disagree"] for r in rows),
                   steps=counts.steps, capped_steps=counts.capped,
                   min_dt=counts.min_dt)
     # strict JSON for the sidecar: a float that is not finite becomes None

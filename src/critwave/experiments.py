@@ -31,7 +31,11 @@ from .evolve import (BLOWUP, SCATTER, UNDETERMINED, DirectionRun,
 from .spectral import (BW_TOL, SHOOT_TOL, SpectralData, build_spectral_data,
                        coercivity_probe, static_grid)
 
-RECIPES = ("quadrant", "bump", "file")
+# the [experiment] keys that each recipe reads
+RECIPES = {"quadrant": ("a", "eps", "perturb_norm"),
+           "bump": ("amplitude", "width", "center", "velocity",
+                    "perturb_norm"),
+           "file": ("path",)}
 QUADRANT_DIRECTIONS = {"+1,0": (1, 0), "-1,0": (-1, 0),
                        "0,+1": (0, 1), "0,-1": (0, -1)}
 # verdict pairs (backward, forward) predicted by the linearized phase portrait
@@ -61,6 +65,11 @@ class ExperimentSpec:
         if self.recipe not in RECIPES:
             raise ValueError(f"unknown recipe {self.recipe!r}, expected one "
                              f"of {', '.join(RECIPES)}")
+        keys = RECIPES[self.recipe]
+        unknown = sorted(set(self.params) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown keys for the {self.recipe} recipe: "
+                             f"{unknown}; it reads {', '.join(keys)}")
         if self.recipe == "quadrant":
             a = self.params.get("a")
             if tuple(a) not in QUADRANT_DIRECTIONS.values():

@@ -10,7 +10,8 @@ from critwave.config import EvolutionConfig
 from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, CONFIRM_REFINE,
                              CONFIRM_WINDOW, DT_FLOOR_FACTOR, SCATTER,
                              UNDETERMINED, RadialWaveEvolver, StepCounts,
-                             _confirm_grid, _resample_w, evolve_direction,
+                             _confirm_grid, _rescaled_time, _resample_w,
+                             evolve_direction,
                              evolve_with_monitors, exterior_energy,
                              fit_ejection_rate, modulation_ode_residual,
                              one_pass_check)
@@ -618,6 +619,96 @@ class TestFitFailureInRun:
         for key in ("lambda1", "sigma", "tau"):
             assert np.all(np.isnan(run.series[key])), key
         assert run.series["dW"].tobytes() == run.series["d0"].tobytes()
+
+
+def accumulated_tau(t, sigma):
+    """The tau column as monitor rows once accumulated it, row by row: the
+    trapezoid of e^sigma across converged stretches, invalid for good once
+    more than 5 consecutive rows have no fit."""
+    tau, tau_valid = 0.0, True
+    last_fit_t = last_sigma = math.nan
+    gap = 0
+    out = []
+    for ti, sigma_now in zip(t, sigma):
+        if not math.isnan(sigma_now):
+            if not math.isnan(last_sigma):
+                if gap <= 5:
+                    dt_gap = ti - last_fit_t
+                    tau += 0.5 * (math.exp(last_sigma)
+                                  + math.exp(sigma_now)) * dt_gap
+                else:
+                    tau_valid = False
+            last_sigma = sigma_now
+            last_fit_t = ti
+            gap = 0
+        else:
+            gap += 1
+            if gap > 5:
+                tau_valid = False
+        out.append(tau if tau_valid and not math.isnan(sigma_now)
+                   else math.nan)
+    return np.array(out)
+
+
+class TestRescaledTime:
+    """_rescaled_time equals the old per-row accumulation byte for byte."""
+
+    @staticmethod
+    def series(fit_mask, seed=0):
+        # uneven times and scales of either sign; NaN sigma where no fit
+        rng = np.random.default_rng(seed)
+        t = np.cumsum(rng.uniform(0.01, 0.7, len(fit_mask)))
+        sigma = np.where(fit_mask, rng.uniform(-2.0, 2.0, len(fit_mask)),
+                         math.nan)
+        return t, sigma
+
+    @pytest.mark.parametrize("fit_mask, n_tau", [
+        pytest.param([0] * 12, 0, id="no-fit"),
+        pytest.param([0] * 5 + [1] * 7, 7, id="5-rows-before-first-fit"),
+        pytest.param([0] * 6 + [1] * 7, 0, id="6-rows-before-first-fit"),
+        pytest.param([1] * 4 + [0] * 5 + [1] * 4, 8, id="5-row-gap-bridged"),
+        pytest.param([1] * 4 + [0] * 6 + [1] * 4, 4, id="6-row-gap-ends-tau"),
+        pytest.param([1] * 20, 20, id="uneven-t"),
+        pytest.param([1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1], 6, id="short-gaps"),
+    ])
+    def test_matches_row_accumulation(self, fit_mask, n_tau):
+        t, sigma = self.series(np.array(fit_mask, dtype=bool))
+        tau = _rescaled_time(t, sigma)
+        assert tau.tobytes() == accumulated_tau(t, sigma).tobytes()
+        assert np.count_nonzero(np.isfinite(tau)) == n_tau
+
+    def test_run_column_matches_row_accumulation(self, spectral, thresholds):
+        # a run near W: most rows fit, and tau grows along them
+        cfg = EvolutionConfig(n=2048, r_max=32.0, t_max=2.0,
+                              monitor_stride=0.25)
+        g = RadialGrid(3, cfg.r_max, cfg.n, "uniform")
+        w = np.asarray(eval_W(3, g.r ** 2))
+        s = State(RadialField(g, w + 1e-3 * spectral.rho_on(g)), zeros_on(g))
+        run = evolve_direction(s, cfg, spectral, thresholds)
+        t, sigma, tau = (run.series[k] for k in ("t", "sigma", "tau"))
+        assert np.count_nonzero(np.isfinite(tau)) > 1
+        assert tau.tobytes() == accumulated_tau(t.tolist(),
+                                                sigma.tolist()).tobytes()
+
+
+class TestSignDisagreements:
+    def test_detail_sums_the_row_flags(self, spectral, thresholds,
+                                       monkeypatch):
+        flags = []
+
+        def flagging(dW, lambda1, K, th):
+            flags.append(len(flags) % 3 == 0)
+            return 1, flags[-1]
+
+        monkeypatch.setattr(evolve, "sign_functional", flagging)
+        cfg = EvolutionConfig(n=2048, r_max=32.0, t_max=2.0,
+                              monitor_stride=0.25)
+        g = RadialGrid(3, cfg.r_max, cfg.n, "uniform")
+        run = evolve_direction(bump_state(g, amp=0.01), cfg, spectral,
+                               thresholds)
+        assert len(flags) == len(run.series["t"]) == 9
+        assert run.detail["sign_disagreements"] == sum(flags) == 3
+        assert "sign_disagree" not in run.series
 
 
 def full_domain_confirmation(checkpoints, ev, cfg, threshold):

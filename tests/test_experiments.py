@@ -86,6 +86,20 @@ class TestRecipes:
         with pytest.raises(ValueError):
             exp.validate(thresholds)
 
+    @pytest.mark.parametrize("recipe, params, key", [
+        pytest.param("bump", {"amplitud": 0.05}, "amplitud", id="misspelt"),
+        pytest.param("quadrant", {"a": (1, 0), "eps": 1e-3, "amplitude": 0.1},
+                     "amplitude", id="another-recipes-key"),
+        pytest.param("file", {"path": "init", "perturb_norm": 1e-4},
+                     "perturb_norm", id="file-perturb-norm"),
+    ])
+    def test_unread_keys_rejected(self, thresholds, recipe, params, key):
+        keys = ", ".join(experiments.RECIPES[recipe])
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown keys for the {recipe} recipe: ['{key}']; "
+                f"it reads {keys}")):
+            ExperimentSpec("x", recipe, params).validate(thresholds)
+
     def test_perturbation_norm(self, spectral, rng):
         cfg = EvolutionConfig(**FAST_EVOLUTION)
         exp = ExperimentSpec("b", "bump", {"amplitude": 0.05}, evolution=cfg)
@@ -403,6 +417,53 @@ class TestCLI:
         assert len(captured.err.splitlines()) == 1
         assert f"thresholds {name} must be" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param([command, "--config", "{missing}"],
+                     "cannot read the config file {missing}: No such file",
+                     id=f"{command}-missing-config")
+        for command in ("evolve", "static", "quadrant")] + [
+        pytest.param(["static", "--seed", "-1"],
+                     "--seed must be an integer >= 0, got -1",
+                     id="static-negative-seed"),
+    ])
+    def test_unreadable_input_exits_3(self, tmp_path, capsys, monkeypatch,
+                                      argv, message):
+        # rejected before the spectral build, with nothing written
+        monkeypatch.setattr(cli, "build_spectral_data", _forbidden)
+        monkeypatch.setattr(cli, "run_quadrant_sweep", _forbidden)
+        monkeypatch.setattr(cli, "run_static_suite", _forbidden)
+        missing = tmp_path / "missing.ini"
+        out = tmp_path / "out"
+        code = cli_main([a.format(missing=missing) for a in argv]
+                        + ["--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert message.format(missing=missing) in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, key", [
+        pytest.param("amplitud = 0.05", "amplitud", id="misspelt"),
+        pytest.param("eps = 1e-3", "eps", id="another-recipes-key"),
+    ])
+    def test_evolve_unread_experiment_key_exits_3(self, tmp_path, capsys,
+                                                  monkeypatch, line, key):
+        monkeypatch.setattr(cli, "build_spectral_data", _forbidden)
+        conf = tmp_path / "bad.ini"
+        conf.write_text(f"[experiment]\nname = bad\nrecipe = bump\n{line}\n")
+        code = cli_main(["evolve", "--config", str(conf), "--out",
+                         str(tmp_path)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert (f"unknown keys for the bump recipe: ['{key}']; it reads "
+                "amplitude, width, center, velocity, perturb_norm"
+                in captured.err)
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_quadrant_undetermined_exits_2(self, tmp_path, capsys):
         # t_max = 2 ends every direction before blow-up or scattering

@@ -1042,7 +1042,7 @@ class TestSign:
         monkeypatch.setattr(modulation, "split_modes", counting)
         for eps, want in ((1e-3, -1), (-1e-3, +1)):
             s = State(RadialField(g, ctx["W"] + eps * ctx["rho"]), ctx["zeros"])
-            row = evolve._monitor_row(s, 0.0, spec, evolve._MonitorState(th))
+            row, _ = evolve._monitor_row(s, 0.0, spec, th, None)
             assert len(splits) == 1
             assert row["lambda1"] == splits[0].lambda1
             assert row["sign"] == want
