@@ -1,0 +1,106 @@
+"""One shared library of the package's C kernels, built at import: the
+stepper of ``evolve`` (``_verlet.c``) and the spline evaluation of
+``fields.UniformSpline`` (``_spline.c``); and the checked addresses of the
+arrays they take.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCES = tuple(Path(__file__).with_name(name)
+                for name in ("_verlet.c", "_spline.c"))
+# -ffp-contract=off keeps every multiply and add separately rounded, as
+# numpy rounds them, so each kernel is bitwise the numpy code it replaced
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+class Stride(ctypes.Structure):
+    """The stepper's account of one advance() stride (``cw_stride``)."""
+
+    _fields_ = [("t", ctypes.c_double), ("min_dt", ctypes.c_double),
+                ("steps", ctypes.c_longlong), ("capped", ctypes.c_longlong)]
+
+
+def build_library(sources, cc: str, cache_dir: Path) -> Path:
+    """The shared library of the C files ``sources``, built by the compiler
+    command ``cc`` into ``cache_dir`` unless it is there already, named by
+    a hash of every source, the flags and ``cc --version``.  The compiler
+    writes a temporary file that is renamed into place, so processes may
+    build into one directory at once; a new build deletes the libraries of
+    the other keys.  ImportError when ``cc`` cannot be run or fails."""
+    try:
+        version = subprocess.run([cc, "--version"], capture_output=True,
+                                 check=True, text=True).stdout
+    except (OSError, subprocess.CalledProcessError) as exc:
+        raise ImportError(f"critwave compiles its kernels with the C "
+                          f"compiler command {cc!r}, which could not be run "
+                          f"({exc}); install a C compiler") from exc
+    key = hashlib.sha256(b"\0".join([*(s.read_bytes() for s in sources),
+                                     " ".join(_CFLAGS).encode(),
+                                     version.encode()])).hexdigest()[:16]
+    lib = cache_dir / f"_native-{key}.so"
+    if lib.exists():
+        return lib
+    tmp = None
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix="_native-", suffix=".tmp",
+                                   dir=cache_dir)
+        os.close(fd)
+        subprocess.run([cc, *_CFLAGS, "-o", tmp, *map(str, sources), "-lm"],
+                       capture_output=True, check=True, text=True)
+        os.replace(tmp, lib)
+        for old in cache_dir.glob("_native-*.so"):
+            if old != lib:
+                old.unlink(missing_ok=True)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = getattr(exc, "stderr", None) or exc
+        raise ImportError(f"could not build {', '.join(map(str, sources))} "
+                          f"with {cc!r} into {cache_dir}: {detail}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+def load_library(path: Path) -> ctypes.CDLL:
+    """The library at ``path`` with every function's signature; arrays go
+    in as raw addresses, each checked first by :func:`address`."""
+    lib = ctypes.CDLL(str(path))
+    ptr, n, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+    lib.cw_steps.argtypes = [n, ptr, ptr, ptr, ptr, ptr, real, real,
+                             ctypes.c_longlong, real]
+    lib.cw_steps.restype = None
+    lib.cw_advance.argtypes = [n, ptr, ptr, ptr, ptr, ptr, real, real, real,
+                               real, real, real, real, ctypes.POINTER(Stride)]
+    lib.cw_spline.argtypes = [n, ptr, n, ptr, n, ptr, real, ptr]
+    lib.cw_spline.restype = None
+    return lib
+
+
+def address(x, n: int) -> int:
+    """The address of x for a kernel, which the caller holds until the
+    kernel returns: TypeError unless x is a 1-D, C-contiguous float64
+    ndarray (numpy's ``ndpointer`` checks), ValueError unless x.size == n."""
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64
+            and x.ndim == 1 and x.flags.c_contiguous):
+        what = (f"{x.dtype} {x.shape}, C-contiguous {x.flags.c_contiguous}"
+                if isinstance(x, np.ndarray) else type(x).__name__)
+        raise TypeError(f"a kernel takes a 1-D C-contiguous float64 ndarray, "
+                        f"not {what}")
+    if x.size != n:
+        raise ValueError(f"a kernel expected {n} elements, got {x.size}")
+    return x.ctypes.data
+
+
+# built once per compiler and set of sources, at import: no run pays for it
+LIB = load_library(build_library(SOURCES, "cc", SOURCES[0].parent
+                                 / "__pycache__"))

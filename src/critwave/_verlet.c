@@ -142,10 +142,12 @@ void cw_steps(ptrdiff_t n, double *w, double *v, double *a, double *q,
 }
 
 /* Steps from t to t_target under the nonlinear dt cap, as
- * RadialWaveEvolver.advance describes; returns the stop code. */
-int cw_advance(cw_stride *out, ptrdiff_t n, double *w, double *v, double *a,
-               double *q, const double *r_sq, double h, double c, double dt0,
-               double dt_floor, double max_amp, double t, double t_target)
+ * RadialWaveEvolver.advance describes, with its account into out; returns
+ * the stop code. */
+int cw_advance(ptrdiff_t n, double *w, double *v, double *a, double *q,
+               const double *r_sq, double h, double c, double dt0,
+               double dt_floor, double max_amp, double t, double t_target,
+               cw_stride *out)
 {
     double amp = sqrt(force(n, w, v, a, q, r_sq, h, c));
     double cap, dt, rest;

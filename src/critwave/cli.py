@@ -24,8 +24,8 @@ from importlib import resources
 from .config import SWEEP_EVOLUTION, EvolutionConfig, Thresholds, load_config
 from .evolve import (RadialWaveEvolver, evolve_direction, fit_ejection_rate,
                      modulation_ode_residual)
-from .experiments import (ExperimentSpec, build_initial_state, exit_code_for,
-                          run_experiment, run_quadrant_sweep,
+from .experiments import (ExperimentSpec, build_initial_state, check_seed,
+                          exit_code_for, run_experiment, run_quadrant_sweep,
                           run_static_suite)
 from .fields import save_json
 from .grids import RadialGrid
@@ -185,6 +185,7 @@ def cmd_quadrant(args) -> int:
                              f"got {args.threads}")
         evolution = sections.get("evolution")
         _check_run(evolution or SWEEP_EVOLUTION)
+        check_seed(args.seed)
     except ValueError as exc:
         return _invalid_config(exc)
     table = run_quadrant_sweep(eps_list=eps_list, thresholds=thresholds,

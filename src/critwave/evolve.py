@@ -21,21 +21,17 @@ an honest Undetermined otherwise.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import math
 import multiprocessing
-import os
-import subprocess
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
-from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from . import _native
 from .config import EvolutionConfig, Thresholds
 from .fields import RadialField, State, save_json
 from .functionals import norm_H, smooth_cutoff
@@ -67,87 +63,12 @@ CONFIRM_MARGIN = 2.0        # the confirmation ball's radius beyond the |u| peak
 # largest eigenvalue of the five-point -w_rr stencil: dt / h < sqrt(3) / 2
 CFL_LIMIT = math.sqrt(3.0) / 2.0
 
-# the stepper's C source and its build flags: -ffp-contract=off keeps every
-# multiply and add separately rounded, as numpy rounds them
-_SOURCE = Path(__file__).with_name("_verlet.c")
-_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _STOPS = ("target", "floor", "overflow")     # by the kernel's stop code
 
 
 # ---------------------------------------------------------------------------
 # the stepper
 # ---------------------------------------------------------------------------
-
-class _Stride(ctypes.Structure):
-    """The kernel's account of one advance() stride (``cw_stride``)."""
-
-    _fields_ = [("t", ctypes.c_double), ("min_dt", ctypes.c_double),
-                ("steps", ctypes.c_longlong), ("capped", ctypes.c_longlong)]
-
-
-def _build_kernel(source: Path, cc: str, cache_dir: Path) -> Path:
-    """The shared library of the C file ``source``, built by the compiler
-    command ``cc`` into ``cache_dir`` unless it is there already.
-
-    Its name is keyed by a hash of the source, the flags and the output of
-    ``cc --version``.  The compiler writes a temporary file that is then
-    renamed into place, so processes may build into one directory at once;
-    a new build then deletes the libraries of ``source``'s other keys.
-    Raises ImportError when ``cc`` cannot be run or fails.
-    """
-    try:
-        version = subprocess.run([cc, "--version"], capture_output=True,
-                                 check=True, text=True).stdout
-    except (OSError, subprocess.CalledProcessError) as exc:
-        raise ImportError(f"critwave.evolve compiles its stepper with the C "
-                          f"compiler command {cc!r}, which could not be run "
-                          f"({exc}); install a C compiler") from exc
-    key = hashlib.sha256(b"\0".join([source.read_bytes(),
-                                     " ".join(_CFLAGS).encode(),
-                                     version.encode()])).hexdigest()[:16]
-    lib = cache_dir / f"{source.stem}-{key}.so"
-    if lib.exists():
-        return lib
-    tmp = None
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f"{source.stem}-", suffix=".tmp",
-                                   dir=cache_dir)
-        os.close(fd)
-        subprocess.run([cc, *_CFLAGS, "-o", tmp, str(source), "-lm"],
-                       capture_output=True, check=True, text=True)
-        os.replace(tmp, lib)
-        for old in cache_dir.glob(f"{source.stem}-*.so"):
-            if old != lib:
-                old.unlink(missing_ok=True)
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", None) or exc
-        raise ImportError(f"could not build {source} with {cc!r} into "
-                          f"{cache_dir}: {detail}") from exc
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-    return lib
-
-
-def _load_kernel(path: Path) -> ctypes.CDLL:
-    """The kernel library at ``path`` with every function's signature."""
-    lib = ctypes.CDLL(str(path))
-    vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    n, real = ctypes.c_ssize_t, ctypes.c_double
-    lib.cw_steps.argtypes = [n, vec, vec, vec, vec, vec, real, real,
-                             ctypes.c_longlong, real]
-    lib.cw_steps.restype = None
-    lib.cw_advance.argtypes = [ctypes.POINTER(_Stride), n, vec, vec, vec, vec,
-                               vec, real, real, real, real, real, real, real]
-    return lib
-
-
-# built (once per compiler and source) and loaded at import, so that no run
-# pays for the build
-_KERNEL = _load_kernel(_build_kernel(_SOURCE, "cc",
-                                     _SOURCE.parent / "__pycache__"))
-
 
 @dataclass
 class StepCounts:
@@ -191,24 +112,21 @@ class RadialWaveEvolver:
         self.dt0 = cfl * self.h
         self.inv12h2 = 1.0 / (12.0 * self.h * self.h)
 
-    def _work(self):
-        """The kernel's two work arrays of n doubles, the force and u^2."""
-        return np.empty(self.grid.n), np.empty(self.grid.n)
-
-    def _own(self, x) -> np.ndarray:
-        """A float64 copy of a node array, for the kernel to write into."""
-        x = np.array(x, dtype=np.float64)
-        if x.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} nodes, got an array of "
-                             f"shape {x.shape}")
-        return x
+    def _call(self, kernel, w, v, a, *rest):
+        """kernel(n, w, v, a, q, r_sq, h, 1 / (12 h^2), *rest) with a new
+        u^2 array q, every array checked by _native.address and held here."""
+        n = self.grid.n
+        q = np.empty(n)
+        return kernel(n, *(_native.address(x, n)
+                           for x in (w, v, a, q, self.r_sq)),
+                      self.h, self.inv12h2, *rest)
 
     def force(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Acceleration w_rr + w^5 / r^4 with the origin fold and the
         outgoing closure."""
-        a, q = self._work()
-        _KERNEL.cw_steps(self.grid.n, self._own(w), self._own(v), a, q,
-                         self.r_sq, self.h, self.inv12h2, 0, 0.0)
+        a = np.empty(self.grid.n)
+        self._call(_native.LIB.cw_steps, np.array(w, dtype=float),
+                   np.array(v, dtype=float), a, 0, 0.0)
         return a
 
     def steps(self, w, v, n: int, dt: float):
@@ -217,9 +135,8 @@ class RadialWaveEvolver:
         One force evaluation on entry and one per step; n calls of one step
         equal one call of n steps.
         """
-        w, v = self._own(w), self._own(v)
-        _KERNEL.cw_steps(self.grid.n, w, v, *self._work(), self.r_sq, self.h,
-                         self.inv12h2, n, dt)
+        w, v = np.array(w, dtype=float), np.array(v, dtype=float)
+        self._call(_native.LIB.cw_steps, w, v, np.empty(self.grid.n), n, dt)
         return w, v
 
     def advance(self, w, v, t: float, t_target: float):
@@ -233,13 +150,11 @@ class RadialWaveEvolver:
         :class:`StepCounts` of the stride; on the last two stops, t is the
         time of the state returned.
         """
-        w, v = self._own(w), self._own(v)
-        out = _Stride()
-        stop = _KERNEL.cw_advance(ctypes.byref(out), self.grid.n, w, v,
-                                  *self._work(), self.r_sq, self.h,
-                                  self.inv12h2, self.dt0,
-                                  self.dt0 / DT_FLOOR_FACTOR, _MAX_SAFE_AMP,
-                                  t, t_target)
+        w, v = np.array(w, dtype=float), np.array(v, dtype=float)
+        out = _native.Stride()
+        stop = self._call(_native.LIB.cw_advance, w, v, np.empty(self.grid.n),
+                          self.dt0, self.dt0 / DT_FLOOR_FACTOR, _MAX_SAFE_AMP,
+                          t, t_target, ctypes.byref(out))
         return (w, v, out.t, _STOPS[stop],
                 StepCounts(out.steps, out.capped, out.min_dt))
 

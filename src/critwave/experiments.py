@@ -58,6 +58,9 @@ class ExperimentSpec:
     out_dir: str | None = None
     seed: int = 20240801
 
+    def __post_init__(self):
+        check_seed(self.seed)
+
     def validate(self, thresholds: Thresholds) -> State | None:
         """ValueError on an invalid spec; returns the ``file`` recipe's
         state, read here once for the run to take (None for the other
@@ -148,6 +151,13 @@ def perturb_state(s: State, target_norm: float,
     scale = target_norm / nrm
     return State(RadialField(g, s.u1.values + scale * f1),
                  RadialField(g, s.u2.values + scale * f2))
+
+
+def check_seed(seed: int) -> None:
+    """ValueError unless 0 <= seed < 2^31: derive_seed keeps 31 bits."""
+    if not 0 <= seed <= 0x7FFFFFFF:
+        raise ValueError(f"seed must be an integer in [0, 2^31 - 1], "
+                         f"got {seed}")
 
 
 def derive_seed(seed: int, name: str) -> int:
@@ -348,9 +358,9 @@ def run_quadrant_sweep(eps_list=(1e-3, 3e-3, 1e-2),
     """
     th = thresholds or Thresholds()
     cfg = evolution or SWEEP_EVOLUTION
+    cases = _sweep_cases(eps_list, cfg, n_perturbed, seed, out_dir)
     if spectral is None:
         spectral = build_spectral_data(cross_check=False)
-    cases = _sweep_cases(eps_list, cfg, n_perturbed, seed, out_dir)
     states = []
     for _, _, exp in cases:
         exp.validate(th)

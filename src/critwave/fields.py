@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grids import BLOCK_POINTS, Box3DGrid, RadialGrid
+from . import _native
+from .grids import Box3DGrid, RadialGrid
 
 
 # ---------------------------------------------------------------------------
@@ -119,70 +120,37 @@ class UniformSpline:
     the last sample; evaluating it at r gives shape r.shape + (k,).  Samples
     of shape (n,) make one profile, evaluated to shape r.shape.
 
-    It evaluates the scipy spline's coefficients in scipy's order, but finds
-    each interval directly, i = floor((r - x_0) / h), with one correction
-    step to scipy's rule x[i] <= r < x[i+1] (the node rounding moves a
-    floor by at most one interval) instead of a binary search per point, so
-    its values are bitwise those of scipy's spline of each column, set to
-    zero beyond the last sample.  Large inputs are evaluated in blocks of
-    BLOCK_POINTS.
+    The compiled ``cw_spline`` (``_spline.c``) evaluates all points in one
+    call.  It finds each interval directly, i = floor((r - x_0) / h), with
+    one correction step to scipy's rule x[i] <= r < x[i+1] instead of a
+    binary search per point, and evaluates the coefficients in scipy's
+    order, so its values are bitwise scipy's spline of each column.
     """
 
     def __init__(self, grid: RadialGrid, values: np.ndarray, parity):
         if grid.spacing != "uniform":
             raise ValueError("direct interval lookup needs a uniform grid")
         self._one = np.ndim(values) == 1
-        if self._one:
-            values = np.asarray(values)[:, None]
+        values = np.reshape(values, (len(values), -1))
         spline = _mirrored_spline(grid, values, parity)
-        x = spline.x
-        self._x = x
-        self._x_next = x[1:]
+        x = self._x = spline.x
         self._inv_h = (len(x) - 1) / (x[-1] - x[0])
-        # coefficients as (column, power, interval), highest power first
-        self._coef = np.ascontiguousarray(np.moveaxis(spline.c, 2, 0))
-        self.r_max = grid.r[-1]
+        # coefficients as (interval, column, power), highest power first
+        self._coef = np.ascontiguousarray(
+            spline.c.transpose(1, 2, 0)).ravel()
+        self._k = values.shape[1]
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        flat = r.reshape(-1)
-        k = len(self._coef)
-        out = np.empty((k, flat.size))
-        for a in range(0, flat.size, BLOCK_POINTS):
-            b = a + BLOCK_POINTS
-            self._eval(flat[a:b], out[:, a:b])
-        if self._one:
-            return out[0].reshape(r.shape)
-        return np.moveaxis(out.reshape((k,) + r.shape), 0, -1)
-
-    def _eval(self, r: np.ndarray, out: np.ndarray) -> None:
-        x = self._x
-        rr = np.abs(r)
-        inside = rr <= self.r_max      # false beyond the last node, and for NaN
-        outside = not inside.all()
-        if outside:
-            rr = np.where(inside, rr, self.r_max)
-        top = len(x) - 2
-        i = ((rr - x[0]) * self._inv_h).astype(np.intp)
-        np.minimum(i, top, out=i)
-        xi = x[i]
-        below, above = rr < xi, rr >= self._x_next[i]
-        if below.any() or above.any():
-            i -= below
-            i += above
-            np.minimum(i, top, out=i)
-            xi = x[i]
-        s = rr - xi
-        s2 = s * s
-        s3 = s2 * s
-        for o, c in zip(out, self._coef):
-            # ((c3 + c2 s) + c1 s^2) + c0 s^3, scipy's evaluation order
-            np.multiply(c[2].take(i), s, out=o)
-            o += c[3].take(i)
-            o += c[1].take(i) * s2
-            o += c[0].take(i) * s3
-        if outside:
-            out[:, ~inside] = np.where(np.isnan(r[~inside]), np.nan, 0.0)
+        flat = r.ravel()
+        x, k, n = self._x, self._k, r.size
+        out = np.empty(k * n)
+        _native.LIB.cw_spline(
+            n, _native.address(flat, n), len(x), _native.address(x, len(x)),
+            k, _native.address(self._coef, (len(x) - 1) * k * 4),
+            self._inv_h, _native.address(out, k * n))
+        out = out.reshape((k,) + r.shape)
+        return out[0, ...] if self._one else np.moveaxis(out, 0, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,10 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .config import Thresholds
-from .fields import BLOCK_POINTS, RadialField, State, eval_W, eval_W_dr
+from .fields import RadialField, State, eval_W, eval_W_dr
 from .functionals import (RadialPieces, _h1_tail, energy_E, functional_J,
                           norm_H, smooth_cutoff)
-from .grids import Box3DGrid, RadialGrid
+from .grids import BLOCK_POINTS, Box3DGrid, RadialGrid
 from .spectral import SpectralData
 
 

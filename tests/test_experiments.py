@@ -121,6 +121,33 @@ class TestRecipes:
         assert derive_seed(7, "abc") == derive_seed(7, "abc")
         assert derive_seed(7, "abc") != derive_seed(7, "abd")
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 31])
+    def test_out_of_range_seed_rejected(self, monkeypatch, seed):
+        # derive_seed keeps 31 bits, so -1 and 2^31 would repeat the
+        # variants of 2^31 - 1 and 0
+        assert derive_seed(seed, "x") == derive_seed(seed % 2 ** 31, "x")
+        with pytest.raises(ValueError, match=r"seed must be an integer in "
+                           rf"\[0, 2\^31 - 1\], got {seed}"):
+            ExperimentSpec("q", "quadrant", {"a": (1, 0), "eps": 1e-3},
+                           seed=seed)
+        monkeypatch.setattr(experiments, "build_spectral_data", _forbidden)
+        with pytest.raises(ValueError, match=f"got {seed}"):
+            experiments.run_quadrant_sweep(eps_list=(1e-3,), seed=seed)
+
+    def test_largest_seed_accepted(self, monkeypatch):
+        seed = 2 ** 31 - 1
+        exp = ExperimentSpec("q", "quadrant", {"a": (1, 0), "eps": 1e-3},
+                             seed=seed)
+        assert exp.seed == seed
+        assert derive_seed(seed, "x") != derive_seed(0, "x")
+
+        def reached(*args, **kwargs):
+            raise StopIteration
+        # the sweep passes the seed check and goes on to the spectral build
+        monkeypatch.setattr(experiments, "build_spectral_data", reached)
+        with pytest.raises(StopIteration):
+            experiments.run_quadrant_sweep(eps_list=(1e-3,), seed=seed)
+
     def test_perturbed_variants_draw_distinct_bumps(self, spectral):
         # pert0 and pert12 of a three-amplitude sweep share a and eps; the
         # seed is derived once from the variant's name, so their bumps differ
@@ -444,6 +471,37 @@ class TestCLI:
         assert message.format(missing=missing) in captured.err
         assert "Traceback" not in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "quadrant"])
+    @pytest.mark.parametrize("seed", ["-1", "2147483648"])
+    def test_out_of_range_seed_exits_3(self, tmp_path, capsys, monkeypatch,
+                                       command, seed):
+        monkeypatch.setattr(cli, "build_spectral_data", _forbidden)
+        monkeypatch.setattr(cli, "run_quadrant_sweep", _forbidden)
+        conf = tmp_path / "bump.ini"
+        conf.write_text("[experiment]\nname = b\nrecipe = bump\n")
+        out = tmp_path / "out"
+        code = cli_main([command, "--config", str(conf), "--seed", seed,
+                         "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"invalid configuration: seed must be an integer in "
+            f"[0, 2^31 - 1], got {seed}"]
+        assert not out.exists()
+
+    def test_largest_seed_reaches_the_sweep(self, tmp_path, monkeypatch):
+        seeds = []
+
+        def sweep(**kwargs):
+            seeds.append(kwargs["seed"])
+            raise StopIteration
+        monkeypatch.setattr(cli, "run_quadrant_sweep", sweep)
+        with pytest.raises(StopIteration):
+            cli_main(["quadrant", "--seed", "2147483647", "--out",
+                      str(tmp_path)])
+        assert seeds == [2 ** 31 - 1]
 
     @pytest.mark.parametrize("line, key", [
         pytest.param("amplitud = 0.05", "amplitud", id="misspelt"),

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critwave.fields import (BoostParams, Field3D, RadialField, State, eval_W,
+from critwave.fields import (BoostParams, Field3D, RadialField, State,
+                             UniformSpline, _mirrored_spline, eval_W,
                              eval_W_dr, load_radial_field, load_state,
                              save_radial_field, save_state)
 from critwave.functionals import h1_seminorm_sq
-from critwave.grids import Box3DGrid, RadialGrid
+from critwave.grids import BLOCK_POINTS, Box3DGrid, RadialGrid
 
 
 class TestGroundStateClosedForm:
@@ -159,3 +160,136 @@ class TestSerialization:
         path = tmp_path_factory.mktemp("hyp") / "f.dat"
         save_radial_field(path, RadialField(g, vals))
         assert np.array_equal(load_radial_field(path).values, vals)
+
+
+def numpy_uniform_spline(grid, values, parity):
+    """Oracle: the numpy evaluation of ``UniformSpline`` that the compiled
+    ``cw_spline`` replaced, in blocks of BLOCK_POINTS, each with eight
+    ``take`` gathers per point."""
+    one = np.ndim(values) == 1
+    if one:
+        values = np.asarray(values)[:, None]
+    spline = _mirrored_spline(grid, values, parity)
+    x = spline.x
+    x_next = x[1:]
+    inv_h = (len(x) - 1) / (x[-1] - x[0])
+    coef = np.ascontiguousarray(np.moveaxis(spline.c, 2, 0))
+    r_max = grid.r[-1]
+
+    def evaluate(r, out):
+        rr = np.abs(r)
+        inside = rr <= r_max      # false beyond the last node, and for NaN
+        outside = not inside.all()
+        if outside:
+            rr = np.where(inside, rr, r_max)
+        top = len(x) - 2
+        i = ((rr - x[0]) * inv_h).astype(np.intp)
+        np.minimum(i, top, out=i)
+        xi = x[i]
+        below, above = rr < xi, rr >= x_next[i]
+        if below.any() or above.any():
+            i -= below
+            i += above
+            np.minimum(i, top, out=i)
+            xi = x[i]
+        s = rr - xi
+        s2 = s * s
+        s3 = s2 * s
+        for o, c in zip(out, coef):
+            # ((c3 + c2 s) + c1 s^2) + c0 s^3, scipy's evaluation order
+            np.multiply(c[2].take(i), s, out=o)
+            o += c[3].take(i)
+            o += c[1].take(i) * s2
+            o += c[0].take(i) * s3
+        if outside:
+            out[:, ~inside] = np.where(np.isnan(r[~inside]), np.nan, 0.0)
+
+    def profile(r):
+        r = np.asarray(r, dtype=float)
+        flat = r.reshape(-1)
+        k = len(coef)
+        out = np.empty((k, flat.size))
+        for a in range(0, flat.size, BLOCK_POINTS):
+            b = a + BLOCK_POINTS
+            evaluate(flat[a:b], out[:, a:b])
+        if one:
+            return out[0].reshape(r.shape)
+        return np.moveaxis(out.reshape((k,) + r.shape), 0, -1)
+    return profile
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype == np.float64
+            and got.tobytes() == want.tobytes())
+
+
+class TestCompiledSpline:
+    """``UniformSpline`` (the compiled ``cw_spline``) against the numpy
+    evaluation it replaced, bit for bit."""
+
+    GRID = RadialGrid(3, 40.0, 2000, "uniform")
+
+    @classmethod
+    def samples(cls, columns):
+        r = cls.GRID.r
+        vals = np.stack([np.exp(-r * r / 9.0) * (1.0 + 0.3 * np.sin(r)),
+                         -2.0 * r * np.exp(-r * r / 9.0) / 9.0], axis=1)
+        return vals[:, 0] if columns == 1 else vals
+
+    @classmethod
+    def splines(cls, columns):
+        parity = 1 if columns == 1 else np.array([1.0, -1.0])
+        vals = cls.samples(columns)
+        return (UniformSpline(cls.GRID, vals, parity),
+                numpy_uniform_spline(cls.GRID, vals, parity))
+
+    @classmethod
+    def special_points(cls):
+        r_max = cls.GRID.r[-1]
+        nodes = _mirrored_spline(cls.GRID, cls.samples(1), 1).x
+        past = [np.nextafter(r_max, np.inf), r_max * (1 + 1e-12), 2 * r_max,
+                1e9, 1e300]
+        return np.concatenate([
+            [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, r_max, -r_max],
+            past, np.negative(past), nodes, np.nextafter(nodes, -np.inf),
+            np.nextafter(nodes, np.inf), -nodes])
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_special_points(self, columns):
+        got, want = (f(self.special_points()) for f in self.splines(columns))
+        assert _same_bits(got, want)
+        out = got if columns == 1 else got[:, 0]
+        assert np.isnan(out[:2]).all() and np.all(out[2:4] == 0.0)
+        assert np.all(out[8:18] == 0.0)              # past +-r_max
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("n", [BLOCK_POINTS - 1, BLOCK_POINTS,
+                                   BLOCK_POINTS + 1])
+    def test_sizes_around_a_block(self, columns, n):
+        rng = np.random.default_rng(n + columns)
+        r = rng.uniform(-45.0, 45.0, n)
+        got, want = (f(r) for f in self.splines(columns))
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_input_shapes_and_layouts(self, columns):
+        spline, oracle = self.splines(columns)
+        rng = np.random.default_rng(11)
+        cube = rng.uniform(-45.0, 45.0, (6, 7, 8))
+        cases = [np.float64(3.3), 3.3, 1e9, np.nan, np.empty(0),
+                 np.empty((0, 3)), cube, cube[:, ::2, 1:],
+                 np.asfortranarray(cube), cube.T, cube[::-1, 0, ::3],
+                 cube.astype(np.float32), [1.0, -2.5, np.inf]]
+        for r in cases:
+            got, want = spline(r), oracle(r)
+            assert _same_bits(got, want), np.shape(r)
+            suffix = () if columns == 1 else (2,)
+            assert got.shape == np.shape(r) + suffix
+
+    def test_input_is_not_written(self):
+        spline, _ = self.splines(2)
+        r = np.array([-1.0, np.nan, 50.0])
+        keep = r.copy()
+        spline(r)
+        assert _same_bits(r, keep)

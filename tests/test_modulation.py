@@ -12,13 +12,13 @@ from critwave.config import SWEEP_EVOLUTION
 from critwave.experiments import (BoxResidualClosure, assemble_box_exact,
                                   random_box_closure,
                                   random_orthogonal_residual)
-from critwave.fields import (BLOCK_POINTS, Field3D, RadialField, State,
-                             UniformSpline, eval_W, eval_W_dr,
-                             nonlinearity_power, sobolev_exponent)
+from critwave.fields import (Field3D, RadialField, State, UniformSpline,
+                             eval_W, eval_W_dr, nonlinearity_power,
+                             sobolev_exponent)
 from critwave.functionals import (crit_norm, energy_E, functional_K,
                                   h1_seminorm_sq, l2_inner, l2_norm_sq,
                                   norm_H, symplectic_omega)
-from critwave.grids import Box3DGrid, RadialGrid
+from critwave.grids import BLOCK_POINTS, Box3DGrid, RadialGrid
 from critwave.modulation import (FitError, ModeSplit, SignAmbiguityError,
                                  _box_cross, _box_fit_refs, _radial_mode_ip,
                                  _RadialDistance, box_mode_integrals,
@@ -631,14 +631,17 @@ def rho_dr_spline(spec):
 class TestBoxModeSampler:
     def test_mode_pair_columns_bitwise(self, spectral):
         rng = np.random.default_rng(3)
-        # both signs, the eigen-grid nodes and radii past the last node
+        # both signs, the eigen-grid nodes, radii past the last node, +-0,
+        # inf and NaN
         r = np.concatenate([rng.uniform(-5.0, 250.0, 4000),
-                            spectral.eigen_grid.r[:50], [0.0]])
+                            spectral.eigen_grid.r[:50],
+                            [0.0, -0.0, np.inf, -np.inf, np.nan]])
         rho_dr_profile = rho_dr_spline(spectral)
         pair = spectral.mode_pair(r)
         assert pair.shape == r.shape + (2,)
-        assert np.array_equal(pair[:, 0], spectral.lambda0_rho_profile(r))
-        assert np.array_equal(pair[:, 1], rho_dr_profile(r))
+        for got, want in ((pair[:, 0], spectral.lambda0_rho_profile(r)),
+                          (pair[:, 1], rho_dr_profile(r))):
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
         r3 = r[:4000].reshape(10, 20, 20)
         pair3 = spectral.mode_pair(r3)
         assert np.array_equal(pair3[..., 0], spectral.lambda0_rho_profile(r3))

@@ -12,10 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from critwave import evolve
+from critwave import _native, evolve
 from critwave.experiments import assemble_box_exact, random_box_closure
-from critwave.fields import BLOCK_POINTS
-from critwave.grids import Box3DGrid, RadialGrid
+from critwave.grids import BLOCK_POINTS, Box3DGrid, RadialGrid
 from critwave.modulation import fit_modulation
 from critwave.spectral import build_spectral_data
 
@@ -60,42 +59,65 @@ def _logging_cc(tmp_path):
 def test_warm_kernel_cache_compiles_nothing(tmp_path):
     cc, log = _logging_cc(tmp_path)
     cache = tmp_path / "cache"
-    lib = evolve._build_kernel(evolve._SOURCE, cc, cache)
+    lib = _native.build_library(_native.SOURCES, cc, cache)
     first = log.read_text().splitlines()
     assert first[0] == "--version" and len(first) == 2    # key, then build
-    assert evolve._build_kernel(evolve._SOURCE, cc, cache) == lib
+    # one build of every source into one library
+    assert all(str(s) in first[1].split() for s in _native.SOURCES)
+    assert _native.build_library(_native.SOURCES, cc, cache) == lib
     # the key still asks for the version; no second build
     assert log.read_text().splitlines()[2:] == ["--version"]
     assert list(cache.iterdir()) == [lib]
 
 
+def _copied_sources(tmp_path):
+    sources = [tmp_path / s.name for s in _native.SOURCES]
+    for copy, source in zip(sources, _native.SOURCES):
+        copy.write_bytes(source.read_bytes())
+    return sources
+
+
 def test_changed_kernel_source_builds_under_a_new_key(tmp_path):
-    source = tmp_path / "_verlet.c"
-    source.write_bytes(evolve._SOURCE.read_bytes())
+    sources = _copied_sources(tmp_path)
     cache = tmp_path / "cache"
-    old = evolve._build_kernel(source, "cc", cache)
+    old = _native.build_library(sources, "cc", cache)
     # a concurrent build's temporary file
-    pending = cache / "_verlet-concurrent.tmp"
+    pending = cache / "_native-concurrent.tmp"
     pending.write_bytes(b"")
-    source.write_bytes(source.read_bytes() + b"\n/* changed */\n")
-    new = evolve._build_kernel(source, "cc", cache)
+    sources[0].write_bytes(sources[0].read_bytes() + b"\n/* changed */\n")
+    new = _native.build_library(sources, "cc", cache)
     assert new != old
     # only the new library remains beside the temporary file
     assert sorted(cache.iterdir()) == sorted([new, pending])
+
+
+@pytest.mark.parametrize("edited", range(len(_native.SOURCES)))
+def test_editing_any_source_rekeys_the_one_library(tmp_path, edited):
+    sources = _copied_sources(tmp_path)
+    cache = tmp_path / "cache"
+    old = _native.build_library(sources, "cc", cache)
+    sources[edited].write_bytes(sources[edited].read_bytes() + b"\n")
+    new = _native.build_library(sources, "cc", cache)
+    assert new != old and not old.exists()
+    assert list(cache.iterdir()) == [new]
+    lib = _native.load_library(new)
+    # every kernel of the package is in it
+    assert all(hasattr(lib, f) for f in ("cw_steps", "cw_advance",
+                                         "cw_spline"))
 
 
 _BUILD_AND_RUN = """
 import sys
 from pathlib import Path
 import numpy as np
-from critwave import evolve
+from critwave import _native, evolve
 from critwave.grids import RadialGrid
-lib = evolve._load_kernel(evolve._build_kernel(evolve._SOURCE, "cc",
-                                               Path(sys.argv[1])))
+lib = _native.load_library(_native.build_library(_native.SOURCES, "cc",
+                                                 Path(sys.argv[1])))
 ev = evolve.RadialWaveEvolver(RadialGrid(3, 8.0, 64, "uniform"), 0.45)
 w, v = ev.r * np.exp(-ev.r_sq), np.zeros(64)
-a, q = np.empty(64), np.empty(64)
-lib.cw_steps(64, w, v, a, q, ev.r_sq, ev.h, ev.inv12h2, 0, 0.0)
+a = np.empty(64)
+ev._call(lib.cw_steps, w, v, a, 0, 0.0)
 print(a.tobytes().hex())
 """
 
@@ -120,7 +142,8 @@ def test_two_processes_build_into_one_cold_cache(tmp_path):
 
 def test_missing_compiler_raises_import_error(tmp_path):
     with pytest.raises(ImportError, match="critwave-no-such-cc"):
-        evolve._build_kernel(evolve._SOURCE, "critwave-no-such-cc", tmp_path)
+        _native.build_library(_native.SOURCES, "critwave-no-such-cc",
+                              tmp_path)
     assert not list(tmp_path.iterdir())
 
 
@@ -129,8 +152,41 @@ def test_failed_build_raises_import_error_and_leaves_no_file(tmp_path):
     source.write_text("int cw_steps(void) { return }\n")
     cache = tmp_path / "cache"
     with pytest.raises(ImportError, match="could not build"):
-        evolve._build_kernel(source, "cc", cache)
+        _native.build_library([*_native.SOURCES, source], "cc", cache)
     assert not list(cache.iterdir())
+
+
+class TestKernelArguments:
+    """Every array goes to a kernel as a raw address, checked first."""
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.zeros(8, dtype=np.float32), TypeError),
+        (np.zeros(16)[::2], TypeError),
+        (np.zeros((2, 4)), TypeError),
+        ([0.0] * 8, TypeError),
+        (np.zeros(7), ValueError),
+        (np.zeros(9), ValueError)], ids=["float32", "strided", "2-D",
+                                         "list", "short", "long"])
+    def test_bad_array_raises(self, bad, error):
+        with pytest.raises(error):
+            _native.address(bad, 8)
+
+    @pytest.mark.parametrize("bad", [np.zeros(64, dtype=np.float32),
+                                     np.zeros(128)[::2], np.zeros(63)],
+                             ids=["float32", "strided", "short"])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_stepper_arguments_checked_before_the_call(self, bad, slot):
+        ev = evolve.RadialWaveEvolver(RadialGrid(3, 8.0, 64, "uniform"), 0.45)
+        arrays = [np.zeros(64), np.zeros(64), np.zeros(64)]
+        arrays[slot] = bad
+        calls = []
+        with pytest.raises((TypeError, ValueError)):
+            ev._call(lambda *args: calls.append(args), *arrays, 0, 0.0)
+        assert calls == []
+        # the same arrays, checked, reach the kernel
+        arrays[slot] = np.zeros(64)
+        ev._call(lambda *args: calls.append(args), *arrays, 0, 0.0)
+        assert len(calls) == 1
 
 
 # package definitions kept without a caller in src/, each with its reason
