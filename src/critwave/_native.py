@@ -34,8 +34,8 @@ def build_library(sources, cc: str, cache_dir: Path) -> Path:
     command ``cc`` into ``cache_dir`` unless it is there already, named by
     a hash of every source, the flags and ``cc --version``.  The compiler
     writes a temporary file that is renamed into place, so processes may
-    build into one directory at once; a new build deletes the libraries of
-    the other keys.  ImportError when ``cc`` cannot be run or fails."""
+    build into one directory at once; a new build deletes every other
+    library there (of another key, or of an older name).  ImportError when ``cc`` cannot be run or fails."""
     try:
         version = subprocess.run([cc, "--version"], capture_output=True,
                                  check=True, text=True).stdout
@@ -58,7 +58,7 @@ def build_library(sources, cc: str, cache_dir: Path) -> Path:
         subprocess.run([cc, *_CFLAGS, "-o", tmp, *map(str, sources), "-lm"],
                        capture_output=True, check=True, text=True)
         os.replace(tmp, lib)
-        for old in cache_dir.glob("_native-*.so"):
+        for old in cache_dir.glob("*.so"):
             if old != lib:
                 old.unlink(missing_ok=True)
     except (OSError, subprocess.CalledProcessError) as exc:

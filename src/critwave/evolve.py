@@ -34,11 +34,12 @@ from scipy.interpolate import CubicSpline
 from . import _native
 from .config import EvolutionConfig, Thresholds
 from .fields import RadialField, State, save_json
-from .functionals import norm_H, smooth_cutoff
+from .functionals import (crit_norm, energy_E, functional_K, l2_norm_sq,
+                          norm_H, smooth_cutoff)
 from .grids import RadialGrid
-from .modulation import (FitError, ModulationFit, _RadialDistance,
-                         _manifold_distance_sq, distance_dW, fit_modulation,
-                         manifold_distance, sign_functional)
+from .modulation import (FitError, ModulationFit, _manifold_distance_sq,
+                         distance_dW, fit_modulation, manifold_distance,
+                         sign_functional)
 from .spectral import SpectralData
 
 BLOWUP = "Blowup"
@@ -265,7 +266,7 @@ def _json_num(x):
 
 
 def _attempt_fit(s: State, spec: SpectralData, th: Thresholds,
-                 last_fit: ModulationFit | None, dist: _RadialDistance):
+                 last_fit: ModulationFit | None):
     """The converged modulation fit of ``s``, seeded with the (sign, sigma)
     of the run's last converged fit ``last_fit`` ((None, 0) before the
     first); None when the state is clearly far from the family or the
@@ -274,12 +275,11 @@ def _attempt_fit(s: State, spec: SpectralData, th: Thresholds,
                    else (None, 0.0))
     # cheap proximity proxy at the seeded (sign, sigma)
     signs = (sign,) if sign is not None else (+1, -1)
-    prox = min(_manifold_distance_sq(spec, s, sg, sigma, dist) for sg in signs)
+    prox = min(_manifold_distance_sq(spec, s, sg, sigma) for sg in signs)
     if math.sqrt(max(prox, 0.0)) * th.C_d0 > 1.5 * th.delta_A:
         return None
     try:
-        fit = fit_modulation(s, spec, th, sign_hint=sign, sigma0=sigma,
-                             dist=dist)
+        fit = fit_modulation(s, spec, th, sign_hint=sign, sigma0=sigma)
     except FitError:
         return None
     return fit if fit.converged else None
@@ -289,20 +289,19 @@ def _attempt_fit(s: State, spec: SpectralData, th: Thresholds,
 def _monitor_row(s: State, t: float, spec: SpectralData, th: Thresholds,
                  last_fit: ModulationFit | None):
     """All monitors of one state, and its converged fit (or None), seeded
-    with the run's last converged fit ``last_fit``.  u1', its far-field fit
-    and the H^1, critical and L^2 pieces are computed once and shared by
-    the fit, the distances and the functionals.  A state past the
+    with the run's last converged fit ``last_fit``.  The fit, the
+    distances and the functionals share the pieces of the state's fields
+    (u1', its far-field fit, the H^1, critical and L^2 norms and the
+    cross terms with W_sigma), each computed once.  A state past the
     floating-point range gets an infinite norm, without an overflow
     warning.  The row carries no tau: :func:`_rescaled_time` builds it
     after the run."""
     g = s.grid
-    dist = _RadialDistance(spec, s)
-    pieces = dist.pieces
     row: dict = {"t": t}
-    fit = _attempt_fit(s, spec, th, last_fit, dist)
-    rep = distance_dW(s, spec, th, fit=fit, dist=dist) if fit is not None else None
+    fit = _attempt_fit(s, spec, th, last_fit)
+    rep = distance_dW(s, spec, th, fit=fit) if fit is not None else None
     if rep is None:
-        d0 = th.C_d0 * manifold_distance(spec, s, dist=dist)
+        d0 = th.C_d0 * manifold_distance(spec, s)
         row.update({"dW": d0, "d0": d0, "lambda1": math.nan,
                     "lambda2": math.nan, "sigma": math.nan,
                     "gamma_norm": math.nan})
@@ -311,16 +310,16 @@ def _monitor_row(s: State, t: float, spec: SpectralData, th: Thresholds,
         row.update({"dW": rep.dW, "d0": rep.d0, "lambda1": ms.lambda1,
                     "lambda2": ms.lambda2, "sigma": fit.sigma,
                     "gamma_norm": ms.gamma_norm})
-    nham = pieces.norm_H
-    row.update({"E": pieces.energy, "K": pieces.K, "norm_H": nham,
-                "u2_sq": pieces.l2})
-    row["free_ratio"] = pieces.crit / max(nham * nham, 1e-300)
+    nham = norm_H(s)
+    row.update({"E": energy_E(s), "K": functional_K(s.u1), "norm_H": nham,
+                "u2_sq": l2_norm_sq(s.u2)})
+    row["free_ratio"] = crit_norm(s.u1) / max(nham * nham, 1e-300)
     # exterior energy beyond the light cone of the nominal support
     r_cut = SUPPORT_RADIUS + abs(t) + _EXT_PAD
-    row["Eext"] = exterior_energy(s, r_cut, pieces.du)
+    row["Eext"] = exterior_energy(s, r_cut)
     # localized virial and equipartition brackets
     wcut = smooth_cutoff(g.r / (abs(t) + CONE_S))
-    lam0_u = g.r * pieces.du + 1.5 * s.u1.values
+    lam0_u = g.r * s.u1.du + 1.5 * s.u1.values
     row["Vw"] = g.quad_meas(wcut * s.u2.values * lam0_u)
     row["equip"] = g.quad_meas(wcut * s.u2.values * s.u1.values)
     row["sign"], row["sign_disagree"] = sign_functional(
@@ -347,13 +346,13 @@ def _rescaled_time(t, sigma) -> np.ndarray:
     return tau
 
 
-def exterior_energy(s: State, r_cut: float, du: np.ndarray) -> float:
-    """||u_vec||^2 in the energy seminorm restricted to r > r_cut, given
-    du = u1'."""
+def exterior_energy(s: State, r_cut: float) -> float:
+    """||u_vec||^2 in the energy seminorm restricted to r > r_cut."""
     g = s.grid
     mask = g.r > r_cut
     if not np.any(mask):
         return 0.0
+    du = s.u1.du
     return float(np.sum(g.w_meas[mask] * (du[mask] ** 2 + s.u2.values[mask] ** 2)))
 
 

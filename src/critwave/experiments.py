@@ -17,14 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SWEEP_EVOLUTION, EvolutionConfig, Thresholds
-from .fields import (BoostParams, Field3D, RadialField, State, eval_W,
-                     eval_W_dr, load_state, save_json)
+from .fields import (BoostParams, Field3D, RadialField, State,
+                     _w_sigma_field, eval_W, eval_W_dr, load_state,
+                     save_json)
 from .functionals import (boost_energy_momentum, functional_J,
                           functional_K, h1_seminorm_sq, l2_inner,
                           l2_norm_sq, norm_H, symplectic_omega)
 from .grids import Box3DGrid, RadialGrid
-from .modulation import (_w_sigma_field, assemble_state, box_mode_parts,
-                         box_modes, distance_dW, fit_modulation)
+from .modulation import (assemble_state, box_mode_parts, box_modes,
+                         distance_dW, fit_modulation)
 from .evolve import (BLOWUP, SCATTER, UNDETERMINED, DirectionRun,
                      TrajectoryRecord, evolve_directions,
                      evolve_with_monitors, one_pass_check)

@@ -3,6 +3,12 @@
 The phase space is H = H^1_dot x L^2, represented either by a pair of
 radial fields (spherically symmetric states) or by a pair of 3-D box
 fields (translated / boosted states).  All values are dimensionless.
+
+A radial field owns its derived pieces (its derivative, far-field fit,
+norms and cross terms with the family W_sigma), each computed once on
+first use; its samples are read-only, so no piece goes stale.  The
+functionals and the distance to the family read these pieces, so every
+consumer of one field shares them.
 """
 
 from __future__ import annotations
@@ -10,22 +16,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import _native
-from .grids import Box3DGrid, RadialGrid
+from .grids import Box3DGrid, RadialGrid, sobolev_exponent
 
 
 # ---------------------------------------------------------------------------
 # ground state closed forms
 # ---------------------------------------------------------------------------
-
-def sobolev_exponent(d: int) -> float:
-    """The critical exponent 2* = 2d/(d-2)."""
-    return 2.0 * d / (d - 2.0)
-
 
 def nonlinearity_power(d: int) -> float:
     """p = 2* - 1, the power in the focusing nonlinearity |u|^(p-1) u."""
@@ -78,20 +80,44 @@ def eval_W_prime_mode(d: int, r) -> np.ndarray | float:
     return r * _W_dr_power(d, r) + (d / 2.0 - 1.0) * eval_W(d, r * r)
 
 
+def _w_sigma_field(grid: RadialGrid, sigma: float) -> np.ndarray:
+    """W_sigma = e^((d/2 - 1) sigma) W(e^sigma r) on the grid's nodes."""
+    es = math.exp(sigma)
+    amp = es ** (grid.d / 2.0 - 1.0)
+    return amp * np.asarray(eval_W(grid.d, (es * grid.r) ** 2))
+
+
+def _w_sigma_deriv(grid: RadialGrid, sigma: float) -> np.ndarray:
+    """W_sigma' on the grid's nodes."""
+    es = math.exp(sigma)
+    amp = es ** (grid.d / 2.0 - 1.0)
+    return amp * es * np.asarray(eval_W_dr(grid.d, es * grid.r))
+
+
+def _w_sigma_farfield(d: int, sigma: float) -> tuple[float, float]:
+    """(c, b) of W_sigma ~ c r^(2-d) + b r^(-d), from the closed form."""
+    dd = d * (d - 2.0)
+    c0 = dd ** ((d - 2.0) / 2.0)
+    b0 = -c0 * dd * (d - 2.0) / 2.0
+    return (c0 * math.exp(-(d / 2.0 - 1.0) * sigma),
+            b0 * math.exp(-(d / 2.0 + 1.0) * sigma))
+
+
 # ---------------------------------------------------------------------------
 # radial profiles: evaluate-anywhere wrappers
 # ---------------------------------------------------------------------------
 
 class RadialProfile:
-    """A cubic spline through radial samples (grid.r, values), evaluable at
+    """A cubic spline through the samples of a radial field, evaluable at
     arbitrary radii, with an even extension through the origin and the
-    fitted far field c r^(2-d) + b r^-d beyond the last sample."""
+    field's fitted far field c r^(2-d) + b r^-d beyond the last sample."""
 
-    def __init__(self, grid: RadialGrid, values: np.ndarray):
-        self._spline = _mirrored_spline(grid, values, 1)
+    def __init__(self, fld: RadialField):
+        grid = fld.grid
+        self._spline = _mirrored_spline(grid, fld.values, 1)
         self._r_last = grid.r[-1]
         self._d = grid.d
-        self._cb = grid.tail_fit(values)
+        self._cb = fld.tail
 
     def __call__(self, r) -> np.ndarray:
         rr = np.abs(np.asarray(r, dtype=float))
@@ -159,7 +185,18 @@ class UniformSpline:
 
 @dataclass(frozen=True)
 class RadialField:
-    """Samples of a radially symmetric function on a radial grid."""
+    """Samples of a radially symmetric function f on a radial grid, and its
+    pieces, each computed once on first use: f' (``du``), the far-field fit
+    (c, b) of f ~ c r^(2-d) + b r^(-d) (``tail``), ||grad f||^2 and
+    ||f||_(2*)^(2*), each with its tail beyond r_max (``h1_sq``, ``crit``),
+    ||f||^2 (``l2_sq``, no tail) and cross(sigma) = <grad f | grad W_sigma>.
+
+    The samples are taken without a copy when they are float64 already
+    and marked read-only, the caller's array with them, as is f': a write
+    through either raises, so no piece goes stale (a view of another
+    array stays writable through its base).  A pickled or copied field is
+    rebuilt from its samples, without its pieces.
+    """
 
     grid: RadialGrid
     values: np.ndarray
@@ -170,14 +207,63 @@ class RadialField:
             raise ValueError(f"expected {self.grid.n} values, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_cross", {})
 
-    def deriv(self) -> np.ndarray:
-        return self.grid.deriv(self.values)
+    def __reduce__(self):
+        return RadialField, (self.grid, self.values)
+
+    @cached_property
+    def du(self) -> np.ndarray:
+        du = self.grid.deriv(self.values)
+        du.flags.writeable = False
+        return du
+
+    @cached_property
+    def tail(self) -> tuple[float, float]:
+        return self.grid.tail_fit(self.values)
+
+    @cached_property
+    def h1_sq(self) -> float:
+        g = self.grid
+        return g.quad_meas(self.du * self.du) + g.h1_tail(*self.tail)
+
+    @cached_property
+    def crit(self) -> float:
+        g = self.grid
+        return (g.quad_meas(np.abs(self.values) ** sobolev_exponent(g.d))
+                + g.crit_tail(*self.tail))
+
+    @cached_property
+    def l2_sq(self) -> float:
+        return self.grid.quad_meas(self.values * self.values)
+
+    @cached_property
+    def _du_meas(self) -> np.ndarray:
+        return self.du * self.grid.w_meas
+
+    def cross(self, sigma: float) -> float:
+        """<grad f | grad W_sigma>, tails included: one full-grid evaluation
+        of W_sigma' per sigma, whose value is kept.
+
+        The tail beyond r_max takes W_sigma's two-term far field at r_max,
+        which holds only while e^sigma r_max is large: on the sweep grid
+        (r_max = 64) sigma = -2 puts it at 8.7, where it still holds, and
+        below sigma ~ -4.5 the truncated tail makes the distance
+        ||u - W_sigma||^2 built from it negative.
+        """
+        val = self._cross.get(sigma)
+        if val is None:
+            g = self.grid
+            val = (float(self._du_meas @ _w_sigma_deriv(g, sigma))
+                   + g.h1_tail(*self.tail, *_w_sigma_farfield(g.d, sigma)))
+            self._cross[sigma] = val
+        return val
 
     def profile(self) -> RadialProfile:
         """The even spline profile with the power-law far field."""
-        return RadialProfile(self.grid, self.values)
+        return RadialProfile(self)
 
     def __add__(self, other: "RadialField") -> "RadialField":
         _check_same_grid(self, other)
@@ -314,6 +400,10 @@ def load_radial_field(path) -> RadialField:
                 continue
             a, b = line.split()
             rows.append((float(a), float(b)))
+    for key in ("d", "n", "r_max"):
+        if key not in meta:
+            raise ValueError(f"{path} has no {key}= in its header "
+                             "'# d=... n=... r_max=...'")
     grid = RadialGrid(int(meta["d"]), float(meta["r_max"]), int(meta["n"]),
                       meta.get("spacing", "sinh"), float(meta.get("beta", 6.0)))
     r_file = np.array([ab[0] for ab in rows])

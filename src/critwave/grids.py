@@ -15,9 +15,10 @@ corrections, 4th order or better for smooth integrands.
 
 Fields with an inverse-power far field (the ground state W and anything
 built from it decays like r^(2-d)) carry most of their gradient norm in
-the tail, so the norm helpers in :mod:`critwave.functionals` add analytic
-tail integrals of the fitted far field c * r^(2-d) beyond r_max.  The grid
-provides the fit of c.
+the tail, so a radial field's norms (:class:`critwave.fields.RadialField`)
+add analytic tail integrals of the fitted far field c r^(2-d) + b r^(-d)
+beyond r_max.  The grid owns that far-field model: the fit of (c, b) and
+the H^1 and critical tail integrals.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ def _node_count(name: str, value) -> int:
     if count < 16:
         raise ValueError(f"{name}: need at least 16 nodes, got {value!r}")
     return count
+
+
+def sobolev_exponent(d: int) -> float:
+    """The critical exponent 2* = 2d/(d-2)."""
+    return 2.0 * d / (d - 2.0)
 
 
 def sphere_area(d: int) -> float:
@@ -245,6 +251,25 @@ class RadialGrid:
         proj, m, s, weight = self._tail_projector
         alpha, beta = proj @ (f[-_TAIL_FIT_NODES:] * weight)
         return float(alpha - beta * m / s), float(beta / s)
+
+    def h1_tail(self, cf, bf, cg=None, bg=None) -> float:
+        """int_R^inf grad(f).grad(g) over the far fields (cf, bf) of f and
+        (cg, bg) of g (g = f by default), R = r_max."""
+        if cg is None:
+            cg, bg = cf, bf
+        d, R = self.d, self.r_max
+        val = ((d - 2.0) * cf * cg * R ** (2 - d)
+               + (d - 2.0) * (cf * bg + cg * bf) * R ** (-d)
+               + d * d * bf * bg * R ** (-d - 2) / (d + 2.0))
+        return self.angular_factor * val
+
+    def crit_tail(self, c, b) -> float:
+        """int_R^inf |f|^(2*) over the far field (c, b) of f, R = r_max."""
+        d, R = self.d, self.r_max
+        ts = sobolev_exponent(d)
+        val = (abs(c) ** ts * R ** (-d) / d
+               + ts * abs(c) ** (ts - 2.0) * c * b * R ** (-d - 2) / (d + 2.0))
+        return self.angular_factor * val
 
 
 class Box3DGrid:

@@ -35,10 +35,9 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .config import Thresholds
-from .fields import RadialField, State, eval_W, eval_W_dr
-from .functionals import (RadialPieces, _h1_tail, energy_E, functional_J,
-                          norm_H, smooth_cutoff)
-from .grids import BLOCK_POINTS, Box3DGrid, RadialGrid
+from .fields import RadialField, State, _w_sigma_field, eval_W, eval_W_dr
+from .functionals import energy_E, functional_J, norm_H, smooth_cutoff
+from .grids import BLOCK_POINTS, Box3DGrid
 from .spectral import SpectralData
 
 
@@ -290,18 +289,6 @@ def scale_profile(profile, d: int, a: float, sigma: float):
     return fn
 
 
-def _w_sigma_field(grid: RadialGrid, sigma: float) -> np.ndarray:
-    es = math.exp(sigma)
-    amp = es ** (grid.d / 2.0 - 1.0)
-    return amp * np.asarray(eval_W(grid.d, (es * grid.r) ** 2))
-
-
-def _w_sigma_deriv(grid: RadialGrid, sigma: float) -> np.ndarray:
-    es = math.exp(sigma)
-    amp = es ** (grid.d / 2.0 - 1.0)
-    return amp * es * np.asarray(eval_W_dr(grid.d, es * grid.r))
-
-
 def _newton_loop(residual, h0: np.ndarray, x: np.ndarray, tol: float,
                  max_iters: int, f0=None):
     """Damped quasi-Newton with Broyden updates of the inverse Jacobian.
@@ -338,8 +325,7 @@ def _newton_loop(residual, h0: np.ndarray, x: np.ndarray, tol: float,
 def fit_modulation(s: State, spec: SpectralData,
                    thresholds: Thresholds | None = None,
                    sign_hint: int | None = None,
-                   sigma0: float = 0.0,
-                   dist: _RadialDistance | None = None) -> ModulationFit:
+                   sigma0: float = 0.0) -> ModulationFit:
     """Solve the orthogonality conditions for (sign, sigma[, c]).
 
     Radial states pin c = 0 and solve for sigma only; a box fit recovers
@@ -349,21 +335,17 @@ def fit_modulation(s: State, spec: SpectralData,
     failure to converge signals a state outside the capture region.  The
     orthogonality target is relative to the residual size ||v||_H, so
     states close to the family are resolved proportionally better.
-    A radial state's distance pieces ``dist`` may be passed in to share
-    them with other monitors of the same state.
     """
     th = thresholds or Thresholds()
     if s.representation == "radial":
-        return _fit_radial(s, spec, th, sign_hint, sigma0,
-                           dist or _RadialDistance(spec, s))
+        return _fit_radial(s, spec, th, sign_hint, sigma0)
     return _fit_box(s, spec, th, sign_hint, sigma0)
 
 
 def _fit_radial(s: State, spec: SpectralData, th: Thresholds,
-                sign_hint: int | None, sigma0: float,
-                dist: _RadialDistance) -> ModulationFit:
+                sign_hint: int | None, sigma0: float) -> ModulationFit:
     """The radial solve for sigma at c = 0; a converged fit keeps s."""
-    sgn = _choose_sign(lambda sg: min(dist.dist_sq(sg, sig)
+    sgn = _choose_sign(lambda sg: min(_manifold_distance_sq(spec, s, sg, sig)
                                       for sig in np.linspace(-1.5, 1.5, 13)),
                        th.sign_ambiguity_margin, sign_hint)
     w_ip_lam0 = spec.grid_refs(s.grid)["W_ip_lambda0_rho"]
@@ -373,11 +355,12 @@ def _fit_radial(s: State, spec: SpectralData, th: Thresholds,
                          - sgn * w_ip_lam0])
 
     def v_norm(x):
-        return math.sqrt(max(dist.dist_sq(sgn, float(x[0])), 0.0))
+        return math.sqrt(max(_manifold_distance_sq(spec, s, sgn,
+                                                   float(x[0])), 0.0))
 
     h0 = np.array([[-float(sgn) / spec.b_W]])
     x, f, converged, iters = _accept_and_refine(
-        residual, h0, np.array([sigma0]), dist.pieces.norm_H, v_norm, th)
+        residual, h0, np.array([sigma0]), norm_H(s), v_norm, th)
     return ModulationFit(sign_s=sgn, sigma=float(x[0]), c=np.zeros(3),
                          converged=converged, newton_iters=iters,
                          orth_residual=f, state=s if converged else None,
@@ -551,112 +534,57 @@ def split_modes(fit: ModulationFit, spec: SpectralData) -> ModeSplit:
 # distance to the soliton family
 # ---------------------------------------------------------------------------
 
-def _w_sigma_farfield(d: int, sigma: float) -> tuple[float, float]:
-    """(c, b) of W_sigma ~ c r^(2-d) + b r^(-d), from the closed form."""
-    dd = d * (d - 2.0)
-    c0 = dd ** ((d - 2.0) / 2.0)
-    b0 = -c0 * dd * (d - 2.0) / 2.0
-    return (c0 * math.exp(-(d / 2.0 - 1.0) * sigma),
-            b0 * math.exp(-(d / 2.0 + 1.0) * sigma))
-
-
-class _RadialDistance:
-    """||s - sgn W_vec_sigma||_H^2 = uu - 2 sgn cross(sigma) + ||grad W||^2
-    for repeated sigma evaluations (fit seeding proxies, coarse scans, the
-    sigma search).  cross(sigma) = <grad u1 | grad W_sigma>, tails
-    included, is one full-grid evaluation; both signs share it, and each
-    value is kept.
-
-    The tail of cross(sigma) beyond r_max takes W_sigma's two-term far
-    field c r^(2-d) + b r^(-d) at r_max, which holds only while e^sigma
-    r_max is large: on the sweep grid (r_max = 64) sigma = -2 puts it at
-    8.7, where it still holds, and below sigma ~ -4.5 the truncated tail
-    makes dist_sq negative.
-    """
-
-    def __init__(self, spec: SpectralData, s: State):
-        g = s.grid
-        self.g = g
-        self.pieces = RadialPieces(s)
-        self.gw = spec.grid_refs(g)["grad_W_sq"]
-        self.uu = self.pieces.norm_H_sq
-        self.wdu = self.pieces.du * g.w_meas
-        self._cross: dict = {}
-
-    def cross(self, sigma: float) -> float:
-        val = self._cross.get(sigma)
-        if val is None:
-            g = self.g
-            cw, bw = _w_sigma_farfield(g.d, sigma)
-            val = (float(self.wdu @ _w_sigma_deriv(g, sigma))
-                   + _h1_tail(g, *self.pieces.tail, cw, bw))
-            self._cross[sigma] = val
-        return val
-
-    def dist_sq(self, sgn: int, sigma: float) -> float:
-        return self.uu - 2.0 * sgn * self.cross(sigma) + self.gw
-
-    def minimum(self, sigma_seed: float | None = None) -> float:
-        """min over sgn and sigma of dist_sq = uu + ||grad W||^2
-        - 2 max |cross(sigma)|: one bounded Brent search of -|cross| on
-        [seed - 0.4, seed + 0.4], or unseeded on [-2, 4], where the
-        two-term tail of cross still holds (see the class).  The search
-        never evaluates the bracket ends; a minimizer at or beyond an end
-        is taken to within about 1e-7 of it."""
-        lo, hi = ((-2.0, 4.0) if sigma_seed is None
-                  else (sigma_seed - 0.4, sigma_seed + 0.4))
-        sigma = minimize_scalar(lambda x: -abs(self.cross(x)), bounds=(lo, hi),
-                                method="bounded", options={"xatol": 1e-7}).x
-        return min(self.dist_sq(+1, sigma), self.dist_sq(-1, sigma))
-
-
 def _manifold_distance_sq(spec: SpectralData, s: State, sgn: int,
-                          sigma: float,
-                          dist: _RadialDistance | None = None) -> float:
-    """||s - sgn W_vec_sigma||_H^2 for radial states (analytic W_sigma)."""
-    return (dist or _RadialDistance(spec, s)).dist_sq(sgn, sigma)
+                          sigma: float) -> float:
+    """||s - sgn W_vec_sigma||_H^2 = ||s||_H^2 - 2 sgn cross(sigma)
+    + ||grad W||^2 for a radial state, with cross(sigma) =
+    <grad u1 | grad W_sigma> kept on u1 (see ``RadialField.cross``)."""
+    u1 = s.u1
+    return ((u1.h1_sq + s.u2.l2_sq) - 2.0 * sgn * u1.cross(sigma)
+            + spec.grid_refs(s.grid)["grad_W_sq"])
 
 
 def manifold_distance(spec: SpectralData, s: State,
-                      sigma_seed: float | None = None,
-                      dist: _RadialDistance | None = None) -> float:
-    """inf over (+-, sigma) of ||s -+ W_vec_sigma||_H for a radial state,
-    over sigma within 0.4 of ``sigma_seed`` (a modulation fit's sigma) or,
-    unseeded, over [-2, 4], where W_sigma's two-term far field still holds
-    at r_max (see ``_RadialDistance``).  A minimizer outside the domain
-    gives the value at its nearer end.  ``dist`` shares the state's pieces
-    with other monitors.
+                      sigma_seed: float | None = None) -> float:
+    """inf over (+-, sigma) of ||s -+ W_vec_sigma||_H for a radial state:
+    ||s||_H^2 + ||grad W||^2 - 2 max |cross(sigma)|, from one bounded
+    Brent search of -|cross| over sigma within 0.4 of ``sigma_seed`` (a
+    modulation fit's sigma) or, unseeded, over [-2, 4], where W_sigma's
+    two-term far field still holds at r_max (see ``RadialField.cross``).
+    The search never evaluates the bracket ends; a minimizer at or beyond
+    an end is taken to within about 1e-7 of it.
     """
     s.require_radial("manifold_distance")
-    dist = dist or _RadialDistance(spec, s)
-    return math.sqrt(max(dist.minimum(sigma_seed), 0.0))
+    lo, hi = ((-2.0, 4.0) if sigma_seed is None
+              else (sigma_seed - 0.4, sigma_seed + 0.4))
+    sigma = minimize_scalar(lambda x: -abs(s.u1.cross(x)), bounds=(lo, hi),
+                            method="bounded", options={"xatol": 1e-7}).x
+    dist_sq = min(_manifold_distance_sq(spec, s, +1, sigma),
+                  _manifold_distance_sq(spec, s, -1, sigma))
+    return math.sqrt(max(dist_sq, 0.0))
 
 
 def distance_dW(s: State, spec: SpectralData,
                 thresholds: Thresholds | None = None,
-                fit: ModulationFit | None = None,
-                dist: _RadialDistance | None = None) -> DistanceReport:
+                fit: ModulationFit | None = None) -> DistanceReport:
     """The blended distance d_W = chi d_1 + (1 - chi) d_0 to the family.
 
-    The radial state's distance pieces are built once (or taken from
-    ``dist``) and shared between the fit, d_0 and the energy in d_1.
+    The fit, d_0 and the energy in d_1 share the pieces of the state's
+    fields.
     """
     s.require_radial("distance_dW")
     th = thresholds or Thresholds()
-    if dist is None:
-        dist = _RadialDistance(spec, s)
     if fit is None:
         try:
-            fit = fit_modulation(s, spec, th, dist=dist)
+            fit = fit_modulation(s, spec, th)
         except FitError:
             fit = None
     fitted = fit is not None and fit.converged
-    d0 = th.C_d0 * manifold_distance(spec, s, fit.sigma if fitted else None,
-                                     dist)
+    d0 = th.C_d0 * manifold_distance(spec, s, fit.sigma if fitted else None)
     dw, ms = d0, None
     if fitted:
         ms = split_modes(fit, spec)
-        d1_sq = (dist.pieces.energy - spec.grid_refs(s.grid)["J_W"]
+        d1_sq = (energy_E(s) - spec.grid_refs(s.grid)["J_W"]
                  + spec.k ** 2 * ms.lambda1 ** 2)
         d1 = math.sqrt(max(d1_sq, 0.0))
         if not math.isnan(d1):

@@ -319,7 +319,7 @@ class SpectralData:
 def _mode_samples(rho: RadialField) -> tuple[np.ndarray, np.ndarray]:
     """(d_r rho, Lambda_0 rho) = (rho', r rho' + (d/2) rho) on rho's grid."""
     g = rho.grid
-    rho_dr = rho.deriv()
+    rho_dr = rho.du
     return rho_dr, g.r * rho_dr + (g.d / 2.0) * rho.values
 
 

@@ -118,7 +118,7 @@ class TestStepper:
             w, v = ev.steps(w, v, n, ev.dt0)
             t += n * ev.dt0
             st = ev.wv_to_state(w, v)
-            ext = exterior_energy(st, r0 + t + 2.0, st.u1.deriv())
+            ext = exterior_energy(st, r0 + t + 2.0)
             assert math.sqrt(ext) <= 1e-8
 
 
@@ -869,6 +869,40 @@ class TestEjection:
         run = evolve_direction(s, cfg, spectral, thresholds)
         assert np.all(np.isfinite(run.series["lambda1"]))
         assert np.all(np.isfinite(run.series["gamma_norm"]))
+
+    @pytest.mark.parametrize("eps", [1e-3, None])
+    def test_monitor_row_takes_each_fields_pieces_once(
+            self, spectral, thresholds, monkeypatch, eps):
+        # a converged row (eps) and a row skipped by the proximity proxy
+        # (None): u1' and the far-field fit are taken once per distinct
+        # field, u1 and, after a fit, the remainder gamma's first component
+        g = RadialGrid(3, 48.0, 4096, "uniform")
+        w, rho = np.asarray(eval_W(3, g.r ** 2)), spectral.rho_on(g)
+
+        def near(e):
+            return State(RadialField(g, w + e * rho),
+                         RadialField(g, 0.5 * e * rho))
+
+        # fills the spectral caches on g, which take u1' of W and rho
+        evolve._monitor_row(near(2e-3), 0.0, spectral, thresholds, None)
+        s = near(eps) if eps is not None else bump_state(g, amp=0.01)
+        if eps is None:
+            def forbidden(*args, **kwargs):
+                raise AssertionError("the proxy did not skip the fit")
+            monkeypatch.setattr(evolve, "fit_modulation", forbidden)
+        taken = {"deriv": [], "tail_fit": []}
+        for name, seen in taken.items():
+            def counting(self, f, *args, _orig=getattr(RadialGrid, name),
+                         _seen=seen):
+                _seen.append(f)
+                return _orig(self, f, *args)
+            monkeypatch.setattr(RadialGrid, name, counting)
+        _, fit = evolve._monitor_row(s, 0.0, spectral, thresholds, None)
+        assert (fit is not None) == (eps is not None)
+        for seen in taken.values():
+            assert len(seen) == (2 if eps is not None else 1)
+            assert seen[0] is s.u1.values
+            assert len({id(f) for f in seen}) == len(seen)
 
     def test_window_too_short_raises(self, spectral, thresholds, dyn_grid):
         cfg = EvolutionConfig(n=dyn_grid.n, r_max=dyn_grid.r_max, t_max=2.0)

@@ -653,6 +653,29 @@ class TestCLI:
         assert message in captured.err
         assert not (tmp_path / "bad.csv").exists()
 
+    @pytest.mark.parametrize("case", ["headerless", "empty"])
+    def test_evolve_file_state_without_header_exits_3(self, tmp_path, capsys,
+                                                       case):
+        g = RadialGrid(3, 48.0, 256, "uniform")
+        zeros = RadialField(g, np.zeros(g.n))
+        save_state(tmp_path / "init", State(zeros, zeros))
+        u1 = tmp_path / "init_u1.dat"
+        rows = [line for line in u1.read_text().splitlines(keepends=True)
+                if not line.startswith("#")]
+        u1.write_text("".join(rows) if case == "headerless" else "")
+        conf = tmp_path / "bad.ini"
+        conf.write_text("[experiment]\nname = bad\nrecipe = file\n"
+                        f"path = {tmp_path / 'init'}\n")
+        code = cli_main(["evolve", "--config", str(conf), "--out",
+                         str(tmp_path)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert f"{u1} has no d= in its header" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "bad.csv").exists()
+
     @pytest.mark.parametrize("key, value, message", [
         ("n", "2048", "[evolution] n = 2048 differs from the file state's "
                       "grid (n = 1024)"),

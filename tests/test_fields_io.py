@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -74,6 +75,67 @@ class TestContainers:
         assert p.lorentz_factor == pytest.approx(math.sqrt(1.25))
         with pytest.raises(ValueError):
             BoostParams(math.nan)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestRadialFieldPieces:
+    SIGMAS = (-0.3, 0.0, 0.4)
+
+    @pytest.fixture(params=["sinh", "uniform"])
+    def grid(self, request, static_grid):
+        if request.param == "sinh":
+            return static_grid
+        return RadialGrid(3, 64.0, 2048, "uniform")
+
+    @staticmethod
+    def values(grid):
+        return (np.asarray(eval_W(3, grid.r ** 2))
+                + 0.05 * np.exp(-((grid.r - 3.0) / 2.0) ** 2))
+
+    def test_values_cannot_change(self, grid):
+        own = self.values(grid)
+        fld = RadialField(grid, own)
+        assert fld.values is own          # no copy
+        for target in (fld.values, own, fld.du):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                np.multiply(target, 2.0, out=target)
+        assert np.array_equal(fld.values, self.values(grid))
+
+    def test_each_piece_equals_a_fresh_fields(self, grid):
+        fld = RadialField(grid, self.values(grid))
+        # the cross terms first: they fill u1' and the far-field fit
+        crosses = [fld.cross(sigma) for sigma in self.SIGMAS]
+        for name in ("du", "tail", "h1_sq", "crit", "l2_sq"):
+            fresh = RadialField(grid, self.values(grid))
+            assert _bits(getattr(fresh, name)) == _bits(getattr(fld, name))
+        for sigma, kept in zip(self.SIGMAS, crosses):
+            fresh = RadialField(grid, self.values(grid))
+            assert _bits(fresh.cross(sigma)) == _bits(kept)
+            assert fld.cross(sigma) is kept
+        assert len(fld._cross) == len(self.SIGMAS)
+        assert _bits(fld.du) == _bits(grid.deriv(fld.values))
+        assert fld.tail == grid.tail_fit(fld.values)
+
+    def test_copies_rebuild_from_the_samples(self, grid):
+        fld = RadialField(grid, self.values(grid))
+        fld.cross(0.0)
+        copy = pickle.loads(pickle.dumps(fld))
+        assert np.array_equal(copy.values, fld.values)
+        assert not copy.values.flags.writeable
+        assert copy._cross == {} and "du" not in vars(copy)
+        assert copy.cross(0.0) == fld.cross(0.0)
+
+    def test_time_reversal_shares_u1_pieces(self, grid):
+        s = State(RadialField(grid, self.values(grid)),
+                  RadialField(grid, np.exp(-grid.r)))
+        h1 = h1_seminorm_sq(s.u1)
+        rev = s.time_reversed()
+        assert rev.u1 is s.u1 and vars(rev.u1)["h1_sq"] == h1
 
 
 class TestSampleFamily:

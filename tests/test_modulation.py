@@ -20,8 +20,9 @@ from critwave.functionals import (crit_norm, energy_E, functional_K,
                                   norm_H, symplectic_omega)
 from critwave.grids import BLOCK_POINTS, Box3DGrid, RadialGrid
 from critwave.modulation import (FitError, ModeSplit, SignAmbiguityError,
-                                 _box_cross, _box_fit_refs, _radial_mode_ip,
-                                 _RadialDistance, box_mode_integrals,
+                                 _box_cross, _box_fit_refs,
+                                 _manifold_distance_sq, _radial_mode_ip,
+                                 box_mode_integrals,
                                  box_mode_parts, box_modes, assemble_state,
                                  distance_dW, fit_modulation,
                                  manifold_distance, region_predicates,
@@ -515,17 +516,19 @@ def _golden_min(fun, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, fl
     return x, fun(x)
 
 
-def golden_manifold_distance_sq(dist, sigma_seed):
+def golden_manifold_distance_sq(spec, s, sigma_seed):
     """The previous radial search: golden-section to 1e-6 in sigma per sign."""
     best = math.inf
     for sgn in (+1, -1):
+        def dist_sq(x):
+            return _manifold_distance_sq(spec, s, sgn, x)
         if sigma_seed is None:
             sigmas = np.linspace(-2.0, 4.0, 25)
-            i = int(np.argmin([dist.dist_sq(sgn, x) for x in sigmas]))
+            i = int(np.argmin([dist_sq(x) for x in sigmas]))
             lo, hi = sigmas[max(i - 1, 0)], sigmas[min(i + 1, len(sigmas) - 1)]
         else:
             lo, hi = sigma_seed - 0.4, sigma_seed + 0.4
-        best = min(best, _golden_min(lambda x: dist.dist_sq(sgn, x), lo, hi)[1])
+        best = min(best, _golden_min(dist_sq, lo, hi)[1])
     return best
 
 
@@ -550,24 +553,29 @@ class TestManifoldDistanceSearch:
                 s = State(RadialField(g, sgn * (ctx["W"] + eps * ctx["rho"])),
                           RadialField(g, 0.5 * eps * ctx["rho"]))
             for seed in seeds:
-                want_sq = golden_manifold_distance_sq(_RadialDistance(spec, s), seed)
-                dist = _RadialDistance(spec, s)
-                got = manifold_distance(spec, s, seed, dist=dist)
+                want_sq = golden_manifold_distance_sq(spec, s, seed)
+                # u1 again, with none of the cross terms the oracle kept
+                fresh = State(RadialField(s.grid, s.u1.values), s.u2)
+                got = manifold_distance(spec, fresh, seed)
                 assert got ** 2 <= want_sq + 1e-12
                 assert got == pytest.approx(math.sqrt(want_sq), rel=1e-6)
                 # full-grid cross-term evaluations, scan included
-                assert len(dist._cross) <= (25 if seed is None else 0) + 20
+                assert len(fresh.u1._cross) <= (25 if seed is None else 0) + 20
 
     def test_shared_pieces_equal_functionals(self, ctx):
         spec, g = ctx["spec"], ctx["g"]
         s = State(RadialField(g, ctx["W"] + 0.05 * ctx["rho"]),
                   RadialField(g, 0.02 * ctx["rho"]))
-        pieces = _RadialDistance(spec, s).pieces
-        assert pieces.energy == energy_E(s)
-        assert pieces.K == functional_K(s.u1)
-        assert pieces.norm_H == norm_H(s)
-        assert pieces.crit == crit_norm(s.u1)
-        assert pieces.l2 == l2_norm_sq(s.u2)
+        # the pieces that a distance leaves on the fields, against the
+        # functionals of fresh fields with the same values
+        distance_dW(s, spec)
+        fresh = State(RadialField(g, s.u1.values.copy()),
+                      RadialField(g, s.u2.values.copy()))
+        assert energy_E(s) == energy_E(fresh)
+        assert functional_K(s.u1) == functional_K(fresh.u1)
+        assert norm_H(s) == norm_H(fresh)
+        assert s.u1.crit == crit_norm(fresh.u1)
+        assert s.u2.l2_sq == l2_norm_sq(fresh.u2)
 
 
 def test_caches_released_with_spectral_data():

@@ -27,7 +27,7 @@ def apply_lplus_fd(fld: RadialField) -> RadialField:
     """Oracle: L+ by direct finite differences on any radial grid."""
     g = fld.grid
     p = nonlinearity_power(g.d)
-    du = fld.deriv()
+    du = fld.du
     d2u = g.deriv(du, parity=-1)
     w_pow = np.asarray(eval_W(g.d, g.r ** 2)) ** (p - 1.0)
     vals = -(d2u + (g.d - 1.0) / g.r * du) - p * w_pow * fld.values

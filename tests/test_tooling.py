@@ -84,6 +84,9 @@ def test_changed_kernel_source_builds_under_a_new_key(tmp_path):
     # a concurrent build's temporary file
     pending = cache / "_native-concurrent.tmp"
     pending.write_bytes(b"")
+    # a library left under the stepper's former name
+    former = cache / "_verlet-0123456789abcdef.so"
+    former.write_bytes(b"")
     sources[0].write_bytes(sources[0].read_bytes() + b"\n/* changed */\n")
     new = _native.build_library(sources, "cc", cache)
     assert new != old
