@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import tempfile
@@ -23,10 +24,15 @@ _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 class Stride(ctypes.Structure):
-    """The stepper's account of one advance() stride (``cw_stride``)."""
+    """The step account of a run (``cw_stride``), which each advance()
+    stride adds to: ``steps``, the ``capped`` steps whose nonlinear dt cap
+    was below dt0, and the smallest dt ``min_dt`` (inf before the first)."""
 
-    _fields_ = [("t", ctypes.c_double), ("min_dt", ctypes.c_double),
-                ("steps", ctypes.c_longlong), ("capped", ctypes.c_longlong)]
+    _fields_ = [("min_dt", ctypes.c_double), ("steps", ctypes.c_longlong),
+                ("capped", ctypes.c_longlong)]
+
+    def __init__(self):
+        super().__init__(min_dt=math.inf)
 
 
 def build_library(sources, cc: str, cache_dir: Path) -> Path:
@@ -80,7 +86,8 @@ def load_library(path: Path) -> ctypes.CDLL:
                              ctypes.c_longlong, real]
     lib.cw_steps.restype = None
     lib.cw_advance.argtypes = [n, ptr, ptr, ptr, ptr, ptr, real, real, real,
-                               real, real, real, real, ctypes.POINTER(Stride)]
+                               real, real, ctypes.POINTER(real), real,
+                               ctypes.POINTER(Stride)]
     lib.cw_spline.argtypes = [n, ptr, n, ptr, n, ptr, real, ptr]
     lib.cw_spline.restype = None
     return lib

@@ -10,7 +10,8 @@
  * so no multiply and add are fused and every result is bitwise the
  * reference's.  Each entry point starts from the force at its entry state
  * and carries it from step to step; the caller owns the two work arrays of
- * n doubles, a (the force) and q (u^2).
+ * n doubles, a (the force) and q (u^2), and the step account of a run,
+ * which every advance() stride adds to.
  */
 
 #include <math.h>
@@ -19,11 +20,10 @@
 
 enum { STOP_TARGET = 0, STOP_FLOOR = 1, STOP_OVERFLOW = 2 };
 
-/* What one advance() stride did: the time reached, the steps taken, the
- * steps whose nonlinear dt cap was below dt0, and the smallest dt taken
- * (inf when no step was taken). */
+/* What the advance() strides of a run did, summed over them: the steps
+ * taken, the steps whose nonlinear dt cap was below dt0, and the smallest
+ * dt taken (the caller starts it at inf). */
 typedef struct {
-    double t;
     double min_dt;
     long long steps;
     long long capped;
@@ -141,26 +141,23 @@ void cw_steps(ptrdiff_t n, double *w, double *v, double *a, double *q,
         step(n, w, v, a, q, r_sq, h, c, dt);
 }
 
-/* Steps from t to t_target under the nonlinear dt cap, as
- * RadialWaveEvolver.advance describes, with its account into out; returns
- * the stop code. */
+/* Steps from *t to t_target under the nonlinear dt cap, as
+ * RadialWaveEvolver.advance describes, leaving the time reached in *t and
+ * adding the stride's steps to the account acc; returns the stop code. */
 int cw_advance(ptrdiff_t n, double *w, double *v, double *a, double *q,
                const double *r_sq, double h, double c, double dt0,
-               double dt_floor, double max_amp, double t, double t_target,
-               cw_stride *out)
+               double dt_floor, double max_amp, double *t, double t_target,
+               cw_stride *acc)
 {
     double amp = sqrt(force(n, w, v, a, q, r_sq, h, c));
     double cap, dt, rest;
     int stop;
-    out->steps = 0;
-    out->capped = 0;
-    out->min_dt = INFINITY;
     for (;;) {
         if (!(amp <= max_amp)) {
             stop = STOP_OVERFLOW;
             break;
         }
-        if (t >= t_target - 1e-12) {
+        if (*t >= t_target - 1e-12) {
             stop = STOP_TARGET;
             break;
         }
@@ -169,15 +166,14 @@ int cw_advance(ptrdiff_t n, double *w, double *v, double *a, double *q,
             stop = STOP_FLOOR;
             break;
         }
-        rest = t_target - t;
+        rest = t_target - *t;
         dt = rest < cap ? rest : cap;
         amp = sqrt(step(n, w, v, a, q, r_sq, h, c, dt));
-        t += dt;
-        out->steps++;
-        out->capped += cap < dt0;
-        if (dt < out->min_dt)
-            out->min_dt = dt;
+        *t += dt;
+        acc->steps++;
+        acc->capped += cap < dt0;
+        if (dt < acc->min_dt)
+            acc->min_dt = dt;
     }
-    out->t = t;
     return stop;
 }

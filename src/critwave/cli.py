@@ -29,7 +29,7 @@ from .experiments import (ExperimentSpec, build_initial_state, check_seed,
                           run_static_suite)
 from .fields import save_json
 from .grids import RadialGrid
-from .spectral import build_spectral_data, static_grid
+from .spectral import CONSTANTS_TOL, build_spectral_data, static_grid
 
 REFERENCE_RESOURCE = "spectral_reference_d3.json"
 
@@ -58,18 +58,18 @@ def _invalid_config(exc: ValueError) -> int:
 
 def cmd_constants(args) -> int:
     spectral = build_spectral_data(cross_check=True)
-    payload = spectral.to_constants_dict()
     if args.verify:
         ref = load_reference_constants()
         if ref is None:
             print("no packaged reference constants found", file=sys.stderr)
             return 3
-        drift = max(abs(payload[k] - ref[k]) for k in ("k", "a_W", "b_W"))
-        print(f"k = {payload['k']:.12f}  drift vs reference = {drift:.3e}")
-        if drift > 1e-10:
+        drift = spectral.constants_drift(ref)
+        print(f"k = {spectral.k:.12f}  drift vs reference = {drift:.3e}")
+        if drift > CONSTANTS_TOL:
             print("FAIL constants differ from the stored reference", file=sys.stderr)
             return 3
-        print("PASS constants regeneration is idempotent (<= 1e-10)")
+        print(f"PASS constants regeneration is idempotent "
+              f"(<= {CONSTANTS_TOL:g})")
     out = args.out or "spectral_constants.json"
     spectral.save_constants(out)
     print(f"wrote {out}")

@@ -19,7 +19,9 @@ from dataclasses import dataclass, fields, replace
 @dataclass(frozen=True)
 class Thresholds:
     """Neighborhood radii and calibration constants for the distance/sign
-    machinery (all dimensionless, calibrated at the default resolution)."""
+    machinery (all dimensionless, calibrated at the default resolution).
+    ValueError unless each is positive and finite and the radii increase,
+    delta_star < delta_S < delta_H < delta_E < delta_A."""
 
     delta_A: float = 0.8          # capture radius of the modulation solve
     delta_E: float = 0.2          # inner region: d_W <= delta_E uses d_1
@@ -43,6 +45,12 @@ class Thresholds:
             elif not 0 < value < math.inf:
                 raise ValueError(f"thresholds {f.name} must be positive and "
                                  f"finite, got {value!r}")
+        chain = ("delta_star", "delta_S", "delta_H", "delta_E", "delta_A")
+        for lo, hi in zip(chain, chain[1:]):
+            if not getattr(self, lo) < getattr(self, hi):
+                raise ValueError(f"thresholds {lo} must be below {hi}, got "
+                                 f"{lo} = {getattr(self, lo)!r} and {hi} = "
+                                 f"{getattr(self, hi)!r}")
 
 
 @dataclass(frozen=True)

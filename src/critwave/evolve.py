@@ -71,21 +71,6 @@ _STOPS = ("target", "floor", "overflow")     # by the kernel's stop code
 # the stepper
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StepCounts:
-    """Steps taken, the steps whose nonlinear dt cap was below dt0, and the
-    smallest dt taken (inf before the first step); ``+`` merges two."""
-
-    steps: int = 0
-    capped: int = 0
-    min_dt: float = math.inf
-
-    def __add__(self, other: "StepCounts") -> "StepCounts":
-        return StepCounts(self.steps + other.steps,
-                          self.capped + other.capped,
-                          min(self.min_dt, other.min_dt))
-
-
 class RadialWaveEvolver:
     """Velocity-Verlet integrator for w_tt = w_rr + w^5 / r^4 (d = 3).
 
@@ -140,24 +125,24 @@ class RadialWaveEvolver:
         self._call(_native.LIB.cw_steps, w, v, np.empty(self.grid.n), n, dt)
         return w, v
 
-    def advance(self, w, v, t: float, t_target: float):
+    def advance(self, w, v, t: float, t_target: float,
+                account: _native.Stride):
         """Step from t to t_target under the nonlinear dt cap.
 
         Before every step the amplitude sqrt(max u^2) over all nodes caps dt
-        at 0.35 / (sqrt(5) amp^2).  Returns (w, v, t, stop, counts), with
-        (w, v) new arrays, ``stop`` one of "target" (t reached t_target),
+        at 0.35 / (sqrt(5) amp^2).  Returns (w, v, t, stop), with (w, v)
+        new arrays and ``stop`` one of "target" (t reached t_target),
         "floor" (the cap fell below dt0 / DT_FLOOR_FACTOR) or "overflow"
-        (the amplitude is not finite or above _MAX_SAFE_AMP), and the
-        :class:`StepCounts` of the stride; on the last two stops, t is the
-        time of the state returned.
+        (the amplitude is not finite or above _MAX_SAFE_AMP); on the last
+        two stops, t is the time of the state returned.  The stride's steps
+        are added to the run's step ``account``.
         """
         w, v = np.array(w, dtype=float), np.array(v, dtype=float)
-        out = _native.Stride()
+        t = ctypes.c_double(t)
         stop = self._call(_native.LIB.cw_advance, w, v, np.empty(self.grid.n),
                           self.dt0, self.dt0 / DT_FLOOR_FACTOR, _MAX_SAFE_AMP,
-                          t, t_target, ctypes.byref(out))
-        return (w, v, out.t, _STOPS[stop],
-                StepCounts(out.steps, out.capped, out.min_dt))
+                          ctypes.byref(t), t_target, ctypes.byref(account))
+        return w, v, t.value, _STOPS[stop]
 
     def state_to_wv(self, s: State):
         if s.grid != self.grid:
@@ -239,30 +224,21 @@ class TrajectoryRecord:
             for row in zip(*cols):
                 fh.write(",".join(_fmt(x) for x in row) + "\n")
 
-    def verdict_sidecar(self) -> dict:
-        return {
+    def save_verdict(self, path) -> None:
+        save_json(path, {
             "verdict_forward": self.verdict_forward,
             "verdict_backward": self.verdict_backward,
-            "ejection_rate_forward": _json_num(self.ejection_rate_forward),
-            "ejection_rate_backward": _json_num(self.ejection_rate_backward),
+            "ejection_rate_forward": self.ejection_rate_forward,
+            "ejection_rate_backward": self.ejection_rate_backward,
             "detail_forward": self.detail_forward,
             "detail_backward": self.detail_backward,
-        }
-
-    def save_verdict(self, path) -> None:
-        save_json(path, self.verdict_sidecar())
+        })
 
 
 def _fmt(x) -> str:
     if isinstance(x, float) and math.isnan(x):
         return "nan"
     return repr(float(x))
-
-
-def _json_num(x):
-    if x is None or (isinstance(x, float) and not math.isfinite(x)):
-        return None
-    return float(x)
 
 
 def _attempt_fit(s: State, spec: SpectralData, th: Thresholds,
@@ -373,7 +349,7 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     rows: list[dict] = []
     checkpoints: list[tuple[float, np.ndarray, np.ndarray]] = []
     t = 0.0
-    counts = StepCounts()
+    account = _native.Stride()
     exceeded_at, stepper_floor = None, False
     while True:
         row, fit = _monitor_row(ev.wv_to_state(w, v), t, spec, th, last_fit)
@@ -395,9 +371,8 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
         # a stride that stops on the floor or on overflow (amplitude above
         # _MAX_SAFE_AMP or not finite) ends the run: no row is built from
         # the state it returns
-        w, v, t, stop, stride = ev.advance(
-            w, v, t, min(t + cfg.monitor_stride, cfg.t_max))
-        counts += stride
+        w, v, t, stop = ev.advance(
+            w, v, t, min(t + cfg.monitor_stride, cfg.t_max), account)
         if stop != "target":
             stepper_floor = stop == "floor"
             exceeded_at = t
@@ -409,11 +384,8 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     verdict, detail = _classify(rows, cfg, th, exceeded_at, stepper_floor,
                                 checkpoints, ev, threshold)
     detail.update(sign_disagreements=sum(r["sign_disagree"] for r in rows),
-                  steps=counts.steps, capped_steps=counts.capped,
-                  min_dt=counts.min_dt)
-    # strict JSON for the sidecar: a float that is not finite becomes None
-    detail = {k: _json_num(x) if isinstance(x, float) else x
-              for k, x in detail.items()}
+                  steps=account.steps, capped_steps=account.capped,
+                  min_dt=account.min_dt)
     run = DirectionRun(series=series, verdict=verdict, detail=detail)
     try:
         run.ejection_rate = fit_ejection_rate(series, spec, th)["rate"]
@@ -486,16 +458,16 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
 
     def result(confirmed, t, **info):
         return confirmed, {"confirmed": confirmed, **info,
-                           "confirm_steps": counts.steps,
-                           "confirm_capped_steps": counts.capped,
-                           "confirm_min_dt": counts.min_dt,
+                           "confirm_steps": account.steps,
+                           "confirm_capped_steps": account.capped,
+                           "confirm_min_dt": account.min_dt,
                            "confirm_radius": fine.r_max,
                            "confirm_nodes": fine.n,
                            "confirm_fallback": fallback,
                            "ball_radius": float(ball(t))}
 
     t = t0
-    counts = StepCounts()
+    account = _native.Stride()
     peak, prev_norm = 0.0, math.inf
     while t < horizon - 1e-12:
         nrm = (norm_H(ev2.wv_to_state(w, v)) if fallback
@@ -505,9 +477,8 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
             return result(True, t, mode="norm escape on refined grid",
                           t_confirm=t, refined_norm=nrm)
         prev_norm = nrm
-        w, v, t, stop, stride = ev2.advance(
-            w, v, t, min(t + cfg.monitor_stride, horizon))
-        counts += stride
+        w, v, t, stop = ev2.advance(
+            w, v, t, min(t + cfg.monitor_stride, horizon), account)
         if stop != "target":
             mode = ("overflow" if stop == "overflow" else "stepper floor") \
                 + " on refined grid"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .modulation import (assemble_state, box_mode_parts, box_modes,
 from .evolve import (BLOWUP, SCATTER, UNDETERMINED, DirectionRun,
                      TrajectoryRecord, evolve_directions,
                      evolve_with_monitors, one_pass_check)
-from .spectral import (BW_TOL, SHOOT_TOL, SpectralData, build_spectral_data,
-                       coercivity_probe, static_grid)
+from .spectral import (BW_TOL, CONSTANTS_TOL, SHOOT_TOL, SpectralData,
+                       build_spectral_data, coercivity_probe, static_grid)
 
 # the [experiment] keys that each recipe reads
 RECIPES = {"quadrant": ("a", "eps", "perturb_norm"),
@@ -283,17 +283,9 @@ class QuadrantTable:
                          f"{r.verdict_forward},{rate},{r.runtime:.3f}\n")
 
     def to_json(self, path) -> None:
-        payload = {"seed": self.seed, "rows": [
-            {"a": r.a, "eps": r.eps, "variant": r.variant,
-             "verdict_backward": r.verdict_backward,
-             "verdict_forward": r.verdict_forward,
-             "ejection_rate": None if math.isnan(r.ejection_rate) else r.ejection_rate,
-             "runtime": r.runtime,
-             "lambda_form_dev": None if math.isnan(r.lambda_form_dev) else r.lambda_form_dev,
-             "one_pass_ok": r.one_pass_ok,
-             "expected": list(r.expected),
-             "matches_expected": r.matches_expected} for r in self.rows]}
-        save_json(path, payload)
+        save_json(path, {"seed": self.seed, "rows": [
+            {**asdict(r), "matches_expected": r.matches_expected}
+            for r in self.rows]})
 
 
 def _sweep_cases(eps_list, cfg: EvolutionConfig, n_perturbed: int, seed: int,
@@ -603,9 +595,10 @@ def run_static_suite(spectral: SpectralData | None = None,
                          detail=f"range [{co['c_low']:.4f}, {co['c_high']:.4f}] "
                                 f"over {co['n_samples']} probes"))
 
-    # modulation round trips
-    worst = 0.0
-    for i in range(n_roundtrip_radial):
+    # modulation round trips, up to the first that fails
+    worst, n_radial, n_box = 0.0, 0, 0
+    for _ in range(n_roundtrip_radial):
+        n_radial += 1
         v = random_orthogonal_residual(spectral, grid, rng,
                                        amplitude=rng.uniform(0.002, 0.05))
         sgn = int(rng.choice([-1, 1]))
@@ -623,14 +616,16 @@ def run_static_suite(spectral: SpectralData | None = None,
     # sigma stays nonnegative here (expanded modes hit the box edge); the
     # radial cases above cover sigma < 0 without truncation.
     box = Box3DGrid(20.0, 128)
-    for _ in range(n_roundtrip_box):
-        err = _box_round_trip_error(spectral, box, rng, th)
-        worst = max(worst, err)
-        if err == math.inf:
-            break
+    while worst < math.inf and n_box < n_roundtrip_box:
+        n_box += 1
+        worst = max(worst, _box_round_trip_error(spectral, box, rng, th))
+
+    def ran(done, n):
+        return f"{n}" if done == n else f"{done} of {n}"
     checks.append(_check("modulation_round_trip", worst, 1e-6,
-                         detail=f"{n_roundtrip_radial} radial + "
-                                f"{n_roundtrip_box} box assemblies"))
+                         detail=f"{ran(n_radial, n_roundtrip_radial)} radial "
+                                f"+ {ran(n_box, n_roundtrip_box)} box "
+                                f"assemblies"))
 
     # distance on and near the family (moderate scales: the sqrt of the
     # energy quadrature's sigma-drift floors d_W near 1e-6 past |sigma|~0.4)
@@ -664,10 +659,9 @@ def run_static_suite(spectral: SpectralData | None = None,
 
     # constants reproducibility
     if reference_constants is not None:
-        cur = spectral.to_constants_dict()
-        drift = max(abs(cur[key] - reference_constants[key])
-                    for key in ("k", "a_W", "b_W"))
-        checks.append(_check("constants_regeneration", drift, 1e-10,
+        checks.append(_check("constants_regeneration",
+                             spectral.constants_drift(reference_constants),
+                             CONSTANTS_TOL,
                              detail="k, a_W, b_W vs stored reference"))
 
     report = {"grid": grid.describe(), "seed": seed,

@@ -367,10 +367,20 @@ class BoostParams:
 # ---------------------------------------------------------------------------
 
 def save_json(path, obj) -> None:
-    """The JSON artifact format: one-space indent, sorted keys, a final
-    newline."""
+    """The JSON artifact format: strict JSON, with every float that is not
+    finite written as null, at any depth of dicts, lists and tuples; one-space
+    indent, sorted keys, a final newline.  ``obj`` itself is not changed."""
+    def strict(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {k: strict(y) for k, y in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [strict(y) for y in x]
+        return x
+
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        json.dump(strict(obj), fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

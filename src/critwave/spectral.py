@@ -43,6 +43,8 @@ SHOOT_OUTER_RADIUS = 60.0
 # the two b_W formulas (relative)
 SHOOT_TOL = 1e-4
 BW_TOL = 1e-3
+# largest drift of a rebuilt k, a_W or b_W from the stored reference
+CONSTANTS_TOL = 1e-10
 
 
 class SpectralConsistencyError(RuntimeError):
@@ -302,18 +304,20 @@ class SpectralData:
 
     # -- constants file ------------------------------------------------------
 
-    def to_constants_dict(self) -> dict:
-        return {
+    def save_constants(self, path) -> None:
+        save_json(path, {
             "d": self.d,
             "k": self.k,
             "a_W": self.a_W,
             "b_W": self.b_W,
             "grid": self.eigen_grid.describe(),
             "residuals": self.residuals,
-        }
+        })
 
-    def save_constants(self, path) -> None:
-        save_json(path, self.to_constants_dict())
+    def constants_drift(self, reference: dict) -> float:
+        """max |x - reference[x]| over x = k, a_W, b_W (see CONSTANTS_TOL)."""
+        return max(abs(getattr(self, x) - reference[x])
+                   for x in ("k", "a_W", "b_W"))
 
 
 def _mode_samples(rho: RadialField) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -54,6 +55,20 @@ def _two_call_record(state0, cfg, spec, th):
         detail_forward=fwd.detail, detail_backward=bwd.detail,
         ejection_rate_forward=fwd.ejection_rate,
         ejection_rate_backward=bwd.ejection_rate)
+
+
+def _strict_json(path):
+    """The JSON file at ``path``, refusing NaN and the infinities."""
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.fixture(scope="session")
+def strict_json():
+    """A reader of a JSON file that a strict parser accepts."""
+    return _strict_json
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,14 @@
-import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from critwave import evolve, modulation
+from critwave import _native, evolve, modulation
 from critwave.config import EvolutionConfig
 from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, CONFIRM_REFINE,
                              CONFIRM_WINDOW, DT_FLOOR_FACTOR, SCATTER,
-                             UNDETERMINED, RadialWaveEvolver, StepCounts,
+                             UNDETERMINED, RadialWaveEvolver,
                              _confirm_grid, _rescaled_time, _resample_w,
                              evolve_direction,
                              evolve_with_monitors, exterior_energy,
@@ -206,10 +205,10 @@ class ReferenceStepper:
         return w, v, a
 
     def advance(self, w, v, t, t_target, a=None):
-        """(w, v, a, t, stop, counts) as RadialWaveEvolver.advance."""
+        """(w, v, a, t, stop) as RadialWaveEvolver.advance, with (dt, cap)
+        of each step appended to ``taken``."""
         dt0 = self.ev.dt0
         a = self.force(w, v) if a is None else a
-        first = len(self.taken)
         amp = reference_amplitude(self.ev, w)
         while True:
             if not amp <= _MAX_SAFE_AMP:
@@ -226,10 +225,19 @@ class ReferenceStepper:
             w, v, a = self.step(w, v, a, dt, dt_cap)
             t += dt
             amp = reference_amplitude(self.ev, w)
-        taken = self.taken[first:]
-        counts = StepCounts(len(taken), sum(cap < dt0 for _, cap in taken),
-                            min((dt for dt, _ in taken), default=math.inf))
-        return w, v, a, t, stop, counts
+        return w, v, a, t, stop
+
+
+def step_counts(taken, dt0):
+    """(steps, capped steps, smallest dt) of the reference's steps
+    ``taken``: the step account of the kernel."""
+    return (len(taken), sum(cap < dt0 for _, cap in taken),
+            min((dt for dt, _ in taken), default=math.inf))
+
+
+def account_counts(account):
+    """(steps, capped steps, smallest dt) of a kernel step account."""
+    return account.steps, account.capped, account.min_dt
 
 
 class TestForceReuse:
@@ -277,7 +285,7 @@ class TestForceReuse:
         w_in, v_in = w0.copy(), v0.copy()
         ev.force(w_in, v_in)
         ev.steps(w_in, v_in, 5, ev.dt0)
-        ev.advance(w_in, v_in, 0.0, 5.5 * ev.dt0)
+        ev.advance(w_in, v_in, 0.0, 5.5 * ev.dt0, _native.Stride())
         assert np.array_equal(w_in, w0)
         assert np.array_equal(v_in, v0)
 
@@ -309,8 +317,9 @@ class TestAdvance:
         ev = RadialWaveEvolver(dyn_grid, 0.45)
         w0, v0 = ev.state_to_wv(s)
         got = want = (w0, v0, 0.0)
+        account = _native.Stride()
         for t_target in (0.25, 0.5, 0.75, 0.9, 1.15):
-            *got, stop, _ = ev.advance(*got, t_target)
+            *got, stop = ev.advance(*got, t_target, account)
             assert stop == "target"
             want = old_stride_loop(ev, *want, t_target)[:3]
             assert all(np.array_equal(x, y) for x, y in zip(got[:2], want[:2]))
@@ -330,35 +339,60 @@ class TestAdvance:
         *_, t_old, old_dts = old_stride_loop(ev, w, v, 0.0, t_target)
         assert old_dts[0] < ev.dt0 and old_dts[1] == ev.dt0
         ref = ReferenceStepper(ev)
-        *_, t, stop, counts = ev.advance(w, v, 0.0, t_target)
-        assert ref.advance(w, v, 0.0, t_target)[3:] == (t, stop, counts)
+        account = _native.Stride()
+        *_, t, stop = ev.advance(w, v, 0.0, t_target, account)
+        assert ref.advance(w, v, 0.0, t_target)[3:] == (t, stop)
+        assert account_counts(account) == step_counts(ref.taken, ev.dt0)
         assert stop == "target" and t == t_old
         assert ref.taken[0][0] == old_dts[0]
         # the exact amplitude still caps step 2
-        assert counts.capped == 2 and ref.taken[1][0] < ev.dt0
+        assert account.capped == 2 and ref.taken[1][0] < ev.dt0
 
     def test_nan_returns_overflow(self, dyn_grid):
         ev = RadialWaveEvolver(dyn_grid, 0.45)
         w, v = ev.state_to_wv(bump_state(dyn_grid))
         w[100] = math.nan
+        account = _native.Stride()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            *_, t, stop, counts = ev.advance(w, v, 1.5, 2.0)
+            *_, t, stop = ev.advance(w, v, 1.5, 2.0, account)
         assert stop == "overflow"
         assert t == 1.5
-        assert counts == StepCounts()
+        assert account_counts(account) == (0, 0, math.inf)
 
     def test_cap_below_floor_returns_floor(self, dyn_grid):
         ev = RadialWaveEvolver(dyn_grid, 0.45)
         w, v = ev.state_to_wv(bump_state(dyn_grid, amp=1e3, width=1.0))
         assert reference_nl_dt_cap(1e3, ev.dt0) < ev.dt0 / DT_FLOOR_FACTOR
-        w1, v1, t, stop, counts = ev.advance(w, v, 1.5, 2.0)
+        account = _native.Stride()
+        w1, v1, t, stop = ev.advance(w, v, 1.5, 2.0, account)
         assert stop == "floor"
-        assert t == 1.5 and counts.steps == 0 and counts.min_dt == math.inf
+        assert t == 1.5 and account_counts(account) == (0, 0, math.inf)
         assert np.array_equal(w1, w) and np.array_equal(v1, v)
         ref = ReferenceStepper(ev)
-        assert ref.advance(w, v, 1.5, 2.0)[3:] == (t, stop, counts)
+        assert ref.advance(w, v, 1.5, 2.0)[3:] == (t, stop)
         assert not ref.taken
+
+    def test_run_detail_reads_one_account_of_all_strides(self, spectral,
+                                                         thresholds):
+        cfg = EvolutionConfig(n=1024, r_max=32.0, t_max=2.0,
+                              monitor_stride=0.5)
+        grid = RadialGrid(3, cfg.r_max, cfg.n, "uniform")
+        s = bump_state(grid, amp=0.3, center=6.0, width=2.0)
+        run = evolve_direction(s, cfg, spectral, thresholds)
+        # the run's strides again, each with an account of its own
+        ev = RadialWaveEvolver(grid, cfg.cfl)
+        (w, v), t, per_stride = ev.state_to_wv(s), 0.0, []
+        for _ in run.series["t"][1:]:
+            account = _native.Stride()
+            w, v, t, stop = ev.advance(
+                w, v, t, min(t + cfg.monitor_stride, cfg.t_max), account)
+            per_stride.append(account_counts(account))
+        steps, capped, min_dt = zip(*per_stride)
+        assert len(steps) == 4 and min(steps) > 0 and stop == "target"
+        assert (run.detail["steps"], run.detail["capped_steps"],
+                run.detail["min_dt"]) == (sum(steps), sum(capped),
+                                          min(min_dt))
 
 
 def bitwise_equal(x, y):
@@ -371,23 +405,27 @@ def bitwise_equal(x, y):
 def assert_strides_match_reference(ev, w, v, strides, t=0.0):
     """advance() over consecutive strides, up to the first stop that is not
     "target", bitwise equal to the reference stepper; returns the
-    reference's (stop, counts, taken) of each stride.  The reference carries
-    its force from stride to stride, the kernel recomputes it on entry, so
-    equal strides after the first show the two forces equal."""
+    reference's (stop, taken) of each stride.  The reference carries its
+    force from stride to stride, the kernel recomputes it on entry, so equal
+    strides after the first show the two forces equal.  One step account
+    takes every stride, so after each it counts the reference's steps so
+    far."""
     ref = ReferenceStepper(ev)
+    account = _native.Stride()
     got, want = (w, v, t), (w, v, None, t)
     out = []
     for t_target in strides:
         prev, kept = got, [x.copy() for x in got[:2]]
-        *got, stop, counts = ev.advance(*got, t_target)
+        *got, stop = ev.advance(*got, t_target, account)
         first = len(ref.taken)
-        *want, ref_stop, ref_counts = ref.advance(want[0], want[1], want[3],
-                                                  t_target, want[2])
+        *want, ref_stop = ref.advance(want[0], want[1], want[3], t_target,
+                                      want[2])
         assert all(bitwise_equal(x, y) for x, y in zip(got[:2], want[:2]))
-        assert (got[2], stop, counts) == (want[3], ref_stop, ref_counts)
+        assert (got[2], stop) == (want[3], ref_stop)
+        assert account_counts(account) == step_counts(ref.taken, ev.dt0)
         # the inputs are untouched
         assert all(bitwise_equal(x, y) for x, y in zip(prev[:2], kept))
-        out.append((stop, counts, ref.taken[first:]))
+        out.append((stop, ref.taken[first:]))
         if stop != "target":
             break
     return out
@@ -430,9 +468,9 @@ class TestKernelMatchesReference:
         ev = RadialWaveEvolver(grid, 0.45)
         w = np.zeros(grid.n)
         w[-1] = 8.0 * grid.r[-1]
-        (stop, counts, taken), = assert_strides_match_reference(
+        (stop, taken), = assert_strides_match_reference(
             ev, w, np.zeros(grid.n), [4.0 * ev.dt0])
-        assert stop == "target" and counts.capped == 2
+        assert stop == "target" and step_counts(taken, ev.dt0)[1] == 2
         assert taken[0][1] < ev.dt0 and taken[1][1] < ev.dt0
 
     def test_cap_engages_mid_stride(self):
@@ -442,10 +480,12 @@ class TestKernelMatchesReference:
             ev, *focusing_pulse(grid), [0.5 * k for k in range(1, 12)])
         # one stride starts uncapped and ends capped, at its target; the
         # next is capped throughout and stops at the floor
-        (stop, counts, taken), (last_stop, last, _) = strides[-2:]
-        assert stop == "target" and 0 < counts.capped < counts.steps
+        (stop, taken), (last_stop, last) = strides[-2:]
+        steps, capped, _ = step_counts(taken, ev.dt0)
+        assert stop == "target" and 0 < capped < steps
         assert taken[0][1] == ev.dt0 and taken[-2][1] < ev.dt0
-        assert last_stop == "floor" and last.capped == last.steps > 0
+        steps, capped, _ = step_counts(last, ev.dt0)
+        assert last_stop == "floor" and capped == steps > 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("node", [100, -1])
@@ -459,11 +499,11 @@ class TestKernelMatchesReference:
         v[node] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the reference's
-            (stop, counts, _), = assert_strides_match_reference(
+            (stop, taken), = assert_strides_match_reference(
                 ev, w, v, [2.0], t=1.5)
         assert stop == "overflow"
-        assert counts == StepCounts(1, 0, ev.dt0)
-        *_, t, _, _ = ev.advance(w, v, 1.5, 2.0)
+        assert step_counts(taken, ev.dt0) == (1, 0, ev.dt0)
+        *_, t, _ = ev.advance(w, v, 1.5, 2.0, _native.Stride())
         assert t == 1.5 + ev.dt0
 
     def test_outgoing_row_exercised(self, dyn_grid):
@@ -471,7 +511,7 @@ class TestKernelMatchesReference:
         w = dyn_grid.r * 0.3 * np.exp(-((dyn_grid.r - 62.0) / 1.5) ** 2)
         v = -np.gradient(w, dyn_grid.r)
         assert_strides_match_reference(ev, w, v, [0.25, 0.5])
-        w1, v1, *_ = ev.advance(w, v, 0.0, 0.5)
+        w1, v1, *_ = ev.advance(w, v, 0.0, 0.5, _native.Stride())
         assert abs(v1[-1]) > 1e-3
 
 
@@ -534,14 +574,6 @@ def huge_velocity_state(grid, scale):
     return State(RadialField(grid, bump), RadialField(grid, scale * bump))
 
 
-def strict_json(path):
-    """The JSON file at ``path``, refusing NaN and the infinities."""
-    def refuse(name):
-        raise ValueError(f"{name} is not strict JSON")
-
-    return json.loads(path.read_text(), parse_constant=refuse)
-
-
 class TestNonFiniteData:
     """A state that leaves the floating-point range ends the run in a
     verdict, with a strict-JSON sidecar and no RuntimeWarning."""
@@ -554,7 +586,8 @@ class TestNonFiniteData:
         s = huge_velocity_state(self.GRID, 1e150)
         # the first stride stops on overflow with w finite and v not
         ev = RadialWaveEvolver(self.GRID, self.CFG.cfl)
-        w, v, t, stop, _ = ev.advance(*ev.state_to_wv(s), 0.0, 0.5)
+        w, v, t, stop = ev.advance(*ev.state_to_wv(s), 0.0, 0.5,
+                                   _native.Stride())
         assert stop == "overflow"
         assert np.all(np.isfinite(w)) and not np.all(np.isfinite(v))
         with warnings.catch_warnings():
@@ -580,11 +613,11 @@ class TestNonFiniteData:
         assert run.detail["reason"] == ("energy norm not finite at t = 0, "
                                         "before the first checkpoint")
         assert run.detail["exceeded_at"] == 0.0
-        assert run.detail["threshold"] is None
+        assert run.detail["threshold"] == math.inf
 
     @pytest.mark.parametrize("scale", [1e150, 1e200, 0.0])
     def test_sidecar_is_strict_json(self, scale, spectral, thresholds,
-                                    tmp_path):
+                                    tmp_path, strict_json):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rec = evolve_with_monitors(huge_velocity_state(self.GRID, scale),
@@ -725,14 +758,15 @@ def full_domain_confirmation(checkpoints, ev, cfg, threshold):
     t = t0
     horizon = checkpoints[-1][0] + CONFIRM_WINDOW
     prev_norm = math.inf
+    account = _native.Stride()
     while t < horizon - 1e-12:
         nrm = norm_H(ev2.wv_to_state(w, v))
         if nrm > threshold and nrm > prev_norm:
             return True, {"mode": "norm escape on refined grid",
                           "t_confirm": t}
         prev_norm = nrm
-        w, v, t, stop, _ = ev2.advance(
-            w, v, t, min(t + cfg.monitor_stride, horizon))
+        w, v, t, stop = ev2.advance(
+            w, v, t, min(t + cfg.monitor_stride, horizon), account)
         if stop != "target":
             mode = ("overflow" if stop == "overflow" else "stepper floor") \
                 + " on refined grid"
@@ -998,7 +1032,7 @@ class TestRunReuse:
                                            spectral, thresholds))
 
     def test_still_data_runs_once(self, data, spectral, thresholds,
-                                  direction_calls, two_call_record):
+                                  direction_calls, two_call_record, tmp_path):
         rec = evolve_with_monitors(data["still"], self.CFG, spectral,
                                    thresholds)
         assert len(direction_calls) == 1
@@ -1007,7 +1041,10 @@ class TestRunReuse:
         for key in rec.series:
             assert np.array_equal(rec.series[key], oracle.series[key],
                                   equal_nan=True), key
-        assert rec.verdict_sidecar() == oracle.verdict_sidecar()
+        rec.save_verdict(tmp_path / "run.json")
+        oracle.save_verdict(tmp_path / "oracle.json")
+        assert ((tmp_path / "run.json").read_bytes()
+                == (tmp_path / "oracle.json").read_bytes())
 
 
 class TestTwoSided:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ class TestConfigFormat:
     def test_invalid_thresholds_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^thresholds {name} must be"):
             Thresholds(**{name: value})
+
+    @pytest.mark.parametrize("value, message", [
+        (dict(delta_E=0.01), "delta_H must be below delta_E, got delta_H = "
+                             "0.05 and delta_E = 0.01"),
+        (dict(delta_A=0.1), "delta_E must be below delta_A, got delta_E = "
+                            "0.2 and delta_A = 0.1"),
+        (dict(delta_star=0.0125), "delta_star must be below delta_S")])
+    def test_delta_chain_out_of_order_rejected(self, value, message):
+        with pytest.raises(ValueError, match=f"^thresholds {message}"):
+            Thresholds(**value)
 
     def test_sweep_resolution(self):
         assert (SWEEP_EVOLUTION.n, SWEEP_EVOLUTION.r_max, SWEEP_EVOLUTION.t_max,
@@ -310,6 +321,33 @@ class TestStaticSuite:
         for c in back["checks"]:
             assert {"name", "value", "tolerance", "passed"} <= set(c)
 
+    @pytest.mark.parametrize("fit_fails, box_errors, detail", [
+        (True, [], "1 of 3 radial + 0 of 8 box assemblies"),
+        (False, [1e-9, math.inf], "2 radial + 2 of 8 box assemblies"),
+        (False, [1e-9] * 8, "2 radial + 8 box assemblies")])
+    def test_round_trips_stop_at_the_first_failure(
+            self, spectral, thresholds, monkeypatch, fit_fails, box_errors,
+            detail):
+        box_calls = []
+
+        def box_error(*args):
+            box_calls.append(args)
+            return box_errors[len(box_calls) - 1]
+
+        monkeypatch.setattr(experiments, "_box_round_trip_error", box_error)
+        if fit_fails:
+            monkeypatch.setattr(experiments, "fit_modulation",
+                                lambda *args: SimpleNamespace(converged=False))
+        report = run_static_suite(spectral=spectral, thresholds=thresholds,
+                                  n_coercivity=1,
+                                  n_roundtrip_radial=3 if fit_fails else 2,
+                                  n_roundtrip_box=8)
+        check, = [c for c in report["checks"]
+                  if c["name"] == "modulation_round_trip"]
+        assert len(box_calls) == len(box_errors)
+        assert check["detail"] == detail
+        assert check["passed"] == (box_errors == [1e-9] * 8)
+
     def test_under_resolved_grid_fails_clearly(self, thresholds):
         # deliberate under-resolution: an unstretched coarse grid misses the
         # ground-state cancellation and must report a convergence failure
@@ -324,19 +362,35 @@ class TestStaticSuite:
 
 
 class TestCLI:
-    def test_static_command(self, tmp_path, capsys):
+    def test_static_command(self, tmp_path, capsys, strict_json):
         out = tmp_path / "report.json"
         code = cli_main(["static", "--out", str(out), "--seed", "3"])
         assert code == 0
         text = capsys.readouterr().out
         assert "PASS" in text
-        assert out.exists()
+        assert strict_json(out)["all_passed"]
 
-    def test_constants_verify(self, tmp_path):
+    def test_static_failed_round_trip_writes_strict_json(self, tmp_path,
+                                                          capsys,
+                                                          strict_json):
+        # the unstretched 16-node grid fails the first radial round trip,
+        # and the box round trips do not run
+        out = tmp_path / "report.json"
+        code = cli_main(["static", "--grid-n", "16", "--spacing", "uniform",
+                         "--out", str(out)])
+        assert code == 3
+        assert "FAIL modulation_round_trip: value = inf" in \
+            capsys.readouterr().out
+        check, = [c for c in strict_json(out)["checks"]
+                  if c["name"] == "modulation_round_trip"]
+        assert check["value"] is None and not check["passed"]
+        assert check["detail"] == "1 of 60 radial + 0 of 8 box assemblies"
+
+    def test_constants_verify(self, tmp_path, strict_json):
         out = tmp_path / "c.json"
         code = cli_main(["constants", "--verify", "--out", str(out)])
         assert code == 0
-        written = json.loads(out.read_text())
+        written = strict_json(out)
         ref = load_reference_constants()
         assert abs(written["k"] - ref["k"]) <= 1e-10
 
@@ -427,7 +481,8 @@ class TestCLI:
     @pytest.mark.parametrize("command", ["evolve", "quadrant"])
     @pytest.mark.parametrize("line, name", [
         ("delta_A = nan", "delta_A"), ("tol_orth = -1", "tol_orth"),
-        ("newton_max_iters = 0", "newton_max_iters")])
+        ("newton_max_iters = 0", "newton_max_iters"),
+        ("delta_E = 0.01", "delta_H")])
     def test_invalid_thresholds_exit_3(self, tmp_path, capsys, monkeypatch,
                                        command, line, name):
         # rejected while the config loads, before the spectral build
@@ -523,7 +578,8 @@ class TestCLI:
                 in captured.err)
         assert not (tmp_path / "bad.csv").exists()
 
-    def test_quadrant_undetermined_exits_2(self, tmp_path, capsys):
+    def test_quadrant_undetermined_exits_2(self, tmp_path, capsys,
+                                          strict_json):
         # t_max = 2 ends every direction before blow-up or scattering
         conf = tmp_path / "short.ini"
         conf.write_text("[evolution]\nn = 1024\nr_max = 32.0\nt_max = 2.0\n")
@@ -532,8 +588,11 @@ class TestCLI:
                          "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().out.count("Undetermined") == 8
-        table = json.loads((out / "quadrant_table.json").read_text())
+        table = strict_json(out / "quadrant_table.json")
         assert len(table["rows"]) == 4
+        # null where a case has no ejection rate
+        assert all(r["ejection_rate"] is None for r in table["rows"])
+        assert len([strict_json(p) for p in out.glob("*_verdict.json")]) == 4
         assert all(r["verdict_backward"] == r["verdict_forward"] == "Undetermined"
                    and r["matches_expected"] is False for r in table["rows"])
         lines = (out / "quadrant_table.csv").read_text().splitlines()
@@ -553,7 +612,7 @@ class TestCLI:
         assert (tmp_path / "cli_demo.csv").exists()
         assert (tmp_path / "cli_demo_verdict.json").exists()
 
-    def test_evolve_undetermined_exits_2(self, tmp_path, capsys):
+    def test_evolve_undetermined_exits_2(self, tmp_path, capsys, strict_json):
         # t_max = 2 ends both directions before blow-up or scattering
         conf = tmp_path / "short.ini"
         conf.write_text(
@@ -566,7 +625,8 @@ class TestCLI:
         assert capsys.readouterr().out == (
             "short: backward = Undetermined, forward = Undetermined\n")
         assert (tmp_path / "short.csv").exists()
-        assert (tmp_path / "short_verdict.json").exists()
+        side = strict_json(tmp_path / "short_verdict.json")
+        assert side["ejection_rate_forward"] is None
 
     def test_evolve_reads_the_file_state_once(self, spectral, tmp_path,
                                               monkeypatch):
