@@ -7,7 +7,10 @@ origin, 4th-order five-point Laplacian inside, first-order outgoing
 Sommerfeld closure at r_max) and stepped with velocity-Verlet at a fixed
 CFL fraction, in the compiled kernel ``_verlet.c``.  Runs are sized so the
 light cone of the perturbed region never returns reflections into the
-monitored window.
+monitored window.  A run steps its next stride on one extra thread while
+it builds the monitor row of the state its last stride reached; a stride
+that the row's stop tests drop is never counted, and the run is bitwise
+that of stepping and monitoring in turn.
 
 Monitors record conserved quantities, the distance to the soliton family,
 the modulation parameters (sigma, lambda_1, lambda_2), the rescaled time
@@ -24,7 +27,7 @@ import ctypes
 import math
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -65,6 +68,9 @@ CONFIRM_MARGIN = 2.0        # the confirmation ball's radius beyond the |u| peak
 CFL_LIMIT = math.sqrt(3.0) / 2.0
 
 _STOPS = ("target", "floor", "overflow")     # by the kernel's stop code
+# chunks of runs per pool worker: more balance uneven runs, fewer send the
+# spectrum fewer times
+_CHUNKS_PER_WORKER = 4
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +344,18 @@ def exterior_energy(s: State, r_cut: float) -> float:
 
 def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
                      thresholds: Thresholds | None = None) -> DirectionRun:
-    """Integrate forward in time with monitors and classify the outcome."""
+    """Integrate forward in time with monitors and classify the outcome.
+
+    The run steps the next stride on a thread of its own while it builds
+    the monitor row of the state the last stride reached: one stride
+    overlaps one row.  The stride adds its steps to ``nxt``, a copy of the
+    run's step account.  When the row's stop tests go on, the run adopts
+    the stride's state and ``nxt``; when they end the run, it waits for
+    the stride and drops both, so a dropped stride is never counted.  No
+    stride starts once t has reached t_max.  advance() never writes to its
+    inputs and the kernel is deterministic, so the run is bitwise that of
+    stepping and monitoring in turn.
+    """
     th = thresholds or Thresholds()
     ev = RadialWaveEvolver(state0.grid, cfg.cfl)
     w, v = ev.state_to_wv(state0)
@@ -351,32 +368,41 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     t = 0.0
     account = _native.Stride()
     exceeded_at, stepper_floor = None, False
-    while True:
-        row, fit = _monitor_row(ev.wv_to_state(w, v), t, spec, th, last_fit)
-        rows.append(row)
-        last_fit = fit or last_fit
-        if not math.isfinite(row["norm_H"]):
-            exceeded_at = t
-            break
-        checkpoints.append((t, w, v))          # advance() never writes to them
-        if len(checkpoints) > 24:
-            checkpoints.pop(0)
-        if row["norm_H"] > threshold:
-            exceeded_at = t
-            break
-        if t >= cfg.t_max - 1e-9 * max(1.0, cfg.t_max):
-            break
-        if t >= 1.5 * SCATTER_WINDOW and _scatters(rows, th):
-            break
-        # a stride that stops on the floor or on overflow (amplitude above
-        # _MAX_SAFE_AMP or not finite) ends the run: no row is built from
-        # the state it returns
-        w, v, t, stop = ev.advance(
-            w, v, t, min(t + cfg.monitor_stride, cfg.t_max), account)
-        if stop != "target":
-            stepper_floor = stop == "floor"
-            exceeded_at = t
-            break
+    # leaving the block waits for a stride in flight; the result of a
+    # dropped stride, an error included, is never read, since stepping in
+    # turn would not have run it
+    with ThreadPoolExecutor(max_workers=1) as stepper:
+        while True:
+            stride = None
+            if t < cfg.t_max - 1e-9 * max(1.0, cfg.t_max):
+                nxt = _native.Stride.from_buffer_copy(account)
+                stride = stepper.submit(ev.advance, w, v, t, min(
+                    t + cfg.monitor_stride, cfg.t_max), nxt)
+            row, fit = _monitor_row(ev.wv_to_state(w, v), t, spec, th,
+                                    last_fit)
+            rows.append(row)
+            last_fit = fit or last_fit
+            if not math.isfinite(row["norm_H"]):
+                exceeded_at = t
+                break
+            checkpoints.append((t, w, v))      # advance() never writes to them
+            if len(checkpoints) > 24:
+                checkpoints.pop(0)
+            if row["norm_H"] > threshold:
+                exceeded_at = t
+                break
+            if stride is None:                 # t reached t_max
+                break
+            if t >= 1.5 * SCATTER_WINDOW and _scatters(rows, th):
+                break
+            # a stride that stops on the floor or on overflow (amplitude
+            # above _MAX_SAFE_AMP or not finite) ends the run: no row is
+            # built from the state it returns
+            (w, v, t, stop), account = stride.result(), nxt
+            if stop != "target":
+                stepper_floor = stop == "floor"
+                exceeded_at = t
+                break
 
     series = {k: np.array([r.get(k, math.nan) for r in rows])
               for k in _SERIES_KEYS + _EXTRA_KEYS}
@@ -442,6 +468,9 @@ def _confirm_blowup(checkpoints, ev: RadialWaveEvolver, cfg: EvolutionConfig,
     whole solution's norm from below, and a stop confirms only when max |u|
     lies inside the ball.  When R reaches r_max the rerun is the
     full-domain one, with the far-field norm and no ball.
+
+    Unlike the main run, this loop steps and checks in turn: its per-stride
+    check (:func:`_ball_norm`) is cheap, so a stride has nothing to overlap.
     """
     t_back = checkpoints[-1][0] - CONFIRM_WINDOW
     earlier = [cp for cp in checkpoints if cp[0] <= t_back]
@@ -559,7 +588,10 @@ def evolve_directions(states: list[State], cfg: EvolutionConfig,
     (u1, u2) is the data (u1, -u2) of another run.  Each run's wall time is
     measured once, into ``wall_s``.  With ``threads > 1`` the distinct
     states run on a pool of that many spawned worker processes, each run
-    handed this spectrum; otherwise they run here.
+    handed this spectrum; otherwise they run here.  The pool takes the runs
+    in chunks of consecutive ones, at most _CHUNKS_PER_WORKER per worker:
+    a chunk is one pickle, which holds the spectrum (and its caches) once
+    for all of its runs.
     """
     th = thresholds or Thresholds()
     index: dict[tuple, int] = {}
@@ -579,7 +611,8 @@ def evolve_directions(states: list[State], cfg: EvolutionConfig,
         with ProcessPoolExecutor(
                 max_workers=threads,
                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            runs = list(pool.map(_timed_run, *args))
+            chunk = math.ceil(len(distinct) / (_CHUNKS_PER_WORKER * threads))
+            runs = list(pool.map(_timed_run, *args, chunksize=max(chunk, 1)))
     else:
         runs = list(map(_timed_run, *args))
     return [runs[i] for i in slots]

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, CONFIRM_REFINE,
                              CONFIRM_WINDOW, DT_FLOOR_FACTOR, SCATTER,
                              UNDETERMINED, RadialWaveEvolver,
                              _confirm_grid, _rescaled_time, _resample_w,
-                             evolve_direction,
+                             evolve_direction, evolve_directions,
                              evolve_with_monitors, exterior_energy,
                              fit_ejection_rate, modulation_ode_residual,
                              one_pass_check)
@@ -18,6 +19,7 @@ from critwave.fields import RadialField, State, eval_W
 from critwave.functionals import energy_E, l2_norm_sq, norm_H
 from critwave.grids import RadialGrid
 from critwave.modulation import FitError, SignAmbiguityError
+from critwave.spectral import SpectralData
 
 
 @pytest.fixture(scope="module")
@@ -995,11 +997,15 @@ class TestEjection:
         assert np.max(np.abs(ratio / spectral.k - 1.0)) <= 0.02
 
 
-def assert_runs_equal(a, b):
+def assert_same_run(a, b):
+    """Bitwise the same series, verdict, detail and ejection rate."""
     assert a.series.keys() == b.series.keys()
     for key in a.series:
-        assert np.array_equal(a.series[key], b.series[key], equal_nan=True), key
-    assert (a.verdict, a.detail) == (b.verdict, b.detail)
+        assert a.series[key].tobytes() == b.series[key].tobytes(), key
+    assert a.verdict == b.verdict
+    # repr spells every float exactly, and NaN as nan
+    assert repr(a.detail) == repr(b.detail)
+    assert repr(a.ejection_rate) == repr(b.ejection_rate)
 
 
 class TestRunReuse:
@@ -1027,7 +1033,7 @@ class TestRunReuse:
         # equal values (the reversal of still data has -0 where it has +0),
         # so evolve_directions runs the two once
         assert np.array_equal(rev.u2.values, data[replacement].u2.values)
-        assert_runs_equal(evolve_direction(rev, self.CFG, spectral, thresholds),
+        assert_same_run(evolve_direction(rev, self.CFG, spectral, thresholds),
                           evolve_direction(data[replacement], self.CFG,
                                            spectral, thresholds))
 
@@ -1107,3 +1113,204 @@ class TestVirialShadows:
             worst_e = max(worst_e, abs(de - (u2_sq[i] - kk[i])) / scale)
         assert worst_v <= 0.05
         assert worst_e <= 0.05
+
+
+def sequential_direction(state0, cfg, spec, th):
+    """evolve_direction as it ran before a stride overlapped a row: the row
+    of each state, then the stride from it, in turn, every stride adding to
+    the run's one account.  Kept as the oracle of the pipelined run."""
+    ev = RadialWaveEvolver(state0.grid, cfg.cfl)
+    w, v = ev.state_to_wv(state0)
+    last_fit = None
+    with np.errstate(over="ignore"):
+        norm0 = norm_H(state0)
+    threshold = evolve.BLOWUP_NORM_MULT * max(norm0, evolve.BLOWUP_NORM_FLOOR)
+    rows, checkpoints = [], []
+    t = 0.0
+    account = _native.Stride()
+    exceeded_at, stepper_floor = None, False
+    while True:
+        row, fit = evolve._monitor_row(ev.wv_to_state(w, v), t, spec, th,
+                                       last_fit)
+        rows.append(row)
+        last_fit = fit or last_fit
+        if not math.isfinite(row["norm_H"]):
+            exceeded_at = t
+            break
+        checkpoints.append((t, w, v))
+        if len(checkpoints) > 24:
+            checkpoints.pop(0)
+        if row["norm_H"] > threshold:
+            exceeded_at = t
+            break
+        if t >= cfg.t_max - 1e-9 * max(1.0, cfg.t_max):
+            break
+        if t >= 1.5 * evolve.SCATTER_WINDOW and evolve._scatters(rows, th):
+            break
+        w, v, t, stop = ev.advance(
+            w, v, t, min(t + cfg.monitor_stride, cfg.t_max), account)
+        if stop != "target":
+            stepper_floor = stop == "floor"
+            exceeded_at = t
+            break
+    series = {k: np.array([r.get(k, math.nan) for r in rows])
+              for k in evolve._SERIES_KEYS + evolve._EXTRA_KEYS}
+    series["tau"] = _rescaled_time(series["t"], series["sigma"])
+    verdict, detail = evolve._classify(rows, cfg, th, exceeded_at,
+                                       stepper_floor, checkpoints, ev,
+                                       threshold)
+    detail.update(sign_disagreements=sum(r["sign_disagree"] for r in rows),
+                  steps=account.steps, capped_steps=account.capped,
+                  min_dt=account.min_dt)
+    run = evolve.DirectionRun(series=series, verdict=verdict, detail=detail)
+    try:
+        run.ejection_rate = fit_ejection_rate(series, spec, th)["rate"]
+    except (ValueError, RuntimeError):
+        pass
+    return run
+
+
+def run_ending(run, cfg):
+    """How a run ended, read from its series and detail."""
+    d, s = run.detail, run.series
+    if d.get("exceeded_at") is None:
+        return ("horizon" if s["t"][-1] >= cfg.t_max - 1e-9 * cfg.t_max
+                else "scatter window")
+    if not math.isfinite(s["norm_H"][-1]):
+        return "non-finite first row"
+    if d["exceeded_at"] == s["t"][-1]:
+        return "norm above threshold"
+    return "floor stop" if d["stepper_floor"] else "overflow stop"
+
+
+def main_strides(monkeypatch, grid):
+    """The account (steps, capped, min_dt) of every advance() stride on
+    ``grid`` once it returns, in order."""
+    accounts = []
+    original = RadialWaveEvolver.advance
+
+    def recording(self, w, v, t, t_target, account):
+        out = original(self, w, v, t, t_target, account)
+        if self.grid == grid:
+            accounts.append(account_counts(account))
+        return out
+
+    monkeypatch.setattr(RadialWaveEvolver, "advance", recording)
+    return accounts
+
+
+class TestPipelinedRun:
+    """evolve_direction steps the next stride while it builds the row of
+    the state the last stride reached, and is bitwise the sequential loop
+    for every way a run can end; a stride that the row's stop tests drop
+    never reaches the account."""
+
+    GRID = RadialGrid(3, 32.0, 1024, "uniform")
+
+    def case(self, ending, spectral):
+        """(state, config, strides dropped) of a run that ends this way."""
+        g = self.GRID
+        w = np.asarray(eval_W(3, g.r ** 2))
+        cfg = dict(n=g.n, r_max=g.r_max, monitor_stride=0.5)
+
+        def still(u1, **kw):
+            return (State(RadialField(g, u1), zeros_on(g)),
+                    EvolutionConfig(**cfg, **kw))
+        if ending == "scatter window":
+            return (*still(bump_state(g, amp=0.05).u1.values, t_max=40.0), 1)
+        if ending == "horizon":
+            return (*still(w + 1e-3 * spectral.rho_on(g), t_max=2.0), 0)
+        if ending == "norm above threshold":
+            return (*still(1.05 * w, t_max=20.0), 1)
+        if ending == "floor stop":
+            return (*still(1.2 * w, t_max=10.0), 0)
+        if ending == "overflow stop":
+            return huge_velocity_state(g, 1e150), TestNonFiniteData.CFG, 0
+        return huge_velocity_state(g, 1e200), TestNonFiniteData.CFG, 1
+
+    @pytest.mark.parametrize("ending", [
+        "scatter window", "horizon", "norm above threshold", "floor stop",
+        "overflow stop", "non-finite first row"])
+    def test_bitwise_the_sequential_loop(self, ending, spectral, thresholds,
+                                         monkeypatch):
+        state, cfg, dropped = self.case(ending, spectral)
+        strides = main_strides(monkeypatch, state.grid)
+        oracle = sequential_direction(state, cfg, spectral, thresholds)
+        n = len(strides)
+        run = evolve_direction(state, cfg, spectral, thresholds)
+        assert run_ending(run, cfg) == run_ending(oracle, cfg) == ending
+        assert {"steps", "capped_steps", "min_dt"} <= run.detail.keys()
+        if run.verdict == BLOWUP:
+            assert "confirm_steps" in run.detail
+        assert_same_run(run, oracle)
+        # the run adopts the oracle's strides; a stride it drops did steps
+        # that its account never sees
+        adopted, rest = strides[n:2 * n], strides[2 * n:]
+        assert adopted == strides[:n] and len(rest) == dropped
+        assert (run.detail["steps"], run.detail["capped_steps"],
+                run.detail["min_dt"]) == (adopted[-1] if adopted
+                                          else (0, 0, math.inf))
+        for steps, _, _ in rest:
+            assert steps > run.detail["steps"]
+
+    def test_raising_row_leaves_no_thread(self, spectral, thresholds,
+                                          monkeypatch):
+        state, cfg, _ = self.case("horizon", spectral)
+        error = RuntimeError("row failed")
+        original = evolve._monitor_row
+
+        def raising(s, t, *args):
+            if t > 0.0:         # a stride is in flight
+                raise error
+            return original(s, t, *args)
+
+        monkeypatch.setattr(evolve, "_monitor_row", raising)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            evolve_direction(state, cfg, spectral, thresholds)
+        assert info.value is error
+        assert threading.active_count() == before
+
+    def test_raising_stride_leaves_no_thread(self, spectral, thresholds,
+                                             monkeypatch):
+        state, cfg, _ = self.case("horizon", spectral)
+        error = RuntimeError("stride failed")
+        threads = []
+
+        def raising(*args):
+            threads.append(threading.current_thread())
+            raise error
+
+        monkeypatch.setattr(RadialWaveEvolver, "advance", raising)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            evolve_direction(state, cfg, spectral, thresholds)
+        assert info.value is error
+        assert threads and threading.main_thread() not in threads
+        assert threading.active_count() == before
+
+
+class TestPool:
+    def test_spectrum_pickled_once_per_chunk(self, spectral, thresholds,
+                                             monkeypatch):
+        # the pool sends the runs in chunks, and a chunk's one pickle
+        # holds the spectrum they share once
+        g = RadialGrid(3, 16.0, 256, "uniform")
+        cfg = EvolutionConfig(n=g.n, r_max=g.r_max, t_max=0.5,
+                              monitor_stride=0.5)
+        states = [bump_state(g, amp=0.01 * (i + 1), center=4.0, width=2.0)
+                  for i in range(12)]
+        pickles = []
+
+        def counting(self, protocol, _reduce=object.__reduce_ex__):
+            pickles.append(protocol)
+            return _reduce(self, protocol)
+
+        monkeypatch.setattr(SpectralData, "__reduce_ex__", counting)
+        runs = evolve_directions(states, cfg, spectral, thresholds,
+                                 threads=2)
+        assert 0 < len(pickles) <= 2 * evolve._CHUNKS_PER_WORKER < len(states)
+        monkeypatch.undo()
+        for run, s in zip(runs, states):
+            assert_same_run(run, evolve_direction(s, cfg, spectral,
+                                                  thresholds))
