@@ -18,9 +18,10 @@ import numpy as np
 
 SOURCES = tuple(Path(__file__).with_name(name)
                 for name in ("_verlet.c", "_spline.c"))
-# -ffp-contract=off keeps every multiply and add separately rounded, as
-# numpy rounds them, so each kernel is bitwise the numpy code it replaced
-_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+# -march=native builds for the host's vectors; -ffp-contract=off keeps
+# every multiply and add separately rounded, as numpy rounds them, so each
+# kernel is bitwise the numpy code it replaced on any instruction set
+_CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 class Stride(ctypes.Structure):
@@ -35,23 +36,34 @@ class Stride(ctypes.Structure):
         super().__init__(min_dt=math.inf)
 
 
+def _query(cc: str, *args) -> bytes:
+    """The standard output of ``cc args``, with no input."""
+    return subprocess.run([cc, *args], capture_output=True, check=True,
+                          stdin=subprocess.DEVNULL).stdout
+
+
 def build_library(sources, cc: str, cache_dir: Path) -> Path:
     """The shared library of the C files ``sources``, built by the compiler
     command ``cc`` into ``cache_dir`` unless it is there already, named by
-    a hash of every source, the flags and ``cc --version``.  The compiler
-    writes a temporary file that is renamed into place, so processes may
-    build into one directory at once; a new build deletes every other
-    library there (of another key, or of an older name).  ImportError when ``cc`` cannot be run or fails."""
+    a hash of every source, the flags, ``cc --version`` and the macros that
+    ``cc`` defines under the flags' -m options (``-dM -E``), which name the
+    instruction set that -march=native picks on this host: a tree shared
+    between machines never loads a library built for another CPU.  The
+    compiler writes a temporary file that is renamed into place, so
+    processes may build into one directory at once; a new build deletes
+    every other library there (of another key, or of an older name).
+    ImportError when ``cc`` cannot be run or fails."""
     try:
-        version = subprocess.run([cc, "--version"], capture_output=True,
-                                 check=True, text=True).stdout
+        version = _query(cc, "--version")
+        isa = _query(cc, *(f for f in _CFLAGS if f.startswith("-m")),
+                     "-dM", "-E", "-")
     except (OSError, subprocess.CalledProcessError) as exc:
         raise ImportError(f"critwave compiles its kernels with the C "
                           f"compiler command {cc!r}, which could not be run "
                           f"({exc}); install a C compiler") from exc
     key = hashlib.sha256(b"\0".join([*(s.read_bytes() for s in sources),
-                                     " ".join(_CFLAGS).encode(),
-                                     version.encode()])).hexdigest()[:16]
+                                     " ".join(_CFLAGS).encode(), version,
+                                     isa])).hexdigest()[:16]
     lib = cache_dir / f"_native-{key}.so"
     if lib.exists():
         return lib

@@ -269,13 +269,16 @@ def _attempt_fit(s: State, spec: SpectralData, th: Thresholds,
 
 @np.errstate(over="ignore")
 def _monitor_row(s: State, t: float, spec: SpectralData, th: Thresholds,
-                 last_fit: ModulationFit | None):
+                 last_fit: ModulationFit | None, last_d0_sigma: float | None):
     """All monitors of one state, and its converged fit (or None), seeded
-    with the run's last converged fit ``last_fit``.  The fit, the
-    distances and the functionals share the pieces of the state's fields
-    (u1', its far-field fit, the H^1, critical and L^2 norms and the
-    cross terms with W_sigma), each computed once.  A state past the
-    floating-point range gets an infinite norm, without an overflow
+    with the run's last converged fit ``last_fit``; without a fit, the d_0
+    search starts from the last row's minimizer ``last_d0_sigma`` (None
+    before the first row), which the row carries on as ``d0_sigma``.  The
+    fit, the distances and the functionals share the pieces of the state's
+    fields (u1', its far-field fit, the H^1, critical and L^2 norms and the
+    cross terms with W_sigma), each computed once; ``sigma_evals`` counts
+    the cross terms, one full-grid W_sigma' evaluation each.  A state past
+    the floating-point range gets an infinite norm, without an overflow
     warning.  The row carries no tau: :func:`_rescaled_time` builds it
     after the run."""
     g = s.grid
@@ -283,15 +286,16 @@ def _monitor_row(s: State, t: float, spec: SpectralData, th: Thresholds,
     fit = _attempt_fit(s, spec, th, last_fit)
     rep = distance_dW(s, spec, th, fit=fit) if fit is not None else None
     if rep is None:
-        d0 = th.C_d0 * manifold_distance(spec, s)
+        d0, row["d0_sigma"] = manifold_distance(spec, s, last_d0_sigma)
+        d0 *= th.C_d0
         row.update({"dW": d0, "d0": d0, "lambda1": math.nan,
                     "lambda2": math.nan, "sigma": math.nan,
                     "gamma_norm": math.nan})
     else:
         ms = rep.modes
-        row.update({"dW": rep.dW, "d0": rep.d0, "lambda1": ms.lambda1,
-                    "lambda2": ms.lambda2, "sigma": fit.sigma,
-                    "gamma_norm": ms.gamma_norm})
+        row.update({"dW": rep.dW, "d0": rep.d0, "d0_sigma": rep.d0_sigma,
+                    "lambda1": ms.lambda1, "lambda2": ms.lambda2,
+                    "sigma": fit.sigma, "gamma_norm": ms.gamma_norm})
     nham = norm_H(s)
     row.update({"E": energy_E(s), "K": functional_K(s.u1), "norm_H": nham,
                 "u2_sq": l2_norm_sq(s.u2)})
@@ -306,6 +310,7 @@ def _monitor_row(s: State, t: float, spec: SpectralData, th: Thresholds,
     row["equip"] = g.quad_meas(wcut * s.u2.values * s.u1.values)
     row["sign"], row["sign_disagree"] = sign_functional(
         row["dW"], row["lambda1"], row["K"], th)
+    row["sigma_evals"] = len(s.u1._cross)
     return row, fit
 
 
@@ -359,7 +364,7 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     th = thresholds or Thresholds()
     ev = RadialWaveEvolver(state0.grid, cfg.cfl)
     w, v = ev.state_to_wv(state0)
-    last_fit = None
+    last_fit, d0_sigma = None, None
     with np.errstate(over="ignore"):  # infinite for data past the float range
         norm0 = norm_H(state0)
     threshold = BLOWUP_NORM_MULT * max(norm0, BLOWUP_NORM_FLOOR)
@@ -379,9 +384,9 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
                 stride = stepper.submit(ev.advance, w, v, t, min(
                     t + cfg.monitor_stride, cfg.t_max), nxt)
             row, fit = _monitor_row(ev.wv_to_state(w, v), t, spec, th,
-                                    last_fit)
+                                    last_fit, d0_sigma)
             rows.append(row)
-            last_fit = fit or last_fit
+            last_fit, d0_sigma = fit or last_fit, row["d0_sigma"]
             if not math.isfinite(row["norm_H"]):
                 exceeded_at = t
                 break
@@ -410,6 +415,7 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     verdict, detail = _classify(rows, cfg, th, exceeded_at, stepper_floor,
                                 checkpoints, ev, threshold)
     detail.update(sign_disagreements=sum(r["sign_disagree"] for r in rows),
+                  sigma_evals=sum(r["sigma_evals"] for r in rows),
                   steps=account.steps, capped_steps=account.capped,
                   min_dt=account.min_dt)
     run = DirectionRun(series=series, verdict=verdict, detail=detail)

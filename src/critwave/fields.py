@@ -94,13 +94,31 @@ def _w_sigma_deriv(grid: RadialGrid, sigma: float) -> np.ndarray:
     return amp * es * np.asarray(eval_W_dr(grid.d, es * grid.r))
 
 
-def _w_sigma_farfield(d: int, sigma: float) -> tuple[float, float]:
-    """(c, b) of W_sigma ~ c r^(2-d) + b r^(-d), from the closed form."""
-    dd = d * (d - 2.0)
-    c0 = dd ** ((d - 2.0) / 2.0)
-    b0 = -c0 * dd * (d - 2.0) / 2.0
-    return (c0 * math.exp(-(d / 2.0 - 1.0) * sigma),
-            b0 * math.exp(-(d / 2.0 + 1.0) * sigma))
+def _w_sigma_cross_tail(grid: RadialGrid, c: float, b: float,
+                        sigma: float) -> float:
+    """int_R^inf grad(f).grad(W_sigma), R = r_max, over the far field
+    f ~ c r^(2-d) + b r^(-d), with W_sigma exact: in closed form, for every
+    e^sigma R.
+
+    With a = e^sigma and x = (1 + a^2 R^2 / (d(d-2)))^(-1/2) it is
+    |S^(d-1)| ((d-2) c a^((d-2)/2) x^(d-2) + b a^((d+2)/2) I(x)), where
+    I(x) = int_0^x y^(d-1) / (1 - y^2) dy = atanh x - x (- x^3/3 in d = 5);
+    below x = 1/2 I is summed as its series x^d/d + x^(d+2)/(d+2) + ...,
+    which keeps the leading terms that the difference would cancel.
+    """
+    d = grid.d
+    a = math.exp(sigma)
+    x = 1.0 / math.sqrt(1.0 + (a * grid.r_max) ** 2 / (d * (d - 2.0)))
+    if x < 0.5:
+        integral, k, term = 0.0, d, x ** d
+        while term > 1e-17 * integral:
+            integral += term / k
+            k, term = k + 2, term * x * x
+    else:
+        integral = math.atanh(x) - sum(x ** k / k for k in range(1, d, 2))
+    return grid.angular_factor * (
+        (d - 2.0) * c * a ** ((d - 2.0) / 2.0) * x ** (d - 2)
+        + b * a ** ((d + 2.0) / 2.0) * integral)
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +263,14 @@ class RadialField:
 
     def cross(self, sigma: float) -> float:
         """<grad f | grad W_sigma>, tails included: one full-grid evaluation
-        of W_sigma' per sigma, whose value is kept.
-
-        The tail beyond r_max takes W_sigma's two-term far field at r_max,
-        which holds only while e^sigma r_max is large: on the sweep grid
-        (r_max = 64) sigma = -2 puts it at 8.7, where it still holds, and
-        below sigma ~ -4.5 the truncated tail makes the distance
-        ||u - W_sigma||^2 built from it negative.
-        """
+        of W_sigma' per sigma, whose value is kept.  The tail beyond r_max
+        pairs f's far field with W_sigma' itself, in closed form, so it
+        holds for every sigma."""
         val = self._cross.get(sigma)
         if val is None:
             g = self.grid
             val = (float(self._du_meas @ _w_sigma_deriv(g, sigma))
-                   + g.h1_tail(*self.tail, *_w_sigma_farfield(g.d, sigma)))
+                   + _w_sigma_cross_tail(g, *self.tail, sigma))
             self._cross[sigma] = val
         return val
 

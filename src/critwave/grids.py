@@ -252,15 +252,12 @@ class RadialGrid:
         alpha, beta = proj @ (f[-_TAIL_FIT_NODES:] * weight)
         return float(alpha - beta * m / s), float(beta / s)
 
-    def h1_tail(self, cf, bf, cg=None, bg=None) -> float:
-        """int_R^inf grad(f).grad(g) over the far fields (cf, bf) of f and
-        (cg, bg) of g (g = f by default), R = r_max."""
-        if cg is None:
-            cg, bg = cf, bf
+    def h1_tail(self, c, b) -> float:
+        """int_R^inf |grad f|^2 over the far field (c, b) of f, R = r_max."""
         d, R = self.d, self.r_max
-        val = ((d - 2.0) * cf * cg * R ** (2 - d)
-               + (d - 2.0) * (cf * bg + cg * bf) * R ** (-d)
-               + d * d * bf * bg * R ** (-d - 2) / (d + 2.0))
+        val = ((d - 2.0) * c * c * R ** (2 - d)
+               + (d - 2.0) * (2.0 * c * b) * R ** (-d)
+               + d * d * b * b * R ** (-d - 2) / (d + 2.0))
         return self.angular_factor * val
 
     def crit_tail(self, c, b) -> float:

@@ -97,6 +97,7 @@ class ModeSplit:
 class DistanceReport:
     d0: float
     dW: float
+    d0_sigma: float                    # the minimizer sigma* of d_0
     modes: ModeSplit | None = None     # split_modes of a converged fit
 
 
@@ -544,24 +545,62 @@ def _manifold_distance_sq(spec: SpectralData, s: State, sgn: int,
             + spec.grid_refs(s.grid)["grad_W_sq"])
 
 
+# the hard range of d_0's sigma search
+SIGMA_RANGE = (-9.0, 4.0)
+
+
+def _argmin_sigma(f, lo: float, hi: float) -> float:
+    """A minimizer of f over SIGMA_RANGE by bounded Brent searches, the
+    first on [lo, hi] inside the range.  Its answer lies on an edge of
+    [lo, hi] when it is within 1e-6 of an end that is not an end of the
+    range: the bracket then moves outward from that end, which a bounded
+    search never evaluates, in steps of hi - lo, until the value rises or
+    the range ends, and a second search takes the last two steps.  The
+    lowest point evaluated on the way is the answer."""
+    def search(a, b):
+        return minimize_scalar(f, bounds=(a, b), method="bounded",
+                               options={"xatol": 1e-7}).x
+
+    x = search(lo, hi)
+    for edge, step in ((lo, lo - hi), (hi, hi - lo)):
+        if abs(x - edge) < 1e-6 and edge not in SIGMA_RANGE:
+            pts = [x, edge]
+            while f(pts[-1]) <= f(pts[-2]) and pts[-1] not in SIGMA_RANGE:
+                pts.append(min(max(pts[-1] + step, SIGMA_RANGE[0]),
+                               SIGMA_RANGE[1]))
+            if len(pts) > 2:
+                a = pts[-3] if f(pts[-1]) > f(pts[-2]) else pts[-2]
+                pts.append(search(*sorted((a, pts[-1]))))
+            x = min(pts, key=f)
+    return x
+
+
 def manifold_distance(spec: SpectralData, s: State,
-                      sigma_seed: float | None = None) -> float:
-    """inf over (+-, sigma) of ||s -+ W_vec_sigma||_H for a radial state:
-    ||s||_H^2 + ||grad W||^2 - 2 max |cross(sigma)|, from one bounded
-    Brent search of -|cross| over sigma within 0.4 of ``sigma_seed`` (a
-    modulation fit's sigma) or, unseeded, over [-2, 4], where W_sigma's
-    two-term far field still holds at r_max (see ``RadialField.cross``).
-    The search never evaluates the bracket ends; a minimizer at or beyond
-    an end is taken to within about 1e-7 of it.
+                      sigma_seed: float | None = None) -> tuple[float, float]:
+    """(d, sigma*): d = inf over (+-, sigma) of ||s -+ W_vec_sigma||_H for
+    a radial state, ||s||_H^2 + ||grad W||^2 - 2 max |cross(sigma)|, and
+    sigma* its minimizer over SIGMA_RANGE = [-9, 4].  The search
+    (``_argmin_sigma``) starts from sigma_seed -+ 0.4 (a modulation fit's
+    sigma, or the sigma* of the run's last row) or, unseeded, from the
+    neighbours of the lowest of 14 points spaced 1 apart over the range.
     """
     s.require_radial("manifold_distance")
-    lo, hi = ((-2.0, 4.0) if sigma_seed is None
-              else (sigma_seed - 0.4, sigma_seed + 0.4))
-    sigma = minimize_scalar(lambda x: -abs(s.u1.cross(x)), bounds=(lo, hi),
-                            method="bounded", options={"xatol": 1e-7}).x
+    lo_end, hi_end = SIGMA_RANGE
+
+    def f(x):
+        return -abs(s.u1.cross(x))
+
+    if sigma_seed is None:
+        scan = np.linspace(lo_end, hi_end, 14).tolist()
+        i = scan.index(min(scan, key=f))
+        lo, hi = scan[max(i - 1, 0)], scan[min(i + 1, len(scan) - 1)]
+    else:
+        seed = min(max(sigma_seed, lo_end), hi_end)
+        lo, hi = max(seed - 0.4, lo_end), min(seed + 0.4, hi_end)
+    sigma = _argmin_sigma(f, lo, hi)
     dist_sq = min(_manifold_distance_sq(spec, s, +1, sigma),
                   _manifold_distance_sq(spec, s, -1, sigma))
-    return math.sqrt(max(dist_sq, 0.0))
+    return math.sqrt(max(dist_sq, 0.0)), sigma
 
 
 def distance_dW(s: State, spec: SpectralData,
@@ -580,7 +619,8 @@ def distance_dW(s: State, spec: SpectralData,
         except FitError:
             fit = None
     fitted = fit is not None and fit.converged
-    d0 = th.C_d0 * manifold_distance(spec, s, fit.sigma if fitted else None)
+    d0, d0_sigma = manifold_distance(spec, s, fit.sigma if fitted else None)
+    d0 *= th.C_d0
     dw, ms = d0, None
     if fitted:
         ms = split_modes(fit, spec)
@@ -590,7 +630,7 @@ def distance_dW(s: State, spec: SpectralData,
         if not math.isnan(d1):
             chi = float(smooth_cutoff(2.0 * d0 / th.delta_A, 1.0, 2.0))
             dw = chi * d1 + (1.0 - chi) * d0
-    return DistanceReport(d0=d0, dW=dw, modes=ms)
+    return DistanceReport(d0=d0, dW=dw, d0_sigma=d0_sigma, modes=ms)
 
 
 # ---------------------------------------------------------------------------

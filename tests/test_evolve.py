@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from critwave import _native, evolve, modulation
+from critwave import _native, evolve, fields, modulation
 from critwave.config import EvolutionConfig
 from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, CONFIRM_REFINE,
                              CONFIRM_WINDOW, DT_FLOOR_FACTOR, SCATTER,
@@ -920,7 +920,8 @@ class TestEjection:
                          RadialField(g, 0.5 * e * rho))
 
         # fills the spectral caches on g, which take u1' of W and rho
-        evolve._monitor_row(near(2e-3), 0.0, spectral, thresholds, None)
+        evolve._monitor_row(near(2e-3), 0.0, spectral, thresholds, None,
+                            None)
         s = near(eps) if eps is not None else bump_state(g, amp=0.01)
         if eps is None:
             def forbidden(*args, **kwargs):
@@ -933,7 +934,8 @@ class TestEjection:
                 _seen.append(f)
                 return _orig(self, f, *args)
             monkeypatch.setattr(RadialGrid, name, counting)
-        _, fit = evolve._monitor_row(s, 0.0, spectral, thresholds, None)
+        _, fit = evolve._monitor_row(s, 0.0, spectral, thresholds, None,
+                                     None)
         assert (fit is not None) == (eps is not None)
         for seen in taken.values():
             assert len(seen) == (2 if eps is not None else 1)
@@ -1006,6 +1008,59 @@ def assert_same_run(a, b):
     # repr spells every float exactly, and NaN as nan
     assert repr(a.detail) == repr(b.detail)
     assert repr(a.ejection_rate) == repr(b.ejection_rate)
+
+
+class TestSigmaSearchInRuns:
+    """A run's rows seed d_0's sigma search, and its detail counts the
+    full-grid W_sigma' evaluations of its rows."""
+
+    CFG = EvolutionConfig(n=1024, r_max=32.0, t_max=3.0, monitor_stride=0.5)
+
+    @pytest.mark.parametrize("near", [True, False], ids=["fit", "no fit"])
+    def test_sigma_evals_sum_the_rows_cross_terms(self, near, spectral,
+                                                  thresholds, monkeypatch):
+        g = RadialGrid(3, self.CFG.r_max, self.CFG.n, "uniform")
+        s = (State(RadialField(g, np.asarray(eval_W(3, g.r ** 2))
+                               + 1e-3 * spectral.rho_on(g)), zeros_on(g))
+             if near else bump_state(g, amp=0.05))
+        rows, evaluations = [], []
+        row_of, deriv = evolve._monitor_row, fields._w_sigma_deriv
+
+        def recording_row(state, *args):
+            rows.append(state)
+            return row_of(state, *args)
+
+        def counting(grid, sigma):
+            evaluations.append(sigma)
+            return deriv(grid, sigma)
+
+        monkeypatch.setattr(evolve, "_monitor_row", recording_row)
+        monkeypatch.setattr(fields, "_w_sigma_deriv", counting)
+        run = evolve_direction(s, self.CFG, spectral, thresholds)
+        assert len(rows) == len(run.series["t"]) > 1
+        assert np.all(np.isfinite(run.series["sigma"])) == near
+        assert run.detail["sigma_evals"] == sum(len(r.u1._cross)
+                                                for r in rows)
+        assert run.detail["sigma_evals"] == len(evaluations) > 0
+
+    def test_rows_without_a_fit_seed_the_next_search(self, spectral,
+                                                      thresholds, monkeypatch):
+        g = RadialGrid(3, self.CFG.r_max, self.CFG.n, "uniform")
+        searches = []
+        search = evolve.manifold_distance
+
+        def recording(spec, s, seed=None):
+            out = search(spec, s, seed)
+            searches.append((seed, out[1]))
+            return out
+
+        monkeypatch.setattr(evolve, "manifold_distance", recording)
+        run = evolve_direction(bump_state(g, amp=0.05), self.CFG, spectral,
+                               thresholds)
+        assert np.all(np.isnan(run.series["sigma"]))
+        seeds, minimizers = zip(*searches)
+        assert len(searches) == len(run.series["t"])
+        assert seeds == (None, *minimizers[:-1])
 
 
 class TestRunReuse:
@@ -1118,10 +1173,11 @@ class TestVirialShadows:
 def sequential_direction(state0, cfg, spec, th):
     """evolve_direction as it ran before a stride overlapped a row: the row
     of each state, then the stride from it, in turn, every stride adding to
-    the run's one account.  Kept as the oracle of the pipelined run."""
+    the run's one account, each row's d_0 minimizer seeding the next row.
+    Kept as the oracle of the pipelined run."""
     ev = RadialWaveEvolver(state0.grid, cfg.cfl)
     w, v = ev.state_to_wv(state0)
-    last_fit = None
+    last_fit, d0_sigma = None, None
     with np.errstate(over="ignore"):
         norm0 = norm_H(state0)
     threshold = evolve.BLOWUP_NORM_MULT * max(norm0, evolve.BLOWUP_NORM_FLOOR)
@@ -1131,9 +1187,9 @@ def sequential_direction(state0, cfg, spec, th):
     exceeded_at, stepper_floor = None, False
     while True:
         row, fit = evolve._monitor_row(ev.wv_to_state(w, v), t, spec, th,
-                                       last_fit)
+                                       last_fit, d0_sigma)
         rows.append(row)
-        last_fit = fit or last_fit
+        last_fit, d0_sigma = fit or last_fit, row["d0_sigma"]
         if not math.isfinite(row["norm_H"]):
             exceeded_at = t
             break
@@ -1160,6 +1216,7 @@ def sequential_direction(state0, cfg, spec, th):
                                        stepper_floor, checkpoints, ev,
                                        threshold)
     detail.update(sign_disagreements=sum(r["sign_disagree"] for r in rows),
+                  sigma_evals=sum(r["sigma_evals"] for r in rows),
                   steps=account.steps, capped_steps=account.capped,
                   min_dt=account.min_dt)
     run = evolve.DirectionRun(series=series, verdict=verdict, detail=detail)

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.integrate import quad
+
 from critwave.fields import (BoostParams, Field3D, RadialField, State,
-                             UniformSpline, _mirrored_spline, eval_W,
-                             eval_W_dr, load_radial_field, load_state,
+                             UniformSpline, _mirrored_spline,
+                             _w_sigma_cross_tail, eval_W, eval_W_dr,
+                             load_radial_field, load_state,
                              save_radial_field, save_state)
 from critwave.functionals import h1_seminorm_sq
 from critwave.grids import BLOCK_POINTS, Box3DGrid, RadialGrid
@@ -136,6 +139,37 @@ class TestRadialFieldPieces:
         h1 = h1_seminorm_sq(s.u1)
         rev = s.time_reversed()
         assert rev.u1 is s.u1 and vars(rev.u1)["h1_sq"] == h1
+
+
+def cross_tail_by_quadrature(grid, c, b, sigma):
+    """|S^(d-1)| int_R^inf f' W_sigma' r^(d-1) dr, R = r_max, for
+    f = c r^(2-d) + b r^(-d) and W_sigma' = e^(d sigma/2) W'(e^sigma r),
+    by adaptive quadrature in log r."""
+    d, a = grid.d, math.exp(sigma)
+
+    def integrand(t):
+        r = grid.r_max * math.exp(t)
+        df = (2 - d) * c * r ** (1 - d) - d * b * r ** (-d - 1)
+        return df * a ** (d / 2.0) * float(eval_W_dr(d, a * r)) * r ** d
+
+    return grid.angular_factor * quad(integrand, 0.0, 60.0, epsabs=0.0,
+                                      epsrel=1e-13, limit=500)[0]
+
+
+class TestCrossTail:
+    """The tail of <grad f | grad W_sigma> beyond r_max, in closed form,
+    against quadrature over the whole hard range of the d_0 search, from
+    e^sigma r_max far below 1 (the far field of W_sigma not yet reached)
+    to far above it."""
+
+    @pytest.mark.parametrize("d, r_max", [(3, 64.0), (3, 12.0), (5, 30.0)])
+    @pytest.mark.parametrize("c, b", [(1.3, -2.7), (-0.4, 5.0), (1.0, 0.0)])
+    def test_equals_quadrature(self, d, r_max, c, b):
+        grid = RadialGrid(d, r_max, 64, "uniform")
+        for sigma in np.linspace(-9.0, 4.0, 27):
+            want = cross_tail_by_quadrature(grid, c, b, sigma)
+            got = _w_sigma_cross_tail(grid, c, b, sigma)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0), sigma
 
 
 class TestSampleFamily:

@@ -532,35 +532,74 @@ def golden_manifold_distance_sq(spec, s, sigma_seed):
     return best
 
 
+def dense_scan_distance_sq(spec, s, step=1e-3):
+    """min over both signs and over sigma in [-9, 4] of the squared
+    distance: a scan at ``step``, then golden section to 1e-9 between the
+    neighbours of the lowest point; and that minimizer."""
+    sigmas = np.arange(-9.0, 4.0 + 0.5 * step, step)
+    best = (math.inf, math.nan)
+    for sgn in (+1, -1):
+        def dist_sq(x):
+            return _manifold_distance_sq(spec, s, sgn, float(x))
+        i = int(np.argmin([dist_sq(x) for x in sigmas]))
+        x, d_sq = _golden_min(dist_sq, sigmas[max(i - 1, 0)],
+                              sigmas[min(i + 1, len(sigmas) - 1)], tol=1e-9)
+        best = min(best, (d_sq, x))
+    return best
+
+
 class TestManifoldDistanceSearch:
-    # None: W_sigma at sigma = -2.8 on the sweep grid, unseeded and seeded
-    # at its own sigma; its minimizer lies below the unseeded domain
-    # [-2, 4], so that search ends next to an end that it never evaluates
-    @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.3, 1.0,
-                                     pytest.param(None, id="edge")])
-    def test_brent_matches_golden_section(self, ctx, sample_W_family, eps):
+    # eps: W + eps rho against the golden section over [-2, 4] or the seed's
+    # bracket, all of which holds the minimizer
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.3, 1.0])
+    def test_brent_matches_golden_section(self, ctx, eps):
         spec, g = ctx["spec"], ctx["g"]
-        seeds = (None, 0.0, 0.13)
-        if eps is None:
-            seeds = (None, -2.8)
-            edge = sample_W_family(
-                RadialGrid(3, SWEEP_EVOLUTION.r_max, SWEEP_EVOLUTION.n,
-                           "uniform"), -2.8)
         for sgn in (+1, -1):
-            if eps is None:
-                s = State(RadialField(edge.grid, sgn * edge.u1.values), edge.u2)
-            else:
-                s = State(RadialField(g, sgn * (ctx["W"] + eps * ctx["rho"])),
-                          RadialField(g, 0.5 * eps * ctx["rho"]))
-            for seed in seeds:
+            s = State(RadialField(g, sgn * (ctx["W"] + eps * ctx["rho"])),
+                      RadialField(g, 0.5 * eps * ctx["rho"]))
+            for seed in (None, 0.0, 0.13):
                 want_sq = golden_manifold_distance_sq(spec, s, seed)
                 # u1 again, with none of the cross terms the oracle kept
                 fresh = State(RadialField(s.grid, s.u1.values), s.u2)
-                got = manifold_distance(spec, fresh, seed)
+                got, sigma = manifold_distance(spec, fresh, seed)
                 assert got ** 2 <= want_sq + 1e-12
                 assert got == pytest.approx(math.sqrt(want_sq), rel=1e-6)
+                # the distance is the one at the minimizer it returns
+                assert got == math.sqrt(min(_manifold_distance_sq(
+                    spec, fresh, sg, sigma) for sg in (+1, -1)))
                 # full-grid cross-term evaluations, scan included
-                assert len(fresh.u1._cross) <= (25 if seed is None else 0) + 20
+                assert len(fresh.u1._cross) <= (14 if seed is None else 0) + 20
+
+    # the minimizer below -2 on the sweep grid: W_sigma at sigma = -2.8
+    # (edge), whose far field the cross term's tail once cut short, and a
+    # shell of radius 30 (dispersed), a scattering tail's shape; each
+    # unseeded, seeded at its minimizer, and seeded at 0, whose bracket
+    # [-0.4, 0.4] the search leaves through its lower edge
+    @pytest.mark.parametrize("kind", ["edge", "dispersed"])
+    def test_minimizer_below_minus_two_matches_dense_scan(
+            self, ctx, sample_W_family, kind):
+        spec = ctx["spec"]
+        g = RadialGrid(3, SWEEP_EVOLUTION.r_max, SWEEP_EVOLUTION.n, "uniform")
+        if kind == "edge":
+            base = sample_W_family(g, -2.8)
+        else:
+            bump = 0.02 * np.exp(-((g.r - 30.0) / 8.0) ** 2)
+            base = State(RadialField(g, bump),
+                         RadialField(g, -0.5 * g.deriv(bump)))
+        for sgn in (+1, -1):
+            s = State(RadialField(g, sgn * base.u1.values), base.u2)
+            want_sq, want_sigma = dense_scan_distance_sq(spec, s)
+            assert want_sigma < -2.0
+            for seed in (None, want_sigma, 0.0):
+                fresh = State(RadialField(g, s.u1.values), s.u2)
+                got, sigma = manifold_distance(spec, fresh, seed)
+                assert got ** 2 <= want_sq + 1e-12
+                assert got == pytest.approx(math.sqrt(want_sq), rel=1e-6)
+                assert sigma == pytest.approx(want_sigma, abs=1e-3)
+                if seed is not None and seed != 0.0:
+                    assert len(fresh.u1._cross) <= 20
+                elif seed is None:
+                    assert len(fresh.u1._cross) <= 14 + 20
 
     def test_shared_pieces_equal_functionals(self, ctx):
         spec, g = ctx["spec"], ctx["g"]
@@ -1053,7 +1092,7 @@ class TestSign:
         monkeypatch.setattr(modulation, "split_modes", counting)
         for eps, want in ((1e-3, -1), (-1e-3, +1)):
             s = State(RadialField(g, ctx["W"] + eps * ctx["rho"]), ctx["zeros"])
-            row, _ = evolve._monitor_row(s, 0.0, spec, th, None)
+            row, _ = evolve._monitor_row(s, 0.0, spec, th, None, None)
             assert len(splits) == 1
             assert row["lambda1"] == splits[0].lambda1
             assert row["sign"] == want

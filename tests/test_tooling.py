@@ -1,8 +1,10 @@
 """Repository tooling: the benchmark's tracer and the package's own code."""
 
 import ast
+import ctypes
 import dataclasses
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from critwave import _native, evolve
+from critwave import _native, evolve, fields
 from critwave.experiments import assemble_box_exact, random_box_closure
 from critwave.grids import BLOCK_POINTS, Box3DGrid, RadialGrid
 from critwave.modulation import fit_modulation
@@ -56,18 +58,113 @@ def _logging_cc(tmp_path):
     return str(cc), log
 
 
+# the key's queries of the compiler: its version and the host's ISA
+_KEY_QUERIES = ["--version", "-march=native -dM -E -"]
+
+
 def test_warm_kernel_cache_compiles_nothing(tmp_path):
     cc, log = _logging_cc(tmp_path)
     cache = tmp_path / "cache"
     lib = _native.build_library(_native.SOURCES, cc, cache)
     first = log.read_text().splitlines()
-    assert first[0] == "--version" and len(first) == 2    # key, then build
-    # one build of every source into one library
-    assert all(str(s) in first[1].split() for s in _native.SOURCES)
+    assert first[:2] == _KEY_QUERIES and len(first) == 3  # key, then build
+    # one build of every source into one library, for the host's ISA
+    assert all(str(s) in first[2].split() for s in _native.SOURCES)
+    assert "-march=native" in first[2].split()
     assert _native.build_library(_native.SOURCES, cc, cache) == lib
-    # the key still asks for the version; no second build
-    assert log.read_text().splitlines()[2:] == ["--version"]
+    # the key still asks for the version and the ISA; no second build
+    assert log.read_text().splitlines()[3:] == _KEY_QUERIES
     assert list(cache.iterdir()) == [lib]
+
+
+def test_another_host_isa_builds_under_a_new_key(tmp_path):
+    # a compiler that names one more instruction-set macro stands for
+    # another CPU: its key differs, so the tree's library is rebuilt
+    cache = tmp_path / "cache"
+    cc, log = _logging_cc(tmp_path)
+    here = _native.build_library(_native.SOURCES, cc, cache)
+    other = tmp_path / "other-cpu-cc"
+    other.write_text(f'#!/bin/sh\necho "$@" >> "{log}"\n'
+                     'case " $* " in *" -dM "*) cc "$@" || exit 1; '
+                     'echo "#define __CRITWAVE_OTHER_CPU__ 1";; '
+                     '*) exec cc "$@";; esac\n')
+    other.chmod(0o755)
+    there = _native.build_library(_native.SOURCES, str(other), cache)
+    assert there != here and not here.exists()
+    calls = log.read_text().splitlines()
+    # the second key's queries, then a build
+    assert calls[3:5] == _KEY_QUERIES and len(calls) == 6
+    assert all(str(s) in calls[5].split() for s in _native.SOURCES)
+    assert list(cache.iterdir()) == [there]
+
+
+def _stride(lib, ev, w, v, t, t_target):
+    """One cw_advance stride of ``lib`` on ``ev``'s grid from copies of
+    (w, v): (w, v, t, stop code, step account)."""
+    w, v = np.array(w, dtype=float), np.array(v, dtype=float)
+    t = ctypes.c_double(t)
+    account = _native.Stride()
+    stop = ev._call(lib.cw_advance, w, v, np.empty(ev.grid.n), ev.dt0,
+                    ev.dt0 / evolve.DT_FLOOR_FACTOR, evolve._MAX_SAFE_AMP,
+                    ctypes.byref(t), t_target, ctypes.byref(account))
+    return w, v, t.value, stop, account
+
+
+def _spline(lib, spline, r):
+    """cw_spline of ``lib`` on the pieces of a fields.UniformSpline."""
+    x, k, n = spline._x, spline._k, r.size
+    out = np.empty(k * n)
+    lib.cw_spline(n, _native.address(r, n), len(x),
+                  _native.address(x, len(x)), k,
+                  _native.address(spline._coef, (len(x) - 1) * k * 4),
+                  spline._inv_h, _native.address(out, k * n))
+    return out
+
+
+def test_host_and_portable_builds_bitwise(tmp_path, monkeypatch):
+    # the kernels built with and without -march=native: with
+    # -ffp-contract=off neither fuses a multiply and an add, so every
+    # result is byte-equal, NaN bits included
+    host = _native.load_library(_native.build_library(
+        _native.SOURCES, "cc", tmp_path / "host"))
+    monkeypatch.setattr(_native, "_CFLAGS", tuple(
+        f for f in _native._CFLAGS if f != "-march=native"))
+    portable = _native.load_library(_native.build_library(
+        _native.SOURCES, "cc", tmp_path / "portable"))
+
+    def same(*args):
+        a, b = (_stride(lib, *args) for lib in (host, portable))
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].tobytes() == b[1].tobytes()
+        assert a[2:4] == b[2:4] and bytes(a[4]) == bytes(b[4])
+        return a
+
+    # an odd grid, past the last full vector of any width
+    grid = RadialGrid(3, 16.0, 1024, "uniform").head(1023)
+    ev = evolve.RadialWaveEvolver(grid, 0.45)
+    # a focusing pulse: the cap engages mid-stride, then the floor stops it
+    w = np.exp(-((grid.r - 4.0) / 0.5) ** 2)
+    v, t, stops, capped = np.gradient(w, grid.r), 0.0, [], 0
+    while not stops or stops[-1] == 0:
+        w, v, t, stop, account = same(ev, w, v, t, t + 0.5)
+        stops.append(stop)
+        capped += account.capped if stop == 0 else 0
+    assert stops[-1] == 1 and capped > 0
+    # overflow at entry, and a NaN velocity that overflows w in one step
+    assert same(ev, 1e160 * w, v, 0.0, 1.0)[3] == 2
+    nan_v = np.zeros(grid.n)
+    nan_v[100] = math.nan
+    out = same(ev, 0.1 * w, nan_v, 1.5, 2.0)
+    assert out[3] == 2 and out[4].steps == 1
+    # the spline at random points, beyond its last node and non-finite
+    g = RadialGrid(3, 8.0, 257, "uniform")
+    rng = np.random.default_rng(3)
+    spline = fields.UniformSpline(g, rng.standard_normal((g.n, 3)),
+                                  np.array([1.0, -1.0, 1.0]))
+    r = np.concatenate([rng.uniform(-9.0, 9.0, 4001),
+                        [0.0, g.r[-1], math.inf, -math.inf, math.nan]])
+    assert (_spline(host, spline, r).tobytes()
+            == _spline(portable, spline, r).tobytes())
 
 
 def _copied_sources(tmp_path):
@@ -113,7 +210,7 @@ _BUILD_AND_RUN = """
 import sys
 from pathlib import Path
 import numpy as np
-from critwave import _native, evolve
+from critwave import _native, evolve, fields
 from critwave.grids import RadialGrid
 lib = _native.load_library(_native.build_library(_native.SOURCES, "cc",
                                                  Path(sys.argv[1])))
@@ -219,47 +316,119 @@ def _local_names(fn) -> set:
     return names
 
 
-def _references(node, scopes=()):
-    """(name, line) of each attribute, and of each name load that no
-    enclosing function binds locally."""
+def _references(node, scopes=(), called=False):
+    """(name, line, kind) of each attribute (kind "call" when it is called,
+    "attribute" otherwise), and of each name load that no enclosing
+    function binds locally (kind "name")."""
     if isinstance(node, _SCOPES):
         scopes = scopes + (_local_names(node),)
     elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         if not any(node.id in names for names in scopes):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, "name"
     elif isinstance(node, ast.Attribute):
-        yield node.attr, node.lineno
+        yield node.attr, node.lineno, "call" if called else "attribute"
     for child in ast.iter_child_nodes(node):
-        yield from _references(child, scopes)
+        yield from _references(child, scopes, isinstance(node, ast.Call)
+                               and child is node.func)
+
+
+_PROPERTIES = {"property", "cached_property"}
+
+
+def _data_attributes(tree) -> set:
+    """Names that a module stores or reads as data on an object: attribute
+    assignments, object.__setattr__ names, class-level fields and
+    assignments, ctypes _fields_ names and properties."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__setattr__" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            names.add(node.args[1].value)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                targets = (item.targets if isinstance(item, ast.Assign)
+                           else [item.target] if isinstance(item, ast.AnnAssign)
+                           else [])
+                names |= {t.id for t in targets if isinstance(t, ast.Name)}
+                if any(isinstance(t, ast.Name) and t.id == "_fields_"
+                       for t in targets):
+                    names |= {e.elts[0].value for e in item.value.elts}
+                if _is_property(item):
+                    names.add(item.name)
+    return names
+
+
+def _is_property(node) -> bool:
+    return isinstance(node, ast.FunctionDef) and any(
+        getattr(d, "id", getattr(d, "attr", None)) in _PROPERTIES
+        for d in node.decorator_list)
+
+
+def _uncalled(package: Path) -> list:
+    """(name, "file:line") of each function or class of the package that
+    nothing in it references outside its own definition.  A method (a
+    function in a class body, not a property) whose name is also a data
+    attribute in the package is referenced only by a call of that name or
+    a bare name: a read of the data attribute is not a reference to it."""
+    definitions, references, data = [], [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(item) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for item in cls.body
+                   if isinstance(item, ast.FunctionDef)
+                   and not _is_property(item)}
+        definitions += [(node.name, path, node.lineno, node.end_lineno,
+                         id(node) in methods)
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        references += [(name, path, line, kind)
+                       for name, line, kind in _references(tree)]
+        data |= _data_attributes(tree)
+    return [(name, f"{path.name}:{first}")
+            for name, path, first, last, method in definitions
+            if not any(ref == name
+                       and (where != path or not first <= line <= last)
+                       and not (method and name in data
+                                and kind == "attribute")
+                       for ref, where, line, kind in references)]
 
 
 def test_every_definition_has_a_caller():
     # a function or class of the package must be referenced in src/ outside
     # its own definition (an import, so an export in __init__, is not a
-    # reference; nor is a local variable or parameter of the same name), be
-    # wrapped by the benchmark's tracer or be allow-listed above; dunders
-    # are called by Python
+    # reference; nor is a local variable or parameter of the same name, or
+    # a read of a data attribute named like a method), be wrapped by the
+    # benchmark's tracer or be allow-listed above; dunders are called by
+    # Python
     traced = {name for _, _, path, _ in _load_tracing().TARGETS
               for name in path.split(".")}
-    definitions, references = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        definitions += [(node.name, path, node.lineno, node.end_lineno)
-                        for node in ast.walk(tree)
-                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-        references += [(name, path, line)
-                       for name, line in _references(tree)]
-    uncalled = [
-        (name, f"{path.name}:{first}")
-        for name, path, first, last in definitions
-        if not any(ref == name and (where != path or not first <= line <= last)
-                   for ref, where, line in references)]
+    uncalled = _uncalled(PACKAGE)
     assert [f"{where} {name}" for name, where in uncalled
             if not (name.startswith("__") and name.endswith("__"))
             and name not in traced and name not in ALLOWED_UNCALLED] == []
     # the allow-list cannot go stale: each name is defined and still uncalled
     assert sorted(name for name, _ in uncalled
                   if name in ALLOWED_UNCALLED) == sorted(ALLOWED_UNCALLED)
+
+
+def test_a_method_named_like_a_data_attribute_needs_a_call(tmp_path):
+    # an uncalled method "grid" on BoostParams, beside the grid attributes
+    # that src/ reads everywhere, which a match by name alone took for its
+    # callers; "scale_of", named like nothing, shows that the edit took
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    fields_py = tmp_path / "fields.py"
+    anchor = "    @property\n    def p_norm(self)"
+    assert fields_py.read_text().count(anchor) == 1
+    fields_py.write_text(fields_py.read_text().replace(anchor, (
+        "    def grid(self):\n        return self.sigma\n\n"
+        "    def scale_of(self):\n        return self.sigma\n\n" + anchor)))
+    uncalled = {name for name, _ in _uncalled(tmp_path)}
+    assert {"grid", "scale_of"} <= uncalled
+    assert not {"grid", "scale_of"} & {name for name, _ in _uncalled(PACKAGE)}
 
 
 # methods that change a list, dict or set in place
