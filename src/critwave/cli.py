@@ -10,7 +10,7 @@ Subcommands mirror the module structure:
   check the modulation equation on the same run
 
 Exit codes: 0 all pass, 2 an Undetermined verdict is present, 3 a check
-failed or the configuration is invalid.
+failed, or the configuration or the command line is invalid.
 """
 
 from __future__ import annotations
@@ -39,6 +39,16 @@ def load_reference_constants() -> dict | None:
     if not ref.is_file():
         return None
     return json.loads(ref.read_text())
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 3, as an invalid
+    configuration does, not argparse's 2, which here means an Undetermined
+    verdict.  Subparsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -180,9 +190,6 @@ def cmd_quadrant(args) -> int:
         if args.perturbed < 0:
             raise ValueError(f"--perturbed must be a count >= 0, "
                              f"got {args.perturbed}")
-        if args.threads < 1:
-            raise ValueError(f"--threads must be a count >= 1, "
-                             f"got {args.threads}")
         evolution = sections.get("evolution")
         _check_run(evolution or SWEEP_EVOLUTION)
         check_seed(args.seed)
@@ -191,7 +198,7 @@ def cmd_quadrant(args) -> int:
     table = run_quadrant_sweep(eps_list=eps_list, thresholds=thresholds,
                                evolution=evolution,
                                n_perturbed=args.perturbed,
-                               seed=args.seed, threads=args.threads,
+                               seed=args.seed,
                                out_dir=args.out or "quadrant_out")
     for row in table.rows:
         mark = "ok" if row.matches_expected else "MISMATCH"
@@ -239,7 +246,7 @@ def cmd_ejection(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="critwave",
         description="numerical laboratory for the energy-critical wave equation")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -267,8 +274,6 @@ def main(argv=None) -> int:
                    help="comma-separated amplitude list")
     p.add_argument("--perturbed", type=int, default=0,
                    help="number of randomized perturbed variants")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for the sweep's runs")
     p.set_defaults(func=cmd_quadrant)
 
     p = sub.add_parser("ejection", help="run the ejection-rate study")

@@ -25,11 +25,9 @@ from __future__ import annotations
 
 import ctypes
 import math
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -68,9 +66,6 @@ CONFIRM_MARGIN = 2.0        # the confirmation ball's radius beyond the |u| peak
 CFL_LIMIT = math.sqrt(3.0) / 2.0
 
 _STOPS = ("target", "floor", "overflow")     # by the kernel's stop code
-# chunks of runs per pool worker: more balance uneven runs, fewer send the
-# spectrum fewer times
-_CHUNKS_PER_WORKER = 4
 
 
 # ---------------------------------------------------------------------------
@@ -569,22 +564,12 @@ def _resample_w(r_old, w_old, r_new):
 # two-sided evolution
 # ---------------------------------------------------------------------------
 
-def _timed_run(state: State, cfg: EvolutionConfig, spec: SpectralData,
-               th: Thresholds) -> DirectionRun:
-    """evolve_direction with its wall time in ``wall_s``."""
-    t0 = time.perf_counter()
-    # looked up at call time, so that wrappers of evolve_direction see
-    # every run
-    run = evolve_direction(state, cfg, spec, th)
-    run.wall_s = time.perf_counter() - t0
-    return run
-
-
 def evolve_directions(states: list[State], cfg: EvolutionConfig,
                       spec: SpectralData,
-                      thresholds: Thresholds | None = None,
-                      threads: int = 1) -> list[DirectionRun]:
-    """The forward run of every state, each distinct state run once.
+                      thresholds: Thresholds | None = None
+                      ) -> list[DirectionRun]:
+    """The forward run of every state, each distinct state run once, in
+    turn, in this process.
 
     Two states are the same when they share a grid and their values are
     equal: the key is the grid and the bytes of u1 + 0.0 and u2 + 0.0
@@ -592,35 +577,24 @@ def evolve_directions(states: list[State], cfg: EvolutionConfig,
     reversal (u, u_t) -> (u, -u_t) this lets a backward run reuse a forward
     one: data with u2 = 0 is its own reversal, and the reversal of
     (u1, u2) is the data (u1, -u2) of another run.  Each run's wall time is
-    measured once, into ``wall_s``.  With ``threads > 1`` the distinct
-    states run on a pool of that many spawned worker processes, each run
-    handed this spectrum; otherwise they run here.  The pool takes the runs
-    in chunks of consecutive ones, at most _CHUNKS_PER_WORKER per worker:
-    a chunk is one pickle, which holds the spectrum (and its caches) once
-    for all of its runs.
+    measured once, into ``wall_s``.
     """
     th = thresholds or Thresholds()
     index: dict[tuple, int] = {}
-    distinct: list[State] = []
+    runs: list[DirectionRun] = []
     slots = []
     for s in states:
         key = (s.grid, (s.u1.values + 0.0).tobytes(),
                (s.u2.values + 0.0).tobytes())
         if key not in index:
-            index[key] = len(distinct)
-            distinct.append(s)
+            index[key] = len(runs)
+            t0 = time.perf_counter()
+            # looked up at call time, so that wrappers of evolve_direction
+            # see every run
+            run = evolve_direction(s, cfg, spec, th)
+            run.wall_s = time.perf_counter() - t0
+            runs.append(run)
         slots.append(index[key])
-    args = (distinct, repeat(cfg), repeat(spec), repeat(th))
-    if threads > 1:
-        # spawned workers start from a fresh import: everything a run
-        # reads is in its arguments
-        with ProcessPoolExecutor(
-                max_workers=threads,
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            chunk = math.ceil(len(distinct) / (_CHUNKS_PER_WORKER * threads))
-            runs = list(pool.map(_timed_run, *args, chunksize=max(chunk, 1)))
-    else:
-        runs = list(map(_timed_run, *args))
     return [runs[i] for i in slots]
 
 

@@ -3,8 +3,8 @@ four-quadrant sweep, and the static verification suite.
 
 Every run is deterministic given (spec, constants file, seed); randomness
 enters only through seeded generators whose seeds are recorded in the
-outputs.  Sweeps run each distinct one-direction problem once, optionally
-over a worker pool, and merge results in a fixed order.
+outputs.  Sweeps run each distinct one-direction problem once, in this
+process, and merge results in a fixed order.
 """
 
 from __future__ import annotations
@@ -345,10 +345,16 @@ def run_quadrant_sweep(eps_list=(1e-3, 3e-3, 1e-2),
     must match the base run.  Every case needs the forward runs of its data
     and of its time reversal; :func:`evolve_directions` runs each distinct
     one, so the backward run of a = (a1, a2) is the forward run of
-    (a1, -a2), and a = (+-1, 0) runs once.  With ``threads > 1`` the
-    distinct runs are mapped over a pool of worker processes, which evolve
-    with this spectrum.
+    (a1, -a2), and a = (+-1, 0) runs once.  The runs go in turn, each
+    stepping on one thread beside the one that builds its monitor rows.
+
+    ``threads`` must be 1 (ValueError before any case or spectrum is built
+    otherwise); the parameter goes when the benchmark harness stops
+    passing it.
     """
+    if threads != 1:
+        raise ValueError(f"threads = {threads!r}: a sweep runs in one "
+                         f"process; its process pool was removed")
     th = thresholds or Thresholds()
     cfg = evolution or SWEEP_EVOLUTION
     cases = _sweep_cases(eps_list, cfg, n_perturbed, seed, out_dir)
@@ -359,7 +365,7 @@ def run_quadrant_sweep(eps_list=(1e-3, 3e-3, 1e-2),
         exp.validate(th)
         s = build_initial_state(exp, spectral)
         states += [s, s.time_reversed()]
-    runs = evolve_directions(states, cfg, spectral, th, threads=threads)
+    runs = evolve_directions(states, cfg, spectral, th)
     rows = [_quadrant_row(case, runs[2 * i], runs[2 * i + 1], spectral, th)
             for i, case in enumerate(cases)]
     table = QuadrantTable(rows=rows, seed=seed)

@@ -212,8 +212,7 @@ class RadialField:
     The samples are taken without a copy when they are float64 already
     and marked read-only, the caller's array with them, as is f': a write
     through either raises, so no piece goes stale (a view of another
-    array stays writable through its base).  A pickled or copied field is
-    rebuilt from its samples, without its pieces.
+    array stays writable through its base).
     """
 
     grid: RadialGrid
@@ -228,9 +227,6 @@ class RadialField:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "_cross", {})
-
-    def __reduce__(self):
-        return RadialField, (self.grid, self.values)
 
     @cached_property
     def du(self) -> np.ndarray:

@@ -38,7 +38,7 @@ def quadrant_table(spectral, thresholds):
     t0 = time.time()
     table = run_quadrant_sweep(eps_list=(1e-3, 3e-3, 1e-2), spectral=spectral,
                                thresholds=thresholds, evolution=SWEEP_EVOLUTION,
-                               n_perturbed=20, seed=20240801, threads=1)
+                               n_perturbed=20, seed=20240801)
     table.wall_time = time.time() - t0
     return table
 

@@ -11,15 +11,13 @@ from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, CONFIRM_REFINE,
                              CONFIRM_WINDOW, DT_FLOOR_FACTOR, SCATTER,
                              UNDETERMINED, RadialWaveEvolver,
                              _confirm_grid, _rescaled_time, _resample_w,
-                             evolve_direction, evolve_directions,
-                             evolve_with_monitors, exterior_energy,
-                             fit_ejection_rate, modulation_ode_residual,
-                             one_pass_check)
+                             evolve_direction, evolve_with_monitors,
+                             exterior_energy, fit_ejection_rate,
+                             modulation_ode_residual, one_pass_check)
 from critwave.fields import RadialField, State, eval_W
 from critwave.functionals import energy_E, l2_norm_sq, norm_H
 from critwave.grids import RadialGrid
 from critwave.modulation import FitError, SignAmbiguityError
-from critwave.spectral import SpectralData
 
 
 @pytest.fixture(scope="module")
@@ -1345,29 +1343,3 @@ class TestPipelinedRun:
         assert info.value is error
         assert threads and threading.main_thread() not in threads
         assert threading.active_count() == before
-
-
-class TestPool:
-    def test_spectrum_pickled_once_per_chunk(self, spectral, thresholds,
-                                             monkeypatch):
-        # the pool sends the runs in chunks, and a chunk's one pickle
-        # holds the spectrum they share once
-        g = RadialGrid(3, 16.0, 256, "uniform")
-        cfg = EvolutionConfig(n=g.n, r_max=g.r_max, t_max=0.5,
-                              monitor_stride=0.5)
-        states = [bump_state(g, amp=0.01 * (i + 1), center=4.0, width=2.0)
-                  for i in range(12)]
-        pickles = []
-
-        def counting(self, protocol, _reduce=object.__reduce_ex__):
-            pickles.append(protocol)
-            return _reduce(self, protocol)
-
-        monkeypatch.setattr(SpectralData, "__reduce_ex__", counting)
-        runs = evolve_directions(states, cfg, spectral, thresholds,
-                                 threads=2)
-        assert 0 < len(pickles) <= 2 * evolve._CHUNKS_PER_WORKER < len(states)
-        monkeypatch.undo()
-        for run, s in zip(runs, states):
-            assert_same_run(run, evolve_direction(s, cfg, spectral,
-                                                  thresholds))

@@ -203,7 +203,7 @@ class TestRunExperiment:
 def mini_table(spectral, thresholds):
     return run_quadrant_sweep(eps_list=(1e-3,), spectral=spectral,
                               thresholds=thresholds, evolution=SWEEP_EVOLUTION,
-                              n_perturbed=1, seed=11, threads=1)
+                              n_perturbed=1, seed=11)
 
 
 class TestQuadrantSweep:
@@ -229,41 +229,6 @@ class TestQuadrantSweep:
         assert lines[0] == ("a,eps,verdict_backward,verdict_forward,"
                             "ejection_rate,runtime")
         assert len(lines) == 1 + 4  # base rows only
-
-    def test_parallel_matches_sequential(self, mini_table, spectral,
-                                         thresholds):
-        # results are invariant under the parallelism of the worker pool
-        par = run_quadrant_sweep(eps_list=(1e-3,), spectral=spectral,
-                                 thresholds=thresholds,
-                                 evolution=SWEEP_EVOLUTION,
-                                 n_perturbed=1, seed=11, threads=2)
-        for a, b in zip(mini_table.rows, par.rows):
-            assert (a.a, a.eps, a.variant) == (b.a, b.eps, b.variant)
-            assert (a.verdict_backward, a.verdict_forward) == \
-                (b.verdict_backward, b.verdict_forward)
-            if math.isnan(a.ejection_rate):
-                assert math.isnan(b.ejection_rate)
-            else:
-                assert a.ejection_rate == b.ejection_rate  # bit-identical
-
-    def test_pool_workers_evolve_with_the_callers_spectrum(
-            self, spectral, thresholds, tmp_path):
-        # b_W seeds the fit's Newton iteration, so a worker that rebuilt
-        # its spectrum from the eigen grid would write other values: the
-        # per-case files match only when the workers take this spectrum
-        spec = dataclasses.replace(spectral, b_W=spectral.b_W * (1 + 1e-3))
-        dirs = {threads: tmp_path / f"threads{threads}" for threads in (1, 2)}
-        for threads, out in dirs.items():
-            run_quadrant_sweep(eps_list=(1e-3,), spectral=spec,
-                               thresholds=thresholds,
-                               evolution=TestSweepReuse.CFG, n_perturbed=1,
-                               seed=11, threads=threads, out_dir=str(out))
-        names = sorted(p.name for p in dirs[1].iterdir()
-                       if not p.name.startswith("quadrant_table"))
-        assert len(names) == 3 * 5
-        for name in names:
-            assert (dirs[2] / name).read_bytes() == \
-                (dirs[1] / name).read_bytes(), name
 
 
 class TestSweepReuse:
@@ -298,6 +263,15 @@ class TestSweepReuse:
         for name in names:
             assert ((tmp_path / "sweep" / name).read_bytes()
                     == (oracle / name).read_bytes()), name
+
+    @pytest.mark.parametrize("threads", [2, 0])
+    def test_threads_other_than_one_raise_before_any_work(self, monkeypatch,
+                                                          threads):
+        # a sweep runs in one process: no case or spectrum is built first
+        monkeypatch.setattr(experiments, "_sweep_cases", _forbidden)
+        monkeypatch.setattr(experiments, "build_spectral_data", _forbidden)
+        with pytest.raises(ValueError, match="process pool was removed"):
+            run_quadrant_sweep(eps_list=(1e-3,), threads=threads)
 
 
 @pytest.fixture(scope="module")
@@ -401,7 +375,7 @@ class TestCLI:
         conf.write_text("[evolution]\nbogus = 1\n")
         with pytest.raises(SystemExit) as exc:
             cli_main(["constants", "--config", str(conf)])
-        assert exc.value.code == 2
+        assert exc.value.code == 3
         err = capsys.readouterr().err
         assert "unrecognized arguments: --config" in err
         assert "Traceback" not in err
@@ -436,19 +410,6 @@ class TestCLI:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "--perturbed must be a count >= 0, got -1" in captured.err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_quadrant_threads_below_one_exits_3(self, tmp_path, capsys,
-                                                monkeypatch, threads):
-        monkeypatch.setattr(cli, "run_quadrant_sweep", _forbidden)
-        code = cli_main(["quadrant", "--threads", str(threads), "--out",
-                         str(tmp_path)])
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert f"--threads must be a count >= 1, got {threads}" in captured.err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, section, message", [
@@ -797,16 +758,31 @@ class TestCLI:
         assert len(captured.err.splitlines()) == 1
         assert message in captured.err
 
-    def test_threads_only_on_quadrant(self, capsys):
-        # --threads sizes the sweep's worker pool; no other command has one
+    @pytest.mark.parametrize("argv, message", [
+        (["--threads", "2"], "unrecognized arguments: --threads 2"),
+        (["--perturbed", "x"], "argument --perturbed: invalid int value: 'x'"),
+    ])
+    def test_quadrant_usage_error_exits_3(self, tmp_path, capsys,
+                                          monkeypatch, argv, message):
+        # a usage error is an invalid command line, not an Undetermined
+        # verdict (exit 2)
+        monkeypatch.setattr(cli, "run_quadrant_sweep", _forbidden)
+        out = tmp_path / "sweep"
         with pytest.raises(SystemExit) as exc:
-            cli_main(["static", "--threads", "2"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+            cli_main(["quadrant", *argv, "--out", str(out)])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_quadrant_help_lists_no_threads(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["quadrant", "--help"])
         assert exc.value.code == 0
-        assert "--threads" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert "--perturbed" in text and "--threads" not in text
 
     def test_ejection_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -123,15 +122,6 @@ class TestRadialFieldPieces:
         assert len(fld._cross) == len(self.SIGMAS)
         assert _bits(fld.du) == _bits(grid.deriv(fld.values))
         assert fld.tail == grid.tail_fit(fld.values)
-
-    def test_copies_rebuild_from_the_samples(self, grid):
-        fld = RadialField(grid, self.values(grid))
-        fld.cross(0.0)
-        copy = pickle.loads(pickle.dumps(fld))
-        assert np.array_equal(copy.values, fld.values)
-        assert not copy.values.flags.writeable
-        assert copy._cross == {} and "du" not in vars(copy)
-        assert copy.cross(0.0) == fld.cross(0.0)
 
     def test_time_reversal_shares_u1_pieces(self, grid):
         s = State(RadialField(grid, self.values(grid)),

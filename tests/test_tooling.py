@@ -294,6 +294,8 @@ ALLOWED_UNCALLED = {
     "save_state": "the documented writer of the file recipe's format",
     "region_predicates": "the energy-band evidence of the quadrant rows, "
                          "whose caller is still open on the roadmap",
+    "error": "the CLI parser's override, which argparse calls on a usage "
+             "error",
 }
 
 
