@@ -1,7 +1,9 @@
 """One shared library of the package's C kernels, built at import: the
-stepper of ``evolve`` (``_verlet.c``) and the spline evaluation of
-``fields.UniformSpline`` (``_spline.c``); and the checked addresses of the
-arrays they take.
+stepper of ``evolve`` (``_verlet.c``, one cache-blocked sweep per
+velocity-Verlet step), the spline evaluation of ``fields.UniformSpline``
+(``_spline.c``) and the sums of ``RadialField.cross_derivs`` (``_cross.c``,
+the cross term with W_sigma and its two sigma-derivatives in one pass);
+and the checked addresses of the arrays they take.
 """
 
 from __future__ import annotations
@@ -17,11 +19,14 @@ from pathlib import Path
 import numpy as np
 
 SOURCES = tuple(Path(__file__).with_name(name)
-                for name in ("_verlet.c", "_spline.c"))
+                for name in ("_verlet.c", "_spline.c", "_cross.c"))
 # -march=native builds for the host's vectors; -ffp-contract=off keeps
 # every multiply and add separately rounded, as numpy rounds them, so each
-# kernel is bitwise the numpy code it replaced on any instruction set
-_CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
+# kernel is bitwise the numpy code it replaced on any instruction set;
+# -fno-math-errno lets sqrt vectorize (no kernel reads errno), which leaves
+# every value as it is
+_CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off",
+           "-fno-math-errno")
 
 
 class Stride(ctypes.Structure):
@@ -102,6 +107,8 @@ def load_library(path: Path) -> ctypes.CDLL:
                                ctypes.POINTER(Stride)]
     lib.cw_spline.argtypes = [n, ptr, n, ptr, n, ptr, real, ptr]
     lib.cw_spline.restype = None
+    lib.cw_cross_sums.argtypes = [n, ptr, ptr, real, ctypes.c_int, ptr]
+    lib.cw_cross_sums.restype = None
     return lib
 
 

@@ -272,7 +272,8 @@ def _monitor_row(s: State, t: float, spec: SpectralData, th: Thresholds,
     fit, the distances and the functionals share the pieces of the state's
     fields (u1', its far-field fit, the H^1, critical and L^2 norms and the
     cross terms with W_sigma), each computed once; ``sigma_evals`` counts
-    the cross terms, one full-grid W_sigma' evaluation each.  A state past
+    the row's full-grid passes in sigma: each cross value (one W_sigma'
+    evaluation) and each derivative pass of the d_0 search.  A state past
     the floating-point range gets an infinite norm, without an overflow
     warning.  The row carries no tau: :func:`_rescaled_time` builds it
     after the run."""
@@ -355,6 +356,16 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     stride starts once t has reached t_max.  advance() never writes to its
     inputs and the kernel is deterministic, so the run is bitwise that of
     stepping and monitoring in turn.
+
+    The detail splits the run's time, in seconds: ``wait_s``, this thread
+    blocked on a stride, the one in flight when the run ends included;
+    ``rows_s``, the rest of the loop on this thread (its monitor rows and
+    their stop tests); ``strides_s``, every stride inside advance() on the
+    stepper thread, a dropped one included; and ``confirm_s``, the
+    classification, which holds the blow-up confirmation.  Rows, wait and
+    confirmation make up the run's wall time but for its set-up and its
+    series; strides minus wait is the time that the two threads
+    overlapped.
     """
     th = thresholds or Thresholds()
     ev = RadialWaveEvolver(state0.grid, cfg.cfl)
@@ -368,15 +379,28 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
     t = 0.0
     account = _native.Stride()
     exceeded_at, stepper_floor = None, False
+    clock = time.perf_counter
+    rows_s = wait_s = 0.0
+    strides_s: list[float] = []         # appended on the stepper thread
+
+    def timed_advance(*args):
+        start = clock()
+        try:
+            return ev.advance(*args)
+        finally:
+            strides_s.append(clock() - start)
+
     # leaving the block waits for a stride in flight; the result of a
     # dropped stride, an error included, is never read, since stepping in
-    # turn would not have run it
+    # turn would not have run it.  The clock is read around each wait, so
+    # the loop's time is the rows' plus the waits'.
+    start = clock()
     with ThreadPoolExecutor(max_workers=1) as stepper:
         while True:
             stride = None
             if t < cfg.t_max - 1e-9 * max(1.0, cfg.t_max):
                 nxt = _native.Stride.from_buffer_copy(account)
-                stride = stepper.submit(ev.advance, w, v, t, min(
+                stride = stepper.submit(timed_advance, w, v, t, min(
                     t + cfg.monitor_stride, cfg.t_max), nxt)
             row, fit = _monitor_row(ev.wv_to_state(w, v), t, spec, th,
                                     last_fit, d0_sigma)
@@ -395,24 +419,35 @@ def evolve_direction(state0: State, cfg: EvolutionConfig, spec: SpectralData,
                 break
             if t >= 1.5 * SCATTER_WINDOW and _scatters(rows, th):
                 break
+            end = clock()
+            rows_s += end - start
             # a stride that stops on the floor or on overflow (amplitude
             # above _MAX_SAFE_AMP or not finite) ends the run: no row is
             # built from the state it returns
             (w, v, t, stop), account = stride.result(), nxt
+            start = clock()
+            wait_s += start - end
             if stop != "target":
                 stepper_floor = stop == "floor"
                 exceeded_at = t
                 break
+        end = clock()
+        rows_s += end - start
+    wait_s += clock() - end
 
     series = {k: np.array([r.get(k, math.nan) for r in rows])
               for k in _SERIES_KEYS + _EXTRA_KEYS}
     series["tau"] = _rescaled_time(series["t"], series["sigma"])
+    start = clock()
     verdict, detail = _classify(rows, cfg, th, exceeded_at, stepper_floor,
                                 checkpoints, ev, threshold)
+    confirm_s = clock() - start
     detail.update(sign_disagreements=sum(r["sign_disagree"] for r in rows),
                   sigma_evals=sum(r["sigma_evals"] for r in rows),
                   steps=account.steps, capped_steps=account.capped,
-                  min_dt=account.min_dt)
+                  min_dt=account.min_dt, rows_s=rows_s,
+                  strides_s=math.fsum(strides_s), wait_s=wait_s,
+                  confirm_s=confirm_s)
     run = DirectionRun(series=series, verdict=verdict, detail=detail)
     try:
         run.ejection_rate = fit_ejection_rate(series, spec, th)["rate"]

@@ -94,21 +94,17 @@ def _w_sigma_deriv(grid: RadialGrid, sigma: float) -> np.ndarray:
     return amp * es * np.asarray(eval_W_dr(grid.d, es * grid.r))
 
 
-def _w_sigma_cross_tail(grid: RadialGrid, c: float, b: float,
-                        sigma: float) -> float:
-    """int_R^inf grad(f).grad(W_sigma), R = r_max, over the far field
-    f ~ c r^(2-d) + b r^(-d), with W_sigma exact: in closed form, for every
-    e^sigma R.
-
-    With a = e^sigma and x = (1 + a^2 R^2 / (d(d-2)))^(-1/2) it is
-    |S^(d-1)| ((d-2) c a^((d-2)/2) x^(d-2) + b a^((d+2)/2) I(x)), where
+def _tail_pieces(grid: RadialGrid,
+                 sigma: float) -> tuple[float, float, float, float]:
+    """(a, x, z, I) of the far-field cross term at sigma: a = e^sigma,
+    z = a^2 R^2 / (d(d-2)) with R = r_max, x = (1 + z)^(-1/2) and
     I(x) = int_0^x y^(d-1) / (1 - y^2) dy = atanh x - x (- x^3/3 in d = 5);
     below x = 1/2 I is summed as its series x^d/d + x^(d+2)/(d+2) + ...,
-    which keeps the leading terms that the difference would cancel.
-    """
+    which keeps the leading terms that the difference would cancel."""
     d = grid.d
     a = math.exp(sigma)
-    x = 1.0 / math.sqrt(1.0 + (a * grid.r_max) ** 2 / (d * (d - 2.0)))
+    z = (a * grid.r_max) ** 2 / (d * (d - 2.0))
+    x = 1.0 / math.sqrt(1.0 + z)
     if x < 0.5:
         integral, k, term = 0.0, d, x ** d
         while term > 1e-17 * integral:
@@ -116,9 +112,48 @@ def _w_sigma_cross_tail(grid: RadialGrid, c: float, b: float,
             k, term = k + 2, term * x * x
     else:
         integral = math.atanh(x) - sum(x ** k / k for k in range(1, d, 2))
+    return a, x, z, integral
+
+
+def _w_sigma_cross_tail(grid: RadialGrid, c: float, b: float,
+                        sigma: float) -> float:
+    """int_R^inf grad(f).grad(W_sigma), R = r_max, over the far field
+    f ~ c r^(2-d) + b r^(-d), with W_sigma exact: in closed form, for every
+    e^sigma R.
+
+    With a, x and I from :func:`_tail_pieces` it is
+    |S^(d-1)| ((d-2) c a^((d-2)/2) x^(d-2) + b a^((d+2)/2) I(x)).
+    """
+    d = grid.d
+    a, x, _, integral = _tail_pieces(grid, sigma)
     return grid.angular_factor * (
         (d - 2.0) * c * a ** ((d - 2.0) / 2.0) * x ** (d - 2)
         + b * a ** ((d + 2.0) / 2.0) * integral)
+
+
+def _w_sigma_cross_tail_derivs(grid: RadialGrid, c: float, b: float,
+                               sigma: float) -> tuple[float, float]:
+    """The first two sigma-derivatives of :func:`_w_sigma_cross_tail`.
+
+    With dx/dsigma = -x (1 - x^2) and 1 - x^2 = z x^2 (no cancellation
+    where x nears 1), the term a^p x^(d-2), p = (d-2)/2, has the
+    logarithmic derivative g = p - (d-2)(1 - x^2) and the second
+    derivative a^p x^(d-2) (g^2 - 2 (d-2) x^2 (1 - x^2)); the term
+    F = a^q I(x), q = (d+2)/2, has F' = a^q (q I - x^d) and
+    F'' = q F' + a^q x^d (d (1 - x^2) - q).
+    """
+    d = grid.d
+    a, x, z, integral = _tail_pieces(grid, sigma)
+    one_x2 = z * x * x
+    p, q = (d - 2.0) / 2.0, (d + 2.0) / 2.0
+    near = a ** p * x ** (d - 2)
+    g = p - (d - 2.0) * one_x2
+    near1, near2 = near * g, near * (g * g - 2.0 * (d - 2.0) * x * x * one_x2)
+    aq, xd = a ** q, x ** d
+    far1 = aq * (q * integral - xd)
+    far2 = q * far1 + aq * xd * (d * one_x2 - q)
+    af, cc = grid.angular_factor, (d - 2.0) * c
+    return af * (cc * near1 + b * far1), af * (cc * near2 + b * far2)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +242,8 @@ class RadialField:
     pieces, each computed once on first use: f' (``du``), the far-field fit
     (c, b) of f ~ c r^(2-d) + b r^(-d) (``tail``), ||grad f||^2 and
     ||f||_(2*)^(2*), each with its tail beyond r_max (``h1_sq``, ``crit``),
-    ||f||^2 (``l2_sq``, no tail) and cross(sigma) = <grad f | grad W_sigma>.
+    ||f||^2 (``l2_sq``, no tail) and cross(sigma) = <grad f | grad W_sigma>
+    with its first two sigma-derivatives (``cross_derivs``).
 
     The samples are taken without a copy when they are float64 already
     and marked read-only, the caller's array with them, as is f': a write
@@ -268,6 +304,40 @@ class RadialField:
             val = (float(self._du_meas @ _w_sigma_deriv(g, sigma))
                    + _w_sigma_cross_tail(g, *self.tail, sigma))
             self._cross[sigma] = val
+        return val
+
+    def cross_derivs(self, sigma: float) -> tuple[float, float, float]:
+        """(cross, d cross / d sigma, d^2 cross / d sigma^2) at sigma, tails
+        included, from one compiled pass over the grid (``cw_cross_sums``),
+        kept under ("derivs", sigma) beside the values of :meth:`cross`: so
+        ``_cross`` holds one entry per full-grid pass in sigma.  Its cross
+        value agrees with :meth:`cross` to rounding, not bitwise.
+
+        With S_j = sum m r P^(d+2j) over the nodes (m = f' times the
+        measure, P = (1 + e^(2 sigma) r^2 / (d(d-2)))^(-1/2)),
+        K = (2-d)/(d(d-2)) e^((d/2+1) sigma) and alpha = 1 - d/2, the grid
+        part is K S_0, its derivative K (alpha S_0 + d S_1) and its second
+        derivative K (alpha^2 S_0 + 2 d (alpha - 1) S_1 + d (d+2) S_2).
+        """
+        key = ("derivs", sigma)
+        val = self._cross.get(key)
+        if val is None:
+            g, d = self.grid, self.grid.d
+            dd = d * (d - 2.0)
+            sums = np.empty(3)
+            _native.LIB.cw_cross_sums(
+                g.n, _native.address(self._du_meas, g.n),
+                _native.address(g.r, g.n), math.exp(2.0 * sigma) / dd, d,
+                _native.address(sums, 3))
+            s0, s1, s2 = sums.tolist()
+            k, alpha = (2.0 - d) / dd * math.exp((d / 2.0 + 1.0) * sigma), \
+                1.0 - d / 2.0
+            t1, t2 = _w_sigma_cross_tail_derivs(g, *self.tail, sigma)
+            val = (k * s0 + _w_sigma_cross_tail(g, *self.tail, sigma),
+                   k * (alpha * s0 + d * s1) + t1,
+                   k * (alpha * alpha * s0 + 2.0 * d * (alpha - 1.0) * s1
+                        + d * (d + 2.0) * s2) + t2)
+            self._cross[key] = val
         return val
 
     def profile(self) -> RadialProfile:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .config import Thresholds
 from .fields import RadialField, State, _w_sigma_field, eval_W, eval_W_dr
@@ -545,34 +544,54 @@ def _manifold_distance_sq(spec: SpectralData, s: State, sgn: int,
             + spec.grid_refs(s.grid)["grad_W_sq"])
 
 
-# the hard range of d_0's sigma search
+# the hard range of d_0's sigma search, its largest step and its tolerance
 SIGMA_RANGE = (-9.0, 4.0)
+SIGMA_STEP = 1.0
+SIGMA_TOL = 1e-7
 
 
-def _argmin_sigma(f, lo: float, hi: float) -> float:
-    """A minimizer of f over SIGMA_RANGE by bounded Brent searches, the
-    first on [lo, hi] inside the range.  Its answer lies on an edge of
-    [lo, hi] when it is within 1e-6 of an end that is not an end of the
-    range: the bracket then moves outward from that end, which a bounded
-    search never evaluates, in steps of hi - lo, until the value rises or
-    the range ends, and a second search takes the last two steps.  The
-    lowest point evaluated on the way is the answer."""
-    def search(a, b):
-        return minimize_scalar(f, bounds=(a, b), method="bounded",
-                               options={"xatol": 1e-7}).x
+def _sigma_step(x: float, g: float, h: float, lo: float, hi: float) -> float:
+    """The next iterate of the sigma search from x, where F = -|cross| has
+    the slope g != 0 and the curvature h, inside the bracket [lo, hi] of
+    SIGMA_RANGE that holds a minimizer: the Newton step -g/h when h > 0,
+    of at most SIGMA_STEP, else a step of SIGMA_STEP downhill; cut at the
+    range's ends.  A point outside the open bracket is replaced by its midpoint (the
+    safeguard), unless it is an end of the range that is also an end of the
+    bracket, where the minimizer may lie."""
+    step = -g / h if h > 0.0 else -math.copysign(SIGMA_STEP, g)
+    new = x + max(-SIGMA_STEP, min(step, SIGMA_STEP))
+    new = max(SIGMA_RANGE[0], min(new, SIGMA_RANGE[1]))
+    if lo < new < hi or new == lo == SIGMA_RANGE[0] \
+            or new == hi == SIGMA_RANGE[1]:
+        return new
+    return 0.5 * (lo + hi)
 
-    x = search(lo, hi)
-    for edge, step in ((lo, lo - hi), (hi, hi - lo)):
-        if abs(x - edge) < 1e-6 and edge not in SIGMA_RANGE:
-            pts = [x, edge]
-            while f(pts[-1]) <= f(pts[-2]) and pts[-1] not in SIGMA_RANGE:
-                pts.append(min(max(pts[-1] + step, SIGMA_RANGE[0]),
-                               SIGMA_RANGE[1]))
-            if len(pts) > 2:
-                a = pts[-3] if f(pts[-1]) > f(pts[-2]) else pts[-2]
-                pts.append(search(*sorted((a, pts[-1]))))
-            x = min(pts, key=f)
-    return x
+
+def _argmin_sigma(derivs, x: float) -> float:
+    """A minimizer of F(sigma) = -|cross(sigma)| over SIGMA_RANGE by a
+    safeguarded Newton iteration on F' = 0 from x, with derivs(sigma) =
+    (cross, cross', cross'').  The bracket starts as the range; each
+    iterate's slope moves one of its ends there (the minimizer lies below
+    a rising point and above a falling one), and :func:`_sigma_step` keeps
+    every iterate inside it.  It stops once a step is below SIGMA_TOL, at
+    the point that step reaches, or at an end of the range where F rises
+    into the range.  Each iterate is one full-grid pass."""
+    lo, hi = SIGMA_RANGE
+    while True:
+        c, c1, c2 = derivs(x)
+        sgn = math.copysign(1.0, c)
+        g, h = -sgn * c1, -sgn * c2
+        if g == 0.0 or (g > 0.0 and x == SIGMA_RANGE[0]) \
+                or (g < 0.0 and x == SIGMA_RANGE[1]):
+            return x
+        if g > 0.0:
+            hi = x
+        else:
+            lo = x
+        new = _sigma_step(x, g, h, lo, hi)
+        if abs(new - x) < SIGMA_TOL:
+            return new
+        x = new
 
 
 def manifold_distance(spec: SpectralData, s: State,
@@ -580,24 +599,20 @@ def manifold_distance(spec: SpectralData, s: State,
     """(d, sigma*): d = inf over (+-, sigma) of ||s -+ W_vec_sigma||_H for
     a radial state, ||s||_H^2 + ||grad W||^2 - 2 max |cross(sigma)|, and
     sigma* its minimizer over SIGMA_RANGE = [-9, 4].  The search
-    (``_argmin_sigma``) starts from sigma_seed -+ 0.4 (a modulation fit's
-    sigma, or the sigma* of the run's last row) or, unseeded, from the
-    neighbours of the lowest of 14 points spaced 1 apart over the range.
+    (``_argmin_sigma``, Newton on the closed-form sigma-derivatives of the
+    cross term, ``RadialField.cross_derivs``) starts from sigma_seed (a
+    modulation fit's sigma, or the sigma* of the run's last row) or,
+    unseeded, from the lowest of 14 points spaced 1 apart over the range;
+    d is then taken from cross(sigma*).
     """
     s.require_radial("manifold_distance")
     lo_end, hi_end = SIGMA_RANGE
-
-    def f(x):
-        return -abs(s.u1.cross(x))
-
     if sigma_seed is None:
         scan = np.linspace(lo_end, hi_end, 14).tolist()
-        i = scan.index(min(scan, key=f))
-        lo, hi = scan[max(i - 1, 0)], scan[min(i + 1, len(scan) - 1)]
+        x = max(scan, key=lambda x: abs(s.u1.cross(x)))
     else:
-        seed = min(max(sigma_seed, lo_end), hi_end)
-        lo, hi = max(seed - 0.4, lo_end), min(seed + 0.4, hi_end)
-    sigma = _argmin_sigma(f, lo, hi)
+        x = min(max(sigma_seed, lo_end), hi_end)
+    sigma = _argmin_sigma(s.u1.cross_derivs, x)
     dist_sq = min(_manifold_distance_sq(spec, s, +1, sigma),
                   _manifold_distance_sq(spec, s, -1, sigma))
     return math.sqrt(max(dist_sq, 0.0)), sigma

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,29 @@ def _two_call_record(state0, cfg, spec, th):
         detail_forward=fwd.detail, detail_backward=bwd.detail,
         ejection_rate_forward=fwd.ejection_rate,
         ejection_rate_backward=bwd.ejection_rate)
+
+
+# the wall-time split that evolve_direction adds to a run's detail: the one
+# part of a run that two runs of the same data do not share
+TIMINGS = ("rows_s", "strides_s", "wait_s", "confirm_s")
+
+
+def untimed(detail: dict) -> dict:
+    """A run's detail without its wall-time split."""
+    return {k: v for k, v in detail.items() if k not in TIMINGS}
+
+
+def _untimed_json(text: str) -> str:
+    """The text of a verdict sidecar with each value of the wall-time split
+    replaced by null; every other byte as it is."""
+    return re.sub(r'("(?:%s)": )[^,\n]*' % "|".join(TIMINGS), r"\1null",
+                  text)
+
+
+@pytest.fixture(scope="session")
+def untimed_json():
+    """The reader of a verdict sidecar's text without its timings."""
+    return _untimed_json
 
 
 def _strict_json(path):

@@ -1,5 +1,7 @@
 import math
+import re
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -18,6 +20,7 @@ from critwave.fields import RadialField, State, eval_W
 from critwave.functionals import energy_E, l2_norm_sq, norm_H
 from critwave.grids import RadialGrid
 from critwave.modulation import FitError, SignAmbiguityError
+from conftest import TIMINGS, untimed
 
 
 @pytest.fixture(scope="module")
@@ -515,6 +518,78 @@ class TestKernelMatchesReference:
         assert abs(v1[-1]) > 1e-3
 
 
+# the nodes per chunk of the kernel's step, as its source declares them
+CHUNK = int(re.search(r"enum \{ CHUNK = (\d+) \};",
+                      _native.SOURCES[0].read_text()).group(1))
+
+
+class TestBlockedStep:
+    """The step's one sweep over chunks of CHUNK nodes against the numpy
+    reference stepper: grids of one chunk or less down to the smallest,
+    around a chunk's end and past two chunks, and the stops."""
+
+    @staticmethod
+    def evolver(n):
+        """A stepper on n nodes of cells of 0.05, so that a pulse spans even
+        the smallest grid.  RadialGrid takes 16 nodes at least: below that
+        the stepper keeps the first n nodes of a 16-node grid, and a grid
+        that is its node count alone, all that the kernel call reads."""
+        m = max(n, 16)
+        ev = RadialWaveEvolver(RadialGrid(3, 0.05 * m, m, "uniform"), 0.45)
+        if n < m:
+            ev.grid = types.SimpleNamespace(n=n)
+            ev.r, ev.r_sq = ev.r[:n].copy(), ev.r_sq[:n].copy()
+        return ev
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, CHUNK - 1, CHUNK,
+                                   CHUNK + 1, 2 * CHUNK + 3])
+    def test_bitwise_the_reference(self, n):
+        ev = self.evolver(n)
+        # an outgoing pulse of |u| up to 1.5 in the middle of the grid: the
+        # nonlinearity and the outgoing row both act
+        r_max = 0.05 * n
+        w = ev.r * 1.5 * np.exp(-((ev.r - 0.5 * r_max) / (0.2 * r_max)) ** 2)
+        strides = assert_strides_match_reference(
+            ev, w, -np.gradient(w, ev.r), [5 * ev.dt0, 12.5 * ev.dt0])
+        assert [stop for stop, _ in strides] == ["target"] * 2
+        assert sum(len(taken) for _, taken in strides) == 13
+
+    @pytest.mark.parametrize("node", [CHUNK - 3, CHUNK - 2, CHUNK - 1, CHUNK,
+                                      2 * CHUNK + 2])
+    def test_nan_velocity_at_a_chunk_edge(self, node):
+        # the chunk of node and the force two nodes behind it see the NaN;
+        # the stride stops on overflow after one step
+        ev = self.evolver(2 * CHUNK + 3)
+        grid = ev.grid
+        w = grid.r * 0.1 * np.exp(-((grid.r - 20.0) / 5.0) ** 2)
+        v = np.zeros(grid.n)
+        v[node] = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the reference's
+            (stop, taken), = assert_strides_match_reference(
+                ev, w, v, [1.0])
+        assert stop == "overflow" and len(taken) == 1
+
+    def test_overflow_at_entry(self):
+        ev = self.evolver(2 * CHUNK + 3)
+        grid = ev.grid
+        w = np.zeros(grid.n)
+        w[CHUNK] = 1e160
+        (stop, taken), = assert_strides_match_reference(
+            ev, w, np.zeros(grid.n), [1.0])
+        assert stop == "overflow" and not taken
+
+    def test_floor_stop(self):
+        # a focusing pulse across two chunks: capped steps, then the floor
+        ev = self.evolver(2 * CHUNK + 3)
+        grid = ev.grid
+        w = 1.5 * np.exp(-((grid.r - 10.0) / 1.0) ** 2)
+        strides = assert_strides_match_reference(
+            ev, w, np.gradient(w, grid.r), [1.0 * k for k in range(1, 40)])
+        stop, taken = strides[-1]
+        assert stop == "floor" and step_counts(taken, ev.dt0)[1] > 0
+
+
 class TestDetectors:
     def test_negative_energy_blowup(self, spectral, thresholds, dyn_grid):
         cfg = EvolutionConfig(n=dyn_grid.n, r_max=dyn_grid.r_max, t_max=10.0)
@@ -1003,14 +1078,16 @@ def assert_same_run(a, b):
     for key in a.series:
         assert a.series[key].tobytes() == b.series[key].tobytes(), key
     assert a.verdict == b.verdict
-    # repr spells every float exactly, and NaN as nan
-    assert repr(a.detail) == repr(b.detail)
+    # repr spells every float exactly, and NaN as nan; the wall-time split
+    # is the one part that two runs do not share
+    assert repr(untimed(a.detail)) == repr(untimed(b.detail))
     assert repr(a.ejection_rate) == repr(b.ejection_rate)
 
 
 class TestSigmaSearchInRuns:
     """A run's rows seed d_0's sigma search, and its detail counts the
-    full-grid W_sigma' evaluations of its rows."""
+    full-grid passes in sigma of its rows: the W_sigma' evaluations of the
+    cross values and the compiled derivative passes of the search."""
 
     CFG = EvolutionConfig(n=1024, r_max=32.0, t_max=3.0, monitor_stride=0.5)
 
@@ -1021,8 +1098,9 @@ class TestSigmaSearchInRuns:
         s = (State(RadialField(g, np.asarray(eval_W(3, g.r ** 2))
                                + 1e-3 * spectral.rho_on(g)), zeros_on(g))
              if near else bump_state(g, amp=0.05))
-        rows, evaluations = [], []
+        rows, evaluations, passes = [], [], []
         row_of, deriv = evolve._monitor_row, fields._w_sigma_deriv
+        sums = _native.LIB.cw_cross_sums
 
         def recording_row(state, *args):
             rows.append(state)
@@ -1032,14 +1110,21 @@ class TestSigmaSearchInRuns:
             evaluations.append(sigma)
             return deriv(grid, sigma)
 
+        def counting_sums(*args):
+            passes.append(args[3])
+            return sums(*args)
+
         monkeypatch.setattr(evolve, "_monitor_row", recording_row)
         monkeypatch.setattr(fields, "_w_sigma_deriv", counting)
+        monkeypatch.setattr(_native.LIB, "cw_cross_sums", counting_sums)
         run = evolve_direction(s, self.CFG, spectral, thresholds)
         assert len(rows) == len(run.series["t"]) > 1
         assert np.all(np.isfinite(run.series["sigma"])) == near
         assert run.detail["sigma_evals"] == sum(len(r.u1._cross)
                                                 for r in rows)
-        assert run.detail["sigma_evals"] == len(evaluations) > 0
+        # every row's d_0 search makes at least one derivative pass
+        assert len(passes) >= len(rows) and len(evaluations) > 0
+        assert run.detail["sigma_evals"] == len(evaluations) + len(passes)
 
     def test_rows_without_a_fit_seed_the_next_search(self, spectral,
                                                       thresholds, monkeypatch):
@@ -1091,7 +1176,8 @@ class TestRunReuse:
                                            spectral, thresholds))
 
     def test_still_data_runs_once(self, data, spectral, thresholds,
-                                  direction_calls, two_call_record, tmp_path):
+                                  direction_calls, two_call_record, tmp_path,
+                                  untimed_json):
         rec = evolve_with_monitors(data["still"], self.CFG, spectral,
                                    thresholds)
         assert len(direction_calls) == 1
@@ -1102,8 +1188,8 @@ class TestRunReuse:
                                   equal_nan=True), key
         rec.save_verdict(tmp_path / "run.json")
         oracle.save_verdict(tmp_path / "oracle.json")
-        assert ((tmp_path / "run.json").read_bytes()
-                == (tmp_path / "oracle.json").read_bytes())
+        assert (untimed_json((tmp_path / "run.json").read_text())
+                == untimed_json((tmp_path / "oracle.json").read_text()))
 
 
 class TestTwoSided:
@@ -1294,7 +1380,7 @@ class TestPipelinedRun:
         n = len(strides)
         run = evolve_direction(state, cfg, spectral, thresholds)
         assert run_ending(run, cfg) == run_ending(oracle, cfg) == ending
-        assert {"steps", "capped_steps", "min_dt"} <= run.detail.keys()
+        assert {"steps", "capped_steps", "min_dt", *TIMINGS} <= run.detail.keys()
         if run.verdict == BLOWUP:
             assert "confirm_steps" in run.detail
         assert_same_run(run, oracle)
@@ -1343,3 +1429,25 @@ class TestPipelinedRun:
         assert info.value is error
         assert threads and threading.main_thread() not in threads
         assert threading.active_count() == before
+
+
+class TestWallTimeSplit:
+    """A run's detail splits its wall time into the monitor rows, the
+    waits for a stride and the confirmation, and times the stepper
+    thread's strides beside them."""
+
+    def test_rows_wait_and_confirmation_make_up_the_wall_time(
+            self, spectral, thresholds, dyn_grid):
+        # a blow-up: rows, strides, a dropped stride and a confirmation
+        g = dyn_grid
+        cfg = EvolutionConfig(n=g.n, r_max=g.r_max, t_max=12.0,
+                              monitor_stride=0.5)
+        state = State(RadialField(g, np.asarray(eval_W(3, g.r ** 2))
+                                  + 1e-3 * spectral.rho_on(g)), zeros_on(g))
+        run, = evolve.evolve_directions([state], cfg, spectral, thresholds)
+        d = run.detail
+        assert run.verdict == BLOWUP and d["confirm_steps"] > 0
+        assert all(d[key] > 0.0 for key in TIMINGS)
+        parts = d["rows_s"] + d["wait_s"] + d["confirm_s"]
+        assert parts < run.wall_s
+        assert parts == pytest.approx(run.wall_s, rel=0.05)

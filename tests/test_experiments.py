@@ -237,7 +237,7 @@ class TestSweepReuse:
 
     def test_distinct_runs_and_unchanged_artifacts(
             self, spectral, thresholds, tmp_path, direction_calls,
-            two_call_record):
+            two_call_record, untimed_json):
         table = run_quadrant_sweep(eps_list=(1e-3,), spectral=spectral,
                                    thresholds=thresholds, evolution=self.CFG,
                                    n_perturbed=1, seed=11,
@@ -261,8 +261,8 @@ class TestSweepReuse:
         names = sorted(p.name for p in oracle.iterdir())
         assert len(names) == 15
         for name in names:
-            assert ((tmp_path / "sweep" / name).read_bytes()
-                    == (oracle / name).read_bytes()), name
+            assert (untimed_json((tmp_path / "sweep" / name).read_text())
+                    == untimed_json((oracle / name).read_text())), name
 
     @pytest.mark.parametrize("threads", [2, 0])
     def test_threads_other_than_one_raise_before_any_work(self, monkeypatch,

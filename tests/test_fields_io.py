@@ -9,7 +9,8 @@ from scipy.integrate import quad
 
 from critwave.fields import (BoostParams, Field3D, RadialField, State,
                              UniformSpline, _mirrored_spline,
-                             _w_sigma_cross_tail, eval_W, eval_W_dr,
+                             _w_sigma_cross_tail,
+                             _w_sigma_cross_tail_derivs, eval_W, eval_W_dr,
                              load_radial_field, load_state,
                              save_radial_field, save_state)
 from critwave.functionals import h1_seminorm_sq
@@ -160,6 +161,60 @@ class TestCrossTail:
             want = cross_tail_by_quadrature(grid, c, b, sigma)
             got = _w_sigma_cross_tail(grid, c, b, sigma)
             assert got == pytest.approx(want, rel=1e-9, abs=0.0), sigma
+
+
+def central_differences(f, sigma, h=1e-3):
+    """(f', f'') at sigma by central differences at steps h and h/2,
+    Richardson-extrapolated (truncation error O(h^4))."""
+    def diffs(k):
+        up, mid, down = f(sigma + k), f(sigma), f(sigma - k)
+        return (up - down) / (2.0 * k), (up - 2.0 * mid + down) / (k * k)
+    (d1, d2), (e1, e2) = diffs(h), diffs(0.5 * h)
+    return (4.0 * e1 - d1) / 3.0, (4.0 * e2 - d2) / 3.0
+
+
+class TestCrossDerivs:
+    """The sigma-derivatives of the cross term from one compiled pass
+    (``RadialField.cross_derivs``), its closed-form tail included, against
+    central differences of ``RadialField.cross``."""
+
+    SIGMAS = (-8.0, -2.8, 0.0, 3.5)
+
+    @pytest.fixture(params=[(3, 64.0, 4096), (5, 30.0, 2048)],
+                    ids=["d=3", "d=5"])
+    def field(self, request):
+        # W on a scale of its own plus a bump: the far-field fit has both
+        # a c and a b term, and the tail counts at every sigma
+        d, r_max, n = request.param
+        grid = RadialGrid(d, r_max, n, "uniform")
+        return RadialField(grid, np.asarray(eval_W(d, (0.7 * grid.r) ** 2))
+                           + 0.3 * np.exp(-((grid.r - 5.0) / 2.0) ** 2))
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_match_central_differences(self, field, sigma):
+        c, c1, c2 = field.cross_derivs(sigma)
+        d1, d2 = central_differences(field.cross, sigma)
+        assert c == pytest.approx(field.cross(sigma), rel=1e-12)
+        assert c1 == pytest.approx(d1, rel=1e-9)
+        assert c2 == pytest.approx(d2, rel=1e-6)
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_tail_matches_central_differences(self, field, sigma):
+        grid, (c, b) = field.grid, field.tail
+        assert c != 0.0 and b != 0.0
+        t1, t2 = _w_sigma_cross_tail_derivs(grid, c, b, sigma)
+        d1, d2 = central_differences(
+            lambda x: _w_sigma_cross_tail(grid, c, b, x), sigma)
+        assert t1 == pytest.approx(d1, rel=1e-9)
+        assert t2 == pytest.approx(d2, rel=1e-6)
+
+    def test_each_pass_is_kept_once(self, field):
+        # one entry per full-grid pass: values under sigma, derivative
+        # passes under ("derivs", sigma)
+        kept = field.cross_derivs(0.25)
+        assert field.cross_derivs(0.25) is kept
+        field.cross(0.25)
+        assert set(field._cross) == {0.25, ("derivs", 0.25)}
 
 
 class TestSampleFamily:

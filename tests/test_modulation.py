@@ -19,9 +19,11 @@ from critwave.functionals import (crit_norm, energy_E, functional_K,
                                   h1_seminorm_sq, l2_inner, l2_norm_sq,
                                   norm_H, symplectic_omega)
 from critwave.grids import BLOCK_POINTS, Box3DGrid, RadialGrid
-from critwave.modulation import (FitError, ModeSplit, SignAmbiguityError,
-                                 _box_cross, _box_fit_refs,
+from critwave.modulation import (SIGMA_RANGE, FitError, ModeSplit,
+                                 SignAmbiguityError,
+                                 _argmin_sigma, _box_cross, _box_fit_refs,
                                  _manifold_distance_sq, _radial_mode_ip,
+                                 _sigma_step,
                                  box_mode_integrals,
                                  box_mode_parts, box_modes, assemble_state,
                                  distance_dW, fit_modulation,
@@ -615,6 +617,74 @@ class TestManifoldDistanceSearch:
         assert norm_H(s) == norm_H(fresh)
         assert s.u1.crit == crit_norm(fresh.u1)
         assert s.u2.l2_sq == l2_norm_sq(fresh.u2)
+
+
+class TestSigmaNewton:
+    """The safeguarded Newton iteration of d_0's sigma search."""
+
+    @staticmethod
+    def recorded(derivs):
+        """derivs, recording each sigma it is called at."""
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return derivs(x)
+        return wrapped, calls
+
+    def test_step_leaving_its_bracket_bisects(self):
+        # -|cross| = -1 / (1 + sigma^2): from 0.5 the Newton step -2.5,
+        # cut to SIGMA_STEP = 1, reaches -0.5, which brackets the minimizer
+        # in [-0.5, 0.5]; the step +2.5 from -0.5, cut alike, ends on the
+        # bracket's end 0.5, so the safeguard takes the midpoint, the
+        # minimizer 0
+        def derivs(x):
+            q = 1.0 + x * x
+            return 1.0 / q, -2.0 * x / q ** 2, (6.0 * x * x - 2.0) / q ** 3
+        wrapped, calls = self.recorded(derivs)
+        assert _argmin_sigma(wrapped, 0.5) == 0.0
+        assert calls == [0.5, -0.5, 0.0]
+
+    @pytest.mark.parametrize("x, g, h, lo, hi, want", [
+        (0.5, 1.0, 4.0, -9.0, 0.5, 0.25),      # Newton, inside
+        (0.5, 1.0, 0.1, 0.0, 0.5, 0.25),       # Newton leaves: midpoint
+        (0.5, 1.0, -1.0, -9.0, 0.5, -0.5),     # curvature < 0: downhill
+        (0.5, 1.0, -1.0, 0.0, 0.5, 0.25),      # ... leaving: midpoint
+        (3.5, -1.0, 1.0, 3.5, 4.0, 4.0),       # cut at the range's end
+        (-8.5, 1.0, 1.0, -9.0, -8.5, -9.0)])
+    def test_step(self, x, g, h, lo, hi, want):
+        assert _sigma_step(x, g, h, lo, hi) == want
+
+    def test_minimizer_on_an_end_of_the_range(self):
+        # |cross| = e^sigma rises through the range: downhill steps of
+        # SIGMA_STEP = 1 to the upper end, where the search stops; and
+        # -|cross| = -e^(-sigma) rises from the lower end
+        wrapped, calls = self.recorded(
+            lambda x: (math.exp(x), math.exp(x), math.exp(x)))
+        assert _argmin_sigma(wrapped, 0.2) == SIGMA_RANGE[1]
+        assert calls == [0.2, 1.2, 2.2, 3.2, 4.0]
+        wrapped, calls = self.recorded(
+            lambda x: (-math.exp(-x), math.exp(-x), -math.exp(-x)))
+        assert _argmin_sigma(wrapped, -8.5) == SIGMA_RANGE[0]
+        assert calls == [-8.5, -9.0]
+
+    def test_family_member_beyond_the_upper_end(self, spectral):
+        # W_sigma at sigma = 4.5: |cross| rises up to sigma = 4, where d_0
+        # takes its infimum over the range, seeded or not
+        g = RadialGrid(3, 16.0, 16384, "uniform")
+        es = math.exp(4.5)
+        u1 = es ** 0.5 * np.asarray(eval_W(3, (es * g.r) ** 2))
+        zero = RadialField(g, np.zeros(g.n))
+        want_sq, want_sigma = dense_scan_distance_sq(
+            spectral, State(RadialField(g, u1), zero))
+        assert want_sigma == pytest.approx(SIGMA_RANGE[1], abs=1e-6)
+        for seed in (None, 0.0, 3.9, 4.0):
+            s = State(RadialField(g, u1), zero)
+            got, sigma = manifold_distance(spectral, s, seed)
+            assert sigma == SIGMA_RANGE[1]
+            assert got ** 2 <= want_sq + 1e-12
+            assert got == pytest.approx(math.sqrt(want_sq), rel=1e-9)
+            assert len(s.u1._cross) <= (14 if seed is None else 0) + 20
 
 
 def test_caches_released_with_spectral_data():

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from critwave import _native, evolve, fields
+from critwave import _native, evolve, fields, modulation
 from critwave.experiments import assemble_box_exact, random_box_closure
 from critwave.grids import BLOCK_POINTS, Box3DGrid, RadialGrid
 from critwave.modulation import fit_modulation
@@ -121,10 +121,21 @@ def _spline(lib, spline, r):
     return out
 
 
-def test_host_and_portable_builds_bitwise(tmp_path, monkeypatch):
+def _cross_sums(lib, fld, sigma):
+    """cw_cross_sums of ``lib`` for the field ``fld`` at sigma."""
+    g, out = fld.grid, np.empty(3)
+    lib.cw_cross_sums(g.n, _native.address(fld._du_meas, g.n),
+                      _native.address(g.r, g.n),
+                      math.exp(2.0 * sigma) / (g.d * (g.d - 2.0)), g.d,
+                      _native.address(out, 3))
+    return out
+
+
+def test_host_and_portable_builds_bitwise(tmp_path, monkeypatch, spectral):
     # the kernels built with and without -march=native: with
-    # -ffp-contract=off neither fuses a multiply and an add, so every
-    # result is byte-equal, NaN bits included
+    # -ffp-contract=off neither fuses a multiply and an add, and the cross
+    # term's sums are taken in node order in both, so every result is
+    # byte-equal, NaN bits included
     host = _native.load_library(_native.build_library(
         _native.SOURCES, "cc", tmp_path / "host"))
     monkeypatch.setattr(_native, "_CFLAGS", tuple(
@@ -165,6 +176,23 @@ def test_host_and_portable_builds_bitwise(tmp_path, monkeypatch):
                         [0.0, g.r[-1], math.inf, -math.inf, math.nan]])
     assert (_spline(host, spline, r).tobytes()
             == _spline(portable, spline, r).tobytes())
+    # the cross term's sums over an odd grid, and the d_0 minimizer that
+    # the search finds from them, unseeded and seeded
+    g = RadialGrid(3, 64.0, 8192, "uniform").head(4097)
+    u1 = (np.asarray(fields.eval_W(3, (0.8 * g.r) ** 2))
+          + 0.05 * np.exp(-((g.r - 20.0) / 4.0) ** 2))
+    fld = fields.RadialField(g, u1)
+    for sigma in (-8.0, -2.8, 0.0, 3.5):
+        assert (_cross_sums(host, fld, sigma).tobytes()
+                == _cross_sums(portable, fld, sigma).tobytes())
+    found = []
+    for lib in (host, portable):
+        monkeypatch.setattr(_native, "LIB", lib)
+        for seed in (None, 0.5):
+            s = fields.State(fields.RadialField(g, u1),
+                             fields.RadialField(g, np.zeros(g.n)))
+            found.append(modulation.manifold_distance(spectral, s, seed))
+    assert repr(found[:2]) == repr(found[2:])
 
 
 def _copied_sources(tmp_path):
@@ -203,7 +231,7 @@ def test_editing_any_source_rekeys_the_one_library(tmp_path, edited):
     lib = _native.load_library(new)
     # every kernel of the package is in it
     assert all(hasattr(lib, f) for f in ("cw_steps", "cw_advance",
-                                         "cw_spline"))
+                                         "cw_spline", "cw_cross_sums"))
 
 
 _BUILD_AND_RUN = """
