@@ -1,8 +1,11 @@
 """One shared library of the package's C kernels, built at import: the
 stepper of ``evolve`` (``_verlet.c``, one cache-blocked sweep per
 velocity-Verlet step), the spline evaluation of ``fields.UniformSpline``
-(``_spline.c``) and the sums of ``RadialField.cross_derivs`` (``_cross.c``,
-the cross term with W_sigma and its two sigma-derivatives in one pass);
+(``_spline.c``), the sums of ``RadialField.cross_derivs`` (``_cross.c``,
+the cross term with W_sigma and its two sigma-derivatives in one pass) and
+the box fit's full-grid passes (``_box.c``: the mode integrals of
+``modulation.box_mode_integrals``, ``Box3DGrid.h1_sq`` and the ||v||_H cross
+term ``modulation._box_cross``, each bitwise the numpy code it replaced);
 and the checked addresses of the arrays they take.
 """
 
@@ -19,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 SOURCES = tuple(Path(__file__).with_name(name)
-                for name in ("_verlet.c", "_spline.c", "_cross.c"))
+                for name in ("_verlet.c", "_spline.c", "_cross.c", "_box.c"))
 # -march=native builds for the host's vectors; -ffp-contract=off keeps
 # every multiply and add separately rounded, as numpy rounds them, so each
 # kernel is bitwise the numpy code it replaced on any instruction set;
@@ -109,22 +112,38 @@ def load_library(path: Path) -> ctypes.CDLL:
     lib.cw_spline.restype = None
     lib.cw_cross_sums.argtypes = [n, ptr, ptr, real, ctypes.c_int, ptr]
     lib.cw_cross_sums.restype = None
+    lib.cw_box_mode_sums.argtypes = [n, ptr, ptr, ptr, ptr, ptr, real, real,
+                                     real, real, real, real, n, ptr, n, ptr,
+                                     real, n, ptr]
+    lib.cw_box_mode_sums.restype = None
+    lib.cw_box_h1_sq.argtypes = [n, ptr, ptr, ptr, real]
+    lib.cw_box_h1_sq.restype = real
+    lib.cw_box_cross.argtypes = [n, ptr, ptr, ptr, real, ptr, real, real,
+                                 real, real, real]
+    lib.cw_box_cross.restype = real
     return lib
 
 
-def address(x, n: int) -> int:
+def address(x, n, dtype=np.float64) -> int:
     """The address of x for a kernel, which the caller holds until the
-    kernel returns: TypeError unless x is a 1-D, C-contiguous float64
-    ndarray (numpy's ``ndpointer`` checks), ValueError unless x.size == n."""
-    if not (isinstance(x, np.ndarray) and x.dtype == np.float64
-            and x.ndim == 1 and x.flags.c_contiguous):
+    kernel returns; n is the length of a 1-D array or the shape of an
+    array of more axes (a box cube, an edge-row table).  TypeError unless
+    x is a C-contiguous ndarray of dtype (float64 samples, or the box
+    fit's int16 node indices) with that many axes (numpy's ``ndpointer``
+    checks), ValueError unless it has that shape: no array is copied on
+    its way to a kernel."""
+    shape = n if isinstance(n, tuple) else (n,)
+    if (isinstance(x, np.ndarray) and x.dtype == dtype and x.shape == shape
+            and x.flags.c_contiguous):
+        return x.ctypes.data
+    dtype = np.dtype(dtype)
+    if not (isinstance(x, np.ndarray) and x.dtype == dtype
+            and x.ndim == len(shape) and x.flags.c_contiguous):
         what = (f"{x.dtype} {x.shape}, C-contiguous {x.flags.c_contiguous}"
                 if isinstance(x, np.ndarray) else type(x).__name__)
-        raise TypeError(f"a kernel takes a 1-D C-contiguous float64 ndarray, "
-                        f"not {what}")
-    if x.size != n:
-        raise ValueError(f"a kernel expected {n} elements, got {x.size}")
-    return x.ctypes.data
+        raise TypeError(f"a kernel takes a {len(shape)}-D C-contiguous "
+                        f"{dtype} ndarray, not {what}")
+    raise ValueError(f"a kernel expected shape {shape}, got {x.shape}")
 
 
 # built once per compiler and set of sources, at import: no run pays for it

@@ -15,7 +15,9 @@
  * is bitwise the reference's.  A point beyond x[n_x - 1] (so also +-inf)
  * gives 0, a NaN gives NaN.
  *
- * out holds k rows of n values: out[j n + p] is column j at r[p].
+ * out holds k rows of n values: out[j n + p] is column j at r[p].  The box
+ * fit's mode integrals (cw_box_mode_sums, _box.c) call it on each leaf of
+ * their sums.
  */
 
 #include <math.h>

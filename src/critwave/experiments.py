@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import zlib
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -523,17 +524,20 @@ def _check(name: str, value: float, tol: float, kind: str = "abs_le",
 
 
 def _box_round_trip_error(spectral: SpectralData, box: Box3DGrid,
-                          rng: np.random.Generator, th: Thresholds) -> float:
+                          rng: np.random.Generator, th: Thresholds,
+                          evals: Counter) -> float:
     """One box round trip: a random closure assembled at a random
     (sigma >= 0, c) and fitted back.  Returns the larger error in sigma and
-    c, or inf when the fit does not converge; the state and the closure are
-    released on return."""
+    c, or inf when the fit does not converge, and adds the fit's
+    evaluation counts to evals; the state and the closure are released on
+    return."""
     closure = random_box_closure(spectral, box, rng,
                                  amplitude=rng.uniform(0.002, 0.03))
     sigma = float(rng.uniform(0.0, 0.3))
     c = rng.uniform(-0.4, 0.4, size=3)
     fit = fit_modulation(assemble_box_exact(box, +1, sigma, c, closure),
                          spectral, th)
+    evals.update(fit.evals)
     if not fit.converged:
         return math.inf
     return max(abs(fit.sigma - sigma), float(np.max(np.abs(fit.c - c))))
@@ -622,16 +626,22 @@ def run_static_suite(spectral: SpectralData | None = None,
     # sigma stays nonnegative here (expanded modes hit the box edge); the
     # radial cases above cover sigma < 0 without truncation.
     box = Box3DGrid(20.0, 128)
+    box_evals = Counter()
     while worst < math.inf and n_box < n_roundtrip_box:
         n_box += 1
-        worst = max(worst, _box_round_trip_error(spectral, box, rng, th))
+        worst = max(worst, _box_round_trip_error(spectral, box, rng, th,
+                                                 box_evals))
 
     def ran(done, n):
         return f"{n}" if done == n else f"{done} of {n}"
+    # the box fits' full-grid evaluations, when any fit ran
+    counts = (f"; box fits: {box_evals['coarse']} coarse + "
+              f"{box_evals['ball']} ball residuals, {box_evals['v_norm']} "
+              f"||v||_H" if box_evals else "")
     checks.append(_check("modulation_round_trip", worst, 1e-6,
                          detail=f"{ran(n_radial, n_roundtrip_radial)} radial "
                                 f"+ {ran(n_box, n_roundtrip_box)} box "
-                                f"assemblies"))
+                                f"assemblies{counts}"))
 
     # distance on and near the family (moderate scales: the sqrt of the
     # energy quadrature's sigma-drift floors d_W near 1e-6 past |sigma|~0.4)

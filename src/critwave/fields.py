@@ -219,15 +219,22 @@ class UniformSpline:
             spline.c.transpose(1, 2, 0)).ravel()
         self._k = values.shape[1]
 
+    @property
+    def pieces(self) -> tuple:
+        """The spline's arguments of ``cw_spline`` (and of
+        ``cw_box_mode_sums``): its node count, nodes, column count,
+        coefficients and 1 / h, arrays by address."""
+        x = self._x
+        return (len(x), _native.address(x, len(x)), self._k,
+                _native.address(self._coef, self._coef.size), self._inv_h)
+
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         flat = r.ravel()
-        x, k, n = self._x, self._k, r.size
+        k, n = self._k, r.size
         out = np.empty(k * n)
-        _native.LIB.cw_spline(
-            n, _native.address(flat, n), len(x), _native.address(x, len(x)),
-            k, _native.address(self._coef, (len(x) - 1) * k * 4),
-            self._inv_h, _native.address(out, k * n))
+        _native.LIB.cw_spline(n, _native.address(flat, n), *self.pieces,
+                              _native.address(out, k * n))
         out = out.reshape((k,) + r.shape)
         return out[0, ...] if self._one else np.moveaxis(out, 0, -1)
 
@@ -360,13 +367,15 @@ class RadialField:
 
 @dataclass(frozen=True)
 class Field3D:
-    """Samples of a general function on a uniform cube grid."""
+    """Samples of a general function on a uniform cube grid, held as a
+    C-contiguous float64 cube (copied only when the values given are not
+    one), which the compiled box passes take as it is."""
 
     grid: Box3DGrid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.ascontiguousarray(self.values, dtype=float)
         m = self.grid.m
         if v.shape != (m, m, m):
             raise ValueError(f"expected shape {(m, m, m)}, got {v.shape}")

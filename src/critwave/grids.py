@@ -28,6 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _native
+
 _SUPPORTED_D = (3, 5)
 
 # nodes used for one-sided endpoint estimates (degree-5 exactness)
@@ -272,11 +274,15 @@ class RadialGrid:
 class Box3DGrid:
     """Uniform cell-centered cube grid on [-L, L]^3 (m nodes per axis).
 
-    Every full-grid pass of the box layer runs over the x-slabs of
-    ``slabs``, max(BLOCK_POINTS // m^2, 1) planes each, so its temporaries
-    stay in cache; a slab pass writes into one preallocated cube
-    (``by_slabs``), and a quadrature stays one sum over that cube, so its
-    value is bitwise that of the whole-cube expression.
+    The gradient passes (``h1_sq`` and the fit's cross term) are compiled
+    (``_box.c``): each forms ``gradient``'s values node by node and sums
+    its integrand as np.sum sums the cube, allocating nothing, and takes
+    C-contiguous float64 samples as they are.  Every other full-grid pass
+    of the box layer runs over the x-slabs of ``slabs``,
+    max(BLOCK_POINTS // m^2, 1) planes each, so its temporaries stay in
+    cache; a slab pass writes into one preallocated cube (``by_slabs``),
+    and a quadrature stays one sum over that cube, so its value is bitwise
+    that of the whole-cube expression.
     """
 
     def __init__(self, half_width: float, m: int):
@@ -333,12 +339,21 @@ class Box3DGrid:
         return float(np.sum(g) * self.cell_volume)
 
     def h1_sq(self, f: np.ndarray) -> float:
-        """||grad f||^2 under the box quadrature for samples f, the gradient
-        taken slab by slab."""
-        def planes(sl):
-            gx, gy, gz = self.gradient(f, sl)
-            return gx * gx + gy * gy + gz * gz
-        return self.quad(self.by_slabs(planes))
+        """||grad f||^2 under the box quadrature for C-contiguous float64
+        samples f: one compiled pass (``cw_box_h1_sq``) that forms the
+        gradient node by node, bitwise ``gradient``, and sums |grad f|^2
+        as np.sum sums the cube."""
+        return float(_native.LIB.cw_box_h1_sq(*self.stencil_args(f))
+                     * self.cell_volume)
+
+    def stencil_args(self, f: np.ndarray) -> tuple:
+        """The first arguments of a compiled gradient pass over samples f:
+        m, the address of f, the two edge rows and 1 / (12 dx)."""
+        lo, hi = self._edge_rows
+        return (self.m, _native.address(f, (self.m,) * 3),
+                _native.address(lo, (2, _END_STENCIL)),
+                _native.address(hi, (2, _END_STENCIL)),
+                1.0 / (12.0 * self.dx))
 
     @cached_property
     def _edge_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -352,7 +367,8 @@ class Box3DGrid:
         """[df/dx, df/dy, df/dz] on the x-planes sl (all by default) of
         samples f of shape (m, m, m): the five-point stencil by slicing along
         each axis and one-sided 6-node rows on the two edge nodes at each
-        end, written in place."""
+        end, written in place.  The compiled passes form these values node
+        by node; no pass of src/ calls this one."""
         a, b, _ = sl.indices(self.m)
         fs = f[a:b]
         grads = [np.empty(fs.shape) for _ in range(3)]

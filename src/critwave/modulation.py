@@ -33,8 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _native
 from .config import Thresholds
-from .fields import RadialField, State, _w_sigma_field, eval_W, eval_W_dr
+from .fields import RadialField, State, _w_sigma_field, eval_W
 from .functionals import energy_E, functional_J, norm_H, smooth_cutoff
 from .grids import BLOCK_POINTS, Box3DGrid
 from .spectral import SpectralData
@@ -58,13 +59,14 @@ class ModulationFit:
     ``orth_residual`` is the signed orthogonality residual at the final
     (sigma, c).  A converged radial fit keeps the ``state`` it fit; its
     residual state v is resampled from it on first use (a box fit has
-    neither).
+    neither).  A box fit counts its full-grid evaluations in ``evals``:
+    the coarse-lattice and ball residuals and the ||v||_H cross terms.
     """
 
     def __init__(self, sign_s: int, sigma: float, c: np.ndarray,
                  converged: bool, newton_iters: int,
                  orth_residual: np.ndarray, state: State | None,
-                 spec: SpectralData):
+                 spec: SpectralData, evals: dict | None = None):
         self.sign_s = sign_s
         self.sigma = sigma
         self.c = c
@@ -73,6 +75,7 @@ class ModulationFit:
         self.orth_residual = orth_residual
         self.state = state
         self._spec = spec
+        self.evals = evals
 
     @cached_property
     def v(self) -> State | None:
@@ -201,25 +204,31 @@ def box_mode_parts(spec: SpectralData, sigma: float, disp):
 def box_mode_integrals(spec: SpectralData, grid: Box3DGrid, sigma: float, c,
                        nodes, u: np.ndarray, weight: float) -> np.ndarray:
     """weight * [sum u T^c S_1^sigma Lambda_0 rho, sum u T^c S_1^sigma d_j rho]
-    over the grid nodes = (i, j, k), axis indices, with values u: the four
-    box mode integrals under a uniform quadrature weight.
+    over the grid nodes = (i, j, k), int16 axis indices, with values u: the
+    four box mode integrals under a uniform quadrature weight.
 
-    The shifted axes grid.axis - c_j are formed once; the nodes are taken
-    in blocks of BLOCK_POINTS, each block's displacements gathered from
-    them (bitwise the node coordinates minus c) and its mode values, from
-    ``box_mode_parts``, summed at once, so the four mode fields are never
-    built.  The sums are numpy's, not a BLAS dot, so they do not depend on
-    the BLAS thread count.
+    One compiled pass (``cw_box_mode_sums``, ``_box.c``) takes the nodes in
+    blocks of BLOCK_POINTS and returns each block's four sums: a node's
+    terms are ``box_mode_parts``' at its displacement grid.axis[i] - c_x,
+    ..., from the ``cw_spline`` lookup of ``spec.mode_pair``, and a block
+    is summed as np.sum sums it, so the mode fields are never built and
+    every value is bitwise the numpy blocks'.  The sums are numpy's
+    pairwise ones, not a BLAS dot, so they do not depend on the BLAS
+    thread count.
     """
-    shifted = [grid.axis - c[j] for j in range(3)]
+    es = math.exp(sigma)
+    amp = math.exp((3 / 2.0 + 1.0) * sigma)
     n = len(u)
+    i, j, k = (_native.address(a, n, np.int16) for a in nodes)
+    if n and not all(0 <= a.min() and a.max() < grid.m for a in nodes):
+        raise IndexError(f"box node indices must lie in [0, {grid.m})")
+    spec.mode_pair(0.0)         # caches the pair's spline on first use
+    spline = spec.cached("mode_pair", None)
     sums = np.empty((-(-n // BLOCK_POINTS), 4))
-    for k, a in enumerate(range(0, n, BLOCK_POINTS)):
-        b = a + BLOCK_POINTS
-        disp = [np.take(ax, idx[a:b]) for ax, idx in zip(shifted, nodes)]
-        lam0, slope = box_mode_parts(spec, sigma, disp)
-        ub = u[a:b]
-        sums[k] = [np.sum(ub * lam0)] + [np.sum(ub * (slope * d)) for d in disp]
+    _native.LIB.cw_box_mode_sums(
+        n, i, j, k, _native.address(u, n), _native.address(grid.axis, grid.m),
+        c[0], c[1], c[2], es, amp, amp * es, *spline.pieces, BLOCK_POINTS,
+        _native.address(sums, sums.shape))
     return np.sum(sums, axis=0) * weight
 
 
@@ -372,8 +381,9 @@ def _fit_box(s: State, spec: SpectralData, th: Thresholds,
     """The box solve for (sigma, c): Newton on the stride-2 coarse lattice,
     then on the inscribed ball.  The sign is the one whose W is nearer in
     L^2 on the coarse lattice.  ||s||_H^2 is taken once, for ||s||_H and
-    ||v||_H; every norm is formed slab by slab, and ||v||_H takes the
-    state's gradient again per slab rather than holding it for the fit."""
+    ||v||_H; each ||v||_H takes the state's gradient again, node by node in
+    the compiled cross term, rather than holding it for the fit.  The fit
+    counts its residuals and ||v||_H evaluations in ``evals``."""
     g = s.grid
     refs = _box_fit_refs(spec, g)
     u1, u2 = s.u1.values, s.u2.values
@@ -385,19 +395,23 @@ def _fit_box(s: State, spec: SpectralData, th: Thresholds,
                        th.sign_ambiguity_margin, sign_hint)
     h_sq = g.h1_sq(u1) + g.quad(g.by_slabs(lambda sl: u2[sl] * u2[sl]))
     u1_b = _gather(u1, refs["ball"])
+    evals = {"coarse": 0, "ball": 0, "v_norm": 0}
 
     def residual_coarse(x):
+        evals["coarse"] += 1
         return (box_mode_integrals(spec, g, x[0], x[1:], refs["coarse"],
                                    u1_c, vol * 8)
                 - sgn * refs["coarse_consts"])
 
     def residual(x):
+        evals["ball"] += 1
         return (box_mode_integrals(spec, g, x[0], x[1:], refs["ball"], u1_b,
                                    vol)
                 - sgn * refs["ball_consts"])
 
     def v_norm(x):
         # ||s - sgn W_vec_sigma(. - c)||_H without materializing v
+        evals["v_norm"] += 1
         cross = _box_cross(g, u1, float(x[0]), np.asarray(x[1:], dtype=float))
         return math.sqrt(max(h_sq - 2.0 * sgn * cross + refs["grad_W_sq"],
                              0.0))
@@ -411,7 +425,7 @@ def _fit_box(s: State, spec: SpectralData, th: Thresholds,
     return ModulationFit(sign_s=sgn, sigma=float(x[0]),
                          c=np.asarray(x[1:], dtype=float),
                          converged=converged, newton_iters=iters,
-                         orth_residual=f, state=None, spec=spec)
+                         orth_residual=f, state=None, spec=spec, evals=evals)
 
 
 def _accept_and_refine(residual, h0: np.ndarray, x: np.ndarray, scale: float,
@@ -441,20 +455,16 @@ def _accept_and_refine(residual, h0: np.ndarray, x: np.ndarray, scale: float,
 
 
 def _box_cross(g: Box3DGrid, u: np.ndarray, sigma: float, c) -> float:
-    """<grad u | grad W_sigma(. - c)> under the box quadrature for samples
-    u; W_sigma = e^(sigma/2) W(e^sigma .).  The integrand, with the
-    gradient of u, is formed slab by slab."""
+    """<grad u | grad W_sigma(. - c)> under the box quadrature for
+    C-contiguous samples u; W_sigma = e^(sigma/2) W(e^sigma .).  One
+    compiled pass (``cw_box_cross``, ``_box.c``) forms the gradient of u
+    and the slope e^(3 sigma / 2) W'(e^sigma r) / r node by node and sums
+    the integrand as np.sum sums the cube, bitwise the numpy slabs."""
     es = math.exp(sigma)
     amp = math.exp(sigma / 2.0) * es
-
-    def planes(sl):
-        x, y, z = g.slab_mesh(sl)
-        dx_, dy_, dz_ = x - c[0], y - c[1], z - c[2]
-        rr = np.sqrt(dx_ ** 2 + dy_ ** 2 + dz_ ** 2)
-        slope = amp * np.asarray(eval_W_dr(3, es * rr)) / np.maximum(rr, 1e-300)
-        gx, gy, gz = g.gradient(u, sl)
-        return gx * slope * dx_ + gy * slope * dy_ + gz * slope * dz_
-    return g.quad(g.by_slabs(planes))
+    return float(_native.LIB.cw_box_cross(
+        *g.stencil_args(u), _native.address(g.axis, g.m), c[0], c[1], c[2],
+        es, amp) * g.cell_volume)
 
 
 def _residual_state(s: State, spec: SpectralData, sgn: int,

@@ -193,6 +193,21 @@ def test_host_and_portable_builds_bitwise(tmp_path, monkeypatch, spectral):
                              fields.RadialField(g, np.zeros(g.n)))
             found.append(modulation.manifold_distance(spectral, s, seed))
     assert repr(found[:2]) == repr(found[2:])
+    # the box passes on an odd grid, whose z rows straddle the summation
+    # leaves, with samples over twelve orders of magnitude and c on no node
+    g = Box3DGrid(5.0, 17)
+    f = (rng.standard_normal((17, 17, 17))
+         * 10.0 ** rng.uniform(-6.0, 6.0, (17, 17, 17)))
+    n = BLOCK_POINTS + 129
+    nodes = tuple(rng.integers(0, 17, n).astype(np.int16) for _ in range(3))
+    u, c = rng.standard_normal(n), np.array([0.13, -0.27, 0.05])
+    box = []
+    for lib in (host, portable):
+        monkeypatch.setattr(_native, "LIB", lib)
+        box.append([g.h1_sq(f).hex(), modulation._box_cross(g, f, 0.3, c).hex(),
+                    modulation.box_mode_integrals(spectral, g, -0.3, c, nodes,
+                                                  u, 1.0).tobytes()])
+    assert box[0] == box[1]
 
 
 def _copied_sources(tmp_path):
@@ -545,8 +560,10 @@ def test_box_round_trip_memory_budget(spectral):
     # references.  The box caches hold at most two cubes (Lambda_0 rho and
     # the mode slope) plus the lattices: int16 axis indices of the ball and
     # coarse nodes, and W on the coarse lattice.  Measured at m = 100:
-    # 2.18, 0.13 and 2.18 cubes (the W cube of the first build is now
-    # transient), and 2.0004 cubes plus the lattices (0.61 cubes); with
+    # 2.09, 0.13 and 1.59 cubes (the W cube of the first build is now
+    # transient, and the compiled gradient passes allocate nothing; 2.18,
+    # 0.13 and 2.18 with them in numpy), and 2.0004 cubes plus the
+    # lattices (0.61 cubes); with
     # float64 point sets and W and ball cubes the caches held 3.0004 cubes
     # plus the point sets, and the whole-cube layer took 8.0, 6.0 and 5.0
     # and held 5.0.
