@@ -60,7 +60,8 @@ static double leaf_sum(const double *t, ptrdiff_t n)
 }
 
 /* out[j] for j < k: numpy's pairwise sum of the terms lo, ..., lo + n - 1
- * of sum j; a run longer than a leaf splits at n/2 - (n/2 mod 8) */
+ * of sum j; a run longer than a leaf splits at n/2 - (n/2 mod 8).  np.sum
+ * adds this to its identity, so each caller returns 0.0 + out[j]. */
 static void pairwise(terms_fn *terms, const void *ctx, int k, ptrdiff_t lo,
                      ptrdiff_t n, double *out)
 {
