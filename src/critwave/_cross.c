@@ -1,4 +1,4 @@
-/* The sigma-derivatives of critwave.fields.RadialField.cross on the grid.
+/* critwave.fields.RadialField.cross and its sigma-derivatives on the grid.
  *
  * With m_i = f'(r_i) times the measure at the node r_i, the grid part of
  * cross(sigma) = <grad f | grad W_sigma> is sum_i m_i W_sigma'(r_i), and

@@ -1,8 +1,8 @@
 """One shared library of the package's C kernels, built at import: the
 stepper of ``evolve`` (``_verlet.c``, one cache-blocked sweep per
 velocity-Verlet step), the spline evaluation of ``fields.UniformSpline``
-(``_spline.c``), the sums of ``RadialField.cross_derivs`` (``_cross.c``,
-the cross term with W_sigma and its two sigma-derivatives in one pass) and
+(``_spline.c``), the sums of ``RadialField.cross`` (``_cross.c``, the
+cross term with W_sigma and its two sigma-derivatives in one pass) and
 the box fit's full-grid passes (``_box.c``: the mode integrals of
 ``modulation.box_mode_integrals``, ``Box3DGrid.h1_sq`` and the ||v||_H cross
 term ``modulation._box_cross``, each bitwise the numpy code it replaced);

@@ -272,8 +272,8 @@ def _monitor_row(s: State, t: float, spec: SpectralData, th: Thresholds,
     fit, the distances and the functionals share the pieces of the state's
     fields (u1', its far-field fit, the H^1, critical and L^2 norms and the
     cross terms with W_sigma), each computed once; ``sigma_evals`` counts
-    the row's full-grid passes in sigma: each cross value (one W_sigma'
-    evaluation) and each derivative pass of the d_0 search.  A state past
+    the row's full-grid passes in sigma, one compiled pass per sigma at
+    which the fit or the distances read the cross term.  A state past
     the floating-point range gets an infinite norm, without an overflow
     warning.  The row carries no tau: :func:`_rescaled_time` builds it
     after the run."""

@@ -75,8 +75,21 @@ class ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown keys for the {self.recipe} recipe: "
                              f"{unknown}; it reads {', '.join(keys)}")
+        floats = {k: float(v) for k, v in self.params.items()
+                  if k not in ("a", "path")}
+        for key, value in floats.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+        if floats.get("width", 1.0) <= 0.0:
+            raise ValueError(f"width must be > 0, got {floats['width']}")
+        if floats.get("perturb_norm", 0.0) < 0.0:
+            raise ValueError(f"perturb_norm must be >= 0, got "
+                             f"{floats['perturb_norm']}")
         if self.recipe == "quadrant":
             a = self.params.get("a")
+            if a is None:
+                raise ValueError(f"the quadrant recipe needs a, one of "
+                                 f"{sorted(QUADRANT_DIRECTIONS)}")
             if tuple(a) not in QUADRANT_DIRECTIONS.values():
                 raise ValueError(f"quadrant direction must be one of "
                                  f"{sorted(QUADRANT_DIRECTIONS)}, got {a}")
@@ -245,7 +258,9 @@ def linearized_lambda_deviation(record: TrajectoryRecord, spectral: SpectralData
 @dataclass
 class QuadrantRow:
     """One sweep case; ``runtime`` is the sum of the wall times of its
-    forward and backward runs, each run timed once (a run shared by two
+    forward and backward runs, and ``rows_s``, ``strides_s``, ``wait_s``
+    and ``confirm_s`` the sums of the time split in their details (see
+    ``evolve.evolve_direction``), each run timed once (a run shared by two
     directions or two cases counts in each)."""
 
     a: str
@@ -255,6 +270,10 @@ class QuadrantRow:
     verdict_forward: str
     ejection_rate: float
     runtime: float
+    rows_s: float
+    strides_s: float
+    wait_s: float
+    confirm_s: float
     lambda_form_dev: float
     one_pass_ok: bool
     expected: tuple[str, str]
@@ -323,10 +342,13 @@ def _quadrant_row(case: tuple, fwd: DirectionRun, bwd: DirectionRun,
     rate = record.ejection_rate_forward
     if math.isnan(rate):
         rate = record.ejection_rate_backward
+    split = {k: fwd.detail[k] + bwd.detail[k]
+             for k in ("rows_s", "strides_s", "wait_s", "confirm_s")}
     return QuadrantRow(a=a_key, eps=exp.params["eps"], variant=variant,
                        verdict_backward=record.verdict_backward,
                        verdict_forward=record.verdict_forward,
                        ejection_rate=rate, runtime=fwd.wall_s + bwd.wall_s,
+                       **split,
                        lambda_form_dev=dev, one_pass_ok=bool(check["ok"]),
                        expected=QUADRANT_EXPECTED[a_key])
 

@@ -550,7 +550,7 @@ def _manifold_distance_sq(spec: SpectralData, s: State, sgn: int,
     + ||grad W||^2 for a radial state, with cross(sigma) =
     <grad u1 | grad W_sigma> kept on u1 (see ``RadialField.cross``)."""
     u1 = s.u1
-    return ((u1.h1_sq + s.u2.l2_sq) - 2.0 * sgn * u1.cross(sigma)
+    return ((u1.h1_sq + s.u2.l2_sq) - 2.0 * sgn * u1.cross(sigma)[0]
             + spec.grid_refs(s.grid)["grad_W_sq"])
 
 
@@ -577,18 +577,19 @@ def _sigma_step(x: float, g: float, h: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _argmin_sigma(derivs, x: float) -> float:
+def _argmin_sigma(cross, x: float) -> float:
     """A minimizer of F(sigma) = -|cross(sigma)| over SIGMA_RANGE by a
-    safeguarded Newton iteration on F' = 0 from x, with derivs(sigma) =
-    (cross, cross', cross'').  The bracket starts as the range; each
-    iterate's slope moves one of its ends there (the minimizer lies below
-    a rising point and above a falling one), and :func:`_sigma_step` keeps
-    every iterate inside it.  It stops once a step is below SIGMA_TOL, at
-    the point that step reaches, or at an end of the range where F rises
-    into the range.  Each iterate is one full-grid pass."""
+    safeguarded Newton iteration on F' = 0 from x, with cross(sigma) =
+    (cross, cross', cross''), as ``RadialField.cross`` gives them.  The
+    bracket starts as the range; each iterate's slope moves one of its
+    ends there (the minimizer lies below a rising point and above a
+    falling one), and :func:`_sigma_step` keeps every iterate inside it.
+    It stops once a step is below SIGMA_TOL, at the point that step
+    reaches, or at an end of the range where F rises into the range.
+    Each iterate is one full-grid pass."""
     lo, hi = SIGMA_RANGE
     while True:
-        c, c1, c2 = derivs(x)
+        c, c1, c2 = cross(x)
         sgn = math.copysign(1.0, c)
         g, h = -sgn * c1, -sgn * c2
         if g == 0.0 or (g > 0.0 and x == SIGMA_RANGE[0]) \
@@ -610,7 +611,7 @@ def manifold_distance(spec: SpectralData, s: State,
     a radial state, ||s||_H^2 + ||grad W||^2 - 2 max |cross(sigma)|, and
     sigma* its minimizer over SIGMA_RANGE = [-9, 4].  The search
     (``_argmin_sigma``, Newton on the closed-form sigma-derivatives of the
-    cross term, ``RadialField.cross_derivs``) starts from sigma_seed (a
+    cross term, ``RadialField.cross``) starts from sigma_seed (a
     modulation fit's sigma, or the sigma* of the run's last row) or,
     unseeded, from the lowest of 14 points spaced 1 apart over the range;
     d is then taken from cross(sigma*).
@@ -619,10 +620,10 @@ def manifold_distance(spec: SpectralData, s: State,
     lo_end, hi_end = SIGMA_RANGE
     if sigma_seed is None:
         scan = np.linspace(lo_end, hi_end, 14).tolist()
-        x = max(scan, key=lambda x: abs(s.u1.cross(x)))
+        x = max(scan, key=lambda x: abs(s.u1.cross(x)[0]))
     else:
         x = min(max(sigma_seed, lo_end), hi_end)
-    sigma = _argmin_sigma(s.u1.cross_derivs, x)
+    sigma = _argmin_sigma(s.u1.cross, x)
     dist_sq = min(_manifold_distance_sq(spec, s, +1, sigma),
                   _manifold_distance_sq(spec, s, -1, sigma))
     return math.sqrt(max(dist_sq, 0.0)), sigma

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from critwave import _native, evolve, fields, modulation
+from critwave import _native, evolve, modulation
 from critwave.config import EvolutionConfig
 from critwave.evolve import (_MAX_SAFE_AMP, BLOWUP, CONFIRM_REFINE,
                              CONFIRM_WINDOW, DT_FLOOR_FACTOR, SCATTER,
@@ -1086,8 +1086,8 @@ def assert_same_run(a, b):
 
 class TestSigmaSearchInRuns:
     """A run's rows seed d_0's sigma search, and its detail counts the
-    full-grid passes in sigma of its rows: the W_sigma' evaluations of the
-    cross values and the compiled derivative passes of the search."""
+    full-grid passes in sigma of its rows: one compiled cross-term pass
+    per sigma that a row reads."""
 
     CFG = EvolutionConfig(n=1024, r_max=32.0, t_max=3.0, monitor_stride=0.5)
 
@@ -1098,33 +1098,27 @@ class TestSigmaSearchInRuns:
         s = (State(RadialField(g, np.asarray(eval_W(3, g.r ** 2))
                                + 1e-3 * spectral.rho_on(g)), zeros_on(g))
              if near else bump_state(g, amp=0.05))
-        rows, evaluations, passes = [], [], []
-        row_of, deriv = evolve._monitor_row, fields._w_sigma_deriv
-        sums = _native.LIB.cw_cross_sums
+        rows, passes = [], []
+        row_of, sums = evolve._monitor_row, _native.LIB.cw_cross_sums
 
         def recording_row(state, *args):
             rows.append(state)
             return row_of(state, *args)
-
-        def counting(grid, sigma):
-            evaluations.append(sigma)
-            return deriv(grid, sigma)
 
         def counting_sums(*args):
             passes.append(args[3])
             return sums(*args)
 
         monkeypatch.setattr(evolve, "_monitor_row", recording_row)
-        monkeypatch.setattr(fields, "_w_sigma_deriv", counting)
         monkeypatch.setattr(_native.LIB, "cw_cross_sums", counting_sums)
         run = evolve_direction(s, self.CFG, spectral, thresholds)
         assert len(rows) == len(run.series["t"]) > 1
         assert np.all(np.isfinite(run.series["sigma"])) == near
         assert run.detail["sigma_evals"] == sum(len(r.u1._cross)
                                                 for r in rows)
-        # every row's d_0 search makes at least one derivative pass
-        assert len(passes) >= len(rows) and len(evaluations) > 0
-        assert run.detail["sigma_evals"] == len(evaluations) + len(passes)
+        # every row's d_0 search makes at least one pass
+        assert len(passes) >= len(rows)
+        assert run.detail["sigma_evals"] == len(passes)
 
     def test_rows_without_a_fit_seed_the_next_search(self, spectral,
                                                       thresholds, monkeypatch):

@@ -111,6 +111,26 @@ class TestRecipes:
                 f"it reads {keys}")):
             ExperimentSpec("x", recipe, params).validate(thresholds)
 
+    @pytest.mark.parametrize("recipe, params, message", [
+        pytest.param("quadrant", {"eps": 1e-3}, "the quadrant recipe needs a",
+                     id="quadrant-without-a"),
+        pytest.param("bump", {"amplitude": math.nan},
+                     "amplitude must be finite, got nan", id="nan-amplitude"),
+        pytest.param("quadrant", {"a": (1, 0), "eps": 1e-3,
+                                  "perturb_norm": math.inf},
+                     "perturb_norm must be finite, got inf",
+                     id="inf-perturb-norm"),
+        pytest.param("bump", {"width": 0.0}, "width must be > 0, got 0.0",
+                     id="zero-width"),
+        pytest.param("bump", {"perturb_norm": -1.0},
+                     "perturb_norm must be >= 0, got -1.0",
+                     id="negative-perturb-norm"),
+    ])
+    def test_invalid_values_rejected(self, thresholds, recipe, params,
+                                     message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec("x", recipe, params).validate(thresholds)
+
     def test_perturbation_norm(self, spectral, rng):
         cfg = EvolutionConfig(**FAST_EVOLUTION)
         exp = ExperimentSpec("b", "bump", {"amplitude": 0.05}, evolution=cfg)
@@ -200,10 +220,27 @@ class TestRunExperiment:
 
 
 @pytest.fixture(scope="module")
-def mini_table(spectral, thresholds):
-    return run_quadrant_sweep(eps_list=(1e-3,), spectral=spectral,
-                              thresholds=thresholds, evolution=SWEEP_EVOLUTION,
-                              n_perturbed=1, seed=11)
+def mini_sweep(spectral, thresholds):
+    """The mini sweep's table and the (forward, backward) runs of each of
+    its rows."""
+    runs, row_of = [], experiments._quadrant_row
+
+    def recording_row(case, fwd, bwd, *args):
+        runs.append((fwd, bwd))
+        return row_of(case, fwd, bwd, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_quadrant_row", recording_row)
+        table = run_quadrant_sweep(eps_list=(1e-3,), spectral=spectral,
+                                   thresholds=thresholds,
+                                   evolution=SWEEP_EVOLUTION, n_perturbed=1,
+                                   seed=11)
+    return table, runs
+
+
+@pytest.fixture(scope="module")
+def mini_table(mini_sweep):
+    return mini_sweep[0]
 
 
 class TestQuadrantSweep:
@@ -229,6 +266,18 @@ class TestQuadrantSweep:
         assert lines[0] == ("a,eps,verdict_backward,verdict_forward,"
                             "ejection_rate,runtime")
         assert len(lines) == 1 + 4  # base rows only
+
+    def test_json_rows_sum_their_runs_time_split(self, mini_sweep, tmp_path,
+                                                 strict_json):
+        table, runs = mini_sweep
+        table.to_json(tmp_path / "table.json")
+        rows = strict_json(tmp_path / "table.json")["rows"]
+        assert len(rows) == len(runs) == 5
+        for row, (fwd, bwd) in zip(rows, runs):
+            assert row["runtime"] == fwd.wall_s + bwd.wall_s
+            for key in ("rows_s", "strides_s", "wait_s", "confirm_s"):
+                assert row[key] == fwd.detail[key] + bwd.detail[key] >= 0.0
+            assert 0.0 < row["rows_s"] + row["confirm_s"] < row["runtime"]
 
 
 class TestSweepReuse:
@@ -437,6 +486,36 @@ class TestCLI:
         assert len(captured.err.splitlines()) == 1
         assert message in captured.err
         assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        pytest.param("recipe = quadrant\neps = 1e-3",
+                     "the quadrant recipe needs a", id="quadrant-without-a"),
+        pytest.param("recipe = bump\namplitude = nan",
+                     "amplitude must be finite, got nan", id="nan-amplitude"),
+        pytest.param("recipe = quadrant\na = 1,0\neps = 1e-3\n"
+                     "perturb_norm = inf",
+                     "perturb_norm must be finite, got inf",
+                     id="inf-perturb-norm"),
+        pytest.param("recipe = bump\nwidth = 0", "width must be > 0, got 0.0",
+                     id="zero-width"),
+        pytest.param("recipe = bump\nperturb_norm = -1",
+                     "perturb_norm must be >= 0, got -1.0",
+                     id="negative-perturb-norm"),
+    ])
+    def test_invalid_experiment_values_exit_3(self, tmp_path, capsys,
+                                              monkeypatch, lines, message):
+        # rejected by the spec's check, before the spectral build
+        monkeypatch.setattr(cli, "build_spectral_data", _forbidden)
+        conf = tmp_path / "bad.ini"
+        conf.write_text(f"[experiment]\nname = bad\n{lines}\n")
+        out = tmp_path / "out"
+        code = cli_main(["evolve", "--config", str(conf), "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line, = captured.err.splitlines()
+        assert line.startswith(f"invalid configuration: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evolve", "quadrant"])

@@ -9,12 +9,12 @@ from scipy.integrate import quad
 
 from critwave.fields import (BoostParams, Field3D, RadialField, State,
                              UniformSpline, _mirrored_spline,
-                             _w_sigma_cross_tail,
-                             _w_sigma_cross_tail_derivs, eval_W, eval_W_dr,
+                             _w_sigma_cross_tail, eval_W, eval_W_dr,
                              load_radial_field, load_state,
                              save_radial_field, save_state)
 from critwave.functionals import h1_seminorm_sq
 from critwave.grids import BLOCK_POINTS, Box3DGrid, RadialGrid
+from critwave.modulation import SIGMA_RANGE
 
 
 class TestGroundStateClosedForm:
@@ -159,7 +159,7 @@ class TestCrossTail:
         grid = RadialGrid(d, r_max, 64, "uniform")
         for sigma in np.linspace(-9.0, 4.0, 27):
             want = cross_tail_by_quadrature(grid, c, b, sigma)
-            got = _w_sigma_cross_tail(grid, c, b, sigma)
+            got = _w_sigma_cross_tail(grid, c, b, sigma)[0]
             assert got == pytest.approx(want, rel=1e-9, abs=0.0), sigma
 
 
@@ -173,10 +173,22 @@ def central_differences(f, sigma, h=1e-3):
     return (4.0 * e1 - d1) / 3.0, (4.0 * e2 - d2) / 3.0
 
 
+def numpy_cross(field, sigma):
+    """<grad f | grad W_sigma> in numpy, the oracle of the compiled pass:
+    f' times the measure dotted with W_sigma' on the nodes (through
+    ``eval_W_dr``), plus the closed-form tail beyond r_max."""
+    g, es = field.grid, math.exp(sigma)
+    w_sigma_dr = (es ** (g.d / 2.0 - 1.0) * es
+                  * np.asarray(eval_W_dr(g.d, es * g.r)))
+    return (float(field._du_meas @ w_sigma_dr)
+            + _w_sigma_cross_tail(g, *field.tail, sigma)[0])
+
+
 class TestCrossDerivs:
-    """The sigma-derivatives of the cross term from one compiled pass
-    (``RadialField.cross_derivs``), its closed-form tail included, against
-    central differences of ``RadialField.cross``."""
+    """The cross term and its sigma-derivatives from one compiled pass
+    (``RadialField.cross``), its closed-form tail included: the value
+    against the numpy oracle, the derivatives against central differences
+    of the value."""
 
     SIGMAS = (-8.0, -2.8, 0.0, 3.5)
 
@@ -190,11 +202,16 @@ class TestCrossDerivs:
         return RadialField(grid, np.asarray(eval_W(d, (0.7 * grid.r) ** 2))
                            + 0.3 * np.exp(-((grid.r - 5.0) / 2.0) ** 2))
 
+    def test_value_matches_numpy_over_the_range(self, field):
+        for sigma in np.linspace(*SIGMA_RANGE, 27):
+            assert field.cross(sigma)[0] == pytest.approx(
+                numpy_cross(field, sigma), rel=1e-12), sigma
+
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_match_central_differences(self, field, sigma):
-        c, c1, c2 = field.cross_derivs(sigma)
-        d1, d2 = central_differences(field.cross, sigma)
-        assert c == pytest.approx(field.cross(sigma), rel=1e-12)
+        c, c1, c2 = field.cross(sigma)
+        d1, d2 = central_differences(lambda x: field.cross(x)[0], sigma)
+        assert c == pytest.approx(numpy_cross(field, sigma), rel=1e-12)
         assert c1 == pytest.approx(d1, rel=1e-9)
         assert c2 == pytest.approx(d2, rel=1e-6)
 
@@ -202,19 +219,17 @@ class TestCrossDerivs:
     def test_tail_matches_central_differences(self, field, sigma):
         grid, (c, b) = field.grid, field.tail
         assert c != 0.0 and b != 0.0
-        t1, t2 = _w_sigma_cross_tail_derivs(grid, c, b, sigma)
+        _, t1, t2 = _w_sigma_cross_tail(grid, c, b, sigma)
         d1, d2 = central_differences(
-            lambda x: _w_sigma_cross_tail(grid, c, b, x), sigma)
+            lambda x: _w_sigma_cross_tail(grid, c, b, x)[0], sigma)
         assert t1 == pytest.approx(d1, rel=1e-9)
         assert t2 == pytest.approx(d2, rel=1e-6)
 
     def test_each_pass_is_kept_once(self, field):
-        # one entry per full-grid pass: values under sigma, derivative
-        # passes under ("derivs", sigma)
-        kept = field.cross_derivs(0.25)
-        assert field.cross_derivs(0.25) is kept
-        field.cross(0.25)
-        assert set(field._cross) == {0.25, ("derivs", 0.25)}
+        # one entry per full-grid pass, under its sigma
+        kept = field.cross(0.25)
+        assert field.cross(0.25) is kept
+        assert set(field._cross) == {0.25}
 
 
 class TestSampleFamily:

@@ -176,22 +176,30 @@ def test_host_and_portable_builds_bitwise(tmp_path, monkeypatch, spectral):
                         [0.0, g.r[-1], math.inf, -math.inf, math.nan]])
     assert (_spline(host, spline, r).tobytes()
             == _spline(portable, spline, r).tobytes())
-    # the cross term's sums over an odd grid, and the d_0 minimizer that
-    # the search finds from them, unseeded and seeded
+    # the cross term's sums over an odd grid, the squared distance to
+    # each sign's family that d_0 reads from them, and the d_0 minimizer
+    # that the search finds, unseeded and seeded
     g = RadialGrid(3, 64.0, 8192, "uniform").head(4097)
     u1 = (np.asarray(fields.eval_W(3, (0.8 * g.r) ** 2))
           + 0.05 * np.exp(-((g.r - 20.0) / 4.0) ** 2))
     fld = fields.RadialField(g, u1)
-    for sigma in (-8.0, -2.8, 0.0, 3.5):
+    sigmas = (-8.0, -2.8, 0.0, 3.5)
+    for sigma in sigmas:
         assert (_cross_sums(host, fld, sigma).tobytes()
                 == _cross_sums(portable, fld, sigma).tobytes())
-    found = []
+    found, dist_sq = [], []
     for lib in (host, portable):
         monkeypatch.setattr(_native, "LIB", lib)
+        s = fields.State(fields.RadialField(g, u1),
+                         fields.RadialField(g, np.exp(-g.r)))
+        dist_sq.append([
+            modulation._manifold_distance_sq(spectral, s, sgn, sigma).hex()
+            for sgn in (+1, -1) for sigma in sigmas])
         for seed in (None, 0.5):
             s = fields.State(fields.RadialField(g, u1),
                              fields.RadialField(g, np.zeros(g.n)))
             found.append(modulation.manifold_distance(spectral, s, seed))
+    assert dist_sq[0] == dist_sq[1]
     assert repr(found[:2]) == repr(found[2:])
     # the box passes on an odd grid, whose z rows straddle the summation
     # leaves, with samples over twelve orders of magnitude and c on no node
